@@ -11,6 +11,9 @@
      flat:    clear_touched; apply; normalize_touched;
               validate_touched; sync_rows touched w->snapshot
 
+   A last [blend] row times that kernel alone, the inner step of
+   PATHPROP's walks.
+
    Machine-readable output lands in BENCH_kernels.json; CI runs this
    experiment and fails the build if the aggregate (geomean) speedup is
    not > 1, i.e. if the flat kernels ever stop being faster than the
@@ -42,22 +45,27 @@ let time_reps f =
   done;
   (reps, !best)
 
-(* Rows/sec for one pass under one implementation, doing that driver
-   generation's whole per-pass protocol. *)
-let bench_pass impl ctx passes pass =
-  let n = Context.n_instrs ctx in
+(* A realistic mid-convergence matrix: one full sequence application,
+   normalized. *)
+let settled impl ctx passes =
   let w =
-    Weights.create_with ~impl ~n ~nc:(Context.n_clusters ctx) ~nt:ctx.Context.nt
+    Weights.create_with ~impl ~n:(Context.n_instrs ctx) ~nc:(Context.n_clusters ctx)
+      ~nt:ctx.Context.nt
   in
-  let snapshot = Weights.copy w in
-  (* Settle into a realistic mid-convergence matrix: one full sequence
-     application, normalized. *)
   List.iter
     (fun p ->
       p.Pass.apply ctx w;
       Weights.normalize_all w)
     passes;
   Weights.clear_touched w;
+  w
+
+(* Rows/sec for one pass under one implementation, doing that driver
+   generation's whole per-pass protocol. *)
+let bench_pass impl ctx passes pass =
+  let n = Context.n_instrs ctx in
+  let w = settled impl ctx passes in
+  let snapshot = Weights.copy w in
   Weights.blit ~src:w ~dst:snapshot;
   let step =
     match impl with
@@ -78,6 +86,19 @@ let bench_pass impl ctx passes pass =
   let reps, elapsed = time_reps step in
   if elapsed > 0.0 then float_of_int (n * reps) /. elapsed else 0.0
 
+(* Rows/sec of the [blend] kernel alone (PATHPROP's inner step): every
+   row blended with its successor row, as a walk would. *)
+let bench_blend impl ctx passes =
+  let n = Context.n_instrs ctx in
+  let w = settled impl ctx passes in
+  let step () =
+    for i = 0 to n - 1 do
+      Weights.blend w ~dst:i ~src:((i + 1) mod n) ~keep:0.5
+    done
+  in
+  let reps, elapsed = time_reps step in
+  if elapsed > 0.0 then float_of_int (n * reps) /. elapsed else 0.0
+
 let kernels () =
   Report.section "Kernels: flat Bigarray weight matrix vs legacy (extension)";
   let machine = Cs_machine.Vliw.create ~n_clusters:4 () in
@@ -88,16 +109,16 @@ let kernels () =
     (Context.n_instrs ctx) (Context.n_clusters ctx) ctx.Context.nt;
   Printf.printf "\n%-10s %15s %15s %9s\n" "pass" "legacy rows/s" "flat rows/s" "speedup";
   let rows =
-    (* Legacy and flat measured back to back per pass, so slow drift in
+    (* Legacy and flat measured back to back per row, so slow drift in
        machine load cancels out of the ratio. *)
     List.map
-      (fun pass ->
-        let l = bench_pass Weights.Legacy ctx passes pass in
-        let f = bench_pass Weights.Flat ctx passes pass in
+      (fun (name, bench) ->
+        let l = bench Weights.Legacy and f = bench Weights.Flat in
         let s = if l > 0.0 then f /. l else 0.0 in
-        Printf.printf "%-10s %15.0f %15.0f %8.2fx\n%!" pass.Pass.name l f s;
-        (pass.Pass.name, l, f, s))
-      passes
+        Printf.printf "%-10s %15.0f %15.0f %8.2fx\n%!" name l f s;
+        (name, l, f, s))
+      (List.map (fun pass -> (pass.Pass.name, fun impl -> bench_pass impl ctx passes pass)) passes
+      @ [ ("blend", fun impl -> bench_blend impl ctx passes) ])
   in
   let agg = Cs_util.Stats.geomean (List.map (fun (_, _, _, s) -> s) rows) in
   Printf.printf "\naggregate speedup (geomean): %.2fx (target >= %.1fx)%s\n" agg

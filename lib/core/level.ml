@@ -1,59 +1,103 @@
-let distance_to_bin a i = function
-  | [] -> max_int
-  | members ->
-    let row = Cs_ddg.Analysis.distance_row a i in
-    List.fold_left (fun acc m -> min acc row.(m)) max_int members
+(* Per-application scratch, sized for the largest group and reused by
+   every group, so a pass application allocates it once. Slot [k] holds
+   the [k]-th unassigned instruction of the current group, in group
+   order:
 
-let distribute_group ctx w ~granularity ~confidence_threshold ~boost group =
+   - [row.(k)]: its distance row, fetched on first use ([[||]] before);
+   - [dist.(k * nc + b)]: its minimum distance to a member of bin [b]
+     ([max_int] while the bin is empty or unreachable);
+   - [closest.(k)]: its minimum distance to any non-empty bin.
+
+   Both distances only shrink as members join bins, so each join updates
+   them in O(U) instead of rescanning every bin member. *)
+type scratch = {
+  ids : int array;
+  live : Bytes.t;
+  rows : int array array;
+  dist : int array;
+  closest : int array;
+}
+
+let scratch ~size ~nc =
+  {
+    ids = Array.make size 0;
+    live = Bytes.make size '\000';
+    rows = Array.make size [||];
+    dist = Array.make (size * nc) max_int;
+    closest = Array.make size max_int;
+  }
+
+let distribute_group ctx w s ~granularity ~confidence_threshold ~boost group =
   let a = ctx.Context.analysis in
   let nc = Weights.nc w in
-  let bins = Array.make nc [] in
-  let unassigned = ref [] in
+  let count = ref 0 and seeds = ref [] in
   List.iter
     (fun i ->
-      if Weights.confidence w i >= confidence_threshold then begin
-        let c = Weights.preferred_cluster w i in
-        bins.(c) <- i :: bins.(c)
-      end
-      else unassigned := i :: !unassigned)
+      if Weights.confidence w i >= confidence_threshold then
+        seeds := (i, Weights.preferred_cluster w i) :: !seeds
+      else begin
+        s.ids.(!count) <- i;
+        incr count
+      end)
     group;
-  let unassigned = ref (List.rev !unassigned) in
-  let closest_bin_distance i =
-    let best = ref max_int in
-    Array.iter
-      (fun members ->
-        if members <> [] then best := min !best (distance_to_bin a i members))
-      bins;
-    !best
+  let count = !count in
+  Bytes.fill s.live 0 count '\001';
+  Array.fill s.rows 0 count [||];
+  Array.fill s.dist 0 (count * nc) max_int;
+  Array.fill s.closest 0 count max_int;
+  (* Member [m] joins bin [b]. Rows are fetched on first use, so an
+     instruction's distance row is computed (and cached by the
+     analysis) only once some bin is non-empty. *)
+  let join m b =
+    for k = 0 to count - 1 do
+      if Bytes.unsafe_get s.live k <> '\000' then begin
+        let row =
+          match s.rows.(k) with
+          | [||] ->
+            let row = Cs_ddg.Analysis.distance_row a s.ids.(k) in
+            s.rows.(k) <- row;
+            row
+          | row -> row
+        in
+        let d = row.(m) in
+        if d < s.dist.((k * nc) + b) then s.dist.((k * nc) + b) <- d;
+        if d < s.closest.(k) then s.closest.(k) <- d
+      end
+    done
   in
+  List.iter (fun (i, c) -> join i c) !seeds;
   let next_bin = ref 0 in
-  while !unassigned <> [] do
+  for _ = 1 to count do
     let b = !next_bin in
     next_bin := (!next_bin + 1) mod nc;
     (* Candidates far from every existing bin get distributed first; when
-       none qualify, everything remaining is a candidate. *)
-    let far = List.filter (fun i -> closest_bin_distance i > granularity) !unassigned in
-    let candidates = if far = [] then !unassigned else far in
-    let chosen =
-      List.fold_left
-        (fun acc i ->
-          let d = distance_to_bin a i bins.(b) in
-          match acc with
-          | Some (bd, _) when bd >= d -> acc
-          | Some _ | None -> Some (d, i))
-        None candidates
-    in
-    match chosen with
-    | None -> unassigned := [] (* unreachable: candidates is non-empty *)
-    | Some (_, i) ->
-      bins.(b) <- i :: bins.(b);
-      unassigned := List.filter (fun j -> j <> i) !unassigned;
-      Weights.scale_cluster w i b boost
+       none qualify, everything remaining is a candidate. The bin takes
+       the first candidate farthest from it. *)
+    let far = ref (-1) and far_d = ref 0 and any = ref (-1) and any_d = ref 0 in
+    for k = 0 to count - 1 do
+      if Bytes.unsafe_get s.live k <> '\000' then begin
+        let d = s.dist.((k * nc) + b) in
+        if !any < 0 || d > !any_d then begin
+          any := k;
+          any_d := d
+        end;
+        if s.closest.(k) > granularity && (!far < 0 || d > !far_d) then begin
+          far := k;
+          far_d := d
+        end
+      end
+    done;
+    let k = if !far >= 0 then !far else !any in
+    let i = s.ids.(k) in
+    Bytes.set s.live k '\000';
+    join i b;
+    Weights.scale_cluster w i b boost
   done
 
 let apply ~stride ~granularity ~confidence_threshold ~boost ctx w =
   let a = ctx.Context.analysis in
   let deepest = Cs_ddg.Analysis.max_depth a in
+  let groups = ref [] in
   let lbase = ref 0 in
   while !lbase <= deepest do
     let group = ref [] in
@@ -61,10 +105,14 @@ let apply ~stride ~granularity ~confidence_threshold ~boost ctx w =
       let d = Cs_ddg.Analysis.depth a i in
       if d >= !lbase && d < !lbase + stride then group := i :: !group
     done;
-    if !group <> [] then
-      distribute_group ctx w ~granularity ~confidence_threshold ~boost !group;
+    if !group <> [] then groups := !group :: !groups;
     lbase := !lbase + stride
-  done
+  done;
+  let size = List.fold_left (fun m g -> max m (List.length g)) 0 !groups in
+  let s = scratch ~size ~nc:(Weights.nc w) in
+  List.iter
+    (distribute_group ctx w s ~granularity ~confidence_threshold ~boost)
+    (List.rev !groups)
 
 let pass ?(stride = 4) ?(granularity = 2) ?(confidence_threshold = 2.0) ?(boost = 2.5) () =
   Pass.make

@@ -554,26 +554,44 @@ let blend t ~dst ~src ~keep =
   if keep < 0.0 || keep > 1.0 then invalid_arg "Weights.blend: keep must be in [0,1]";
   check_row t dst;
   check_row t src;
-  if dst = src then ()
-  else begin
-    let len = t.nc * t.nt in
-    let bd = dst * len and bs = src * len in
+  if dst <> src then begin
+    let nc = t.nc and nt = t.nt in
     (match t.storage with
     | Legacy_s a ->
-      for c = 0 to t.nc - 1 do
-        for tt = 0 to t.nt - 1 do
+      for c = 0 to nc - 1 do
+        for tt = 0 to nt - 1 do
           let kd = idx t dst c tt and ks = idx t src c tt in
           a.(kd) <- (keep *. a.(kd)) +. ((1.0 -. keep) *. a.(ks))
         done
-      done
+      done;
+      recompute_row t dst
     | Flat_s ba ->
-      for k = 0 to len - 1 do
-        Bigarray.Array1.unsafe_set ba (bd + k)
-          ((keep *. Bigarray.Array1.unsafe_get ba (bd + k))
-          +. ((1.0 -. keep) *. Bigarray.Array1.unsafe_get ba (bs + k)))
-      done);
-    mark_touched t dst;
-    recompute_row t dst
+      (* One sweep writes the row and rebuilds its marginal caches,
+         accumulating in [recompute_row]'s order as [normalize] does. *)
+      let drop = 1.0 -. keep in
+      let cs = t.cluster_sum and ts = t.time_sum in
+      let ti = dst * nt in
+      for tt = 0 to nt - 1 do
+        Array.unsafe_set ts (ti + tt) 0.0
+      done;
+      let row = ref 0.0 in
+      for c = 0 to nc - 1 do
+        let ld = ((dst * nc) + c) * nt and ls = ((src * nc) + c) * nt in
+        let s = ref 0.0 in
+        for tt = 0 to nt - 1 do
+          let v =
+            (keep *. Bigarray.Array1.unsafe_get ba (ld + tt))
+            +. (drop *. Bigarray.Array1.unsafe_get ba (ls + tt))
+          in
+          Bigarray.Array1.unsafe_set ba (ld + tt) v;
+          s := !s +. v;
+          Array.unsafe_set ts (ti + tt) (Array.unsafe_get ts (ti + tt) +. v)
+        done;
+        Array.unsafe_set cs ((dst * nc) + c) !s;
+        row := !row +. !s
+      done;
+      t.row_total.(dst) <- !row);
+    mark_touched t dst
   end
 
 let preferred_clusters t = Array.init t.n (fun i -> preferred_cluster t i)

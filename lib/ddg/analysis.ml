@@ -7,6 +7,7 @@ type t = {
   height : int array;
   cpl : int;
   dist_cache : (int, int array) Hashtbl.t;
+  queue : int array; (* BFS work queue, reused by every search *)
 }
 
 let graph t = t.graph
@@ -56,7 +57,8 @@ let make ~latency graph =
       (Graph.succs graph i)
   done;
   let latest = Array.init n (fun i -> latest_finish.(i) - lat.(i)) in
-  { graph; lat; earliest; latest; depth; height; cpl; dist_cache = Hashtbl.create 16 }
+  { graph; lat; earliest; latest; depth; height; cpl; dist_cache = Hashtbl.create 16;
+    queue = Array.make n 0 }
 
 let critical_instrs t =
   let acc = ref [] in
@@ -87,27 +89,41 @@ let critical_path t =
       follow start []
   end
 
+(* Each node enters the queue at most once, so the analysis' [n]-slot
+   array is the whole queue. Walking [preds] then [succs] in place visits
+   [Graph.neighbors] without building it, so a search allocates nothing
+   but the distance row it returns. *)
 let bfs t sources =
   let n = Graph.n t.graph in
   let dist = Array.make n max_int in
-  let queue = Queue.create () in
+  let queue = t.queue in
+  let tail = ref 0 in
   List.iter
     (fun s ->
       if s < 0 || s >= n then invalid_arg "Analysis: bfs source out of range";
       if dist.(s) = max_int then begin
         dist.(s) <- 0;
-        Queue.add s queue
+        queue.(!tail) <- s;
+        incr tail
       end)
     sources;
-  while not (Queue.is_empty queue) do
-    let i = Queue.pop queue in
-    List.iter
-      (fun j ->
-        if dist.(j) = max_int then begin
-          dist.(j) <- dist.(i) + 1;
-          Queue.add j queue
-        end)
-      (Graph.neighbors t.graph i)
+  let rec visit d = function
+    | [] -> ()
+    | j :: rest ->
+      if dist.(j) = max_int then begin
+        dist.(j) <- d;
+        queue.(!tail) <- j;
+        incr tail
+      end;
+      visit d rest
+  in
+  let head = ref 0 in
+  while !head < !tail do
+    let i = queue.(!head) in
+    incr head;
+    let d = dist.(i) + 1 in
+    visit d (Graph.preds t.graph i);
+    visit d (Graph.succs t.graph i)
   done;
   dist
 

@@ -14,10 +14,7 @@ let instrs t = t.instrs
 let succs t i = t.succs.(i)
 let preds t i = t.preds.(i)
 
-let neighbors t i =
-  let seen = Hashtbl.create 8 in
-  let keep j = if Hashtbl.mem seen j then false else (Hashtbl.add seen j (); true) in
-  List.filter keep (t.preds.(i) @ t.succs.(i))
+let neighbors t i = t.preds.(i) @ t.succs.(i)
 
 let n_edges t = t.n_edges
 

@@ -20,7 +20,8 @@ val instrs : t -> Instr.t array
 val succs : t -> int -> int list
 val preds : t -> int -> int list
 val neighbors : t -> int -> int list
-(** [preds @ succs], duplicates removed. *)
+(** [preds @ succs]. The graph is acyclic, so no node is both a
+    predecessor and a successor and the list has no duplicates. *)
 
 val n_edges : t -> int
 val roots : t -> int list

@@ -2,6 +2,14 @@
 
 open Cs_ddg
 
+(* Seed QCheck's Random.State from Cs_util.Rng so `dune runtest` is
+   bit-reproducible (to_alcotest's default state is self_init'd). *)
+let to_alcotest test =
+  let rng = Cs_util.Rng.create 0xB17_5EED in
+  QCheck_alcotest.to_alcotest
+    ~rand:(Random.State.make (Array.init 8 (fun _ -> Cs_util.Rng.int rng 0x3FFFFFFF)))
+    test
+
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let check_ints = Alcotest.(check (list int))
@@ -139,6 +147,73 @@ let test_graph_neighbors_no_dups () =
   let nbrs = Graph.neighbors g 1 in
   check_int "two neighbors" 2 (List.length nbrs);
   check_int "unique" 2 (List.length (List.sort_uniq Int.compare nbrs))
+
+(* Random DAGs: several disconnected components of def-use chains, plus
+   forward ordering edges that may duplicate a def-use edge. *)
+let random_dag seed =
+  let rng = Cs_util.Rng.create seed in
+  let b = Builder.create ~name:"random" () in
+  for _ = 1 to 1 + Cs_util.Rng.int rng 4 do
+    let values = ref [||] and ids = ref [] in
+    for _ = 1 to 1 + Cs_util.Rng.int rng 20 do
+      let n = Array.length !values in
+      let pick () = !values.(Cs_util.Rng.int rng n) in
+      let v =
+        if n = 0 || Cs_util.Rng.int rng 6 = 0 then Builder.op0 b Opcode.Const
+        else if Cs_util.Rng.bool rng then Builder.op1 b Opcode.Fadd (pick ())
+        else Builder.op2 b Opcode.Fmul (pick ()) (pick ())
+      in
+      values := Array.append !values [| v |];
+      ids := Builder.last_id b :: !ids
+    done;
+    let ids = Array.of_list (List.rev !ids) in
+    for _ = 1 to Cs_util.Rng.int rng 4 do
+      let x = Cs_util.Rng.int rng (Array.length ids) and y = Cs_util.Rng.int rng (Array.length ids) in
+      if x < y then Builder.mem_fence_edge b ids.(x) ids.(y)
+    done
+  done;
+  Builder.finish b
+
+(* Reference definitions: neighbours as a hash-set dedup of
+   [preds @ succs], distances as a [Queue]-driven search over them. *)
+let old_neighbors g i =
+  let seen = Hashtbl.create 8 in
+  let keep j = if Hashtbl.mem seen j then false else (Hashtbl.add seen j (); true) in
+  List.filter keep (Graph.preds g i @ Graph.succs g i)
+
+let old_distance_row g src =
+  let dist = Array.make (Graph.n g) max_int in
+  let queue = Queue.create () in
+  dist.(src) <- 0;
+  Queue.add src queue;
+  while not (Queue.is_empty queue) do
+    let i = Queue.pop queue in
+    List.iter
+      (fun j ->
+        if dist.(j) = max_int then begin
+          dist.(j) <- dist.(i) + 1;
+          Queue.add j queue
+        end)
+      (old_neighbors g i)
+  done;
+  dist
+
+let arbitrary_dag = QCheck.make ~print:(Printf.sprintf "seed=%d") QCheck.Gen.(int_bound 100_000)
+
+let prop_neighbors_unchanged =
+  QCheck.Test.make ~count:200 ~name:"neighbors = dedup of preds @ succs, in order" arbitrary_dag
+    (fun seed ->
+      let g = (random_dag seed).Region.graph in
+      List.for_all (fun i -> Graph.neighbors g i = old_neighbors g i) (List.init (Graph.n g) Fun.id))
+
+let prop_distance_rows_unchanged =
+  QCheck.Test.make ~count:200 ~name:"distance rows unchanged on random DAGs" arbitrary_dag
+    (fun seed ->
+      let g = (random_dag seed).Region.graph in
+      let a = Analysis.make ~latency:(fun _ -> 1) g in
+      List.for_all
+        (fun i -> Analysis.distance_row a i = old_distance_row g i)
+        (List.init (Graph.n g) Fun.id))
 
 let test_graph_defining_instr () =
   let b = Builder.create ~name:"def" () in
@@ -361,6 +436,7 @@ let () =
           Alcotest.test_case "rejects self use" `Quick test_graph_rejects_self_use;
           Alcotest.test_case "topo valid" `Quick test_graph_topo_is_valid;
           Alcotest.test_case "neighbors unique" `Quick test_graph_neighbors_no_dups;
+          to_alcotest prop_neighbors_unchanged;
           Alcotest.test_case "defining instr" `Quick test_graph_defining_instr;
         ] );
       ( "analysis",
@@ -372,6 +448,7 @@ let () =
           Alcotest.test_case "critical instrs" `Quick test_analysis_critical_instrs;
           Alcotest.test_case "distance" `Quick test_analysis_distance;
           Alcotest.test_case "distance disconnected" `Quick test_analysis_distance_disconnected;
+          to_alcotest prop_distance_rows_unchanged;
           Alcotest.test_case "multi source" `Quick test_analysis_multi_source;
           Alcotest.test_case "max depth" `Quick test_analysis_max_depth;
         ] );

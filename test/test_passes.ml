@@ -3,6 +3,14 @@
 
 open Cs_core
 
+(* Seed QCheck's Random.State from Cs_util.Rng so `dune runtest` is
+   bit-reproducible (to_alcotest's default state is self_init'd). *)
+let to_alcotest test =
+  let rng = Cs_util.Rng.create 0xB17_5EED in
+  QCheck_alcotest.to_alcotest
+    ~rand:(Random.State.make (Array.init 8 (fun _ -> Cs_util.Rng.int rng 0x3FFFFFFF)))
+    test
+
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
@@ -264,6 +272,149 @@ let test_level_respects_confident_bins () =
   run_pass (Level.pass ()) ctx w;
   check_int "confident instr keeps bin" before (Weights.preferred_cluster w 3)
 
+(* The rescanning LEVEL formulation, kept verbatim as the oracle for
+   the incremental one: per round-robin step it recomputes every
+   unassigned instruction's distance to every bin from the members. *)
+module Naive_level = struct
+  let distance_to_bin a i = function
+    | [] -> max_int
+    | members ->
+      let row = Cs_ddg.Analysis.distance_row a i in
+      List.fold_left (fun acc m -> min acc row.(m)) max_int members
+
+  let distribute_group ctx w ~granularity ~confidence_threshold ~boost group =
+    let a = ctx.Context.analysis in
+    let nc = Weights.nc w in
+    let bins = Array.make nc [] in
+    let unassigned = ref [] in
+    List.iter
+      (fun i ->
+        if Weights.confidence w i >= confidence_threshold then begin
+          let c = Weights.preferred_cluster w i in
+          bins.(c) <- i :: bins.(c)
+        end
+        else unassigned := i :: !unassigned)
+      group;
+    let unassigned = ref (List.rev !unassigned) in
+    let closest_bin_distance i =
+      let best = ref max_int in
+      Array.iter
+        (fun members ->
+          if members <> [] then best := min !best (distance_to_bin a i members))
+        bins;
+      !best
+    in
+    let next_bin = ref 0 in
+    while !unassigned <> [] do
+      let b = !next_bin in
+      next_bin := (!next_bin + 1) mod nc;
+      let far = List.filter (fun i -> closest_bin_distance i > granularity) !unassigned in
+      let candidates = if far = [] then !unassigned else far in
+      let chosen =
+        List.fold_left
+          (fun acc i ->
+            let d = distance_to_bin a i bins.(b) in
+            match acc with
+            | Some (bd, _) when bd >= d -> acc
+            | Some _ | None -> Some (d, i))
+          None candidates
+      in
+      match chosen with
+      | None -> unassigned := []
+      | Some (_, i) ->
+        bins.(b) <- i :: bins.(b);
+        unassigned := List.filter (fun j -> j <> i) !unassigned;
+        Weights.scale_cluster w i b boost
+    done
+
+  let apply ~stride ~granularity ~confidence_threshold ~boost ctx w =
+    let a = ctx.Context.analysis in
+    let deepest = Cs_ddg.Analysis.max_depth a in
+    let lbase = ref 0 in
+    while !lbase <= deepest do
+      let group = ref [] in
+      for i = Weights.n w - 1 downto 0 do
+        let d = Cs_ddg.Analysis.depth a i in
+        if d >= !lbase && d < !lbase + stride then group := i :: !group
+      done;
+      if !group <> [] then
+        distribute_group ctx w ~granularity ~confidence_threshold ~boost !group;
+      lbase := !lbase + stride
+    done
+end
+
+(* A random DAG of several disconnected components (so distance rows
+   hold [max_int]), some of them single constants. *)
+let random_dag rng =
+  let b = Cs_ddg.Builder.create ~name:"components" () in
+  for _ = 1 to 1 + Cs_util.Rng.int rng 5 do
+    let values = ref [||] in
+    for _ = 1 to 1 + Cs_util.Rng.int rng 14 do
+      let n = Array.length !values in
+      let pick () = !values.(Cs_util.Rng.int rng n) in
+      let v =
+        if n = 0 || Cs_util.Rng.int rng 5 = 0 then Cs_ddg.Builder.op0 b Cs_ddg.Opcode.Const
+        else if Cs_util.Rng.bool rng then Cs_ddg.Builder.op1 b Cs_ddg.Opcode.Fadd (pick ())
+        else Cs_ddg.Builder.op2 b Cs_ddg.Opcode.Fmul (pick ()) (pick ())
+      in
+      values := Array.append !values [| v |]
+    done
+  done;
+  Cs_ddg.Builder.finish b
+
+let level_machines =
+  [| Cs_machine.Vliw.create ~n_clusters:2 (); vliw4; Cs_machine.Raw.with_tiles 16 |]
+
+(* Thresholds: 1.0 makes nearly every row confident (a confidence is
+   the top cluster weight over the runner-up's), 1e12 none; in between,
+   rows skewed below draw a mix. *)
+let level_case_gen =
+  QCheck.Gen.(
+    map
+      (fun (seed, m, th, (stride, gran)) -> (seed, m, th, stride, gran))
+      (quad (int_bound 100_000) (int_bound 2)
+         (oneofl [ 1.0; 1.5; 2.0; 3.0; 1e12 ])
+         (pair (int_range 1 4) (int_range 0 3))))
+
+let print_level_case (seed, m, th, stride, gran) =
+  Printf.sprintf "seed=%d nc=%d threshold=%g stride=%d granularity=%d" seed
+    (Cs_machine.Machine.n_clusters level_machines.(m)) th stride gran
+
+let prop_level_matches_naive =
+  QCheck.Test.make ~count:300 ~name:"incremental LEVEL = naive LEVEL, bit for bit"
+    (QCheck.make ~print:print_level_case level_case_gen)
+    (fun (seed, m, threshold, stride, granularity) ->
+      let rng = Cs_util.Rng.create seed in
+      let region = random_dag rng in
+      let ctx, w = fresh region level_machines.(m) in
+      (* Skew some rows toward a cluster so their confidence varies. *)
+      for i = 0 to Weights.n w - 1 do
+        if Cs_util.Rng.bool rng then
+          Weights.scale_cluster w i
+            (Cs_util.Rng.int rng (Weights.nc w))
+            (1.0 +. Cs_util.Rng.float rng 4.0)
+      done;
+      Weights.normalize_all w;
+      let naive = Weights.copy w in
+      let boost = 2.5 in
+      (Level.pass ~stride ~granularity ~confidence_threshold:threshold ~boost ()).Pass.apply
+        ctx w;
+      Naive_level.apply ~stride ~granularity ~confidence_threshold:threshold ~boost ctx naive;
+      let same = ref true in
+      for i = 0 to Weights.n w - 1 do
+        for c = 0 to Weights.nc w - 1 do
+          for t = 0 to Weights.nt w - 1 do
+            if Int64.bits_of_float (Weights.get w i c t)
+               <> Int64.bits_of_float (Weights.get naive i c t)
+            then same := false
+          done;
+          if Int64.bits_of_float (Weights.cluster_weight w i c)
+             <> Int64.bits_of_float (Weights.cluster_weight naive i c)
+          then same := false
+        done
+      done;
+      !same)
+
 (* --- PATHPROP --- *)
 
 let test_pathprop_propagates_downward () =
@@ -430,6 +581,7 @@ let () =
         [
           Alcotest.test_case "distributes layer" `Quick test_level_distributes_wide_layer;
           Alcotest.test_case "respects bins" `Quick test_level_respects_confident_bins;
+          to_alcotest prop_level_matches_naive;
         ] );
       ( "pathprop",
         [

@@ -135,6 +135,24 @@ let test_blend_self_noop () =
   Weights.blend w ~dst:0 ~src:0 ~keep:0.5;
   check_float "unchanged" 0.5 (Weights.get w 0 0 0)
 
+let test_blend_self_noop_clean () =
+  List.iter
+    (fun impl ->
+      let w = Weights.create_with ~impl ~n:2 ~nc:3 ~nt:2 in
+      Weights.scale_cluster w 0 1 3.0;
+      Weights.normalize_all w;
+      Weights.clear_touched w;
+      let before = Weights.copy w in
+      Weights.blend w ~dst:0 ~src:0 ~keep:0.5;
+      check_bool "row clean" false (Weights.is_touched w 0);
+      check_int "nothing touched" 0 (Weights.touched_count w);
+      for c = 0 to 2 do
+        for t = 0 to 1 do
+          check_bool "entry bits" true (Weights.get w 0 c t = Weights.get before 0 c t)
+        done
+      done)
+    [ Weights.Flat; Weights.Legacy ]
+
 let test_blend_rejects_bad_keep () =
   let w = Weights.create ~n:2 ~nc:2 ~nt:1 in
   Alcotest.check_raises "keep > 1" (Invalid_argument "Weights.blend: keep must be in [0,1]")
@@ -392,6 +410,63 @@ let test_ops_bit_compat_qcheck =
   in
   to_alcotest prop
 
+(* The fused Flat [blend] rebuilds the row's marginal caches in the same
+   sweep that writes it. They must equal, with [=], both the Legacy
+   storage's [recompute_row] rebuild after the same blend and a rebuild
+   from the entries in [recompute_row]'s order (lane sums, time sums in
+   ascending cluster order, row total as the sum of lane sums). *)
+let rebuilt_marginals w i =
+  let lanes =
+    Array.init pnc (fun c ->
+        let s = ref 0.0 in
+        for t = 0 to pnt - 1 do
+          s := !s +. Weights.get w i c t
+        done;
+        !s)
+  in
+  let times =
+    Array.init pnt (fun t ->
+        let s = ref 0.0 in
+        for c = 0 to pnc - 1 do
+          s := !s +. Weights.get w i c t
+        done;
+        !s)
+  in
+  (lanes, times, Array.fold_left ( +. ) 0.0 lanes)
+
+let cached_marginals w i =
+  ( Array.init pnc (Weights.cluster_weight w i),
+    Array.init pnt (Weights.time_weight w i),
+    Weights.row_total w i )
+
+let test_fused_blend_caches_qcheck =
+  let gen =
+    QCheck.Gen.(
+      (* [src] is drawn as an offset so it never equals [dst]: blending a
+         row into itself is a no-op that rebuilds nothing. *)
+      map
+        (fun (ops, dst, off, keep) -> (ops, dst, (dst + 1 + off) mod pn, keep))
+        (tup4 ops_gen (int_bound (pn - 1)) (int_bound (pn - 2)) (oneofl [ 0.0; 0.5; 1.0 ])))
+  in
+  let prop =
+    QCheck.Test.make ~count:300 ~name:"fused blend caches = recompute_row rebuild"
+      (QCheck.make gen)
+      (fun (ops, dst, src, keep) ->
+        let wf = run_ops Weights.Flat ops and wl = run_ops Weights.Legacy ops in
+        Weights.blend wf ~dst ~src ~keep;
+        Weights.blend wl ~dst ~src ~keep;
+        let ok = ref true in
+        for c = 0 to pnc - 1 do
+          for t = 0 to pnt - 1 do
+            if Weights.get wf dst c t <> Weights.get wl dst c t then ok := false
+          done
+        done;
+        !ok
+        && cached_marginals wf dst = cached_marginals wl dst
+        && cached_marginals wf dst = rebuilt_marginals wf dst)
+  in
+  to_alcotest prop
+
 let test_ops_dirty_exact_qcheck =
   let prop =
     QCheck.Test.make ~count:300 ~name:"touched set = exactly the written rows"
@@ -494,6 +569,7 @@ let () =
           Alcotest.test_case "blend" `Quick test_blend;
           Alcotest.test_case "blend self noop" `Quick test_blend_self_noop;
           Alcotest.test_case "blend bad keep" `Quick test_blend_rejects_bad_keep;
+          Alcotest.test_case "blend self noop clean" `Quick test_blend_self_noop_clean;
           Alcotest.test_case "copy deep" `Quick test_copy_is_deep;
           Alcotest.test_case "blit restores" `Quick test_blit_restores;
           Alcotest.test_case "validate gate" `Quick test_validate_gate;
@@ -519,5 +595,6 @@ let () =
           test_ops_invariants_qcheck Weights.Flat;
           test_ops_invariants_qcheck Weights.Legacy;
           test_ops_bit_compat_qcheck; test_ops_dirty_exact_qcheck;
+          test_fused_blend_caches_qcheck;
         ] );
     ]
