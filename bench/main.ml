@@ -31,7 +31,7 @@ let experiments =
     ("gateway", "sharded gateway: result cache + failover (extension)", Exp_gateway.gateway);
     ("obs", "observability: sink + metrics throughput, telemetry overhead (extension)", Exp_obs.obs);
     ("micro", "bechamel micro-benchmarks", Exp_micro.micro);
-    ("kernels", "flat vs legacy weight-matrix kernels, rows/sec per pass (extension)", Exp_kernels.kernels);
+    ("kernels", "weight-matrix kernels, rows/sec per pass (extension)", Exp_kernels.kernels);
     ("serve", "overload: work-stealing lanes, fair admission, brownout (extension)", Exp_serve.serve);
   ]
 

@@ -64,28 +64,6 @@ let machine_arg =
 let scheduler_arg =
   Arg.(value & opt scheduler_conv Cs_sim.Pipeline.Convergent & info [ "s"; "scheduler" ] ~doc:"Scheduler: convergent, rawcc, uas, pcc, bug.")
 
-let weights_impl_arg =
-  let impl_conv =
-    let parse s =
-      match Cs_core.Weights.impl_of_string s with
-      | Ok i -> Ok i
-      | Error msg -> Error (`Msg msg)
-    in
-    let printer fmt i = Format.fprintf fmt "%s" (Cs_core.Weights.impl_name i) in
-    Arg.conv (parse, printer)
-  in
-  Arg.(
-    value
-    & opt (some impl_conv) None
-    & info [ "weights-impl" ] ~docv:"IMPL"
-        ~doc:
-          "Weight-matrix implementation: $(b,flat) (contiguous Bigarray kernels, the \
-           default) or $(b,legacy) (the original float-array path, kept for one \
-           release as the differential oracle and benchmark baseline). Overrides \
-           CSCHED_WEIGHTS_IMPL.")
-
-let set_weights_impl impl = Option.iter Cs_core.Weights.set_default_impl impl
-
 let scale_arg = Arg.(value & opt int 1 & info [ "scale" ] ~doc:"Problem-size multiplier.")
 let verbose_arg = Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Print the full schedule.")
 
@@ -234,8 +212,7 @@ let parse_passes spec =
 
 let run_cmd =
   let doc = "Schedule one benchmark and report cycles." in
-  let run entry machine scheduler scale verbose passes_spec faults weights_impl trace_out =
-    set_weights_impl weights_impl;
+  let run entry machine scheduler scale verbose passes_spec faults trace_out =
     with_trace ~trace_out (fun () ->
         let machine =
           match faults with
@@ -283,7 +260,7 @@ let run_cmd =
   Cmd.v (Cmd.info "run" ~doc)
     Term.(
       const run $ benchmark_arg $ machine_arg $ scheduler_arg $ scale_arg $ verbose_arg
-      $ passes_opt_arg $ faults_opt_arg $ weights_impl_arg $ trace_out_arg)
+      $ passes_opt_arg $ faults_opt_arg $ trace_out_arg)
 
 let run_file_cmd =
   let doc = "Schedule a region from a text file (see lib/ddg/textual.mli for the format)." in
@@ -518,9 +495,7 @@ let profile_cmd =
       & opt (some benchmark_conv) None
       & info [ "b"; "benchmark" ] ~doc:"Benchmark name (required unless --connect).")
   in
-  let run connect watch iterations entry machine scale passes_spec rounds weights_impl
-      trace_out jsonl =
-    set_weights_impl weights_impl;
+  let run connect watch iterations entry machine scale passes_spec rounds trace_out jsonl =
     match (connect, entry) with
     | Some spec, _ -> profile_live ~watch ~iterations spec
     | None, None ->
@@ -627,8 +602,7 @@ let profile_cmd =
   Cmd.v (Cmd.info "profile" ~doc)
     Term.(
       const run $ live_connect_arg $ watch_arg $ iterations_arg $ opt_benchmark_arg
-      $ machine_arg $ scale_arg $ passes_opt_arg $ rounds_arg $ weights_impl_arg
-      $ trace_out_arg $ jsonl_arg)
+      $ machine_arg $ scale_arg $ passes_opt_arg $ rounds_arg $ trace_out_arg $ jsonl_arg)
 
 let tune_cmd =
   let doc =
@@ -1083,8 +1057,7 @@ let fuzz_cmd =
     if failures > 0 then exit 1
   in
   let run seeds domains budget corpus findings_file no_shrink degraded checkpoint resume
-      summary replay_path weights_impl trace_out =
-    set_weights_impl weights_impl;
+      summary replay_path trace_out =
     if domains <= 0 then begin
       Printf.eprintf "fuzz: --domains must be positive\n";
       exit 1
@@ -1160,7 +1133,7 @@ let fuzz_cmd =
     Term.(
       const run $ seeds_arg $ domains_arg $ budget_arg $ corpus_arg $ findings_arg
       $ no_shrink_arg $ degraded_arg $ fuzz_checkpoint_arg $ fuzz_resume_arg
-      $ fuzz_summary_arg $ replay_arg $ weights_impl_arg $ trace_out_arg)
+      $ fuzz_summary_arg $ replay_arg $ trace_out_arg)
 
 let socket_arg =
   Arg.(

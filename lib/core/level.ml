@@ -115,6 +115,9 @@ let apply ~stride ~granularity ~confidence_threshold ~boost ctx w =
     (List.rev !groups)
 
 let pass ?(stride = 4) ?(granularity = 2) ?(confidence_threshold = 2.0) ?(boost = 2.5) () =
+  (* [apply] advances through depth groups by [stride]; below 1 it
+     would never finish. *)
+  if stride < 1 then invalid_arg "Level.pass: stride must be >= 1";
   Pass.make
     ~params:
       [ ("stride", float_of_int stride); ("granularity", float_of_int granularity);

@@ -11,7 +11,8 @@
 
     [stride] groups that many consecutive levels per application; the
     paper uses 4 on Raw — "the minimum granularity of parallelism that
-    Raw can profitably exploit". *)
+    Raw can profitably exploit". Raises [Invalid_argument] when
+    [stride < 1]. *)
 
 val pass :
   ?stride:int -> ?granularity:int -> ?confidence_threshold:float ->

@@ -87,6 +87,10 @@ let to_spec ?(full = false) pass =
     pass.Pass.name ^ "="
     ^ String.concat ":" (List.map (fun (k, v) -> k ^ "=" ^ float_to_string v) shown)
 
+(* LEVEL walks depth groups [stride] levels at a time: a stride below 1
+   would never advance, and one past [max_int] truncates to garbage. *)
+let valid_stride v = v >= 1.0 && v < float_of_int max_int
+
 let of_spec spec =
   let spec = String.trim spec in
   let name, param_str =
@@ -114,8 +118,14 @@ let of_spec spec =
                (String.concat ", " valid_keys))
         else
           (match float_of_string_opt v with
-          | Some fv -> Ok (k, fv)
-          | None -> Error (Printf.sprintf "%s: parameter %s=%S is not a number" upper k v))
+          | None -> Error (Printf.sprintf "%s: parameter %s=%S is not a number" upper k v)
+          | Some fv when not (Float.is_finite fv) ->
+            Error (Printf.sprintf "%s: parameter %s=%S is not finite" upper k v)
+          | Some fv when upper = "LEVEL" && k = "stride" && not (valid_stride fv) ->
+            Error
+              (Printf.sprintf "%s: parameter %s=%S is out of range (want 1 <= stride < 2^62)"
+                 upper k v)
+          | Some fv -> Ok (k, fv))
     in
     let rec parse_all acc = function
       | [] -> Ok (List.rev acc)

@@ -9,20 +9,13 @@
    The convergent passes are dense sweeps over rows, so every kernel
    below is written as a single fused loop over that layout.
 
-   Two storages implement the same contract:
-
-   - [Flat]: a Bigarray.Array1 of float64 driven by unsafe fused
-     kernels — the production path.
-   - [Legacy]: the original OCaml float array walked through the
-     original bounds-checked per-element get/set chain — kept for one
-     PR as the differential oracle and the benchmark baseline, behind
-     the [--weights-impl] flag / CSCHED_WEIGHTS_IMPL.
-
-   Both storages perform the *same floating-point operations in the
-   same order* (fused kernels accumulate the same per-element deltas
-   the per-element path does), so replaying any pass sequence through
-   either implementation yields bit-identical matrices — that property
-   is what test/test_differential.ml pins over the fuzz seed space.
+   The block is a Bigarray.Array1 of float64 driven by unsafe fused
+   kernels. Each fused kernel performs the *same floating-point
+   operations in the same order* as its per-element spelling through
+   [get]/[set]/[scale] (it accumulates the same per-element deltas
+   into the caches), so the two are bit-identical — test/test_weights.ml
+   pins that property per kernel, and test/golden/schedules.txt pins
+   the schedules and per-pass telemetry the kernels produce.
 
    Marginal caches (cluster sums, time sums, row totals) are
    maintained incrementally by every write and rebuilt exactly by
@@ -31,36 +24,13 @@
    quarantine gate, and snapshot/rollback all touch only the rows a
    pass actually wrote. *)
 
-type impl = Flat | Legacy
-
-let impl_name = function Flat -> "flat" | Legacy -> "legacy"
-
-let impl_of_string s =
-  match String.lowercase_ascii (String.trim s) with
-  | "flat" | "bigarray" -> Ok Flat
-  | "legacy" | "array" -> Ok Legacy
-  | other -> Error (Printf.sprintf "unknown weights implementation %S (want flat|legacy)" other)
-
-let default =
-  ref
-    (match Sys.getenv_opt "CSCHED_WEIGHTS_IMPL" with
-    | Some s -> (match impl_of_string s with Ok i -> i | Error _ -> Flat)
-    | None -> Flat)
-
-let default_impl () = !default
-let set_default_impl i = default := i
-
 type ba1 = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
-
-type storage =
-  | Flat_s of ba1
-  | Legacy_s of float array
 
 type t = {
   n : int;
   nc : int;
   nt : int;
-  storage : storage;
+  w : ba1;
   cluster_sum : float array; (* n * nc *)
   time_sum : float array; (* n * nt *)
   row_total : float array; (* n *)
@@ -71,34 +41,25 @@ type t = {
 let n t = t.n
 let nc t = t.nc
 let nt t = t.nt
-let impl t = match t.storage with Flat_s _ -> Flat | Legacy_s _ -> Legacy
 
 let idx t i c tt = (((i * t.nc) + c) * t.nt) + tt
 
-let create_with ~impl ~n ~nc ~nt =
+let create ~n ~nc ~nt =
   if n < 0 || nc <= 0 || nt <= 0 then invalid_arg "Weights.create: bad dimensions";
   let v = 1.0 /. float_of_int (nc * nt) in
-  let storage =
-    match impl with
-    | Legacy -> Legacy_s (Array.make (n * nc * nt) v)
-    | Flat ->
-      let ba = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout (n * nc * nt) in
-      Bigarray.Array1.fill ba v;
-      Flat_s ba
-  in
+  let w = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout (n * nc * nt) in
+  Bigarray.Array1.fill w v;
   {
     n;
     nc;
     nt;
-    storage;
+    w;
     cluster_sum = Array.make (n * nc) (v *. float_of_int nt);
     time_sum = Array.make (n * nt) (v *. float_of_int nc);
     row_total = Array.make n (v *. float_of_int (nc * nt));
     dirty = Bytes.make (max n 1) '\000';
     n_dirty = 0;
   }
-
-let create ~n ~nc ~nt = create_with ~impl:!default ~n ~nc ~nt
 
 let check_index t i c tt =
   if i < 0 || i >= t.n || c < 0 || c >= t.nc || tt < 0 || tt >= t.nt then
@@ -138,16 +99,11 @@ let clear_touched t =
 
 (* --- element access ------------------------------------------------ *)
 
-let raw_get t k =
-  match t.storage with
-  | Flat_s ba -> Bigarray.Array1.unsafe_get ba k
-  | Legacy_s a -> Array.unsafe_get a k
+let raw_get t k = Bigarray.Array1.unsafe_get t.w k
 
 let get t i c tt =
   check_index t i c tt;
-  match t.storage with
-  | Legacy_s a -> a.(idx t i c tt)
-  | Flat_s ba -> Bigarray.Array1.unsafe_get ba (idx t i c tt)
+  raw_get t (idx t i c tt)
 
 (* Every write funnels its delta into all three marginal caches; fused
    kernels below replicate exactly this update sequence. A delta of 0
@@ -166,40 +122,78 @@ let set t i c tt v =
   check_index t i c tt;
   if bad_value v then reject_value ();
   let k = idx t i c tt in
-  match t.storage with
-  | Legacy_s a ->
-    (* Bounds-checked, as the original chain was — this cost is part of
-       what the Legacy baseline preserves. *)
-    let old = a.(k) in
-    a.(k) <- v;
-    apply_delta t i c tt (v -. old)
-  | Flat_s ba ->
-    let old = Bigarray.Array1.unsafe_get ba k in
-    Bigarray.Array1.unsafe_set ba k v;
-    apply_delta t i c tt (v -. old)
+  let old = Bigarray.Array1.unsafe_get t.w k in
+  Bigarray.Array1.unsafe_set t.w k v;
+  apply_delta t i c tt (v -. old)
 
 let add t i c tt v = set t i c tt (get t i c tt +. v)
 let scale t i c tt f = set t i c tt (get t i c tt *. f)
 
 (* --- fused row kernels ---------------------------------------------
-   Each kernel dispatches on the storage once and then runs a flat
-   loop. The Legacy branch deliberately goes through the per-element
-   [set]/[get] chain — that *is* the legacy path being preserved as
-   oracle and baseline; the Flat branch performs the identical
-   arithmetic unboxed and unchecked. *)
+   Each kernel is one flat loop performing exactly the arithmetic of
+   its per-element spelling through [get]/[set]/[scale], unboxed and
+   unchecked. The write-and-update-caches body is repeated in each
+   rather than shared: without flambda a helper call may box the
+   floats in these hottest loops. *)
 
 let scale_cluster t i c f =
   if i < 0 || i >= t.n || c < 0 || c >= t.nc then invalid_arg "Weights: index out of range";
-  match t.storage with
-  | Legacy_s _ ->
-    for tt = 0 to t.nt - 1 do
-      scale t i c tt f
-    done
-  | Flat_s ba ->
-    let nt = t.nt in
+  let ba = t.w in
+  let nt = t.nt in
+  let base = ((i * t.nc) + c) * nt in
+  let ci = (i * t.nc) + c and ti = i * nt in
+  let cs = t.cluster_sum and ts = t.time_sum and rt = t.row_total in
+  for tt = 0 to nt - 1 do
+    let k = base + tt in
+    let old = Bigarray.Array1.unsafe_get ba k in
+    let v = old *. f in
+    if bad_value v then reject_value ();
+    let delta = v -. old in
+    if delta <> 0.0 then begin
+      Bigarray.Array1.unsafe_set ba k v;
+      Array.unsafe_set cs ci (Array.unsafe_get cs ci +. delta);
+      Array.unsafe_set ts (ti + tt) (Array.unsafe_get ts (ti + tt) +. delta);
+      Array.unsafe_set rt i (Array.unsafe_get rt i +. delta);
+      mark_touched t i
+    end
+  done
+
+let scale_time t i tt f =
+  if i < 0 || i >= t.n || tt < 0 || tt >= t.nt then invalid_arg "Weights: index out of range";
+  let ba = t.w in
+  let nt = t.nt in
+  let ti = (i * nt) + tt in
+  let cs0 = i * t.nc in
+  let cs = t.cluster_sum and ts = t.time_sum and rt = t.row_total in
+  for c = 0 to t.nc - 1 do
+    let k = (((i * t.nc) + c) * nt) + tt in
+    let old = Bigarray.Array1.unsafe_get ba k in
+    let v = old *. f in
+    if bad_value v then reject_value ();
+    let delta = v -. old in
+    if delta <> 0.0 then begin
+      Bigarray.Array1.unsafe_set ba k v;
+      Array.unsafe_set cs (cs0 + c) (Array.unsafe_get cs (cs0 + c) +. delta);
+      Array.unsafe_set ts ti (Array.unsafe_get ts ti +. delta);
+      Array.unsafe_set rt i (Array.unsafe_get rt i +. delta);
+      mark_touched t i
+    end
+  done
+
+(* One factor per cluster applied to a whole row in a single sweep —
+   the shape LOAD / COMM / FEASIBLE / PLACEPROP reduce to. Equivalent
+   to [scale_cluster t i c factors.(c)] for every [c] in order. *)
+let scale_clusters t i factors =
+  check_row t i;
+  if Array.length factors <> t.nc then
+    invalid_arg "Weights.scale_clusters: factor count must equal nc";
+  let ba = t.w in
+  let nt = t.nt in
+  let cs = t.cluster_sum and ts = t.time_sum and rt = t.row_total in
+  for c = 0 to t.nc - 1 do
+    let f = Array.unsafe_get factors c in
     let base = ((i * t.nc) + c) * nt in
     let ci = (i * t.nc) + c and ti = i * nt in
-    let cs = t.cluster_sum and ts = t.time_sum and rt = t.row_total in
     for tt = 0 to nt - 1 do
       let k = base + tt in
       let old = Bigarray.Array1.unsafe_get ba k in
@@ -214,100 +208,32 @@ let scale_cluster t i c f =
         mark_touched t i
       end
     done
-
-let scale_time t i tt f =
-  if i < 0 || i >= t.n || tt < 0 || tt >= t.nt then invalid_arg "Weights: index out of range";
-  match t.storage with
-  | Legacy_s _ ->
-    for c = 0 to t.nc - 1 do
-      scale t i c tt f
-    done
-  | Flat_s ba ->
-    let nt = t.nt in
-    let ti = (i * nt) + tt in
-    let cs0 = i * t.nc in
-    let cs = t.cluster_sum and ts = t.time_sum and rt = t.row_total in
-    for c = 0 to t.nc - 1 do
-      let k = (((i * t.nc) + c) * nt) + tt in
-      let old = Bigarray.Array1.unsafe_get ba k in
-      let v = old *. f in
-      if bad_value v then reject_value ();
-      let delta = v -. old in
-      if delta <> 0.0 then begin
-        Bigarray.Array1.unsafe_set ba k v;
-        Array.unsafe_set cs (cs0 + c) (Array.unsafe_get cs (cs0 + c) +. delta);
-        Array.unsafe_set ts ti (Array.unsafe_get ts ti +. delta);
-        Array.unsafe_set rt i (Array.unsafe_get rt i +. delta);
-        mark_touched t i
-      end
-    done
-
-(* One factor per cluster applied to a whole row in a single sweep —
-   the shape LOAD / COMM / FEASIBLE / PLACEPROP reduce to. Equivalent
-   to [scale_cluster t i c factors.(c)] for every [c] in order. *)
-let scale_clusters t i factors =
-  check_row t i;
-  if Array.length factors <> t.nc then
-    invalid_arg "Weights.scale_clusters: factor count must equal nc";
-  match t.storage with
-  | Legacy_s _ ->
-    for c = 0 to t.nc - 1 do
-      scale_cluster t i c factors.(c)
-    done
-  | Flat_s ba ->
-    let nt = t.nt in
-    let cs = t.cluster_sum and ts = t.time_sum and rt = t.row_total in
-    for c = 0 to t.nc - 1 do
-      let f = Array.unsafe_get factors c in
-      let base = ((i * t.nc) + c) * nt in
-      let ci = (i * t.nc) + c and ti = i * nt in
-      for tt = 0 to nt - 1 do
-        let k = base + tt in
-        let old = Bigarray.Array1.unsafe_get ba k in
-        let v = old *. f in
-        if bad_value v then reject_value ();
-        let delta = v -. old in
-        if delta <> 0.0 then begin
-          Bigarray.Array1.unsafe_set ba k v;
-          Array.unsafe_set cs ci (Array.unsafe_get cs ci +. delta);
-          Array.unsafe_set ts (ti + tt) (Array.unsafe_get ts (ti + tt) +. delta);
-          Array.unsafe_set rt i (Array.unsafe_get rt i +. delta);
-          mark_touched t i
-        end
-      done
-    done
+  done
 
 (* Rewrite one row through [f c tt v], in flat (c-major) order. *)
 let map_row t i f =
   check_row t i;
-  match t.storage with
-  | Legacy_s _ ->
-    for c = 0 to t.nc - 1 do
-      for tt = 0 to t.nt - 1 do
-        set t i c tt (f c tt (get t i c tt))
-      done
+  let ba = t.w in
+  let nt = t.nt in
+  let cs = t.cluster_sum and ts = t.time_sum and rt = t.row_total in
+  for c = 0 to t.nc - 1 do
+    let base = ((i * t.nc) + c) * nt in
+    let ci = (i * t.nc) + c and ti = i * nt in
+    for tt = 0 to nt - 1 do
+      let k = base + tt in
+      let old = Bigarray.Array1.unsafe_get ba k in
+      let v = f c tt old in
+      if bad_value v then reject_value ();
+      let delta = v -. old in
+      if delta <> 0.0 then begin
+        Bigarray.Array1.unsafe_set ba k v;
+        Array.unsafe_set cs ci (Array.unsafe_get cs ci +. delta);
+        Array.unsafe_set ts (ti + tt) (Array.unsafe_get ts (ti + tt) +. delta);
+        Array.unsafe_set rt i (Array.unsafe_get rt i +. delta);
+        mark_touched t i
+      end
     done
-  | Flat_s ba ->
-    let nt = t.nt in
-    let cs = t.cluster_sum and ts = t.time_sum and rt = t.row_total in
-    for c = 0 to t.nc - 1 do
-      let base = ((i * t.nc) + c) * nt in
-      let ci = (i * t.nc) + c and ti = i * nt in
-      for tt = 0 to nt - 1 do
-        let k = base + tt in
-        let old = Bigarray.Array1.unsafe_get ba k in
-        let v = f c tt old in
-        if bad_value v then reject_value ();
-        let delta = v -. old in
-        if delta <> 0.0 then begin
-          Bigarray.Array1.unsafe_set ba k v;
-          Array.unsafe_set cs ci (Array.unsafe_get cs ci +. delta);
-          Array.unsafe_set ts (ti + tt) (Array.unsafe_get ts (ti + tt) +. delta);
-          Array.unsafe_set rt i (Array.unsafe_get rt i +. delta);
-          mark_touched t i
-        end
-      done
-    done
+  done
 
 (* Zero every slot outside [lo..hi] in row [i] — INITTIME's shape.
    Exactly [map_row t i (fun _ tt v -> if tt < lo || tt > hi then 0.0
@@ -316,33 +242,31 @@ let map_row t i f =
    ascending order map_row would reach them. *)
 let mask_time_window t i ~lo ~hi =
   check_row t i;
-  match t.storage with
-  | Legacy_s _ -> map_row t i (fun _ tt v -> if tt < lo || tt > hi then 0.0 else v)
-  | Flat_s ba ->
-    let nt = t.nt in
-    let cs = t.cluster_sum and ts = t.time_sum and rt = t.row_total in
-    for c = 0 to t.nc - 1 do
-      let base = ((i * t.nc) + c) * nt in
-      let ci = (i * t.nc) + c and ti = i * nt in
-      let zero tt =
-        let k = base + tt in
-        let old = Bigarray.Array1.unsafe_get ba k in
-        let delta = 0.0 -. old in
-        if delta <> 0.0 then begin
-          Bigarray.Array1.unsafe_set ba k 0.0;
-          Array.unsafe_set cs ci (Array.unsafe_get cs ci +. delta);
-          Array.unsafe_set ts (ti + tt) (Array.unsafe_get ts (ti + tt) +. delta);
-          Array.unsafe_set rt i (Array.unsafe_get rt i +. delta);
-          mark_touched t i
-        end
-      in
-      for tt = 0 to min lo nt - 1 do
-        zero tt
-      done;
-      for tt = max (hi + 1) 0 to nt - 1 do
-        zero tt
-      done
+  let ba = t.w in
+  let nt = t.nt in
+  let cs = t.cluster_sum and ts = t.time_sum and rt = t.row_total in
+  for c = 0 to t.nc - 1 do
+    let base = ((i * t.nc) + c) * nt in
+    let ci = (i * t.nc) + c and ti = i * nt in
+    let zero tt =
+      let k = base + tt in
+      let old = Bigarray.Array1.unsafe_get ba k in
+      let delta = 0.0 -. old in
+      if delta <> 0.0 then begin
+        Bigarray.Array1.unsafe_set ba k 0.0;
+        Array.unsafe_set cs ci (Array.unsafe_get cs ci +. delta);
+        Array.unsafe_set ts (ti + tt) (Array.unsafe_get ts (ti + tt) +. delta);
+        Array.unsafe_set rt i (Array.unsafe_get rt i +. delta);
+        mark_touched t i
+      end
+    in
+    for tt = 0 to min lo nt - 1 do
+      zero tt
+    done;
+    for tt = max (hi + 1) 0 to nt - 1 do
+      zero tt
     done
+  done
 
 (* --- marginals ------------------------------------------------------ *)
 
@@ -358,50 +282,6 @@ let row_total t i =
   check_row t i;
   t.row_total.(i)
 
-(* Rebuild row [i]'s marginal caches exactly from its entries: cluster
-   sums in c-major order, then time sums, then the row total as the sum
-   of cluster sums (the order the legacy recompute used). *)
-let recompute_row t i =
-  let nt = t.nt and nc = t.nc in
-  (match t.storage with
-  | Legacy_s a ->
-    (* Seed-faithful: index recomputed per element, bounds-checked. *)
-    for c = 0 to nc - 1 do
-      let s = ref 0.0 in
-      for tt = 0 to nt - 1 do
-        s := !s +. a.(idx t i c tt)
-      done;
-      t.cluster_sum.((i * nc) + c) <- !s
-    done;
-    for tt = 0 to nt - 1 do
-      let s = ref 0.0 in
-      for c = 0 to nc - 1 do
-        s := !s +. a.(idx t i c tt)
-      done;
-      t.time_sum.((i * nt) + tt) <- !s
-    done
-  | Flat_s ba ->
-    for c = 0 to nc - 1 do
-      let s = ref 0.0 in
-      let base = ((i * nc) + c) * nt in
-      for tt = 0 to nt - 1 do
-        s := !s +. Bigarray.Array1.unsafe_get ba (base + tt)
-      done;
-      t.cluster_sum.((i * nc) + c) <- !s
-    done;
-    for tt = 0 to nt - 1 do
-      let s = ref 0.0 in
-      for c = 0 to nc - 1 do
-        s := !s +. Bigarray.Array1.unsafe_get ba ((((i * nc) + c) * nt) + tt)
-      done;
-      t.time_sum.((i * nt) + tt) <- !s
-    done);
-  let total = ref 0.0 in
-  for c = 0 to nc - 1 do
-    total := !total +. t.cluster_sum.((i * nc) + c)
-  done;
-  t.row_total.(i) <- !total
-
 (* --- normalization -------------------------------------------------- *)
 
 (* Total from the entries themselves, not the incrementally maintained
@@ -409,86 +289,53 @@ let recompute_row t i =
    while the row has decayed to all zeros, and dividing by that would
    produce a row that still sums to ~0 (or worse, NaN). The fused
    divide is the kernel half of the driver's "apply then renormalize"
-   cycle; marginals are rebuilt exactly afterwards. *)
+   cycle.
+
+   Fully fused: one sweep for the total, then a single divide sweep
+   that simultaneously rebuilds all three marginal caches. The cache
+   arithmetic accumulates element-by-element in the order of a rebuild
+   from the entries (lane sums left to right, time sums in ascending
+   cluster order, row total as the sum of lane sums), so the caches are
+   bit-identical to such a rebuild. *)
 let normalize t i =
   check_row t i;
   let nt = t.nt and nc = t.nc in
   let len = nc * nt in
   let base = i * len in
   let changed = ref false in
-  match t.storage with
-  | Legacy_s a ->
-    (* Seed-faithful nested sweeps: index recomputed per element,
-       bounds-checked reads/writes, then a full marginal recompute —
-       the cost profile the flat fused path is benchmarked against. *)
-    let total = ref 0.0 in
-    for c = 0 to nc - 1 do
-      for tt = 0 to nt - 1 do
-        total := !total +. a.(idx t i c tt)
-      done
-    done;
-    let total = !total in
-    if total <= 0.0 || not (Float.is_finite total) then begin
-      let v = 1.0 /. float_of_int (nc * nt) in
-      for c = 0 to nc - 1 do
-        for tt = 0 to nt - 1 do
-          let k = idx t i c tt in
-          if a.(k) <> v then changed := true;
-          a.(k) <- v
-        done
-      done
-    end
-    else
-      for c = 0 to nc - 1 do
-        for tt = 0 to nt - 1 do
-          let k = idx t i c tt in
-          let v = a.(k) /. total in
-          if v <> a.(k) then changed := true;
-          a.(k) <- v
-        done
-      done;
-    if !changed then mark_touched t i;
-    recompute_row t i
-  | Flat_s ba ->
-    (* Fully fused: one sweep for the total, then a single divide sweep
-       that simultaneously rebuilds all three marginal caches. The
-       cache arithmetic accumulates element-by-element in exactly the
-       order [recompute_row] uses (lane sums left to right, time sums
-       in ascending cluster order, row total as the sum of lane sums),
-       so the rebuilt caches are bit-identical to the unfused path. *)
-    let nc = t.nc and nt = t.nt in
-    let total = ref 0.0 in
-    for k = base to base + len - 1 do
-      total := !total +. Bigarray.Array1.unsafe_get ba k
-    done;
-    let total = !total in
-    let uniform = total <= 0.0 || not (Float.is_finite total) in
-    let u = 1.0 /. float_of_int len in
-    let cs = t.cluster_sum and ts = t.time_sum in
-    let ti = i * nt in
+  let ba = t.w in
+  let total = ref 0.0 in
+  for k = base to base + len - 1 do
+    total := !total +. Bigarray.Array1.unsafe_get ba k
+  done;
+  let total = !total in
+  let uniform = total <= 0.0 || not (Float.is_finite total) in
+  let u = 1.0 /. float_of_int len in
+  let cs = t.cluster_sum and ts = t.time_sum in
+  let ti = i * nt in
+  for tt = 0 to nt - 1 do
+    Array.unsafe_set ts (ti + tt) 0.0
+  done;
+  let row = ref 0.0 in
+  for c = 0 to nc - 1 do
+    let lane = ((i * nc) + c) * nt in
+    let s = ref 0.0 in
     for tt = 0 to nt - 1 do
-      Array.unsafe_set ts (ti + tt) 0.0
+      let k = lane + tt in
+      let old = Bigarray.Array1.unsafe_get ba k in
+      let v = if uniform then u else old /. total in
+      if v <> old then begin
+        changed := true;
+        Bigarray.Array1.unsafe_set ba k v
+      end;
+      s := !s +. v;
+      Array.unsafe_set ts (ti + tt) (Array.unsafe_get ts (ti + tt) +. v)
     done;
-    let row = ref 0.0 in
-    for c = 0 to nc - 1 do
-      let lane = ((i * nc) + c) * nt in
-      let s = ref 0.0 in
-      for tt = 0 to nt - 1 do
-        let k = lane + tt in
-        let old = Bigarray.Array1.unsafe_get ba k in
-        let v = if uniform then u else old /. total in
-        if v <> old then begin
-          changed := true;
-          Bigarray.Array1.unsafe_set ba k v
-        end;
-        s := !s +. v;
-        Array.unsafe_set ts (ti + tt) (Array.unsafe_get ts (ti + tt) +. v)
-      done;
-      Array.unsafe_set cs ((i * nc) + c) !s;
-      row := !row +. !s
-    done;
-    t.row_total.(i) <- !row;
-    if !changed then mark_touched t i
+    Array.unsafe_set cs ((i * nc) + c) !s;
+    row := !row +. !s
+  done;
+  t.row_total.(i) <- !row;
+  if !changed then mark_touched t i
 
 let normalize_all t =
   for i = 0 to t.n - 1 do
@@ -497,9 +344,9 @@ let normalize_all t =
 
 (* The driver's fused renormalize: only rows written since the last
    [clear_touched] can have drifted off sum 1, so only they are swept.
-   Rows a pass never wrote keep their exact bits (the legacy driver
-   re-divided every row by a total within one ulp of 1.0 each pass,
-   churning the low bits of untouched rows for nothing). *)
+   Rows a pass never wrote keep their exact bits (re-dividing every
+   row by a total within one ulp of 1.0 each pass would churn the low
+   bits of untouched rows for nothing). *)
 let normalize_touched t =
   if t.n_dirty > 0 then
     for i = 0 to t.n - 1 do
@@ -551,46 +398,38 @@ let confidence t i =
     else Float.min (top /. second) confidence_sentinel
 
 let blend t ~dst ~src ~keep =
-  if keep < 0.0 || keep > 1.0 then invalid_arg "Weights.blend: keep must be in [0,1]";
+  if not (keep >= 0.0 && keep <= 1.0) then invalid_arg "Weights.blend: keep must be in [0,1]";
   check_row t dst;
   check_row t src;
   if dst <> src then begin
+    (* One sweep writes the row and rebuilds its marginal caches,
+       accumulating in a from-entries rebuild's order as [normalize]
+       does. *)
     let nc = t.nc and nt = t.nt in
-    (match t.storage with
-    | Legacy_s a ->
-      for c = 0 to nc - 1 do
-        for tt = 0 to nt - 1 do
-          let kd = idx t dst c tt and ks = idx t src c tt in
-          a.(kd) <- (keep *. a.(kd)) +. ((1.0 -. keep) *. a.(ks))
-        done
-      done;
-      recompute_row t dst
-    | Flat_s ba ->
-      (* One sweep writes the row and rebuilds its marginal caches,
-         accumulating in [recompute_row]'s order as [normalize] does. *)
-      let drop = 1.0 -. keep in
-      let cs = t.cluster_sum and ts = t.time_sum in
-      let ti = dst * nt in
+    let ba = t.w in
+    let drop = 1.0 -. keep in
+    let cs = t.cluster_sum and ts = t.time_sum in
+    let ti = dst * nt in
+    for tt = 0 to nt - 1 do
+      Array.unsafe_set ts (ti + tt) 0.0
+    done;
+    let row = ref 0.0 in
+    for c = 0 to nc - 1 do
+      let ld = ((dst * nc) + c) * nt and ls = ((src * nc) + c) * nt in
+      let s = ref 0.0 in
       for tt = 0 to nt - 1 do
-        Array.unsafe_set ts (ti + tt) 0.0
+        let v =
+          (keep *. Bigarray.Array1.unsafe_get ba (ld + tt))
+          +. (drop *. Bigarray.Array1.unsafe_get ba (ls + tt))
+        in
+        Bigarray.Array1.unsafe_set ba (ld + tt) v;
+        s := !s +. v;
+        Array.unsafe_set ts (ti + tt) (Array.unsafe_get ts (ti + tt) +. v)
       done;
-      let row = ref 0.0 in
-      for c = 0 to nc - 1 do
-        let ld = ((dst * nc) + c) * nt and ls = ((src * nc) + c) * nt in
-        let s = ref 0.0 in
-        for tt = 0 to nt - 1 do
-          let v =
-            (keep *. Bigarray.Array1.unsafe_get ba (ld + tt))
-            +. (drop *. Bigarray.Array1.unsafe_get ba (ls + tt))
-          in
-          Bigarray.Array1.unsafe_set ba (ld + tt) v;
-          s := !s +. v;
-          Array.unsafe_set ts (ti + tt) (Array.unsafe_get ts (ti + tt) +. v)
-        done;
-        Array.unsafe_set cs ((dst * nc) + c) !s;
-        row := !row +. !s
-      done;
-      t.row_total.(dst) <- !row);
+      Array.unsafe_set cs ((dst * nc) + c) !s;
+      row := !row +. !s
+    done;
+    t.row_total.(dst) <- !row;
     mark_touched t dst
   end
 
@@ -599,15 +438,11 @@ let preferred_clusters t = Array.init t.n (fun i -> preferred_cluster t i)
 (* --- copy / restore ------------------------------------------------- *)
 
 let copy t =
+  let w = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout (Bigarray.Array1.dim t.w) in
+  Bigarray.Array1.blit t.w w;
   {
     t with
-    storage =
-      (match t.storage with
-      | Legacy_s a -> Legacy_s (Array.copy a)
-      | Flat_s ba ->
-        let b = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout (Bigarray.Array1.dim ba) in
-        Bigarray.Array1.blit ba b;
-        Flat_s b);
+    w;
     cluster_sum = Array.copy t.cluster_sum;
     time_sum = Array.copy t.time_sum;
     row_total = Array.copy t.row_total;
@@ -616,17 +451,11 @@ let copy t =
 
 let check_compatible ~ctx src dst =
   if src.n <> dst.n || src.nc <> dst.nc || src.nt <> dst.nt then
-    invalid_arg (ctx ^ ": dimension mismatch");
-  match (src.storage, dst.storage) with
-  | Legacy_s _, Legacy_s _ | Flat_s _, Flat_s _ -> ()
-  | _ -> invalid_arg (ctx ^ ": implementation mismatch")
+    invalid_arg (ctx ^ ": dimension mismatch")
 
 let blit ~src ~dst =
   check_compatible ~ctx:"Weights.blit" src dst;
-  (match (src.storage, dst.storage) with
-  | Legacy_s a, Legacy_s b -> Array.blit a 0 b 0 (Array.length a)
-  | Flat_s a, Flat_s b -> Bigarray.Array1.blit a b
-  | _ -> assert false);
+  Bigarray.Array1.blit src.w dst.w;
   Array.blit src.cluster_sum 0 dst.cluster_sum 0 (Array.length src.cluster_sum);
   Array.blit src.time_sum 0 dst.time_sum 0 (Array.length src.time_sum);
   Array.blit src.row_total 0 dst.row_total 0 (Array.length src.row_total);
@@ -650,18 +479,14 @@ let sync_rows ~rows ~src ~dst =
   let sync_run lo hi =
     let rows_n = hi - lo + 1 in
     let base = lo * len and count = (hi - lo + 1) * len in
-    (match (src.storage, dst.storage) with
-    | Legacy_s a, Legacy_s b -> Array.blit a base b base count
-    | Flat_s a, Flat_s b ->
-      if count <= 512 then
-        for k = base to base + count - 1 do
-          Bigarray.Array1.unsafe_set b k (Bigarray.Array1.unsafe_get a k)
-        done
-      else
-        Bigarray.Array1.blit
-          (Bigarray.Array1.sub a base count)
-          (Bigarray.Array1.sub b base count)
-    | _ -> assert false);
+    if count <= 512 then
+      for k = base to base + count - 1 do
+        Bigarray.Array1.unsafe_set dst.w k (Bigarray.Array1.unsafe_get src.w k)
+      done
+    else
+      Bigarray.Array1.blit
+        (Bigarray.Array1.sub src.w base count)
+        (Bigarray.Array1.sub dst.w base count);
     Array.blit src.cluster_sum (lo * src.nc) dst.cluster_sum (lo * src.nc)
       (rows_n * src.nc);
     Array.blit src.time_sum (lo * src.nt) dst.time_sum (lo * src.nt) (rows_n * src.nt);
@@ -686,10 +511,8 @@ let sync_rows ~rows ~src ~dst =
 
 (* --- validation ----------------------------------------------------- *)
 
-(* Monomorphic per-storage sweeps: this runs inside the per-pass
-   quarantine gate, so the per-element storage dispatch [raw_get] would
-   pay for matters here. The Legacy arm keeps the seed's bounds-checked
-   reads. *)
+(* This runs inside the per-pass quarantine gate: one unchecked sweep
+   over the row's contiguous slice. *)
 let validate_row t i err =
   let total = ref 0.0 in
   let len = t.nc * t.nt in
@@ -706,19 +529,11 @@ let validate_row t i err =
     else false
   in
   (try
-     (match t.storage with
-     | Legacy_s a ->
-       for k = base to base + len - 1 do
-         let v = a.(k) in
-         if Float.is_finite v && v >= -.1e-9 then total := !total +. v
-         else if bad v then raise Exit
-       done
-     | Flat_s ba ->
-       for k = base to base + len - 1 do
-         let v = Bigarray.Array1.unsafe_get ba k in
-         if Float.is_finite v && v >= -.1e-9 then total := !total +. v
-         else if bad v then raise Exit
-       done);
+     for k = base to base + len - 1 do
+       let v = Bigarray.Array1.unsafe_get t.w k in
+       if Float.is_finite v && v >= -.1e-9 then total := !total +. v
+       else if bad v then raise Exit
+     done;
      if Float.abs (!total -. 1.0) > 1e-6 then begin
        err := Some (Printf.sprintf "row %d sums to %g, expected 1" i !total);
        raise Exit

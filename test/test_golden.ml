@@ -1,18 +1,27 @@
-(* Golden schedules: one fingerprint per scenario, pinned in
+(* Golden schedules: fingerprints per scenario, pinned in
    test/golden/schedules.txt, so any change to a pass, the dependence
    graph or the weight kernels that moves a single output bit fails
    here.
 
-   A fingerprint hashes (FNV-1a-64) what the scheduler hands on:
+   A schedule line [<scenario> <cycles> <hash>] hashes (FNV-1a-64)
+   what the scheduler hands on:
 
    - the cluster assignment (the driver's, or the baseline schedule's
      for non-convergent scenarios);
    - the driver's preferred time slots (empty for baselines);
    - the schedule's makespan in cycles, also kept in clear in the file.
 
+   Every scenario whose scheduler is convergent also has a telemetry
+   line [telemetry/<scenario> <samples> <hash>]: the number of per-pass
+   telemetry samples the driver's observer saw, and the FNV-1a-64 of
+   the [Schedule.pp] text's hash followed by each pass's (name, churn,
+   mean-confidence bits, mean-entropy bits). Floats enter as raw bits,
+   so the comparison is exact, never epsilon.
+
    Scenarios: the Table 1 suites (Raw suite on raw16, VLIW suite on
-   vliw4, Table 1 sequences, default seed) and the fuzzer's seeds
-   0..200 ([Cs_check.Gen.case]).
+   vliw4, Table 1 sequences, default seed), the fuzzer's seeds 0..200
+   ([Cs_check.Gen.case]) and the regression corpus (test/corpus/*.repro,
+   named [corpus/<file>]).
 
    The file is only regenerated on purpose, when a change of output is
    intended, from the repository root:
@@ -22,31 +31,71 @@
 open Cs_core
 
 let golden_path = "golden/schedules.txt"
+(* Tests run in the test directory, [regen] from the repository root. *)
+let corpus_dir = if Sys.file_exists "corpus" then "corpus" else Filename.concat "test" "corpus"
 let seed_hi = 200
+let telemetry_prefix = "telemetry/"
 
 type entry = { name : string; cycles : int; hash : int64 }
 
-let fingerprint ~assignment ~slots ~cycles =
+(* What one scenario run hands on; [sched_hash] and [samples] stay
+   empty for baselines, which never run the convergent driver. *)
+type outcome = {
+  assignment : int array;
+  slots : int array;
+  makespan : int;
+  sched_hash : int64;
+  samples : string list;
+}
+
+let fingerprint o =
   let ints a = String.concat "," (Array.to_list (Array.map string_of_int a)) in
   Scenario.fnv1a
-    (Printf.sprintf "assignment=%s;preferred_slot=%s;cycles=%d" (ints assignment)
-       (ints slots) cycles)
+    (Printf.sprintf "assignment=%s;preferred_slot=%s;cycles=%d" (ints o.assignment)
+       (ints o.slots) o.makespan)
+
+let telemetry_fingerprint o =
+  Scenario.fnv1a
+    (Printf.sprintf "schedule=%016Lx;%s" o.sched_hash (String.concat ";" o.samples))
 
 let convergent ?seed ~machine ~passes region =
-  let r = Driver.run ?seed ~machine region passes in
+  let samples = ref [] and prev = ref [||] in
+  let observe name w =
+    let p = if Array.length !prev = 0 then Weights.preferred_clusters w else !prev in
+    let m = Telemetry.measure ~prev:p w in
+    prev := Weights.preferred_clusters w;
+    samples :=
+      Printf.sprintf "%s,%d,%016Lx,%016Lx" name m.Telemetry.churn
+        (Int64.bits_of_float m.Telemetry.mean_confidence)
+        (Int64.bits_of_float m.Telemetry.mean_entropy)
+      :: !samples
+  in
+  let r = Driver.run ?seed ~observe ~machine region passes in
   let sched =
     Cs_sim.Pipeline.schedule_raw ?seed ~passes ~scheduler:Cs_sim.Pipeline.Convergent
       ~machine region
   in
-  (r.Driver.assignment, r.Driver.preferred_slot, Cs_sched.Schedule.makespan sched)
+  {
+    assignment = r.Driver.assignment;
+    slots = r.Driver.preferred_slot;
+    makespan = Cs_sched.Schedule.makespan sched;
+    sched_hash = Scenario.fnv1a (Format.asprintf "%a" Cs_sched.Schedule.pp sched);
+    samples = List.rev !samples;
+  }
 
-let entry_of name run =
-  match Cs_resil.Error.protect run with
-  | Ok (assignment, slots, cycles) ->
-    { name; cycles; hash = fingerprint ~assignment ~slots ~cycles }
-  | Error e ->
-    (* A refusal is output too: pin its text. *)
-    { name; cycles = -1; hash = Scenario.fnv1a ("error=" ^ Cs_resil.Error.to_string e) }
+(* A scenario's lines: its schedule line, then its telemetry line when
+   [telemetry]. A refusal is output too: both lines pin its text. *)
+let entries_of ~telemetry name run =
+  let sched, tel =
+    match Cs_resil.Error.protect run with
+    | Ok o ->
+      ((o.makespan, fingerprint o), (List.length o.samples, telemetry_fingerprint o))
+    | Error e ->
+      let hash = Scenario.fnv1a ("error=" ^ Cs_resil.Error.to_string e) in
+      ((-1, hash), (-1, hash))
+  in
+  let entry name (cycles, hash) = { name; cycles; hash } in
+  entry name sched :: (if telemetry then [ entry (telemetry_prefix ^ name) tel ] else [])
 
 let table1 machine_name =
   let machine =
@@ -59,31 +108,64 @@ let table1 machine_name =
     else Cs_workloads.Suite.vliw_suite
   in
   let passes = Cs_sim.Pipeline.default_passes ~machine in
-  List.map
+  List.concat_map
     (fun (e : Cs_workloads.Suite.entry) ->
       let region = e.generate ~clusters:(Cs_machine.Machine.n_clusters machine) () in
-      entry_of
+      entries_of ~telemetry:true
         (Printf.sprintf "table1/%s/%s" machine_name e.name)
         (fun () -> convergent ~machine ~passes region))
     suite
 
-let gen_case seed =
-  let sc = Cs_check.Gen.case ~seed in
+(* How a checker scenario schedules: the convergent driver with a pass
+   sequence, or a baseline. *)
+let scenario_run (sc : Cs_check.Scenario.t) machine =
+  match sc.Cs_check.Scenario.spec with
+  | Cs_check.Scenario.Passes passes -> `Convergent passes
+  | Cs_check.Scenario.Baseline Cs_sim.Pipeline.Convergent ->
+    `Convergent (Cs_sim.Pipeline.default_passes ~machine)
+  | Cs_check.Scenario.Baseline scheduler -> `Baseline scheduler
+
+let scenario_entries name (sc : Cs_check.Scenario.t) =
   let machine = Cs_check.Scenario.scheduling_machine sc in
   let seed = sc.Cs_check.Scenario.seed and region = sc.Cs_check.Scenario.region in
-  entry_of
-    (Printf.sprintf "gen/%d/%s" seed sc.Cs_check.Scenario.label)
-    (fun () ->
-      match sc.Cs_check.Scenario.spec with
-      | Cs_check.Scenario.Passes passes -> convergent ~seed ~machine ~passes region
-      | Cs_check.Scenario.Baseline Cs_sim.Pipeline.Convergent ->
-        convergent ~seed ~machine ~passes:(Cs_sim.Pipeline.default_passes ~machine) region
-      | Cs_check.Scenario.Baseline scheduler ->
+  match scenario_run sc machine with
+  | `Convergent passes ->
+    entries_of ~telemetry:true name (fun () -> convergent ~seed ~machine ~passes region)
+  | `Baseline scheduler ->
+    entries_of ~telemetry:false name (fun () ->
         let sched = Cs_sim.Pipeline.schedule_raw ~seed ~scheduler ~machine region in
-        (Cs_sched.Schedule.assignment sched, [||], Cs_sched.Schedule.makespan sched))
+        {
+          assignment = Cs_sched.Schedule.assignment sched;
+          slots = [||];
+          makespan = Cs_sched.Schedule.makespan sched;
+          sched_hash = 0L;
+          samples = [];
+        })
 
-let gen_range lo hi = List.init (hi - lo + 1) (fun k -> gen_case (lo + k))
+let gen_case seed =
+  let sc = Cs_check.Gen.case ~seed in
+  scenario_entries (Printf.sprintf "gen/%d/%s" seed sc.Cs_check.Scenario.label) sc
 
+(* Each seed runs once, however many test cases read its lines. *)
+let gen_cases = Array.init (seed_hi + 1) (fun seed -> lazy (gen_case seed))
+let gen_range lo hi =
+  List.concat (List.init (hi - lo + 1) (fun k -> Lazy.force gen_cases.(lo + k)))
+
+let corpus () =
+  match Cs_check.Repro.load_dir corpus_dir with
+  | [] -> failwith ("no .repro files under " ^ corpus_dir)
+  | repros ->
+    List.map
+      (fun (path, loaded) ->
+        let file = Filename.basename path in
+        match loaded with
+        | Ok r -> (file, r.Cs_check.Repro.scenario)
+        | Error msg -> failwith (Printf.sprintf "%s does not parse: %s" file msg))
+      repros
+
+let corpus_entries (file, sc) = scenario_entries ("corpus/" ^ file) sc
+
+let is_telemetry e = String.starts_with ~prefix:telemetry_prefix e.name
 let line e = Printf.sprintf "%s %d %016Lx" e.name e.cycles e.hash
 
 let load () =
@@ -108,36 +190,66 @@ let regen () =
     "# Golden schedule fingerprints: scenario, makespan, FNV-1a-64 of\n\
      # (assignment, preferred_slot, cycles). Checked by test/test_golden.ml;\n\
      # regenerate only for an intended change of output:\n\
-     #   dune exec test/test_golden.exe -- regen > test/golden/schedules.txt\n";
-  List.iter
-    (fun e -> print_endline (line e))
-    (table1 "raw16" @ table1 "vliw4" @ gen_range 0 seed_hi)
+     #   dune exec test/test_golden.exe -- regen > test/golden/schedules.txt\n\
+     # telemetry/<scenario> lines: per-pass sample count, FNV-1a-64 of the\n\
+     # Schedule.pp text's hash and each pass's (name, churn, mean-confidence\n\
+     # bits, mean-entropy bits).\n";
+  let all =
+    table1 "raw16" @ table1 "vliw4" @ gen_range 0 seed_hi
+    @ List.concat_map corpus_entries (corpus ())
+  in
+  let telemetry, schedules = List.partition is_telemetry all in
+  List.iter (fun e -> print_endline (line e)) (schedules @ telemetry)
+
+(* Seed blocks: schedule lines are checked 50 seeds to a case and
+   telemetry lines 25 to a case; a block of both sizes checks both. *)
+let seed_cases check =
+  let ranges block =
+    List.init
+      ((seed_hi / block) + 1)
+      (fun k ->
+        let lo = k * block in
+        (lo, min seed_hi (lo + block - 1)))
+  in
+  let schedules = ranges 50 and telemetry = ranges 25 in
+  List.map
+    (fun ((lo, hi) as r) ->
+      let wanted e = List.mem r (if is_telemetry e then telemetry else schedules) in
+      Alcotest.test_case (Printf.sprintf "seeds %d..%d" lo hi) `Quick (fun () ->
+          check (List.filter wanted (gen_range lo hi))))
+    (List.sort_uniq compare (schedules @ telemetry))
 
 let () =
   if Array.length Sys.argv = 2 && Sys.argv.(1) = "regen" then regen ()
   else begin
     let golden = load () in
-    let block = 50 in
-    let gen_cases =
-      List.init
-        ((seed_hi / block) + 1)
-        (fun k ->
-          let lo = k * block in
-          let hi = min seed_hi (lo + block - 1) in
-          Alcotest.test_case (Printf.sprintf "seeds %d..%d" lo hi) `Quick (fun () ->
-              check_entries golden (gen_range lo hi)))
+    let check = check_entries golden in
+    let corpus = corpus () in
+    let n_convergent =
+      List.length
+        (List.filter
+           (fun sc ->
+             match scenario_run sc (Cs_check.Scenario.scheduling_machine sc) with
+             | `Convergent _ -> true
+             | `Baseline _ -> false)
+           (List.init (seed_hi + 1) (fun seed -> Cs_check.Gen.case ~seed) @ List.map snd corpus))
+    in
+    let n_table1 =
+      List.length Cs_workloads.Suite.raw_suite + List.length Cs_workloads.Suite.vliw_suite
     in
     Alcotest.run "golden-schedules"
       [ ( "table1",
-          [ Alcotest.test_case "raw16" `Quick (fun () ->
-                check_entries golden (table1 "raw16"));
-            Alcotest.test_case "vliw4" `Quick (fun () ->
-                check_entries golden (table1 "vliw4")) ] );
-        ("fuzz-seeds", gen_cases);
+          [ Alcotest.test_case "raw16" `Quick (fun () -> check (table1 "raw16"));
+            Alcotest.test_case "vliw4" `Quick (fun () -> check (table1 "vliw4")) ] );
+        ("fuzz-seeds", seed_cases check);
+        ( "corpus",
+          List.map
+            (fun ((file, _) as c) ->
+              Alcotest.test_case file `Quick (fun () -> check (corpus_entries c)))
+            corpus );
         ( "coverage",
           [ Alcotest.test_case "one entry per scenario" `Quick (fun () ->
                 Alcotest.(check int) "golden entries"
-                  (List.length Cs_workloads.Suite.raw_suite
-                  + List.length Cs_workloads.Suite.vliw_suite + seed_hi + 1)
+                  ((2 * n_table1) + seed_hi + 1 + List.length corpus + n_convergent)
                   (List.length golden)) ] ) ]
   end

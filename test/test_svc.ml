@@ -501,6 +501,14 @@ let test_job_refusals_are_typed () =
   | Cs_svc.Proto.Refused e ->
     Alcotest.(check string) "unknown machine kind" "invalid-input" e.kind
   | _ -> Alcotest.fail "unknown machine must refuse");
+  (* A LEVEL stride that would never advance must be refused, not pin
+     the worker forever. *)
+  List.iter
+    (fun passes ->
+      match (run (Cs_svc.Proto.request ~passes "jacobi")).Cs_svc.Proto.verdict with
+      | Cs_svc.Proto.Refused e -> Alcotest.(check string) passes "invalid-input" e.kind
+      | _ -> Alcotest.failf "%s must refuse" passes)
+    [ "INITTIME,LEVEL=stride=0"; "INITTIME,LEVEL=stride=nan" ];
   match
     (Cs_svc.Job.run (Cs_svc.Job.admit (Cs_svc.Proto.request ~deadline_ms:0.0 "jacobi")))
       .Cs_svc.Proto.verdict

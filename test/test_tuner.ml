@@ -50,6 +50,18 @@ let test_sequence_rejects_bad_specs () =
   check_bool "unknown pass" true (is_error (Cs_core.Sequence.of_spec "NOPASS"));
   check_bool "unknown key" true (is_error (Cs_core.Sequence.of_spec "LEVEL=frob=1"));
   check_bool "bad value" true (is_error (Cs_core.Sequence.of_spec "LEVEL=stride=abc"));
+  (* float_of_string accepts nan/inf, and a LEVEL stride below 1 never
+     advances through the depth groups: all are refused at parse time. *)
+  List.iter
+    (fun spec -> check_bool spec true (is_error (Cs_core.Sequence.of_spec spec)))
+    [ "LEVEL=stride=0"; "LEVEL=stride=nan"; "LEVEL=stride=-3"; "LEVEL=stride=0.5";
+      "LEVEL=stride=inf"; "LEVEL=stride=1e30"; "PATH=boost=nan"; "NOISE=amplitude=-inf" ];
+  check_bool "in a sequence" true
+    (is_error (Cs_core.Sequence.of_names [ "INITTIME"; "LEVEL=stride=0" ]));
+  check_bool "stride 1 ok" false (is_error (Cs_core.Sequence.of_spec "LEVEL=stride=1"));
+  Alcotest.check_raises "Level.pass stride 0"
+    (Invalid_argument "Level.pass: stride must be >= 1") (fun () ->
+      ignore (Cs_core.Level.pass ~stride:0 ()));
   check_bool "case-insensitive ok" false (is_error (Cs_core.Sequence.of_spec "level=stride=2"))
 
 (* --- genome validity under mutation/crossover (qcheck) --- *)

@@ -136,27 +136,31 @@ let test_blend_self_noop () =
   check_float "unchanged" 0.5 (Weights.get w 0 0 0)
 
 let test_blend_self_noop_clean () =
-  List.iter
-    (fun impl ->
-      let w = Weights.create_with ~impl ~n:2 ~nc:3 ~nt:2 in
-      Weights.scale_cluster w 0 1 3.0;
-      Weights.normalize_all w;
-      Weights.clear_touched w;
-      let before = Weights.copy w in
-      Weights.blend w ~dst:0 ~src:0 ~keep:0.5;
-      check_bool "row clean" false (Weights.is_touched w 0);
-      check_int "nothing touched" 0 (Weights.touched_count w);
-      for c = 0 to 2 do
-        for t = 0 to 1 do
-          check_bool "entry bits" true (Weights.get w 0 c t = Weights.get before 0 c t)
-        done
-      done)
-    [ Weights.Flat; Weights.Legacy ]
+  let w = Weights.create ~n:2 ~nc:3 ~nt:2 in
+  Weights.scale_cluster w 0 1 3.0;
+  Weights.normalize_all w;
+  Weights.clear_touched w;
+  let before = Weights.copy w in
+  Weights.blend w ~dst:0 ~src:0 ~keep:0.5;
+  check_bool "row clean" false (Weights.is_touched w 0);
+  check_int "nothing touched" 0 (Weights.touched_count w);
+  for c = 0 to 2 do
+    for t = 0 to 1 do
+      check_bool "entry bits" true (Weights.get w 0 c t = Weights.get before 0 c t)
+    done
+  done
 
+(* NaN fails every comparison, so a [keep < 0 || keep > 1] guard would
+   let it through and write NaN into the row. *)
 let test_blend_rejects_bad_keep () =
   let w = Weights.create ~n:2 ~nc:2 ~nt:1 in
-  Alcotest.check_raises "keep > 1" (Invalid_argument "Weights.blend: keep must be in [0,1]")
-    (fun () -> Weights.blend w ~dst:0 ~src:1 ~keep:1.5)
+  List.iter
+    (fun keep ->
+      Alcotest.check_raises (Printf.sprintf "keep %g" keep)
+        (Invalid_argument "Weights.blend: keep must be in [0,1]") (fun () ->
+          Weights.blend w ~dst:0 ~src:1 ~keep))
+    [ 1.5; -0.5; Float.nan; Float.neg_infinity ];
+  check_int "nothing written" 0 (Weights.touched_count w)
 
 let test_copy_is_deep () =
   let w = Weights.create ~n:1 ~nc:2 ~nt:1 in
@@ -270,7 +274,7 @@ let test_sync_rows_restores_exact_rows () =
   done;
   check_bool "caches consistent" true (ok_invariants w)
 
-(* --- Property suites, run against both implementations ------------- *)
+(* --- Property suites ------------------------------------------------ *)
 
 (* One generated op per kernel in the public API; every produced value
    stays finite and non-negative so the sequence is always legal. *)
@@ -327,8 +331,8 @@ let apply_op w = function
   | Normalize i -> Weights.normalize w i
   | Normalize_all -> Weights.normalize_all w
 
-let run_ops impl ops =
-  let w = Weights.create_with ~impl ~n:pn ~nc:pnc ~nt:pnt in
+let run_ops ops =
+  let w = Weights.create ~n:pn ~nc:pnc ~nt:pnt in
   List.iter (apply_op w) ops;
   w
 
@@ -361,60 +365,114 @@ let holds_invariants w =
   done;
   !ok && ok_invariants w
 
-let test_ops_invariants_qcheck impl =
+let test_ops_invariants_qcheck =
   let prop =
-    QCheck.Test.make ~count:300
-      ~name:
-        (Printf.sprintf "op sequences keep invariants (%s)" (Weights.impl_name impl))
-      (QCheck.make ops_gen)
+    QCheck.Test.make ~count:300 ~name:"op sequences keep invariants" (QCheck.make ops_gen)
       (fun ops ->
-        let w = run_ops impl ops in
+        let w = run_ops ops in
         Weights.normalize_all w;
         holds_invariants w)
   in
   to_alcotest prop
 
-(* The bit-compatibility contract at the unit level: both storages
-   perform the same FP ops in the same order, so every entry, marginal
-   and dirty flag must be *bit*-identical after any op sequence (no
+(* Everything observable about a matrix, for comparison with [=] (no
    epsilon anywhere). *)
-let test_ops_bit_compat_qcheck =
+let state w =
+  List.init pn (fun i ->
+      ( Array.init pnc (fun c -> Array.init pnt (Weights.get w i c)),
+        Array.init pnc (Weights.cluster_weight w i),
+        Array.init pnt (Weights.time_weight w i),
+        Weights.row_total w i,
+        Weights.is_touched w i ))
+
+(* A fused row kernel, applied either directly or as its per-element
+   spelling through the public [get]/[set]/[scale]. *)
+type kernel =
+  | K_scale_cluster of int * int * float
+  | K_scale_time of int * int * float
+  | K_scale_clusters of int * float array
+  | K_map_row of int * float
+  | K_mask_time_window of int * int * int
+
+let kernel_gen =
+  QCheck.Gen.(
+    let i = int_bound (pn - 1) and c = int_bound (pnc - 1) and t = int_bound (pnt - 1) in
+    (* 1.0 (a no-op) and 0.0 (zeroing) are the edge cases for the
+       caches and the touched flag. *)
+    let v = frequency [ (4, float_bound_inclusive 5.0); (1, return 1.0); (1, return 0.0) ] in
+    oneof
+      [
+        map (fun (i, c, v) -> K_scale_cluster (i, c, v)) (tup3 i c v);
+        map (fun (i, t, v) -> K_scale_time (i, t, v)) (tup3 i t v);
+        map (fun (i, fs) -> K_scale_clusters (i, Array.of_list fs)) (tup2 i (list_repeat pnc v));
+        map (fun (i, f) -> K_map_row (i, f)) (tup2 i v);
+        (* Window bounds may fall outside [0, nt). *)
+        map
+          (fun (i, lo, hi) -> K_mask_time_window (i, lo - 1, hi - 1))
+          (tup3 i (int_bound (pnt + 1)) (int_bound (pnt + 1)));
+      ])
+
+(* [map_row]'s function depends on the cluster and slot, so a kernel
+   visiting entries out of order would not match its spelling. *)
+let map_row_f f c t v = v *. f *. float_of_int (1 + c + (2 * t))
+
+let fused w = function
+  | K_scale_cluster (i, c, f) -> Weights.scale_cluster w i c f
+  | K_scale_time (i, t, f) -> Weights.scale_time w i t f
+  | K_scale_clusters (i, fs) -> Weights.scale_clusters w i fs
+  | K_map_row (i, f) -> Weights.map_row w i (map_row_f f)
+  | K_mask_time_window (i, lo, hi) -> Weights.mask_time_window w i ~lo ~hi
+
+let per_element w = function
+  | K_scale_cluster (i, c, f) ->
+    for t = 0 to pnt - 1 do
+      Weights.scale w i c t f
+    done
+  | K_scale_time (i, t, f) ->
+    for c = 0 to pnc - 1 do
+      Weights.scale w i c t f
+    done
+  | K_scale_clusters (i, fs) ->
+    for c = 0 to pnc - 1 do
+      for t = 0 to pnt - 1 do
+        Weights.scale w i c t fs.(c)
+      done
+    done
+  | K_map_row (i, f) ->
+    for c = 0 to pnc - 1 do
+      for t = 0 to pnt - 1 do
+        Weights.set w i c t (map_row_f f c t (Weights.get w i c t))
+      done
+    done
+  | K_mask_time_window (i, lo, hi) ->
+    for c = 0 to pnc - 1 do
+      for t = 0 to pnt - 1 do
+        if t < lo || t > hi then Weights.set w i c t 0.0
+      done
+    done
+
+(* The fused kernels' bit-identity contract: from any reachable state
+   (touched flags kept or cleared), each leaves entries, all three
+   marginal caches and the touched flags exactly as its per-element
+   spelling does. *)
+let test_kernels_per_element_qcheck =
   let prop =
-    QCheck.Test.make ~count:300 ~name:"flat = legacy, bit for bit"
-      (QCheck.make ops_gen)
-      (fun ops ->
-        let wf = run_ops Weights.Flat ops in
-        let wl = run_ops Weights.Legacy ops in
-        let ok = ref true in
-        for i = 0 to pn - 1 do
-          if Weights.is_touched wf i <> Weights.is_touched wl i then ok := false;
-          if Weights.row_total wf i <> Weights.row_total wl i then ok := false;
-          if Weights.confidence wf i <> Weights.confidence wl i then ok := false;
-          if Weights.preferred_cluster wf i <> Weights.preferred_cluster wl i then
-            ok := false;
-          if Weights.preferred_time wf i <> Weights.preferred_time wl i then
-            ok := false;
-          for c = 0 to pnc - 1 do
-            if Weights.cluster_weight wf i c <> Weights.cluster_weight wl i c then
-              ok := false;
-            for t = 0 to pnt - 1 do
-              if Weights.get wf i c t <> Weights.get wl i c t then ok := false
-            done
-          done;
-          for t = 0 to pnt - 1 do
-            if Weights.time_weight wf i t <> Weights.time_weight wl i t then
-              ok := false
-          done
-        done;
-        !ok)
+    QCheck.Test.make ~count:500 ~name:"kernels = per-element spelling"
+      (QCheck.make QCheck.Gen.(tup3 ops_gen bool kernel_gen))
+      (fun (ops, clear, k) ->
+        let w = run_ops ops in
+        if clear then Weights.clear_touched w;
+        let spelled = Weights.copy w in
+        fused w k;
+        per_element spelled k;
+        state w = state spelled)
   in
   to_alcotest prop
 
-(* The fused Flat [blend] rebuilds the row's marginal caches in the same
-   sweep that writes it. They must equal, with [=], both the Legacy
-   storage's [recompute_row] rebuild after the same blend and a rebuild
-   from the entries in [recompute_row]'s order (lane sums, time sums in
-   ascending cluster order, row total as the sum of lane sums). *)
+(* Marginals rebuilt from the entries: lane sums left to right, time
+   sums in ascending cluster order, row total as the sum of lane sums.
+   [blend] and [normalize] rebuild their row's caches in this order, so
+   they must equal it with [=]. *)
 let rebuilt_marginals w i =
   let lanes =
     Array.init pnc (fun c ->
@@ -439,31 +497,63 @@ let cached_marginals w i =
     Array.init pnt (Weights.time_weight w i),
     Weights.row_total w i )
 
-let test_fused_blend_caches_qcheck =
+let entries w i = Array.init pnc (fun c -> Array.init pnt (Weights.get w i c))
+
+(* Rows other than [i] are left exactly as they were. *)
+let others_unchanged ~before w i =
+  List.for_all2
+    (fun (r, a) b -> r = i || a = b)
+    (List.mapi (fun r s -> (r, s)) (state before))
+    (state w)
+
+let test_blend_pointwise_qcheck =
   let gen =
     QCheck.Gen.(
       (* [src] is drawn as an offset so it never equals [dst]: blending a
-         row into itself is a no-op that rebuilds nothing. *)
+         row into itself is a no-op (see "blend self noop clean"). *)
       map
         (fun (ops, dst, off, keep) -> (ops, dst, (dst + 1 + off) mod pn, keep))
-        (tup4 ops_gen (int_bound (pn - 1)) (int_bound (pn - 2)) (oneofl [ 0.0; 0.5; 1.0 ])))
+        (tup4 ops_gen (int_bound (pn - 1)) (int_bound (pn - 2))
+           (frequency [ (1, oneofl [ 0.0; 0.5; 1.0 ]); (2, float_bound_inclusive 1.0) ])))
   in
   let prop =
-    QCheck.Test.make ~count:300 ~name:"fused blend caches = recompute_row rebuild"
-      (QCheck.make gen)
+    QCheck.Test.make ~count:300 ~name:"blend = pointwise formula" (QCheck.make gen)
       (fun (ops, dst, src, keep) ->
-        let wf = run_ops Weights.Flat ops and wl = run_ops Weights.Legacy ops in
-        Weights.blend wf ~dst ~src ~keep;
-        Weights.blend wl ~dst ~src ~keep;
-        let ok = ref true in
-        for c = 0 to pnc - 1 do
-          for t = 0 to pnt - 1 do
-            if Weights.get wf dst c t <> Weights.get wl dst c t then ok := false
-          done
-        done;
-        !ok
-        && cached_marginals wf dst = cached_marginals wl dst
-        && cached_marginals wf dst = rebuilt_marginals wf dst)
+        let w = run_ops ops in
+        Weights.clear_touched w;
+        let before = Weights.copy w in
+        let d = entries w dst and s = entries w src in
+        Weights.blend w ~dst ~src ~keep;
+        entries w dst
+        = Array.map2 (Array.map2 (fun d s -> (keep *. d) +. ((1.0 -. keep) *. s))) d s
+        && cached_marginals w dst = rebuilt_marginals w dst
+        && Weights.touched_rows w = [ dst ]
+        && others_unchanged ~before w dst)
+  in
+  to_alcotest prop
+
+let test_normalize_pointwise_qcheck =
+  let prop =
+    QCheck.Test.make ~count:300 ~name:"normalize = pointwise formula"
+      (QCheck.make QCheck.Gen.(tup4 ops_gen (int_bound (pn - 1)) bool bool))
+      (fun (ops, i, zero, clear) ->
+        let w = run_ops ops in
+        (* A zeroed row must come back uniform. *)
+        if zero then Weights.map_row w i (fun _ _ _ -> 0.0);
+        if clear then Weights.clear_touched w;
+        let before = Weights.copy w in
+        let old = entries w i in
+        let total = Array.fold_left (Array.fold_left ( +. )) 0.0 old in
+        let expected =
+          if total <= 0.0 || not (Float.is_finite total) then
+            Array.map (Array.map (fun _ -> 1.0 /. float_of_int (pnc * pnt))) old
+          else Array.map (Array.map (fun v -> v /. total)) old
+        in
+        Weights.normalize w i;
+        entries w i = expected
+        && cached_marginals w i = rebuilt_marginals w i
+        && Weights.is_touched w i = (Weights.is_touched before i || expected <> old)
+        && others_unchanged ~before w i)
   in
   to_alcotest prop
 
@@ -472,7 +562,7 @@ let test_ops_dirty_exact_qcheck =
     QCheck.Test.make ~count:300 ~name:"touched set = exactly the written rows"
       (QCheck.make ops_gen)
       (fun ops ->
-        let w = Weights.create_with ~impl:Weights.Flat ~n:pn ~nc:pnc ~nt:pnt in
+        let w = Weights.create ~n:pn ~nc:pnc ~nt:pnt in
         let before = Weights.copy w in
         List.iter (apply_op w) ops;
         (* Every changed row must be flagged: an unflagged row must hold
@@ -592,9 +682,8 @@ let () =
         [
           test_random_edits_qcheck; test_random_blends_qcheck;
           test_marginal_consistency_qcheck;
-          test_ops_invariants_qcheck Weights.Flat;
-          test_ops_invariants_qcheck Weights.Legacy;
-          test_ops_bit_compat_qcheck; test_ops_dirty_exact_qcheck;
-          test_fused_blend_caches_qcheck;
+          test_ops_invariants_qcheck; test_kernels_per_element_qcheck;
+          test_ops_dirty_exact_qcheck; test_blend_pointwise_qcheck;
+          test_normalize_pointwise_qcheck;
         ] );
     ]
