@@ -5,8 +5,12 @@
    so the numbers reflect end-to-end pass cost, not just the inner
    loop:
 
-     clear_touched; apply; normalize_touched; validate_touched;
+     clear_touched; apply; normalize_validate_touched;
      sync_rows touched w->snapshot
+
+   where [normalize_validate_touched] is the fused gate (renormalize
+   and check each written row in one divide sweep) that
+   [Driver.apply_round] runs after every pass.
 
    A last [blend] row times that kernel alone, the inner step of
    PATHPROP's walks.
@@ -62,8 +66,7 @@ let bench_pass ctx passes pass =
   let step () =
     Weights.clear_touched w;
     pass.Pass.apply ctx w;
-    Weights.normalize_touched w;
-    ignore (Weights.validate_touched w);
+    ignore (Weights.normalize_validate_touched w);
     Weights.sync_rows ~rows:(Weights.touched_rows w) ~src:w ~dst:snapshot
   in
   let reps, elapsed = time_reps step in

@@ -1,9 +1,9 @@
 (** COMM — communication minimization (paper Sec. 4): skew each
     instruction's weights toward the clusters where its dependence-graph
     neighbors sit, by multiplying [W(i,c,t)] with the summed weight of
-    the neighbors at [(c,t)] (computed from a snapshot, so the pass is
-    order-independent). A small [eps] keeps feasible slots alive when
-    neighbors carry no weight there.
+    the neighbors at [(c,t)] (read from the pre-pass matrix, so the
+    pass is order-independent). A small [eps] keeps feasible slots
+    alive when neighbors carry no weight there.
 
     The paper's variant additionally considers grand-parents and
     grand-children (at half weight) and reinforces the currently

@@ -116,16 +116,16 @@ let assignment_of_weights ?(cap_factor = 1.1) ctx w =
     order;
   assignment
 
-(* Quarantine gate, run after a pass and its renormalization: the matrix
-   must still be a sane preference distribution, and preplaced rows must
-   keep non-zero mass on their home cluster (extraction forces them home,
-   but a pass erasing that mass has destroyed the hard constraint and is
-   misbehaving). *)
-(* The gate only inspects rows the pass actually wrote: untouched rows
-   passed the previous gate and have not changed since (dirty-row
-   tracking makes that an invariant, not an assumption). *)
+(* Quarantine gate, run after a pass: renormalize the rows it wrote,
+   then the matrix must still be a sane preference distribution, and
+   preplaced rows must keep non-zero mass on their home cluster
+   (extraction forces them home, but a pass erasing that mass has
+   destroyed the hard constraint and is misbehaving). The gate only
+   inspects rows the pass actually wrote: untouched rows passed the
+   previous gate and have not changed since (dirty-row tracking makes
+   that an invariant, not an assumption). *)
 let weights_violation ctx w =
-  match Weights.validate_touched w with
+  match Weights.normalize_validate_touched w with
   | Error e -> Some e
   | Ok () ->
     let bad = ref None in
@@ -165,7 +165,11 @@ let apply_round ?(round = 1) ?observe ?deadline ?pass_budget_s ctx w passes =
   let steps = ref [] in
   let quarantined = ref [] in
   let snapshot = Weights.copy w in
-  let before = ref (Weights.preferred_clusters w) in
+  (* Each row's preferred cluster as of the last pass, updated in place:
+     only touched rows can change their argmax (a rolled-back row is
+     restored to its pre-pass bits), so a pass's churn is counted over
+     its touched rows alone. *)
+  let before = Weights.preferred_clusters w in
   let timed_out = ref false in
   let rec loop = function
     | [] -> ()
@@ -194,10 +198,10 @@ let apply_round ?(round = 1) ?observe ?deadline ?pass_budget_s ctx w passes =
             match
               Cs_resil.Error.protect (fun () ->
                   pass.Pass.apply ctx w;
-                  Weights.normalize_touched w)
+                  weights_violation ctx w)
             with
             | Error e -> Some (Cs_resil.Error.to_string e)
-            | Ok () -> weights_violation ctx w)
+            | Ok violation -> violation)
       in
       let elapsed = Cs_obs.Clock.since t0 in
       let outcome =
@@ -231,16 +235,23 @@ let apply_round ?(round = 1) ?observe ?deadline ?pass_budget_s ctx w passes =
             [ ("quarantined", 1.0) ]
         end
       | None -> Weights.sync_rows ~rows:touched ~src:w ~dst:snapshot);
-      let after = Weights.preferred_clusters w in
+      (* Telemetry measures churn against the pre-pass array. *)
+      let prev = if Cs_obs.Obs.enabled () then Array.copy before else before in
       let changed = ref 0 in
-      Array.iteri (fun i c -> if c <> !before.(i) then incr changed) after;
+      List.iter
+        (fun i ->
+          let c = Weights.preferred_cluster w i in
+          if c <> before.(i) then begin
+            incr changed;
+            before.(i) <- c
+          end)
+        touched;
       steps :=
         { Trace.pass_name = pass.Pass.name; pass_kind = pass.Pass.kind;
           changed = !changed; total = n }
         :: !steps;
       if Cs_obs.Obs.enabled () then
-        Telemetry.emit ~round ~pass:pass.Pass.name (Telemetry.measure ~prev:!before w);
-      before := after;
+        Telemetry.emit ~round ~pass:pass.Pass.name (Telemetry.measure ~prev w);
       (match observe with None -> () | Some f -> f pass.Pass.name w);
       loop rest
   in

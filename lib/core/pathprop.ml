@@ -1,22 +1,26 @@
-let walk ctx w ~blend_keep ~source ~conf_source ~step_targets =
+(* [conf] caches every row's current confidence. Only [blend] writes
+   during the pass, and each blend into [s] is followed by a refresh of
+   [conf.(s)], so the cache never goes stale. Among the step targets
+   less confident than the source, the first least confident one is
+   next. *)
+let walk ctx w conf ~blend_keep ~source ~conf_source ~step_targets =
   let graph = Context.graph ctx in
   let rec go cur =
-    let next =
-      List.fold_left
-        (fun acc s ->
-          let conf_s = Weights.confidence w s in
-          if conf_s < conf_source then
-            match acc with
-            | Some (bc, _) when bc <= conf_s -> acc
-            | Some _ | None -> Some (conf_s, s)
-          else acc)
-        None (step_targets graph cur)
-    in
-    match next with
-    | None -> ()
-    | Some (_, s) ->
+    let next = ref (-1) and best = ref 0.0 in
+    List.iter
+      (fun s ->
+        let conf_s = conf.(s) in
+        if conf_s < conf_source && (!next < 0 || !best > conf_s) then begin
+          next := s;
+          best := conf_s
+        end)
+      (step_targets graph cur);
+    if !next >= 0 then begin
+      let s = !next in
       Weights.blend w ~dst:s ~src:source ~keep:(1.0 -. blend_keep);
+      conf.(s) <- Weights.confidence w s;
       go s
+    end
   in
   go source
 
@@ -24,7 +28,8 @@ let apply ~confidence_threshold ~blend_keep ctx w =
   (* Visit confident instructions from most to least confident.
      Rows with no runner-up report [confidence_sentinel] (the old code
      saw [infinity] and dropped them via [Float.is_finite]); excluding
-     the sentinel keeps them out of the walk exactly as before. *)
+     the sentinel keeps them out of the walk exactly as before. The
+     order is fixed by the confidences at the start of the pass. *)
   let conf = Array.init (Weights.n w) (Weights.confidence w) in
   let order =
     List.init (Weights.n w) (fun i -> i)
@@ -35,9 +40,11 @@ let apply ~confidence_threshold ~blend_keep ctx w =
   in
   List.iter
     (fun ih ->
-      let conf_source = Weights.confidence w ih in
-      walk ctx w ~blend_keep ~source:ih ~conf_source ~step_targets:Cs_ddg.Graph.succs;
-      walk ctx w ~blend_keep ~source:ih ~conf_source ~step_targets:Cs_ddg.Graph.preds)
+      let conf_source = conf.(ih) in
+      walk ctx w conf ~blend_keep ~source:ih ~conf_source
+        ~step_targets:Cs_ddg.Graph.succs;
+      walk ctx w conf ~blend_keep ~source:ih ~conf_source
+        ~step_targets:Cs_ddg.Graph.preds)
     order
 
 let pass ?(confidence_threshold = 1.5) ?(blend_keep = 0.5) () =

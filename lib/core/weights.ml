@@ -296,9 +296,16 @@ let row_total t i =
    arithmetic accumulates element-by-element in the order of a rebuild
    from the entries (lane sums left to right, time sums in ascending
    cluster order, row total as the sum of lane sums), so the caches are
-   bit-identical to such a rebuild. *)
-let normalize t i =
-  check_row t i;
+   bit-identical to such a rebuild.
+
+   The same divide sweep also runs the gate's validity test: every
+   *stored* value is checked against [validate_row]'s predicate (finite
+   and >= -1e-9, spelled as two comparisons) and the passing ones are
+   summed in flat order into [vsum], exactly [validate_row]'s
+   summation. [normalize_row] returns true iff every value passed and
+   [vsum] is within 1e-6 of 1, i.e. iff [validate_row] would accept the
+   normalized row. *)
+let normalize_row t i =
   let nt = t.nt and nc = t.nc in
   let len = nc * nt in
   let base = i * len in
@@ -317,6 +324,7 @@ let normalize t i =
     Array.unsafe_set ts (ti + tt) 0.0
   done;
   let row = ref 0.0 in
+  let vsum = ref 0.0 and all_ok = ref true in
   for c = 0 to nc - 1 do
     let lane = ((i * nc) + c) * nt in
     let s = ref 0.0 in
@@ -324,10 +332,16 @@ let normalize t i =
       let k = lane + tt in
       let old = Bigarray.Array1.unsafe_get ba k in
       let v = if uniform then u else old /. total in
-      if v <> old then begin
-        changed := true;
-        Bigarray.Array1.unsafe_set ba k v
-      end;
+      let stored =
+        if v <> old then begin
+          changed := true;
+          Bigarray.Array1.unsafe_set ba k v;
+          v
+        end
+        else old
+      in
+      if stored >= -1e-9 && stored <= max_float then vsum := !vsum +. stored
+      else all_ok := false;
       s := !s +. v;
       Array.unsafe_set ts (ti + tt) (Array.unsafe_get ts (ti + tt) +. v)
     done;
@@ -335,23 +349,17 @@ let normalize t i =
     row := !row +. !s
   done;
   t.row_total.(i) <- !row;
-  if !changed then mark_touched t i
+  if !changed then mark_touched t i;
+  !all_ok && Float.abs (!vsum -. 1.0) <= 1e-6
+
+let normalize t i =
+  check_row t i;
+  ignore (normalize_row t i : bool)
 
 let normalize_all t =
   for i = 0 to t.n - 1 do
     normalize t i
   done
-
-(* The driver's fused renormalize: only rows written since the last
-   [clear_touched] can have drifted off sum 1, so only they are swept.
-   Rows a pass never wrote keep their exact bits (re-dividing every
-   row by a total within one ulp of 1.0 each pass would churn the low
-   bits of untouched rows for nothing). *)
-let normalize_touched t =
-  if t.n_dirty > 0 then
-    for i = 0 to t.n - 1 do
-      if Bytes.unsafe_get t.dirty i <> '\000' then normalize t i
-    done
 
 (* --- preferences ---------------------------------------------------- *)
 
@@ -551,16 +559,23 @@ let validate t =
   done;
   match !err with None -> Ok () | Some e -> Error e
 
-(* Quarantine-gate variant: rows untouched since [clear_touched] were
-   valid when the previous gate passed and have not changed since, so
-   only dirty rows need sweeping. *)
-let validate_touched t =
+(* The driver's per-pass gate: renormalize every row written since
+   [clear_touched] and check it, one [normalize_row] sweep per row.
+   Rows a pass never wrote keep their exact bits (re-dividing every
+   row by a total within one ulp of 1.0 each pass would churn the low
+   bits of untouched rows for nothing), and need no check: they passed
+   the previous gate and have not changed since. A row failing the
+   fused check is re-read by [validate_row], so every message comes
+   from the same code as [validate]'s; the first failing row in
+   ascending order is reported, and every dirty row is normalized
+   either way. *)
+let normalize_validate_touched t =
   let err = ref None in
-  let i = ref 0 in
-  while !err = None && !i < t.n do
-    if Bytes.unsafe_get t.dirty !i <> '\000' then validate_row t !i err;
-    incr i
-  done;
+  if t.n_dirty > 0 then
+    for i = 0 to t.n - 1 do
+      if Bytes.unsafe_get t.dirty i <> '\000' && (not (normalize_row t i)) && !err = None
+      then validate_row t i err
+    done;
   match !err with None -> Ok () | Some e -> Error e
 
 let check_invariants t =

@@ -17,8 +17,8 @@
     Every write also marks its row {e touched}, so renormalization, the
     driver's quarantine gate and snapshot maintenance run in time
     proportional to the rows a pass actually wrote (see the
-    [touched_*], [normalize_touched], [validate_touched] and
-    [sync_rows] group below).
+    [touched_*], {!normalize_validate_touched} and [sync_rows] group
+    below).
 
     The block is a [Bigarray] float64 array swept by fused unsafe
     kernels. Each fused kernel performs the same floating-point
@@ -95,11 +95,6 @@ val normalize : t -> int -> unit
 
 val normalize_all : t -> unit
 
-val normalize_touched : t -> unit
-(** {!normalize} only the rows written since the last
-    {!clear_touched} — the driver's fused per-pass renormalize. Rows a
-    pass never wrote keep their exact bits. *)
-
 (** {1 Dirty-row tracking}
 
     A row is {e touched} once any write changes one of its entries;
@@ -171,10 +166,18 @@ val validate : t -> (unit, string) result
     {!check_invariants} for the exhaustive variant that also audits
     the marginal caches. *)
 
-val validate_touched : t -> (unit, string) result
-(** {!validate} restricted to rows written since {!clear_touched} —
-    the pass-quarantine gate. Sound because untouched rows passed the
-    previous gate and have not changed since. *)
+val normalize_validate_touched : t -> (unit, string) result
+(** The driver's per-pass gate: {!normalize} every row written since
+    {!clear_touched}, in ascending order, and check it as {!validate}
+    would, in the same sweep. Each row costs one total sweep plus one
+    divide sweep that rebuilds the caches and tests every stored value.
+    The result, the entries, the caches and the touched flags are
+    exactly those of [normalize] on each touched row followed by
+    {!validate} over those rows: the first failing row's message, from
+    the same code as {!validate}'s, and every touched row normalized
+    even after a failure. Rows a pass never wrote keep their exact bits
+    and are not checked: they passed the previous gate and have not
+    changed since. *)
 
 val check_invariants : t -> (unit, string) result
 (** Verifies range, row sums (post-normalization), and consistency of

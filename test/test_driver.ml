@@ -212,6 +212,59 @@ let test_no_quarantines_on_default_sequences () =
   check_int "vliw clean" 0 (List.length r1.Driver.quarantined);
   check_int "raw clean" 0 (List.length r2.Driver.quarantined)
 
+(* A quarantined pass in the *middle* of the raw sequence: its trace
+   step must report no churn (the rolled-back rows are back to their
+   pre-pass bits), every later step must churn exactly as in the clean
+   run, and the converge telemetry must count each step's churn against
+   the pre-pass preferences. Mode 3 returns normally and is caught by
+   the gate; mode 4 raises before writing anything. *)
+let test_quarantine_mid_sequence_churn () =
+  let region = (Option.get (Cs_workloads.Suite.find "jacobi")).Cs_workloads.Suite.generate
+      ~clusters:16 ()
+  in
+  let clean = Driver.run ~seed:5 ~machine:raw16 region (Sequence.raw_default ()) in
+  let steps r = List.map (fun (s : Trace.step) -> (s.Trace.pass_name, s.Trace.changed)) r in
+  let mid = List.length (Sequence.raw_default ()) / 2 in
+  List.iter
+    (fun mode ->
+      let passes =
+        List.concat
+          (List.mapi
+             (fun k p -> if k = mid then [ Chaos.pass ~mode (); p ] else [ p ])
+             (Sequence.raw_default ()))
+      in
+      Cs_obs.Obs.reset ();
+      Cs_obs.Obs.enable ();
+      let result =
+        Fun.protect ~finally:Cs_obs.Obs.disable (fun () ->
+            Driver.run ~seed:5 ~machine:raw16 region passes)
+      in
+      let churns =
+        List.filter_map
+          (fun (e : Cs_obs.Obs.event) ->
+            if e.Cs_obs.Obs.cat = "converge" then
+              match List.assoc_opt "churn" e.Cs_obs.Obs.args with
+              | Some (Cs_obs.Obs.Float f) -> Some (int_of_float f)
+              | _ -> None
+            else None)
+          (Cs_obs.Obs.events ())
+      in
+      Cs_obs.Obs.reset ();
+      let label = Printf.sprintf "mode %d" mode in
+      Alcotest.(check (list string)) (label ^ " quarantined") [ "CHAOS" ]
+        (quarantine_names result);
+      let got = steps result.Driver.trace in
+      Alcotest.(check (pair string int)) (label ^ " quarantined step churn") ("CHAOS", 0)
+        (List.nth got mid);
+      Alcotest.(check (list (pair string int))) (label ^ " other steps as clean")
+        (steps clean.Driver.trace)
+        (List.filteri (fun k _ -> k <> mid) got);
+      Alcotest.(check (list int)) (label ^ " telemetry churn = trace churn")
+        (List.map snd got) churns;
+      Alcotest.(check (array int)) (label ^ " assignment as clean") clean.Driver.assignment
+        result.Driver.assignment)
+    [ 3; 4 ]
+
 let test_context_rejects_invalid_region () =
   let b = Cs_ddg.Builder.create ~name:"bad" () in
   let addr = Cs_ddg.Builder.op0 b Cs_ddg.Opcode.Const in
@@ -296,6 +349,8 @@ let () =
             test_quarantine_soft_corruption_recovers;
           Alcotest.test_case "quarantine per round" `Quick test_quarantine_per_round;
           Alcotest.test_case "rollback bit-exact" `Quick test_rollback_restores_exact_bits;
+          Alcotest.test_case "quarantine mid sequence churn" `Quick
+            test_quarantine_mid_sequence_churn;
           Alcotest.test_case "pass dirties written rows" `Quick
             test_pass_dirties_exactly_written_rows;
           Alcotest.test_case "defaults never quarantined" `Quick

@@ -415,6 +415,121 @@ let prop_level_matches_naive =
       done;
       !same)
 
+(* Everything observable about a matrix — entries, the three marginal
+   caches, touched flags — for comparison with [=]. *)
+let matrix_state w =
+  List.init (Weights.n w) (fun i ->
+      ( Array.init (Weights.nc w) (fun c -> Array.init (Weights.nt w) (Weights.get w i c)),
+        Array.init (Weights.nc w) (Weights.cluster_weight w i),
+        Array.init (Weights.nt w) (Weights.time_weight w i),
+        Weights.row_total w i,
+        Weights.is_touched w i ))
+
+(* A random DAG on one of [level_machines], with some rows skewed toward
+   a cluster (so confidences and pulls vary), normalized, touched flags
+   cleared: the state a pass meets inside the driver. *)
+let skewed_start seed m =
+  let rng = Cs_util.Rng.create seed in
+  let ctx, w = fresh (random_dag rng) level_machines.(m) in
+  for i = 0 to Weights.n w - 1 do
+    if Cs_util.Rng.bool rng then
+      Weights.scale_cluster w i
+        (Cs_util.Rng.int rng (Weights.nc w))
+        (1.0 +. Cs_util.Rng.float rng 4.0)
+  done;
+  Weights.normalize_all w;
+  Weights.clear_touched w;
+  (ctx, w)
+
+(* COMM as it was written before the marginal mode dropped its
+   snapshot: a full [Weights.copy] read throughout, and a [Hashtbl] of
+   seen ids per instruction for the two-hop walk. *)
+module Snapshot_comm = struct
+  let two_hop graph i =
+    let direct = Cs_ddg.Graph.neighbors graph i in
+    let seen = Hashtbl.create 16 in
+    Hashtbl.add seen i ();
+    List.iter (fun j -> Hashtbl.replace seen j ()) direct;
+    let grand = ref [] in
+    List.iter
+      (fun j ->
+        List.iter
+          (fun k ->
+            if not (Hashtbl.mem seen k) then begin
+              Hashtbl.add seen k ();
+              grand := k :: !grand
+            end)
+          (Cs_ddg.Graph.neighbors graph j))
+      direct;
+    (direct, !grand)
+
+  let apply ~eps ~grand ~grand_weight ~per_slot ~strengthen_preferred ctx w =
+    let graph = Context.graph ctx in
+    let snap = Weights.copy w in
+    let factors = Array.make (Weights.nc w) 0.0 in
+    for i = 0 to Weights.n w - 1 do
+      let direct, grands =
+        if grand then two_hop graph i else (Cs_ddg.Graph.neighbors graph i, [])
+      in
+      if direct <> [] || grands <> [] then
+        if per_slot then
+          for c = 0 to Weights.nc w - 1 do
+            for tt = 0 to Weights.nt w - 1 do
+              let pull = ref 0.0 in
+              List.iter (fun j -> pull := !pull +. Weights.get snap j c tt) direct;
+              List.iter
+                (fun j -> pull := !pull +. (grand_weight *. Weights.get snap j c tt))
+                grands;
+              Weights.scale w i c tt (eps +. !pull)
+            done
+          done
+        else begin
+          for c = 0 to Weights.nc w - 1 do
+            let pull = ref 0.0 in
+            List.iter (fun j -> pull := !pull +. Weights.cluster_weight snap j c) direct;
+            List.iter
+              (fun j -> pull := !pull +. (grand_weight *. Weights.cluster_weight snap j c))
+              grands;
+            factors.(c) <- eps +. !pull
+          done;
+          Weights.scale_clusters w i factors
+        end
+    done;
+    if strengthen_preferred > 1.0 then
+      for i = 0 to Weights.n w - 1 do
+        let pc = Weights.preferred_cluster w i and pt = Weights.preferred_time w i in
+        Weights.scale w i pc pt strengthen_preferred
+      done
+end
+
+(* [random_dag]'s two-operand ops may read one value twice, so the
+   generated regions include repeated-operand edges. *)
+let comm_case_gen =
+  QCheck.Gen.(
+    map
+      (fun ((seed, m), (grand, per_slot), (grand_weight, strengthen)) ->
+        (seed, m, grand, per_slot, grand_weight, strengthen))
+      (triple
+         (pair (int_bound 100_000) (int_bound 2))
+         (pair bool bool)
+         (pair (float_bound_inclusive 2.0) (oneofl [ 1.0; 2.0; 3.5 ]))))
+
+let print_comm_case (seed, m, grand, per_slot, grand_weight, strengthen) =
+  Printf.sprintf "seed=%d nc=%d grand=%b per_slot=%b grand_weight=%h strengthen=%g" seed
+    (Cs_machine.Machine.n_clusters level_machines.(m)) grand per_slot grand_weight strengthen
+
+let prop_comm_matches_snapshot =
+  QCheck.Test.make ~count:300 ~name:"COMM = snapshot-and-Hashtbl COMM, bit for bit"
+    (QCheck.make ~print:print_comm_case comm_case_gen)
+    (fun (seed, m, grand, per_slot, grand_weight, strengthen_preferred) ->
+      let ctx, w = skewed_start seed m in
+      let reference = Weights.copy w in
+      let eps = 1e-4 in
+      (Comm.pass ~eps ~grand ~grand_weight ~per_slot ~strengthen_preferred ()).Pass.apply ctx w;
+      Snapshot_comm.apply ~eps ~grand ~grand_weight ~per_slot ~strengthen_preferred ctx
+        reference;
+      matrix_state w = matrix_state reference)
+
 (* --- PATHPROP --- *)
 
 let test_pathprop_propagates_downward () =
@@ -435,6 +550,67 @@ let test_pathprop_noop_without_confidence () =
   let ctx, w = fresh region vliw4 in
   run_pass (Pathprop.pass ()) ctx w;
   Alcotest.(check (float 1e-9)) "uniform stays" 0.25 (Weights.cluster_weight w 0 0)
+
+(* PATHPROP as it was written before the confidence cache: every walk
+   step recomputes each candidate's confidence, and each source's. *)
+module Recompute_pathprop = struct
+  let walk ctx w ~blend_keep ~source ~conf_source ~step_targets =
+    let graph = Context.graph ctx in
+    let rec go cur =
+      let next =
+        List.fold_left
+          (fun acc s ->
+            let conf_s = Weights.confidence w s in
+            if conf_s < conf_source then
+              match acc with
+              | Some (bc, _) when bc <= conf_s -> acc
+              | Some _ | None -> Some (conf_s, s)
+            else acc)
+          None (step_targets graph cur)
+      in
+      match next with
+      | None -> ()
+      | Some (_, s) ->
+        Weights.blend w ~dst:s ~src:source ~keep:(1.0 -. blend_keep);
+        go s
+    in
+    go source
+
+  let apply ~confidence_threshold ~blend_keep ctx w =
+    let conf = Array.init (Weights.n w) (Weights.confidence w) in
+    let order =
+      List.init (Weights.n w) (fun i -> i)
+      |> List.filter (fun i ->
+             conf.(i) >= confidence_threshold && conf.(i) < Weights.confidence_sentinel)
+      |> List.sort (fun a b -> Float.compare conf.(b) conf.(a))
+    in
+    List.iter
+      (fun ih ->
+        let conf_source = Weights.confidence w ih in
+        walk ctx w ~blend_keep ~source:ih ~conf_source ~step_targets:Cs_ddg.Graph.succs;
+        walk ctx w ~blend_keep ~source:ih ~conf_source ~step_targets:Cs_ddg.Graph.preds)
+      order
+end
+
+let pathprop_case_gen =
+  QCheck.Gen.(
+    quad (int_bound 100_000) (int_bound 2)
+      (float_range 1.0 4.0)
+      (oneofl [ 0.0; 0.5; 1.0 ]))
+
+let print_pathprop_case (seed, m, th, keep) =
+  Printf.sprintf "seed=%d nc=%d threshold=%h blend_keep=%g" seed
+    (Cs_machine.Machine.n_clusters level_machines.(m)) th keep
+
+let prop_pathprop_matches_recompute =
+  QCheck.Test.make ~count:300 ~name:"cached-confidence PATHPROP = recomputing PATHPROP, bit for bit"
+    (QCheck.make ~print:print_pathprop_case pathprop_case_gen)
+    (fun (seed, m, confidence_threshold, blend_keep) ->
+      let ctx, w = skewed_start seed m in
+      let reference = Weights.copy w in
+      (Pathprop.pass ~confidence_threshold ~blend_keep ()).Pass.apply ctx w;
+      Recompute_pathprop.apply ~confidence_threshold ~blend_keep ctx reference;
+      matrix_state w = matrix_state reference)
 
 (* --- EMPHCP --- *)
 
@@ -569,6 +745,7 @@ let () =
           Alcotest.test_case "pulls to neighbors" `Quick test_comm_pulls_toward_neighbors;
           Alcotest.test_case "grand two hops" `Quick test_comm_grand_reaches_two_hops;
           Alcotest.test_case "per-slot variant" `Quick test_comm_per_slot_variant_runs;
+          to_alcotest prop_comm_matches_snapshot;
         ] );
       ( "placeprop",
         [
@@ -587,6 +764,7 @@ let () =
         [
           Alcotest.test_case "propagates down" `Quick test_pathprop_propagates_downward;
           Alcotest.test_case "noop without confidence" `Quick test_pathprop_noop_without_confidence;
+          to_alcotest prop_pathprop_matches_recompute;
         ] );
       ("emphcp", [ Alcotest.test_case "asap slot" `Quick test_emphcp_prefers_asap_slot ]);
       ("feasible", [ Alcotest.test_case "squashes incapable" `Quick test_feasible_squashes_incapable_clusters ]);

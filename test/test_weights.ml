@@ -245,7 +245,7 @@ let test_noop_writes_do_not_dirty () =
 let test_normalize_touched_only_touched () =
   let w = Weights.create ~n:3 ~nc:2 ~nt:2 in
   Weights.scale w 1 0 0 3.0;
-  Weights.normalize_touched w;
+  check_bool "gate passes" true (Weights.normalize_validate_touched w = Ok ());
   check_float "touched row renormalized" 1.0 (Weights.row_total w 1);
   check_bool "invariants" true (ok_invariants w)
 
@@ -258,7 +258,7 @@ let test_sync_rows_restores_exact_rows () =
   Weights.clear_touched w;
   Weights.scale_cluster w 1 0 9.0;
   Weights.scale_cluster w 3 1 5.0;
-  Weights.normalize_touched w;
+  ignore (Weights.normalize_validate_touched w);
   Alcotest.(check (list int)) "pass wrote rows 1,3" [ 1; 3 ] (Weights.touched_rows w);
   (* Rollback: only the touched rows come back from the snapshot. *)
   Weights.sync_rows ~rows:(Weights.touched_rows w) ~src:snapshot ~dst:w;
@@ -557,6 +557,35 @@ let test_normalize_pointwise_qcheck =
   in
   to_alcotest prop
 
+(* The fused gate against the two-step protocol it replaced:
+   [normalize] on each touched row, then [validate]. From any reachable
+   state (touched flags accumulated from [create], or cleared after a
+   normalized prefix so some rows stay untouched), the verdict, the
+   entries, all three caches and the touched flags must agree with [=].
+   The public writers reject non-finite and negative values, so every
+   touched row normalizes to a valid one and the verdict is [Ok]. A row
+   failing the fused filter is re-read by [validate]'s own row check,
+   which decides the verdict, so a filter slip costs time, not a wrong
+   verdict; sweeping an untouched row, or normalizing differently,
+   shows here as a state mismatch. *)
+let test_gate_fused_qcheck =
+  let prop =
+    QCheck.Test.make ~count:500 ~name:"fused gate = normalize touched rows, then validate"
+      (QCheck.make QCheck.Gen.(tup3 ops_gen bool ops_gen))
+      (fun (prefix, clear, ops) ->
+        let w = run_ops prefix in
+        if clear then begin
+          Weights.normalize_all w;
+          Weights.clear_touched w
+        end;
+        List.iter (apply_op w) ops;
+        let reference = Weights.copy w in
+        List.iter (Weights.normalize reference) (Weights.touched_rows reference);
+        let expected = Weights.validate reference in
+        Weights.normalize_validate_touched w = expected && state w = state reference)
+  in
+  to_alcotest prop
+
 let test_ops_dirty_exact_qcheck =
   let prop =
     QCheck.Test.make ~count:300 ~name:"touched set = exactly the written rows"
@@ -684,6 +713,6 @@ let () =
           test_marginal_consistency_qcheck;
           test_ops_invariants_qcheck; test_kernels_per_element_qcheck;
           test_ops_dirty_exact_qcheck; test_blend_pointwise_qcheck;
-          test_normalize_pointwise_qcheck;
+          test_normalize_pointwise_qcheck; test_gate_fused_qcheck;
         ] );
     ]
