@@ -3,10 +3,9 @@
    servers running the same code path as `csched serve`:
 
    1. Closed-loop capacity. Pipelined clients keep every worker busy;
-      jobs/sec is measured per worker count for both engines — the
-      work-stealing Lanes engine and the legacy Single_queue baseline.
-      The acceptance bar is >= 0.7x linear scaling from 1 worker to
-      all available cores (trivially 1.0 on a single-core box).
+      jobs/sec is measured per worker count. The acceptance bar is
+      >= 0.7x linear scaling from 1 worker to all available cores
+      (trivially 1.0 on a single-core box).
 
    2. Open-loop overload. A paced generator offers 0.5x and then 2x
       the measured capacity at a server with a small queue, brownout
@@ -25,10 +24,13 @@
    CI sets 20). Machine-readable output lands in BENCH_serve.json
    (written atomically; CI parses it). *)
 
+(* At least 1 s. Only finite values count: inf would never end the
+   closed loop and nan would write NaN rates, so both fall back to the
+   default, like text that is not a number. *)
 let duration_s =
-  match Sys.getenv_opt "BENCH_SERVE_SECS" with
-  | Some s -> (try Float.max 1.0 (float_of_string s) with _ -> 4.0)
-  | None -> 4.0
+  match Option.bind (Sys.getenv_opt "BENCH_SERVE_SECS") float_of_string_opt with
+  | Some x when Float.is_finite x -> Float.max 1.0 x
+  | _ -> 4.0
 
 let cores = Domain.recommended_domain_count ()
 
@@ -64,12 +66,10 @@ let has_prefix ~prefix s =
 
 (* --- part 1: closed-loop capacity ---------------------------------- *)
 
-type capacity_cell = { engine : string; workers : int; jobs_per_s : float }
+type capacity_cell = { workers : int; jobs_per_s : float }
 
-let closed_loop_throughput ~engine ~workers =
-  let cfg =
-    Cs_svc.Server.config ~workers ~queue_capacity:64 ~engine "127.0.0.1:0"
-  in
+let closed_loop_throughput ~workers =
+  let cfg = Cs_svc.Server.config ~workers ~queue_capacity:64 "127.0.0.1:0" in
   with_server cfg (fun _ addr ->
       let t0 = Unix.gettimeofday () in
       let stop_at = t0 +. duration_s in
@@ -93,67 +93,45 @@ let closed_loop_throughput ~engine ~workers =
       float_of_int total /. elapsed)
 
 let capacity_experiment () =
-  Report.subsection "closed-loop capacity, lanes vs single queue";
-  let worker_counts = List.sort_uniq compare [ 1; cores ] in
-  let table =
-    Cs_util.Table.create ~header:[ "engine"; "workers"; "jobs/s"; "vs linear" ]
-  in
-  let engines =
-    [ ("single_queue", Cs_svc.Server.Single_queue); ("lanes", Cs_svc.Server.Lanes) ]
-  in
+  Report.subsection "closed-loop capacity";
+  let table = Cs_util.Table.create ~header:[ "workers"; "jobs/s"; "vs linear" ] in
   let cells =
-    List.concat_map
-      (fun (name, engine) ->
-        let cells =
-          List.map
-            (fun workers ->
-              { engine = name; workers;
-                jobs_per_s = closed_loop_throughput ~engine ~workers })
-            worker_counts
-        in
-        let base = (List.hd cells).jobs_per_s in
-        List.iter
-          (fun c ->
-            let linear = base *. float_of_int c.workers in
-            Cs_util.Table.add_row table
-              [ c.engine; string_of_int c.workers;
-                Printf.sprintf "%.0f" c.jobs_per_s;
-                Printf.sprintf "%.2fx" (c.jobs_per_s /. Float.max linear 1e-9) ])
-          cells;
-        cells)
-      engines
+    List.map
+      (fun workers -> { workers; jobs_per_s = closed_loop_throughput ~workers })
+      (List.sort_uniq compare [ 1; cores ])
   in
+  let vs_linear c =
+    c.jobs_per_s
+    /. Float.max ((List.hd cells).jobs_per_s *. float_of_int c.workers) 1e-9
+  in
+  List.iter
+    (fun c ->
+      Cs_util.Table.add_row table
+        [ string_of_int c.workers;
+          Printf.sprintf "%.0f" c.jobs_per_s;
+          Printf.sprintf "%.2fx" (vs_linear c) ])
+    cells;
   Cs_util.Table.print table;
-  let scaling_of name =
-    let of_engine = List.filter (fun c -> c.engine = name) cells in
-    let base = (List.hd of_engine).jobs_per_s in
-    let top = List.nth of_engine (List.length of_engine - 1) in
-    top.jobs_per_s /. Float.max (base *. float_of_int top.workers) 1e-9
-  in
-  let lanes_scaling = scaling_of "lanes" in
-  Printf.printf "lanes scaling to %d core%s: %.2fx of linear%s\n" cores
+  let top = List.nth cells (List.length cells - 1) in
+  let scaling = vs_linear top in
+  Printf.printf "scaling to %d core%s: %.2fx of linear%s\n" cores
     (if cores = 1 then "" else "s")
-    lanes_scaling
-    (if lanes_scaling >= 0.7 then "" else "  WARNING: below the 0.7x bar");
-  let lanes_top =
-    let of_lanes = List.filter (fun c -> c.engine = "lanes") cells in
-    (List.nth of_lanes (List.length of_lanes - 1)).jobs_per_s
-  in
+    scaling
+    (if scaling >= 0.7 then "" else "  WARNING: below the 0.7x bar");
   let json =
     Cs_obs.Json.Obj
-      [ ("scaling_fraction", Cs_obs.Json.Num lanes_scaling);
+      [ ("scaling_fraction", Cs_obs.Json.Num scaling);
         ("cores", Cs_obs.Json.Num (float_of_int cores));
         ("cells",
          Cs_obs.Json.List
            (List.map
               (fun c ->
                 Cs_obs.Json.Obj
-                  [ ("engine", Cs_obs.Json.Str c.engine);
-                    ("workers", Cs_obs.Json.Num (float_of_int c.workers));
+                  [ ("workers", Cs_obs.Json.Num (float_of_int c.workers));
                     ("jobs_per_s", Cs_obs.Json.Num c.jobs_per_s) ])
               cells)) ]
   in
-  (json, lanes_top)
+  (json, top.jobs_per_s)
 
 (* --- part 2: open-loop overload ------------------------------------ *)
 

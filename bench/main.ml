@@ -30,8 +30,6 @@ let experiments =
     ("slo", "latency SLO under per-job deadlines (extension)", Exp_slo.slo);
     ("gateway", "sharded gateway: result cache + failover (extension)", Exp_gateway.gateway);
     ("obs", "observability: sink + metrics throughput, telemetry overhead (extension)", Exp_obs.obs);
-    ("micro", "bechamel micro-benchmarks", Exp_micro.micro);
-    ("kernels", "weight-matrix kernels, rows/sec per pass (extension)", Exp_kernels.kernels);
     ("serve", "overload: work-stealing lanes, fair admission, brownout (extension)", Exp_serve.serve);
   ]
 

@@ -1135,17 +1135,11 @@ let fuzz_cmd =
       $ no_shrink_arg $ degraded_arg $ fuzz_checkpoint_arg $ fuzz_resume_arg
       $ fuzz_summary_arg $ replay_arg $ trace_out_arg)
 
-let socket_arg =
-  Arg.(
-    value
-    & opt string "/tmp/csched.sock"
-    & info [ "socket" ] ~docv:"PATH" ~doc:"Unix-domain socket path.")
+let default_addr = "/tmp/csched.sock"
 
-(* serve/gateway bind here; submit/profile connect here. [--listen] /
-   [--connect] accept either HOST:PORT (TCP) or a Unix socket path and
-   win over the legacy [--socket]. *)
-let addr_of ~flag ~listen socket =
-  let spec = Option.value ~default:socket listen in
+(* serve/gateway bind to [--listen]; submit/metrics/top connect to
+   [--connect]. Both take HOST:PORT (TCP) or a Unix socket path. *)
+let addr_of ~flag spec =
   match Cs_svc.Transport.parse spec with
   | Ok addr -> addr
   | Error msg ->
@@ -1154,28 +1148,24 @@ let addr_of ~flag ~listen socket =
 
 let listen_arg =
   Arg.(
-    value
-    & opt (some string) None
+    value & opt string default_addr
     & info [ "listen" ] ~docv:"ADDR"
         ~doc:
           "Listen address: HOST:PORT for TCP (e.g. 127.0.0.1:7040, port 0 picks a free \
-           port) or a Unix socket path. Overrides --socket.")
+           port) or a Unix socket path.")
+
+let connect_doc = "Server address: HOST:PORT for TCP or a Unix socket path."
 
 let connect_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "connect" ] ~docv:"ADDR"
-        ~doc:
-          "Server address: HOST:PORT for TCP or a Unix socket path. Overrides --socket.")
+  Arg.(value & opt string default_addr & info [ "connect" ] ~docv:"ADDR" ~doc:connect_doc)
 
 let serve_cmd =
   let doc =
-    "Run the batch scheduling service: accept jobs over a Unix-domain socket (one JSON \
-     request per line), execute them on a worker-domain pool behind a bounded admission \
-     queue, and answer every request with a schedule or a typed refusal. Per-job \
-     deadlines are enforced end to end via the anytime driver; SIGTERM/SIGINT drain \
-     gracefully (every admitted job is still answered)."
+    "Run the batch scheduling service: accept jobs on --listen, a Unix-domain socket \
+     or HOST:PORT (one JSON request per line), execute them on a worker-domain pool \
+     behind a bounded admission queue, and answer every request with a schedule or a \
+     typed refusal. Per-job deadlines are enforced end to end via the anytime \
+     driver; SIGTERM/SIGINT drain gracefully (every admitted job is still answered)."
   in
   let workers_arg =
     Arg.(value & opt int 2 & info [ "workers" ] ~doc:"Worker domains executing jobs.")
@@ -1242,21 +1232,13 @@ let serve_cmd =
             "Shard name carried on heartbeats — must match the address the gateway was \
              configured with for this shard; defaults to the bound address.")
   in
-  let no_lanes_arg =
-    Arg.(
-      value & flag
-      & info [ "no-lanes" ]
-          ~doc:
-            "Use the legacy single-queue engine instead of fair admission + \
-             work-stealing lanes (the benchmark baseline).")
-  in
   let split_threshold_arg =
     Arg.(
       value & opt int 16
       & info [ "split-threshold" ] ~docv:"SCALE"
           ~doc:
-            "Split jobs whose scale exceeds $(docv) into stealable parts (lanes \
-             engine only); 0 disables splitting.")
+            "Split jobs whose scale exceeds $(docv) into stealable parts; 0 disables \
+             splitting.")
   in
   let tenant_quota_arg =
     Arg.(
@@ -1284,9 +1266,9 @@ let serve_cmd =
              progressively tighten effective pass budgets (anytime best-so-far) \
              before shedding, recovering hysteretically.")
   in
-  let run socket listen workers queue default_deadline_ms pass_budget_ms chaos_slow_ms
-      retries heartbeat heartbeat_period_ms advertise no_lanes split_threshold
-      tenant_quota batch_share brownout trace_out jsonl =
+  let run listen workers queue default_deadline_ms pass_budget_ms chaos_slow_ms retries
+      heartbeat heartbeat_period_ms advertise split_threshold tenant_quota batch_share
+      brownout trace_out jsonl =
     if workers <= 0 || queue <= 0 then begin
       Printf.eprintf "serve: --workers and --queue must be positive\n";
       exit 1
@@ -1296,17 +1278,14 @@ let serve_cmd =
       if retries <= 0 then None
       else Some { Cs_svc.Retry.default with max_attempts = retries + 1 }
     in
-    let addr = addr_of ~flag:"serve" ~listen socket in
+    let addr = addr_of ~flag:"serve" listen in
     let cfg =
       try
         Cs_svc.Server.config ~workers ~queue_capacity:queue ?default_deadline_ms
           ?pass_budget_s:(Option.map (fun ms -> ms /. 1000.0) pass_budget_ms)
           ?chaos_slow_ms ?retry ?heartbeat
           ~heartbeat_period_s:(heartbeat_period_ms /. 1000.0)
-          ?advertise
-          ~engine:
-            (if no_lanes then Cs_svc.Server.Single_queue else Cs_svc.Server.Lanes)
-          ~split_threshold ~tenant_quota ~batch_share
+          ?advertise ~split_threshold ~tenant_quota ~batch_share
           ?brownout:(if brownout then Some Cs_svc.Brownout.default else None)
           (Cs_svc.Transport.to_string addr)
       with Invalid_argument msg ->
@@ -1335,11 +1314,10 @@ let serve_cmd =
   in
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(
-      const run $ socket_arg $ listen_arg $ workers_arg $ queue_arg $ default_deadline_arg
+      const run $ listen_arg $ workers_arg $ queue_arg $ default_deadline_arg
       $ pass_budget_arg $ chaos_slow_arg $ retries_arg $ heartbeat_arg
-      $ heartbeat_period_arg $ advertise_arg $ no_lanes_arg $ split_threshold_arg
-      $ tenant_quota_arg $ batch_share_arg $ brownout_flag_arg $ trace_out_arg
-      $ jsonl_arg)
+      $ heartbeat_period_arg $ advertise_arg $ split_threshold_arg $ tenant_quota_arg
+      $ batch_share_arg $ brownout_flag_arg $ trace_out_arg $ jsonl_arg)
 
 let gateway_cmd =
   let doc =
@@ -1419,7 +1397,7 @@ let gateway_cmd =
              and restore the dedup map. Without this flag an existing journal is \
              discarded.")
   in
-  let run socket listen shards_spec policy_name cache forwarders queue probe_period_ms
+  let run listen shards_spec policy_name cache forwarders queue probe_period_ms
       fail_threshold shard_timeout_ms journal_dir recover trace_out jsonl =
     let policy =
       match Cs_gateway.Policy.of_string policy_name with
@@ -1432,7 +1410,7 @@ let gateway_cmd =
       List.filter (fun s -> String.trim s <> "") (String.split_on_char ',' shards_spec)
     in
     with_trace ?jsonl ~trace_out @@ fun () ->
-    let addr = addr_of ~flag:"gateway" ~listen socket in
+    let addr = addr_of ~flag:"gateway" listen in
     let cfg =
       try
         Cs_gateway.Gateway.config ~policy ~cache_capacity:cache ~forwarders
@@ -1472,7 +1450,7 @@ let gateway_cmd =
   in
   Cmd.v (Cmd.info "gateway" ~doc)
     Term.(
-      const run $ socket_arg $ listen_arg $ shards_arg $ policy_arg $ cache_arg
+      const run $ listen_arg $ shards_arg $ policy_arg $ cache_arg
       $ forwarders_arg $ queue_arg $ probe_period_arg $ fail_threshold_arg
       $ shard_timeout_arg $ journal_arg $ recover_arg $ trace_out_arg $ jsonl_arg)
 
@@ -1546,7 +1524,7 @@ let submit_cmd =
             "Priority class sent with each job: $(b,interactive) or $(b,batch) \
              (default: derived from the deadline).")
   in
-  let run socket connect bench_spec machine scheduler scale deadline_ms repeat jobs_file
+  let run connect bench_spec machine scheduler scale deadline_ms repeat jobs_file
       timeout strict tenant job_class =
     let from_flags () =
       match bench_spec with
@@ -1612,7 +1590,7 @@ let submit_cmd =
     in
     match
       Cs_svc.Client.submit ~timeout_s:timeout ~on_reply:print_reply
-        ~addr:(addr_of ~flag:"submit" ~listen:connect socket)
+        ~addr:(addr_of ~flag:"submit" connect)
         requests
     with
     | Error msg ->
@@ -1652,7 +1630,7 @@ let submit_cmd =
   in
   Cmd.v (Cmd.info "submit" ~doc)
     Term.(
-      const run $ socket_arg $ connect_arg $ bench_list_arg $ machine_name_arg
+      const run $ connect_arg $ bench_list_arg $ machine_name_arg
       $ scheduler_name_arg $ scale_arg $ deadline_arg $ repeat_arg $ jobs_file_arg
       $ timeout_arg $ strict_arg $ tenant_arg $ class_arg)
 
@@ -1676,8 +1654,8 @@ let metrics_cmd =
             "Output format: $(b,prometheus) (text exposition) or $(b,json) (mergeable \
              snapshot).")
   in
-  let run socket connect format =
-    let addr = addr_of ~flag:"metrics" ~listen:connect socket in
+  let run connect format =
+    let addr = addr_of ~flag:"metrics" connect in
     match Cs_svc.Client.fetch_metrics ~format ~addr () with
     | Error e ->
       Printf.eprintf "metrics: %s: %s\n" (Cs_svc.Transport.to_string addr) e;
@@ -1686,7 +1664,7 @@ let metrics_cmd =
     | Ok (Cs_svc.Proto.Snapshot snap) ->
       print_endline (Cs_obs.Json.to_string (Cs_obs.Metrics.snapshot_to_json snap))
   in
-  Cmd.v (Cmd.info "metrics" ~doc) Term.(const run $ socket_arg $ connect_arg $ format_arg)
+  Cmd.v (Cmd.info "metrics" ~doc) Term.(const run $ connect_arg $ format_arg)
 
 let top_cmd =
   let doc =
@@ -1713,6 +1691,15 @@ let top_cmd =
       & info [ "iterations" ] ~docv:"N"
           ~doc:"Stop after $(docv) polls (0 = run until interrupted).")
   in
+  (* Optional here: --shards alone polls only the shards; with neither
+     flag, top polls the default address. *)
+  let top_connect_arg =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "connect" ] ~docv:"ADDR"
+          ~doc:(connect_doc ^ " Defaults to " ^ default_addr ^ " unless --shards is given."))
+  in
   let module M = Cs_obs.Metrics in
   let counter_of snap name =
     M.fold_name snap name ~init:0 ~f:(fun acc _ e ->
@@ -1732,7 +1719,7 @@ let top_cmd =
       Printf.sprintf "%.1f/%.1f/%.1f ms" (M.quantile h 50.0) (M.quantile h 95.0)
         (M.quantile h 99.0)
   in
-  let run socket connect shards_spec period_ms iterations =
+  let run connect shards_spec period_ms iterations =
     let targets =
       let named flag spec =
         match Cs_svc.Transport.parse spec with
@@ -1750,7 +1737,7 @@ let top_cmd =
           |> List.map (named "--shards")
       in
       match (connect, shard_targets) with
-      | None, [] -> [ named "--socket" socket ]
+      | None, [] -> [ named "--connect" default_addr ]
       | None, shards -> shards
       | Some spec, shards -> named "--connect" spec :: shards
     in
@@ -1871,7 +1858,7 @@ let top_cmd =
     loop 0
   in
   Cmd.v (Cmd.info "top" ~doc)
-    Term.(const run $ socket_arg $ connect_arg $ shards_arg $ period_arg $ iterations_arg)
+    Term.(const run $ top_connect_arg $ shards_arg $ period_arg $ iterations_arg)
 
 let chaos_cmd = Chaos.cmd
 

@@ -34,6 +34,12 @@ let config ?(policy = Policy.Hash) ?(cache_capacity = 256) ?(vnodes = 64)
   if forwarders <= 0 then invalid_arg "Gateway.config: forwarders must be positive";
   if not (shed_watermark > 0.0 && shed_watermark <= 1.0) then
     invalid_arg "Gateway.config: shed_watermark must be in (0..1]";
+  (* A NaN or zero probe period spins the prober without sleeping, and a
+     NaN timeout is never enforced. *)
+  if not (Float.is_finite probe_period_s && probe_period_s > 0.0) then
+    invalid_arg "Gateway.config: probe_period_s must be finite and > 0";
+  if not (Float.is_finite shard_timeout_s && shard_timeout_s >= 0.0) then
+    invalid_arg "Gateway.config: shard_timeout_s must be finite and >= 0";
   { listen_addr = Transport.parse_exn listen;
     shards = List.map Transport.parse_exn shards;
     policy; cache_capacity; vnodes; forwarders; queue_capacity; probe_period_s;

@@ -86,8 +86,9 @@ val config :
     4 forwarders, queue 64, 1 s probe period, threshold 3, 30 s shard
     timeout, no journal, watermark 0.85, lag limit 512, default
     breaker settings, 5 s warm-up ramp replaying 16 cache entries.
-    Raises [Invalid_argument] on a bad address or an empty shard
-    list. *)
+    Raises [Invalid_argument] on a bad address, an empty shard list,
+    a [probe_period_s] that is not finite and [> 0], or a
+    [shard_timeout_s] that is not finite and [>= 0]. *)
 
 type t
 

@@ -7,9 +7,8 @@
    with weight 2 drains twice as fast as a weight-1 tenant when both
    are backlogged, and an idle tenant accumulates nothing.
 
-   Admission applies two independent bounds: a global capacity (full
-   queue sheds with [Overloaded], same contract as the old single
-   Squeue) and a per-tenant quota that binds first while the queue
+   Admission applies two independent bounds: a global capacity (a full
+   queue sheds with [Overloaded]) and a per-tenant quota that binds first while the queue
    still has headroom, producing a typed [Quota_exceeded] refusal so a
    hot tenant degrades only itself.
 

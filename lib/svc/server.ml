@@ -1,5 +1,3 @@
-type engine = Single_queue | Lanes
-
 type config = {
   listen_addr : Transport.addr;
   workers : int;
@@ -11,7 +9,6 @@ type config = {
   heartbeat_addr : Transport.addr option;
   heartbeat_period_s : float;
   advertise : string option;
-  engine : engine;
   split_threshold : int;
   tenant_quota : int;
   tenant_weights : (string * int) list;
@@ -21,12 +18,23 @@ type config = {
 
 let config ?(workers = 2) ?(queue_capacity = 16) ?default_deadline_ms
     ?pass_budget_s ?chaos_slow_ms ?retry ?heartbeat ?(heartbeat_period_s = 1.0)
-    ?advertise ?(engine = Lanes) ?(split_threshold = 16) ?(tenant_quota = 0)
-    ?(tenant_weights = []) ?(batch_share = 4) ?brownout addr =
+    ?advertise ?(split_threshold = 16) ?(tenant_quota = 0) ?(tenant_weights = [])
+    ?(batch_share = 4) ?brownout addr =
+  (* NaN compares false both ways: a NaN period never sleeps and a NaN
+     budget or deadline is never enforced. *)
+  if not (Float.is_finite heartbeat_period_s && heartbeat_period_s > 0.0) then
+    invalid_arg "Server.config: heartbeat_period_s must be finite and > 0";
+  let non_negative name = function
+    | Some v when not (Float.is_finite v && v >= 0.0) ->
+      invalid_arg ("Server.config: " ^ name ^ " must be finite and >= 0")
+    | _ -> ()
+  in
+  non_negative "pass_budget_s" pass_budget_s;
+  non_negative "default_deadline_ms" default_deadline_ms;
   { listen_addr = Transport.parse_exn addr; workers; queue_capacity;
     default_deadline_ms; pass_budget_s; chaos_slow_ms; retry;
     heartbeat_addr = Option.map Transport.parse_exn heartbeat;
-    heartbeat_period_s; advertise; engine; split_threshold; tenant_quota;
+    heartbeat_period_s; advertise; split_threshold; tenant_quota;
     tenant_weights; batch_share; brownout }
 
 type stats = {
@@ -73,19 +81,13 @@ type work = {
   agg : agg option;  (* [None] = whole, unsplit job *)
 }
 
-type queueing =
-  | Q_single of work Squeue.t
-  | Q_lanes of {
-      fairq : work Fairq.t;
-      deques : work Deque.t array;  (* one per worker domain *)
-      overflow : work Squeue.t;  (* split parts that found their deque full *)
-    }
-
 type t = {
   cfg : config;
   listen_fd : Unix.file_descr;
   bound : Transport.addr;
-  queueing : queueing;
+  fairq : work Fairq.t;
+  deques : work Deque.t array;  (* one per worker domain *)
+  overflow : work Squeue.t;  (* split parts that found their deque full *)
   brownout : Brownout.t option;
   stopping : bool Atomic.t;
   aborted : bool Atomic.t;
@@ -130,24 +132,14 @@ let create cfg =
   let listen_fd = Transport.listen cfg.listen_addr in
   let meters = Meters.create () in
   Cs_obs.Metrics.set meters.Meters.workers (float_of_int cfg.workers);
-  let queueing =
-    match cfg.engine with
-    | Single_queue -> Q_single (Squeue.create ~capacity:cfg.queue_capacity)
-    | Lanes ->
-      Q_lanes
-        { fairq =
-            Fairq.create ~tenant_quota:cfg.tenant_quota
-              ~weights:cfg.tenant_weights ~batch_share:cfg.batch_share
-              ~capacity:cfg.queue_capacity ();
-          (* Per-worker deques hold split parts; size them to a few
-             splits' worth so overflow-to-global stays the exception. *)
-          deques =
-            Array.init cfg.workers (fun _ -> Deque.create ~capacity:32);
-          overflow =
-            Squeue.create ~capacity:(max 64 (4 * cfg.queue_capacity)) }
-  in
   { cfg; listen_fd; bound = Transport.bound_addr listen_fd cfg.listen_addr;
-    queueing;
+    fairq =
+      Fairq.create ~tenant_quota:cfg.tenant_quota ~weights:cfg.tenant_weights
+        ~batch_share:cfg.batch_share ~capacity:cfg.queue_capacity ();
+    (* Per-worker deques hold split parts; size them to a few splits'
+       worth so overflow-to-global stays the exception. *)
+    deques = Array.init cfg.workers (fun _ -> Deque.create ~capacity:32);
+    overflow = Squeue.create ~capacity:(max 64 (4 * cfg.queue_capacity));
     brownout = Option.map Brownout.create cfg.brownout;
     stopping = Atomic.make false; aborted = Atomic.make false;
     conns_mutex = Mutex.create (); conns = []; meters;
@@ -160,26 +152,18 @@ let create cfg =
 let address t = t.bound
 let meters t = t.meters
 
-(* Waiting work across every structure: the admission queue plus (for
-   lanes) split parts parked on worker deques or the overflow queue. *)
+(* Waiting work across every structure: the admission queue plus split
+   parts parked on worker deques or the overflow queue. *)
 let queue_depth t =
-  match t.queueing with
-  | Q_single q -> Squeue.length q
-  | Q_lanes { fairq; deques; overflow } ->
-    Fairq.length fairq + Squeue.length overflow
-    + Array.fold_left (fun acc d -> acc + Deque.length d) 0 deques
-
-let queue_peak t =
-  match t.queueing with
-  | Q_single q -> Squeue.peak q
-  | Q_lanes { fairq; _ } -> Fairq.peak fairq
+  Fairq.length t.fairq + Squeue.length t.overflow
+  + Array.fold_left (fun acc d -> acc + Deque.length d) 0 t.deques
 
 (* Live values mirror into registry gauges at the moments they change
    (or are read), so metrics snapshots and the stats verb agree. *)
 let sync_gauges t =
   Cs_obs.Metrics.set t.meters.Meters.queue_depth (float_of_int (queue_depth t));
   Cs_obs.Metrics.set t.meters.Meters.queue_depth_peak
-    (float_of_int (queue_peak t));
+    (float_of_int (Fairq.peak t.fairq));
   Cs_obs.Metrics.set t.meters.Meters.busy (float_of_int (Atomic.get t.n_busy));
   match t.brownout with
   | None -> ()
@@ -198,7 +182,7 @@ let server_stats t =
   let extra =
     [ ("quota_refused",
        float_of_int (Cs_obs.Metrics.counter_value t.quota_meter));
-      ("queue_depth_peak", float_of_int (queue_peak t));
+      ("queue_depth_peak", float_of_int (Fairq.peak t.fairq));
       ("steals",
        float_of_int (Cs_obs.Metrics.counter_value t.meters.Meters.steals));
       ("splits",
@@ -365,8 +349,7 @@ let observe_dequeue t (job : Job.t) =
 let maybe_split t ~deque ~kick w =
   let scale = w.job.Job.request.Proto.scale in
   let thr = t.cfg.split_threshold in
-  match deque with
-  | Some dq when w.agg = None && thr > 0 && scale > thr ->
+  if w.agg = None && thr > 0 && scale > thr then begin
     let k = (scale + thr - 1) / thr in
     let q = scale / k and rem = scale mod k in
     let a =
@@ -386,17 +369,15 @@ let maybe_split t ~deque ~kick w =
     let inline = ref [ part 0 ] in
     for i = k - 1 downto 1 do
       let p = part i in
-      if not (Deque.push dq p) then begin
+      if not (Deque.push deque p) then begin
         Cs_obs.Metrics.incr t.meters.Meters.overflowed;
-        match t.queueing with
-        | Q_lanes { overflow; _ } when Squeue.try_push overflow p ->
-          ()
-        | _ -> inline := p :: !inline
+        if not (Squeue.try_push t.overflow p) then inline := p :: !inline
       end
     done;
     kick ();
     !inline
-  | _ -> [ w ]
+  end
+  else [ w ]
 
 let execute t ~deque ~kick w =
   (* burning worker time on jobs whose replies nobody can receive
@@ -430,22 +411,13 @@ let execute t ~deque ~kick w =
 
 (* --- worker loops -------------------------------------------------- *)
 
-let worker_single t q () =
-  let rec loop () =
-    match Squeue.pop q with
-    | None -> () (* closed and drained *)
-    | Some w ->
-      execute t ~deque:None ~kick:(fun () -> ()) w;
-      loop ()
-  in
-  loop ()
-
-(* Lanes worker: own deque first (cache-hot split parts, LIFO), then
+(* Worker: own deque first (cache-hot split parts, LIFO), then
    the overflow queue, then fair admission, then stealing from
    siblings. Finding nothing, it parks on the fair queue's stamp —
    re-scanning whenever anything arrives anywhere — and exits once the
    queue is closed and a full scan comes up empty. *)
-let worker_lanes t ~fairq ~deques ~overflow wid () =
+let worker t wid () =
+  let fairq = t.fairq and deques = t.deques in
   let mine = deques.(wid) in
   let kick () = Fairq.kick fairq in
   let n = Array.length deques in
@@ -465,7 +437,7 @@ let worker_lanes t ~fairq ~deques ~overflow wid () =
     match Deque.pop mine with
     | Some w -> Some w
     | None ->
-      (match Squeue.try_pop overflow with
+      (match Squeue.try_pop t.overflow with
       | Some w -> Some w
       | None ->
         (match Fairq.try_pull fairq with
@@ -476,7 +448,7 @@ let worker_lanes t ~fairq ~deques ~overflow wid () =
     let seen = Fairq.stamp fairq in
     match next () with
     | Some w ->
-      execute t ~deque:(Some mine) ~kick w;
+      execute t ~deque:mine ~kick w;
       loop ()
     | None ->
       if Fairq.closed fairq then ()
@@ -551,35 +523,27 @@ let serve_conn t conn =
         if Atomic.get t.stopping then
           shed_reply conn request "server is draining"
         else begin
-          match t.queueing with
-          | Q_single q ->
-            if Squeue.try_push q w then admit_ok request (lane_of job)
-            else
-              shed_reply conn request
-                (Printf.sprintf "admission queue full (%d jobs)"
-                   t.cfg.queue_capacity)
-          | Q_lanes { fairq; _ } ->
-            let tenant = tenant_of request and lane = lane_of job in
-            (match Fairq.admit fairq ~tenant ~lane w with
-            | Fairq.Admitted -> admit_ok request lane
-            | Fairq.Queue_full ->
-              shed_reply conn request
-                (Printf.sprintf "admission queue full (%d jobs)"
-                   t.cfg.queue_capacity)
-            | Fairq.Over_quota ->
-              Cs_obs.Metrics.incr t.quota_meter;
-              Cs_obs.Metrics.incr t.meters.Meters.refused;
-              Cs_obs.Metrics.incr
-                (Meters.tenant_counter t.meters ~tenant ~outcome:"quota");
-              send_reply conn
-                (Proto.refused ~id:request.Proto.id
-                   (Cs_resil.Error.Quota_exceeded
-                      (Printf.sprintf
-                         "tenant %S is over its admission quota (%d queued jobs)"
-                         tenant
-                         (if t.cfg.tenant_quota > 0 then t.cfg.tenant_quota
-                          else t.cfg.queue_capacity))));
-              finish_edge conn ~job_done:true)
+          let tenant = tenant_of request and lane = lane_of job in
+          match Fairq.admit t.fairq ~tenant ~lane w with
+          | Fairq.Admitted -> admit_ok request lane
+          | Fairq.Queue_full ->
+            shed_reply conn request
+              (Printf.sprintf "admission queue full (%d jobs)"
+                 t.cfg.queue_capacity)
+          | Fairq.Over_quota ->
+            Cs_obs.Metrics.incr t.quota_meter;
+            Cs_obs.Metrics.incr t.meters.Meters.refused;
+            Cs_obs.Metrics.incr
+              (Meters.tenant_counter t.meters ~tenant ~outcome:"quota");
+            send_reply conn
+              (Proto.refused ~id:request.Proto.id
+                 (Cs_resil.Error.Quota_exceeded
+                    (Printf.sprintf
+                       "tenant %S is over its admission quota (%d queued jobs)"
+                       tenant
+                       (if t.cfg.tenant_quota > 0 then t.cfg.tenant_quota
+                        else t.cfg.queue_capacity))));
+            finish_edge conn ~job_done:true
         end
     end
   in
@@ -692,14 +656,7 @@ let heartbeat_loop t addr =
   reconnect ()
 
 let run t =
-  let workers =
-    match t.queueing with
-    | Q_single q ->
-      List.init t.cfg.workers (fun _ -> Domain.spawn (worker_single t q))
-    | Q_lanes { fairq; deques; overflow } ->
-      List.init t.cfg.workers (fun wid ->
-          Domain.spawn (worker_lanes t ~fairq ~deques ~overflow wid))
-  in
+  let workers = List.init t.cfg.workers (fun wid -> Domain.spawn (worker t wid)) in
   let heartbeater =
     Option.map
       (fun addr -> Domain.spawn (fun () -> heartbeat_loop t addr))
@@ -750,12 +707,7 @@ let run t =
     ~args:
       [ ("addr", Cs_obs.Obs.Str (Transport.to_string t.bound));
         ("workers", Cs_obs.Obs.Int t.cfg.workers);
-        ("queue", Cs_obs.Obs.Int t.cfg.queue_capacity);
-        ( "engine",
-          Cs_obs.Obs.Str
-            (match t.cfg.engine with
-            | Single_queue -> "single-queue"
-            | Lanes -> "lanes") ) ]
+        ("queue", Cs_obs.Obs.Int t.cfg.queue_capacity) ]
     "server:listen";
   (* Self-announcement for merged traces: Export.chrome_merged names
      this process's lane from it. *)
@@ -770,11 +722,8 @@ let run t =
      readers exit on their severed sockets and queued jobs are
      discarded unanswered instead.) *)
   List.iter (fun (_, d) -> Domain.join d) !readers;
-  (match t.queueing with
-  | Q_single q -> Squeue.close q
-  | Q_lanes { fairq; overflow; _ } ->
-    Squeue.close overflow;
-    Fairq.close fairq);
+  Squeue.close t.overflow;
+  Fairq.close t.fairq;
   List.iter Domain.join workers;
   Option.iter Domain.join heartbeater;
   (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());

@@ -16,12 +16,13 @@
     - per-job deadlines are absolute from admission; expired jobs
       refuse instead of running, live ones thread the deadline into the
       anytime driver;
-    - under the {!Lanes} engine, admitted jobs flow through per-tenant
-      deficit-weighted round-robin queues in two priority lanes
-      (interactive ahead of batch, batch guaranteed a share), workers
-      run per-domain work-stealing deques, and oversized jobs split
-      into stealable parts so one huge DDG cannot head-of-line-block
-      the pool;
+    - admitted jobs flow through per-tenant deficit-weighted
+      round-robin queues ({!Fairq}) in two priority lanes (interactive
+      ahead of batch, batch guaranteed a share), workers run per-domain
+      work-stealing deques ({!Deque}), and oversized jobs split into
+      stealable parts so one huge DDG cannot head-of-line-block the
+      pool; parts that find their worker's deque full overflow to a
+      bounded {!Squeue}, and run inline when even that is full;
     - when configured with a {!Brownout} controller, rising queue-wait
       burn progressively tightens effective pass budgets (anytime
       best-so-far) before anything is shed, and recovers hysteretically;
@@ -29,13 +30,6 @@
       is answered, workers are joined, a Unix socket file is removed;
     - {!abort} simulates a crash for chaos drills: connections are
       severed without replies and queued work is discarded. *)
-
-type engine =
-  | Single_queue
-      (** the legacy core: one bounded MPMC queue feeding all workers —
-          kept selectable as the benchmark baseline *)
-  | Lanes
-      (** fair admission + per-domain work-stealing deques (default) *)
 
 type config = {
   listen_addr : Transport.addr;
@@ -49,14 +43,13 @@ type config = {
   retry : Retry.policy option;  (** retry transient job failures *)
   heartbeat_addr : Transport.addr option;
       (** push {!Proto.heartbeat} lines to this gateway address *)
-  heartbeat_period_s : float;
+  heartbeat_period_s : float;  (** finite and [> 0] *)
   advertise : string option;
       (** shard name carried on heartbeats — must match the address the
           gateway was configured with; defaults to the bound address *)
-  engine : engine;
   split_threshold : int;
       (** split jobs whose [scale] exceeds this into stealable parts
-          of at most this scale ({!Lanes} only); [0] disables *)
+          of at most this scale; [0] disables *)
   tenant_quota : int;
       (** max queued jobs per tenant; [<= 0] means no bound tighter
           than [queue_capacity] *)
@@ -72,15 +65,16 @@ val config :
   ?workers:int -> ?queue_capacity:int -> ?default_deadline_ms:float ->
   ?pass_budget_s:float -> ?chaos_slow_ms:float -> ?retry:Retry.policy ->
   ?heartbeat:string -> ?heartbeat_period_s:float -> ?advertise:string ->
-  ?engine:engine -> ?split_threshold:int -> ?tenant_quota:int ->
+  ?split_threshold:int -> ?tenant_quota:int ->
   ?tenant_weights:(string * int) list -> ?batch_share:int ->
   ?brownout:Brownout.settings -> string -> config
 (** [config addr] with 2 workers, a 16-job queue, no deadlines, no
     chaos, no retry, no heartbeats ([heartbeat_period_s] defaults to
-    1 s), the {!Lanes} engine, split threshold 16, no tenant quota and
-    no brownout. [addr] uses the {!Transport} grammar ([host:port] for
-    TCP, otherwise a Unix socket path); raises [Invalid_argument] when
-    it parses to neither. *)
+    1 s), split threshold 16, no tenant quota and no brownout. [addr]
+    uses the {!Transport} grammar ([host:port] for TCP, otherwise a
+    Unix socket path). Raises [Invalid_argument] when [addr] parses to
+    neither, when [heartbeat_period_s] is not finite and [> 0], or when
+    [pass_budget_s] or [default_deadline_ms] is not finite and [>= 0]. *)
 
 type stats = {
   admitted : int;
@@ -124,7 +118,7 @@ val stats : t -> stats
 
 val server_stats : t -> Proto.server_stats
 (** The live counters served by the stats control verb. [extra]
-    carries the lanes-engine series: [quota_refused],
+    carries the admission and work-stealing series: [quota_refused],
     [queue_depth_peak], [steals], [splits] and (when configured)
     [brownout_level]. *)
 

@@ -4,13 +4,12 @@ type 'a t = {
   mutex : Mutex.t;
   nonempty : Condition.t;
   mutable closed : bool;
-  mutable peak : int;
 }
 
 let create ~capacity =
   if capacity <= 0 then invalid_arg "Squeue.create: capacity must be positive";
   { capacity; items = Queue.create (); mutex = Mutex.create ();
-    nonempty = Condition.create (); closed = false; peak = 0 }
+    nonempty = Condition.create (); closed = false }
 
 let with_lock t f =
   Mutex.lock t.mutex;
@@ -21,8 +20,6 @@ let try_push t x =
       if t.closed || Queue.length t.items >= t.capacity then false
       else begin
         Queue.push x t.items;
-        let depth = Queue.length t.items in
-        if depth > t.peak then t.peak <- depth;
         Condition.signal t.nonempty;
         true
       end)
@@ -49,4 +46,3 @@ let close t =
       Condition.broadcast t.nonempty)
 
 let length t = with_lock t (fun () -> Queue.length t.items)
-let peak t = with_lock t (fun () -> t.peak)

@@ -1,9 +1,10 @@
-(** Bounded multi-producer multi-consumer queue — the service's
-    admission queue.
+(** Bounded multi-producer multi-consumer queue: the gateway's
+    admission queue, and the server's overflow queue for split parts
+    that find their worker's deque full.
 
     Pushes never block: a full (or closed) queue refuses immediately so
-    the acceptor can shed load with a typed [Overloaded] reply instead
-    of queueing unboundedly. Pops block until an item arrives or the
+    the caller can shed load with a typed [Overloaded] reply (or, for a
+    split part, run it inline) instead of queueing unboundedly. Pops block until an item arrives or the
     queue is closed and drained, which is exactly the worker-shutdown
     protocol: [close] then join. *)
 
@@ -28,6 +29,3 @@ val close : 'a t -> unit
 
 val length : 'a t -> int
 
-val peak : 'a t -> int
-(** High-watermark depth since creation — how close admission came to
-    shedding, without having to poll [length] live. *)

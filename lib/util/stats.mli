@@ -14,7 +14,8 @@ val median : float list -> float
 val percentile : float -> float list -> float
 (** [percentile p xs] for [p] in [0, 100], linearly interpolated
     between closest ranks ([percentile 50.0] = {!median}); 0 on the
-    empty list. Used for the latency-SLO report (p50/p95/p99). *)
+    empty list. The exact reference for the metrics histogram's
+    quantile-accuracy test. *)
 
 val minimum : float list -> float
 val maximum : float list -> float

@@ -106,7 +106,7 @@ let test_exactly_once_under_contention () =
   Alcotest.(check int) "no item lost" 0 !lost;
   Alcotest.(check int) "no item duplicated" 0 !duplicated
 
-(* The overflow protocol the lanes engine uses: a refused push lands in
+(* The overflow protocol the server's workers use: a refused push lands in
    a global Squeue, and consumers scan deque-then-overflow. Together
    the two structures must still deliver every item exactly once. *)
 let test_overflow_to_global_roundtrip () =

@@ -735,6 +735,30 @@ let test_gateway_trace_propagation () =
   Alcotest.(check bool) "hops mint distinct span ids" false
     (arg_str "span_id" dispatch = arg_str "span_id" run)
 
+(* A zero or NaN probe period spins the prober without sleeping, and a
+   NaN shard timeout is never enforced; config must refuse both. *)
+let test_config_rejects_bad_durations () =
+  let cfg ?probe_period_s ?shard_timeout_s () =
+    Gateway.config ?probe_period_s ?shard_timeout_s ~shards:[ "127.0.0.1:1" ]
+      "127.0.0.1:0"
+  in
+  let rejects what f =
+    match f () with
+    | (_ : Gateway.config) -> Alcotest.failf "accepted %s" what
+    | exception Invalid_argument _ -> ()
+  in
+  List.iter
+    (fun v ->
+      rejects (Printf.sprintf "probe_period_s %g" v) (fun () ->
+          cfg ~probe_period_s:v ()))
+    [ nan; 0.0; -1.0; infinity ];
+  List.iter
+    (fun v ->
+      rejects (Printf.sprintf "shard_timeout_s %g" v) (fun () ->
+          cfg ~shard_timeout_s:v ()))
+    [ nan; -1.0; infinity ];
+  ignore (cfg ~probe_period_s:0.05 ~shard_timeout_s:0.0 ())
+
 let () =
   (* aborted shards close sockets mid-write; surface that as EPIPE, not
      a process kill *)
@@ -778,6 +802,8 @@ let () =
         [
           Alcotest.test_case "transport parse" `Quick test_transport_parse;
           Alcotest.test_case "pong roundtrip" `Quick test_pong_roundtrip;
+          Alcotest.test_case "config rejects non-finite durations" `Quick
+            test_config_rejects_bad_durations;
         ] );
       ( "fleet",
         [

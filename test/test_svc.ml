@@ -854,7 +854,7 @@ let test_brownout_escalates_and_recovers_hysteretically () =
   Alcotest.(check int) "upward transitions counted" 2
     (Cs_svc.Brownout.escalations b)
 
-(* --- lanes engine end-to-end --------------------------------------- *)
+(* --- lanes: split, quota and overflow end to end ------------------ *)
 
 let test_serve_splits_oversized_job () =
   let socket = tmp_path (Printf.sprintf "cs_svc_split_%d.sock" (Unix.getpid ())) in
@@ -978,28 +978,83 @@ let test_serve_queue_depth_peak_gauge () =
           Alcotest.(check bool) "peak gauge recorded a backlog" true (v >= 1.0)
         | _ -> Alcotest.fail "csched_queue_depth_peak missing"))
 
-let test_serve_single_queue_engine_still_works () =
-  let socket = tmp_path (Printf.sprintf "cs_svc_sq_%d.sock" (Unix.getpid ())) in
+(* One worker, so nothing is stolen and every count is exact: a
+   scale-100 job with split threshold 1 becomes 100 parts. Part 0 runs
+   inline, 32 fill the worker's deque, 64 fill the overflow queue
+   (bound max 64 (4 * 8)), and the last 3 find both full and run
+   inline too. The parts are identical, so the aggregate reply can only
+   catch a lost part (it never comes) or a wrong sum; a duplicated part
+   runs after the reply, so the job:run spans of the drained server
+   count the parts instead. *)
+let test_serve_split_overflow_paths () =
+  let module M = Cs_obs.Metrics in
+  let module Obs = Cs_obs.Obs in
+  let socket = tmp_path (Printf.sprintf "cs_svc_ovf_%d.sock" (Unix.getpid ())) in
   let cfg =
-    Cs_svc.Server.config ~workers:2 ~engine:Cs_svc.Server.Single_queue socket
+    Cs_svc.Server.config ~workers:1 ~queue_capacity:8 ~split_threshold:1 socket
   in
+  let cycles_of (r : Cs_svc.Proto.reply) =
+    match r.Cs_svc.Proto.verdict with
+    | Cs_svc.Proto.Scheduled s -> s.cycles
+    | Cs_svc.Proto.Refused e -> Alcotest.failf "%s refused: %s" r.reply_id e.message
+  in
+  Obs.reset ();
+  Obs.enable ();
+  Fun.protect ~finally:(fun () -> Obs.disable (); Obs.reset ()) @@ fun () ->
   with_server cfg (fun server ->
-      match
-        Cs_svc.Client.submit ~timeout_s:60.0
-          ~addr:(Cs_svc.Transport.parse_exn socket)
-          (List.init 3 (fun i ->
-               Cs_svc.Proto.request ~id:(Printf.sprintf "b%d" i) ~machine:"raw4" "fir"))
-      with
-      | Error e -> Alcotest.failf "submit failed: %s" e
-      | Ok rs ->
-        Alcotest.(check int) "all answered" 3 (List.length rs);
-        List.iter
-          (fun (r : Cs_svc.Proto.reply) ->
-            match r.Cs_svc.Proto.verdict with
-            | Cs_svc.Proto.Scheduled _ -> ()
-            | Cs_svc.Proto.Refused e -> Alcotest.failf "baseline refused: %s" e.message)
-          rs;
-        Alcotest.(check int) "completed" 3 (Cs_svc.Server.stats server).Cs_svc.Server.completed)
+      let addr = Cs_svc.Transport.parse_exn socket in
+      let submit1 id scale =
+        match
+          Cs_svc.Client.submit ~timeout_s:300.0 ~addr
+            [ Cs_svc.Proto.request ~id ~machine:"raw4" ~scale "fir" ]
+        with
+        | Ok [ r ] -> cycles_of r
+        | Ok rs -> Alcotest.failf "expected one reply, got %d" (List.length rs)
+        | Error e -> Alcotest.failf "submit failed: %s" e
+      in
+      let one = submit1 "one" 1 in
+      let big = submit1 "big" 100 in
+      Alcotest.(check int) "aggregate = 100 x one part" (100 * one) big;
+      let extra = (Cs_svc.Server.server_stats server).Cs_svc.Proto.extra in
+      Alcotest.(check (float 0.0)) "one split" 1.0 (List.assoc "splits" extra);
+      match Cs_svc.Client.fetch_metrics ~addr () with
+      | Ok (Cs_svc.Proto.Snapshot snap) ->
+        (match M.find snap "csched_overflow_total" with
+        | Some (M.Counter_v n) -> Alcotest.(check int) "parts past the deque" 67 n
+        | _ -> Alcotest.fail "csched_overflow_total missing")
+      | Ok (Cs_svc.Proto.Prom_text _) -> Alcotest.fail "asked for json"
+      | Error e -> Alcotest.failf "metrics verb failed: %s" e);
+  let runs =
+    List.filter
+      (fun e -> e.Obs.name = "job:run" && List.mem ("id", Obs.Str "big") e.Obs.args)
+      (Obs.events ())
+  in
+  Alcotest.(check int) "each part ran once" 100 (List.length runs)
+
+(* NaN compares false both ways, so a NaN period would spin and a NaN
+   budget or deadline would never fire; config must refuse them. *)
+let test_config_rejects_bad_durations () =
+  let rejects what f =
+    match f () with
+    | (_ : Cs_svc.Server.config) -> Alcotest.failf "accepted %s" what
+    | exception Invalid_argument _ -> ()
+  in
+  let cfg = Cs_svc.Server.config in
+  List.iter
+    (fun v ->
+      rejects (Printf.sprintf "heartbeat_period_s %g" v) (fun () ->
+          cfg ~heartbeat_period_s:v "127.0.0.1:0"))
+    [ nan; 0.0; -1.0; infinity ];
+  List.iter
+    (fun v ->
+      rejects (Printf.sprintf "pass_budget_s %g" v) (fun () ->
+          cfg ~pass_budget_s:v "127.0.0.1:0");
+      rejects (Printf.sprintf "default_deadline_ms %g" v) (fun () ->
+          cfg ~default_deadline_ms:v "127.0.0.1:0"))
+    [ nan; -1.0; infinity; neg_infinity ];
+  ignore
+    (cfg ~heartbeat_period_s:0.05 ~pass_budget_s:0.0 ~default_deadline_ms:0.0
+       "127.0.0.1:0")
 
 let () =
   Alcotest.run "svc"
@@ -1072,6 +1127,8 @@ let () =
           Alcotest.test_case "metrics verb" `Slow test_serve_metrics_verb;
           Alcotest.test_case "clean idempotent stop" `Slow
             test_serve_stop_is_clean_and_idempotent;
+          Alcotest.test_case "config rejects non-finite durations" `Quick
+            test_config_rejects_bad_durations;
         ] );
       ("backoff", [ to_alcotest retry_backoff_prop ]);
       ( "tenancy",
@@ -1104,7 +1161,7 @@ let () =
             test_serve_mixed_verdict_strict_accounting;
           Alcotest.test_case "queue depth peak gauge" `Slow
             test_serve_queue_depth_peak_gauge;
-          Alcotest.test_case "single-queue engine baseline" `Slow
-            test_serve_single_queue_engine_still_works;
+          Alcotest.test_case "split parts overflow, then run inline" `Slow
+            test_serve_split_overflow_paths;
         ] );
     ]
