@@ -9,7 +9,6 @@ type config = {
   shards : Transport.addr list;
   policy : Policy.t;
   cache_capacity : int;
-  vnodes : int;
   forwarders : int;
   queue_capacity : int;
   probe_period_s : float;
@@ -17,23 +16,29 @@ type config = {
   shard_timeout_s : float;
   journal_dir : string option;
   recover : bool;
-  shed_watermark : float;
-  journal_lag_limit : int;
-  breaker : Breaker.settings;
-  warmup_s : float;
-  warm_entries : int;
 }
 
-let config ?(policy = Policy.Hash) ?(cache_capacity = 256) ?(vnodes = 64)
-    ?(forwarders = 4) ?(queue_capacity = 64) ?(probe_period_s = 1.0)
-    ?(fail_threshold = 3) ?(shard_timeout_s = 30.0) ?journal_dir
-    ?(recover = false) ?(shed_watermark = 0.85) ?(journal_lag_limit = 512)
-    ?(breaker = Breaker.default_settings) ?(warmup_s = 5.0)
-    ?(warm_entries = 16) ~shards listen =
+(* Fixed tuning. Adaptive admission sheds once the queue passes this
+   fraction of its capacity (scaled by the live share of the fleet), or
+   once this many journaled jobs are in flight; a re-admitted shard is
+   warmed with this many of the hottest cache entries. *)
+let shed_watermark = 0.85
+let journal_lag_limit = 512
+let warm_entries = 16
+
+let config ?(policy = Policy.Hash) ?(cache_capacity = 256) ?(forwarders = 4)
+    ?(queue_capacity = 64) ?(probe_period_s = 1.0) ?(fail_threshold = 3)
+    ?(shard_timeout_s = 30.0) ?journal_dir ?(recover = false) ~shards listen =
   if shards = [] then invalid_arg "Gateway.config: at least one shard required";
-  if forwarders <= 0 then invalid_arg "Gateway.config: forwarders must be positive";
-  if not (shed_watermark > 0.0 && shed_watermark <= 1.0) then
-    invalid_arg "Gateway.config: shed_watermark must be in (0..1]";
+  (* Checked here, before anything is bound: [create] would otherwise
+     raise only after the listen address exists. *)
+  let positive what v =
+    if v <= 0 then invalid_arg (Printf.sprintf "Gateway.config: %s must be positive" what)
+  in
+  positive "forwarders" forwarders;
+  positive "fail_threshold" fail_threshold;
+  positive "cache_capacity" cache_capacity;
+  positive "queue_capacity" queue_capacity;
   (* A NaN or zero probe period spins the prober without sleeping, and a
      NaN timeout is never enforced. *)
   if not (Float.is_finite probe_period_s && probe_period_s > 0.0) then
@@ -42,9 +47,8 @@ let config ?(policy = Policy.Hash) ?(cache_capacity = 256) ?(vnodes = 64)
     invalid_arg "Gateway.config: shard_timeout_s must be finite and >= 0";
   { listen_addr = Transport.parse_exn listen;
     shards = List.map Transport.parse_exn shards;
-    policy; cache_capacity; vnodes; forwarders; queue_capacity; probe_period_s;
-    fail_threshold; shard_timeout_s; journal_dir; recover; shed_watermark;
-    journal_lag_limit; breaker; warmup_s; warm_entries }
+    policy; cache_capacity; forwarders; queue_capacity; probe_period_s;
+    fail_threshold; shard_timeout_s; journal_dir; recover }
 
 (* One backend shard and the load signals gossiped back from it. *)
 type shard = {
@@ -53,11 +57,6 @@ type shard = {
   depth : int Atomic.t;  (* last gossiped admission-queue depth *)
   ewma_bits : int64 Atomic.t;  (* Int64 bits of the service-time EWMA, ms *)
   last_hb_bits : int64 Atomic.t;  (* Clock.now of the last push heartbeat *)
-  needs_warm : bool Atomic.t;
-      (* set on a health transition back to healthy; the prober performs
-         the warm-up replay and clears it *)
-  warm_start_bits : int64 Atomic.t;
-      (* Clock.now when the admission ramp started; 0 = not warming *)
 }
 
 let shard_last_hb sh = Int64.float_of_bits (Atomic.get sh.last_hb_bits)
@@ -101,11 +100,11 @@ type t = {
   listen_fd : Unix.file_descr;
   bound : Transport.addr;
   ring : Ring.t;
-  health : Health.t;
-  breaker : Breaker.t;
+  state : Shard_state.t;
   cache : centry Cache.t;
   journal : Journal.t option;
   shards : shard list;
+  names : string list;  (* shard names, in configuration order *)
   queue : work Squeue.t;
   stopping : bool Atomic.t;
   conns_mutex : Mutex.t;
@@ -161,9 +160,7 @@ let create (cfg : config) =
       (fun saddr ->
         { sname = Transport.to_string saddr; saddr;
           depth = Atomic.make 0; ewma_bits = Atomic.make (Int64.bits_of_float 0.0);
-          last_hb_bits = Atomic.make (Int64.bits_of_float 0.0);
-          needs_warm = Atomic.make false;
-          warm_start_bits = Atomic.make 0L })
+          last_hb_bits = Atomic.make (Int64.bits_of_float 0.0) })
       cfg.shards
   in
   let names = List.map (fun s -> s.sname) shards in
@@ -172,23 +169,27 @@ let create (cfg : config) =
   Metrics.set meters.Meters.workers (float_of_int cfg.forwarders);
   let counter = Metrics.counter meters.Meters.registry in
   let gauge = Metrics.gauge meters.Meters.registry in
-  let on_transition ~shard ~to_ =
-    Metrics.incr
-      (counter ~labels:[ ("shard", shard); ("to", to_) ]
-         ~help:"Shard health-state transitions" "csched_health_transitions_total");
-    (* A shard coming back is cache-cold: flag it for the warm-up
-       replay + admission ramp. Flag only — this callback runs with the
-       health lock held, so the prober does the actual work. *)
-    if to_ = "healthy" then
-      List.iter
-        (fun sh -> if sh.sname = shard then Atomic.set sh.needs_warm true)
-        shards
-  in
-  let on_breaker_transition ~shard ~to_ =
-    Metrics.incr
-      (counter ~labels:[ ("shard", shard); ("to", to_) ]
-         ~help:"Circuit-breaker state transitions"
-         "csched_breaker_transitions_total")
+  (* Runs with the shard-state lock held: trace and count, nothing more. *)
+  let on_transition ~shard transition =
+    let instant ?(args = []) name =
+      Cs_obs.Obs.instant ~cat:"gateway"
+        ~args:(("shard", Cs_obs.Obs.Str shard) :: args) name
+    in
+    let count family help to_ =
+      Metrics.incr (counter ~labels:[ ("shard", shard); ("to", to_) ] ~help family)
+    in
+    let health_help = "Shard health-state transitions" in
+    match transition with
+    | Shard_state.Evicted ->
+      instant "health:evict";
+      count "csched_health_transitions_total" health_help "dead"
+    | Shard_state.Readmitted ->
+      instant "health:readmit";
+      count "csched_health_transitions_total" health_help "healthy"
+    | Shard_state.Breaker b ->
+      let to_ = Shard_state.breaker_name b in
+      instant ~args:[ ("to", Cs_obs.Obs.Str to_) ] "breaker:transition";
+      count "csched_breaker_transitions_total" "Circuit-breaker state transitions" to_
   in
   let journal =
     Option.map
@@ -196,14 +197,12 @@ let create (cfg : config) =
       cfg.journal_dir
   in
   { cfg; listen_fd; bound = Transport.bound_addr listen_fd cfg.listen_addr;
-    ring = Ring.make ~vnodes:cfg.vnodes names;
-    health = Health.create ~fail_threshold:cfg.fail_threshold ~on_transition names;
-    breaker =
-      Breaker.create ~settings:cfg.breaker ~on_transition:on_breaker_transition
-        names;
+    ring = Ring.make names;
+    state = Shard_state.create ~fail_threshold:cfg.fail_threshold ~on_transition names;
     cache = Cache.create ~capacity:cfg.cache_capacity;
     journal;
     shards;
+    names;
     queue = Squeue.create ~capacity:cfg.queue_capacity;
     stopping = Atomic.make false;
     conns_mutex = Mutex.create ();
@@ -243,29 +242,11 @@ let create (cfg : config) =
 let address t = t.bound
 let meters t = t.meters
 
-let alive_count t =
-  List.length (Health.alive t.health (List.map (fun sh -> sh.sname) t.shards))
-
-(* Admission-ramp position for a warming shard: 0 just re-admitted,
-   1 fully ramped. Lazily clears the warming flag once the ramp
-   completes, so the hot path stays lock-free. *)
-let warm_frac t sh =
-  let bits = Atomic.get sh.warm_start_bits in
-  if bits = 0L then 1.0
-  else begin
-    let frac =
-      (Cs_obs.Clock.now () -. Int64.float_of_bits bits)
-      /. Float.max 1e-9 t.cfg.warmup_s
-    in
-    if frac >= 1.0 then begin
-      ignore (Atomic.compare_and_set sh.warm_start_bits bits 0L);
-      1.0
-    end
-    else Float.max 0.0 frac
-  end
+let alive_count t = List.length (Shard_state.alive t.state t.names)
 
 let warming_count t =
-  List.length (List.filter (fun sh -> warm_frac t sh < 1.0) t.shards)
+  let now = Cs_obs.Clock.now () in
+  List.length (List.filter (fun n -> Shard_state.ramp t.state n ~now < 1.0) t.names)
 
 (* Mirror live values into registry gauges so snapshots carry them. *)
 let sync_gauges t =
@@ -275,17 +256,17 @@ let sync_gauges t =
   Metrics.set t.m_cache_size (float_of_int (Cache.stats t.cache).Cache.size);
   Metrics.set t.m_journal_pending
     (float_of_int (match t.journal with Some j -> Journal.lag j | None -> 0));
-  Metrics.set t.m_breaker_open (float_of_int (Breaker.open_count t.breaker));
+  Metrics.set t.m_breaker_open (float_of_int (Shard_state.open_count t.state));
   Metrics.set t.m_warming (float_of_int (warming_count t));
   List.iter
     (fun sh ->
       Metrics.set (shard_depth_gauge t sh.sname) (float_of_int (Atomic.get sh.depth));
       Metrics.set (shard_ewma_gauge t sh.sname) (shard_ewma sh);
       Metrics.set (breaker_state_gauge t sh.sname)
-        (match Breaker.state t.breaker sh.sname with
-        | Breaker.Closed -> 0.0
-        | Breaker.Half_open -> 1.0
-        | Breaker.Open -> 2.0))
+        (match Shard_state.breaker t.state sh.sname with
+        | Shard_state.Closed -> 0.0
+        | Shard_state.Half_open -> 1.0
+        | Shard_state.Open -> 2.0))
     t.shards
 
 (* The cache counts evictions internally; fold the delta into the
@@ -341,11 +322,10 @@ let stats t =
     journal_pending = (match t.journal with Some j -> Journal.lag j | None -> 0);
     admission_shed = Metrics.counter_value t.m_admission_shed;
     heartbeats = Metrics.counter_value t.m_heartbeats;
-    breaker_open = Breaker.open_count t.breaker;
+    breaker_open = Shard_state.open_count t.state;
     warm_replays = Metrics.counter_value t.m_warm_replays }
 
-let shard_states t =
-  List.map (fun sh -> (sh.sname, Health.state t.health sh.sname)) t.shards
+let shard_states t = List.map (fun n -> (n, Shard_state.health t.state n)) t.names
 
 let server_stats t =
   let s = stats t in
@@ -487,13 +467,11 @@ let shard_by_name t name = List.find (fun sh -> sh.sname = name) t.shards
 
    The circuit breaker gates each attempt: an open breaker skips the
    shard without a connection attempt, and every granted attempt —
-   including half-open probes — reports its outcome back so the breaker
-   state machine advances. Health and the breaker are complementary:
-   health evicts on consecutive transport failures, the breaker on a
-   bad failure *rate* (a shard can keep resetting the consecutive
-   counter while failing half its calls). *)
+   including the half-open trial — reports its outcome back through
+   [Shard_state.record], which feeds both eviction (consecutive
+   failures) and the breaker (failure rate). *)
 let dispatch t (r : Proto.request) ~key =
-  let usable = Health.alive t.health (List.map (fun sh -> sh.sname) t.shards) in
+  let usable = Shard_state.alive t.state t.names in
   let khash = Cs_core.Scenario.fnv1a key in
   let order =
     Policy.order t.cfg.policy ~ring:t.ring ~key:khash
@@ -505,10 +483,11 @@ let dispatch t (r : Proto.request) ~key =
      is keyed on the scenario hash, so a given scenario flips from
      "elsewhere" to "warming shard" exactly once during the ramp. *)
   let order =
+    let now = Cs_obs.Clock.now () in
     let full, ramped =
       List.partition
         (fun name ->
-          let frac = warm_frac t (shard_by_name t name) in
+          let frac = Shard_state.ramp t.state name ~now in
           frac >= 1.0
           || Int64.to_int khash land 1023 < int_of_float (frac *. 1024.0))
         order
@@ -528,7 +507,7 @@ let dispatch t (r : Proto.request) ~key =
                 "every live shard's circuit breaker is open"
               else "every live shard failed while handling the job")))
     | name :: rest ->
-      if not (Breaker.allow t.breaker name) then begin
+      if not (Shard_state.allow t.state name ~now:(Cs_obs.Clock.now ())) then begin
         incr breaker_skips;
         walk ~replaying ~last_overload rest
       end
@@ -541,20 +520,20 @@ let dispatch t (r : Proto.request) ~key =
               [ ("job", Cs_obs.Obs.Str r.Proto.id); ("shard", Cs_obs.Obs.Str name) ]
             "gateway:replay"
         end;
+        let record ~ok ~elapsed_ms =
+          Shard_state.record t.state name ~now:(Cs_obs.Clock.now ()) ~ok ~elapsed_ms
+        in
         match forward_once t sh r with
         | Answered reply ->
-          Health.note_ok t.health name;
-          Breaker.record t.breaker name ~ok:true ~elapsed_ms:reply.Proto.elapsed_ms;
+          record ~ok:true ~elapsed_ms:reply.Proto.elapsed_ms;
           Metrics.incr (fwd_counter t name);
           reply
         | Shard_overloaded reply ->
-          Health.note_ok t.health name;
-          Breaker.record t.breaker name ~ok:true ~elapsed_ms:0.0;
+          record ~ok:true ~elapsed_ms:0.0;
           if rest <> [] then Metrics.incr t.m_rerouted;
           walk ~replaying:false ~last_overload:(Some reply) rest
         | Transport_failure why ->
-          Health.note_failure t.health name;
-          Breaker.record t.breaker name ~ok:false ~elapsed_ms:0.0;
+          record ~ok:false ~elapsed_ms:0.0;
           Metrics.incr (shard_fail_counter t name);
           Cs_obs.Obs.instant ~cat:"gateway"
             ~args:
@@ -713,24 +692,26 @@ let prober t () =
     last > 0.0 && Cs_obs.Clock.now () -. last < 2.0 *. t.cfg.probe_period_s
   in
   let probe sh =
-    match
-      Cs_svc.Client.fetch_stats ~timeout_s:probe_timeout ~addr:sh.saddr ()
-    with
-    | Ok st ->
-      Atomic.set sh.depth st.Proto.queue_depth;
-      Health.note_ok t.health sh.sname
-    | Error _ -> Health.note_failure t.health sh.sname
+    let ok =
+      match
+        Cs_svc.Client.fetch_stats ~timeout_s:probe_timeout ~addr:sh.saddr ()
+      with
+      | Ok st ->
+        Atomic.set sh.depth st.Proto.queue_depth;
+        true
+      | Error _ -> false
+    in
+    Shard_state.note t.state sh.sname ~now:(Cs_obs.Clock.now ()) ~ok
   in
-  (* Warm-up replay for a shard just re-admitted by health: start its
-     admission ramp, then feed it the hottest cached scenarios as
-     batch-class jobs (no deadline, no idempotency key — these are
+  (* Warm-up replay for a shard just re-admitted: taking it starts the
+     admission ramp, then the shard is fed the hottest cached scenarios
+     as batch-class jobs (no deadline, no idempotency key — these are
      throwaway warmers, not client traffic). Runs inline on the prober
      domain; the ramp in [dispatch] keeps real traffic mostly elsewhere
      while this drains. *)
   let warm sh =
-    if Atomic.exchange sh.needs_warm false then begin
-      Atomic.set sh.warm_start_bits (Int64.bits_of_float (Cs_obs.Clock.now ()));
-      let entries = Cache.export t.cache ~n:t.cfg.warm_entries in
+    if Shard_state.take_warm t.state sh.sname ~now:(Cs_obs.Clock.now ()) then begin
+      let entries = Cache.export t.cache ~n:warm_entries in
       Cs_obs.Obs.instant ~cat:"gateway"
         ~args:
           [ ("shard", Cs_obs.Obs.Str sh.sname);
@@ -767,11 +748,12 @@ let prober t () =
       List.iter
         (fun sh ->
           if not (Atomic.get t.stopping) then
-            if Health.usable t.health sh.sname then begin
+            if Shard_state.usable t.state sh.sname then begin
               if not (hb_fresh sh) then probe sh;
               warm sh
             end
-            else if Health.probe_due t.health sh.sname then probe sh)
+            else if Shard_state.probe_due t.state sh.sname ~now:(Cs_obs.Clock.now ())
+            then probe sh)
         t.shards;
       sleep_ticks t.cfg.probe_period_s;
       loop ()
@@ -796,7 +778,7 @@ let admission_shed_reason t =
   let watermark =
     max 1
       (int_of_float
-         (float_of_int t.cfg.queue_capacity *. t.cfg.shed_watermark
+         (float_of_int t.cfg.queue_capacity *. shed_watermark
          *. float_of_int (max 1 alive) /. float_of_int total))
   in
   if depth >= watermark then
@@ -807,10 +789,10 @@ let admission_shed_reason t =
          depth watermark alive total)
   else
     match t.journal with
-    | Some j when Journal.lag j >= t.cfg.journal_lag_limit ->
+    | Some j when Journal.lag j >= journal_lag_limit ->
       Some
         (Printf.sprintf "gateway journal lag %d >= %d" (Journal.lag j)
-           t.cfg.journal_lag_limit)
+           journal_lag_limit)
     | _ -> None
 
 (* --- accept loop --------------------------------------------------- *)
@@ -846,11 +828,12 @@ let serve_conn t conn =
          with
         | Some sh ->
           Atomic.set sh.depth hb.Proto.hb_depth;
-          Atomic.set sh.last_hb_bits (Int64.bits_of_float (Cs_obs.Clock.now ()));
+          let now = Cs_obs.Clock.now () in
+          Atomic.set sh.last_hb_bits (Int64.bits_of_float now);
           Metrics.incr t.m_heartbeats;
           (* a heartbeat is proof of life: it re-admits a buried shard
              without waiting for the prober's probation slot *)
-          Health.note_ok t.health sh.sname
+          Shard_state.note t.state sh.sname ~now ~ok:true
         | None ->
           (* unknown shard name: not ours to track, and no reply to
              send — heartbeats are one-way *)

@@ -12,19 +12,20 @@
       already scheduled ([cached = true] on the reply, no shard hop),
     + otherwise walks the {!Policy}-ordered candidate shards and
       forwards over a one-shot connection; transport failure (connect
-      refused, or the shard died before replying) buries progress on
-      that shard in {!Health} and replays the job on the next candidate
-      — each client request is answered exactly once, and replay is safe
-      because scheduling is a pure, deterministic computation;
+      refused, or the shard died before replying) counts against that
+      shard in its {!Shard_state} and replays the job on the next
+      candidate — each client request is answered exactly once, and
+      replay is safe because scheduling is a pure, deterministic
+      computation;
     + feeds the load-aware policies from queue-depth gossip piggybacked
       on every shard reply, refreshed between jobs by a background
       prober that pings every shard each [probe_period_s] (the same
-      probe re-admits dead shards after their {!Health} backoff);
+      probe re-admits dead shards after their {!Shard_state} backoff);
     + warms re-admitted shards instead of dropping them straight into
-      full traffic: the hottest [warm_entries] cached scenarios are
-      replayed to the shard as batch-class jobs, and for [warmup_s]
-      seconds the shard serves only a linearly growing slice of the
-      keyspace (it remains the fallback of last resort throughout).
+      full traffic: the 16 hottest cached scenarios are replayed to the
+      shard as batch-class jobs, and for 5 s the shard serves only a
+      linearly growing slice of the keyspace (it remains the fallback
+      of last resort throughout).
 
     Control verbs ([ping] / [stats]) are answered inline by the gateway
     itself; the stats pong carries fleet-level counters (cache hits,
@@ -35,7 +36,6 @@ type config = {
   shards : Cs_svc.Transport.addr list;
   policy : Policy.t;
   cache_capacity : int;
-  vnodes : int;
   forwarders : int;  (** concurrent forwarding workers *)
   queue_capacity : int;  (** gateway admission queue bound *)
   probe_period_s : float;
@@ -47,25 +47,11 @@ type config = {
       (** load an existing journal at startup: replay unacked jobs and
           restore the dedup map. Without it an existing journal is
           discarded. *)
-  shed_watermark : float;
-      (** adaptive admission: shed when the queue depth exceeds
-          [shed_watermark * queue_capacity * alive/total] *)
-  journal_lag_limit : int;
-      (** shed when this many journaled jobs are in flight *)
-  breaker : Breaker.settings;  (** per-shard circuit breakers *)
-  warmup_s : float;
-      (** admission-ramp length for a re-admitted shard: it serves a
-          linearly growing slice of the keyspace over this many seconds
-          instead of full traffic on a cold cache *)
-  warm_entries : int;
-      (** hottest cache entries replayed (as batch-class jobs) to a
-          re-admitted shard before the ramp fills *)
 }
 
 val config :
   ?policy:Policy.t ->
   ?cache_capacity:int ->
-  ?vnodes:int ->
   ?forwarders:int ->
   ?queue_capacity:int ->
   ?probe_period_s:float ->
@@ -73,22 +59,19 @@ val config :
   ?shard_timeout_s:float ->
   ?journal_dir:string ->
   ?recover:bool ->
-  ?shed_watermark:float ->
-  ?journal_lag_limit:int ->
-  ?breaker:Breaker.settings ->
-  ?warmup_s:float ->
-  ?warm_entries:int ->
   shards:string list ->
   string ->
   config
 (** [config ~shards listen]: addresses in {!Cs_svc.Transport.parse}
-    grammar. Defaults: hash policy, 256-entry cache, 64 vnodes,
-    4 forwarders, queue 64, 1 s probe period, threshold 3, 30 s shard
-    timeout, no journal, watermark 0.85, lag limit 512, default
-    breaker settings, 5 s warm-up ramp replaying 16 cache entries.
-    Raises [Invalid_argument] on a bad address, an empty shard list,
-    a [probe_period_s] that is not finite and [> 0], or a
-    [shard_timeout_s] that is not finite and [>= 0]. *)
+    grammar. Defaults: hash policy, 256-entry cache, 4 forwarders,
+    queue 64, 1 s probe period, threshold 3, 30 s shard timeout, no
+    journal. Fixed: adaptive admission sheds once the queue depth
+    reaches [0.85 * queue_capacity * alive/total], or once 512
+    journaled jobs are in flight. Raises [Invalid_argument] on a bad
+    address, an empty shard list, a [forwarders], [fail_threshold],
+    [cache_capacity] or [queue_capacity] below 1, a [probe_period_s]
+    that is not finite and [> 0], or a [shard_timeout_s] that is not
+    finite and [>= 0]. *)
 
 type t
 
@@ -129,8 +112,8 @@ type stats = {
 
 val stats : t -> stats
 
-val shard_states : t -> (string * Health.state) list
-(** Health snapshot, in configuration order. *)
+val shard_states : t -> (string * Shard_state.health) list
+(** Eviction snapshot, in configuration order. *)
 
 val server_stats : t -> Cs_svc.Proto.server_stats
 (** The stats pong the gateway answers on the wire; fleet counters ride

@@ -1,8 +1,9 @@
 type t = {
   points : (int64 * string) array;  (* sorted by unsigned point hash *)
   names : string list;  (* distinct, insertion order *)
-  vnodes : int;
 }
+
+let vnodes = 64
 
 let point_hash shard i = Cs_core.Scenario.fnv1a (Printf.sprintf "%s/%d" shard i)
 
@@ -17,8 +18,7 @@ let compare_points (h1, n1) (h2, n2) =
   | 0 -> String.compare n1 n2  (* total order even on hash collision *)
   | c -> c
 
-let make ?(vnodes = 64) names =
-  if vnodes <= 0 then invalid_arg "Ring.make: vnodes must be positive";
+let make names =
   let names = dedup names in
   let points =
     List.concat_map
@@ -27,10 +27,10 @@ let make ?(vnodes = 64) names =
     |> Array.of_list
   in
   Array.sort compare_points points;
-  { points; names; vnodes }
+  { points; names }
 
 let shards t = t.names
-let remove t name = make ~vnodes:t.vnodes (List.filter (( <> ) name) t.names)
+let remove t name = make (List.filter (( <> ) name) t.names)
 
 (* Index of the first point with hash >= key (unsigned), wrapping to 0
    past the last point. *)

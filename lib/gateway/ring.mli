@@ -1,8 +1,8 @@
 (** Consistent-hash ring over shard names.
 
-    Each shard owns [vnodes] points on a 64-bit ring (FNV-1a of
-    ["name/i"]); a key is routed to the first point clockwise from the
-    key's hash. With [V] virtual nodes per shard the load split is even
+    Each shard owns 64 virtual nodes, points on a 64-bit ring (FNV-1a
+    of ["name/i"]); a key is routed to the first point clockwise from
+    the key's hash. With that many points per shard the load split is even
     to within a few percent, and removing one of [N] shards moves only
     the keys that shard owned — about [K/N] of [K] keys — while every
     other key keeps its shard. That bound is what makes failover cheap:
@@ -13,8 +13,8 @@
 
 type t
 
-val make : ?vnodes:int -> string list -> t
-(** [vnodes] defaults to 64. Duplicate shard names are ignored. *)
+val make : string list -> t
+(** Duplicate shard names are ignored. *)
 
 val shards : t -> string list
 (** Distinct shard names, in insertion order. *)

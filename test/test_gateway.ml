@@ -1,14 +1,14 @@
 (* Gateway fleet tests: consistent-hash rebalance bounds, LRU cache
-   accounting, health eviction/re-admission, dispatch policies, canonical
+   accounting, per-shard state (eviction/re-admission, circuit breaker,
+   warm-up ramp, driven by explicit timestamps), dispatch policies, canonical
    scenario hashing (collision sweep + round-trip stability + repro
    fingerprint), and an in-process gateway + 2 shards over loopback TCP
    with a mid-batch shard kill — zero lost, zero duplicated jobs. *)
 
 module Ring = Cs_gateway.Ring
 module Cache = Cs_gateway.Cache
-module Health = Cs_gateway.Health
+module Shard_state = Cs_gateway.Shard_state
 module Policy = Cs_gateway.Policy
-module Breaker = Cs_gateway.Breaker
 module Journal = Cs_gateway.Journal
 module Gateway = Cs_gateway.Gateway
 module Proto = Cs_svc.Proto
@@ -78,121 +78,213 @@ let test_cache_lru_accounting () =
   Alcotest.(check int) "evictions" 1 s.Cache.evictions;
   Alcotest.(check int) "size" 2 s.Cache.size
 
-(* --- health -------------------------------------------------------- *)
+(* --- shard state ---------------------------------------------------- *)
+
+(* Every call takes the time explicitly, so these tests drive the real
+   constants (backoff schedule, 5 s cooldown, 5 s ramp) without
+   sleeping. *)
+
+let dead_info st name =
+  match Shard_state.health st name with
+  | Shard_state.Dead { retry_at; attempt; _ } -> (retry_at, attempt)
+  | _ -> Alcotest.failf "%s should be dead" name
+
+let transition_name = function
+  | Shard_state.Evicted -> "evicted"
+  | Shard_state.Readmitted -> "readmitted"
+  | Shard_state.Breaker b -> Shard_state.breaker_name b
 
 let test_health_evict_and_readmit () =
-  let backoff =
-    { Cs_svc.Retry.default with base_delay_s = 0.05; multiplier = 2.0; jitter = 0.0 }
-  in
-  let h = Health.create ~fail_threshold:2 ~backoff [ "s1"; "s2" ] in
-  Alcotest.(check bool) "starts usable" true (Health.usable h "s1");
-  Health.note_failure h "s1";
-  (match Health.state h "s1" with
-  | Health.Suspect 1 -> ()
+  let st = Shard_state.create [ "s1"; "s2" ] in
+  let now = 100.0 in
+  Alcotest.(check bool) "starts usable" true (Shard_state.usable st "s1");
+  Shard_state.note st "s1" ~now ~ok:false;
+  (match Shard_state.health st "s1" with
+  | Shard_state.Suspect 1 -> ()
   | _ -> Alcotest.fail "one failure should be Suspect 1");
-  Alcotest.(check bool) "suspect still usable" true (Health.usable h "s1");
-  Health.note_failure h "s1";
-  (match Health.state h "s1" with
-  | Health.Dead _ -> ()
-  | _ -> Alcotest.fail "threshold failures should bury the shard");
-  Alcotest.(check bool) "dead not usable" false (Health.usable h "s1");
-  Alcotest.(check bool) "no probe before backoff" false (Health.probe_due h "s1");
-  Unix.sleepf 0.06;
-  Alcotest.(check bool) "probe due after backoff" true (Health.probe_due h "s1");
-  Alcotest.(check bool) "probation slot handed out once" false (Health.probe_due h "s1");
-  Health.note_failure h "s1";
-  (match Health.state h "s1" with
-  | Health.Dead { attempt = 2; _ } -> ()
-  | _ -> Alcotest.fail "failed probe should take the next backoff step");
-  Unix.sleepf 0.11;
-  Alcotest.(check bool) "second probe due" true (Health.probe_due h "s1");
-  Health.note_ok h "s1";
-  Alcotest.(check bool) "re-admitted" true (Health.usable h "s1");
+  Alcotest.(check bool) "suspect still usable" true (Shard_state.usable st "s1");
+  Shard_state.note st "s1" ~now ~ok:false;
+  Shard_state.note st "s1" ~now ~ok:false;
+  let retry_at, attempt = dead_info st "s1" in
+  Alcotest.(check int) "threshold failures bury the shard" 1 attempt;
+  Alcotest.(check bool) "dead not usable" false (Shard_state.usable st "s1");
+  Alcotest.(check bool) "no probe before backoff" false
+    (Shard_state.probe_due st "s1" ~now:(retry_at -. 0.01));
+  Alcotest.(check bool) "probe due after backoff" true
+    (Shard_state.probe_due st "s1" ~now:retry_at);
+  Alcotest.(check bool) "probation slot handed out once" false
+    (Shard_state.probe_due st "s1" ~now:retry_at);
+  Shard_state.note st "s1" ~now:retry_at ~ok:false;
+  let retry_at', attempt = dead_info st "s1" in
+  Alcotest.(check int) "failed probe takes the next backoff step" 2 attempt;
+  Alcotest.(check bool) "second probe waits for the new window" false
+    (Shard_state.probe_due st "s1" ~now:(retry_at' -. 0.01));
+  Alcotest.(check bool) "second probe due" true
+    (Shard_state.probe_due st "s1" ~now:retry_at');
+  Shard_state.note st "s1" ~now:retry_at' ~ok:true;
+  Alcotest.(check bool) "re-admitted" true (Shard_state.usable st "s1");
   Alcotest.(check (list string)) "alive filters" [ "s1"; "s2" ]
-    (Health.alive h [ "s1"; "s2" ]);
-  Alcotest.(check bool) "unknown shards read healthy" true (Health.usable h "s3")
+    (Shard_state.alive st [ "s1"; "s2" ]);
+  Alcotest.(check bool) "unknown shards read healthy" true
+    (Shard_state.usable st "s3")
 
 let test_health_backoff_capped () =
-  (* an aggressive multiplier would park attempt 4 at 0.05 * 8^3 =
-     25.6 s; the cap must clamp every step so a returning shard is
-     re-probed within max_delay_s no matter how deep the burial *)
-  let backoff =
-    { Cs_svc.Retry.default with
-      base_delay_s = 0.05; multiplier = 8.0; jitter = 0.0; max_attempts = 8 }
-  in
-  let cap = 0.1 in
-  let h = Health.create ~fail_threshold:1 ~backoff ~max_delay_s:cap [ "s1" ] in
-  Health.note_failure h "s1";
-  for burial = 1 to 5 do
-    (match Health.state h "s1" with
-    | Health.Dead { retry_at; attempt; _ } ->
-      Alcotest.(check int) "attempt advances" burial attempt;
-      let delay = retry_at -. Cs_obs.Clock.now () in
+  (* the doubling schedule would park a deep burial behind 30 s; every
+     step is clamped so a returning shard is re-probed within 10 s *)
+  let st = Shard_state.create ~fail_threshold:1 [ "s1" ] in
+  let now = ref 0.0 in
+  Shard_state.note st "s1" ~now:!now ~ok:false;
+  let prev = ref 0.0 in
+  for burial = 1 to 9 do
+    let retry_at, attempt = dead_info st "s1" in
+    Alcotest.(check int) "attempt advances" burial attempt;
+    let delay = retry_at -. !now in
+    Alcotest.(check bool)
+      (Printf.sprintf "burial %d delay %.3fs within 10 s" burial delay)
+      true
+      (delay > 0.0 && delay <= 10.0 +. 1e-9);
+    if burial <= 4 then
       Alcotest.(check bool)
-        (Printf.sprintf "burial %d delay %.3fs within cap" burial delay)
-        true
-        (delay <= cap +. 0.02)
-    | _ -> Alcotest.fail "shard should be dead");
-    Unix.sleepf (cap +. 0.03);
+        (Printf.sprintf "burial %d backs off further" burial)
+        true (delay > !prev);
+    prev := delay;
+    now := retry_at;
     Alcotest.(check bool)
       (Printf.sprintf "probe due within the cap after burial %d" burial)
-      true (Health.probe_due h "s1");
+      true
+      (Shard_state.probe_due st "s1" ~now:!now);
     (* failed probe: next (deeper) backoff step, still capped *)
-    Health.note_failure h "s1"
+    Shard_state.note st "s1" ~now:!now ~ok:false
   done
-
-(* --- circuit breaker ----------------------------------------------- *)
-
-let breaker_settings =
-  { Breaker.window = 8; min_calls = 4; failure_rate = 0.5; slow_ms = 10.0;
-    cooldown_s = 0.05; half_open_probes = 1 }
 
 let test_breaker_trips_on_failure_rate () =
   let transitions = ref [] in
-  let b =
-    Breaker.create ~settings:breaker_settings
-      ~on_transition:(fun ~shard:_ ~to_ -> transitions := to_ :: !transitions)
-      [ "s1"; "s2" ]
+  let st =
+    Shard_state.create
+      ~on_transition:(fun ~shard:_ tr -> transitions := transition_name tr :: !transitions)
+      ~fail_threshold:100 [ "s1"; "s2" ]
   in
-  Alcotest.(check bool) "closed allows" true (Breaker.allow b "s1");
-  for _ = 1 to 3 do
-    Breaker.record b "s1" ~ok:false ~elapsed_ms:0.0
+  let now = 10.0 in
+  Alcotest.(check bool) "closed allows" true (Shard_state.allow st "s1" ~now);
+  for _ = 1 to 7 do
+    Shard_state.record st "s1" ~now ~ok:false ~elapsed_ms:0.0
   done;
-  (* 3 failures but min_calls is 4: the rate is not judged yet *)
+  (* 7 failures but min_calls is 8: the rate is not judged yet *)
   Alcotest.(check bool) "below min_calls stays closed" true
-    (Breaker.state b "s1" = Breaker.Closed);
-  Breaker.record b "s1" ~ok:false ~elapsed_ms:0.0;
+    (Shard_state.breaker st "s1" = Shard_state.Closed);
+  Shard_state.record st "s1" ~now ~ok:false ~elapsed_ms:0.0;
   Alcotest.(check bool) "trips at min_calls + rate" true
-    (Breaker.state b "s1" = Breaker.Open);
-  Alcotest.(check bool) "open refuses" false (Breaker.allow b "s1");
-  Alcotest.(check bool) "other shard unaffected" true (Breaker.allow b "s2");
-  Alcotest.(check int) "tripped gauge" 1 (Breaker.open_count b);
-  (* cooldown -> half-open: exactly one probe slot *)
-  Unix.sleepf 0.06;
-  Alcotest.(check bool) "cooldown grants a probe" true (Breaker.allow b "s1");
-  Alcotest.(check bool) "half-open" true (Breaker.state b "s1" = Breaker.Half_open);
-  Alcotest.(check bool) "no second probe" false (Breaker.allow b "s1");
-  Breaker.record b "s1" ~ok:true ~elapsed_ms:1.0;
-  Alcotest.(check bool) "good probe closes" true
-    (Breaker.state b "s1" = Breaker.Closed);
-  Alcotest.(check bool) "closed again allows" true (Breaker.allow b "s1");
+    (Shard_state.breaker st "s1" = Shard_state.Open);
+  Alcotest.(check bool) "open refuses" false (Shard_state.allow st "s1" ~now);
+  Alcotest.(check bool) "other shard unaffected" true (Shard_state.allow st "s2" ~now);
+  Alcotest.(check int) "tripped gauge" 1 (Shard_state.open_count st);
+  Alcotest.(check bool) "still open just before the 5 s cooldown" false
+    (Shard_state.allow st "s1" ~now:(now +. 4.99));
+  (* cooldown -> half-open: exactly one trial *)
+  Alcotest.(check bool) "cooldown grants a trial" true
+    (Shard_state.allow st "s1" ~now:(now +. 5.0));
+  Alcotest.(check bool) "half-open" true
+    (Shard_state.breaker st "s1" = Shard_state.Half_open);
+  Alcotest.(check bool) "no second trial" false
+    (Shard_state.allow st "s1" ~now:(now +. 5.0));
+  Shard_state.record st "s1" ~now:(now +. 5.1) ~ok:true ~elapsed_ms:1.0;
+  Alcotest.(check bool) "good trial closes" true
+    (Shard_state.breaker st "s1" = Shard_state.Closed);
+  Alcotest.(check bool) "closed again allows" true
+    (Shard_state.allow st "s1" ~now:(now +. 5.1));
   Alcotest.(check (list string)) "transition trail"
-    [ "closed"; "half-open"; "open" ] !transitions
+    [ "closed"; "half-open"; "open" ] !transitions;
+  (* a rate below 0.5 over a full window never trips *)
+  for i = 1 to 32 do
+    Shard_state.record st "s2" ~now ~ok:(i mod 3 <> 0) ~elapsed_ms:0.0
+  done;
+  Alcotest.(check bool) "a third failing stays closed" true
+    (Shard_state.breaker st "s2" = Shard_state.Closed)
 
 let test_breaker_slow_calls_and_failed_probe () =
-  let b = Breaker.create ~settings:breaker_settings [ "s1" ] in
-  (* nominally-successful calls above slow_ms count toward the rate *)
-  for _ = 1 to 4 do
-    Breaker.record b "s1" ~ok:true ~elapsed_ms:50.0
+  let st = Shard_state.create [ "s1" ] in
+  let now = 10.0 in
+  (* nominally-successful calls above 30 s count toward the rate *)
+  for _ = 1 to 8 do
+    Shard_state.record st "s1" ~now ~ok:true ~elapsed_ms:30_001.0
   done;
   Alcotest.(check bool) "slow calls trip the breaker" true
-    (Breaker.state b "s1" = Breaker.Open);
-  Unix.sleepf 0.06;
-  Alcotest.(check bool) "probe granted" true (Breaker.allow b "s1");
-  Breaker.record b "s1" ~ok:false ~elapsed_ms:0.0;
-  Alcotest.(check bool) "failed probe re-opens" true
-    (Breaker.state b "s1" = Breaker.Open);
-  Alcotest.(check bool) "re-opened refuses" false (Breaker.allow b "s1")
+    (Shard_state.breaker st "s1" = Shard_state.Open);
+  Alcotest.(check bool) "slow calls do not evict" true (Shard_state.usable st "s1");
+  Alcotest.(check bool) "trial granted" true
+    (Shard_state.allow st "s1" ~now:(now +. 5.0));
+  Shard_state.record st "s1" ~now:(now +. 5.0) ~ok:false ~elapsed_ms:0.0;
+  Alcotest.(check bool) "failed trial re-opens" true
+    (Shard_state.breaker st "s1" = Shard_state.Open);
+  Alcotest.(check bool) "re-opened refuses" false
+    (Shard_state.allow st "s1" ~now:(now +. 5.0));
+  Alcotest.(check bool) "for a full new cooldown" false
+    (Shard_state.allow st "s1" ~now:(now +. 9.99));
+  Alcotest.(check bool) "then grants a new trial" true
+    (Shard_state.allow st "s1" ~now:(now +. 10.0))
+
+let test_shard_state_warm_up () =
+  let st = Shard_state.create ~fail_threshold:1 [ "s1" ] in
+  Alcotest.(check bool) "nothing to warm at start" false
+    (Shard_state.take_warm st "s1" ~now:0.0);
+  Alcotest.(check (float 0.0)) "not warming: full ramp" 1.0
+    (Shard_state.ramp st "s1" ~now:0.0);
+  (* re-admission through dispatch outcomes *)
+  Shard_state.record st "s1" ~now:0.0 ~ok:false ~elapsed_ms:0.0;
+  Alcotest.(check bool) "no warm-up for an eviction" false
+    (Shard_state.take_warm st "s1" ~now:0.0);
+  let retry_at, _ = dead_info st "s1" in
+  Alcotest.(check bool) "probe due" true (Shard_state.probe_due st "s1" ~now:retry_at);
+  Shard_state.note st "s1" ~now:retry_at ~ok:true;
+  let t0 = 50.0 in
+  Alcotest.(check bool) "re-admission hands out the warm-up" true
+    (Shard_state.take_warm st "s1" ~now:t0);
+  Alcotest.(check bool) "once" false (Shard_state.take_warm st "s1" ~now:t0);
+  Alcotest.(check (float 1e-9)) "ramp starts at 0" 0.0 (Shard_state.ramp st "s1" ~now:t0);
+  Alcotest.(check (float 1e-9)) "half way at +2.5 s" 0.5
+    (Shard_state.ramp st "s1" ~now:(t0 +. 2.5));
+  Alcotest.(check (float 1e-9)) "full at +5 s" 1.0
+    (Shard_state.ramp st "s1" ~now:(t0 +. 5.0));
+  Alcotest.(check (float 1e-9)) "a completed ramp is over, not re-read" 1.0
+    (Shard_state.ramp st "s1" ~now:(t0 +. 1.0));
+  (* a heartbeat-style note re-admits, and warms, just as well *)
+  Shard_state.note st "s1" ~now:60.0 ~ok:false;
+  Alcotest.(check bool) "evicted again" false (Shard_state.usable st "s1");
+  Shard_state.note st "s1" ~now:60.1 ~ok:true;
+  Alcotest.(check bool) "heartbeat re-admission warms" true
+    (Shard_state.take_warm st "s1" ~now:61.0);
+  Alcotest.(check bool) "once per re-admission" false
+    (Shard_state.take_warm st "s1" ~now:61.0);
+  Alcotest.(check (float 1e-9)) "ramp restarted" 0.0
+    (Shard_state.ramp st "s1" ~now:61.0)
+
+let test_shard_state_input_routing () =
+  let transitions = ref [] in
+  let st =
+    Shard_state.create
+      ~on_transition:(fun ~shard tr ->
+        transitions := (shard ^ ":" ^ transition_name tr) :: !transitions)
+      [ "probe"; "dispatch" ]
+  in
+  (* probe/heartbeat failures evict but never touch the breaker *)
+  for _ = 1 to 10 do
+    Shard_state.note st "probe" ~now:1.0 ~ok:false
+  done;
+  Alcotest.(check bool) "failed notes evict" false (Shard_state.usable st "probe");
+  Alcotest.(check bool) "breaker still closed" true
+    (Shard_state.breaker st "probe" = Shard_state.Closed);
+  Alcotest.(check int) "nothing tripped" 0 (Shard_state.open_count st);
+  (* dispatch outcomes feed both criteria *)
+  for _ = 1 to 8 do
+    Shard_state.record st "dispatch" ~now:1.0 ~ok:false ~elapsed_ms:0.0
+  done;
+  Alcotest.(check bool) "failed records evict" false (Shard_state.usable st "dispatch");
+  Alcotest.(check bool) "and trip the breaker" true
+    (Shard_state.breaker st "dispatch" = Shard_state.Open);
+  Alcotest.(check int) "one tripped" 1 (Shard_state.open_count st);
+  Alcotest.(check (list string)) "typed transitions, in order"
+    [ "probe:evicted"; "dispatch:evicted"; "dispatch:open" ]
+    (List.rev !transitions)
 
 (* --- durable journal ----------------------------------------------- *)
 
@@ -573,7 +665,7 @@ let test_gateway_failover_exactly_once () =
     (Printf.sprintf "in-flight jobs were replayed (%d)" st.Gateway.replayed)
     true (st.Gateway.replayed >= 1);
   (match List.assoc_opt victim_name (Gateway.shard_states gw) with
-  | Some Health.Healthy -> Alcotest.fail "dead shard still marked healthy"
+  | Some Shard_state.Healthy -> Alcotest.fail "dead shard still marked healthy"
   | Some _ -> ()
   | None -> Alcotest.fail "victim missing from health table");
   (* the fleet keeps serving on the survivor *)
@@ -736,11 +828,14 @@ let test_gateway_trace_propagation () =
     (arg_str "span_id" dispatch = arg_str "span_id" run)
 
 (* A zero or NaN probe period spins the prober without sleeping, and a
-   NaN shard timeout is never enforced; config must refuse both. *)
-let test_config_rejects_bad_durations () =
-  let cfg ?probe_period_s ?shard_timeout_s () =
-    Gateway.config ?probe_period_s ?shard_timeout_s ~shards:[ "127.0.0.1:1" ]
-      "127.0.0.1:0"
+   NaN shard timeout is never enforced; a zero threshold, cache or queue
+   would only fail in [create], after the listen address is bound.
+   Config must refuse them all. *)
+let test_config_rejects_bad_values () =
+  let cfg ?probe_period_s ?shard_timeout_s ?fail_threshold ?cache_capacity
+      ?queue_capacity () =
+    Gateway.config ?probe_period_s ?shard_timeout_s ?fail_threshold
+      ?cache_capacity ?queue_capacity ~shards:[ "127.0.0.1:1" ] "127.0.0.1:0"
   in
   let rejects what f =
     match f () with
@@ -757,7 +852,15 @@ let test_config_rejects_bad_durations () =
       rejects (Printf.sprintf "shard_timeout_s %g" v) (fun () ->
           cfg ~shard_timeout_s:v ()))
     [ nan; -1.0; infinity ];
-  ignore (cfg ~probe_period_s:0.05 ~shard_timeout_s:0.0 ())
+  List.iter
+    (fun v ->
+      rejects (Printf.sprintf "fail_threshold %d" v) (fun () -> cfg ~fail_threshold:v ());
+      rejects (Printf.sprintf "cache_capacity %d" v) (fun () -> cfg ~cache_capacity:v ());
+      rejects (Printf.sprintf "queue_capacity %d" v) (fun () -> cfg ~queue_capacity:v ()))
+    [ 0; -1 ];
+  ignore
+    (cfg ~probe_period_s:0.05 ~shard_timeout_s:0.0 ~fail_threshold:1
+       ~cache_capacity:1 ~queue_capacity:1 ())
 
 let () =
   (* aborted shards close sockets mid-write; surface that as EPIPE, not
@@ -785,6 +888,13 @@ let () =
           Alcotest.test_case "slow calls + failed probe" `Quick
             test_breaker_slow_calls_and_failed_probe;
         ] );
+      ( "shard-state",
+        [
+          Alcotest.test_case "warm-up once per re-admission" `Quick
+            test_shard_state_warm_up;
+          Alcotest.test_case "notes evict, records feed both" `Quick
+            test_shard_state_input_routing;
+        ] );
       ( "journal",
         [
           Alcotest.test_case "recovery + dedup" `Quick test_journal_recovery_and_dedup;
@@ -802,8 +912,8 @@ let () =
         [
           Alcotest.test_case "transport parse" `Quick test_transport_parse;
           Alcotest.test_case "pong roundtrip" `Quick test_pong_roundtrip;
-          Alcotest.test_case "config rejects non-finite durations" `Quick
-            test_config_rejects_bad_durations;
+          Alcotest.test_case "config rejects bad values" `Quick
+            test_config_rejects_bad_values;
         ] );
       ( "fleet",
         [
