@@ -87,9 +87,20 @@ let to_spec ?(full = false) pass =
     pass.Pass.name ^ "="
     ^ String.concat ":" (List.map (fun (k, v) -> k ^ "=" ^ float_to_string v) shown)
 
-(* LEVEL walks depth groups [stride] levels at a time: a stride below 1
-   would never advance, and one past [max_int] truncates to garbage. *)
-let valid_stride v = v >= 1.0 && v < float_of_int max_int
+(* Parameters whose legal range is narrower than "finite", with the
+   range as an error message shows it. LEVEL walks depth groups
+   [stride] levels at a time: a stride below 1 would never advance, and
+   one past [max_int] truncates to garbage. PATHPROP blends with
+   [keep = 1 - blend_keep], which [Weights.blend] refuses outside
+   [0, 1], so every application would be quarantined on its first
+   blend. *)
+let param_range pass key =
+  match (pass, key) with
+  | "LEVEL", "stride" ->
+    Some ((fun v -> v >= 1.0 && v < float_of_int max_int), "1 <= stride < 2^62")
+  | "PATHPROP", "blend_keep" ->
+    Some ((fun v -> v >= 0.0 && v <= 1.0), "0 <= blend_keep <= 1")
+  | _ -> None
 
 let of_spec spec =
   let spec = String.trim spec in
@@ -121,11 +132,12 @@ let of_spec spec =
           | None -> Error (Printf.sprintf "%s: parameter %s=%S is not a number" upper k v)
           | Some fv when not (Float.is_finite fv) ->
             Error (Printf.sprintf "%s: parameter %s=%S is not finite" upper k v)
-          | Some fv when upper = "LEVEL" && k = "stride" && not (valid_stride fv) ->
-            Error
-              (Printf.sprintf "%s: parameter %s=%S is out of range (want 1 <= stride < 2^62)"
-                 upper k v)
-          | Some fv -> Ok (k, fv))
+          | Some fv ->
+            (match param_range upper k with
+            | Some (ok, want) when not (ok fv) ->
+              Error
+                (Printf.sprintf "%s: parameter %s=%S is out of range (want %s)" upper k v want)
+            | _ -> Ok (k, fv)))
     in
     let rec parse_all acc = function
       | [] -> Ok (List.rev acc)

@@ -38,8 +38,9 @@ val of_name : string -> Pass.t option
 val of_spec : string -> (Pass.t, string) result
 (** Parse one [NAME] or [NAME=key=value:...] token. Errors name the
     unknown pass, unknown parameter key, or malformed value; a
-    non-finite value ([nan], [inf]) and a LEVEL [stride] outside
-    [\[1, 2^62)] are malformed. *)
+    non-finite value ([nan], [inf]), a LEVEL [stride] outside
+    [\[1, 2^62)] and a PATHPROP [blend_keep] outside [\[0, 1\]] are
+    malformed. *)
 
 val of_names : string list -> (Pass.t list, string) result
 (** All-or-nothing parse of {!of_spec} tokens; the error names the

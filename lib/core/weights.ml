@@ -22,7 +22,22 @@
    [normalize]; a per-row dirty bit records which rows changed since
    the last [clear_touched], so renormalization, the driver's
    quarantine gate, and snapshot/rollback all touch only the rows a
-   pass actually wrote. *)
+   pass actually wrote.
+
+   Each row also carries a live time window [lo.(i)..hi.(i)]: every
+   entry outside it is +0.0, bit for bit. INITTIME confines each
+   instruction to its slack window, so most of a row is zero; the
+   row kernels ([scale_cluster], [scale_clusters], [normalize_row],
+   [blend]) sweep only [lo..hi] of each cluster lane. Skipping a +0.0
+   changes nothing: a sum plus +0.0 is the sum (an accumulator that
+   starts at +0.0 is never -0.0), a scaled +0.0 has delta 0 and was
+   skipped anyway, and a blend of two +0.0 is +0.0. A non-finite
+   factor takes the whole lane, since inf * 0 is NaN and must raise
+   as before. Writers keep the window conservative: [create] and the
+   uniform reset give the full window, [mask_time_window] intersects
+   it, [blend] takes the hull of both rows', and [set] / [map_row]
+   widen it over any value they write that is not +0.0. The window
+   only ever over-approximates the non-zero slots. *)
 
 type ba1 = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
@@ -36,6 +51,8 @@ type t = {
   row_total : float array; (* n *)
   dirty : Bytes.t; (* n bytes: rows written since clear_touched *)
   mutable n_dirty : int;
+  lo : int array; (* n: live window start; entries before it are +0.0 *)
+  hi : int array; (* n: live window end; entries after it are +0.0 *)
 }
 
 let n t = t.n
@@ -59,6 +76,8 @@ let create ~n ~nc ~nt =
     row_total = Array.make n (v *. float_of_int (nc * nt));
     dirty = Bytes.make (max n 1) '\000';
     n_dirty = 0;
+    lo = Array.make n 0;
+    hi = Array.make n (nt - 1);
   }
 
 let check_index t i c tt =
@@ -97,6 +116,16 @@ let clear_touched t =
     t.n_dirty <- 0
   end
 
+(* --- live windows ---------------------------------------------------- *)
+
+let widen t i tt =
+  if tt < Array.unsafe_get t.lo i then Array.unsafe_set t.lo i tt;
+  if tt > Array.unsafe_get t.hi i then Array.unsafe_set t.hi i tt
+
+let full_window t i =
+  Array.unsafe_set t.lo i 0;
+  Array.unsafe_set t.hi i (t.nt - 1)
+
 (* --- element access ------------------------------------------------ *)
 
 let raw_get t k = Bigarray.Array1.unsafe_get t.w k
@@ -118,12 +147,15 @@ let apply_delta t i c tt delta =
     mark_touched t i
   end
 
+(* [set] stores even a -0.0 over a +0.0, so the window widens over
+   anything but +0.0. *)
 let set t i c tt v =
   check_index t i c tt;
   if bad_value v then reject_value ();
   let k = idx t i c tt in
   let old = Bigarray.Array1.unsafe_get t.w k in
   Bigarray.Array1.unsafe_set t.w k v;
+  if v <> 0.0 || Float.sign_bit v then widen t i tt;
   apply_delta t i c tt (v -. old)
 
 let add t i c tt v = set t i c tt (get t i c tt +. v)
@@ -143,7 +175,9 @@ let scale_cluster t i c f =
   let base = ((i * t.nc) + c) * nt in
   let ci = (i * t.nc) + c and ti = i * nt in
   let cs = t.cluster_sum and ts = t.time_sum and rt = t.row_total in
-  for tt = 0 to nt - 1 do
+  let finite = Float.is_finite f in
+  for tt = (if finite then Array.unsafe_get t.lo i else 0)
+      to if finite then Array.unsafe_get t.hi i else nt - 1 do
     let k = base + tt in
     let old = Bigarray.Array1.unsafe_get ba k in
     let v = old *. f in
@@ -190,11 +224,13 @@ let scale_clusters t i factors =
   let ba = t.w in
   let nt = t.nt in
   let cs = t.cluster_sum and ts = t.time_sum and rt = t.row_total in
+  let lo = Array.unsafe_get t.lo i and hi = Array.unsafe_get t.hi i in
   for c = 0 to t.nc - 1 do
     let f = Array.unsafe_get factors c in
     let base = ((i * t.nc) + c) * nt in
     let ci = (i * t.nc) + c and ti = i * nt in
-    for tt = 0 to nt - 1 do
+    let finite = Float.is_finite f in
+    for tt = (if finite then lo else 0) to if finite then hi else nt - 1 do
       let k = base + tt in
       let old = Bigarray.Array1.unsafe_get ba k in
       let v = old *. f in
@@ -210,7 +246,11 @@ let scale_clusters t i factors =
     done
   done
 
-(* Rewrite one row through [f c tt v], in flat (c-major) order. *)
+(* Rewrite one row through [f c tt v], in flat (c-major) order. The
+   sweep stays full: [f] may turn a zero non-zero, and NOISE's RNG
+   draw order depends on visiting every slot. A write changes the
+   value, so either the new value is non-zero or the old one was (and
+   [tt] is already live); widening on every write covers both. *)
 let map_row t i f =
   check_row t i;
   let ba = t.w in
@@ -230,21 +270,25 @@ let map_row t i f =
         Array.unsafe_set cs ci (Array.unsafe_get cs ci +. delta);
         Array.unsafe_set ts (ti + tt) (Array.unsafe_get ts (ti + tt) +. delta);
         Array.unsafe_set rt i (Array.unsafe_get rt i +. delta);
-        mark_touched t i
+        mark_touched t i;
+        widen t i tt
       end
     done
   done
 
-(* Zero every slot outside [lo..hi] in row [i] — INITTIME's shape.
-   Exactly [map_row t i (fun _ tt v -> if tt < lo || tt > hi then 0.0
-   else v)]: in-window elements have delta 0 and are skipped there too,
-   so only the two out-of-window stretches are visited, in the same
-   ascending order map_row would reach them. *)
+(* Zero every slot outside [lo..hi] in row [i] — INITTIME's shape —
+   and narrow the live window to match. Exactly the per-element
+   [set t i c tt 0.0] on each slot outside [lo..hi]: in-window elements
+   are not visited, and of the two out-of-window stretches only the
+   part inside the old live window (the rest is already +0.0), in the
+   same ascending order. Like [set], the store is unconditional, so a
+   -0.0 becomes +0.0 and the new window's invariant holds. *)
 let mask_time_window t i ~lo ~hi =
   check_row t i;
   let ba = t.w in
   let nt = t.nt in
   let cs = t.cluster_sum and ts = t.time_sum and rt = t.row_total in
+  let wlo = Array.unsafe_get t.lo i and whi = Array.unsafe_get t.hi i in
   for c = 0 to t.nc - 1 do
     let base = ((i * t.nc) + c) * nt in
     let ci = (i * t.nc) + c and ti = i * nt in
@@ -252,21 +296,23 @@ let mask_time_window t i ~lo ~hi =
       let k = base + tt in
       let old = Bigarray.Array1.unsafe_get ba k in
       let delta = 0.0 -. old in
+      Bigarray.Array1.unsafe_set ba k 0.0;
       if delta <> 0.0 then begin
-        Bigarray.Array1.unsafe_set ba k 0.0;
         Array.unsafe_set cs ci (Array.unsafe_get cs ci +. delta);
         Array.unsafe_set ts (ti + tt) (Array.unsafe_get ts (ti + tt) +. delta);
         Array.unsafe_set rt i (Array.unsafe_get rt i +. delta);
         mark_touched t i
       end
     in
-    for tt = 0 to min lo nt - 1 do
+    for tt = wlo to min lo (whi + 1) - 1 do
       zero tt
     done;
-    for tt = max (hi + 1) 0 to nt - 1 do
+    for tt = max (hi + 1) wlo to whi do
       zero tt
     done
-  done
+  done;
+  Array.unsafe_set t.lo i (max wlo lo);
+  Array.unsafe_set t.hi i (min whi hi)
 
 (* --- marginals ------------------------------------------------------ *)
 
@@ -304,19 +350,29 @@ let row_total t i =
    summed in flat order into [vsum], exactly [validate_row]'s
    summation. [normalize_row] returns true iff every value passed and
    [vsum] is within 1e-6 of 1, i.e. iff [validate_row] would accept the
-   normalized row. *)
+   normalized row.
+
+   Both sweeps visit only the live window of each lane: the skipped
+   entries are +0.0, which adds nothing to any sum, divides to +0.0 (no
+   store), and passes the check. The uniform reset writes every slot
+   and so restores the full window first. *)
 let normalize_row t i =
   let nt = t.nt and nc = t.nc in
   let len = nc * nt in
-  let base = i * len in
   let changed = ref false in
   let ba = t.w in
+  let lo = Array.unsafe_get t.lo i and hi = Array.unsafe_get t.hi i in
   let total = ref 0.0 in
-  for k = base to base + len - 1 do
-    total := !total +. Bigarray.Array1.unsafe_get ba k
+  for c = 0 to nc - 1 do
+    let lane = ((i * nc) + c) * nt in
+    for k = lane + lo to lane + hi do
+      total := !total +. Bigarray.Array1.unsafe_get ba k
+    done
   done;
   let total = !total in
   let uniform = total <= 0.0 || not (Float.is_finite total) in
+  if uniform then full_window t i;
+  let lo = Array.unsafe_get t.lo i and hi = Array.unsafe_get t.hi i in
   let u = 1.0 /. float_of_int len in
   let cs = t.cluster_sum and ts = t.time_sum in
   let ti = i * nt in
@@ -328,7 +384,7 @@ let normalize_row t i =
   for c = 0 to nc - 1 do
     let lane = ((i * nc) + c) * nt in
     let s = ref 0.0 in
-    for tt = 0 to nt - 1 do
+    for tt = lo to hi do
       let k = lane + tt in
       let old = Bigarray.Array1.unsafe_get ba k in
       let v = if uniform then u else old /. total in
@@ -412,11 +468,17 @@ let blend t ~dst ~src ~keep =
   if dst <> src then begin
     (* One sweep writes the row and rebuilds its marginal caches,
        accumulating in a from-entries rebuild's order as [normalize]
-       does. *)
+       does. Outside the hull of the two live windows both rows are
+       +0.0, and so is their blend, so the sweep and [dst]'s new window
+       are that hull. *)
     let nc = t.nc and nt = t.nt in
     let ba = t.w in
     let drop = 1.0 -. keep in
     let cs = t.cluster_sum and ts = t.time_sum in
+    let lo = min (Array.unsafe_get t.lo dst) (Array.unsafe_get t.lo src)
+    and hi = max (Array.unsafe_get t.hi dst) (Array.unsafe_get t.hi src) in
+    Array.unsafe_set t.lo dst lo;
+    Array.unsafe_set t.hi dst hi;
     let ti = dst * nt in
     for tt = 0 to nt - 1 do
       Array.unsafe_set ts (ti + tt) 0.0
@@ -425,7 +487,7 @@ let blend t ~dst ~src ~keep =
     for c = 0 to nc - 1 do
       let ld = ((dst * nc) + c) * nt and ls = ((src * nc) + c) * nt in
       let s = ref 0.0 in
-      for tt = 0 to nt - 1 do
+      for tt = lo to hi do
         let v =
           (keep *. Bigarray.Array1.unsafe_get ba (ld + tt))
           +. (drop *. Bigarray.Array1.unsafe_get ba (ls + tt))
@@ -455,6 +517,8 @@ let copy t =
     time_sum = Array.copy t.time_sum;
     row_total = Array.copy t.row_total;
     dirty = Bytes.copy t.dirty;
+    lo = Array.copy t.lo;
+    hi = Array.copy t.hi;
   }
 
 let check_compatible ~ctx src dst =
@@ -468,13 +532,16 @@ let blit ~src ~dst =
   Array.blit src.time_sum 0 dst.time_sum 0 (Array.length src.time_sum);
   Array.blit src.row_total 0 dst.row_total 0 (Array.length src.row_total);
   Bytes.blit src.dirty 0 dst.dirty 0 (Bytes.length src.dirty);
-  dst.n_dirty <- src.n_dirty
+  dst.n_dirty <- src.n_dirty;
+  Array.blit src.lo 0 dst.lo 0 src.n;
+  Array.blit src.hi 0 dst.hi 0 src.n
 
-(* Copy only the listed rows — entries and cached marginals — from
-   [src] into [dst]. With [rows = touched_rows w] this is the O(dirty)
-   half of the driver's quarantine protocol: rollback restores exactly
-   the rows a misbehaving pass wrote, and a successful pass refreshes
-   only those rows in its snapshot. Leaves [dst]'s dirty flags alone. *)
+(* Copy only the listed rows — entries, cached marginals and live
+   windows — from [src] into [dst]. With [rows = touched_rows w] this
+   is the O(dirty) half of the driver's quarantine protocol: rollback
+   restores exactly the rows a misbehaving pass wrote, and a successful
+   pass refreshes only those rows in its snapshot. Leaves [dst]'s
+   dirty flags alone. *)
 let sync_rows ~rows ~src ~dst =
   check_compatible ~ctx:"Weights.sync_rows" src dst;
   let len = src.nc * src.nt in
@@ -498,7 +565,9 @@ let sync_rows ~rows ~src ~dst =
     Array.blit src.cluster_sum (lo * src.nc) dst.cluster_sum (lo * src.nc)
       (rows_n * src.nc);
     Array.blit src.time_sum (lo * src.nt) dst.time_sum (lo * src.nt) (rows_n * src.nt);
-    Array.blit src.row_total lo dst.row_total lo rows_n
+    Array.blit src.row_total lo dst.row_total lo rows_n;
+    Array.blit src.lo lo dst.lo lo rows_n;
+    Array.blit src.hi lo dst.hi lo rows_n
   in
   let rec runs = function
     | [] -> ()
@@ -607,7 +676,24 @@ let check_invariants t =
       if Float.abs (!s -. time_weight t i tt) > 1e-6 then fail "stale time sum at (%d,%d)" i tt
     done;
     if Float.abs (!total -. row_total t i) > 1e-6 then
-      fail "stale row total at %d (%g cached vs %g)" i (row_total t i) !total
+      fail "stale row total at %d (%g cached vs %g)" i (row_total t i) !total;
+    (* The live window: every entry outside it is +0.0, and since this
+       is a normalized row ([normalize] rebuilds the time marginals
+       from the entries) so is each outside slot's time marginal. *)
+    let lo = t.lo.(i) and hi = t.hi.(i) in
+    if lo < 0 || hi >= t.nt then fail "row %d window %d..%d out of range" i lo hi;
+    for tt = 0 to t.nt - 1 do
+      if tt < lo || tt > hi then begin
+        for c = 0 to t.nc - 1 do
+          let v = raw_get t (idx t i c tt) in
+          if Int64.bits_of_float v <> 0L then
+            fail "W(%d,%d,%d)=%g outside window %d..%d" i c tt v lo hi
+        done;
+        if time_weight t i tt <> 0.0 then
+          fail "row %d time marginal %g at slot %d outside window %d..%d" i
+            (time_weight t i tt) tt lo hi
+      end
+    done
   done;
   match !problems with [] -> Ok () | ps -> Error (String.concat "; " ps)
 

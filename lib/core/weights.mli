@@ -24,7 +24,29 @@
     kernels. Each fused kernel performs the same floating-point
     operations in the same order as its per-element spelling through
     {!get}/{!set}/{!scale}, so the two are bit-identical (entries,
-    cached marginals and touched flags). *)
+    cached marginals and touched flags).
+
+    {b Live windows.} Each row [i] carries a live time window
+    [lo..hi], with the invariant that every entry of the row outside
+    it is [+0.0] (bit for bit; a [-0.0] counts as a value). The window
+    is internal and over-approximates the slots that can be non-zero:
+    - {!create} and the uniform reset of {!normalize} give the full
+      window [0..nt-1];
+    - {!mask_time_window} intersects it with its [lo..hi];
+    - {!blend} sets [dst]'s window to the hull of [dst]'s and [src]'s;
+    - {!set} (so {!add} and {!scale}) and {!map_row} widen it over any
+      value they store that is not [+0.0];
+    - {!copy}, {!blit} and {!sync_rows} carry it along.
+
+    The windowed kernels sweep only [lo..hi] of each cluster lane:
+    {!scale_cluster}, {!scale_clusters}, {!normalize} and the fused
+    gate {!normalize_validate_touched} (both sweeps), and {!blend}. A
+    non-finite factor takes the whole lane, as [inf * 0] is NaN. Every
+    result (entries, caches, touched flags, exceptions) is bit-identical
+    to a full-row sweep, since a skipped [+0.0] adds nothing to a sum,
+    scales and blends to [+0.0], and divides to [+0.0]. {!scale_time},
+    {!map_row}, {!get} and the marginal readers are not windowed;
+    {!check_invariants} audits the window. *)
 
 type t
 
@@ -68,14 +90,16 @@ val scale_clusters : t -> int -> float array -> unit
 
 val map_row : t -> int -> (int -> int -> float -> float) -> unit
 (** [map_row w i f] rewrites row [i] as [W(i,c,t) <- f c t W(i,c,t)],
-    visiting entries in flat (cluster-major) order. *)
+    visiting every entry in flat (cluster-major) order, the zeros
+    outside the live window included: [f] may turn a zero non-zero
+    (and NOISE's RNG draw order depends on the full visit). *)
 
 val mask_time_window : t -> int -> lo:int -> hi:int -> unit
 (** [mask_time_window w i ~lo ~hi] zeroes every slot of row [i]
-    outside the inclusive window [lo..hi] — INITTIME's shape.
-    Equivalent to
-    [map_row w i (fun _ t v -> if t < lo || t > hi then 0.0 else v)]
-    without the per-element closure call. *)
+    outside the inclusive window [lo..hi] — INITTIME's shape — and
+    narrows the row's live window to match. Equivalent to
+    [set w i c t 0.0] on every such slot (a [-0.0] there becomes
+    [+0.0]), without the per-element calls. *)
 
 (** {1 Cached marginals} *)
 
@@ -182,7 +206,9 @@ val normalize_validate_touched : t -> (unit, string) result
 val check_invariants : t -> (unit, string) result
 (** Verifies range, row sums (post-normalization), and consistency of
     all three marginal caches against freshly recomputed sums; used by
-    tests and assertions. *)
+    tests and assertions. Also audits each row's live window: it lies
+    in [0..nt-1], every entry outside it is [+0.0], and so (the row
+    being normalized) is the time marginal of every slot outside it. *)
 
 val pp_cluster_map : Format.formatter -> t -> unit
 (** ASCII rendering of the cluster-preference map in the style of the

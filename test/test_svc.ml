@@ -502,13 +502,15 @@ let test_job_refusals_are_typed () =
     Alcotest.(check string) "unknown machine kind" "invalid-input" e.kind
   | _ -> Alcotest.fail "unknown machine must refuse");
   (* A LEVEL stride that would never advance must be refused, not pin
-     the worker forever. *)
+     the worker forever; a PATHPROP blend_keep outside [0, 1] must be
+     refused, not quarantine every application without a word. *)
   List.iter
     (fun passes ->
       match (run (Cs_svc.Proto.request ~passes "jacobi")).Cs_svc.Proto.verdict with
       | Cs_svc.Proto.Refused e -> Alcotest.(check string) passes "invalid-input" e.kind
       | _ -> Alcotest.failf "%s must refuse" passes)
-    [ "INITTIME,LEVEL=stride=0"; "INITTIME,LEVEL=stride=nan" ];
+    [ "INITTIME,LEVEL=stride=0"; "INITTIME,LEVEL=stride=nan"; "INITTIME,PATHPROP=blend_keep=2";
+      "INITTIME,PATHPROP=blend_keep=-1" ];
   match
     (Cs_svc.Job.run (Cs_svc.Job.admit (Cs_svc.Proto.request ~deadline_ms:0.0 "jacobi")))
       .Cs_svc.Proto.verdict

@@ -55,7 +55,12 @@ let test_sequence_rejects_bad_specs () =
   List.iter
     (fun spec -> check_bool spec true (is_error (Cs_core.Sequence.of_spec spec)))
     [ "LEVEL=stride=0"; "LEVEL=stride=nan"; "LEVEL=stride=-3"; "LEVEL=stride=0.5";
-      "LEVEL=stride=inf"; "LEVEL=stride=1e30"; "PATH=boost=nan"; "NOISE=amplitude=-inf" ];
+      "LEVEL=stride=inf"; "LEVEL=stride=1e30"; "PATH=boost=nan"; "NOISE=amplitude=-inf";
+      (* Weights.blend refuses keep = 1 - blend_keep outside [0, 1]. *)
+      "PATHPROP=blend_keep=2"; "PATHPROP=blend_keep=-0.5"; "PATHPROP=blend_keep=1.0001" ];
+  List.iter
+    (fun spec -> check_bool spec false (is_error (Cs_core.Sequence.of_spec spec)))
+    [ "PATHPROP=blend_keep=0"; "PATHPROP=blend_keep=1"; "PATHPROP=blend_keep=0.05" ];
   check_bool "in a sequence" true
     (is_error (Cs_core.Sequence.of_names [ "INITTIME"; "LEVEL=stride=0" ]));
   check_bool "stride 1 ok" false (is_error (Cs_core.Sequence.of_spec "LEVEL=stride=1"));

@@ -286,6 +286,7 @@ type op =
   | Scale_time of int * int * float
   | Scale_clusters of int * float array
   | Map_row of int * float
+  | Mask of int * int * int
   | Blend of int * int * float
   | Normalize of int
   | Normalize_all
@@ -310,6 +311,12 @@ let op_gen =
             (fun (i, fs) -> Scale_clusters (i, Array.of_list fs))
             (tup2 i (list_repeat pnc v)) );
         (2, map (fun (i, f) -> Map_row (i, f)) (tup2 i v));
+        (* Masks narrow the rows' live windows; bounds may fall outside
+           [0, nt). *)
+        ( 2,
+          map
+            (fun (i, lo, hi) -> Mask (i, lo - 1, hi - 1))
+            (tup3 i (int_bound (pnt + 1)) (int_bound (pnt + 1))) );
         ( 2,
           map (fun (d, s, k) -> Blend (d, s, k)) (tup3 i i (float_bound_inclusive 1.0))
         );
@@ -327,6 +334,7 @@ let apply_op w = function
   | Scale_time (i, t, v) -> Weights.scale_time w i t v
   | Scale_clusters (i, fs) -> Weights.scale_clusters w i fs
   | Map_row (i, f) -> Weights.map_row w i (fun _ _ v -> v *. f)
+  | Mask (i, lo, hi) -> Weights.mask_time_window w i ~lo ~hi
   | Blend (d, s, k) -> Weights.blend w ~dst:d ~src:s ~keep:k
   | Normalize i -> Weights.normalize w i
   | Normalize_all -> Weights.normalize_all w
@@ -612,6 +620,374 @@ let test_ops_dirty_exact_qcheck =
   in
   to_alcotest prop
 
+(* --- Live windows ---------------------------------------------------- *)
+
+(* The full-row kernels as they were before rows carried live windows,
+   on a plain-array model of the matrix: every kernel below sweeps
+   whole rows. [scale_cluster], [scale_clusters], [normalize_row] (so
+   [normalize] and the fused gate) and [blend] are the ones the library
+   now sweeps over the window only; the others are the library's
+   unwindowed kernels, copied so the model is self-contained. The one
+   deliberate difference from the old code is [mask], which stores
+   0.0 unconditionally, as [set] would. *)
+module Full = struct
+  type t = {
+    e : float array;
+    cs : float array;
+    ts : float array;
+    rt : float array;
+    dirty : bool array;
+  }
+
+  let n = 4
+  let nc = 3
+  let nt = 8
+
+  let create () =
+    let v = 1.0 /. float_of_int (nc * nt) in
+    {
+      e = Array.make (n * nc * nt) v;
+      cs = Array.make (n * nc) (v *. float_of_int nt);
+      ts = Array.make (n * nt) (v *. float_of_int nc);
+      rt = Array.make n (v *. float_of_int (nc * nt));
+      dirty = Array.make n false;
+    }
+
+  let copy m =
+    {
+      e = Array.copy m.e;
+      cs = Array.copy m.cs;
+      ts = Array.copy m.ts;
+      rt = Array.copy m.rt;
+      dirty = Array.copy m.dirty;
+    }
+
+  let k i c tt = (((i * nc) + c) * nt) + tt
+  let bad v = (not (Float.is_finite v)) || v < 0.0
+  let reject () = invalid_arg "Weights.set: weight must be finite and >= 0"
+
+  let apply_delta m i c tt delta =
+    if delta <> 0.0 then begin
+      m.cs.((i * nc) + c) <- m.cs.((i * nc) + c) +. delta;
+      m.ts.((i * nt) + tt) <- m.ts.((i * nt) + tt) +. delta;
+      m.rt.(i) <- m.rt.(i) +. delta;
+      m.dirty.(i) <- true
+    end
+
+  let set m i c tt v =
+    if bad v then reject ();
+    let old = m.e.(k i c tt) in
+    m.e.(k i c tt) <- v;
+    apply_delta m i c tt (v -. old)
+
+  (* A kernel's write: reject a bad value, store only a changed one. *)
+  let write m i c tt v =
+    if bad v then reject ();
+    let old = m.e.(k i c tt) in
+    if v -. old <> 0.0 then begin
+      m.e.(k i c tt) <- v;
+      apply_delta m i c tt (v -. old)
+    end
+
+  let scale_cluster m i c f =
+    for tt = 0 to nt - 1 do
+      write m i c tt (m.e.(k i c tt) *. f)
+    done
+
+  let scale_clusters m i fs =
+    for c = 0 to nc - 1 do
+      scale_cluster m i c fs.(c)
+    done
+
+  let scale_time m i tt f =
+    for c = 0 to nc - 1 do
+      write m i c tt (m.e.(k i c tt) *. f)
+    done
+
+  let map_row m i f =
+    for c = 0 to nc - 1 do
+      for tt = 0 to nt - 1 do
+        write m i c tt (f c tt m.e.(k i c tt))
+      done
+    done
+
+  let mask m i ~lo ~hi =
+    for c = 0 to nc - 1 do
+      let zero tt =
+        let old = m.e.(k i c tt) in
+        m.e.(k i c tt) <- 0.0;
+        apply_delta m i c tt (0.0 -. old)
+      in
+      for tt = 0 to min lo nt - 1 do
+        zero tt
+      done;
+      for tt = max (hi + 1) 0 to nt - 1 do
+        zero tt
+      done
+    done
+
+  let normalize_row m i =
+    let len = nc * nt in
+    let total = ref 0.0 in
+    for j = i * len to ((i + 1) * len) - 1 do
+      total := !total +. m.e.(j)
+    done;
+    let total = !total in
+    let uniform = total <= 0.0 || not (Float.is_finite total) in
+    let u = 1.0 /. float_of_int len in
+    for tt = 0 to nt - 1 do
+      m.ts.((i * nt) + tt) <- 0.0
+    done;
+    let changed = ref false and row = ref 0.0 in
+    let vsum = ref 0.0 and all_ok = ref true in
+    for c = 0 to nc - 1 do
+      let s = ref 0.0 in
+      for tt = 0 to nt - 1 do
+        let old = m.e.(k i c tt) in
+        let v = if uniform then u else old /. total in
+        let stored =
+          if v <> old then begin
+            changed := true;
+            m.e.(k i c tt) <- v;
+            v
+          end
+          else old
+        in
+        if stored >= -1e-9 && stored <= max_float then vsum := !vsum +. stored
+        else all_ok := false;
+        s := !s +. v;
+        m.ts.((i * nt) + tt) <- m.ts.((i * nt) + tt) +. v
+      done;
+      m.cs.((i * nc) + c) <- !s;
+      row := !row +. !s
+    done;
+    m.rt.(i) <- !row;
+    if !changed then m.dirty.(i) <- true;
+    !all_ok && Float.abs (!vsum -. 1.0) <= 1e-6
+
+  let validate_row m i =
+    let total = ref 0.0 and err = ref None in
+    (try
+       for j = i * nc * nt to ((i + 1) * nc * nt) - 1 do
+         let v = m.e.(j) in
+         if Float.is_finite v && v >= -1e-9 then total := !total +. v
+         else begin
+           err :=
+             Some
+               (if not (Float.is_finite v) then
+                  Printf.sprintf "row %d has non-finite weight %g" i v
+                else Printf.sprintf "row %d has negative weight %g" i v);
+           raise Exit
+         end
+       done;
+       if Float.abs (!total -. 1.0) > 1e-6 then
+         err := Some (Printf.sprintf "row %d sums to %g, expected 1" i !total)
+     with Exit -> ());
+    !err
+
+  let normalize_validate_touched m =
+    let err = ref None in
+    for i = 0 to n - 1 do
+      if m.dirty.(i) && (not (normalize_row m i)) && !err = None then err := validate_row m i
+    done;
+    match !err with None -> Ok () | Some e -> Error e
+
+  let blend m ~dst ~src ~keep =
+    if not (keep >= 0.0 && keep <= 1.0) then invalid_arg "Weights.blend: keep must be in [0,1]";
+    if dst <> src then begin
+      let drop = 1.0 -. keep in
+      for tt = 0 to nt - 1 do
+        m.ts.((dst * nt) + tt) <- 0.0
+      done;
+      let row = ref 0.0 in
+      for c = 0 to nc - 1 do
+        let s = ref 0.0 in
+        for tt = 0 to nt - 1 do
+          let v = (keep *. m.e.(k dst c tt)) +. (drop *. m.e.(k src c tt)) in
+          m.e.(k dst c tt) <- v;
+          s := !s +. v;
+          m.ts.((dst * nt) + tt) <- m.ts.((dst * nt) + tt) +. v
+        done;
+        m.cs.((dst * nc) + c) <- !s;
+        row := !row +. !s
+      done;
+      m.rt.(dst) <- !row;
+      m.dirty.(dst) <- true
+    end
+
+  let touched_rows m = List.filter (fun i -> m.dirty.(i)) (List.init n Fun.id)
+
+  let sync_rows ~rows ~src ~dst =
+    List.iter
+      (fun i ->
+        Array.blit src.e (i * nc * nt) dst.e (i * nc * nt) (nc * nt);
+        Array.blit src.cs (i * nc) dst.cs (i * nc) nc;
+        Array.blit src.ts (i * nt) dst.ts (i * nt) nt;
+        dst.rt.(i) <- src.rt.(i))
+      rows
+end
+
+(* One step of the window property, run on the library and the model.
+   [Commit] and [Rollback] are the driver's snapshot protocol, a
+   [sync_rows] of the touched rows one way or the other. *)
+type wop =
+  | W_set of int * int * int * float
+  | W_scale_cluster of int * int * float
+  | W_scale_time of int * int * float
+  | W_scale_clusters of int * float array
+  | W_map_row of int * float * float
+  | W_mask of int * int * int
+  | W_blend of int * int * float
+  | W_normalize of int
+  | W_gate
+  | W_clear
+  | W_commit
+  | W_rollback
+
+let wop_gen =
+  QCheck.Gen.(
+    let i = int_bound (Full.n - 1)
+    and c = int_bound (Full.nc - 1)
+    and t = int_bound (Full.nt - 1) in
+    (* Zeros force the uniform reset; inf, nan and negative factors
+       raise, a non-finite one even on an all-zero lane. *)
+    let factor =
+      frequency
+        [
+          (6, float_bound_inclusive 3.0);
+          (2, return 0.0);
+          (1, return 1.0);
+          (1, oneofl [ -1.5; -0.0; 1e308 ]);
+          (1, oneofl [ Float.infinity; Float.nan; Float.neg_infinity ]);
+        ]
+    in
+    let value =
+      frequency
+        [
+          (4, float_bound_inclusive 2.0);
+          (2, oneofl [ 0.0; -0.0 ]);
+          (1, oneofl [ -1.0; Float.nan ]);
+        ]
+    in
+    (* Narrow windows, so rows often end up with disjoint ones, and
+       empty ones, which zero the whole row. *)
+    let window =
+      frequency
+        [
+          (4, map (fun (lo, w) -> (lo, lo + w)) (pair t (int_bound 2)));
+          (1, map (fun lo -> (lo, lo - 1)) t);
+          (1, pair (int_range (-2) (Full.nt + 1)) (int_range (-2) (Full.nt + 1)));
+        ]
+    in
+    let keep = frequency [ (6, float_bound_inclusive 1.0); (1, oneofl [ 0.0; 1.0; 1.5 ]) ] in
+    frequency
+      [
+        (3, map (fun (i, c, t, v) -> W_set (i, c, t, v)) (tup4 i c t value));
+        (3, map (fun (i, c, f) -> W_scale_cluster (i, c, f)) (tup3 i c factor));
+        (1, map (fun (i, t, f) -> W_scale_time (i, t, f)) (tup3 i t factor));
+        ( 3,
+          map
+            (fun (i, fs) -> W_scale_clusters (i, Array.of_list fs))
+            (pair i (oneof [ list_repeat Full.nc factor; return [ 0.0; 0.0; 0.0 ] ])) );
+        ( 2,
+          map
+            (fun (i, f, g) -> W_map_row (i, f, g))
+            (triple i factor (frequency [ (3, float_bound_inclusive 0.5); (1, return 0.0) ])) );
+        (4, map (fun (i, (lo, hi)) -> W_mask (i, lo, hi)) (pair i window));
+        (4, map (fun (d, s, k) -> W_blend (d, s, k)) (triple i i keep));
+        (2, map (fun i -> W_normalize i) i);
+        (2, return W_gate);
+        (1, return W_clear);
+        (1, return W_commit);
+        (1, return W_rollback);
+      ])
+
+(* [map_row]'s function writes into every third slot, zero or not. *)
+let wmap f g c t v = if (c + t) mod 3 = 0 then (v *. f) +. g else v *. f
+
+(* Runs [op] on both and tells whether they agree on its outcome:
+   [Ok ()], the gate's verdict, or the [Invalid_argument] raised. *)
+let same_outcome (w, snap) (m, msnap) op =
+  let unit f () =
+    f ();
+    Ok ()
+  in
+  let lib, model =
+    match op with
+    | W_set (i, c, t, v) ->
+      (unit (fun () -> Weights.set w i c t v), unit (fun () -> Full.set m i c t v))
+    | W_scale_cluster (i, c, f) ->
+      ( unit (fun () -> Weights.scale_cluster w i c f),
+        unit (fun () -> Full.scale_cluster m i c f) )
+    | W_scale_time (i, t, f) ->
+      (unit (fun () -> Weights.scale_time w i t f), unit (fun () -> Full.scale_time m i t f))
+    | W_scale_clusters (i, fs) ->
+      ( unit (fun () -> Weights.scale_clusters w i fs),
+        unit (fun () -> Full.scale_clusters m i fs) )
+    | W_map_row (i, f, g) ->
+      ( unit (fun () -> Weights.map_row w i (wmap f g)),
+        unit (fun () -> Full.map_row m i (wmap f g)) )
+    | W_mask (i, lo, hi) ->
+      ( unit (fun () -> Weights.mask_time_window w i ~lo ~hi),
+        unit (fun () -> Full.mask m i ~lo ~hi) )
+    | W_blend (dst, src, keep) ->
+      ( unit (fun () -> Weights.blend w ~dst ~src ~keep),
+        unit (fun () -> Full.blend m ~dst ~src ~keep) )
+    | W_normalize i ->
+      ( unit (fun () -> Weights.normalize w i),
+        unit (fun () -> ignore (Full.normalize_row m i)) )
+    | W_gate ->
+      ( (fun () -> Weights.normalize_validate_touched w),
+        fun () -> Full.normalize_validate_touched m )
+    | W_clear ->
+      ( unit (fun () -> Weights.clear_touched w),
+        unit (fun () -> Array.fill m.Full.dirty 0 Full.n false) )
+    | W_commit ->
+      ( unit (fun () -> Weights.sync_rows ~rows:(Weights.touched_rows w) ~src:w ~dst:snap),
+        unit (fun () -> Full.sync_rows ~rows:(Full.touched_rows m) ~src:m ~dst:msnap) )
+    | W_rollback ->
+      ( unit (fun () -> Weights.sync_rows ~rows:(Weights.touched_rows w) ~src:snap ~dst:w),
+        unit (fun () -> Full.sync_rows ~rows:(Full.touched_rows m) ~src:msnap ~dst:m) )
+  in
+  let outcome f = try f () with Invalid_argument e -> Error ("raised " ^ e) in
+  outcome lib = outcome model
+
+let bits = Int64.bits_of_float
+
+let same_state w m =
+  let ok = ref (Weights.touched_count w = List.length (Full.touched_rows m)) in
+  for i = 0 to Full.n - 1 do
+    if Weights.is_touched w i <> m.Full.dirty.(i) then ok := false;
+    if bits (Weights.row_total w i) <> bits m.Full.rt.(i) then ok := false;
+    for c = 0 to Full.nc - 1 do
+      if bits (Weights.cluster_weight w i c) <> bits m.Full.cs.((i * Full.nc) + c) then
+        ok := false;
+      for t = 0 to Full.nt - 1 do
+        if bits (Weights.get w i c t) <> bits m.Full.e.(Full.k i c t) then ok := false
+      done
+    done;
+    for t = 0 to Full.nt - 1 do
+      if bits (Weights.time_weight w i t) <> bits m.Full.ts.((i * Full.nt) + t) then
+        ok := false
+    done
+  done;
+  !ok
+
+(* The windowed kernels against the full-row ones: after every step of
+   a random sequence, the entries and all three caches agree bit for
+   bit, the touched flags agree, and both raised the same exception or
+   returned the same gate verdict. *)
+let test_windows_full_row_qcheck =
+  let prop =
+    QCheck.Test.make ~count:500 ~name:"windowed kernels = full-row kernels, bit for bit"
+      (QCheck.make QCheck.Gen.(list_size (int_range 1 60) wop_gen))
+      (fun ops ->
+        let w = Weights.create ~n:Full.n ~nc:Full.nc ~nt:Full.nt and m = Full.create () in
+        let lib = (w, Weights.copy w) and model = (m, Full.copy m) in
+        List.for_all (fun op -> same_outcome lib model op && same_state w m) ops)
+  in
+  to_alcotest prop
+
 (* qcheck: random edit sequences + normalize preserve invariants. *)
 let edit_gen =
   QCheck.Gen.(
@@ -714,5 +1090,6 @@ let () =
           test_ops_invariants_qcheck; test_kernels_per_element_qcheck;
           test_ops_dirty_exact_qcheck; test_blend_pointwise_qcheck;
           test_normalize_pointwise_qcheck; test_gate_fused_qcheck;
+          test_windows_full_row_qcheck;
         ] );
     ]
