@@ -152,8 +152,10 @@ let maybe_faults ~seed ~machine region spec =
   let spec =
     match spec with
     | Scenario.Passes passes when Cs_util.Rng.int rng 4 = 0 ->
-      (* Sabotage the sequence with a CHAOS pass: the driver must
-         quarantine it and the oracle must see no difference. *)
+      (* Sabotage the sequence with a CHAOS pass. In modes 0, 1, 3 and
+         4 the driver must roll it back, and the oracle checks that the
+         sequence without it schedules identically (see
+         [Oracle.check_chaos] for the exceptions). *)
       let mode = Cs_util.Rng.int rng 5 in
       let at = Cs_util.Rng.int rng (List.length passes + 1) in
       let chaos = Cs_core.Chaos.pass ~mode () in

@@ -121,10 +121,58 @@ let check_schedule scenario sched =
   let* () = check_bounds machine region sched in
   check_permutation scenario sched
 
+(* Rollback oracle. A CHAOS pass in mode 0 or 1 raises mid-write, in
+   mode 4 raises before writing, and in mode 3 erases preplaced rows'
+   home mass, which the gate rejects (or writes nothing when no row is
+   preplaced). Either way the driver must restore the matrix bit for
+   bit, so the sequence without its CHAOS passes must schedule every
+   instruction on the same cluster in the same cycle. Mode 2 squashes
+   rows to zero, which the gate resets to uniform and accepts, and so
+   does mode 3 on a one-cluster machine, where the home lane is the
+   whole row; mode 5 only stalls. A sequence using any of these is not
+   checked. *)
+let chaos_mode p =
+  if p.Cs_core.Pass.name = "CHAOS" then Cs_core.Pass.param p "mode" else None
+
+let same_schedule a b =
+  Cs_sched.Schedule.makespan a = Cs_sched.Schedule.makespan b
+  && Array.for_all2
+       (fun (x : Cs_sched.Schedule.entry) (y : Cs_sched.Schedule.entry) ->
+         x.cluster = y.cluster && x.start = y.start)
+       a.Cs_sched.Schedule.entries b.Cs_sched.Schedule.entries
+
+let check_chaos scenario built =
+  match scenario.Scenario.spec with
+  | Scenario.Passes passes
+    when List.exists (fun p -> chaos_mode p <> None) passes
+         && List.for_all
+              (fun p ->
+                match chaos_mode p with
+                | None -> true
+                | Some m ->
+                  List.mem m [ 0.0; 1.0; 4.0 ]
+                  || (m = 3.0 && Cs_machine.Machine.n_clusters scenario.Scenario.machine > 1))
+              passes -> (
+    let clean = List.filter (fun p -> chaos_mode p = None) passes in
+    let differ detail = Error (violation "chaos" detail) in
+    match (built, build { scenario with Scenario.spec = Scenario.Passes clean }) with
+    | _, Error v -> differ ("without CHAOS: " ^ v.detail)
+    | None, Ok None -> Ok ()
+    | Some a, Ok (Some b) when same_schedule a b -> Ok ()
+    | Some _, Ok (Some _) -> differ "schedule differs from the sequence without CHAOS"
+    | None, Ok (Some _) -> differ "refused, but schedulable without CHAOS"
+    | Some _, Ok None -> differ "schedulable, but refused without CHAOS")
+  | _ -> Ok ()
+
 let run ?transform scenario =
   match build scenario with
   | Error v -> Error v
-  | Ok None -> Ok ()
-  | Ok (Some sched) ->
-    let sched = match transform with Some f -> f sched | None -> sched in
-    check_schedule scenario sched
+  | Ok built ->
+    let ( let* ) = Result.bind in
+    let* () =
+      match built with
+      | None -> Ok ()
+      | Some sched ->
+        check_schedule scenario (match transform with Some f -> f sched | None -> sched)
+    in
+    check_chaos scenario built

@@ -19,11 +19,18 @@
     through {!Cs_sim.Pipeline.schedule_resilient}: a classified refusal
     is a legitimate outcome (not a violation), but any schedule the
     fallback chain does return must satisfy every judge, and symmetric-
-    machine permutation is off (damage breaks the symmetry). *)
+    machine permutation is off (damage breaks the symmetry).
+
+    A {!Scenario.Passes} sequence sabotaged with {!Cs_core.Chaos} passes
+    that all use modes 0, 1, 3 or 4 is also rebuilt without them (mode 3
+    only on machines with more than one cluster): the driver rolls back
+    each such pass, so both must schedule every instruction on the same
+    cluster in the same cycle (the ["chaos"] judge). *)
 
 type violation = { check : string; detail : string }
 (** [check] is the failing judge: ["schedule"], ["validator"],
-    ["interp"], ["cpl-bound"], ["resource-bound"], or ["permute"]. *)
+    ["interp"], ["cpl-bound"], ["resource-bound"], ["permute"], or
+    ["chaos"]. *)
 
 val build : Scenario.t -> (Cs_sched.Schedule.t option, violation) result
 (** Run the scenario's scheduler {e without} the pipeline's internal
@@ -37,6 +44,7 @@ val check_schedule : Scenario.t -> Cs_sched.Schedule.t -> (unit, violation) resu
 val run :
   ?transform:(Cs_sched.Schedule.t -> Cs_sched.Schedule.t) ->
   Scenario.t -> (unit, violation) result
-(** [build] then [check_schedule]. [transform] is applied to the built
-    schedule first — the bug-injection hook used by tests to prove the
+(** [build], [check_schedule], then the CHAOS rollback check.
+    [transform] is applied to the built schedule before
+    [check_schedule] — the bug-injection hook used by tests to prove the
     oracle and shrinker catch corrupted schedules. *)

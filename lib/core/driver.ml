@@ -147,30 +147,108 @@ let weights_violation ctx w =
       ctx.Context.preplaced_on;
     !bad
 
-(* Shared engine: applies [passes] once over an existing matrix,
-   returning the trace steps of this round (in order) and any
-   quarantines. Each pass runs against a snapshot: if it raises a
-   classifiable exception or leaves the matrix violating invariants, the
-   snapshot is restored and the sequence continues — a misbehaving pass
-   degrades quality, never correctness. When the Cs_obs sink is enabled,
-   each pass is wrapped in a timed span (cat "pass") and followed by a
-   convergence-metrics counter (cat "converge"); quarantines emit a
-   cat "resil" instant and counter. *)
 let deadline_expired = function
   | None -> false
   | Some t -> Cs_obs.Clock.now () >= t
 
+(* A pass cannot be preempted mid-flight, so budget enforcement is
+   post-hoc: an overrun beyond the per-pass budget is treated exactly
+   like a corrupting pass — rolled back and quarantined — so a
+   pathologically slow heuristic degrades quality, never latency
+   beyond one overrun. *)
+let overrun ?pass_budget_s pass elapsed =
+  match pass_budget_s with
+  | Some budget when elapsed > budget ->
+    Some
+      (Cs_resil.Error.to_string
+         (Cs_resil.Error.Pass_timeout
+            (Printf.sprintf "%s ran %.1f ms (budget %.1f ms)" pass.Pass.name
+               (1000.0 *. elapsed) (1000.0 *. budget))))
+  | _ -> None
+
+(* Shared engine: applies [passes] once over the matrix, returning it
+   with the trace steps of this round (in order) and any quarantines.
+   Each pass runs inside an undo log: if it raises a classifiable
+   exception or leaves the matrix violating invariants, the rows it
+   changed are restored and the sequence continues — a misbehaving
+   pass degrades quality, never correctness. When the Cs_obs sink is
+   enabled, each pass is wrapped in a timed span (cat "pass") and
+   followed by a convergence-metrics counter (cat "converge");
+   quarantines emit a cat "resil" instant and counter.
+
+   [w = None] starts the first round on a fresh matrix. When the
+   sequence opens with the stock INITTIME, that matrix is built already
+   masked and gated by [Weights.create_windowed] instead of being
+   filled uniformly and then masked row by row; the step is recorded
+   like any other pass. *)
 let apply_round ?(round = 1) ?observe ?deadline ?pass_budget_s ctx w passes =
-  let n = Weights.n w in
+  let n = Context.n_instrs ctx in
   let steps = ref [] in
   let quarantined = ref [] in
-  let snapshot = Weights.copy w in
+  let timed_out = ref false in
+  let span pass f =
+    Cs_obs.Obs.span ~cat:"pass" ~args:[ ("round", Cs_obs.Obs.Int round) ] pass.Pass.name f
+  in
   (* Each row's preferred cluster as of the last pass, updated in place:
      only touched rows can change their argmax (a rolled-back row is
      restored to its pre-pass bits), so a pass's churn is counted over
      its touched rows alone. *)
-  let before = Weights.preferred_clusters w in
-  let timed_out = ref false in
+  let record w before pass ~touched outcome =
+    (match outcome with
+    | Some reason ->
+      quarantined := { pass_name = pass.Pass.name; round; reason } :: !quarantined;
+      if Cs_obs.Obs.enabled () then begin
+        Cs_obs.Obs.instant ~cat:"resil" "quarantine"
+          ~args:
+            [ ("pass", Cs_obs.Obs.Str pass.Pass.name);
+              ("round", Cs_obs.Obs.Int round);
+              ("reason", Cs_obs.Obs.Str reason) ];
+        Cs_obs.Obs.counter ~cat:"resil" "quarantine" [ ("quarantined", 1.0) ]
+      end
+    | None -> ());
+    (* Telemetry measures churn against the pre-pass array. *)
+    let prev = if Cs_obs.Obs.enabled () then Array.copy before else before in
+    let changed = ref 0 in
+    List.iter
+      (fun i ->
+        let c = Weights.preferred_cluster w i in
+        if c <> before.(i) then begin
+          incr changed;
+          before.(i) <- c
+        end)
+      touched;
+    steps :=
+      { Trace.pass_name = pass.Pass.name; pass_kind = pass.Pass.kind;
+        changed = !changed; total = n }
+      :: !steps;
+    if Cs_obs.Obs.enabled () then
+      Telemetry.emit ~round ~pass:pass.Pass.name (Telemetry.measure ~prev w);
+    match observe with None -> () | Some f -> f pass.Pass.name w
+  in
+  let uniform () = Weights.create ~n ~nc:(Context.n_clusters ctx) ~nt:ctx.Context.nt in
+  let w, before, passes =
+    match (w, passes) with
+    | Some w, _ -> (w, Weights.preferred_clusters w, passes)
+    | None, pass :: rest
+      when pass.Pass.apply == Inittime.apply && not (deadline_expired deadline) ->
+      let t0 = Cs_obs.Clock.now () in
+      let built =
+        span pass (fun () ->
+            let lo, hi = Inittime.windows ctx in
+            Weights.create_windowed ~nc:(Context.n_clusters ctx) ~nt:ctx.Context.nt ~lo ~hi)
+      in
+      let outcome = overrun ?pass_budget_s pass (Cs_obs.Clock.since t0) in
+      let touched = Weights.touched_rows built in
+      let w = if outcome = None then built else uniform () in
+      (* Every row of the uniform matrix prefers cluster 0: its cluster
+         marginals tie, and ties go to the smallest id. *)
+      let before = Array.make n 0 in
+      record w before pass ~touched outcome;
+      (w, before, rest)
+    | None, _ ->
+      let w = uniform () in
+      (w, Weights.preferred_clusters w, passes)
+  in
   let rec loop = function
     | [] -> ()
     | _ :: _ when deadline_expired deadline ->
@@ -182,19 +260,10 @@ let apply_round ?(round = 1) ?observe ?deadline ?pass_budget_s ctx w passes =
         Cs_obs.Obs.instant ~cat:"resil" "deadline"
           ~args:[ ("round", Cs_obs.Obs.Int round) ]
     | pass :: rest ->
-      (* Dirty-row protocol: [snapshot] already mirrors [w] (copied once
-         above, then resynced after every pass), so instead of a full
-         matrix blit per pass we clear the touched set, let the pass
-         write, and afterwards move only the touched rows — snapshot→w
-         on rollback, w→snapshot on commit. A pass writing k rows costs
-         O(k) bookkeeping, not O(n). *)
-      Weights.clear_touched w;
+      Weights.begin_pass w;
       let t0 = Cs_obs.Clock.now () in
       let outcome =
-        Cs_obs.Obs.span ~cat:"pass"
-          ~args:[ ("round", Cs_obs.Obs.Int round) ]
-          pass.Pass.name
-          (fun () ->
+        span pass (fun () ->
             match
               Cs_resil.Error.protect (fun () ->
                   pass.Pass.apply ctx w;
@@ -203,60 +272,18 @@ let apply_round ?(round = 1) ?observe ?deadline ?pass_budget_s ctx w passes =
             | Error e -> Some (Cs_resil.Error.to_string e)
             | Ok violation -> violation)
       in
-      let elapsed = Cs_obs.Clock.since t0 in
       let outcome =
-        (* A pass cannot be preempted mid-flight, so budget enforcement
-           is post-hoc: an overrun beyond the per-pass budget is treated
-           exactly like a corrupting pass — rolled back and quarantined —
-           so a pathologically slow heuristic degrades quality, never
-           latency beyond one overrun. *)
-        match (outcome, pass_budget_s) with
-        | Some _, _ | _, None -> outcome
-        | None, Some budget when elapsed > budget ->
-          Some
-            (Cs_resil.Error.to_string
-               (Cs_resil.Error.Pass_timeout
-                  (Printf.sprintf "%s ran %.1f ms (budget %.1f ms)" pass.Pass.name
-                     (1000.0 *. elapsed) (1000.0 *. budget))))
-        | None, Some _ -> None
+        match outcome with
+        | Some _ -> outcome
+        | None -> overrun ?pass_budget_s pass (Cs_obs.Clock.since t0)
       in
       let touched = Weights.touched_rows w in
-      (match outcome with
-      | Some reason ->
-        Weights.sync_rows ~rows:touched ~src:snapshot ~dst:w;
-        quarantined := { pass_name = pass.Pass.name; round; reason } :: !quarantined;
-        if Cs_obs.Obs.enabled () then begin
-          Cs_obs.Obs.instant ~cat:"resil" "quarantine"
-            ~args:
-              [ ("pass", Cs_obs.Obs.Str pass.Pass.name);
-                ("round", Cs_obs.Obs.Int round);
-                ("reason", Cs_obs.Obs.Str reason) ];
-          Cs_obs.Obs.counter ~cat:"resil" "quarantine"
-            [ ("quarantined", 1.0) ]
-        end
-      | None -> Weights.sync_rows ~rows:touched ~src:w ~dst:snapshot);
-      (* Telemetry measures churn against the pre-pass array. *)
-      let prev = if Cs_obs.Obs.enabled () then Array.copy before else before in
-      let changed = ref 0 in
-      List.iter
-        (fun i ->
-          let c = Weights.preferred_cluster w i in
-          if c <> before.(i) then begin
-            incr changed;
-            before.(i) <- c
-          end)
-        touched;
-      steps :=
-        { Trace.pass_name = pass.Pass.name; pass_kind = pass.Pass.kind;
-          changed = !changed; total = n }
-        :: !steps;
-      if Cs_obs.Obs.enabled () then
-        Telemetry.emit ~round ~pass:pass.Pass.name (Telemetry.measure ~prev w);
-      (match observe with None -> () | Some f -> f pass.Pass.name w);
+      (match outcome with Some _ -> Weights.rollback w | None -> Weights.commit w);
+      record w before pass ~touched outcome;
       loop rest
   in
   loop passes;
-  (List.rev !steps, List.rev !quarantined, !timed_out)
+  (w, List.rev !steps, List.rev !quarantined, !timed_out)
 
 let finalize ?(timed_out = false) ctx w trace quarantined =
   let assignment = assignment_of_weights ctx w in
@@ -268,7 +295,7 @@ let run_iterative ?seed ?nt_cap ?observe ?deadline ?pass_budget_s ?(max_rounds =
     ?(epsilon = 0.02) ~machine region passes =
   let ctx = Context.make ?seed ?nt_cap ~machine region in
   let n = Context.n_instrs ctx in
-  let w = Weights.create ~n ~nc:(Context.n_clusters ctx) ~nt:ctx.Context.nt in
+  let w = ref None in
   (* Accumulate rounds newest-first and reverse once at the end: the old
      [!trace @ round_steps] rescanned the whole prefix every round. *)
   let rev_trace = ref [] in
@@ -278,17 +305,21 @@ let run_iterative ?seed ?nt_cap ?observe ?deadline ?pass_budget_s ?(max_rounds =
   let continue_iterating = ref true in
   while !continue_iterating && !rounds < max_rounds do
     incr rounds;
-    let before = Weights.preferred_clusters w in
-    let steps, quarantines, round_timed_out =
+    (* Before the first round every row is uniform and prefers cluster 0. *)
+    let before =
+      match !w with Some w -> Weights.preferred_clusters w | None -> Array.make n 0
+    in
+    let round_w, steps, quarantines, round_timed_out =
       Cs_obs.Obs.span ~cat:"round"
         ~args:[ ("round", Cs_obs.Obs.Int !rounds) ]
         "round"
         (fun () ->
-          apply_round ~round:!rounds ?observe ?deadline ?pass_budget_s ctx w passes)
+          apply_round ~round:!rounds ?observe ?deadline ?pass_budget_s ctx !w passes)
     in
+    w := Some round_w;
     rev_trace := List.rev_append steps !rev_trace;
     rev_quarantined := List.rev_append quarantines !rev_quarantined;
-    let after = Weights.preferred_clusters w in
+    let after = Weights.preferred_clusters round_w in
     let changed = ref 0 in
     Array.iteri (fun i c -> if c <> before.(i) then incr changed) after;
     let fraction = if n = 0 then 0.0 else float_of_int !changed /. float_of_int n in
@@ -303,15 +334,18 @@ let run_iterative ?seed ?nt_cap ?observe ?deadline ?pass_budget_s ?(max_rounds =
     end
     else if fraction < epsilon then continue_iterating := false
   done;
+  let w =
+    match !w with
+    | Some w -> w
+    | None -> Weights.create ~n ~nc:(Context.n_clusters ctx) ~nt:ctx.Context.nt
+  in
   ( finalize ~timed_out:!timed_out ctx w (List.rev !rev_trace)
       (List.rev !rev_quarantined),
     !rounds )
 
 let run ?seed ?nt_cap ?observe ?deadline ?pass_budget_s ~machine region passes =
   let ctx = Context.make ?seed ?nt_cap ~machine region in
-  let n = Context.n_instrs ctx in
-  let w = Weights.create ~n ~nc:(Context.n_clusters ctx) ~nt:ctx.Context.nt in
-  let trace, quarantined, timed_out =
-    apply_round ?observe ?deadline ?pass_budget_s ctx w passes
+  let w, trace, quarantined, timed_out =
+    apply_round ?observe ?deadline ?pass_budget_s ctx None passes
   in
   finalize ~timed_out ctx w trace quarantined

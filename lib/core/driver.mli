@@ -41,12 +41,20 @@ val run :
     Preplaced instructions are always assigned to their home cluster,
     whatever the final weights say (correctness).
 
-    Every pass runs inside a quarantine gate: the matrix is snapshotted
-    before the pass, checked after it (and its renormalization), and
-    rolled back on violation; the violation is recorded in
-    [quarantined] and, when the {!Cs_obs.Obs} sink is enabled, emitted
-    as a [cat = "resil"] instant + counter. The rest of the sequence
+    Every pass runs inside a quarantine gate: the matrix records an
+    undo log of the rows the pass changes ({!Weights.begin_pass}), is
+    checked after the pass (and its renormalization), and is rolled
+    back on violation; the violation is recorded in [quarantined] and,
+    when the {!Cs_obs.Obs} sink is enabled, emitted as a
+    [cat = "resil"] instant + counter. The rest of the sequence
     continues on the restored matrix.
+
+    A sequence that starts with the stock INITTIME ({!Inittime.pass})
+    builds its matrix already masked with {!Weights.create_windowed}
+    rather than filling it uniformly and masking it: the matrix, the
+    trace step, the telemetry and the [observe] call are the same, and
+    the step keeps its span, deadline check and budget (an overrun
+    leaves the uniform matrix).
 
     Time robustness (the driver as an anytime algorithm — W is a valid
     preference matrix after every pass):

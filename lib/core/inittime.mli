@@ -5,3 +5,13 @@
     feasible slot. *)
 
 val pass : unit -> Pass.t
+
+val windows : Context.t -> int array * int array
+(** Each instruction's feasible window as slot indices, clamped to the
+    matrix: [(lo, hi)] with [lo.(i) <= hi.(i)]. *)
+
+val apply : Context.t -> Weights.t -> unit
+(** The pass's body: {!Weights.mask_time_window} to [windows] on every
+    row whose window leaves out a slot. The driver recognises a
+    sequence starting with this pass on a fresh matrix and builds the
+    result directly with {!Weights.create_windowed}. *)

@@ -4,10 +4,8 @@ let apply ~amplitude ctx w =
   let rng = ctx.Context.rng in
   for i = 0 to Weights.n w - 1 do
     (* Only perturb feasible slots: zeroed slots stay zero so NOISE
-       cannot undo INITTIME. The guard also keeps the RNG draw order
-       identical to the per-element loop this kernel replaced. *)
-    Weights.map_row w i (fun _ _ v ->
-        if v > 0.0 then v +. Cs_util.Rng.float rng bound else v)
+       cannot undo INITTIME. *)
+    Weights.add_noise w i rng bound
   done
 
 let pass ?(amplitude = 1.0) () =

@@ -20,9 +20,11 @@
    Marginal caches (cluster sums, time sums, row totals) are
    maintained incrementally by every write and rebuilt exactly by
    [normalize]; a per-row dirty bit records which rows changed since
-   the last [clear_touched], so renormalization, the driver's
-   quarantine gate, and snapshot/rollback all touch only the rows a
-   pass actually wrote.
+   the last [clear_touched], so renormalization and the driver's
+   quarantine gate touch only the rows a pass actually wrote. While a
+   pass is open ([begin_pass]), every writer also saves a row's
+   pre-pass state to an undo log the first time it changes the row, so
+   [rollback] restores exactly those rows and [commit] forgets them.
 
    Each row also carries a live time window [lo.(i)..hi.(i)]: every
    entry outside it is +0.0, bit for bit. INITTIME confines each
@@ -34,12 +36,37 @@
    skipped anyway, and a blend of two +0.0 is +0.0. A non-finite
    factor takes the whole lane, since inf * 0 is NaN and must raise
    as before. Writers keep the window conservative: [create] and the
-   uniform reset give the full window, [mask_time_window] intersects
-   it, [blend] takes the hull of both rows', and [set] / [map_row]
-   widen it over any value they write that is not +0.0. The window
-   only ever over-approximates the non-zero slots. *)
+   uniform reset give the full window, [create_windowed] and
+   [mask_time_window] narrow it, [blend] takes the hull of both rows',
+   [set] widens it over any value it writes that is not +0.0, and
+   [add_noise] only raises positive entries, which are live already.
+   The window only ever over-approximates the non-zero slots. *)
 
 type ba1 = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+(* The undo log of the open pass. Save [k] is the row id, [lo], [hi],
+   a chunk index and an offset into that chunk at [rows.(5k) ..
+   rows.(5k+4)]; there the chunk holds the window's entries lane by
+   lane, then the row's [nc] cluster sums, [nt] time sums and its
+   total. Saves fill [chunks.(0)], then [chunks.(1)], and so on; a
+   chunk is allocated once and never copied, so the log holds no more
+   than its largest pass plus one chunk. Chunks live outside the OCaml
+   heap: the major GC lets the heap grow in proportion to what is live
+   in it, and a log kept there would count several times over. A pass
+   borrows the chunks from its domain (see [spare]). *)
+type undo = {
+  mutable rows : int array;
+  mutable count : int;
+  mutable chunks : ba1 array;
+  mutable chunk : int; (* the chunk being filled *)
+  mutable used : int; (* floats used in it *)
+}
+
+let empty_undo () = { rows = [||]; count = 0; chunks = [||]; chunk = 0; used = 0 }
+let no_chunk : ba1 = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout 0
+
+(* 128 KiB; a row that needs more gets a chunk of its own size. *)
+let chunk_floats = 16384
 
 type t = {
   n : int;
@@ -53,6 +80,9 @@ type t = {
   mutable n_dirty : int;
   lo : int array; (* n: live window start; entries before it are +0.0 *)
   hi : int array; (* n: live window end; entries after it are +0.0 *)
+  mutable logging : bool; (* a pass is open: writers save rows first *)
+  saved : Bytes.t; (* n bytes: rows in the undo log *)
+  undo : undo;
 }
 
 let n t = t.n
@@ -61,16 +91,16 @@ let nt t = t.nt
 
 let idx t i c tt = (((i * t.nc) + c) * t.nt) + tt
 
-let create ~n ~nc ~nt =
-  if n < 0 || nc <= 0 || nt <= 0 then invalid_arg "Weights.create: bad dimensions";
+(* A matrix whose caches and windows are [create]'s but whose entries
+   are not yet written. *)
+let alloc ~ctx ~n ~nc ~nt =
+  if n < 0 || nc <= 0 || nt <= 0 then invalid_arg (ctx ^ ": bad dimensions");
   let v = 1.0 /. float_of_int (nc * nt) in
-  let w = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout (n * nc * nt) in
-  Bigarray.Array1.fill w v;
   {
     n;
     nc;
     nt;
-    w;
+    w = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout (n * nc * nt);
     cluster_sum = Array.make (n * nc) (v *. float_of_int nt);
     time_sum = Array.make (n * nt) (v *. float_of_int nc);
     row_total = Array.make n (v *. float_of_int (nc * nt));
@@ -78,7 +108,90 @@ let create ~n ~nc ~nt =
     n_dirty = 0;
     lo = Array.make n 0;
     hi = Array.make n (nt - 1);
+    logging = false;
+    saved = Bytes.make (max n 1) '\000';
+    undo = empty_undo ();
   }
+
+let create ~n ~nc ~nt =
+  let t = alloc ~ctx:"Weights.create" ~n ~nc ~nt in
+  Bigarray.Array1.fill t.w (1.0 /. float_of_int (nc * nt));
+  t
+
+(* [create], then [mask_time_window w i ~lo:lo.(i) ~hi:hi.(i)] on every
+   row whose window leaves out a slot, then the gate's [normalize_row]
+   on those rows, bit for bit (entries, caches, windows and touched
+   flags), writing each row once. A masked row holds [create]'s [v] in
+   its window, so [normalize_row] divides every entry by one total, the
+   [nc * width] copies of [v] summed in order, and rebuilds each cache
+   as a run of equal terms: all of it depends on the width alone and is
+   computed once per width. A window the mask leaves empty makes that
+   total zero, and [normalize_row] resets the row to uniform over the
+   full window. Every rebuilt row is a positive spread summing to 1, so
+   the gate would pass it. *)
+let create_windowed ~nc ~nt ~lo ~hi =
+  let n = Array.length lo in
+  if Array.length hi <> n then invalid_arg "Weights.create_windowed: lo and hi lengths differ";
+  let t = alloc ~ctx:"Weights.create_windowed" ~n ~nc ~nt in
+  let v = 1.0 /. float_of_int (nc * nt) in
+  let sum_of count x =
+    let s = ref 0.0 in
+    for _ = 1 to count do
+      s := !s +. x
+    done;
+    !s
+  in
+  (* Indexed by width; width 0 stands for the uniform reset. *)
+  let entry = Array.make (nt + 1) 0.0 and known = Bytes.make (nt + 1) '\000' in
+  let lane_sum = Array.make (nt + 1) 0.0 and slot_sum = Array.make (nt + 1) 0.0 in
+  let row_sum = Array.make (nt + 1) 0.0 in
+  let learn width =
+    if Bytes.get known width = '\000' then begin
+      let x = if width = 0 then v else v /. sum_of (nc * width) v in
+      entry.(width) <- x;
+      lane_sum.(width) <- sum_of (if width = 0 then nt else width) x;
+      slot_sum.(width) <- sum_of nc x;
+      row_sum.(width) <- sum_of nc lane_sum.(width);
+      Bytes.set known width '\001'
+    end
+  in
+  let ba = t.w in
+  for i = 0 to n - 1 do
+    let base = i * nc * nt in
+    let l = max 0 lo.(i) and h = min (nt - 1) hi.(i) in
+    if l = 0 && h = nt - 1 then
+      for k = base to base + (nc * nt) - 1 do
+        Bigarray.Array1.unsafe_set ba k v
+      done
+    else begin
+      let width = max 0 (h - l + 1) in
+      let l, h = if width = 0 then (0, nt - 1) else (l, h) in
+      learn width;
+      let x = entry.(width) and slot = slot_sum.(width) in
+      for c = 0 to nc - 1 do
+        let lane = base + (c * nt) in
+        for tt = 0 to l - 1 do
+          Bigarray.Array1.unsafe_set ba (lane + tt) 0.0
+        done;
+        for tt = l to h do
+          Bigarray.Array1.unsafe_set ba (lane + tt) x
+        done;
+        for tt = h + 1 to nt - 1 do
+          Bigarray.Array1.unsafe_set ba (lane + tt) 0.0
+        done;
+        t.cluster_sum.((i * nc) + c) <- lane_sum.(width)
+      done;
+      for tt = 0 to nt - 1 do
+        t.time_sum.((i * nt) + tt) <- (if tt < l || tt > h then 0.0 else slot)
+      done;
+      t.row_total.(i) <- row_sum.(width);
+      t.lo.(i) <- l;
+      t.hi.(i) <- h;
+      Bytes.unsafe_set t.dirty i '\001';
+      t.n_dirty <- t.n_dirty + 1
+    end
+  done;
+  t
 
 let check_index t i c tt =
   if i < 0 || i >= t.n || c < 0 || c >= t.nc || tt < 0 || tt >= t.nt then
@@ -86,7 +199,8 @@ let check_index t i c tt =
 
 let check_row t i = if i < 0 || i >= t.n then invalid_arg "Weights: index out of range"
 
-let bad_value v = not (Float.is_finite v) || v < 0.0
+(* Inlined, or every kernel calling it boxes the value it tests. *)
+let[@inline] bad_value v = not (Float.is_finite v) || v < 0.0
 let reject_value () = invalid_arg "Weights.set: weight must be finite and >= 0"
 
 (* --- dirty-row tracking ------------------------------------------- *)
@@ -122,9 +236,140 @@ let widen t i tt =
   if tt < Array.unsafe_get t.lo i then Array.unsafe_set t.lo i tt;
   if tt > Array.unsafe_get t.hi i then Array.unsafe_set t.hi i tt
 
+let window t i =
+  check_row t i;
+  (t.lo.(i), t.hi.(i))
+
 let full_window t i =
   Array.unsafe_set t.lo i 0;
   Array.unsafe_set t.hi i (t.nt - 1)
+
+(* --- undo log --------------------------------------------------------- *)
+
+let unsaved t i = t.logging && Bytes.unsafe_get t.saved i = '\000'
+
+(* Append row [i]'s live window, [lo]/[hi] and cache slices to the log.
+   Every writer calls this, while a pass is open, before its first
+   change to the row in that pass, so the log holds each changed row's
+   pre-pass state. *)
+let room u ch = if ch < Array.length u.chunks then Bigarray.Array1.dim u.chunks.(ch) else 0
+
+let save_row t i =
+  let u = t.undo and nc = t.nc and nt = t.nt in
+  let lo = Array.unsafe_get t.lo i and hi = Array.unsafe_get t.hi i in
+  let need = (nc * max 0 (hi - lo + 1)) + nc + nt + 1 in
+  if u.used + need > room u u.chunk then begin
+    (* On to the next chunk, unless nothing is in this one yet. *)
+    if u.used > 0 then u.chunk <- u.chunk + 1;
+    u.used <- 0;
+    if u.chunk >= Array.length u.chunks then
+      u.chunks <- Array.append u.chunks (Array.make (max 4 (Array.length u.chunks)) no_chunk);
+    if room u u.chunk < need then
+      u.chunks.(u.chunk) <-
+        Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout (max chunk_floats need)
+  end;
+  let off = u.used in
+  let r = 5 * u.count in
+  if r + 5 > Array.length u.rows then begin
+    let rows = Array.make (max 80 (2 * Array.length u.rows)) 0 in
+    Array.blit u.rows 0 rows 0 r;
+    u.rows <- rows
+  end;
+  u.rows.(r) <- i;
+  u.rows.(r + 1) <- lo;
+  u.rows.(r + 2) <- hi;
+  u.rows.(r + 3) <- u.chunk;
+  u.rows.(r + 4) <- off;
+  let buf = u.chunks.(u.chunk) and ba = t.w in
+  let k = ref off in
+  for c = 0 to nc - 1 do
+    let lane = ((i * nc) + c) * nt in
+    for tt = lo to hi do
+      Bigarray.Array1.unsafe_set buf !k (Bigarray.Array1.unsafe_get ba (lane + tt));
+      incr k
+    done
+  done;
+  for c = 0 to nc - 1 do
+    Bigarray.Array1.unsafe_set buf (!k + c) (Array.unsafe_get t.cluster_sum ((i * nc) + c))
+  done;
+  for tt = 0 to nt - 1 do
+    Bigarray.Array1.unsafe_set buf (!k + nc + tt) (Array.unsafe_get t.time_sum ((i * nt) + tt))
+  done;
+  Bigarray.Array1.unsafe_set buf (!k + nc + nt) (Array.unsafe_get t.row_total i);
+  u.used <- off + need;
+  u.count <- u.count + 1;
+  Bytes.unsafe_set t.saved i '\001'
+
+(* The log's buffers outlive the matrix: the driver builds one matrix
+   per region, and each would otherwise fill its log from fresh
+   chunks. An open pass borrows its domain's buffers, and a closed one
+   hands back whichever of the two holds more chunks. *)
+let spare = Domain.DLS.new_key empty_undo
+
+let close_log t =
+  let u = t.undo in
+  for s = 0 to u.count - 1 do
+    Bytes.unsafe_set t.saved u.rows.(5 * s) '\000'
+  done;
+  u.count <- 0;
+  u.chunk <- 0;
+  u.used <- 0;
+  t.logging <- false;
+  let d = Domain.DLS.get spare in
+  if Array.length u.chunks > Array.length d.chunks then begin
+    d.rows <- u.rows;
+    d.chunks <- u.chunks
+  end;
+  u.rows <- [||];
+  u.chunks <- [||]
+
+let begin_pass t =
+  close_log t;
+  clear_touched t;
+  let u = t.undo and d = Domain.DLS.get spare in
+  u.rows <- d.rows;
+  u.chunks <- d.chunks;
+  d.rows <- [||];
+  d.chunks <- [||];
+  t.logging <- true
+
+let commit = close_log
+
+(* Each saved row gets back its window's entries, its window and its
+   caches. Slots outside the saved window were +0.0 at the save; those
+   a later write made live (a [blend] or [set] widens the window) are
+   zeroed first, so the invariant holds again bit for bit. *)
+let rollback t =
+  let u = t.undo and nc = t.nc and nt = t.nt and ba = t.w in
+  for s = 0 to u.count - 1 do
+    let r = 5 * s in
+    let i = u.rows.(r) and lo = u.rows.(r + 1) and hi = u.rows.(r + 2) in
+    let buf = u.chunks.(u.rows.(r + 3)) and k = ref u.rows.(r + 4) in
+    let clo = Array.unsafe_get t.lo i and chi = Array.unsafe_get t.hi i in
+    for c = 0 to nc - 1 do
+      let lane = ((i * nc) + c) * nt in
+      for tt = clo to min chi (lo - 1) do
+        Bigarray.Array1.unsafe_set ba (lane + tt) 0.0
+      done;
+      for tt = max clo (hi + 1) to chi do
+        Bigarray.Array1.unsafe_set ba (lane + tt) 0.0
+      done;
+      for tt = lo to hi do
+        Bigarray.Array1.unsafe_set ba (lane + tt) (Bigarray.Array1.unsafe_get buf !k);
+        incr k
+      done
+    done;
+    for c = 0 to nc - 1 do
+      Array.unsafe_set t.cluster_sum ((i * nc) + c) (Bigarray.Array1.unsafe_get buf (!k + c))
+    done;
+    for tt = 0 to nt - 1 do
+      Array.unsafe_set t.time_sum ((i * nt) + tt) (Bigarray.Array1.unsafe_get buf (!k + nc + tt))
+    done;
+    Array.unsafe_set t.row_total i (Bigarray.Array1.unsafe_get buf (!k + nc + nt));
+    Array.unsafe_set t.lo i lo;
+    Array.unsafe_set t.hi i hi
+  done;
+  close_log t
 
 (* --- element access ------------------------------------------------ *)
 
@@ -154,6 +399,7 @@ let set t i c tt v =
   if bad_value v then reject_value ();
   let k = idx t i c tt in
   let old = Bigarray.Array1.unsafe_get t.w k in
+  if unsaved t i && Int64.bits_of_float v <> Int64.bits_of_float old then save_row t i;
   Bigarray.Array1.unsafe_set t.w k v;
   if v <> 0.0 || Float.sign_bit v then widen t i tt;
   apply_delta t i c tt (v -. old)
@@ -166,7 +412,9 @@ let scale t i c tt f = set t i c tt (get t i c tt *. f)
    its per-element spelling through [get]/[set]/[scale], unboxed and
    unchecked. The write-and-update-caches body is repeated in each
    rather than shared: without flambda a helper call may box the
-   floats in these hottest loops. *)
+   floats in these hottest loops. A row is saved to the undo log at
+   its first changed entry: no earlier entry was stored, so the row is
+   still as the pass found it. *)
 
 let scale_cluster t i c f =
   if i < 0 || i >= t.n || c < 0 || c >= t.nc then invalid_arg "Weights: index out of range";
@@ -176,6 +424,7 @@ let scale_cluster t i c f =
   let ci = (i * t.nc) + c and ti = i * nt in
   let cs = t.cluster_sum and ts = t.time_sum and rt = t.row_total in
   let finite = Float.is_finite f in
+  let pending = ref (unsaved t i) in
   for tt = (if finite then Array.unsafe_get t.lo i else 0)
       to if finite then Array.unsafe_get t.hi i else nt - 1 do
     let k = base + tt in
@@ -184,6 +433,10 @@ let scale_cluster t i c f =
     if bad_value v then reject_value ();
     let delta = v -. old in
     if delta <> 0.0 then begin
+      if !pending then begin
+        save_row t i;
+        pending := false
+      end;
       Bigarray.Array1.unsafe_set ba k v;
       Array.unsafe_set cs ci (Array.unsafe_get cs ci +. delta);
       Array.unsafe_set ts (ti + tt) (Array.unsafe_get ts (ti + tt) +. delta);
@@ -199,6 +452,7 @@ let scale_time t i tt f =
   let ti = (i * nt) + tt in
   let cs0 = i * t.nc in
   let cs = t.cluster_sum and ts = t.time_sum and rt = t.row_total in
+  let pending = ref (unsaved t i) in
   for c = 0 to t.nc - 1 do
     let k = (((i * t.nc) + c) * nt) + tt in
     let old = Bigarray.Array1.unsafe_get ba k in
@@ -206,6 +460,10 @@ let scale_time t i tt f =
     if bad_value v then reject_value ();
     let delta = v -. old in
     if delta <> 0.0 then begin
+      if !pending then begin
+        save_row t i;
+        pending := false
+      end;
       Bigarray.Array1.unsafe_set ba k v;
       Array.unsafe_set cs (cs0 + c) (Array.unsafe_get cs (cs0 + c) +. delta);
       Array.unsafe_set ts ti (Array.unsafe_get ts ti +. delta);
@@ -225,6 +483,7 @@ let scale_clusters t i factors =
   let nt = t.nt in
   let cs = t.cluster_sum and ts = t.time_sum and rt = t.row_total in
   let lo = Array.unsafe_get t.lo i and hi = Array.unsafe_get t.hi i in
+  let pending = ref (unsaved t i) in
   for c = 0 to t.nc - 1 do
     let f = Array.unsafe_get factors c in
     let base = ((i * t.nc) + c) * nt in
@@ -237,6 +496,10 @@ let scale_clusters t i factors =
       if bad_value v then reject_value ();
       let delta = v -. old in
       if delta <> 0.0 then begin
+        if !pending then begin
+          save_row t i;
+          pending := false
+        end;
         Bigarray.Array1.unsafe_set ba k v;
         Array.unsafe_set cs ci (Array.unsafe_get cs ci +. delta);
         Array.unsafe_set ts (ti + tt) (Array.unsafe_get ts (ti + tt) +. delta);
@@ -246,32 +509,39 @@ let scale_clusters t i factors =
     done
   done
 
-(* Rewrite one row through [f c tt v], in flat (c-major) order. The
-   sweep stays full: [f] may turn a zero non-zero, and NOISE's RNG
-   draw order depends on visiting every slot. A write changes the
-   value, so either the new value is non-zero or the old one was (and
-   [tt] is already live); widening on every write covers both. *)
-let map_row t i f =
+(* NOISE's kernel: add a fresh draw [Rng.float rng bound] to every
+   positive entry of row [i], in flat (c-major) order. Only positive
+   entries draw, and every entry outside the live window is +0.0, so a
+   sweep over the window alone makes the same draws in the same order.
+   A positive entry lies in the window already, so nothing widens. *)
+let add_noise t i rng bound =
   check_row t i;
   let ba = t.w in
   let nt = t.nt in
   let cs = t.cluster_sum and ts = t.time_sum and rt = t.row_total in
+  let lo = Array.unsafe_get t.lo i and hi = Array.unsafe_get t.hi i in
+  let pending = ref (unsaved t i) in
   for c = 0 to t.nc - 1 do
     let base = ((i * t.nc) + c) * nt in
     let ci = (i * t.nc) + c and ti = i * nt in
-    for tt = 0 to nt - 1 do
+    for tt = lo to hi do
       let k = base + tt in
       let old = Bigarray.Array1.unsafe_get ba k in
-      let v = f c tt old in
-      if bad_value v then reject_value ();
-      let delta = v -. old in
-      if delta <> 0.0 then begin
-        Bigarray.Array1.unsafe_set ba k v;
-        Array.unsafe_set cs ci (Array.unsafe_get cs ci +. delta);
-        Array.unsafe_set ts (ti + tt) (Array.unsafe_get ts (ti + tt) +. delta);
-        Array.unsafe_set rt i (Array.unsafe_get rt i +. delta);
-        mark_touched t i;
-        widen t i tt
+      if old > 0.0 then begin
+        let v = old +. Cs_util.Rng.float rng bound in
+        if bad_value v then reject_value ();
+        let delta = v -. old in
+        if delta <> 0.0 then begin
+          if !pending then begin
+            save_row t i;
+            pending := false
+          end;
+          Bigarray.Array1.unsafe_set ba k v;
+          Array.unsafe_set cs ci (Array.unsafe_get cs ci +. delta);
+          Array.unsafe_set ts (ti + tt) (Array.unsafe_get ts (ti + tt) +. delta);
+          Array.unsafe_set rt i (Array.unsafe_get rt i +. delta);
+          mark_touched t i
+        end
       end
     done
   done
@@ -289,6 +559,7 @@ let mask_time_window t i ~lo ~hi =
   let nt = t.nt in
   let cs = t.cluster_sum and ts = t.time_sum and rt = t.row_total in
   let wlo = Array.unsafe_get t.lo i and whi = Array.unsafe_get t.hi i in
+  if (lo > wlo || hi < whi) && unsaved t i then save_row t i;
   for c = 0 to t.nc - 1 do
     let base = ((i * t.nc) + c) * nt in
     let ci = (i * t.nc) + c and ti = i * nt in
@@ -357,6 +628,7 @@ let row_total t i =
    store), and passes the check. The uniform reset writes every slot
    and so restores the full window first. *)
 let normalize_row t i =
+  if unsaved t i then save_row t i;
   let nt = t.nt and nc = t.nc in
   let len = nc * nt in
   let changed = ref false in
@@ -475,6 +747,7 @@ let blend t ~dst ~src ~keep =
     let ba = t.w in
     let drop = 1.0 -. keep in
     let cs = t.cluster_sum and ts = t.time_sum in
+    if unsaved t dst then save_row t dst;
     let lo = min (Array.unsafe_get t.lo dst) (Array.unsafe_get t.lo src)
     and hi = max (Array.unsafe_get t.hi dst) (Array.unsafe_get t.hi src) in
     Array.unsafe_set t.lo dst lo;
@@ -505,7 +778,7 @@ let blend t ~dst ~src ~keep =
 
 let preferred_clusters t = Array.init t.n (fun i -> preferred_cluster t i)
 
-(* --- copy / restore ------------------------------------------------- *)
+(* --- copy ------------------------------------------------------------ *)
 
 let copy t =
   let w = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout (Bigarray.Array1.dim t.w) in
@@ -519,72 +792,10 @@ let copy t =
     dirty = Bytes.copy t.dirty;
     lo = Array.copy t.lo;
     hi = Array.copy t.hi;
+    logging = false;
+    saved = Bytes.make (Bytes.length t.saved) '\000';
+    undo = empty_undo ();
   }
-
-let check_compatible ~ctx src dst =
-  if src.n <> dst.n || src.nc <> dst.nc || src.nt <> dst.nt then
-    invalid_arg (ctx ^ ": dimension mismatch")
-
-let blit ~src ~dst =
-  check_compatible ~ctx:"Weights.blit" src dst;
-  Bigarray.Array1.blit src.w dst.w;
-  Array.blit src.cluster_sum 0 dst.cluster_sum 0 (Array.length src.cluster_sum);
-  Array.blit src.time_sum 0 dst.time_sum 0 (Array.length src.time_sum);
-  Array.blit src.row_total 0 dst.row_total 0 (Array.length src.row_total);
-  Bytes.blit src.dirty 0 dst.dirty 0 (Bytes.length src.dirty);
-  dst.n_dirty <- src.n_dirty;
-  Array.blit src.lo 0 dst.lo 0 src.n;
-  Array.blit src.hi 0 dst.hi 0 src.n
-
-(* Copy only the listed rows — entries, cached marginals and live
-   windows — from [src] into [dst]. With [rows = touched_rows w] this
-   is the O(dirty) half of the driver's quarantine protocol: rollback
-   restores exactly the rows a misbehaving pass wrote, and a successful
-   pass refreshes only those rows in its snapshot. Leaves [dst]'s
-   dirty flags alone. *)
-let sync_rows ~rows ~src ~dst =
-  check_compatible ~ctx:"Weights.sync_rows" src dst;
-  let len = src.nc * src.nt in
-  (* Consecutive rows coalesce into one block copy per run: a dense
-     pass touches every row, and there a single memcpy-backed blit
-     beats both a per-row loop and per-row [Array1.sub] descriptor
-     allocation. [touched_rows] yields rows ascending, so dense dirty
-     sets arrive as one run; short runs keep the plain loop, which is
-     cheaper than two descriptor allocations. *)
-  let sync_run lo hi =
-    let rows_n = hi - lo + 1 in
-    let base = lo * len and count = (hi - lo + 1) * len in
-    if count <= 512 then
-      for k = base to base + count - 1 do
-        Bigarray.Array1.unsafe_set dst.w k (Bigarray.Array1.unsafe_get src.w k)
-      done
-    else
-      Bigarray.Array1.blit
-        (Bigarray.Array1.sub src.w base count)
-        (Bigarray.Array1.sub dst.w base count);
-    Array.blit src.cluster_sum (lo * src.nc) dst.cluster_sum (lo * src.nc)
-      (rows_n * src.nc);
-    Array.blit src.time_sum (lo * src.nt) dst.time_sum (lo * src.nt) (rows_n * src.nt);
-    Array.blit src.row_total lo dst.row_total lo rows_n;
-    Array.blit src.lo lo dst.lo lo rows_n;
-    Array.blit src.hi lo dst.hi lo rows_n
-  in
-  let rec runs = function
-    | [] -> ()
-    | i :: rest ->
-      check_row src i;
-      let lo = i in
-      let rec extend hi = function
-        | j :: rest when j = hi + 1 ->
-          check_row src j;
-          extend j rest
-        | rest -> (hi, rest)
-      in
-      let hi, rest = extend i rest in
-      sync_run lo hi;
-      runs rest
-  in
-  runs rows
 
 (* --- validation ----------------------------------------------------- *)
 

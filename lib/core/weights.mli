@@ -14,11 +14,13 @@
     over the whole row are cached incrementally so preferred slots and
     confidences are O(clusters + slots), as the paper requires.
 
-    Every write also marks its row {e touched}, so renormalization, the
-    driver's quarantine gate and snapshot maintenance run in time
-    proportional to the rows a pass actually wrote (see the
-    [touched_*], {!normalize_validate_touched} and [sync_rows] group
-    below).
+    Every write also marks its row {e touched}, so renormalization and
+    the driver's quarantine gate run in time proportional to the rows a
+    pass actually wrote (see the [touched_*] and
+    {!normalize_validate_touched} group below). While a pass is open,
+    every write also saves its row to an undo log first, so rolling the
+    pass back costs time in proportion to the rows it changed (see
+    {!begin_pass}).
 
     The block is a [Bigarray] float64 array swept by fused unsafe
     kernels. Each fused kernel performs the same floating-point
@@ -29,29 +31,45 @@
     {b Live windows.} Each row [i] carries a live time window
     [lo..hi], with the invariant that every entry of the row outside
     it is [+0.0] (bit for bit; a [-0.0] counts as a value). The window
-    is internal and over-approximates the slots that can be non-zero:
+    ({!window}) over-approximates the slots that can be non-zero:
     - {!create} and the uniform reset of {!normalize} give the full
       window [0..nt-1];
+    - {!create_windowed} gives each row its own window;
     - {!mask_time_window} intersects it with its [lo..hi];
     - {!blend} sets [dst]'s window to the hull of [dst]'s and [src]'s;
-    - {!set} (so {!add} and {!scale}) and {!map_row} widen it over any
-      value they store that is not [+0.0];
-    - {!copy}, {!blit} and {!sync_rows} carry it along.
+    - {!set} (so {!add} and {!scale}) widens it over any value it
+      stores that is not [+0.0];
+    - {!add_noise} keeps it: it only raises positive entries;
+    - {!rollback} restores each saved row's window, and {!copy} carries
+      it along.
 
     The windowed kernels sweep only [lo..hi] of each cluster lane:
-    {!scale_cluster}, {!scale_clusters}, {!normalize} and the fused
-    gate {!normalize_validate_touched} (both sweeps), and {!blend}. A
-    non-finite factor takes the whole lane, as [inf * 0] is NaN. Every
-    result (entries, caches, touched flags, exceptions) is bit-identical
-    to a full-row sweep, since a skipped [+0.0] adds nothing to a sum,
-    scales and blends to [+0.0], and divides to [+0.0]. {!scale_time},
-    {!map_row}, {!get} and the marginal readers are not windowed;
-    {!check_invariants} audits the window. *)
+    {!scale_cluster}, {!scale_clusters}, {!add_noise}, {!normalize} and
+    the fused gate {!normalize_validate_touched} (both sweeps), and
+    {!blend}. A non-finite factor takes the whole lane, as [inf * 0] is
+    NaN. Every result (entries, caches, touched flags, exceptions, RNG
+    draws) is bit-identical to a full-row sweep, since a skipped [+0.0]
+    adds nothing to a sum, scales and blends to [+0.0], divides to
+    [+0.0] and draws no noise. {!scale_time}, {!get} and the marginal
+    readers are not windowed; {!check_invariants} audits the window. *)
 
 type t
 
 val create : n:int -> nc:int -> nt:int -> t
 (** Uniform distribution [1 / (nc * nt)] everywhere. *)
+
+val create_windowed : nc:int -> nt:int -> lo:int array -> hi:int array -> t
+(** The matrix INITTIME and the driver's gate make of a fresh one, in
+    one write per entry: exactly {!create} with [n = Array.length lo],
+    then [mask_time_window w i ~lo:lo.(i) ~hi:hi.(i)] on every row [i]
+    whose window leaves out a slot ([lo.(i) > 0 || hi.(i) < nt - 1]),
+    then {!normalize_validate_touched} (which passes). Entries, caches,
+    windows and touched flags are bit-identical: a row whose window
+    spans every slot keeps {!create}'s entries and caches and stays
+    untouched; a masked row holds [v / total] inside its window and
+    [+0.0] outside, where [v = 1 / (nc * nt)] and [total] sums [v] over
+    the window in {!normalize}'s order, and is touched. [lo] and [hi]
+    must have the same length. *)
 
 val n : t -> int
 val nc : t -> int
@@ -88,11 +106,11 @@ val scale_clusters : t -> int -> float array -> unit
     order — the shape the LOAD / COMM / FEASIBLE / PLACEPROP kernels
     reduce to. *)
 
-val map_row : t -> int -> (int -> int -> float -> float) -> unit
-(** [map_row w i f] rewrites row [i] as [W(i,c,t) <- f c t W(i,c,t)],
-    visiting every entry in flat (cluster-major) order, the zeros
-    outside the live window included: [f] may turn a zero non-zero
-    (and NOISE's RNG draw order depends on the full visit). *)
+val add_noise : t -> int -> Cs_util.Rng.t -> float -> unit
+(** [add_noise w i rng bound] adds [Cs_util.Rng.float rng bound] to
+    every positive entry of row [i], drawing in flat (cluster-major)
+    order — NOISE's kernel. Entries that are not positive draw nothing
+    and stay as they are. *)
 
 val mask_time_window : t -> int -> lo:int -> hi:int -> unit
 (** [mask_time_window w i ~lo ~hi] zeroes every slot of row [i]
@@ -100,6 +118,10 @@ val mask_time_window : t -> int -> lo:int -> hi:int -> unit
     narrows the row's live window to match. Equivalent to
     [set w i c t 0.0] on every such slot (a [-0.0] there becomes
     [+0.0]), without the per-element calls. *)
+
+val window : t -> int -> int * int
+(** Row [i]'s live window [(lo, hi)]: every entry outside it is
+    [+0.0]. Empty ([lo > hi]) after a mask that kept no slot. *)
 
 (** {1 Cached marginals} *)
 
@@ -134,14 +156,27 @@ val touched_rows : t -> int list
 
 val clear_touched : t -> unit
 
-val sync_rows : rows:int list -> src:t -> dst:t -> unit
-(** Copy the listed rows — entries and cached marginals — from [src]
-    into [dst] (same dimensions required). With
-    [rows = touched_rows w] this is the O(touched) half of the
-    quarantine protocol: rollback restores exactly the rows a
-    misbehaving pass wrote ([src] = snapshot, [dst] = w), and a clean
-    pass refreshes only those rows in its snapshot ([src] = w,
-    [dst] = snapshot). [dst]'s touched flags are left alone. *)
+(** {1 Passes and the undo log}
+
+    The driver runs each pass between {!begin_pass} and {!commit} or
+    {!rollback}. While a pass is open, every writer ({!set}, {!add},
+    {!scale}, the fused row kernels, {!mask_time_window}, {!blend} and
+    {!normalize}) saves a row to the undo log before it first changes
+    the row: the row's live window, the entries inside it in every
+    cluster lane, and its cluster sums, time sums and total. Writes
+    made while no pass is open save nothing. *)
+
+val begin_pass : t -> unit
+(** Clear the touched set and open the undo log, empty. *)
+
+val commit : t -> unit
+(** Close the pass and keep its writes; costs O(rows saved). *)
+
+val rollback : t -> unit
+(** Close the pass and restore every saved row to its state at
+    {!begin_pass}, bit for bit: entries (slots a write made live are
+    zeroed again), caches and window. The touched flags are left as
+    the pass set them. *)
 
 (** {1 Preferences and confidence} *)
 
@@ -173,13 +208,10 @@ val blend : t -> dst:int -> src:int -> keep:float -> unit
 val preferred_clusters : t -> int array
 (** Snapshot of every instruction's preferred cluster. *)
 
-(** {1 Copy / restore} *)
+(** {1 Copy} *)
 
 val copy : t -> t
-
-val blit : src:t -> dst:t -> unit
-(** Overwrite [dst] in place with [src]'s contents (entries, cached
-    marginals and touched flags). Dimensions must match. *)
+(** A deep copy with the same touched flags and no open pass. *)
 
 (** {1 Validation} *)
 

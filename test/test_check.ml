@@ -162,6 +162,54 @@ let test_oracle_catches_late_arrival () =
   let stats, _ = Cs_check.Fuzz.run ~shrink:false ~transform:shave ~seeds:(0, 60) () in
   check_bool "caught" true (stats.Cs_check.Fuzz.violations > 0)
 
+let test_oracle_chaos_judge () =
+  (* A real CHAOS pass is rolled back, so the sequence without it must
+     schedule identically. A pass that only calls itself CHAOS and
+     writes an accepted change is not rolled back: the judge must see
+     the difference. *)
+  let machine = Cs_machine.Vliw.create ~n_clusters:4 () in
+  let region =
+    (Option.get (Cs_workloads.Suite.find "jacobi")).Cs_workloads.Suite.generate ~clusters:4 ()
+  in
+  let scenario extra =
+    {
+      Cs_check.Scenario.label = "chaos";
+      seed = 1;
+      machine;
+      faults = [];
+      region;
+      spec = Cs_check.Scenario.Passes (Cs_core.Sequence.vliw_default () @ [ extra ]);
+    }
+  in
+  let impostor =
+    Cs_core.Pass.make ~params:[ ("mode", 0.0) ] ~name:"CHAOS" ~kind:Cs_core.Pass.Space
+      (fun _ w ->
+        for i = 0 to Cs_core.Weights.n w - 1 do
+          Cs_core.Weights.scale_cluster w i 1 50.0
+        done)
+  in
+  List.iter
+    (fun mode ->
+      check_bool (Printf.sprintf "mode %d rolled back" mode) true
+        (Cs_check.Oracle.run (scenario (Cs_core.Chaos.pass ~mode ())) = Ok ()))
+    [ 0; 1; 3; 4 ];
+  match Cs_check.Oracle.run (scenario impostor) with
+  | Error v -> Alcotest.(check string) "judge" "chaos" v.Cs_check.Oracle.check
+  | Ok () -> Alcotest.fail "an accepted CHAOS write went unnoticed"
+
+let test_oracle_chaos_sweep () =
+  (* Degraded seeds 400..700 splice CHAOS passes the driver must roll
+     back, three of them (423, 443, 681) where skipping the rollback
+     changes the schedule: the chaos judge makes the sweep an
+     end-to-end check of the undo log. *)
+  let stats, findings = Cs_check.Fuzz.run ~shrink:false ~degraded:true ~seeds:(400, 700) () in
+  (match findings with
+  | [] -> ()
+  | f :: _ ->
+    Alcotest.failf "degraded seed %d (%s) violated %s: %s" f.Cs_check.Fuzz.seed
+      f.Cs_check.Fuzz.label f.Cs_check.Fuzz.check f.Cs_check.Fuzz.detail);
+  check_int "violations" 0 stats.Cs_check.Fuzz.violations
+
 (* --- shrinker --- *)
 
 let test_shrink_isolates_marked_instruction () =
@@ -293,6 +341,9 @@ let () =
           Alcotest.test_case "dropped comms caught + minimized" `Slow
             test_injected_bug_caught_and_minimized;
           Alcotest.test_case "late arrival caught" `Slow test_oracle_catches_late_arrival;
+          Alcotest.test_case "chaos judge" `Quick test_oracle_chaos_judge;
+          Alcotest.test_case "chaos rollback sweep (degraded seeds 400..700)" `Slow
+            test_oracle_chaos_sweep;
           Alcotest.test_case "clean on degraded machines (seeds 0..80)" `Slow
             test_oracle_clean_degraded ] );
       ( "shrink",

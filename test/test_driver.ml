@@ -265,6 +265,252 @@ let test_quarantine_mid_sequence_churn () =
         result.Driver.assignment)
     [ 3; 4 ]
 
+(* --- Fused INITTIME and the undo log --- *)
+
+let table1 =
+  List.map
+    (fun (e : Cs_workloads.Suite.entry) ->
+      ("raw16/" ^ e.Cs_workloads.Suite.name, raw16, e.Cs_workloads.Suite.generate ~clusters:16 ()))
+    Cs_workloads.Suite.raw_suite
+  @ List.map
+      (fun (e : Cs_workloads.Suite.entry) ->
+        ("vliw4/" ^ e.Cs_workloads.Suite.name, vliw4, e.Cs_workloads.Suite.generate ~clusters:4 ()))
+      Cs_workloads.Suite.vliw_suite
+
+(* Random DAGs on random machines: the fuzzer's healthy cases. *)
+let random_dags =
+  List.init 24 (fun seed ->
+      let sc = Cs_check.Gen.case ~seed in
+      ( Printf.sprintf "fuzz%d/%s" seed sc.Cs_check.Scenario.label,
+        sc.Cs_check.Scenario.machine,
+        sc.Cs_check.Scenario.region ))
+
+let default_sequence machine =
+  if Cs_machine.Machine.is_mesh machine then Sequence.raw_default ()
+  else Sequence.vliw_default ()
+
+(* The first difference between two matrices, bit for bit: entries, the
+   three caches, live windows and touched flags. *)
+let matrix_diff a b =
+  let bits = Int64.bits_of_float in
+  let diff = ref None in
+  let note fmt = Printf.ksprintf (fun m -> if !diff = None then diff := Some m) fmt in
+  if (Weights.n a, Weights.nc a, Weights.nt a) <> (Weights.n b, Weights.nc b, Weights.nt b)
+  then note "dimensions"
+  else
+    for i = 0 to Weights.n a - 1 do
+      if Weights.window a i <> Weights.window b i then note "row %d window" i;
+      if Weights.is_touched a i <> Weights.is_touched b i then note "row %d touched flag" i;
+      if bits (Weights.row_total a i) <> bits (Weights.row_total b i) then note "row %d total" i;
+      for c = 0 to Weights.nc a - 1 do
+        if bits (Weights.cluster_weight a i c) <> bits (Weights.cluster_weight b i c) then
+          note "row %d cluster sum %d" i c;
+        for t = 0 to Weights.nt a - 1 do
+          if bits (Weights.get a i c t) <> bits (Weights.get b i c t) then
+            note "entry (%d,%d,%d)" i c t
+        done
+      done;
+      for t = 0 to Weights.nt a - 1 do
+        if bits (Weights.time_weight a i t) <> bits (Weights.time_weight b i t) then
+          note "row %d time sum %d" i t
+      done
+    done;
+  !diff
+
+let check_same_matrix label a b =
+  match matrix_diff a b with
+  | None -> ()
+  | Some d -> Alcotest.failf "%s: matrices differ at %s" label d
+
+let test_create_windowed_is_inittime () =
+  List.iter
+    (fun (label, machine, region) ->
+      let ctx = Context.make ~machine region in
+      let nc = Context.n_clusters ctx and nt = ctx.Context.nt in
+      let lo, hi = Inittime.windows ctx in
+      let fused = Weights.create_windowed ~nc ~nt ~lo ~hi in
+      let w = Weights.create ~n:(Context.n_instrs ctx) ~nc ~nt in
+      Inittime.apply ctx w;
+      check_bool (label ^ " gate passes") true (Weights.normalize_validate_touched w = Ok ());
+      check_same_matrix label fused w)
+    (table1 @ random_dags)
+
+(* INITTIME as a closure of its own: the driver no longer recognises it,
+   so the sequence takes the general path. *)
+let general_inittime passes =
+  List.map
+    (fun p ->
+      if p.Pass.apply == Inittime.apply then
+        { p with Pass.apply = (fun ctx w -> Inittime.apply ctx w) }
+      else p)
+    passes
+
+(* Everything a run reports: the trace, the quarantines (reasons name
+   measured times, so only who and when), the convergence telemetry,
+   what [observe] saw, the extraction and the final matrix. *)
+let observed_run run =
+  let seen = ref [] in
+  let observe name w = seen := (name, Weights.preferred_clusters w) :: !seen in
+  Cs_obs.Obs.reset ();
+  Cs_obs.Obs.enable ();
+  let result = Fun.protect ~finally:Cs_obs.Obs.disable (fun () -> run ~observe) in
+  let telemetry =
+    List.filter_map
+      (fun (e : Cs_obs.Obs.event) ->
+        if e.Cs_obs.Obs.cat = "converge" then Some (e.Cs_obs.Obs.name, e.Cs_obs.Obs.args)
+        else None)
+      (Cs_obs.Obs.events ())
+  in
+  Cs_obs.Obs.reset ();
+  (result, telemetry, List.rev !seen)
+
+let check_same_run label (a, ta, sa) (b, tb, sb) =
+  let steps r =
+    List.map
+      (fun (s : Trace.step) -> (s.Trace.pass_name, s.Trace.changed))
+      r.Driver.trace
+  in
+  let quarantines r =
+    List.map (fun (q : Driver.quarantine) -> (q.Driver.pass_name, q.Driver.round))
+      r.Driver.quarantined
+  in
+  Alcotest.(check (list (pair string int))) (label ^ " trace") (steps b) (steps a);
+  Alcotest.(check (list (pair string int))) (label ^ " quarantines") (quarantines b)
+    (quarantines a);
+  check_bool (label ^ " timed out") b.Driver.timed_out a.Driver.timed_out;
+  check_bool (label ^ " telemetry") true (ta = tb);
+  check_bool (label ^ " observe") true (sa = sb);
+  Alcotest.(check (array int)) (label ^ " assignment") b.Driver.assignment a.Driver.assignment;
+  Alcotest.(check (array int)) (label ^ " slots") b.Driver.preferred_slot
+    a.Driver.preferred_slot;
+  check_same_matrix label a.Driver.weights b.Driver.weights
+
+(* The fused INITTIME against the general path on every Table 1 region
+   and on random DAGs: plainly, with every pass overrunning its budget
+   (INITTIME rolls back to the uniform matrix), with the deadline
+   already expired (INITTIME is skipped), and over two rounds. *)
+let test_fused_inittime_equals_general () =
+  List.iter
+    (fun (label, machine, region) ->
+      let passes = default_sequence machine in
+      let both name run =
+        let fused = observed_run (run passes) in
+        let general = observed_run (run (general_inittime passes)) in
+        check_same_run (label ^ " " ^ name) fused general
+      in
+      both "run" (fun passes ~observe -> Driver.run ~seed:7 ~observe ~machine region passes);
+      both "overrun" (fun passes ~observe ->
+          Driver.run ~seed:7 ~observe ~pass_budget_s:(-1.0) ~machine region passes);
+      both "expired" (fun passes ~observe ->
+          Driver.run ~seed:7 ~observe ~deadline:(Cs_obs.Clock.now () -. 1.0) ~machine region
+            passes);
+      both "iterative" (fun passes ~observe ->
+          fst
+            (Driver.run_iterative ~seed:7 ~observe ~max_rounds:2 ~epsilon:0.0 ~machine region
+               passes)))
+    (table1 @ random_dags)
+
+(* Sabotage passes for the rollback property. None draws from the
+   context's RNG, so a run without them sees the same random stream. *)
+let sabotage_raise_mid_row =
+  (* Every row is scaled cluster by cluster; in the first row past the
+     middle with mass on its last cluster, that lane's factor is
+     negative, so the pass raises after writing the earlier lanes. *)
+  Pass.make ~name:"RAISE" ~kind:Pass.Space (fun _ w ->
+      let n = Weights.n w and nc = Weights.nc w in
+      let target = ref (-1) in
+      for i = n - 1 downto n / 2 do
+        if Weights.cluster_weight w i (nc - 1) > 0.0 then target := i
+      done;
+      for i = 0 to n - 1 do
+        Weights.scale_clusters w i
+          (Array.init nc (fun c ->
+               if i = !target && c = nc - 1 then -1.0 else 2.0 +. float_of_int c))
+      done;
+      failwith "RAISE: no row to raise on")
+
+let widen w =
+  (* Blends take the hull of two rows' windows and [set] widens over
+     what it stores, so rows become live where they were +0.0. *)
+  for i = 1 to Weights.n w - 1 do
+    Weights.blend w ~dst:i ~src:(i - 1) ~keep:0.5
+  done;
+  if Weights.n w > 0 then Weights.set w 0 0 (Weights.nt w - 1) 1.0
+
+let sabotage_widen_then_raise =
+  Pass.make ~name:"WIDEN" ~kind:Pass.Spacetime (fun _ w ->
+      widen w;
+      failwith "WIDEN")
+
+let overrun_budget_s = 0.25
+
+let sabotage_widen_then_overrun =
+  Pass.make ~name:"SLOW" ~kind:Pass.Spacetime (fun _ w ->
+      widen w;
+      let t0 = Cs_obs.Clock.now () in
+      while Cs_obs.Clock.since t0 < 2.0 *. overrun_budget_s do
+        ignore (Sys.opaque_identity ())
+      done)
+
+(* A quarantined pass must leave the matrix exactly as if it had never
+   run: the run with it inserted ends bit for bit where the run without
+   it does, with the same churn at every other step. Inserting it first
+   also rolls it back on top of the general INITTIME path, against the
+   fused one. *)
+let rollback_run ?pass_budget_s machine region passes =
+  observed_run (fun ~observe -> Driver.run ~seed:9 ~observe ?pass_budget_s ~machine region passes)
+
+let check_rollback_is_absence ?pass_budget_s ~clean label machine region sabotage ~at =
+  let passes =
+    List.concat
+      (List.mapi
+         (fun k p -> if k = at then [ sabotage; p ] else [ p ])
+         (default_sequence machine))
+  in
+  let r, tr, sr = rollback_run ?pass_budget_s machine region passes in
+  let c, tc, sc = clean in
+  let label = Printf.sprintf "%s %s at %d" label sabotage.Pass.name at in
+  Alcotest.(check (list (pair string int))) (label ^ " quarantined")
+    [ (sabotage.Pass.name, 1) ]
+    (List.map (fun (q : Driver.quarantine) -> (q.Driver.pass_name, q.Driver.round))
+       r.Driver.quarantined);
+  let drop l = List.filteri (fun k _ -> k <> at) l in
+  let steps =
+    List.map (fun (s : Trace.step) -> (s.Trace.pass_name, s.Trace.changed)) r.Driver.trace
+  in
+  Alcotest.(check (pair string int)) (label ^ " no churn") (sabotage.Pass.name, 0)
+    (List.nth steps at);
+  check_same_run label
+    ({ r with Driver.trace = drop r.Driver.trace; quarantined = [] }, drop tr, drop sr)
+    (c, tc, sc)
+
+let test_rollback_is_absence () =
+  List.iter
+    (fun (label, machine, region) ->
+      let mid = List.length (default_sequence machine) / 2 in
+      let clean = rollback_run machine region (default_sequence machine) in
+      List.iter
+        (fun at ->
+          check_rollback_is_absence ~clean label machine region sabotage_raise_mid_row ~at;
+          check_rollback_is_absence ~clean label machine region sabotage_widen_then_raise ~at;
+          (* On one cluster the home lane is the whole row: mode 3
+             zeroes it, and the gate resets it to uniform and accepts. *)
+          if
+            Cs_ddg.Graph.preplaced region.Cs_ddg.Region.graph <> []
+            && Cs_machine.Machine.n_clusters machine > 1
+          then
+            check_rollback_is_absence ~clean label machine region (Chaos.pass ~mode:3 ()) ~at)
+        [ 0; 1; mid ])
+    (table1 @ random_dags)
+
+let test_overrun_rollback_is_absence () =
+  List.iter
+    (fun (label, machine, region) ->
+      let clean = rollback_run machine region (default_sequence machine) in
+      check_rollback_is_absence ~pass_budget_s:overrun_budget_s ~clean label machine region
+        sabotage_widen_then_overrun ~at:3)
+    (List.filter (fun (l, _, _) -> l = "raw16/jacobi" || l = "vliw4/mxm") table1)
+
 let test_context_rejects_invalid_region () =
   let b = Cs_ddg.Builder.create ~name:"bad" () in
   let addr = Cs_ddg.Builder.op0 b Cs_ddg.Opcode.Const in
@@ -355,6 +601,16 @@ let () =
             test_pass_dirties_exactly_written_rows;
           Alcotest.test_case "defaults never quarantined" `Quick
             test_no_quarantines_on_default_sequences;
+        ] );
+      ( "undo",
+        [
+          Alcotest.test_case "create_windowed = create + INITTIME + gate" `Quick
+            test_create_windowed_is_inittime;
+          Alcotest.test_case "fused INITTIME = general path" `Quick
+            test_fused_inittime_equals_general;
+          Alcotest.test_case "rollback = pass never ran" `Quick test_rollback_is_absence;
+          Alcotest.test_case "overrun rollback = pass never ran" `Slow
+            test_overrun_rollback_is_absence;
         ] );
       ( "context",
         [

@@ -168,22 +168,6 @@ let test_copy_is_deep () =
   Weights.set w 0 0 0 0.9;
   check_float "copy unchanged" 0.5 (Weights.get c 0 0 0)
 
-let test_blit_restores () =
-  let w = Weights.create ~n:2 ~nc:2 ~nt:2 in
-  Weights.scale_cluster w 0 1 4.0;
-  Weights.normalize_all w;
-  let snapshot = Weights.copy w in
-  Weights.scale_cluster w 0 0 9.0;
-  Weights.normalize_all w;
-  Weights.blit ~src:snapshot ~dst:w;
-  check_float "entry restored" (Weights.get snapshot 0 1 0) (Weights.get w 0 1 0);
-  check_int "preference restored" 1 (Weights.preferred_cluster w 0);
-  check_bool "caches restored too" true (ok_invariants w);
-  let small = Weights.create ~n:1 ~nc:2 ~nt:2 in
-  Alcotest.check_raises "dimension mismatch"
-    (Invalid_argument "Weights.blit: dimension mismatch") (fun () ->
-      Weights.blit ~src:small ~dst:w)
-
 let test_validate_gate () =
   let w = Weights.create ~n:2 ~nc:2 ~nt:2 in
   check_bool "fresh matrix sane" true (Weights.validate w = Ok ());
@@ -239,7 +223,7 @@ let test_noop_writes_do_not_dirty () =
   Weights.scale_cluster w 1 1 1.0;
   Weights.scale_clusters w 2 [| 1.0; 1.0 |];
   Weights.add w 2 1 1 0.0;
-  Weights.map_row w 2 (fun _ _ v -> v);
+  Weights.add_noise w 2 (Cs_util.Rng.create 7) 0.0;
   check_int "no dirty rows" 0 (Weights.touched_count w)
 
 let test_normalize_touched_only_touched () =
@@ -249,19 +233,19 @@ let test_normalize_touched_only_touched () =
   check_float "touched row renormalized" 1.0 (Weights.row_total w 1);
   check_bool "invariants" true (ok_invariants w)
 
-let test_sync_rows_restores_exact_rows () =
+let test_rollback_restores_exact_rows () =
   let w = Weights.create ~n:4 ~nc:2 ~nt:2 in
   Weights.scale_cluster w 0 1 4.0;
   Weights.scale_cluster w 2 0 7.0;
   Weights.normalize_all w;
   let snapshot = Weights.copy w in
-  Weights.clear_touched w;
+  Weights.begin_pass w;
   Weights.scale_cluster w 1 0 9.0;
   Weights.scale_cluster w 3 1 5.0;
   ignore (Weights.normalize_validate_touched w);
   Alcotest.(check (list int)) "pass wrote rows 1,3" [ 1; 3 ] (Weights.touched_rows w);
-  (* Rollback: only the touched rows come back from the snapshot. *)
-  Weights.sync_rows ~rows:(Weights.touched_rows w) ~src:snapshot ~dst:w;
+  (* Rollback: the rows the pass wrote come back as they were. *)
+  Weights.rollback w;
   for i = 0 to 3 do
     for c = 0 to 1 do
       for t = 0 to 1 do
@@ -272,7 +256,64 @@ let test_sync_rows_restores_exact_rows () =
         (Weights.cluster_weight w i c = Weights.cluster_weight snapshot i c)
     done
   done;
-  check_bool "caches consistent" true (ok_invariants w)
+  Alcotest.(check (list int)) "touched flags kept" [ 1; 3 ] (Weights.touched_rows w);
+  check_bool "caches consistent" true (ok_invariants w);
+  (* A write with no pass open is not logged: rollback keeps it. *)
+  Weights.scale_cluster w 0 0 3.0;
+  Weights.rollback w;
+  check_bool "unlogged write kept" true (Weights.get w 0 0 0 <> Weights.get snapshot 0 0 0)
+
+(* Each open pass has a log of its own, even with two open at once in
+   one domain (the log's buffers are lent out per pass). *)
+let test_two_open_passes () =
+  let a = Weights.create ~n:3 ~nc:2 ~nt:4 and b = Weights.create ~n:3 ~nc:2 ~nt:4 in
+  Weights.scale_cluster b 1 0 3.0;
+  Weights.normalize_all b;
+  let a0 = Weights.copy a and b0 = Weights.copy b in
+  Weights.begin_pass a;
+  Weights.scale_cluster a 0 1 5.0;
+  Weights.begin_pass b;
+  Weights.scale_cluster b 2 1 7.0;
+  Weights.scale_cluster a 2 0 9.0;
+  Weights.rollback b;
+  Weights.scale_cluster a 1 1 4.0;
+  Weights.rollback a;
+  for i = 0 to 2 do
+    for c = 0 to 1 do
+      for t = 0 to 3 do
+        check_bool "a restored" true (Weights.get a i c t = Weights.get a0 i c t);
+        check_bool "b restored" true (Weights.get b i c t = Weights.get b0 i c t)
+      done
+    done
+  done
+
+(* Rows too long for one chunk of the log, and more saves than one
+   chunk holds, restore like any other. *)
+let test_rollback_long_rows () =
+  List.iter
+    (fun (n, nt) ->
+      let w = Weights.create ~n ~nc:4 ~nt in
+      for i = 0 to n - 1 do
+        Weights.scale_cluster w i (i mod 4) (1.0 +. float_of_int i)
+      done;
+      Weights.normalize_all w;
+      let before = Weights.copy w in
+      Weights.begin_pass w;
+      for i = 0 to n - 1 do
+        Weights.scale_clusters w i [| 2.0; 3.0; 0.5; 4.0 |];
+        Weights.blend w ~dst:i ~src:((i + 1) mod n) ~keep:0.25
+      done;
+      Weights.rollback w;
+      for i = 0 to n - 1 do
+        for c = 0 to 3 do
+          for t = 0 to nt - 1 do
+            if Weights.get w i c t <> Weights.get before i c t then
+              Alcotest.failf "n=%d nt=%d: entry (%d,%d,%d) not restored" n nt i c t
+          done
+        done
+      done;
+      check_bool "caches consistent" true (ok_invariants w))
+    [ (3, 6000); (200, 100) ]
 
 (* --- Property suites ------------------------------------------------ *)
 
@@ -285,7 +326,7 @@ type op =
   | Scale_cluster of int * int * float
   | Scale_time of int * int * float
   | Scale_clusters of int * float array
-  | Map_row of int * float
+  | Noise of int * float * int
   | Mask of int * int * int
   | Blend of int * int * float
   | Normalize of int
@@ -310,7 +351,7 @@ let op_gen =
           map
             (fun (i, fs) -> Scale_clusters (i, Array.of_list fs))
             (tup2 i (list_repeat pnc v)) );
-        (2, map (fun (i, f) -> Map_row (i, f)) (tup2 i v));
+        (2, map (fun (i, f, seed) -> Noise (i, f, seed)) (tup3 i v nat));
         (* Masks narrow the rows' live windows; bounds may fall outside
            [0, nt). *)
         ( 2,
@@ -333,7 +374,7 @@ let apply_op w = function
   | Scale_cluster (i, c, v) -> Weights.scale_cluster w i c v
   | Scale_time (i, t, v) -> Weights.scale_time w i t v
   | Scale_clusters (i, fs) -> Weights.scale_clusters w i fs
-  | Map_row (i, f) -> Weights.map_row w i (fun _ _ v -> v *. f)
+  | Noise (i, f, seed) -> Weights.add_noise w i (Cs_util.Rng.create seed) f
   | Mask (i, lo, hi) -> Weights.mask_time_window w i ~lo ~hi
   | Blend (d, s, k) -> Weights.blend w ~dst:d ~src:s ~keep:k
   | Normalize i -> Weights.normalize w i
@@ -399,7 +440,7 @@ type kernel =
   | K_scale_cluster of int * int * float
   | K_scale_time of int * int * float
   | K_scale_clusters of int * float array
-  | K_map_row of int * float
+  | K_noise of int * float * int
   | K_mask_time_window of int * int * int
 
 let kernel_gen =
@@ -413,22 +454,18 @@ let kernel_gen =
         map (fun (i, c, v) -> K_scale_cluster (i, c, v)) (tup3 i c v);
         map (fun (i, t, v) -> K_scale_time (i, t, v)) (tup3 i t v);
         map (fun (i, fs) -> K_scale_clusters (i, Array.of_list fs)) (tup2 i (list_repeat pnc v));
-        map (fun (i, f) -> K_map_row (i, f)) (tup2 i v);
+        map (fun (i, f, seed) -> K_noise (i, f, seed)) (tup3 i v nat);
         (* Window bounds may fall outside [0, nt). *)
         map
           (fun (i, lo, hi) -> K_mask_time_window (i, lo - 1, hi - 1))
           (tup3 i (int_bound (pnt + 1)) (int_bound (pnt + 1)));
       ])
 
-(* [map_row]'s function depends on the cluster and slot, so a kernel
-   visiting entries out of order would not match its spelling. *)
-let map_row_f f c t v = v *. f *. float_of_int (1 + c + (2 * t))
-
 let fused w = function
   | K_scale_cluster (i, c, f) -> Weights.scale_cluster w i c f
   | K_scale_time (i, t, f) -> Weights.scale_time w i t f
   | K_scale_clusters (i, fs) -> Weights.scale_clusters w i fs
-  | K_map_row (i, f) -> Weights.map_row w i (map_row_f f)
+  | K_noise (i, f, seed) -> Weights.add_noise w i (Cs_util.Rng.create seed) f
   | K_mask_time_window (i, lo, hi) -> Weights.mask_time_window w i ~lo ~hi
 
 let per_element w = function
@@ -446,10 +483,14 @@ let per_element w = function
         Weights.scale w i c t fs.(c)
       done
     done
-  | K_map_row (i, f) ->
+  | K_noise (i, f, seed) ->
+    (* Draws in flat order, so a kernel visiting entries out of order
+       would not match its spelling. *)
+    let rng = Cs_util.Rng.create seed in
     for c = 0 to pnc - 1 do
       for t = 0 to pnt - 1 do
-        Weights.set w i c t (map_row_f f c t (Weights.get w i c t))
+        let v = Weights.get w i c t in
+        if v > 0.0 then Weights.set w i c t (v +. Cs_util.Rng.float rng f)
       done
     done
   | K_mask_time_window (i, lo, hi) ->
@@ -547,7 +588,7 @@ let test_normalize_pointwise_qcheck =
       (fun (ops, i, zero, clear) ->
         let w = run_ops ops in
         (* A zeroed row must come back uniform. *)
-        if zero then Weights.map_row w i (fun _ _ _ -> 0.0);
+        if zero then Weights.mask_time_window w i ~lo:1 ~hi:0;
         if clear then Weights.clear_touched w;
         let before = Weights.copy w in
         let old = entries w i in
@@ -704,10 +745,13 @@ module Full = struct
       write m i c tt (m.e.(k i c tt) *. f)
     done
 
-  let map_row m i f =
+  (* NOISE as a full-row sweep: every slot is visited and rewritten,
+     and only positive ones draw. *)
+  let noise m i rng bound =
     for c = 0 to nc - 1 do
       for tt = 0 to nt - 1 do
-        write m i c tt (f c tt m.e.(k i c tt))
+        let v = m.e.(k i c tt) in
+        write m i c tt (if v > 0.0 then v +. Cs_util.Rng.float rng bound else v)
       done
     done
 
@@ -817,30 +861,31 @@ module Full = struct
 
   let touched_rows m = List.filter (fun i -> m.dirty.(i)) (List.init n Fun.id)
 
-  let sync_rows ~rows ~src ~dst =
-    List.iter
-      (fun i ->
-        Array.blit src.e (i * nc * nt) dst.e (i * nc * nt) (nc * nt);
-        Array.blit src.cs (i * nc) dst.cs (i * nc) nc;
-        Array.blit src.ts (i * nt) dst.ts (i * nt) nt;
-        dst.rt.(i) <- src.rt.(i))
-      rows
+  (* Snapshot rollback: the whole matrix as it was when the pass
+     opened, the touched flags as the pass left them. *)
+  let restore ~snap m =
+    Array.blit snap.e 0 m.e 0 (Array.length m.e);
+    Array.blit snap.cs 0 m.cs 0 (Array.length m.cs);
+    Array.blit snap.ts 0 m.ts 0 (Array.length m.ts);
+    Array.blit snap.rt 0 m.rt 0 (Array.length m.rt)
 end
 
 (* One step of the window property, run on the library and the model.
-   [Commit] and [Rollback] are the driver's snapshot protocol, a
-   [sync_rows] of the touched rows one way or the other. *)
+   [W_begin], [W_commit] and [W_rollback] are the driver's pass
+   protocol: the library's undo log against a snapshot of the whole
+   model taken when the pass opens. *)
 type wop =
   | W_set of int * int * int * float
   | W_scale_cluster of int * int * float
   | W_scale_time of int * int * float
   | W_scale_clusters of int * float array
-  | W_map_row of int * float * float
+  | W_noise of int * float * int
   | W_mask of int * int * int
   | W_blend of int * int * float
   | W_normalize of int
   | W_gate
   | W_clear
+  | W_begin
   | W_commit
   | W_rollback
 
@@ -889,25 +934,21 @@ let wop_gen =
           map
             (fun (i, fs) -> W_scale_clusters (i, Array.of_list fs))
             (pair i (oneof [ list_repeat Full.nc factor; return [ 0.0; 0.0; 0.0 ] ])) );
-        ( 2,
-          map
-            (fun (i, f, g) -> W_map_row (i, f, g))
-            (triple i factor (frequency [ (3, float_bound_inclusive 0.5); (1, return 0.0) ])) );
+        (2, map (fun (i, f, seed) -> W_noise (i, f, seed)) (triple i factor nat));
         (4, map (fun (i, (lo, hi)) -> W_mask (i, lo, hi)) (pair i window));
         (4, map (fun (d, s, k) -> W_blend (d, s, k)) (triple i i keep));
         (2, map (fun i -> W_normalize i) i);
         (2, return W_gate);
         (1, return W_clear);
+        (2, return W_begin);
         (1, return W_commit);
-        (1, return W_rollback);
+        (2, return W_rollback);
       ])
 
-(* [map_row]'s function writes into every third slot, zero or not. *)
-let wmap f g c t v = if (c + t) mod 3 = 0 then (v *. f) +. g else v *. f
-
 (* Runs [op] on both and tells whether they agree on its outcome:
-   [Ok ()], the gate's verdict, or the [Invalid_argument] raised. *)
-let same_outcome (w, snap) (m, msnap) op =
+   [Ok ()], the gate's verdict, or the [Invalid_argument] raised.
+   [msnap] is the model's snapshot while a pass is open. *)
+let same_outcome w (m, msnap) op =
   let unit f () =
     f ();
     Ok ()
@@ -924,9 +965,9 @@ let same_outcome (w, snap) (m, msnap) op =
     | W_scale_clusters (i, fs) ->
       ( unit (fun () -> Weights.scale_clusters w i fs),
         unit (fun () -> Full.scale_clusters m i fs) )
-    | W_map_row (i, f, g) ->
-      ( unit (fun () -> Weights.map_row w i (wmap f g)),
-        unit (fun () -> Full.map_row m i (wmap f g)) )
+    | W_noise (i, f, seed) ->
+      ( unit (fun () -> Weights.add_noise w i (Cs_util.Rng.create seed) f),
+        unit (fun () -> Full.noise m i (Cs_util.Rng.create seed) f) )
     | W_mask (i, lo, hi) ->
       ( unit (fun () -> Weights.mask_time_window w i ~lo ~hi),
         unit (fun () -> Full.mask m i ~lo ~hi) )
@@ -942,12 +983,17 @@ let same_outcome (w, snap) (m, msnap) op =
     | W_clear ->
       ( unit (fun () -> Weights.clear_touched w),
         unit (fun () -> Array.fill m.Full.dirty 0 Full.n false) )
-    | W_commit ->
-      ( unit (fun () -> Weights.sync_rows ~rows:(Weights.touched_rows w) ~src:w ~dst:snap),
-        unit (fun () -> Full.sync_rows ~rows:(Full.touched_rows m) ~src:m ~dst:msnap) )
+    | W_begin ->
+      ( unit (fun () -> Weights.begin_pass w),
+        unit (fun () ->
+            Array.fill m.Full.dirty 0 Full.n false;
+            msnap := Some (Full.copy m)) )
+    | W_commit -> (unit (fun () -> Weights.commit w), unit (fun () -> msnap := None))
     | W_rollback ->
-      ( unit (fun () -> Weights.sync_rows ~rows:(Weights.touched_rows w) ~src:snap ~dst:w),
-        unit (fun () -> Full.sync_rows ~rows:(Full.touched_rows m) ~src:msnap ~dst:m) )
+      ( unit (fun () -> Weights.rollback w),
+        unit (fun () ->
+            Option.iter (fun snap -> Full.restore ~snap m) !msnap;
+            msnap := None) )
   in
   let outcome f = try f () with Invalid_argument e -> Error ("raised " ^ e) in
   outcome lib = outcome model
@@ -973,20 +1019,155 @@ let same_state w m =
   done;
   !ok
 
-(* The windowed kernels against the full-row ones: after every step of
-   a random sequence, the entries and all three caches agree bit for
-   bit, the touched flags agree, and both raised the same exception or
-   returned the same gate verdict. *)
+(* The windowed kernels against the full-row ones, and the undo log
+   against a whole-matrix snapshot: after every step of a random
+   sequence, the entries and all three caches agree bit for bit, the
+   touched flags agree, and both raised the same exception or returned
+   the same gate verdict. A raising kernel may leave its row half
+   written, and a rollback must then restore it. *)
 let test_windows_full_row_qcheck =
   let prop =
     QCheck.Test.make ~count:500 ~name:"windowed kernels = full-row kernels, bit for bit"
       (QCheck.make QCheck.Gen.(list_size (int_range 1 60) wop_gen))
       (fun ops ->
         let w = Weights.create ~n:Full.n ~nc:Full.nc ~nt:Full.nt and m = Full.create () in
-        let lib = (w, Weights.copy w) and model = (m, Full.copy m) in
-        List.for_all (fun op -> same_outcome lib model op && same_state w m) ops)
+        let model = (m, ref None) in
+        List.for_all (fun op -> same_outcome w model op && same_state w m) ops)
   in
   to_alcotest prop
+
+(* Everything about a matrix as bits: each row's entries, caches and
+   live window, and (with [touched]) its touched flag. *)
+let bits_state ?(touched = true) w =
+  let bits = Int64.bits_of_float in
+  List.init (Weights.n w) (fun i ->
+      ( Array.init (Weights.nc w) (fun c ->
+            Array.init (Weights.nt w) (fun t -> bits (Weights.get w i c t))),
+        ( Array.init (Weights.nc w) (fun c -> bits (Weights.cluster_weight w i c)),
+          Array.init (Weights.nt w) (fun t -> bits (Weights.time_weight w i t)),
+          bits (Weights.row_total w i) ),
+        Weights.window w i,
+        touched && Weights.is_touched w i ))
+
+(* The fused constructor against the protocol it replaces: [create],
+   INITTIME's masks on every row whose window leaves out a slot, then
+   the gate. Windows may span every slot, leave none, or reach past
+   either end. *)
+let test_create_windowed_qcheck =
+  let gen =
+    QCheck.Gen.(
+      int_range 1 4 >>= fun nc ->
+      int_range 1 9 >>= fun nt ->
+      let bound = int_range (-2) (nt + 1) in
+      let window =
+        frequency
+          [
+            (4, map (fun (lo, w) -> (lo, lo + w)) (pair (int_bound (nt - 1)) (int_bound 3)));
+            (2, pair bound bound);
+            (1, return (0, nt - 1));
+          ]
+      in
+      map (fun ws -> (nc, nt, ws)) (list_size (int_bound 6) window))
+  in
+  let prop =
+    QCheck.Test.make ~count:500 ~name:"create_windowed = create + masks + gate, bit for bit"
+      (QCheck.make gen)
+      (fun (nc, nt, ws) ->
+        let lo = Array.of_list (List.map fst ws) and hi = Array.of_list (List.map snd ws) in
+        let fused = Weights.create_windowed ~nc ~nt ~lo ~hi in
+        let w = Weights.create ~n:(Array.length lo) ~nc ~nt in
+        Array.iteri
+          (fun i lo ->
+            if lo > 0 || hi.(i) < nt - 1 then Weights.mask_time_window w i ~lo ~hi:hi.(i))
+          lo;
+        Weights.normalize_validate_touched w = Ok ()
+        && Weights.touched_count fused = Weights.touched_count w
+        && bits_state fused = bits_state w)
+  in
+  to_alcotest prop
+
+(* One write of the window property on the library alone. *)
+let lib_write w = function
+  | W_set (i, c, t, v) -> Weights.set w i c t v
+  | W_scale_cluster (i, c, f) -> Weights.scale_cluster w i c f
+  | W_scale_time (i, t, f) -> Weights.scale_time w i t f
+  | W_scale_clusters (i, fs) -> Weights.scale_clusters w i fs
+  | W_noise (i, f, seed) -> Weights.add_noise w i (Cs_util.Rng.create seed) f
+  | W_mask (i, lo, hi) -> Weights.mask_time_window w i ~lo ~hi
+  | W_blend (dst, src, keep) -> Weights.blend w ~dst ~src ~keep
+  | W_normalize i -> Weights.normalize w i
+  | W_gate -> ignore (Weights.normalize_validate_touched w)
+  | W_clear -> Weights.clear_touched w
+  | W_begin | W_commit | W_rollback -> ()
+
+(* Undo-log rollback against a snapshot: from any reachable state, a
+   pass of random writes (some raising mid-row, some widening windows
+   through [blend] and [set]) rolls back to the snapshot taken when it
+   opened, bit for bit, windows included. *)
+let test_rollback_snapshot_qcheck =
+  let prop =
+    QCheck.Test.make ~count:500 ~name:"undo-log rollback = snapshot, bit for bit"
+      (QCheck.make
+         QCheck.Gen.(pair (list_size (int_bound 30) wop_gen) (list_size (int_range 1 30) wop_gen)))
+      (fun (prefix, pass) ->
+        let w = Weights.create ~n:Full.n ~nc:Full.nc ~nt:Full.nt in
+        let write op = try lib_write w op with Invalid_argument _ -> () in
+        List.iter write prefix;
+        Weights.begin_pass w;
+        let snapshot = Weights.copy w in
+        List.iter write pass;
+        Weights.rollback w;
+        bits_state ~touched:false w = bits_state ~touched:false snapshot)
+  in
+  to_alcotest prop
+
+(* The row kernels box no float per entry they visit, inside a pass or
+   not. The undo log grows its buffers in the first pass of a matrix
+   and reuses them after, so the pass measured is the second. *)
+let test_kernels_allocation_free () =
+  let n = 48 and nc = 4 and nt = 40 in
+  let w = Weights.create ~n ~nc ~nt in
+  let factors = Array.init nc (fun c -> 1.0 +. (0.25 *. float_of_int c)) in
+  let kernels =
+    [
+      ( "scale_cluster",
+        fun () ->
+          for i = 0 to n - 1 do
+            for c = 0 to nc - 1 do
+              Weights.scale_cluster w i c 1.5
+            done
+          done );
+      ( "scale_clusters",
+        fun () ->
+          for i = 0 to n - 1 do
+            Weights.scale_clusters w i factors
+          done );
+      ( "scale_time",
+        fun () ->
+          for i = 0 to n - 1 do
+            for t = 0 to nt - 1 do
+              Weights.scale_time w i t 0.75
+            done
+          done );
+    ]
+  in
+  let check where =
+    List.iter
+      (fun (name, f) ->
+        let before = Gc.minor_words () in
+        f ();
+        let per_entry = (Gc.minor_words () -. before) /. float_of_int (n * nc * nt) in
+        if per_entry > 0.01 then
+          Alcotest.failf "%s %s: %.3f minor words per entry" name where per_entry)
+      kernels
+  in
+  check "outside a pass";
+  Weights.begin_pass w;
+  List.iter (fun (_, f) -> f ()) kernels;
+  Weights.commit w;
+  Weights.begin_pass w;
+  check "inside a pass";
+  Weights.commit w
 
 (* qcheck: random edit sequences + normalize preserve invariants. *)
 let edit_gen =
@@ -1066,10 +1247,10 @@ let () =
           Alcotest.test_case "blend bad keep" `Quick test_blend_rejects_bad_keep;
           Alcotest.test_case "blend self noop clean" `Quick test_blend_self_noop_clean;
           Alcotest.test_case "copy deep" `Quick test_copy_is_deep;
-          Alcotest.test_case "blit restores" `Quick test_blit_restores;
           Alcotest.test_case "validate gate" `Quick test_validate_gate;
           Alcotest.test_case "snapshot" `Quick test_preferred_clusters_snapshot;
           Alcotest.test_case "cluster map render" `Quick test_pp_cluster_map;
+          Alcotest.test_case "kernels allocation-free" `Quick test_kernels_allocation_free;
         ] );
       ( "dirty",
         [
@@ -1080,8 +1261,10 @@ let () =
             test_noop_writes_do_not_dirty;
           Alcotest.test_case "normalize touched" `Quick
             test_normalize_touched_only_touched;
-          Alcotest.test_case "sync_rows restores" `Quick
-            test_sync_rows_restores_exact_rows;
+          Alcotest.test_case "rollback restores" `Quick
+            test_rollback_restores_exact_rows;
+          Alcotest.test_case "two open passes" `Quick test_two_open_passes;
+          Alcotest.test_case "rollback of long logs" `Quick test_rollback_long_rows;
         ] );
       ( "properties",
         [
@@ -1090,6 +1273,7 @@ let () =
           test_ops_invariants_qcheck; test_kernels_per_element_qcheck;
           test_ops_dirty_exact_qcheck; test_blend_pointwise_qcheck;
           test_normalize_pointwise_qcheck; test_gate_fused_qcheck;
-          test_windows_full_row_qcheck;
+          test_windows_full_row_qcheck; test_create_windowed_qcheck;
+          test_rollback_snapshot_qcheck;
         ] );
     ]
