@@ -183,13 +183,35 @@ let list_cmd =
   Cmd.v (Cmd.info "list" ~doc) Term.(const run $ const ())
 
 let passes_cmd =
-  let doc = "List available convergent passes and default sequences." in
+  let doc =
+    "List available convergent passes, their parameters (type, default, domain and \
+     tuning range) and the default sequences."
+  in
   let run () =
     Printf.printf "passes: %s\n" (String.concat ", " Cs_core.Sequence.available);
     Printf.printf "raw default:  %s\n"
       (String.concat " " (Cs_core.Sequence.names (Cs_core.Sequence.raw_default ())));
     Printf.printf "vliw default: %s\n"
-      (String.concat " " (Cs_core.Sequence.names (Cs_core.Sequence.vliw_default ())))
+      (String.concat " " (Cs_core.Sequence.names (Cs_core.Sequence.vliw_default ())));
+    let row = Printf.printf "%-10s %-22s %-6s %-8s %-25s %s\n" in
+    print_newline ();
+    row "pass" "parameter" "type" "default" "domain" "tuned in";
+    let num = Printf.sprintf "%.12g" in
+    let range (lo, hi) = Printf.sprintf "[%s, %s]" (num lo) (num hi) in
+    List.iter
+      (fun (d : Cs_core.Pass.decl) ->
+        List.iter
+          (fun (p : Cs_core.Pass.param) ->
+            let typ =
+              match p.typ with
+              | Cs_core.Pass.Bool -> "bool"
+              | Cs_core.Pass.Int -> "int"
+              | Cs_core.Pass.Float -> if p.log_scale then "float*" else "float"
+            in
+            row d.name p.key typ (num p.default) (range p.domain) (range p.tune))
+          d.params)
+      Cs_core.Sequence.registry;
+    print_endline "(float* is tuned on a log scale; booleans are 0 or 1)"
   in
   Cmd.v (Cmd.info "passes" ~doc) Term.(const run $ const ())
 

@@ -40,10 +40,18 @@ let apply ~mode ~delay_ms ctx w =
     stall delay_ms
   | _ -> failwith "CHAOS: injected pass failure"
 
-let pass ?(mode = default_mode) ?(delay_ms = default_delay_ms) () =
-  Pass.make
-    ~params:[ ("mode", float_of_int mode); ("delay_ms", delay_ms) ]
-    ~name:"CHAOS" ~kind:Pass.Spacetime
-    (fun ctx w -> apply ~mode ~delay_ms ctx w)
+(* The tuner never searches CHAOS; its ranges exist only so that every
+   parameter has one. A stall is capped at a minute. *)
+let mode = Pass.int "mode" ~default:default_mode ~domain:(0, 5) ~tune:(0, 5)
+
+let delay_ms =
+  Pass.float "delay_ms" ~default:default_delay_ms ~domain:(0.0, 60_000.0) ~tune:(25.0, 400.0)
+
+let decl =
+  Pass.declare ~name:"CHAOS" ~kind:Pass.Spacetime [ mode; delay_ms ] (fun args ->
+      apply ~mode:(Pass.get_int args mode) ~delay_ms:(Pass.get args delay_ms))
+
+let pass ?mode:m ?delay_ms:d () =
+  Pass.build decl [ Pass.set_int mode m; Pass.set delay_ms d ]
 
 let slow_pass ?(delay_ms = default_delay_ms) () = pass ~mode:5 ~delay_ms ()

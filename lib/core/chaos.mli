@@ -13,12 +13,14 @@
       the slow-pass mode used to exercise the driver's per-pass time
       budget ([Pass_timeout] quarantine) and service deadlines
 
-    Anything else behaves like [4]. *)
+    Other modes are outside the parameter's domain. *)
 
 val default_mode : int
 
 val default_delay_ms : float
 (** 100 ms. *)
+
+val decl : Pass.decl
 
 val pass : ?mode:int -> ?delay_ms:float -> unit -> Pass.t
 

@@ -62,5 +62,11 @@ let apply ~boost ctx w =
       List.iter (fun m -> Weights.scale_cluster w m !best boost) members)
     (build_groups ctx)
 
-let pass ?(boost = 2.0) () =
-  Pass.make ~params:[ ("boost", boost) ] ~name:"CLUSTER" ~kind:Pass.Space (apply ~boost)
+(* The consensus cluster may be a member's home: the boost stays positive. *)
+let boost = Pass.float "boost" ~default:2.0 ~domain:Pass.factor_domain ~tune:(1.0, 8.0)
+
+let decl =
+  Pass.declare ~name:"CLUSTER" ~kind:Pass.Space [ boost ] (fun args ->
+      apply ~boost:(Pass.get args boost))
+
+let pass ?boost:b () = Pass.build decl [ Pass.set boost b ]

@@ -7,6 +7,8 @@
     competing with each other during convergence. Groups never span
     conflicting preplacement homes. *)
 
+val decl : Pass.decl
+
 val pass : ?boost:float -> unit -> Pass.t
 
 val groups : Context.t -> int list list

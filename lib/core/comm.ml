@@ -109,12 +109,32 @@ let apply ~eps ~grand ~grand_weight ~per_slot ~strengthen_preferred ctx w =
       Weights.scale w i pc pt strengthen_preferred
     done
 
-let pass ?(eps = 1e-4) ?(grand = true) ?(grand_weight = 0.5) ?(per_slot = false)
-    ?(strengthen_preferred = 2.0) () =
-  Pass.make
-    ~params:
-      [ ("eps", eps); ("grand", if grand then 1.0 else 0.0);
-        ("grand_weight", grand_weight); ("per_slot", if per_slot then 1.0 else 0.0);
-        ("strengthen_preferred", strengthen_preferred) ]
-    ~name:"COMM" ~kind:Pass.Space
-    (apply ~eps ~grand ~grand_weight ~per_slot ~strengthen_preferred)
+(* [eps] is what keeps a cluster alive when no neighbour weighs on it,
+   a preplaced row's home included, so it stays positive. The pull
+   weights and the preferred-slot factor share the factor cap, which
+   keeps the products finite; a [strengthen_preferred] of 1 is off. *)
+let eps =
+  Pass.float ~log_scale:true "eps" ~default:1e-4 ~domain:Pass.factor_domain
+    ~tune:(1e-6, 1e-2)
+
+let grand = Pass.bool "grand" ~default:true
+let grand_weight =
+  Pass.float "grand_weight" ~default:0.5 ~domain:(0.0, Pass.factor_max) ~tune:(0.1, 1.0)
+
+let per_slot = Pass.bool "per_slot" ~default:false
+
+let strengthen_preferred =
+  Pass.float "strengthen_preferred" ~default:2.0 ~domain:(1.0, Pass.factor_max) ~tune:(1.0, 4.0)
+
+let decl =
+  Pass.declare ~name:"COMM" ~kind:Pass.Space
+    [ eps; grand; grand_weight; per_slot; strengthen_preferred ]
+    (fun args ->
+      apply ~eps:(Pass.get args eps) ~grand:(Pass.get_bool args grand)
+        ~grand_weight:(Pass.get args grand_weight) ~per_slot:(Pass.get_bool args per_slot)
+        ~strengthen_preferred:(Pass.get args strengthen_preferred))
+
+let pass ?eps:e ?grand:g ?grand_weight:gw ?per_slot:ps ?strengthen_preferred:sp () =
+  Pass.build decl
+    [ Pass.set eps e; Pass.set_bool grand g; Pass.set grand_weight gw;
+      Pass.set_bool per_slot ps; Pass.set strengthen_preferred sp ]

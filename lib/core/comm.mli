@@ -17,6 +17,8 @@
     overlap precisely on tight dependence chains. Set [per_slot:true]
     for the literal per-slot product. *)
 
+val decl : Pass.decl
+
 val pass :
   ?eps:float -> ?grand:bool -> ?grand_weight:float -> ?per_slot:bool ->
   ?strengthen_preferred:float -> unit -> Pass.t

@@ -180,8 +180,12 @@ let overrun ?pass_budget_s pass elapsed =
    sequence opens with the stock INITTIME, that matrix is built already
    masked and gated by [Weights.create_windowed] instead of being
    filled uniformly and then masked row by row; the step is recorded
-   like any other pass. *)
-let apply_round ?(round = 1) ?observe ?deadline ?pass_budget_s ctx w passes =
+   like any other pass.
+
+   [prefs] holds each row's preferred cluster in [w] (all 0 for a fresh
+   matrix, whose cluster marginals tie) and is kept up to date in
+   place, so at the end it is the round's final state. *)
+let apply_round ?(round = 1) ?observe ?deadline ?pass_budget_s ctx w ~prefs passes =
   let n = Context.n_instrs ctx in
   let steps = ref [] in
   let quarantined = ref [] in
@@ -189,11 +193,10 @@ let apply_round ?(round = 1) ?observe ?deadline ?pass_budget_s ctx w passes =
   let span pass f =
     Cs_obs.Obs.span ~cat:"pass" ~args:[ ("round", Cs_obs.Obs.Int round) ] pass.Pass.name f
   in
-  (* Each row's preferred cluster as of the last pass, updated in place:
-     only touched rows can change their argmax (a rolled-back row is
+  (* Only touched rows can change their argmax (a rolled-back row is
      restored to its pre-pass bits), so a pass's churn is counted over
-     its touched rows alone. *)
-  let record w before pass ~touched outcome =
+     its touched rows alone, as [prefs] is brought up to date. *)
+  let record w pass ~touched outcome =
     (match outcome with
     | Some reason ->
       quarantined := { pass_name = pass.Pass.name; round; reason } :: !quarantined;
@@ -206,15 +209,13 @@ let apply_round ?(round = 1) ?observe ?deadline ?pass_budget_s ctx w passes =
         Cs_obs.Obs.counter ~cat:"resil" "quarantine" [ ("quarantined", 1.0) ]
       end
     | None -> ());
-    (* Telemetry measures churn against the pre-pass array. *)
-    let prev = if Cs_obs.Obs.enabled () then Array.copy before else before in
     let changed = ref 0 in
     List.iter
       (fun i ->
         let c = Weights.preferred_cluster w i in
-        if c <> before.(i) then begin
+        if c <> prefs.(i) then begin
           incr changed;
-          before.(i) <- c
+          prefs.(i) <- c
         end)
       touched;
     steps :=
@@ -222,13 +223,13 @@ let apply_round ?(round = 1) ?observe ?deadline ?pass_budget_s ctx w passes =
         changed = !changed; total = n }
       :: !steps;
     if Cs_obs.Obs.enabled () then
-      Telemetry.emit ~round ~pass:pass.Pass.name (Telemetry.measure ~prev w);
+      Telemetry.emit ~round ~pass:pass.Pass.name (Telemetry.measure ~churn:!changed w);
     match observe with None -> () | Some f -> f pass.Pass.name w
   in
   let uniform () = Weights.create ~n ~nc:(Context.n_clusters ctx) ~nt:ctx.Context.nt in
-  let w, before, passes =
+  let w, passes =
     match (w, passes) with
-    | Some w, _ -> (w, Weights.preferred_clusters w, passes)
+    | Some w, _ -> (w, passes)
     | None, pass :: rest
       when pass.Pass.apply == Inittime.apply && not (deadline_expired deadline) ->
       let t0 = Cs_obs.Clock.now () in
@@ -240,14 +241,9 @@ let apply_round ?(round = 1) ?observe ?deadline ?pass_budget_s ctx w passes =
       let outcome = overrun ?pass_budget_s pass (Cs_obs.Clock.since t0) in
       let touched = Weights.touched_rows built in
       let w = if outcome = None then built else uniform () in
-      (* Every row of the uniform matrix prefers cluster 0: its cluster
-         marginals tie, and ties go to the smallest id. *)
-      let before = Array.make n 0 in
-      record w before pass ~touched outcome;
-      (w, before, rest)
-    | None, _ ->
-      let w = uniform () in
-      (w, Weights.preferred_clusters w, passes)
+      record w pass ~touched outcome;
+      (w, rest)
+    | None, _ -> (uniform (), passes)
   in
   let rec loop = function
     | [] -> ()
@@ -279,7 +275,7 @@ let apply_round ?(round = 1) ?observe ?deadline ?pass_budget_s ctx w passes =
       in
       let touched = Weights.touched_rows w in
       (match outcome with Some _ -> Weights.rollback w | None -> Weights.commit w);
-      record w before pass ~touched outcome;
+      record w pass ~touched outcome;
       loop rest
   in
   loop passes;
@@ -303,25 +299,23 @@ let run_iterative ?seed ?nt_cap ?observe ?deadline ?pass_budget_s ?(max_rounds =
   let rounds = ref 0 in
   let timed_out = ref false in
   let continue_iterating = ref true in
+  (* Every row's preferred cluster, kept current by [apply_round]. *)
+  let prefs = Array.make n 0 in
   while !continue_iterating && !rounds < max_rounds do
     incr rounds;
-    (* Before the first round every row is uniform and prefers cluster 0. *)
-    let before =
-      match !w with Some w -> Weights.preferred_clusters w | None -> Array.make n 0
-    in
+    let before = Array.copy prefs in
     let round_w, steps, quarantines, round_timed_out =
       Cs_obs.Obs.span ~cat:"round"
         ~args:[ ("round", Cs_obs.Obs.Int !rounds) ]
         "round"
         (fun () ->
-          apply_round ~round:!rounds ?observe ?deadline ?pass_budget_s ctx !w passes)
+          apply_round ~round:!rounds ?observe ?deadline ?pass_budget_s ctx !w ~prefs passes)
     in
     w := Some round_w;
     rev_trace := List.rev_append steps !rev_trace;
     rev_quarantined := List.rev_append quarantines !rev_quarantined;
-    let after = Weights.preferred_clusters round_w in
     let changed = ref 0 in
-    Array.iteri (fun i c -> if c <> before.(i) then incr changed) after;
+    Array.iteri (fun i c -> if c <> before.(i) then incr changed) prefs;
     let fraction = if n = 0 then 0.0 else float_of_int !changed /. float_of_int n in
     if Cs_obs.Obs.enabled () then
       Cs_obs.Obs.counter ~cat:"converge" "converge:round"
@@ -346,6 +340,7 @@ let run_iterative ?seed ?nt_cap ?observe ?deadline ?pass_budget_s ?(max_rounds =
 let run ?seed ?nt_cap ?observe ?deadline ?pass_budget_s ~machine region passes =
   let ctx = Context.make ?seed ?nt_cap ~machine region in
   let w, trace, quarantined, timed_out =
-    apply_round ?observe ?deadline ?pass_budget_s ctx None passes
+    apply_round ?observe ?deadline ?pass_budget_s ctx None
+      ~prefs:(Array.make (Context.n_instrs ctx) 0) passes
   in
   finalize ~timed_out ctx w trace quarantined

@@ -5,5 +5,12 @@ let apply ~factor ctx w =
     Weights.scale_time w i slot factor
   done
 
-let pass ?(factor = 1.2) () =
-  Pass.make ~params:[ ("factor", factor) ] ~name:"EMPHCP" ~kind:Pass.Time (apply ~factor)
+(* Scaling one slot of every cluster cannot empty a home lane alone: a
+   row left all zero is reset to uniform. So 0 is in the domain. *)
+let factor = Pass.float "factor" ~default:1.2 ~domain:(0.0, Pass.factor_max) ~tune:(1.0, 8.0)
+
+let decl =
+  Pass.declare ~name:"EMPHCP" ~kind:Pass.Time [ factor ] (fun args ->
+      apply ~factor:(Pass.get args factor))
+
+let pass ?factor:f () = Pass.build decl [ Pass.set factor f ]

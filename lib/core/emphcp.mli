@@ -3,4 +3,6 @@
     with infinite resources, i.e. its ASAP cycle) to help temporal
     convergence. *)
 
+val decl : Pass.decl
+
 val pass : ?factor:float -> unit -> Pass.t

@@ -19,4 +19,5 @@ let apply ctx w =
     if !any_infeasible then Weights.scale_clusters w i factors
   done
 
-let pass () = Pass.make ~name:"FEASIBLE" ~kind:Pass.Space apply
+let decl = Pass.declare ~name:"FEASIBLE" ~kind:Pass.Space [] (fun _ -> apply)
+let pass () = Pass.build decl []

@@ -4,4 +4,6 @@
     paper this is a no-op, but it makes the framework correct on
     heterogeneous cluster mixes. *)
 
+val decl : Pass.decl
+
 val pass : unit -> Pass.t

@@ -3,4 +3,6 @@
     unit, so schedules that use the first cluster avoid copies. Scale
     every instruction's weights on cluster 0 by 1.2. *)
 
+val decl : Pass.decl
+
 val pass : ?factor:float -> unit -> Pass.t

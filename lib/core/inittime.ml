@@ -13,4 +13,5 @@ let apply ctx w =
     if lo.(i) > 0 || hi.(i) < nt - 1 then Weights.mask_time_window w i ~lo:lo.(i) ~hi:hi.(i)
   done
 
-let pass () = Pass.make ~name:"INITTIME" ~kind:Pass.Time apply
+let decl = Pass.declare ~name:"INITTIME" ~kind:Pass.Time [] (fun _ -> apply)
+let pass () = Pass.build decl []

@@ -4,6 +4,8 @@
     critical-path length. Critical instructions end up with exactly one
     feasible slot. *)
 
+val decl : Pass.decl
+
 val pass : unit -> Pass.t
 
 val windows : Context.t -> int array * int array

@@ -114,13 +114,28 @@ let apply ~stride ~granularity ~confidence_threshold ~boost ctx w =
     (distribute_group ctx w s ~granularity ~confidence_threshold ~boost)
     (List.rev !groups)
 
-let pass ?(stride = 4) ?(granularity = 2) ?(confidence_threshold = 2.0) ?(boost = 2.5) () =
-  (* [apply] advances through depth groups by [stride]; below 1 it
-     would never finish. *)
-  if stride < 1 then invalid_arg "Level.pass: stride must be >= 1";
-  Pass.make
-    ~params:
-      [ ("stride", float_of_int stride); ("granularity", float_of_int granularity);
-        ("confidence_threshold", confidence_threshold); ("boost", boost) ]
-    ~name:"LEVEL" ~kind:Pass.Space
-    (apply ~stride ~granularity ~confidence_threshold ~boost)
+(* [apply] advances through depth groups by [stride]; below 1 it would
+   never finish. Distances are at least 1, so every granularity below 1
+   acts like 0. A bin may be a preplaced row's home: the boost stays
+   positive. *)
+let stride = Pass.int "stride" ~default:4 ~domain:(1, Pass.int_cap) ~tune:(1, 8)
+let granularity = Pass.int "granularity" ~default:2 ~domain:(0, Pass.int_cap) ~tune:(1, 6)
+
+let confidence_threshold =
+  Pass.float "confidence_threshold" ~default:2.0
+    ~domain:Pass.confidence_domain ~tune:(1.0, 4.0)
+
+let boost = Pass.float "boost" ~default:2.5 ~domain:Pass.factor_domain ~tune:(1.0, 8.0)
+
+let decl =
+  Pass.declare ~name:"LEVEL" ~kind:Pass.Space
+    [ stride; granularity; confidence_threshold; boost ]
+    (fun args ->
+      apply ~stride:(Pass.get_int args stride) ~granularity:(Pass.get_int args granularity)
+        ~confidence_threshold:(Pass.get args confidence_threshold)
+        ~boost:(Pass.get args boost))
+
+let pass ?stride:s ?granularity:g ?confidence_threshold:c ?boost:b () =
+  Pass.build decl
+    [ Pass.set_int stride s; Pass.set_int granularity g; Pass.set confidence_threshold c;
+      Pass.set boost b ]

@@ -11,8 +11,11 @@
 
     [stride] groups that many consecutive levels per application; the
     paper uses 4 on Raw — "the minimum granularity of parallelism that
-    Raw can profitably exploit". Raises [Invalid_argument] when
-    [stride < 1]. *)
+    Raw can profitably exploit". Like every typed
+    constructor, raises [Invalid_argument] on a value outside its
+    parameter's domain in {!decl}, e.g. [stride < 1]. *)
+
+val decl : Pass.decl
 
 val pass :
   ?stride:int -> ?granularity:int -> ?confidence_threshold:float ->

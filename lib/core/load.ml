@@ -16,4 +16,5 @@ let apply (_ : Context.t) w =
     Weights.scale_clusters w i factors
   done
 
-let pass () = Pass.make ~name:"LOAD" ~kind:Pass.Space apply
+let decl = Pass.declare ~name:"LOAD" ~kind:Pass.Space [] (fun _ -> apply)
+let pass () = Pass.build decl []

@@ -3,4 +3,6 @@
     preference of all instructions), deflating overloaded clusters and
     inflating idle ones. *)
 
+val decl : Pass.decl
+
 val pass : unit -> Pass.t

@@ -8,6 +8,13 @@ let apply ~amplitude ctx w =
     Weights.add_noise w i rng bound
   done
 
-let pass ?(amplitude = 1.0) () =
-  Pass.make ~params:[ ("amplitude", amplitude) ] ~name:"NOISE" ~kind:Pass.Space
-    (apply ~amplitude)
+(* Noise only raises positive entries, so any amplitude from 0 up is
+   safe; the cap keeps a row's sum finite. *)
+let amplitude =
+  Pass.float "amplitude" ~default:1.0 ~domain:(0.0, Pass.factor_max) ~tune:(0.1, 4.0)
+
+let decl =
+  Pass.declare ~name:"NOISE" ~kind:Pass.Space [ amplitude ] (fun args ->
+      apply ~amplitude:(Pass.get args amplitude))
+
+let pass ?amplitude:v () = Pass.build decl [ Pass.set amplitude v ]

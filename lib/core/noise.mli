@@ -7,4 +7,6 @@
     (uniform) matrix. Noise draws come from the context's deterministic
     random stream. *)
 
+val decl : Pass.decl
+
 val pass : ?amplitude:float -> unit -> Pass.t

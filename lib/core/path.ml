@@ -58,8 +58,18 @@ let apply ~boost ~confidence_threshold ctx w =
       path
   end
 
-let pass ?(boost = 3.0) ?(confidence_threshold = 2.0) () =
-  Pass.make
-    ~params:[ ("boost", boost); ("confidence_threshold", confidence_threshold) ]
-    ~name:"PATH" ~kind:Pass.Space
-    (apply ~boost ~confidence_threshold)
+(* The target cluster may be a preplaced row's home: the boost stays
+   positive. *)
+let boost = Pass.float "boost" ~default:3.0 ~domain:Pass.factor_domain ~tune:(1.0, 8.0)
+
+let confidence_threshold =
+  Pass.float "confidence_threshold" ~default:2.0
+    ~domain:Pass.confidence_domain ~tune:(1.0, 4.0)
+
+let decl =
+  Pass.declare ~name:"PATH" ~kind:Pass.Space [ boost; confidence_threshold ] (fun args ->
+      apply ~boost:(Pass.get args boost)
+        ~confidence_threshold:(Pass.get args confidence_threshold))
+
+let pass ?boost:b ?confidence_threshold:c () =
+  Pass.build decl [ Pass.set boost b; Pass.set confidence_threshold c ]

@@ -6,4 +6,6 @@
     broken into segments, each anchored near its own home cluster; with
     no bias at all the least-loaded cluster is chosen. *)
 
+val decl : Pass.decl
+
 val pass : ?boost:float -> ?confidence_threshold:float -> unit -> Pass.t

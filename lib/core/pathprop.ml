@@ -47,9 +47,18 @@ let apply ~confidence_threshold ~blend_keep ctx w =
         ~step_targets:Cs_ddg.Graph.preds)
     order
 
-let pass ?(confidence_threshold = 1.5) ?(blend_keep = 0.5) () =
-  Pass.make
-    ~params:
-      [ ("confidence_threshold", confidence_threshold); ("blend_keep", blend_keep) ]
-    ~name:"PATHPROP" ~kind:Pass.Space
-    (apply ~confidence_threshold ~blend_keep)
+(* [Weights.blend] refuses [keep = 1 - blend_keep] outside [0, 1]. *)
+let confidence_threshold =
+  Pass.float "confidence_threshold" ~default:1.5
+    ~domain:Pass.confidence_domain ~tune:(1.0, 4.0)
+
+let blend_keep = Pass.float "blend_keep" ~default:0.5 ~domain:(0.0, 1.0) ~tune:(0.05, 0.95)
+
+let decl =
+  Pass.declare ~name:"PATHPROP" ~kind:Pass.Space [ confidence_threshold; blend_keep ]
+    (fun args ->
+      apply ~confidence_threshold:(Pass.get args confidence_threshold)
+        ~blend_keep:(Pass.get args blend_keep))
+
+let pass ?confidence_threshold:c ?blend_keep:b () =
+  Pass.build decl [ Pass.set confidence_threshold c; Pass.set blend_keep b ]

@@ -4,4 +4,6 @@
     into each less-confident instruction encountered, until an
     instruction at least as confident stops the walk. *)
 
+val decl : Pass.decl
+
 val pass : ?confidence_threshold:float -> ?blend_keep:float -> unit -> Pass.t

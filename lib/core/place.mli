@@ -4,4 +4,6 @@
     dominate every other heuristic. Instructions anchored through homed
     live-in registers receive a smaller, soft boost. *)
 
+val decl : Pass.decl
+
 val pass : ?factor:float -> ?live_in_factor:float -> unit -> Pass.t

@@ -52,7 +52,11 @@ let apply ~mode ctx w =
     done
   end
 
-let pass ?(mode = Nearest) () =
-  Pass.make
-    ~params:[ ("weighted", match mode with Nearest -> 0.0 | Weighted -> 1.0) ]
-    ~name:"PLACEPROP" ~kind:Pass.Space (apply ~mode)
+let weighted = Pass.bool "weighted" ~default:false
+
+let decl =
+  Pass.declare ~name:"PLACEPROP" ~kind:Pass.Space [ weighted ] (fun args ->
+      apply ~mode:(if Pass.get_bool args weighted then Weighted else Nearest))
+
+let pass ?mode () =
+  Pass.build decl [ Pass.set_bool weighted (Option.map (fun m -> m = Weighted) mode) ]

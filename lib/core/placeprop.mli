@@ -15,4 +15,6 @@ type mode =
   | Nearest
   | Weighted
 
+val decl : Pass.decl
+
 val pass : ?mode:mode -> unit -> Pass.t

@@ -43,10 +43,20 @@ let apply ~registers_per_cluster ~confidence_threshold ctx w =
       end)
     peaks
 
-let pass ?(registers_per_cluster = 32) ?(confidence_threshold = 2.0) () =
-  Pass.make
-    ~params:
-      [ ("registers_per_cluster", float_of_int registers_per_cluster);
-        ("confidence_threshold", confidence_threshold) ]
-    ~name:"REGPRESS" ~kind:Pass.Space
-    (apply ~registers_per_cluster ~confidence_threshold)
+(* A negative register file would make the relief factor negative. *)
+let registers_per_cluster =
+  Pass.int "registers_per_cluster" ~default:32 ~domain:(1, Pass.int_cap) ~tune:(4, 64)
+
+let confidence_threshold =
+  Pass.float "confidence_threshold" ~default:2.0
+    ~domain:Pass.confidence_domain ~tune:(1.0, 4.0)
+
+let decl =
+  Pass.declare ~name:"REGPRESS" ~kind:Pass.Space
+    [ registers_per_cluster; confidence_threshold ]
+    (fun args ->
+      apply ~registers_per_cluster:(Pass.get_int args registers_per_cluster)
+        ~confidence_threshold:(Pass.get args confidence_threshold))
+
+let pass ?registers_per_cluster:r ?confidence_threshold:c () =
+  Pass.build decl [ Pass.set_int registers_per_cluster r; Pass.set confidence_threshold c ]

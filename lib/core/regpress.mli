@@ -6,4 +6,6 @@
     instructions for clusters whose peak pressure exceeds the register
     file size. *)
 
+val decl : Pass.decl
+
 val pass : ?registers_per_cluster:int -> ?confidence_threshold:float -> unit -> Pass.t

@@ -4,8 +4,8 @@
 
     The textual form of one pass is [NAME] or
     [NAME=key=value:key=value:...], e.g. [LEVEL=stride=2:boost=3.5].
-    Keys are the parameter names of the pass constructor (booleans
-    encoded 0/1, integers exact); omitted keys keep the constructor
+    Keys are the parameter names of the pass's schema (booleans
+    encoded 0/1, integers exact); omitted keys keep the declared
     default. {!names} emits only non-default parameters, so default
     sequences still print as plain pass names. *)
 
@@ -22,25 +22,26 @@ val vliw_default : unit -> Pass.t list
     snowballs through COMM and overloads cluster 0, and the paper's
     Fig. 8 margins over UAS/PCC do not reproduce. See DESIGN.md. *)
 
+val registry : Pass.decl list
+(** Every pass {!of_spec} knows, as its module declares it: name, kind
+    and parameter schema. *)
+
 val available : string list
 (** Names accepted by {!of_names}, including the extension passes
     FEASIBLE, REGPRESS, CLUSTER (the paper's suggested clustering
     integration, Sec. 5), and the fault-injection pass CHAOS. *)
 
-val default_params : string -> (string * float) list option
-(** [default_params name] is the parameter list (keys and default
-    values, in declaration order) of the named pass, or [None] for an
-    unknown pass. Passes without parameters return [Some []]. *)
+val find : string -> Pass.decl option
+(** Case-insensitive lookup in {!registry}. *)
 
 val of_name : string -> Pass.t option
 (** Case-insensitive lookup with default parameters. *)
 
 val of_spec : string -> (Pass.t, string) result
 (** Parse one [NAME] or [NAME=key=value:...] token. Errors name the
-    unknown pass, unknown parameter key, or malformed value; a
-    non-finite value ([nan], [inf]), a LEVEL [stride] outside
-    [\[1, 2^62)] and a PATHPROP [blend_keep] outside [\[0, 1\]] are
-    malformed. *)
+    unknown pass, or the malformed, unknown or repeated parameter, or
+    the value {!Pass.instantiate} refuses: non-finite, not of the
+    parameter's type, or outside its declared domain. *)
 
 val of_names : string list -> (Pass.t list, string) result
 (** All-or-nothing parse of {!of_spec} tokens; the error names the

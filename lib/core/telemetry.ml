@@ -48,11 +48,8 @@ let mean_row_entropy w =
     !sum /. float_of_int n
   end
 
-let measure ~prev w =
-  let after = Weights.preferred_clusters w in
-  let churn = ref 0 in
-  Array.iteri (fun i c -> if c <> prev.(i) then incr churn) after;
-  { churn = !churn; total = Weights.n w;
+let measure ~churn w =
+  { churn; total = Weights.n w;
     mean_confidence = mean_confidence w;
     mean_entropy = mean_row_entropy w }
 

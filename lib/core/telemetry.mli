@@ -3,8 +3,8 @@
     Each convergent pass nudges the preference matrix; convergence shows
     up as the preferred assignment stabilizing (falling churn), the
     scheduler growing more certain (rising confidence), and the weight
-    rows sharpening (falling entropy). {!measure} computes all three
-    from a {!Weights.t} snapshot so the driver can emit a
+    rows sharpening (falling entropy). {!measure} gathers all three
+    for a {!Weights.t} so the driver can emit a
     Fig. 4 / Fig. 7-style convergence curve per pass per round through
     {!Cs_obs}. *)
 
@@ -29,9 +29,10 @@ val confidence_cap : float
 
 val churn_fraction : metrics -> float
 
-val measure : prev:int array -> Weights.t -> metrics
-(** [measure ~prev w] compares [w]'s current preferred clusters against
-    the snapshot [prev] (from {!Weights.preferred_clusters}). *)
+val measure : churn:int -> Weights.t -> metrics
+(** [measure ~churn w] adds [w]'s confidence and entropy to [churn], the
+    number of rows whose preferred cluster the pass changed (the driver
+    counts it over the rows the pass wrote, as {!Trace.step.changed}). *)
 
 val mean_confidence : Weights.t -> float
 val mean_row_entropy : Weights.t -> float

@@ -9,11 +9,14 @@ let gene_pool =
      never worth searching over. *)
   List.filter (fun n -> n <> "INITTIME" && n <> "CHAOS") Cs_core.Sequence.available
 
+let decl_of name =
+  match Cs_core.Sequence.find name with
+  | Some d -> d
+  | None -> invalid_arg (Printf.sprintf "Genome: unknown pass %S" name)
+
 let default_gene name =
-  let upper = String.uppercase_ascii name in
-  match Cs_core.Sequence.default_params upper with
-  | Some params -> { pass = upper; params }
-  | None -> invalid_arg (Printf.sprintf "Genome.default_gene: unknown pass %S" name)
+  let d = decl_of name in
+  { pass = d.Cs_core.Pass.name; params = Cs_core.Pass.defaults d }
 
 let of_passes passes =
   List.map (fun p -> { pass = p.Cs_core.Pass.name; params = p.Cs_core.Pass.params }) passes
@@ -57,26 +60,8 @@ let of_string s =
 let equal a b = to_string a = to_string b
 let compare_canonical a b = String.compare (to_string a) (to_string b)
 
-(* --- parameter tuning ranges --- *)
-
-type range = Bool | Int of int * int | Float of float * float | Log of float * float
-
-let range_of ~pass ~key ~default =
-  match (pass, key) with
-  | _, ("grand" | "per_slot" | "weighted") -> Bool
-  | "LEVEL", "stride" -> Int (1, 8)
-  | "LEVEL", "granularity" -> Int (1, 6)
-  | "REGPRESS", "registers_per_cluster" -> Int (4, 64)
-  | "COMM", "eps" -> Log (1e-6, 1e-2)
-  | "PLACE", "factor" -> Float (5.0, 500.0)
-  | _, "confidence_threshold" -> Float (1.0, 4.0)
-  | _, "blend_keep" -> Float (0.05, 0.95)
-  | _, "grand_weight" -> Float (0.1, 1.0)
-  | _, "strengthen_preferred" -> Float (1.0, 4.0)
-  | _, "amplitude" -> Float (0.1, 4.0)
-  | _, "live_in_factor" -> Float (0.5, 8.0)
-  | _, ("factor" | "boost") -> Float (1.0, 8.0)
-  | _ -> Float (max 1e-6 (default /. 4.0), (default *. 4.0) +. 1e-6)
+(* --- parameter perturbation, within each parameter's declared tuning
+   range (Cs_core.Pass.param.tune) --- *)
 
 (* Quantize to 6 significant digits so canonical strings round-trip
    exactly (%.12g then prints every stored value losslessly). *)
@@ -84,33 +69,29 @@ let quantize v = float_of_string (Printf.sprintf "%.6g" v)
 
 let clampf lo hi v = Float.min hi (Float.max lo v)
 
-let perturb_value rng ~pass ~key ~default v =
-  match range_of ~pass ~key ~default with
+let perturb_value rng (p : Cs_core.Pass.param) v =
+  let lo, hi = p.tune in
+  match p.typ with
   | Bool -> if v <> 0.0 then 0.0 else 1.0
-  | Int (lo, hi) ->
+  | Int ->
     let step = Cs_util.Rng.choose rng [| -2; -1; 1; 2 |] in
-    float_of_int (max lo (min hi (int_of_float v + step)))
-  | Float (lo, hi) ->
+    float_of_int (max (int_of_float lo) (min (int_of_float hi) (int_of_float v + step)))
+  | Float when p.log_scale ->
+    let scale = Float.pow 10.0 (Cs_util.Rng.float rng 2.0 -. 1.0) in
+    quantize (clampf lo hi (v *. scale))
+  | Float ->
     (* multiplicative jitter in [0.6, 1.6], occasionally a fresh draw *)
     if Cs_util.Rng.float rng 1.0 < 0.15 then
       quantize (lo +. Cs_util.Rng.float rng (hi -. lo))
     else quantize (clampf lo hi (v *. (0.6 +. Cs_util.Rng.float rng 1.0)))
-  | Log (lo, hi) ->
-    let scale = Float.pow 10.0 (Cs_util.Rng.float rng 2.0 -. 1.0) in
-    quantize (clampf lo hi (v *. scale))
+
+let perturb_param rng g (k, v) =
+  let p = List.find (fun p -> p.Cs_core.Pass.key = k) (decl_of g.pass).Cs_core.Pass.params in
+  (k, perturb_value rng p v)
 
 let jitter_gene rng g =
-  let defaults =
-    match Cs_core.Sequence.default_params g.pass with Some d -> d | None -> []
-  in
   let params =
-    List.map
-      (fun (k, v) ->
-        if Cs_util.Rng.bool rng then
-          let default = try List.assoc k defaults with Not_found -> v in
-          (k, perturb_value rng ~pass:g.pass ~key:k ~default v)
-        else (k, v))
-      g.params
+    List.map (fun kv -> if Cs_util.Rng.bool rng then perturb_param rng g kv else kv) g.params
   in
   { g with params }
 
@@ -146,17 +127,8 @@ let mutate rng t =
       let i = List.nth with_params (Cs_util.Rng.int rng (List.length with_params)) in
       let g = arr.(i) in
       let pi = Cs_util.Rng.int rng (List.length g.params) in
-      let defaults =
-        match Cs_core.Sequence.default_params g.pass with Some d -> d | None -> []
-      in
       let params =
-        List.mapi
-          (fun j (k, v) ->
-            if j = pi then
-              let default = try List.assoc k defaults with Not_found -> v in
-              (k, perturb_value rng ~pass:g.pass ~key:k ~default v)
-            else (k, v))
-          g.params
+        List.mapi (fun j kv -> if j = pi then perturb_param rng g kv else kv) g.params
       in
       arr.(i) <- { g with params };
       Array.to_list arr

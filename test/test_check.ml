@@ -182,11 +182,14 @@ let test_oracle_chaos_judge () =
     }
   in
   let impostor =
-    Cs_core.Pass.make ~params:[ ("mode", 0.0) ] ~name:"CHAOS" ~kind:Cs_core.Pass.Space
-      (fun _ w ->
-        for i = 0 to Cs_core.Weights.n w - 1 do
-          Cs_core.Weights.scale_cluster w i 1 50.0
-        done)
+    {
+      (Cs_core.Chaos.pass ~mode:0 ()) with
+      Cs_core.Pass.apply =
+        (fun _ w ->
+          for i = 0 to Cs_core.Weights.n w - 1 do
+            Cs_core.Weights.scale_cluster w i 1 50.0
+          done);
+    }
   in
   List.iter
     (fun mode ->

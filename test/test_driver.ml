@@ -570,6 +570,86 @@ let test_sequence_available_covers_registry () =
     (fun name -> check_bool name true (Sequence.of_name name <> None))
     Sequence.available
 
+(* --- The parameter schema --- *)
+
+let test_schema_ranges_nest () =
+  List.iter
+    (fun (d : Pass.decl) ->
+      List.iter
+        (fun (p : Pass.param) ->
+          let label = d.name ^ " " ^ p.key in
+          let lo, hi = p.domain and tlo, thi = p.tune in
+          check_bool (label ^ " default in tuning range") true
+            (tlo <= p.default && p.default <= thi);
+          check_bool (label ^ " tuning range in domain") true
+            (lo <= tlo && tlo <= thi && thi <= hi);
+          check_bool (label ^ " default accepted") true
+            (Result.is_ok (Pass.instantiate d [ (p.key, p.default) ])))
+        d.params)
+    Sequence.registry
+
+(* Each parameter at its domain's bounds and the tuner's extremes, and
+   just past each bound (for an integer also one step past, and a
+   fraction; for a boolean one half). *)
+let probe_values (p : Pass.param) =
+  let lo, hi = p.domain and tlo, thi = p.tune in
+  let inside = List.sort_uniq compare [ lo; hi; tlo; thi; p.default ] in
+  let outside =
+    [ Float.pred lo; Float.succ hi ]
+    @ (match p.typ with
+      | Pass.Int -> [ lo -. 1.0; hi +. 1.0; lo +. 0.5 ]
+      | Pass.Bool -> [ 0.5 ]
+      | Pass.Float -> [])
+  in
+  (inside, outside)
+
+let spec_of (d : Pass.decl) (p : Pass.param) v = Printf.sprintf "%s=%s=%.17g" d.name p.key v
+
+let every_probe () =
+  List.concat_map
+    (fun (d : Pass.decl) -> List.map (fun p -> (d, p, probe_values p)) d.params)
+    Sequence.registry
+
+let test_out_of_domain_refused () =
+  List.iter
+    (fun ((d : Pass.decl), p, (_, outside)) ->
+      List.iter
+        (fun v ->
+          let spec = spec_of d p v in
+          check_bool (spec ^ " refused by of_spec") true
+            (Result.is_error (Sequence.of_spec spec));
+          let req =
+            Cs_svc.Proto.request ~machine:"vliw4" ~passes:("INITTIME," ^ spec) "jacobi"
+          in
+          match (Cs_svc.Job.run (Cs_svc.Job.admit req)).Cs_svc.Proto.verdict with
+          | Cs_svc.Proto.Refused { kind; _ } ->
+            Alcotest.(check string) (spec ^ " refused by Job.run") "invalid-input" kind
+          | Cs_svc.Proto.Scheduled _ -> Alcotest.failf "%s scheduled by Job.run" spec)
+        outside)
+    (every_probe ())
+
+(* CHAOS is exempt: quarantines are what it is for. *)
+let test_in_domain_never_quarantines () =
+  List.iter
+    (fun ((d : Pass.decl), p, (inside, _)) ->
+      if d.name <> "CHAOS" then
+        List.iter
+          (fun v ->
+            let spec = spec_of d p v in
+            let passes =
+              match Sequence.of_names [ "INITTIME"; spec ] with
+              | Ok passes -> passes
+              | Error e -> Alcotest.failf "%s refused: %s" spec e
+            in
+            List.iter
+              (fun (label, machine, region) ->
+                match (Driver.run ~machine region passes).Driver.quarantined with
+                | [] -> ()
+                | q :: _ -> Alcotest.failf "%s on %s: %s" spec label q.Driver.reason)
+              (table1 @ random_dags))
+          inside)
+    (every_probe ())
+
 let () =
   Alcotest.run "cs_core.driver"
     [
@@ -627,5 +707,13 @@ let () =
           Alcotest.test_case "of_names roundtrip" `Quick test_sequence_of_names_roundtrip;
           Alcotest.test_case "of_names unknown" `Quick test_sequence_of_names_unknown;
           Alcotest.test_case "available consistent" `Quick test_sequence_available_covers_registry;
+        ] );
+      ( "schema",
+        [
+          Alcotest.test_case "default in tuning range in domain" `Quick
+            test_schema_ranges_nest;
+          Alcotest.test_case "out of domain refused" `Quick test_out_of_domain_refused;
+          Alcotest.test_case "in domain never quarantines" `Slow
+            test_in_domain_never_quarantines;
         ] );
     ]

@@ -58,12 +58,19 @@ let telemetry_fingerprint o =
   Scenario.fnv1a
     (Printf.sprintf "schedule=%016Lx;%s" o.sched_hash (String.concat ";" o.samples))
 
+(* The observer recounts each pass's churn over all rows (the first
+   pass counts as 0), independently of the driver's count over the rows
+   the pass wrote, and the two must agree. *)
 let convergent ?seed ~machine ~passes region =
-  let samples = ref [] and prev = ref [||] in
+  let samples = ref [] and prev = ref [||] and churns = ref [] in
   let observe name w =
-    let p = if Array.length !prev = 0 then Weights.preferred_clusters w else !prev in
-    let m = Telemetry.measure ~prev:p w in
-    prev := Weights.preferred_clusters w;
+    let after = Weights.preferred_clusters w in
+    let churn = ref 0 in
+    if Array.length !prev > 0 then
+      Array.iteri (fun i c -> if c <> !prev.(i) then incr churn) after;
+    if Array.length !prev > 0 then churns := !churn :: !churns;
+    let m = Telemetry.measure ~churn:!churn w in
+    prev := after;
     samples :=
       Printf.sprintf "%s,%d,%016Lx,%016Lx" name m.Telemetry.churn
         (Int64.bits_of_float m.Telemetry.mean_confidence)
@@ -71,6 +78,14 @@ let convergent ?seed ~machine ~passes region =
       :: !samples
   in
   let r = Driver.run ?seed ~observe ~machine region passes in
+  (match r.Driver.trace with
+  | [] -> ()
+  | _ :: steps ->
+    let counted = List.map (fun (s : Trace.step) -> s.Trace.changed) steps in
+    if counted <> List.rev !churns then
+      Alcotest.failf "driver churn %s, recounted %s"
+        (String.concat "," (List.map string_of_int counted))
+        (String.concat "," (List.map string_of_int (List.rev !churns))));
   let sched =
     Cs_sim.Pipeline.schedule_raw ?seed ~passes ~scheduler:Cs_sim.Pipeline.Convergent
       ~machine region

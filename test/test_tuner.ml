@@ -61,12 +61,28 @@ let test_sequence_rejects_bad_specs () =
   List.iter
     (fun spec -> check_bool spec false (is_error (Cs_core.Sequence.of_spec spec)))
     [ "PATHPROP=blend_keep=0"; "PATHPROP=blend_keep=1"; "PATHPROP=blend_keep=0.05" ];
+  (* A key given twice is refused in either order, not resolved to one
+     of the two values; so are values outside the declared domains. *)
+  List.iter
+    (fun spec -> check_bool spec true (is_error (Cs_core.Sequence.of_spec spec)))
+    [ "LEVEL=stride=2:stride=3"; "LEVEL=stride=3:stride=2"; "LEVEL=stride=2.9";
+      "CHAOS=mode=2.7"; "CHAOS=mode=6"; "PLACEPROP=weighted=7"; "COMM=grand=0.5";
+      "EMPHCP=factor=-1"; "COMM=eps=-1"; "COMM=eps=0"; "REGPRESS=registers_per_cluster=-1";
+      "FIRST=factor=0"; "PLACE=factor=0"; "PATH=boost=0"; "CLUSTER=boost=0"; "LEVEL=boost=0";
+      "PLACE=live_in_factor=-1"; "COMM=strengthen_preferred=1e308";
+      "COMM=grand_weight=1e308"; "PATH=confidence_threshold=0.5" ];
+  List.iter
+    (fun spec -> check_bool spec false (is_error (Cs_core.Sequence.of_spec spec)))
+    [ "EMPHCP=factor=0"; "NOISE=amplitude=0"; "PLACE=live_in_factor=0"; "CHAOS=mode=5";
+      "PATH=confidence_threshold=1e12" ];
   check_bool "in a sequence" true
     (is_error (Cs_core.Sequence.of_names [ "INITTIME"; "LEVEL=stride=0" ]));
   check_bool "stride 1 ok" false (is_error (Cs_core.Sequence.of_spec "LEVEL=stride=1"));
+  (* The typed constructors go through the same check. *)
   Alcotest.check_raises "Level.pass stride 0"
-    (Invalid_argument "Level.pass: stride must be >= 1") (fun () ->
-      ignore (Cs_core.Level.pass ~stride:0 ()));
+    (Invalid_argument
+       "LEVEL: parameter stride=0 is out of range (want 1 <= stride <= 1073741824)")
+    (fun () -> ignore (Cs_core.Level.pass ~stride:0 ()));
   check_bool "case-insensitive ok" false (is_error (Cs_core.Sequence.of_spec "level=stride=2"))
 
 (* --- genome validity under mutation/crossover (qcheck) --- *)
@@ -90,10 +106,22 @@ let print_genome (seed, n_mut, on_raw) =
 
 let arbitrary_genome = QCheck.make ~print:print_genome genome_gen
 
+(* Every gene parameter inside its declared tuning range, as
+   genome.mli promises. *)
+let in_tuning_range (g : Cs_tuner.Genome.gene) =
+  let decl = Option.get (Cs_core.Sequence.find g.pass) in
+  List.for_all
+    (fun (k, v) ->
+      let p = List.find (fun p -> p.Cs_core.Pass.key = k) decl.Cs_core.Pass.params in
+      let lo, hi = p.Cs_core.Pass.tune in
+      lo <= v && v <= hi)
+    g.params
+
 let valid g =
   let n = List.length g in
   n >= Cs_tuner.Genome.min_length
   && n <= Cs_tuner.Genome.max_length
+  && List.for_all in_tuning_range g
   &&
   match Cs_core.Sequence.of_names (String.split_on_char ',' (Cs_tuner.Genome.to_string g)) with
   | Ok _ -> true
@@ -104,6 +132,38 @@ let prop_mutation_valid =
     arbitrary_genome (fun params ->
       let _, g = materialize params in
       valid g)
+
+(* Genomes whose every parameter sits at one end of its tuning range:
+   each perturbation then pushes half the time toward the outside, so
+   the clamps must hold. *)
+let test_mutation_at_range_ends () =
+  List.iter
+    (fun name ->
+      let decl = Option.get (Cs_core.Sequence.find name) in
+      List.iter
+        (fun pick ->
+          let gene =
+            { Cs_tuner.Genome.pass = name;
+              params =
+                List.map
+                  (fun (p : Cs_core.Pass.param) -> (p.key, pick p.Cs_core.Pass.tune))
+                  decl.Cs_core.Pass.params }
+          in
+          let start =
+            Cs_tuner.Genome.default_gene "INITTIME"
+            :: List.init (Cs_tuner.Genome.max_length - 1) (fun _ -> gene)
+          in
+          let rng = Cs_util.Rng.create 3 in
+          let g = ref start in
+          for _ = 1 to 60 do
+            g := Cs_tuner.Genome.mutate rng !g;
+            if not (valid !g) then
+              Alcotest.failf "%s left its range: %s" name (Cs_tuner.Genome.to_string !g)
+          done)
+        [ fst; snd ])
+    (List.filter
+       (fun name -> (Option.get (Cs_core.Sequence.find name)).Cs_core.Pass.params <> [])
+       Cs_tuner.Genome.gene_pool)
 
 let prop_crossover_valid =
   QCheck.Test.make ~count:200 ~name:"crossover yields parseable genomes in bounds"
@@ -182,7 +242,9 @@ let () =
           Alcotest.test_case "bad specs rejected" `Quick test_sequence_rejects_bad_specs ] );
       ( "genome",
         List.map to_alcotest
-          [ prop_mutation_valid; prop_crossover_valid; prop_genome_string_roundtrip ] );
+          [ prop_mutation_valid; prop_crossover_valid; prop_genome_string_roundtrip ]
+        @ [ Alcotest.test_case "mutation at range ends" `Quick
+              test_mutation_at_range_ends ] );
       ( "fitness",
         [ Alcotest.test_case "cache prevents re-evaluation" `Quick
             test_cache_prevents_reevaluation;
