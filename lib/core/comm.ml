@@ -78,22 +78,24 @@ let apply ~eps ~grand ~grand_weight ~per_slot ~strengthen_preferred ctx w =
        (O(1) each off the cache), which is what makes the pass
        order-independent without a snapshot of the matrix; then each
        row is scaled in one fused sweep. A row without neighbours is
-       left alone. *)
+       left alone. Each cluster's pull sums, from 0 and in [nb]'s
+       order, the direct neighbours' marginals (weighted by exactly
+       1.0, which adds the marginal itself), then the grand-neighbours'
+       times [grand_weight]. *)
     let factors = Array.make (n * nc) 0.0 and coupled = Array.make n false in
     for i = 0 to n - 1 do
       let direct, len = gather graph ~grand ~stamp ~nb i in
       coupled.(i) <- len > 0;
-      if len > 0 then
-        for c = 0 to nc - 1 do
-          let pull = ref 0.0 in
-          for k = 0 to direct - 1 do
-            pull := !pull +. Weights.cluster_weight w nb.(k) c
-          done;
-          for k = direct to len - 1 do
-            pull := !pull +. (grand_weight *. Weights.cluster_weight w nb.(k) c)
-          done;
-          factors.((i * nc) + c) <- eps +. !pull
+      if len > 0 then begin
+        let at = i * nc in
+        for k = 0 to len - 1 do
+          let weight = if k < direct then 1.0 else grand_weight in
+          Weights.add_cluster_marginals w nb.(k) ~weight ~into:factors ~at
+        done;
+        for c = at to at + nc - 1 do
+          factors.(c) <- eps +. factors.(c)
         done
+      end
     done;
     let row = Array.make nc 0.0 in
     for i = 0 to n - 1 do

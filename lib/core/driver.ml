@@ -194,9 +194,10 @@ let apply_round ?(round = 1) ?observe ?deadline ?pass_budget_s ctx w ~prefs pass
     Cs_obs.Obs.span ~cat:"pass" ~args:[ ("round", Cs_obs.Obs.Int round) ] pass.Pass.name f
   in
   (* Only touched rows can change their argmax (a rolled-back row is
-     restored to its pre-pass bits), so a pass's churn is counted over
-     its touched rows alone, as [prefs] is brought up to date. *)
-  let record w pass ~touched outcome =
+     restored to its pre-pass bits, and keeps the touched flag the pass
+     set), so a pass's churn is counted over [w]'s touched rows alone,
+     read from the flags in place, as [prefs] is brought up to date. *)
+  let record w pass outcome =
     (match outcome with
     | Some reason ->
       quarantined := { pass_name = pass.Pass.name; round; reason } :: !quarantined;
@@ -210,14 +211,15 @@ let apply_round ?(round = 1) ?observe ?deadline ?pass_budget_s ctx w ~prefs pass
       end
     | None -> ());
     let changed = ref 0 in
-    List.iter
-      (fun i ->
+    for i = 0 to Weights.n w - 1 do
+      if Weights.is_touched w i then begin
         let c = Weights.preferred_cluster w i in
         if c <> prefs.(i) then begin
           incr changed;
           prefs.(i) <- c
-        end)
-      touched;
+        end
+      end
+    done;
     steps :=
       { Trace.pass_name = pass.Pass.name; pass_kind = pass.Pass.kind;
         changed = !changed; total = n }
@@ -239,9 +241,11 @@ let apply_round ?(round = 1) ?observe ?deadline ?pass_budget_s ctx w ~prefs pass
             Weights.create_windowed ~nc:(Context.n_clusters ctx) ~nt:ctx.Context.nt ~lo ~hi)
       in
       let outcome = overrun ?pass_budget_s pass (Cs_obs.Clock.since t0) in
-      let touched = Weights.touched_rows built in
+      (* An overrun leaves the uniform matrix, with no row touched and
+         every preferred cluster still 0: no churn, as over [built]'s
+         rows of a uniform matrix. *)
       let w = if outcome = None then built else uniform () in
-      record w pass ~touched outcome;
+      record w pass outcome;
       (w, rest)
     | None, _ -> (uniform (), passes)
   in
@@ -273,9 +277,8 @@ let apply_round ?(round = 1) ?observe ?deadline ?pass_budget_s ctx w ~prefs pass
         | Some _ -> outcome
         | None -> overrun ?pass_budget_s pass (Cs_obs.Clock.since t0)
       in
-      let touched = Weights.touched_rows w in
       (match outcome with Some _ -> Weights.rollback w | None -> Weights.commit w);
-      record w pass ~touched outcome;
+      record w pass outcome;
       loop rest
   in
   loop passes;

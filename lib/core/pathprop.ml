@@ -2,22 +2,21 @@
    during the pass, and each blend into [s] is followed by a refresh of
    [conf.(s)], so the cache never goes stale. Among the step targets
    less confident than the source, the first least confident one is
-   next. *)
-let walk ctx w conf ~blend_keep ~source ~conf_source ~step_targets =
+   next: [pick] keeps its index and reads its confidence back from
+   [conf], so no float is boxed along the way. *)
+let rec pick (conf : float array) (conf_source : float) next = function
+  | [] -> next
+  | s :: rest ->
+    let conf_s = conf.(s) in
+    let next = if conf_s < conf_source && (next < 0 || conf.(next) > conf_s) then s else next in
+    pick conf conf_source next rest
+
+let walk ctx w conf ~keep ~source ~conf_source ~step_targets =
   let graph = Context.graph ctx in
   let rec go cur =
-    let next = ref (-1) and best = ref 0.0 in
-    List.iter
-      (fun s ->
-        let conf_s = conf.(s) in
-        if conf_s < conf_source && (!next < 0 || !best > conf_s) then begin
-          next := s;
-          best := conf_s
-        end)
-      (step_targets graph cur);
-    if !next >= 0 then begin
-      let s = !next in
-      Weights.blend w ~dst:s ~src:source ~keep:(1.0 -. blend_keep);
+    let s = pick conf conf_source (-1) (step_targets graph cur) in
+    if s >= 0 then begin
+      Weights.blend w ~dst:s ~src:source ~keep;
       conf.(s) <- Weights.confidence w s;
       go s
     end
@@ -38,13 +37,12 @@ let apply ~confidence_threshold ~blend_keep ctx w =
            && conf.(i) < Weights.confidence_sentinel)
     |> List.sort (fun a b -> Float.compare conf.(b) conf.(a))
   in
+  let keep = 1.0 -. blend_keep in
   List.iter
     (fun ih ->
       let conf_source = conf.(ih) in
-      walk ctx w conf ~blend_keep ~source:ih ~conf_source
-        ~step_targets:Cs_ddg.Graph.succs;
-      walk ctx w conf ~blend_keep ~source:ih ~conf_source
-        ~step_targets:Cs_ddg.Graph.preds)
+      walk ctx w conf ~keep ~source:ih ~conf_source ~step_targets:Cs_ddg.Graph.succs;
+      walk ctx w conf ~keep ~source:ih ~conf_source ~step_targets:Cs_ddg.Graph.preds)
     order
 
 (* [Weights.blend] refuses [keep = 1 - blend_keep] outside [0, 1]. *)

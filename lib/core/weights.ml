@@ -17,11 +17,18 @@
    pins that property per kernel, and test/golden/schedules.txt pins
    the schedules and per-pass telemetry the kernels produce.
 
-   Marginal caches (cluster sums, time sums, row totals) are
-   maintained incrementally by every write and rebuilt exactly by
-   [normalize]; a per-row dirty bit records which rows changed since
-   the last [clear_touched], so renormalization and the driver's
-   quarantine gate touch only the rows a pass actually wrote. While a
+   Two marginal caches (cluster sums and row totals) are maintained
+   incrementally by every write and rebuilt exactly by [normalize].
+   The time marginals are not cached: only COMM's preferred-slot boost,
+   REGPRESS and the final extraction read them, so [time_weight] and
+   [preferred_time] sum them from the row's window when asked. A
+   writer that sweeps a whole window ([blend], [scale_clusters],
+   [add_noise]) also hands the gate the flat-order total of what it
+   stored ([sweep_total]), so the gate's [normalize_row] skips its
+   own total sweep; every other writer withdraws it. A per-row dirty
+   bit records which rows changed since the last [clear_touched], so
+   renormalization and the driver's quarantine gate touch only the
+   rows a pass actually wrote. While a
    pass is open ([begin_pass]), every writer also saves a row's
    pre-pass state to an undo log the first time it changes the row, so
    [rollback] restores exactly those rows and [commit] forgets them.
@@ -47,13 +54,13 @@ type ba1 = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 (* The undo log of the open pass. Save [k] is the row id, [lo], [hi],
    a chunk index and an offset into that chunk at [rows.(5k) ..
    rows.(5k+4)]; there the chunk holds the window's entries lane by
-   lane, then the row's [nc] cluster sums, [nt] time sums and its
-   total. Saves fill [chunks.(0)], then [chunks.(1)], and so on; a
-   chunk is allocated once and never copied, so the log holds no more
-   than its largest pass plus one chunk. Chunks live outside the OCaml
-   heap: the major GC lets the heap grow in proportion to what is live
-   in it, and a log kept there would count several times over. A pass
-   borrows the chunks from its domain (see [spare]). *)
+   lane, then the row's [nc] cluster sums and its total. Saves fill
+   [chunks.(0)], then [chunks.(1)], and so on; a chunk is allocated
+   once and never copied, so the log holds no more than its largest
+   pass plus one chunk. Chunks live outside the OCaml heap: the major
+   GC lets the heap grow in proportion to what is live in it, and a
+   log kept there would count several times over. A pass borrows the
+   chunks from its domain (see [spare]). *)
 type undo = {
   mutable rows : int array;
   mutable count : int;
@@ -74,8 +81,10 @@ type t = {
   nt : int;
   w : ba1;
   cluster_sum : float array; (* n * nc *)
-  time_sum : float array; (* n * nt *)
   row_total : float array; (* n *)
+  sweep_total : float array;
+      (* n: the flat-order sum of the window's entries, handed over by
+         the last writer if it swept the whole window, else nan *)
   dirty : Bytes.t; (* n bytes: rows written since clear_touched *)
   mutable n_dirty : int;
   lo : int array; (* n: live window start; entries before it are +0.0 *)
@@ -102,8 +111,8 @@ let alloc ~ctx ~n ~nc ~nt =
     nt;
     w = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout (n * nc * nt);
     cluster_sum = Array.make (n * nc) (v *. float_of_int nt);
-    time_sum = Array.make (n * nt) (v *. float_of_int nc);
     row_total = Array.make n (v *. float_of_int (nc * nt));
+    sweep_total = Array.make n Float.nan;
     dirty = Bytes.make (max n 1) '\000';
     n_dirty = 0;
     lo = Array.make n 0;
@@ -143,14 +152,12 @@ let create_windowed ~nc ~nt ~lo ~hi =
   in
   (* Indexed by width; width 0 stands for the uniform reset. *)
   let entry = Array.make (nt + 1) 0.0 and known = Bytes.make (nt + 1) '\000' in
-  let lane_sum = Array.make (nt + 1) 0.0 and slot_sum = Array.make (nt + 1) 0.0 in
-  let row_sum = Array.make (nt + 1) 0.0 in
+  let lane_sum = Array.make (nt + 1) 0.0 and row_sum = Array.make (nt + 1) 0.0 in
   let learn width =
     if Bytes.get known width = '\000' then begin
       let x = if width = 0 then v else v /. sum_of (nc * width) v in
       entry.(width) <- x;
       lane_sum.(width) <- sum_of (if width = 0 then nt else width) x;
-      slot_sum.(width) <- sum_of nc x;
       row_sum.(width) <- sum_of nc lane_sum.(width);
       Bytes.set known width '\001'
     end
@@ -167,7 +174,7 @@ let create_windowed ~nc ~nt ~lo ~hi =
       let width = max 0 (h - l + 1) in
       let l, h = if width = 0 then (0, nt - 1) else (l, h) in
       learn width;
-      let x = entry.(width) and slot = slot_sum.(width) in
+      let x = entry.(width) in
       for c = 0 to nc - 1 do
         let lane = base + (c * nt) in
         for tt = 0 to l - 1 do
@@ -180,9 +187,6 @@ let create_windowed ~nc ~nt ~lo ~hi =
           Bigarray.Array1.unsafe_set ba (lane + tt) 0.0
         done;
         t.cluster_sum.((i * nc) + c) <- lane_sum.(width)
-      done;
-      for tt = 0 to nt - 1 do
-        t.time_sum.((i * nt) + tt) <- (if tt < l || tt > h then 0.0 else slot)
       done;
       t.row_total.(i) <- row_sum.(width);
       t.lo.(i) <- l;
@@ -232,6 +236,9 @@ let clear_touched t =
 
 (* --- live windows ---------------------------------------------------- *)
 
+(* A writer that does not hand over a total withdraws the last one. *)
+let[@inline] forget_total t i = Array.unsafe_set t.sweep_total i Float.nan
+
 let widen t i tt =
   if tt < Array.unsafe_get t.lo i then Array.unsafe_set t.lo i tt;
   if tt > Array.unsafe_get t.hi i then Array.unsafe_set t.hi i tt
@@ -257,7 +264,7 @@ let room u ch = if ch < Array.length u.chunks then Bigarray.Array1.dim u.chunks.
 let save_row t i =
   let u = t.undo and nc = t.nc and nt = t.nt in
   let lo = Array.unsafe_get t.lo i and hi = Array.unsafe_get t.hi i in
-  let need = (nc * max 0 (hi - lo + 1)) + nc + nt + 1 in
+  let need = (nc * max 0 (hi - lo + 1)) + nc + 1 in
   if u.used + need > room u u.chunk then begin
     (* On to the next chunk, unless nothing is in this one yet. *)
     if u.used > 0 then u.chunk <- u.chunk + 1;
@@ -292,10 +299,7 @@ let save_row t i =
   for c = 0 to nc - 1 do
     Bigarray.Array1.unsafe_set buf (!k + c) (Array.unsafe_get t.cluster_sum ((i * nc) + c))
   done;
-  for tt = 0 to nt - 1 do
-    Bigarray.Array1.unsafe_set buf (!k + nc + tt) (Array.unsafe_get t.time_sum ((i * nt) + tt))
-  done;
-  Bigarray.Array1.unsafe_set buf (!k + nc + nt) (Array.unsafe_get t.row_total i);
+  Bigarray.Array1.unsafe_set buf (!k + nc) (Array.unsafe_get t.row_total i);
   u.used <- off + need;
   u.count <- u.count + 1;
   Bytes.unsafe_set t.saved i '\001'
@@ -336,9 +340,10 @@ let begin_pass t =
 let commit = close_log
 
 (* Each saved row gets back its window's entries, its window and its
-   caches. Slots outside the saved window were +0.0 at the save; those
-   a later write made live (a [blend] or [set] widens the window) are
-   zeroed first, so the invariant holds again bit for bit. *)
+   caches, and loses any handed-over total. Slots outside the saved
+   window were +0.0 at the save; those a later write made live (a
+   [blend] or [set] widens the window) are zeroed first, so the
+   invariant holds again bit for bit. *)
 let rollback t =
   let u = t.undo and nc = t.nc and nt = t.nt and ba = t.w in
   for s = 0 to u.count - 1 do
@@ -362,10 +367,8 @@ let rollback t =
     for c = 0 to nc - 1 do
       Array.unsafe_set t.cluster_sum ((i * nc) + c) (Bigarray.Array1.unsafe_get buf (!k + c))
     done;
-    for tt = 0 to nt - 1 do
-      Array.unsafe_set t.time_sum ((i * nt) + tt) (Bigarray.Array1.unsafe_get buf (!k + nc + tt))
-    done;
-    Array.unsafe_set t.row_total i (Bigarray.Array1.unsafe_get buf (!k + nc + nt));
+    Array.unsafe_set t.row_total i (Bigarray.Array1.unsafe_get buf (!k + nc));
+    forget_total t i;
     Array.unsafe_set t.lo i lo;
     Array.unsafe_set t.hi i hi
   done;
@@ -379,15 +382,14 @@ let get t i c tt =
   check_index t i c tt;
   raw_get t (idx t i c tt)
 
-(* Every write funnels its delta into all three marginal caches; fused
+(* Every write funnels its delta into both marginal caches; fused
    kernels below replicate exactly this update sequence. A delta of 0
    (value unchanged) leaves the row clean, so no-op writes — e.g.
    FEASIBLE multiplying feasible lanes by 1.0 — do not dirty rows. *)
-let apply_delta t i c tt delta =
+let apply_delta t i c delta =
   if delta <> 0.0 then begin
-    let ci = (i * t.nc) + c and ti = (i * t.nt) + tt in
+    let ci = (i * t.nc) + c in
     t.cluster_sum.(ci) <- t.cluster_sum.(ci) +. delta;
-    t.time_sum.(ti) <- t.time_sum.(ti) +. delta;
     t.row_total.(i) <- t.row_total.(i) +. delta;
     mark_touched t i
   end
@@ -401,8 +403,9 @@ let set t i c tt v =
   let old = Bigarray.Array1.unsafe_get t.w k in
   if unsaved t i && Int64.bits_of_float v <> Int64.bits_of_float old then save_row t i;
   Bigarray.Array1.unsafe_set t.w k v;
+  forget_total t i;
   if v <> 0.0 || Float.sign_bit v then widen t i tt;
-  apply_delta t i c tt (v -. old)
+  apply_delta t i c (v -. old)
 
 let add t i c tt v = set t i c tt (get t i c tt +. v)
 let scale t i c tt f = set t i c tt (get t i c tt *. f)
@@ -421,10 +424,11 @@ let scale_cluster t i c f =
   let ba = t.w in
   let nt = t.nt in
   let base = ((i * t.nc) + c) * nt in
-  let ci = (i * t.nc) + c and ti = i * nt in
-  let cs = t.cluster_sum and ts = t.time_sum and rt = t.row_total in
+  let ci = (i * t.nc) + c in
+  let cs = t.cluster_sum and rt = t.row_total in
   let finite = Float.is_finite f in
   let pending = ref (unsaved t i) in
+  forget_total t i;
   for tt = (if finite then Array.unsafe_get t.lo i else 0)
       to if finite then Array.unsafe_get t.hi i else nt - 1 do
     let k = base + tt in
@@ -439,7 +443,6 @@ let scale_cluster t i c f =
       end;
       Bigarray.Array1.unsafe_set ba k v;
       Array.unsafe_set cs ci (Array.unsafe_get cs ci +. delta);
-      Array.unsafe_set ts (ti + tt) (Array.unsafe_get ts (ti + tt) +. delta);
       Array.unsafe_set rt i (Array.unsafe_get rt i +. delta);
       mark_touched t i
     end
@@ -449,10 +452,10 @@ let scale_time t i tt f =
   if i < 0 || i >= t.n || tt < 0 || tt >= t.nt then invalid_arg "Weights: index out of range";
   let ba = t.w in
   let nt = t.nt in
-  let ti = (i * nt) + tt in
   let cs0 = i * t.nc in
-  let cs = t.cluster_sum and ts = t.time_sum and rt = t.row_total in
+  let cs = t.cluster_sum and rt = t.row_total in
   let pending = ref (unsaved t i) in
+  forget_total t i;
   for c = 0 to t.nc - 1 do
     let k = (((i * t.nc) + c) * nt) + tt in
     let old = Bigarray.Array1.unsafe_get ba k in
@@ -466,7 +469,6 @@ let scale_time t i tt f =
       end;
       Bigarray.Array1.unsafe_set ba k v;
       Array.unsafe_set cs (cs0 + c) (Array.unsafe_get cs (cs0 + c) +. delta);
-      Array.unsafe_set ts ti (Array.unsafe_get ts ti +. delta);
       Array.unsafe_set rt i (Array.unsafe_get rt i +. delta);
       mark_touched t i
     end
@@ -474,20 +476,26 @@ let scale_time t i tt f =
 
 (* One factor per cluster applied to a whole row in a single sweep —
    the shape LOAD / COMM / FEASIBLE / PLACEPROP reduce to. Equivalent
-   to [scale_cluster t i c factors.(c)] for every [c] in order. *)
+   to [scale_cluster t i c factors.(c)] for every [c] in order. The
+   sweep also sums the values it leaves in the window, in flat order,
+   and hands that total to the gate. A non-finite factor raises at its
+   lane's first slot ([inf * 0] and [nan * x] are NaN, [inf * x] is
+   infinite), so a sweep that ends took only window slots. *)
 let scale_clusters t i factors =
   check_row t i;
   if Array.length factors <> t.nc then
     invalid_arg "Weights.scale_clusters: factor count must equal nc";
   let ba = t.w in
   let nt = t.nt in
-  let cs = t.cluster_sum and ts = t.time_sum and rt = t.row_total in
+  let cs = t.cluster_sum and rt = t.row_total in
   let lo = Array.unsafe_get t.lo i and hi = Array.unsafe_get t.hi i in
   let pending = ref (unsaved t i) in
+  let total = ref 0.0 in
+  forget_total t i;
   for c = 0 to t.nc - 1 do
     let f = Array.unsafe_get factors c in
     let base = ((i * t.nc) + c) * nt in
-    let ci = (i * t.nc) + c and ti = i * nt in
+    let ci = (i * t.nc) + c in
     let finite = Float.is_finite f in
     for tt = (if finite then lo else 0) to if finite then hi else nt - 1 do
       let k = base + tt in
@@ -502,33 +510,42 @@ let scale_clusters t i factors =
         end;
         Bigarray.Array1.unsafe_set ba k v;
         Array.unsafe_set cs ci (Array.unsafe_get cs ci +. delta);
-        Array.unsafe_set ts (ti + tt) (Array.unsafe_get ts (ti + tt) +. delta);
         Array.unsafe_set rt i (Array.unsafe_get rt i +. delta);
-        mark_touched t i
+        mark_touched t i;
+        total := !total +. v
       end
+      else total := !total +. old
     done
-  done
+  done;
+  Array.unsafe_set t.sweep_total i !total
+
+(* [Cs_util.Rng.float rng bound], spelled out: the library call would
+   return its draw boxed. *)
+let two_to_53 = 9007199254740992.0
 
 (* NOISE's kernel: add a fresh draw [Rng.float rng bound] to every
    positive entry of row [i], in flat (c-major) order. Only positive
    entries draw, and every entry outside the live window is +0.0, so a
    sweep over the window alone makes the same draws in the same order.
-   A positive entry lies in the window already, so nothing widens. *)
+   A positive entry lies in the window already, so nothing widens. Like
+   [scale_clusters], it hands the gate the total of the window. *)
 let add_noise t i rng bound =
   check_row t i;
   let ba = t.w in
   let nt = t.nt in
-  let cs = t.cluster_sum and ts = t.time_sum and rt = t.row_total in
+  let cs = t.cluster_sum and rt = t.row_total in
   let lo = Array.unsafe_get t.lo i and hi = Array.unsafe_get t.hi i in
   let pending = ref (unsaved t i) in
+  let total = ref 0.0 in
+  forget_total t i;
   for c = 0 to t.nc - 1 do
     let base = ((i * t.nc) + c) * nt in
-    let ci = (i * t.nc) + c and ti = i * nt in
+    let ci = (i * t.nc) + c in
     for tt = lo to hi do
       let k = base + tt in
       let old = Bigarray.Array1.unsafe_get ba k in
       if old > 0.0 then begin
-        let v = old +. Cs_util.Rng.float rng bound in
+        let v = old +. (bound *. (float_of_int (Cs_util.Rng.bits53 rng) /. two_to_53)) in
         if bad_value v then reject_value ();
         let delta = v -. old in
         if delta <> 0.0 then begin
@@ -538,13 +555,16 @@ let add_noise t i rng bound =
           end;
           Bigarray.Array1.unsafe_set ba k v;
           Array.unsafe_set cs ci (Array.unsafe_get cs ci +. delta);
-          Array.unsafe_set ts (ti + tt) (Array.unsafe_get ts (ti + tt) +. delta);
           Array.unsafe_set rt i (Array.unsafe_get rt i +. delta);
-          mark_touched t i
+          mark_touched t i;
+          total := !total +. v
         end
+        else total := !total +. old
       end
+      else total := !total +. old
     done
-  done
+  done;
+  Array.unsafe_set t.sweep_total i !total
 
 (* Zero every slot outside [lo..hi] in row [i] — INITTIME's shape —
    and narrow the live window to match. Exactly the per-element
@@ -557,12 +577,13 @@ let mask_time_window t i ~lo ~hi =
   check_row t i;
   let ba = t.w in
   let nt = t.nt in
-  let cs = t.cluster_sum and ts = t.time_sum and rt = t.row_total in
+  let cs = t.cluster_sum and rt = t.row_total in
   let wlo = Array.unsafe_get t.lo i and whi = Array.unsafe_get t.hi i in
   if (lo > wlo || hi < whi) && unsaved t i then save_row t i;
+  forget_total t i;
   for c = 0 to t.nc - 1 do
     let base = ((i * t.nc) + c) * nt in
-    let ci = (i * t.nc) + c and ti = i * nt in
+    let ci = (i * t.nc) + c in
     let zero tt =
       let k = base + tt in
       let old = Bigarray.Array1.unsafe_get ba k in
@@ -570,7 +591,6 @@ let mask_time_window t i ~lo ~hi =
       Bigarray.Array1.unsafe_set ba k 0.0;
       if delta <> 0.0 then begin
         Array.unsafe_set cs ci (Array.unsafe_get cs ci +. delta);
-        Array.unsafe_set ts (ti + tt) (Array.unsafe_get ts (ti + tt) +. delta);
         Array.unsafe_set rt i (Array.unsafe_get rt i +. delta);
         mark_touched t i
       end
@@ -591,9 +611,35 @@ let cluster_weight t i c =
   if i < 0 || i >= t.n || c < 0 || c >= t.nc then invalid_arg "Weights: index out of range";
   t.cluster_sum.((i * t.nc) + c)
 
+(* COMM's neighbour pull, one row at a time: adds [weight] times each
+   of row [i]'s cluster marginals to [into.(at + c)], in ascending
+   cluster order. A [weight] of exactly 1.0 adds the marginal itself,
+   as [1.0 *. x = x]. *)
+let add_cluster_marginals t i ~weight ~into ~at =
+  check_row t i;
+  if at < 0 || at + t.nc > Array.length into then
+    invalid_arg "Weights.add_cluster_marginals: target out of range";
+  let cs = t.cluster_sum and base = i * t.nc in
+  for c = 0 to t.nc - 1 do
+    Array.unsafe_set into (at + c)
+      (Array.unsafe_get into (at + c) +. (weight *. Array.unsafe_get cs (base + c)))
+  done
+
+(* Slot [tt]'s marginal, summed from row [i]'s entries in ascending
+   cluster order. Inlined, or its callers would box the sum. *)
+let[@inline] slot_sum t i tt =
+  let nt = t.nt and ba = t.w in
+  let s = ref 0.0 and k = ref ((i * t.nc * nt) + tt) in
+  for _ = 1 to t.nc do
+    s := !s +. Bigarray.Array1.unsafe_get ba !k;
+    k := !k + nt
+  done;
+  !s
+
+(* Outside the window every entry is +0.0, and so is their sum. *)
 let time_weight t i tt =
   if i < 0 || i >= t.n || tt < 0 || tt >= t.nt then invalid_arg "Weights: index out of range";
-  t.time_sum.((i * t.nt) + tt)
+  if tt < Array.unsafe_get t.lo i || tt > Array.unsafe_get t.hi i then 0.0 else slot_sum t i tt
 
 let row_total t i =
   check_row t i;
@@ -609,11 +655,13 @@ let row_total t i =
    cycle.
 
    Fully fused: one sweep for the total, then a single divide sweep
-   that simultaneously rebuilds all three marginal caches. The cache
+   that simultaneously rebuilds both marginal caches. The cache
    arithmetic accumulates element-by-element in the order of a rebuild
-   from the entries (lane sums left to right, time sums in ascending
-   cluster order, row total as the sum of lane sums), so the caches are
-   bit-identical to such a rebuild.
+   from the entries (lane sums left to right, row total as the sum of
+   lane sums), so the caches are bit-identical to such a rebuild. The
+   total sweep is skipped when the row's last writer handed over
+   [sweep_total]: that writer summed the same entries in the same flat
+   order, so it is the same float.
 
    The same divide sweep also runs the gate's validity test: every
    *stored* value is checked against [validate_row]'s predicate (finite
@@ -634,23 +682,24 @@ let normalize_row t i =
   let changed = ref false in
   let ba = t.w in
   let lo = Array.unsafe_get t.lo i and hi = Array.unsafe_get t.hi i in
-  let total = ref 0.0 in
-  for c = 0 to nc - 1 do
-    let lane = ((i * nc) + c) * nt in
-    for k = lane + lo to lane + hi do
-      total := !total +. Bigarray.Array1.unsafe_get ba k
+  let total = ref (Array.unsafe_get t.sweep_total i) in
+  (* nan: no writer handed a total over. *)
+  if !total <> !total then begin
+    total := 0.0;
+    for c = 0 to nc - 1 do
+      let lane = ((i * nc) + c) * nt in
+      for k = lane + lo to lane + hi do
+        total := !total +. Bigarray.Array1.unsafe_get ba k
+      done
     done
-  done;
+  end;
+  forget_total t i;
   let total = !total in
   let uniform = total <= 0.0 || not (Float.is_finite total) in
   if uniform then full_window t i;
   let lo = Array.unsafe_get t.lo i and hi = Array.unsafe_get t.hi i in
   let u = 1.0 /. float_of_int len in
-  let cs = t.cluster_sum and ts = t.time_sum in
-  let ti = i * nt in
-  for tt = 0 to nt - 1 do
-    Array.unsafe_set ts (ti + tt) 0.0
-  done;
+  let cs = t.cluster_sum in
   let row = ref 0.0 in
   let vsum = ref 0.0 and all_ok = ref true in
   for c = 0 to nc - 1 do
@@ -670,8 +719,7 @@ let normalize_row t i =
       in
       if stored >= -1e-9 && stored <= max_float then vsum := !vsum +. stored
       else all_ok := false;
-      s := !s +. v;
-      Array.unsafe_set ts (ti + tt) (Array.unsafe_get ts (ti + tt) +. v)
+      s := !s +. v
     done;
     Array.unsafe_set cs ((i * nc) + c) !s;
     row := !row +. !s
@@ -689,31 +737,59 @@ let normalize_all t =
     normalize t i
   done
 
-(* --- preferences ---------------------------------------------------- *)
+(* --- preferences ----------------------------------------------------
+   Plain loops over the caches: no closure, and no float crosses a
+   call, so none is boxed. Ties within 1e-12 go to the smallest id. *)
 
-let argmax_range count value =
-  let best = ref 0 and best_v = ref (value 0) in
-  for k = 1 to count - 1 do
-    let v = value k in
+let top_cluster t i =
+  let cs = t.cluster_sum and base = i * t.nc in
+  let best = ref 0 and best_v = ref (Array.unsafe_get cs base) in
+  for c = 1 to t.nc - 1 do
+    let v = Array.unsafe_get cs (base + c) in
     if v > !best_v +. 1e-12 then begin
-      best := k;
+      best := c;
       best_v := v
     end
   done;
   !best
 
-let preferred_cluster t i = argmax_range t.nc (fun c -> cluster_weight t i c)
-let preferred_time t i = argmax_range t.nt (fun tt -> time_weight t i tt)
+(* The best cluster other than [pref]; [nc] must be at least 2. *)
+let second_cluster t i pref =
+  let cs = t.cluster_sum and base = i * t.nc in
+  let best = ref (if pref = 0 then 1 else 0) in
+  for c = 0 to t.nc - 1 do
+    if
+      c <> pref
+      && Array.unsafe_get cs (base + c) > Array.unsafe_get cs (base + !best) +. 1e-12
+    then best := c
+  done;
+  !best
+
+let preferred_cluster t i =
+  check_row t i;
+  top_cluster t i
+
+(* Slots outside the window have marginal +0.0, which never beats a
+   best of at least +0.0 (slot 0's, when the window starts later), so
+   only the window is summed. *)
+let preferred_time t i =
+  check_row t i;
+  let best = ref 0 and best_v = ref 0.0 in
+  for tt = Array.unsafe_get t.lo i to Array.unsafe_get t.hi i do
+    let v = slot_sum t i tt in
+    if tt = 0 then best_v := v
+    else if v > !best_v +. 1e-12 then begin
+      best := tt;
+      best_v := v
+    end
+  done;
+  !best
 
 let runnerup_cluster t i =
   if t.nc < 2 then None
   else begin
-    let pref = preferred_cluster t i in
-    let best = ref (if pref = 0 then 1 else 0) in
-    for c = 0 to t.nc - 1 do
-      if c <> pref && cluster_weight t i c > cluster_weight t i !best +. 1e-12 then best := c
-    done;
-    Some !best
+    check_row t i;
+    Some (second_cluster t i (top_cluster t i))
   end
 
 (* A fully converged row has no runner-up mass, which used to make
@@ -725,13 +801,16 @@ let runnerup_cluster t i =
 let confidence_sentinel = 1e9
 
 let confidence t i =
-  match runnerup_cluster t i with
-  | None -> confidence_sentinel
-  | Some r ->
-    let top = cluster_weight t i (preferred_cluster t i) in
-    let second = cluster_weight t i r in
+  if t.nc < 2 then confidence_sentinel
+  else begin
+    check_row t i;
+    let cs = t.cluster_sum and base = i * t.nc in
+    let pref = top_cluster t i in
+    let top = Array.unsafe_get cs (base + pref)
+    and second = Array.unsafe_get cs (base + second_cluster t i pref) in
     if second <= 0.0 then confidence_sentinel
     else Float.min (top /. second) confidence_sentinel
+  end
 
 let blend t ~dst ~src ~keep =
   if not (keep >= 0.0 && keep <= 1.0) then invalid_arg "Weights.blend: keep must be in [0,1]";
@@ -740,23 +819,19 @@ let blend t ~dst ~src ~keep =
   if dst <> src then begin
     (* One sweep writes the row and rebuilds its marginal caches,
        accumulating in a from-entries rebuild's order as [normalize]
-       does. Outside the hull of the two live windows both rows are
-       +0.0, and so is their blend, so the sweep and [dst]'s new window
-       are that hull. *)
+       does, and sums the row in flat order for the gate. Outside the
+       hull of the two live windows both rows are +0.0, and so is their
+       blend, so the sweep and [dst]'s new window are that hull. *)
     let nc = t.nc and nt = t.nt in
     let ba = t.w in
     let drop = 1.0 -. keep in
-    let cs = t.cluster_sum and ts = t.time_sum in
+    let cs = t.cluster_sum in
     if unsaved t dst then save_row t dst;
     let lo = min (Array.unsafe_get t.lo dst) (Array.unsafe_get t.lo src)
     and hi = max (Array.unsafe_get t.hi dst) (Array.unsafe_get t.hi src) in
     Array.unsafe_set t.lo dst lo;
     Array.unsafe_set t.hi dst hi;
-    let ti = dst * nt in
-    for tt = 0 to nt - 1 do
-      Array.unsafe_set ts (ti + tt) 0.0
-    done;
-    let row = ref 0.0 in
+    let row = ref 0.0 and total = ref 0.0 in
     for c = 0 to nc - 1 do
       let ld = ((dst * nc) + c) * nt and ls = ((src * nc) + c) * nt in
       let s = ref 0.0 in
@@ -767,12 +842,13 @@ let blend t ~dst ~src ~keep =
         in
         Bigarray.Array1.unsafe_set ba (ld + tt) v;
         s := !s +. v;
-        Array.unsafe_set ts (ti + tt) (Array.unsafe_get ts (ti + tt) +. v)
+        total := !total +. v
       done;
       Array.unsafe_set cs ((dst * nc) + c) !s;
       row := !row +. !s
     done;
     t.row_total.(dst) <- !row;
+    Array.unsafe_set t.sweep_total dst !total;
     mark_touched t dst
   end
 
@@ -787,8 +863,8 @@ let copy t =
     t with
     w;
     cluster_sum = Array.copy t.cluster_sum;
-    time_sum = Array.copy t.time_sum;
     row_total = Array.copy t.row_total;
+    sweep_total = Array.copy t.sweep_total;
     dirty = Bytes.copy t.dirty;
     lo = Array.copy t.lo;
     hi = Array.copy t.hi;
@@ -879,31 +955,18 @@ let check_invariants t =
       if Float.abs (!s -. cluster_weight t i c) > 1e-6 then
         fail "stale cluster sum at (%d,%d)" i c
     done;
-    for tt = 0 to t.nt - 1 do
-      let s = ref 0.0 in
-      for c = 0 to t.nc - 1 do
-        s := !s +. raw_get t (idx t i c tt)
-      done;
-      if Float.abs (!s -. time_weight t i tt) > 1e-6 then fail "stale time sum at (%d,%d)" i tt
-    done;
     if Float.abs (!total -. row_total t i) > 1e-6 then
       fail "stale row total at %d (%g cached vs %g)" i (row_total t i) !total;
-    (* The live window: every entry outside it is +0.0, and since this
-       is a normalized row ([normalize] rebuilds the time marginals
-       from the entries) so is each outside slot's time marginal. *)
+    (* The live window: every entry outside it is +0.0. *)
     let lo = t.lo.(i) and hi = t.hi.(i) in
     if lo < 0 || hi >= t.nt then fail "row %d window %d..%d out of range" i lo hi;
     for tt = 0 to t.nt - 1 do
-      if tt < lo || tt > hi then begin
+      if tt < lo || tt > hi then
         for c = 0 to t.nc - 1 do
           let v = raw_get t (idx t i c tt) in
           if Int64.bits_of_float v <> 0L then
             fail "W(%d,%d,%d)=%g outside window %d..%d" i c tt v lo hi
-        done;
-        if time_weight t i tt <> 0.0 then
-          fail "row %d time marginal %g at slot %d outside window %d..%d" i
-            (time_weight t i tt) tt lo hi
-      end
+        done
     done
   done;
   match !problems with [] -> Ok () | ps -> Error (String.concat "; " ps)

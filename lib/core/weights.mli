@@ -10,9 +10,19 @@
     - [0 <= W(i,c,t) <= 1]
     - for each [i], the entries sum to 1.
 
-    Marginal sums over time (per cluster), over clusters (per time) and
-    over the whole row are cached incrementally so preferred slots and
-    confidences are O(clusters + slots), as the paper requires.
+    Each row's cluster marginals (sums over time, per cluster) and its
+    total are cached incrementally, so preferred clusters and
+    confidences are O(clusters), as the paper requires. The time
+    marginals (sums over clusters, per slot) are not cached: passes
+    read them rarely, so {!time_weight} and {!preferred_time} sum them
+    from the row's live window when asked.
+
+    A writer that sweeps a row's whole window ({!blend},
+    {!scale_clusters}, {!add_noise}) also sums, in flat order, the
+    values it leaves there, and hands that total to the next
+    {!normalize} of the row, which then skips its own total sweep; it
+    is the same float, summed in the same order. Any other writer
+    withdraws the total.
 
     Every write also marks its row {e touched}, so renormalization and
     the driver's quarantine gate run in time proportional to the rows a
@@ -110,7 +120,8 @@ val add_noise : t -> int -> Cs_util.Rng.t -> float -> unit
 (** [add_noise w i rng bound] adds [Cs_util.Rng.float rng bound] to
     every positive entry of row [i], drawing in flat (cluster-major)
     order — NOISE's kernel. Entries that are not positive draw nothing
-    and stay as they are. *)
+    and stay as they are. The draws are the same floats in the same
+    order, but none is boxed. *)
 
 val mask_time_window : t -> int -> lo:int -> hi:int -> unit
 (** [mask_time_window w i ~lo ~hi] zeroes every slot of row [i]
@@ -123,13 +134,21 @@ val window : t -> int -> int * int
 (** Row [i]'s live window [(lo, hi)]: every entry outside it is
     [+0.0]. Empty ([lo > hi]) after a mask that kept no slot. *)
 
-(** {1 Cached marginals} *)
+(** {1 Marginals} *)
 
 val cluster_weight : t -> int -> int -> float
 (** Marginal [sum_t W(i,c,t)]; O(1) from the cache. *)
 
+val add_cluster_marginals : t -> int -> weight:float -> into:float array -> at:int -> unit
+(** [add_cluster_marginals w i ~weight ~into ~at] sets
+    [into.(at + c) <- into.(at + c) +. (weight *. cluster_weight w i c)]
+    for every cluster [c] in ascending order — COMM's neighbour pull,
+    without a boxed float per read. A [weight] of exactly [1.0] adds
+    the marginal itself. [at .. at + nc - 1] must lie in [into]. *)
+
 val time_weight : t -> int -> int -> float
-(** Marginal [sum_c W(i,c,t)]; O(1) from the cache. *)
+(** Marginal [sum_c W(i,c,t)], summed from the entries in ascending
+    cluster order when asked; O(nc). *)
 
 val row_total : t -> int -> float
 (** Cached [sum_{c,t} W(i,c,t)]; O(1). *)
@@ -163,8 +182,8 @@ val clear_touched : t -> unit
     {!scale}, the fused row kernels, {!mask_time_window}, {!blend} and
     {!normalize}) saves a row to the undo log before it first changes
     the row: the row's live window, the entries inside it in every
-    cluster lane, and its cluster sums, time sums and total. Writes
-    made while no pass is open save nothing. *)
+    cluster lane, and its cluster sums and total. Writes made while no
+    pass is open save nothing. *)
 
 val begin_pass : t -> unit
 (** Clear the touched set and open the undo log, empty. *)
@@ -184,6 +203,8 @@ val preferred_cluster : t -> int -> int
 (** Cluster maximizing the time-marginal; smallest id wins ties. *)
 
 val preferred_time : t -> int -> int
+(** Slot maximizing the cluster-marginal; smallest slot wins ties.
+    Computed from the row's live window in one sweep, O(nc * width). *)
 
 val runnerup_cluster : t -> int -> int option
 (** Second-best cluster; [None] on single-cluster machines. *)
@@ -226,7 +247,8 @@ val normalize_validate_touched : t -> (unit, string) result
 (** The driver's per-pass gate: {!normalize} every row written since
     {!clear_touched}, in ascending order, and check it as {!validate}
     would, in the same sweep. Each row costs one total sweep plus one
-    divide sweep that rebuilds the caches and tests every stored value.
+    divide sweep that rebuilds the caches and tests every stored value;
+    a row whose last writer handed over its total skips the first.
     The result, the entries, the caches and the touched flags are
     exactly those of [normalize] on each touched row followed by
     {!validate} over those rows: the first failing row's message, from
@@ -237,10 +259,9 @@ val normalize_validate_touched : t -> (unit, string) result
 
 val check_invariants : t -> (unit, string) result
 (** Verifies range, row sums (post-normalization), and consistency of
-    all three marginal caches against freshly recomputed sums; used by
+    both marginal caches against freshly recomputed sums; used by
     tests and assertions. Also audits each row's live window: it lies
-    in [0..nt-1], every entry outside it is [+0.0], and so (the row
-    being normalized) is the time marginal of every slot outside it. *)
+    in [0..nt-1] and every entry outside it is [+0.0]. *)
 
 val pp_cluster_map : Format.formatter -> t -> unit
 (** ASCII rendering of the cluster-preference map in the style of the

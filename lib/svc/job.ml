@@ -14,9 +14,22 @@ let admit ?default_deadline_ms (request : Proto.request) =
 
 let ( let* ) = Result.bind
 
+(* CHAOS is a fault-injection drill, not a scheduling pass: from a
+   request, mode 5 would hold a worker for up to a minute, past any
+   deadline (a pass cannot be preempted), and the other modes fail
+   passes on purpose. Drills add it on the server side
+   ([extra_passes]); repros, fuzzing and [Sequence.of_spec] keep it. *)
 let parse_passes spec =
-  Cs_core.Sequence.of_names (String.split_on_char ',' spec)
-  |> Result.map_error (fun e -> Cs_resil.Error.Invalid_input e)
+  let* passes =
+    Cs_core.Sequence.of_names (String.split_on_char ',' spec)
+    |> Result.map_error (fun e -> Cs_resil.Error.Invalid_input e)
+  in
+  if List.exists (fun p -> p.Cs_core.Pass.name = Cs_core.Chaos.decl.Cs_core.Pass.name) passes
+  then
+    Error
+      (Cs_resil.Error.Invalid_input
+         "pass CHAOS injects faults and is not accepted in a request")
+  else Ok passes
 
 (* Resolve the request's named pieces against the registries. All
    failures come back as typed [Invalid_input] so the service replies

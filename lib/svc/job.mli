@@ -23,11 +23,13 @@ val run :
     - a deadline that expired while the job sat in the queue refuses
       immediately with [Deadline_exceeded] (running it cannot help);
     - unknown benchmark / machine / scheduler / passes refuse with
-      [Invalid_input];
+      [Invalid_input], and so does a request naming the fault-injection
+      pass CHAOS (it could stall a worker past any deadline);
     - otherwise {!Cs_sim.Pipeline.schedule_resilient} runs with the
       job's absolute deadline, optionally wrapped in {!Retry.run}
       (transient errors only, and never once the deadline has expired);
     - [extra_passes] are appended to convergent sequences — the serve
-      command uses this to inject a CHAOS slow pass for SLO drills.
+      command uses this to inject a CHAOS slow pass for SLO drills,
+      the one way CHAOS reaches a service job.
 
     Never raises on classifiable scheduler failures. *)

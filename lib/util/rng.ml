@@ -1,25 +1,38 @@
-type t = { mutable state : int64 }
+(* The state lives in 8 bytes rather than a mutable [int64] field,
+   which would box every new state; with [bits64] and [mix64] inlined,
+   a draw that stays in this module allocates nothing. *)
+type t = Bytes.t
+
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix64 z =
+let[@inline] mix64 z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let create seed = { state = Int64.of_int seed }
-let state t = t.state
-let of_state s = { state = s }
+let of_state s =
+  let t = Bytes.create 8 in
+  set64 t 0 s;
+  t
 
-let bits64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix64 t.state
+let create seed = of_state (Int64.of_int seed)
+let state t = get64 t 0
+
+let[@inline] bits64 t =
+  let s = Int64.add (get64 t 0) golden_gamma in
+  set64 t 0 s;
+  mix64 s
 
 let split t =
   let s = bits64 t in
-  { state = s }
+  of_state s
 
-let copy t = { state = t.state }
+let copy = Bytes.copy
+
+let bits53 t = Int64.to_int (Int64.shift_right_logical (bits64 t) 11)
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
@@ -28,10 +41,7 @@ let int t bound =
   let v = Int64.to_int (Int64.shift_right_logical (bits64 t) 2) in
   v mod bound
 
-let float t bound =
-  let v = Int64.to_float (Int64.shift_right_logical (bits64 t) 11) in
-  bound *. (v /. 9007199254740992.0 (* 2^53 *))
-
+let float t bound = bound *. (float_of_int (bits53 t) /. 9007199254740992.0 (* 2^53 *))
 let bool t = Int64.logand (bits64 t) 1L = 1L
 
 let range t lo hi =

@@ -30,6 +30,13 @@ val bits64 : t -> int64
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)]. [bound] must be positive. *)
 
+val bits53 : t -> int
+(** The top 53 bits of the next {!bits64}, as a non-negative int.
+    [float t bound] is exactly
+    [bound *. (float_of_int (bits53 t) /. 9007199254740992.0)]; a caller
+    that spells this out draws the same floats without the boxed
+    result of a [float] call. *)
+
 val float : t -> float -> float
 (** [float t bound] is uniform in [\[0, bound)]. *)
 

@@ -290,7 +290,7 @@ let default_sequence machine =
   else Sequence.vliw_default ()
 
 (* The first difference between two matrices, bit for bit: entries, the
-   three caches, live windows and touched flags. *)
+   marginals, live windows and touched flags. *)
 let matrix_diff a b =
   let bits = Int64.bits_of_float in
   let diff = ref None in

@@ -415,8 +415,8 @@ let prop_level_matches_naive =
       done;
       !same)
 
-(* Everything observable about a matrix — entries, the three marginal
-   caches, touched flags — for comparison with [=]. *)
+(* Everything observable about a matrix — entries, the marginals,
+   touched flags — for comparison with [=]. *)
 let matrix_state w =
   List.init (Weights.n w) (fun i ->
       ( Array.init (Weights.nc w) (fun c -> Array.init (Weights.nt w) (Weights.get w i c)),

@@ -520,6 +520,39 @@ let test_job_refusals_are_typed () =
       e.kind
   | _ -> Alcotest.fail "expired deadline must refuse"
 
+(* CHAOS stays out of requests: a mode 5 stall of 3 s under a 1 s
+   deadline is refused as invalid input at once, never run (it would
+   hold the worker 3 s and answer late); so is every other mode. *)
+let test_job_refuses_chaos () =
+  let t0 = Cs_obs.Clock.now () in
+  let req =
+    Cs_svc.Proto.request ~id:"chaos" ~machine:"vliw4" ~deadline_ms:1000.0
+      ~passes:"INITTIME,CHAOS=mode=5:delay_ms=3000" "vvmul"
+  in
+  let reply = Cs_svc.Job.run (Cs_svc.Job.admit req) in
+  let wall_ms = (Cs_obs.Clock.now () -. t0) *. 1000.0 in
+  (match reply.Cs_svc.Proto.verdict with
+  | Cs_svc.Proto.Refused e -> Alcotest.(check string) "stall refused" "invalid-input" e.kind
+  | Cs_svc.Proto.Scheduled _ -> Alcotest.fail "a CHAOS stall must be refused");
+  Alcotest.(check bool)
+    (Printf.sprintf "answered within the deadline (%.1f ms)" wall_ms)
+    true
+    (wall_ms < 1000.0 && reply.Cs_svc.Proto.elapsed_ms < 1000.0);
+  List.iter
+    (fun passes ->
+      match (Cs_svc.Job.run (Cs_svc.Job.admit (Cs_svc.Proto.request ~passes "jacobi"))).verdict with
+      | Cs_svc.Proto.Refused e -> Alcotest.(check string) passes "invalid-input" e.kind
+      | _ -> Alcotest.failf "%s must refuse" passes)
+    [ "CHAOS"; "INITTIME,CHAOS=mode=0"; "INITTIME,COMM,CHAOS=mode=4" ];
+  (* The server-side drill still reaches the sequence. *)
+  match
+    (Cs_svc.Job.run ~extra_passes:[ Cs_core.Chaos.slow_pass ~delay_ms:1.0 () ]
+       (Cs_svc.Job.admit (Cs_svc.Proto.request ~machine:"vliw4" "vvmul")))
+      .verdict
+  with
+  | Cs_svc.Proto.Scheduled _ -> ()
+  | Cs_svc.Proto.Refused e -> Alcotest.failf "drill refused: %s" e.message
+
 let test_job_schedules_with_deadline () =
   let req = Cs_svc.Proto.request ~id:"ok" ~machine:"raw4" ~deadline_ms:10_000.0 "sha" in
   match (Cs_svc.Job.run (Cs_svc.Job.admit req)).Cs_svc.Proto.verdict with
@@ -1119,6 +1152,7 @@ let () =
       ( "job",
         [
           Alcotest.test_case "typed refusals" `Quick test_job_refusals_are_typed;
+          Alcotest.test_case "CHAOS refused within its deadline" `Quick test_job_refuses_chaos;
           Alcotest.test_case "schedules under deadline" `Quick
             test_job_schedules_with_deadline;
         ] );

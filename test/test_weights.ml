@@ -501,9 +501,9 @@ let per_element w = function
     done
 
 (* The fused kernels' bit-identity contract: from any reachable state
-   (touched flags kept or cleared), each leaves entries, all three
-   marginal caches and the touched flags exactly as its per-element
-   spelling does. *)
+   (touched flags kept or cleared), each leaves entries, both marginal
+   caches, the time marginals and the touched flags exactly as its
+   per-element spelling does. *)
 let test_kernels_per_element_qcheck =
   let prop =
     QCheck.Test.make ~count:500 ~name:"kernels = per-element spelling"
@@ -610,7 +610,7 @@ let test_normalize_pointwise_qcheck =
    [normalize] on each touched row, then [validate]. From any reachable
    state (touched flags accumulated from [create], or cleared after a
    normalized prefix so some rows stay untouched), the verdict, the
-   entries, all three caches and the touched flags must agree with [=].
+   entries, the marginals and the touched flags must agree with [=].
    The public writers reject non-finite and negative values, so every
    touched row normalizes to a valid one and the verdict is [Ok]. A row
    failing the fused filter is re-read by [validate]'s own row check,
@@ -670,12 +670,13 @@ let test_ops_dirty_exact_qcheck =
    now sweeps over the window only; the others are the library's
    unwindowed kernels, copied so the model is self-contained. The one
    deliberate difference from the old code is [mask], which stores
-   0.0 unconditionally, as [set] would. *)
+   0.0 unconditionally, as [set] would. The model keeps no time sums:
+   the library computes them from the entries on demand, so
+   [same_state] rebuilds the model's from its entries ([ts]). *)
 module Full = struct
   type t = {
     e : float array;
     cs : float array;
-    ts : float array;
     rt : float array;
     dirty : bool array;
   }
@@ -689,7 +690,6 @@ module Full = struct
     {
       e = Array.make (n * nc * nt) v;
       cs = Array.make (n * nc) (v *. float_of_int nt);
-      ts = Array.make (n * nt) (v *. float_of_int nc);
       rt = Array.make n (v *. float_of_int (nc * nt));
       dirty = Array.make n false;
     }
@@ -698,19 +698,27 @@ module Full = struct
     {
       e = Array.copy m.e;
       cs = Array.copy m.cs;
-      ts = Array.copy m.ts;
       rt = Array.copy m.rt;
       dirty = Array.copy m.dirty;
     }
 
   let k i c tt = (((i * nc) + c) * nt) + tt
+
+  (* Slot [tt]'s time marginal, summed from the entries in ascending
+     cluster order. *)
+  let ts m i tt =
+    let s = ref 0.0 in
+    for c = 0 to nc - 1 do
+      s := !s +. m.e.(k i c tt)
+    done;
+    !s
+
   let bad v = (not (Float.is_finite v)) || v < 0.0
   let reject () = invalid_arg "Weights.set: weight must be finite and >= 0"
 
-  let apply_delta m i c tt delta =
+  let apply_delta m i c delta =
     if delta <> 0.0 then begin
       m.cs.((i * nc) + c) <- m.cs.((i * nc) + c) +. delta;
-      m.ts.((i * nt) + tt) <- m.ts.((i * nt) + tt) +. delta;
       m.rt.(i) <- m.rt.(i) +. delta;
       m.dirty.(i) <- true
     end
@@ -719,7 +727,7 @@ module Full = struct
     if bad v then reject ();
     let old = m.e.(k i c tt) in
     m.e.(k i c tt) <- v;
-    apply_delta m i c tt (v -. old)
+    apply_delta m i c (v -. old)
 
   (* A kernel's write: reject a bad value, store only a changed one. *)
   let write m i c tt v =
@@ -727,7 +735,7 @@ module Full = struct
     let old = m.e.(k i c tt) in
     if v -. old <> 0.0 then begin
       m.e.(k i c tt) <- v;
-      apply_delta m i c tt (v -. old)
+      apply_delta m i c (v -. old)
     end
 
   let scale_cluster m i c f =
@@ -760,7 +768,7 @@ module Full = struct
       let zero tt =
         let old = m.e.(k i c tt) in
         m.e.(k i c tt) <- 0.0;
-        apply_delta m i c tt (0.0 -. old)
+        apply_delta m i c (0.0 -. old)
       in
       for tt = 0 to min lo nt - 1 do
         zero tt
@@ -779,9 +787,6 @@ module Full = struct
     let total = !total in
     let uniform = total <= 0.0 || not (Float.is_finite total) in
     let u = 1.0 /. float_of_int len in
-    for tt = 0 to nt - 1 do
-      m.ts.((i * nt) + tt) <- 0.0
-    done;
     let changed = ref false and row = ref 0.0 in
     let vsum = ref 0.0 and all_ok = ref true in
     for c = 0 to nc - 1 do
@@ -799,8 +804,7 @@ module Full = struct
         in
         if stored >= -1e-9 && stored <= max_float then vsum := !vsum +. stored
         else all_ok := false;
-        s := !s +. v;
-        m.ts.((i * nt) + tt) <- m.ts.((i * nt) + tt) +. v
+        s := !s +. v
       done;
       m.cs.((i * nc) + c) <- !s;
       row := !row +. !s
@@ -840,17 +844,13 @@ module Full = struct
     if not (keep >= 0.0 && keep <= 1.0) then invalid_arg "Weights.blend: keep must be in [0,1]";
     if dst <> src then begin
       let drop = 1.0 -. keep in
-      for tt = 0 to nt - 1 do
-        m.ts.((dst * nt) + tt) <- 0.0
-      done;
       let row = ref 0.0 in
       for c = 0 to nc - 1 do
         let s = ref 0.0 in
         for tt = 0 to nt - 1 do
           let v = (keep *. m.e.(k dst c tt)) +. (drop *. m.e.(k src c tt)) in
           m.e.(k dst c tt) <- v;
-          s := !s +. v;
-          m.ts.((dst * nt) + tt) <- m.ts.((dst * nt) + tt) +. v
+          s := !s +. v
         done;
         m.cs.((dst * nc) + c) <- !s;
         row := !row +. !s
@@ -866,7 +866,6 @@ module Full = struct
   let restore ~snap m =
     Array.blit snap.e 0 m.e 0 (Array.length m.e);
     Array.blit snap.cs 0 m.cs 0 (Array.length m.cs);
-    Array.blit snap.ts 0 m.ts 0 (Array.length m.ts);
     Array.blit snap.rt 0 m.rt 0 (Array.length m.rt)
 end
 
@@ -1013,15 +1012,14 @@ let same_state w m =
       done
     done;
     for t = 0 to Full.nt - 1 do
-      if bits (Weights.time_weight w i t) <> bits m.Full.ts.((i * Full.nt) + t) then
-        ok := false
+      if bits (Weights.time_weight w i t) <> bits (Full.ts m i t) then ok := false
     done
   done;
   !ok
 
 (* The windowed kernels against the full-row ones, and the undo log
    against a whole-matrix snapshot: after every step of a random
-   sequence, the entries and all three caches agree bit for bit, the
+   sequence, the entries and the marginals agree bit for bit, the
    touched flags agree, and both raised the same exception or returned
    the same gate verdict. A raising kernel may leave its row half
    written, and a rollback must then restore it. *)
@@ -1121,6 +1119,106 @@ let test_rollback_snapshot_qcheck =
   in
   to_alcotest prop
 
+(* One step of a random sequence on the library alone, the pass
+   protocol included; a raising write is ignored. *)
+let lib_step w op =
+  try
+    match op with
+    | W_begin -> Weights.begin_pass w
+    | W_commit -> Weights.commit w
+    | W_rollback -> Weights.rollback w
+    | op -> lib_write w op
+  with Invalid_argument _ -> ()
+
+(* Row [i]'s time marginals rebuilt from its entries (ascending cluster
+   order), and the preferred slot as the old cached argmax took it:
+   over every slot, ties within 1e-12 to the smallest. *)
+let rebuilt_times w i =
+  Array.init (Weights.nt w) (fun t ->
+      let s = ref 0.0 in
+      for c = 0 to Weights.nc w - 1 do
+        s := !s +. Weights.get w i c t
+      done;
+      !s)
+
+let argmax_slot times =
+  let best = ref 0 in
+  Array.iteri (fun t v -> if v > times.(!best) +. 1e-12 then best := t) times;
+  !best
+
+(* The time marginals are computed on demand from the window: after
+   every step of a random sequence (mid-pass, after a raising kernel
+   left a row half written, after a rollback), [time_weight] and
+   [preferred_time] must equal a rebuild from the entries, bit for
+   bit. *)
+let test_time_marginals_on_demand_qcheck =
+  let prop =
+    QCheck.Test.make ~count:500 ~name:"time marginals = from-entries rebuild after every op"
+      (QCheck.make QCheck.Gen.(list_size (int_range 1 60) wop_gen))
+      (fun ops ->
+        let w = Weights.create ~n:Full.n ~nc:Full.nc ~nt:Full.nt in
+        List.for_all
+          (fun op ->
+            lib_step w op;
+            List.for_all
+              (fun i ->
+                let times = rebuilt_times w i in
+                Array.map bits (Array.init Full.nt (Weights.time_weight w i))
+                = Array.map bits times
+                && Weights.preferred_time w i = argmax_slot times)
+              (List.init Full.n Fun.id))
+          ops)
+  in
+  to_alcotest prop
+
+(* The gate with the totals the sweeping writers handed over against
+   the full-row model's gate, which sums every row itself. Each pass
+   opens with [scale_clusters] on a row and then writes the same row
+   again with a writer that does not hand a total over ([set],
+   [scale_cluster], [scale_time], a mask) or one that hands a new one
+   over (a blend, noise), then runs random steps; every step and the
+   closing gate must agree with the model on outcome, verdict,
+   entries, caches and touched flags, bit for bit. *)
+let test_handed_totals_gate_qcheck =
+  let gen =
+    QCheck.Gen.(
+      let i = int_bound (Full.n - 1) in
+      let factors = map Array.of_list (list_repeat Full.nc (float_bound_inclusive 3.0)) in
+      let again i =
+        oneof
+          [
+            map (fun (c, t, v) -> W_set (i, c, t, v))
+              (triple (int_bound (Full.nc - 1)) (int_bound (Full.nt - 1))
+                 (float_bound_inclusive 2.0));
+            map (fun (c, f) -> W_scale_cluster (i, c, f))
+              (pair (int_bound (Full.nc - 1)) (float_bound_inclusive 3.0));
+            map (fun (t, f) -> W_scale_time (i, t, f))
+              (pair (int_bound (Full.nt - 1)) (float_bound_inclusive 3.0));
+            map (fun (lo, hi) -> W_mask (i, lo, hi))
+              (pair (int_bound (Full.nt - 1)) (int_bound (Full.nt - 1)));
+            map (fun (src, keep) -> W_blend (i, src, keep))
+              (pair (int_bound (Full.n - 1)) (float_bound_inclusive 1.0));
+            map (fun (f, seed) -> W_noise (i, f, seed)) (pair (float_bound_inclusive 3.0) nat);
+            return W_clear;
+          ]
+      in
+      let first =
+        i >>= fun i -> map (fun (fs, op) -> (W_scale_clusters (i, fs), op)) (pair factors (again i))
+      in
+      tup3 (list_size (int_bound 20) wop_gen) first (list_size (int_bound 20) wop_gen))
+  in
+  let prop =
+    QCheck.Test.make ~count:500 ~name:"gate with handed-over totals = full-sweep gate"
+      (QCheck.make gen)
+      (fun (prefix, (scale, again), rest) ->
+        let w = Weights.create ~n:Full.n ~nc:Full.nc ~nt:Full.nt and m = Full.create () in
+        let model = (m, ref None) in
+        let step op = same_outcome w model op && same_state w m in
+        List.for_all step prefix
+        && List.for_all step ((W_begin :: scale :: again :: rest) @ [ W_gate ]))
+  in
+  to_alcotest prop
+
 (* The row kernels box no float per entry they visit, inside a pass or
    not. The undo log grows its buffers in the first pass of a matrix
    and reuses them after, so the pass measured is the second. *)
@@ -1167,6 +1265,49 @@ let test_kernels_allocation_free () =
   Weights.commit w;
   Weights.begin_pass w;
   check "inside a pass";
+  Weights.commit w;
+  (* Per call, the marginal readers and the other writers PATHPROP,
+     COMM and NOISE run box nothing either: no closure, no float
+     returned from a call inside them. [confidence] itself returns a
+     float, which the calling convention boxes; it is read here into a
+     float array, as PATHPROP does, and that box (2 words) is all it may
+     cost. Each body runs [rounds] times over every row, so a constant
+     outside the loops is far under a word per call. *)
+  let rounds = 20 in
+  let conf = Array.make n 0.0 and into = Array.make nc 0.0 and rng = Cs_util.Rng.create 7 in
+  let per_call =
+    [
+      ( "confidence", 2.0,
+        fun i -> Array.unsafe_set conf i (Weights.confidence w i) );
+      ("preferred_cluster", 0.0, fun i -> ignore (Weights.preferred_cluster w i : int));
+      ("preferred_time", 0.0, fun i -> ignore (Weights.preferred_time w i : int));
+      ("blend", 0.0, fun i -> Weights.blend w ~dst:i ~src:((i + 1) mod n) ~keep:0.75);
+      ("add_noise", 0.0, fun i -> Weights.add_noise w i rng 0.01);
+      ( "add_cluster_marginals", 0.0,
+        fun i -> Weights.add_cluster_marginals w i ~weight:0.5 ~into ~at:0 );
+    ]
+  in
+  let check_calls where =
+    List.iter
+      (fun (name, allowed, f) ->
+        let before = Gc.minor_words () in
+        for _ = 1 to rounds do
+          for i = 0 to n - 1 do
+            f i
+          done
+        done;
+        let words = (Gc.minor_words () -. before) /. float_of_int (rounds * n) in
+        if words > allowed +. 0.5 then
+          Alcotest.failf "%s %s: %.2f minor words per call (at most %.0f)" name where words
+            allowed)
+      per_call
+  in
+  check_calls "outside a pass";
+  Weights.begin_pass w;
+  List.iter (fun (_, _, f) -> f 0) per_call;
+  Weights.commit w;
+  Weights.begin_pass w;
+  check_calls "inside a pass";
   Weights.commit w
 
 (* qcheck: random edit sequences + normalize preserve invariants. *)
@@ -1274,6 +1415,7 @@ let () =
           test_ops_dirty_exact_qcheck; test_blend_pointwise_qcheck;
           test_normalize_pointwise_qcheck; test_gate_fused_qcheck;
           test_windows_full_row_qcheck; test_create_windowed_qcheck;
-          test_rollback_snapshot_qcheck;
+          test_rollback_snapshot_qcheck; test_time_marginals_on_demand_qcheck;
+          test_handed_totals_gate_qcheck;
         ] );
     ]
