@@ -3,46 +3,56 @@
    [conf.(s)], so the cache never goes stale. Among the step targets
    less confident than the source, the first least confident one is
    next: [pick] keeps its index and reads its confidence back from
-   [conf], so no float is boxed along the way. *)
-let rec pick (conf : float array) (conf_source : float) next = function
+   [conf], and the source's confidence from [src.(0)], so no float is
+   boxed along the way. *)
+let rec pick (conf : float array) (src : float array) next = function
   | [] -> next
   | s :: rest ->
     let conf_s = conf.(s) in
-    let next = if conf_s < conf_source && (next < 0 || conf.(next) > conf_s) then s else next in
-    pick conf conf_source next rest
+    let next = if conf_s < src.(0) && (next < 0 || conf.(next) > conf_s) then s else next in
+    pick conf src next rest
 
-let walk ctx w conf ~keep ~source ~conf_source ~step_targets =
-  let graph = Context.graph ctx in
-  let rec go cur =
-    let s = pick conf conf_source (-1) (step_targets graph cur) in
-    if s >= 0 then begin
-      Weights.blend w ~dst:s ~src:source ~keep;
-      conf.(s) <- Weights.confidence w s;
-      go s
-    end
-  in
-  go source
+(* A plain recursion with no float argument, so a walk allocates
+   nothing. *)
+let rec walk graph w conf src ~keep ~source ~step_targets cur =
+  let s = pick conf src (-1) (step_targets graph cur) in
+  if s >= 0 then begin
+    Weights.blend w ~dst:s ~src:source ~keep;
+    Weights.confidence_into w s conf;
+    walk graph w conf src ~keep ~source ~step_targets s
+  end
 
 let apply ~confidence_threshold ~blend_keep ctx w =
   (* Visit confident instructions from most to least confident.
      Rows with no runner-up report [confidence_sentinel] (the old code
      saw [infinity] and dropped them via [Float.is_finite]); excluding
      the sentinel keeps them out of the walk exactly as before. The
-     order is fixed by the confidences at the start of the pass. *)
-  let conf = Array.init (Weights.n w) (Weights.confidence w) in
-  let order =
-    List.init (Weights.n w) (fun i -> i)
-    |> List.filter (fun i ->
-           conf.(i) >= confidence_threshold
-           && conf.(i) < Weights.confidence_sentinel)
-    |> List.sort (fun a b -> Float.compare conf.(b) conf.(a))
-  in
-  let keep = 1.0 -. blend_keep in
-  List.iter
+     order is fixed by the confidences at the start of the pass: the
+     visited rows in ascending id, then a stable sort, so ties keep
+     ascending ids. *)
+  let n = Weights.n w in
+  let conf = Array.make n 0.0 in
+  Weights.confidences w conf;
+  let visited i = conf.(i) >= confidence_threshold && conf.(i) < Weights.confidence_sentinel in
+  let count = ref 0 in
+  for i = 0 to n - 1 do
+    if visited i then incr count
+  done;
+  let order = Array.make !count 0 in
+  count := 0;
+  for i = 0 to n - 1 do
+    if visited i then begin
+      order.(!count) <- i;
+      incr count
+    end
+  done;
+  Array.stable_sort (fun a b -> Float.compare conf.(b) conf.(a)) order;
+  let keep = 1.0 -. blend_keep and graph = Context.graph ctx and src = [| 0.0 |] in
+  Array.iter
     (fun ih ->
-      let conf_source = conf.(ih) in
-      walk ctx w conf ~keep ~source:ih ~conf_source ~step_targets:Cs_ddg.Graph.succs;
-      walk ctx w conf ~keep ~source:ih ~conf_source ~step_targets:Cs_ddg.Graph.preds)
+      src.(0) <- conf.(ih);
+      walk graph w conf src ~keep ~source:ih ~step_targets:Cs_ddg.Graph.succs ih;
+      walk graph w conf src ~keep ~source:ih ~step_targets:Cs_ddg.Graph.preds ih)
     order
 
 (* [Weights.blend] refuses [keep = 1 - blend_keep] outside [0, 1]. *)

@@ -92,6 +92,8 @@ type t = {
   mutable logging : bool; (* a pass is open: writers save rows first *)
   saved : Bytes.t; (* n bytes: rows in the undo log *)
   undo : undo;
+  mutable store : ba1;
+      (* the block [w] is a prefix of, until [release] hands it back *)
 }
 
 let n t = t.n
@@ -100,16 +102,48 @@ let nt t = t.nt
 
 let idx t i c tt = (((i * t.nc) + c) * t.nt) + tt
 
+(* The matrix store outlives its matrix, as the log's chunks do. OCaml
+   charges a fresh [Bigarray]'s out-of-heap bytes to the major GC, so a
+   fresh multi-megabyte block per region forces about one full major
+   cycle per region. Each domain keeps one spare store instead: a
+   matrix built on the domain views a prefix of it when it is large
+   enough, and [release] hands a dead matrix's store back. A store
+   above [store_cap] floats is never kept, nor is a log's chunk set
+   beyond it, so one huge region does not pin its memory on a domain
+   for good. *)
+let store_cap = 1 lsl 20
+
+let spare_store = Domain.DLS.new_key (fun () -> ref no_chunk)
+
+let take_store size =
+  let d = Domain.DLS.get spare_store in
+  if size > 0 && Bigarray.Array1.dim !d >= size then begin
+    let s = !d in
+    d := no_chunk;
+    s
+  end
+  else Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout size
+
+let release t =
+  let s = t.store in
+  t.store <- no_chunk;
+  let d = Domain.DLS.get spare_store in
+  let size = Bigarray.Array1.dim s in
+  if size <= store_cap && size > Bigarray.Array1.dim !d then d := s
+
 (* A matrix whose caches and windows are [create]'s but whose entries
-   are not yet written. *)
+   are not yet written: [create] and [create_windowed] write every one,
+   so a reused store leaves no trace. *)
 let alloc ~ctx ~n ~nc ~nt =
   if n < 0 || nc <= 0 || nt <= 0 then invalid_arg (ctx ^ ": bad dimensions");
   let v = 1.0 /. float_of_int (nc * nt) in
+  let size = n * nc * nt in
+  let store = take_store size in
   {
     n;
     nc;
     nt;
-    w = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout (n * nc * nt);
+    w = (if Bigarray.Array1.dim store = size then store else Bigarray.Array1.sub store 0 size);
     cluster_sum = Array.make (n * nc) (v *. float_of_int nt);
     row_total = Array.make n (v *. float_of_int (nc * nt));
     sweep_total = Array.make n Float.nan;
@@ -120,6 +154,7 @@ let alloc ~ctx ~n ~nc ~nt =
     logging = false;
     saved = Bytes.make (max n 1) '\000';
     undo = empty_undo ();
+    store;
   }
 
 let create ~n ~nc ~nt =
@@ -307,8 +342,19 @@ let save_row t i =
 (* The log's buffers outlive the matrix: the driver builds one matrix
    per region, and each would otherwise fill its log from fresh
    chunks. An open pass borrows its domain's buffers, and a closed one
-   hands back whichever of the two holds more chunks. *)
+   hands back whichever of the two holds more chunks, after dropping
+   its chunks past the first [store_cap] floats. *)
 let spare = Domain.DLS.new_key empty_undo
+
+let within_cap chunks =
+  let rec fit k total =
+    if k = Array.length chunks then k
+    else
+      let total = total + Bigarray.Array1.dim chunks.(k) in
+      if total > store_cap then k else fit (k + 1) total
+  in
+  let k = fit 0 0 in
+  if k = Array.length chunks then chunks else Array.sub chunks 0 k
 
 let close_log t =
   let u = t.undo in
@@ -319,13 +365,19 @@ let close_log t =
   u.chunk <- 0;
   u.used <- 0;
   t.logging <- false;
-  let d = Domain.DLS.get spare in
-  if Array.length u.chunks > Array.length d.chunks then begin
+  let d = Domain.DLS.get spare and chunks = within_cap u.chunks in
+  if Array.length chunks > Array.length d.chunks then begin
     d.rows <- u.rows;
-    d.chunks <- u.chunks
+    d.chunks <- chunks
   end;
   u.rows <- [||];
   u.chunks <- [||]
+
+let retained_floats () =
+  Array.fold_left
+    (fun total c -> total + Bigarray.Array1.dim c)
+    (Bigarray.Array1.dim !(Domain.DLS.get spare_store))
+    (Domain.DLS.get spare).chunks
 
 let begin_pass t =
   close_log t;
@@ -769,14 +821,60 @@ let preferred_cluster t i =
   check_row t i;
   top_cluster t i
 
+(* [preferred_time]'s slot sums; grown to the largest [nt] seen on the
+   domain. *)
+let slot_sums = Domain.DLS.new_key (fun () -> ([||] : float array))
+
 (* Slots outside the window have marginal +0.0, which never beats a
    best of at least +0.0 (slot 0's, when the window starts later), so
-   only the window is summed. *)
+   only the window is summed. The sums are taken lane by lane, each
+   lane a contiguous run, but every slot's sum still starts at +0.0 and
+   adds the clusters in ascending order: the floats of [slot_sum]. *)
 let preferred_time t i =
   check_row t i;
+  let nc = t.nc and nt = t.nt and ba = t.w in
+  let lo = Array.unsafe_get t.lo i and hi = Array.unsafe_get t.hi i in
+  let sums =
+    let s = Domain.DLS.get slot_sums in
+    if Array.length s >= nt then s
+    else begin
+      let s = Array.make nt 0.0 in
+      Domain.DLS.set slot_sums s;
+      s
+    end
+  in
+  for tt = lo to hi do
+    Array.unsafe_set sums tt 0.0
+  done;
+  (* Four lanes per sweep, added in order, so each slot's partial sum
+     is loaded and stored once per four entries. *)
+  let c = ref 0 in
+  while !c + 3 < nc do
+    let l0 = ((i * nc) + !c) * nt in
+    let l1 = l0 + nt in
+    let l2 = l1 + nt in
+    let l3 = l2 + nt in
+    for tt = lo to hi do
+      Array.unsafe_set sums tt
+        (Array.unsafe_get sums tt
+         +. Bigarray.Array1.unsafe_get ba (l0 + tt)
+         +. Bigarray.Array1.unsafe_get ba (l1 + tt)
+         +. Bigarray.Array1.unsafe_get ba (l2 + tt)
+         +. Bigarray.Array1.unsafe_get ba (l3 + tt))
+    done;
+    c := !c + 4
+  done;
+  while !c < nc do
+    let lane = ((i * nc) + !c) * nt in
+    for tt = lo to hi do
+      Array.unsafe_set sums tt
+        (Array.unsafe_get sums tt +. Bigarray.Array1.unsafe_get ba (lane + tt))
+    done;
+    incr c
+  done;
   let best = ref 0 and best_v = ref 0.0 in
-  for tt = Array.unsafe_get t.lo i to Array.unsafe_get t.hi i do
-    let v = slot_sum t i tt in
+  for tt = lo to hi do
+    let v = Array.unsafe_get sums tt in
     if tt = 0 then best_v := v
     else if v > !best_v +. 1e-12 then begin
       best := tt;
@@ -800,10 +898,10 @@ let runnerup_cluster t i =
    is exactly [confidence = confidence_sentinel]. *)
 let confidence_sentinel = 1e9
 
-let confidence t i =
+(* Inlined, or [confidences] would box every row's ratio. *)
+let[@inline] row_confidence t i =
   if t.nc < 2 then confidence_sentinel
   else begin
-    check_row t i;
     let cs = t.cluster_sum and base = i * t.nc in
     let pref = top_cluster t i in
     let top = Array.unsafe_get cs (base + pref)
@@ -811,6 +909,21 @@ let confidence t i =
     if second <= 0.0 then confidence_sentinel
     else Float.min (top /. second) confidence_sentinel
   end
+
+let confidence t i =
+  if t.nc >= 2 then check_row t i;
+  row_confidence t i
+
+let confidence_into t i into =
+  check_row t i;
+  if i >= Array.length into then invalid_arg "Weights.confidence_into: target out of range";
+  Array.unsafe_set into i (row_confidence t i)
+
+let confidences t into =
+  if Array.length into < t.n then invalid_arg "Weights.confidences: target shorter than n";
+  for i = 0 to t.n - 1 do
+    Array.unsafe_set into i (row_confidence t i)
+  done
 
 let blend t ~dst ~src ~keep =
   if not (keep >= 0.0 && keep <= 1.0) then invalid_arg "Weights.blend: keep must be in [0,1]";
@@ -871,6 +984,7 @@ let copy t =
     logging = false;
     saved = Bytes.make (Bytes.length t.saved) '\000';
     undo = empty_undo ();
+    store = w;
   }
 
 (* --- validation ----------------------------------------------------- *)

@@ -204,7 +204,8 @@ val preferred_cluster : t -> int -> int
 
 val preferred_time : t -> int -> int
 (** Slot maximizing the cluster-marginal; smallest slot wins ties.
-    Computed from the row's live window in one sweep, O(nc * width). *)
+    Computed from the row's live window lane by lane into a per-domain
+    scratch, O(nc * width); the sums are {!time_weight}'s floats. *)
 
 val runnerup_cluster : t -> int -> int option
 (** Second-best cluster; [None] on single-cluster machines. *)
@@ -220,6 +221,14 @@ val confidence : t -> int -> float
     [confidence_sentinel]; exactly [confidence_sentinel] when there is
     no runner-up or its weight is zero. Always finite. *)
 
+val confidence_into : t -> int -> float array -> unit
+(** [confidence_into w i into] sets [into.(i) <- confidence w i]
+    without boxing the float. *)
+
+val confidences : t -> float array -> unit
+(** [confidences w into] sets [into.(i) <- confidence w i] for every
+    row, boxing no float; [into] must hold at least [n w] floats. *)
+
 val blend : t -> dst:int -> src:int -> keep:float -> unit
 (** [blend w ~dst ~src ~keep] sets [W(dst) <- keep * W(dst) +
     (1 - keep) * W(src)] pointwise — the paper's linear combination with
@@ -229,10 +238,32 @@ val blend : t -> dst:int -> src:int -> keep:float -> unit
 val preferred_clusters : t -> int array
 (** Snapshot of every instruction's preferred cluster. *)
 
-(** {1 Copy} *)
+(** {1 Copy and storage} *)
 
 val copy : t -> t
 (** A deep copy with the same touched flags and no open pass. *)
+
+val store_cap : int
+(** [2^20] floats (8 MiB): the most storage a domain keeps for later
+    matrices, and the most it keeps for later undo logs. *)
+
+val release : t -> unit
+(** Hand a dead matrix's storage back to the calling domain, so the
+    next {!create} or {!create_windowed} on the domain that fits in it
+    reuses it instead of allocating a fresh [Bigarray] (every entry is
+    rewritten, so the result is the same bit for bit). The domain keeps
+    the larger of its spare store and this one, and never one above
+    {!store_cap}. Releasing twice is a no-op.
+
+    The matrix must not be used after its release: its entries alias
+    the next matrix built on the domain. Only code that owns the matrix
+    from start to finish may release it; in this repository that is
+    [Cs_sim.Pipeline], after list scheduling. {!Driver.run} never
+    releases, so a matrix it returns is private to its caller. *)
+
+val retained_floats : unit -> int
+(** Floats of storage the calling domain keeps for reuse: its spare
+    matrix store plus its undo-log chunks. At most [2 * store_cap]. *)
 
 (** {1 Validation} *)
 

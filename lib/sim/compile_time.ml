@@ -3,29 +3,13 @@ type point = {
   seconds : float;
 }
 
-let raw_schedule ~scheduler ~machine region =
-  (* Unvalidated on purpose: we time the scheduler, not the checker. *)
-  match scheduler with
-  | Pipeline.Convergent ->
-    let passes = Pipeline.default_passes ~machine in
-    let result = Cs_core.Driver.run ~machine region passes in
-    let analysis = result.Cs_core.Driver.context.Cs_core.Context.analysis in
-    let priority = Cs_sched.Priority.of_slots result.Cs_core.Driver.preferred_slot in
-    ignore
-      (Cs_sched.List_scheduler.run ~machine
-         ~assignment:result.Cs_core.Driver.assignment ~priority ~analysis region)
-  | Pipeline.Rawcc -> ignore (Cs_baselines.Rawcc.schedule ~machine region)
-  | Pipeline.Uas -> ignore (Cs_baselines.Uas.schedule ~machine region)
-  | Pipeline.Pcc -> ignore (Cs_baselines.Pcc.schedule ~machine region)
-  | Pipeline.Bug -> ignore (Cs_baselines.Bug.schedule ~machine region)
-  | Pipeline.Anneal -> ignore (Cs_baselines.Anneal.schedule ~machine region)
-
 (* Monotonic wall clock, not [Sys.time]: CPU time accumulates across
    all domains (so it overcounts under the Domain-parallel tuner) and
    undercounts any wait time in a sweep. *)
 let time_scheduler ~scheduler ~machine region =
   let t0 = Cs_obs.Clock.now () in
-  raw_schedule ~scheduler ~machine region;
+  (* Unvalidated on purpose: we time the scheduler, not the checker. *)
+  ignore (Pipeline.schedule_raw ~scheduler ~machine region : Cs_sched.Schedule.t);
   Cs_obs.Clock.since t0
 
 let default_sizes = [ 50; 100; 200; 400; 800; 1200; 1600; 2000 ]

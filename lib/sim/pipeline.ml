@@ -37,9 +37,13 @@ let emit_sim_counters ~scheduler sched =
         ("transfers", float_of_int (Cs_sched.Schedule.n_comms sched));
         ("utilization", Cs_sched.Schedule.utilization sched) ]
 
-let convergent_traced ?seed ?passes ~machine region =
+(* The convergent driver, then list scheduling on its assignment. The
+   matrix is dead once the list scheduler has run, and no caller of
+   this module sees it, so its storage goes back to the domain for the
+   next region (see [Weights.release]). *)
+let convergent_with_result ?seed ?passes ?deadline ?pass_budget_s ~machine region =
   let passes = match passes with Some p -> p | None -> default_passes ~machine in
-  let result = Cs_core.Driver.run ?seed ~machine region passes in
+  let result = Cs_core.Driver.run ?seed ?deadline ?pass_budget_s ~machine region passes in
   let analysis = result.Cs_core.Driver.context.Cs_core.Context.analysis in
   let priority =
     if Cs_machine.Machine.is_mesh machine then Cs_sched.Priority.alap analysis
@@ -49,6 +53,11 @@ let convergent_traced ?seed ?passes ~machine region =
     Cs_sched.List_scheduler.run ~machine
       ~assignment:result.Cs_core.Driver.assignment ~priority ~analysis region
   in
+  Cs_core.Weights.release result.Cs_core.Driver.weights;
+  (sched, result)
+
+let convergent_traced ?seed ?passes ~machine region =
+  let sched, result = convergent_with_result ?seed ?passes ~machine region in
   (sched, result.Cs_core.Driver.trace)
 
 let convergent ?seed ?passes ~machine region =
@@ -78,22 +87,6 @@ let schedule ?seed ~scheduler ~machine region =
     validated sched
 
 (* ---- Resilient fallback chain ------------------------------------- *)
-
-(* Like [convergent_traced] but surfacing the driver result, so the
-   fallback chain can report pass quarantines and anytime early exits. *)
-let convergent_with_result ?seed ?passes ?deadline ?pass_budget_s ~machine region =
-  let passes = match passes with Some p -> p | None -> default_passes ~machine in
-  let result = Cs_core.Driver.run ?seed ?deadline ?pass_budget_s ~machine region passes in
-  let analysis = result.Cs_core.Driver.context.Cs_core.Context.analysis in
-  let priority =
-    if Cs_machine.Machine.is_mesh machine then Cs_sched.Priority.alap analysis
-    else Cs_sched.Priority.of_slots result.Cs_core.Driver.preferred_slot
-  in
-  let sched =
-    Cs_sched.List_scheduler.run ~machine
-      ~assignment:result.Cs_core.Driver.assignment ~priority ~analysis region
-  in
-  (sched, result)
 
 (* Last-resort rung: the whole region on one surviving cluster, ALAP
    critical-path priority. With no inter-cluster dependences there are

@@ -650,6 +650,85 @@ let test_in_domain_never_quarantines () =
           inside)
     (every_probe ())
 
+(* --- the per-domain matrix store ------------------------------------ *)
+
+(* [Driver.run] never hands its matrix back, so two live results own
+   two stores, even on a domain that holds a spare one (a pipeline run
+   leaves one behind): a write to one leaves the other as it was. *)
+let test_live_results_private () =
+  let passes = Sequence.vliw_default () in
+  ignore (Cs_sim.Pipeline.schedule ~scheduler:Cs_sim.Pipeline.Convergent ~machine:vliw4 jacobi4);
+  let a = Driver.run ~machine:vliw4 jacobi4 passes in
+  let b = Driver.run ~machine:vliw4 jacobi4 passes in
+  let r, _ = Driver.run_iterative ~machine:vliw4 jacobi4 passes in
+  let twin = Weights.copy b.Driver.weights and rtwin = Weights.copy r.Driver.weights in
+  let w = a.Driver.weights in
+  for i = 0 to Weights.n w - 1 do
+    for c = 0 to Weights.nc w - 1 do
+      for t = 0 to Weights.nt w - 1 do
+        Weights.set w i c t 0.5
+      done
+    done
+  done;
+  check_same_matrix "b after writes to a" b.Driver.weights twin;
+  check_same_matrix "iterative result after writes to a" r.Driver.weights rtwin
+
+(* One Table 1 region through the resilient pipeline: the schedule as
+   printed, the outcome, and the counters it emits (the per-pass
+   convergence telemetry and the simulator's). *)
+let pipeline_view (machine, region) =
+  Cs_obs.Obs.reset ();
+  let verdict =
+    match Cs_sim.Pipeline.schedule_resilient ~machine region with
+    | Ok (sched, o) ->
+      Ok
+        ( Format.asprintf "%a" Cs_sched.Schedule.pp sched,
+          Cs_resil.Outcome.rung_to_string o.Cs_resil.Outcome.rung,
+          o.Cs_resil.Outcome.quarantined,
+          o.Cs_resil.Outcome.timed_out )
+    | Error e -> Error (Cs_resil.Error.to_string e)
+  in
+  let counters =
+    List.filter_map
+      (fun (e : Cs_obs.Obs.event) ->
+        if e.Cs_obs.Obs.ph = Cs_obs.Obs.Counter then
+          Some (e.Cs_obs.Obs.cat, e.Cs_obs.Obs.name, e.Cs_obs.Obs.args)
+        else None)
+      (Cs_obs.Obs.events ())
+  in
+  (verdict, counters)
+
+(* raw16 and vliw4 regions interleaved on one domain, each matrix built
+   in the store its predecessor released (growing and shrinking), give
+   the schedules and telemetry of runs each on a fresh domain, where
+   every matrix is a fresh block. *)
+let test_store_interleaved_equals_fresh () =
+  let raw = List.filter (fun (_, m, _) -> m == raw16) table1
+  and vliw = List.filter (fun (_, m, _) -> m == vliw4) table1 in
+  let rec interleave a b =
+    match (a, b) with
+    | x :: a, y :: b -> x :: y :: interleave a b
+    | a, [] | [], a -> a
+  in
+  let regions = interleave raw vliw in
+  Cs_obs.Obs.enable ();
+  let shared, fresh =
+    Fun.protect ~finally:Cs_obs.Obs.disable (fun () ->
+        let shared = List.map (fun (_, m, r) -> pipeline_view (m, r)) regions in
+        let fresh =
+          List.map
+            (fun (_, m, r) -> Domain.join (Domain.spawn (fun () -> pipeline_view (m, r))))
+            regions
+        in
+        (shared, fresh))
+  in
+  Cs_obs.Obs.reset ();
+  List.iter2
+    (fun (label, _, _) (s, f) ->
+      check_bool (label ^ " schedule and outcome") true (fst s = fst f);
+      check_bool (label ^ " counters") true (snd s = snd f && snd s <> []))
+    regions (List.combine shared fresh)
+
 let () =
   Alcotest.run "cs_core.driver"
     [
@@ -691,6 +770,13 @@ let () =
           Alcotest.test_case "rollback = pass never ran" `Quick test_rollback_is_absence;
           Alcotest.test_case "overrun rollback = pass never ran" `Slow
             test_overrun_rollback_is_absence;
+        ] );
+      ( "store",
+        [
+          Alcotest.test_case "live results never share storage" `Quick
+            test_live_results_private;
+          Alcotest.test_case "interleaved machines = fresh domains" `Quick
+            test_store_interleaved_equals_fresh;
         ] );
       ( "context",
         [

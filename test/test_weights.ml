@@ -1270,17 +1270,29 @@ let test_kernels_allocation_free () =
      COMM and NOISE run box nothing either: no closure, no float
      returned from a call inside them. [confidence] itself returns a
      float, which the calling convention boxes; it is read here into a
-     float array, as PATHPROP does, and that box (2 words) is all it may
-     cost. Each body runs [rounds] times over every row, so a constant
-     outside the loops is far under a word per call. *)
+     float array, and that box (2 words) is all it may cost;
+     [confidence_into] and [confidences], which PATHPROP uses, store the
+     float themselves and box nothing. [preferred_time] sums into a
+     per-domain scratch, on full and on narrowed windows. Each body runs
+     [rounds] times over every row, so a constant outside the loops is
+     far under a word per call. *)
   let rounds = 20 in
   let conf = Array.make n 0.0 and into = Array.make nc 0.0 and rng = Cs_util.Rng.create 7 in
+  let windowed =
+    Weights.create_windowed ~nc ~nt
+      ~lo:(Array.init n (fun i -> i mod 7))
+      ~hi:(Array.init n (fun i -> nt - 1 - (i mod 5)))
+  in
   let per_call =
     [
       ( "confidence", 2.0,
         fun i -> Array.unsafe_set conf i (Weights.confidence w i) );
+      ("confidence_into", 0.0, fun i -> Weights.confidence_into w i conf);
+      ("confidences", 0.0, fun i -> if i = 0 then Weights.confidences w conf);
       ("preferred_cluster", 0.0, fun i -> ignore (Weights.preferred_cluster w i : int));
       ("preferred_time", 0.0, fun i -> ignore (Weights.preferred_time w i : int));
+      ( "preferred_time (windowed)", 0.0,
+        fun i -> ignore (Weights.preferred_time windowed i : int) );
       ("blend", 0.0, fun i -> Weights.blend w ~dst:i ~src:((i + 1) mod n) ~keep:0.75);
       ("add_noise", 0.0, fun i -> Weights.add_noise w i rng 0.01);
       ( "add_cluster_marginals", 0.0,
@@ -1309,6 +1321,233 @@ let test_kernels_allocation_free () =
   Weights.begin_pass w;
   check_calls "inside a pass";
   Weights.commit w
+
+(* [preferred_time] sums a row lane by lane; it must pick the slot an
+   argmax over [time_weight]'s per-slot sums picks, ties within 1e-12
+   to the smallest slot, on rows built windowed, some left with equal
+   entries (all ties) and some made distinct by noise. *)
+let test_preferred_time_lanes_qcheck =
+  let gen =
+    QCheck.Gen.(
+      int_range 1 6 >>= fun nc ->
+      int_range 1 24 >>= fun nt ->
+      let row = triple (int_range (-1) nt) (int_range (-1) nt) (opt nat) in
+      map (fun rows -> (nc, nt, rows)) (list_size (int_range 1 6) row))
+  in
+  let prop =
+    QCheck.Test.make ~count:500 ~name:"lane-major preferred_time = slot_sum argmax"
+      (QCheck.make gen)
+      (fun (nc, nt, rows) ->
+        let lo = Array.of_list (List.map (fun (l, _, _) -> l) rows)
+        and hi = Array.of_list (List.map (fun (_, h, _) -> h) rows) in
+        let w = Weights.create_windowed ~nc ~nt ~lo ~hi in
+        List.iteri
+          (fun i (_, _, noise) ->
+            Option.iter (fun seed -> Weights.add_noise w i (Cs_util.Rng.create seed) 0.5) noise)
+          rows;
+        List.for_all
+          (fun i ->
+            let best = ref 0 and best_v = ref 0.0 in
+            for t = 0 to nt - 1 do
+              let v = Weights.time_weight w i t in
+              if t = 0 then best_v := v
+              else if v > !best_v +. 1e-12 then begin
+                best := t;
+                best_v := v
+              end
+            done;
+            Weights.preferred_time w i = !best)
+          (List.init (Weights.n w) Fun.id))
+  in
+  to_alcotest prop
+
+(* [confidences] and [confidence_into] store [confidence]'s floats, bit
+   for bit, on matrices left by random op sequences. *)
+let test_confidences_qcheck =
+  let prop =
+    QCheck.Test.make ~count:300 ~name:"confidences = confidence per row, bit for bit"
+      (QCheck.make ops_gen)
+      (fun ops ->
+        let w = run_ops ops in
+        let all = Array.make pn nan and one = Array.make pn nan in
+        Weights.confidences w all;
+        for i = 0 to pn - 1 do
+          Weights.confidence_into w i one
+        done;
+        List.for_all
+          (fun i ->
+            let c = bits (Weights.confidence w i) in
+            bits all.(i) = c && bits one.(i) = c)
+          (List.init pn Fun.id))
+  in
+  to_alcotest prop
+
+(* --- the per-domain store ---------------------------------------------- *)
+
+let in_fresh_domain f = Domain.join (Domain.spawn f)
+
+(* A matrix to build: [n], [nc], [nt], and the windows of
+   [create_windowed] or [None] for [create]. *)
+type store_op = Make of int * int * int * (int * int) list option | Again | Free of int
+
+let store_ops_gen =
+  QCheck.Gen.(
+    let make =
+      int_range 1 4 >>= fun nc ->
+      int_range 1 10 >>= fun nt ->
+      int_bound 8 >>= fun n ->
+      let windows = list_repeat n (pair (int_range (-1) nt) (int_range (-1) nt)) in
+      map (fun ws -> Make (n, nc, nt, ws)) (opt windows)
+    in
+    list_size (int_range 1 12)
+      (frequency [ (4, make); (1, return Again); (3, map (fun k -> Free k) nat) ]))
+
+let build (n, nc, nt, windows) =
+  match windows with
+  | None -> Weights.create ~n ~nc ~nt
+  | Some ws ->
+    Weights.create_windowed ~nc ~nt
+      ~lo:(Array.of_list (List.map fst ws))
+      ~hi:(Array.of_list (List.map snd ws))
+
+(* Overwrite every entry with a value unique to the matrix [tag] and
+   the entry, so a store shared by two live matrices shows. *)
+let scribble tag w =
+  let k = ref 0 in
+  for i = 0 to Weights.n w - 1 do
+    for c = 0 to Weights.nc w - 1 do
+      for t = 0 to Weights.nt w - 1 do
+        Weights.set w i c t (1.0 +. float_of_int ((tag * 1000) + !k));
+        incr k
+      done
+    done
+  done
+
+(* What a new matrix shows: its state, the gate's verdict (which reads
+   the handed-over totals: a fresh matrix has none) and the state the
+   gate leaves. *)
+let fresh_view w =
+  let before = bits_state w in
+  let gate = Weights.normalize_validate_touched w in
+  (before, gate, bits_state w)
+
+(* Random sequences of builds (growing, shrinking, repeating the last
+   size) and releases (some released twice) on the test's domain, which
+   reuses stores, against the same builds on a domain that never
+   releases, where every matrix is fresh: every new matrix must match
+   its fresh twin bit for bit, and after all the writes every matrix
+   still live must too. *)
+let test_store_reuse_qcheck =
+  let prop =
+    QCheck.Test.make ~count:200 ~name:"reused store = fresh matrix, bit for bit"
+      (QCheck.make store_ops_gen)
+      (fun ops ->
+        let specs =
+          let last = ref None in
+          List.filter_map
+            (fun op ->
+              match (op, !last) with
+              | Make (n, nc, nt, ws), _ ->
+                last := Some (n, nc, nt, ws);
+                !last
+              | Again, last -> last
+              | Free _, _ -> None)
+            ops
+        in
+        let fresh =
+          in_fresh_domain (fun () ->
+              Array.of_list
+                (List.mapi
+                   (fun tag spec ->
+                     let w = build spec in
+                     let view = fresh_view w in
+                     scribble tag w;
+                     (view, bits_state w))
+                   specs))
+        in
+        let live = ref [] and tag = ref 0 and ok = ref true in
+        List.iter
+          (fun op ->
+            match op with
+            | Make _ | Again ->
+              if !tag < Array.length fresh then begin
+                let w = build (List.nth specs !tag) in
+                if fresh_view w <> fst fresh.(!tag) then ok := false;
+                scribble !tag w;
+                live := (!tag, w) :: !live;
+                incr tag
+              end
+            | Free k -> (
+              match !live with
+              | [] -> ()
+              | l ->
+                let t, w = List.nth l (k mod List.length l) in
+                Weights.release w;
+                if k mod 3 = 0 then Weights.release w;
+                live := List.filter (fun (t', _) -> t' <> t) l))
+          ops;
+        List.iter (fun (t, w) -> if bits_state w <> snd fresh.(t) then ok := false) !live;
+        !ok)
+  in
+  to_alcotest prop
+
+(* A released store goes to the next matrix that fits in it; entries
+   of a released matrix alias that matrix's, which is how the reuse
+   shows here. The domain keeps the larger of two released stores. *)
+let test_release_reuses_store () =
+  in_fresh_domain (fun () ->
+      check_int "a fresh domain keeps nothing" 0 (Weights.retained_floats ());
+      let big = Weights.create ~n:10 ~nc:4 ~nt:8 in
+      Weights.release big;
+      check_int "released store kept" 320 (Weights.retained_floats ());
+      let small = Weights.create ~n:6 ~nc:2 ~nt:5 in
+      check_int "store taken" 0 (Weights.retained_floats ());
+      check_bool "small reuses big's store" true
+        (bits (Weights.get big 0 0 0) = bits (Weights.get small 0 0 0)
+        && bits (Weights.get small 0 0 0) = bits 0.1);
+      let larger = Weights.create ~n:20 ~nc:4 ~nt:8 in
+      Weights.release small;
+      check_int "small hands back the whole store" 320 (Weights.retained_floats ());
+      Weights.release larger;
+      check_int "the larger store is kept" 640 (Weights.retained_floats ());
+      Weights.release big;
+      check_int "a store already handed back is not kept twice" 640
+        (Weights.retained_floats ()))
+
+(* Releasing twice hands the store back once: a second release while
+   the store serves a live matrix must not give it to a third. *)
+let test_release_twice_noop () =
+  in_fresh_domain (fun () ->
+      let a = Weights.create ~n:4 ~nc:2 ~nt:4 in
+      Weights.release a;
+      let b = Weights.create ~n:4 ~nc:2 ~nt:4 in
+      Weights.release a;
+      let c = Weights.create ~n:4 ~nc:2 ~nt:4 in
+      Weights.set b 0 0 0 0.75;
+      check_bool "c keeps its own entry" true (bits (Weights.get c 0 0 0) = bits 0.125);
+      check_bool "b has its write" true (bits (Weights.get b 0 0 0) = bits 0.75))
+
+(* Rows of [nc * nt] = 64 floats just past the cap. *)
+let above_cap_rows = (Weights.store_cap / 64) + 1
+
+(* Neither a matrix store nor an undo log above the cap stays on the
+   domain after its matrix or pass is done. *)
+let test_store_cap () =
+  in_fresh_domain (fun () ->
+      let huge = Weights.create ~n:above_cap_rows ~nc:8 ~nt:8 in
+      Weights.begin_pass huge;
+      for i = 0 to above_cap_rows - 1 do
+        Weights.scale_cluster huge i 0 0.5
+      done;
+      Weights.commit huge;
+      let kept = Weights.retained_floats () in
+      check_bool "the log keeps chunks up to the cap" true (kept > 0);
+      check_bool "and no more" true (kept <= Weights.store_cap);
+      Weights.release huge;
+      check_int "a store above the cap is not kept" kept (Weights.retained_floats ());
+      let small = Weights.create ~n:2 ~nc:2 ~nt:2 in
+      check_bool "nor reused" true (bits (Weights.get huge 0 1 0) = bits (1.0 /. 64.0));
+      check_bool "small is uniform" true (bits (Weights.get small 0 0 0) = bits 0.25))
 
 (* qcheck: random edit sequences + normalize preserve invariants. *)
 let edit_gen =
@@ -1416,6 +1655,14 @@ let () =
           test_normalize_pointwise_qcheck; test_gate_fused_qcheck;
           test_windows_full_row_qcheck; test_create_windowed_qcheck;
           test_rollback_snapshot_qcheck; test_time_marginals_on_demand_qcheck;
-          test_handed_totals_gate_qcheck;
+          test_handed_totals_gate_qcheck; test_preferred_time_lanes_qcheck;
+          test_confidences_qcheck;
+        ] );
+      ( "store",
+        [
+          Alcotest.test_case "release reuses the store" `Quick test_release_reuses_store;
+          Alcotest.test_case "release twice is a no-op" `Quick test_release_twice_noop;
+          Alcotest.test_case "nothing above the cap is kept" `Quick test_store_cap;
+          test_store_reuse_qcheck;
         ] );
     ]
