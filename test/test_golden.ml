@@ -20,7 +20,10 @@
 
    Scenarios: the Table 1 suites (Raw suite on raw16, VLIW suite on
    vliw4, Table 1 sequences, default seed), the fuzzer's seeds 0..200
-   ([Cs_check.Gen.case]) and the regression corpus (test/corpus/*.repro,
+   ([Cs_check.Gen.case]), the same seeds on fault-injected machines
+   ([Cs_check.Gen.case_degraded], named [degraded/<seed>/<shape>], run
+   with no deadline and no pass budget; the only lines where degraded
+   mesh routing runs) and the regression corpus (test/corpus/*.repro,
    named [corpus/<file>]).
 
    The file is only regenerated on purpose, when a change of output is
@@ -157,14 +160,24 @@ let scenario_entries name (sc : Cs_check.Scenario.t) =
           samples = [];
         })
 
-let gen_case seed =
-  let sc = Cs_check.Gen.case ~seed in
-  scenario_entries (Printf.sprintf "gen/%d/%s" seed sc.Cs_check.Scenario.label) sc
+(* The fuzzer's healthy and fault-injected draws: [gen/...] lines come
+   from [Gen.case], [degraded/...] lines from [Gen.case_degraded]. *)
+let families = [ ("gen", fun seed -> Cs_check.Gen.case ~seed);
+                 ("degraded", fun seed -> Cs_check.Gen.case_degraded ~seed) ]
+
+let seed_case family seed =
+  let sc = (List.assoc family families) seed in
+  scenario_entries (Printf.sprintf "%s/%d/%s" family seed sc.Cs_check.Scenario.label) sc
 
 (* Each seed runs once, however many test cases read its lines. *)
-let gen_cases = Array.init (seed_hi + 1) (fun seed -> lazy (gen_case seed))
-let gen_range lo hi =
-  List.concat (List.init (hi - lo + 1) (fun k -> Lazy.force gen_cases.(lo + k)))
+let seed_runs =
+  List.map
+    (fun (family, _) ->
+      (family, Array.init (seed_hi + 1) (fun seed -> lazy (seed_case family seed))))
+    families
+let seed_range family lo hi =
+  let runs = List.assoc family seed_runs in
+  List.concat (List.init (hi - lo + 1) (fun k -> Lazy.force runs.(lo + k)))
 
 let corpus () =
   match Cs_check.Repro.load_dir corpus_dir with
@@ -210,15 +223,16 @@ let regen () =
      # Schedule.pp text's hash and each pass's (name, churn, mean-confidence\n\
      # bits, mean-entropy bits).\n";
   let all =
-    table1 "raw16" @ table1 "vliw4" @ gen_range 0 seed_hi
+    table1 "raw16" @ table1 "vliw4" @ seed_range "gen" 0 seed_hi
     @ List.concat_map corpus_entries (corpus ())
+    @ seed_range "degraded" 0 seed_hi
   in
   let telemetry, schedules = List.partition is_telemetry all in
   List.iter (fun e -> print_endline (line e)) (schedules @ telemetry)
 
 (* Seed blocks: schedule lines are checked 50 seeds to a case and
    telemetry lines 25 to a case; a block of both sizes checks both. *)
-let seed_cases check =
+let seed_cases check family =
   let ranges block =
     List.init
       ((seed_hi / block) + 1)
@@ -231,7 +245,7 @@ let seed_cases check =
     (fun ((lo, hi) as r) ->
       let wanted e = List.mem r (if is_telemetry e then telemetry else schedules) in
       Alcotest.test_case (Printf.sprintf "seeds %d..%d" lo hi) `Quick (fun () ->
-          check (List.filter wanted (gen_range lo hi))))
+          check (List.filter wanted (seed_range family lo hi))))
     (List.sort_uniq compare (schedules @ telemetry))
 
 let () =
@@ -240,6 +254,9 @@ let () =
     let golden = load () in
     let check = check_entries golden in
     let corpus = corpus () in
+    let seeded =
+      List.concat_map (fun (_, case) -> List.init (seed_hi + 1) case) families
+    in
     let n_convergent =
       List.length
         (List.filter
@@ -247,7 +264,7 @@ let () =
              match scenario_run sc (Cs_check.Scenario.scheduling_machine sc) with
              | `Convergent _ -> true
              | `Baseline _ -> false)
-           (List.init (seed_hi + 1) (fun seed -> Cs_check.Gen.case ~seed) @ List.map snd corpus))
+           (seeded @ List.map snd corpus))
     in
     let n_table1 =
       List.length Cs_workloads.Suite.raw_suite + List.length Cs_workloads.Suite.vliw_suite
@@ -256,7 +273,8 @@ let () =
       [ ( "table1",
           [ Alcotest.test_case "raw16" `Quick (fun () -> check (table1 "raw16"));
             Alcotest.test_case "vliw4" `Quick (fun () -> check (table1 "vliw4")) ] );
-        ("fuzz-seeds", seed_cases check);
+        ("fuzz-seeds", seed_cases check "gen");
+        ("degraded-seeds", seed_cases check "degraded");
         ( "corpus",
           List.map
             (fun ((file, _) as c) ->
@@ -265,6 +283,6 @@ let () =
         ( "coverage",
           [ Alcotest.test_case "one entry per scenario" `Quick (fun () ->
                 Alcotest.(check int) "golden entries"
-                  ((2 * n_table1) + seed_hi + 1 + List.length corpus + n_convergent)
+                  ((2 * n_table1) + List.length seeded + List.length corpus + n_convergent)
                   (List.length golden)) ] ) ]
   end
