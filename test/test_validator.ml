@@ -185,6 +185,90 @@ let test_error_messages_name_instruction () =
            has 0)
          msgs)
 
+(* Exact reports. Each case below pins the full message list the
+   validator gives for one corruption, so a faster validator must keep
+   its first-match rules and its wording, not just reject. *)
+let messages sched =
+  match Cs_sched.Validator.check sched with Ok () -> [] | Error ms -> ms
+
+let check_messages what expected sched =
+  Alcotest.(check (list string)) what expected (messages sched)
+
+let with_comms sched comms = { sched with Cs_sched.Schedule.comms }
+
+let the_transfer sched =
+  match sched.Cs_sched.Schedule.comms with
+  | [ cm ] -> cm
+  | _ -> Alcotest.fail "expected exactly one transfer"
+
+let delayed k (cm : Cs_sched.Schedule.comm) =
+  { cm with Cs_sched.Schedule.depart = cm.depart + k; arrive = cm.arrive + k }
+
+let test_first_listed_transfer_judged () =
+  (* Two transfers carry i1's value to cluster 1; only the one listed
+     first feeds i2. *)
+  let sched = good_schedule () in
+  let cm = the_transfer sched in
+  let late = delayed 5 cm in
+  check_messages "late one first" [ "i2 starts at 3 before value of i1 arrives at 8" ]
+    (with_comms sched [ late; cm ]);
+  check_messages "timely one first" [] (with_comms sched [ cm; late ])
+
+let live_in_schedule () =
+  (* i0 reads a live-in homed on cluster 0 but runs on cluster 1. *)
+  let b = Cs_ddg.Builder.create ~name:"li" () in
+  let x = Cs_ddg.Builder.live_in ~home:0 b in
+  let _y = Cs_ddg.Builder.op1 b Cs_ddg.Opcode.Add x in
+  let region = Cs_ddg.Builder.finish b in
+  let a =
+    Cs_ddg.Analysis.make ~latency:(Cs_machine.Machine.latency_of vliw2)
+      region.Cs_ddg.Region.graph
+  in
+  Cs_sched.List_scheduler.run ~machine:vliw2 ~assignment:[| 1 |]
+    ~priority:(Cs_sched.Priority.alap a) ~analysis:a region
+
+let test_live_in_transfer_missing () =
+  let sched = live_in_schedule () in
+  check_messages "valid" [] sched;
+  check_messages "missing" [ "no transfer delivers live-in r0 to i0 on cluster 1" ]
+    (with_comms sched [])
+
+let test_live_in_transfer_late () =
+  let sched = live_in_schedule () in
+  let cm = the_transfer sched in
+  check_messages "late" [ "i0 reads live-in r0 at 1 before it arrives at 4" ]
+    (with_comms sched [ delayed 3 cm ])
+
+let test_transfer_without_route () =
+  (* The schedule is legal on a healthy 1x2 mesh; with the only link
+     dead, its transfer has no route, and both the dependence check and
+     the link check say so. *)
+  let healthy = Cs_machine.Raw.create ~rows:1 ~cols:2 () in
+  let region = base_region () in
+  let a =
+    Cs_ddg.Analysis.make ~latency:(Cs_machine.Machine.latency_of healthy)
+      region.Cs_ddg.Region.graph
+  in
+  let sched =
+    Cs_sched.List_scheduler.run ~machine:healthy ~assignment:[| 0; 0; 1 |]
+      ~priority:(Cs_sched.Priority.alap a) ~analysis:a region
+  in
+  check_messages "healthy" [] sched;
+  let cut = Cs_machine.Machine.degrade healthy [ Cs_resil.Fault.Dead_link (0, 1) ] in
+  check_messages "cut"
+    [ "transfer 0->1 has no route: unreachable: no route from 0 to 1";
+      "transfer of i1 (0->1) has no route: unreachable: no route from 0 to 1" ]
+    { sched with Cs_sched.Schedule.machine = cut }
+
+let test_transfer_unit_oversubscribed () =
+  (* A second transfer leaves cluster 0 in the same cycle as the real
+     one; the cluster has one transfer unit. *)
+  let sched = good_schedule () in
+  let cm = the_transfer sched in
+  check_messages "oversubscribed"
+    [ "cluster 0 issues 2 transfers at cycle 2 (capacity 1)" ]
+    (with_comms sched [ cm; { cm with Cs_sched.Schedule.producer = 0 } ])
+
 let () =
   Alcotest.run "cs_sched.validator"
     [
@@ -209,5 +293,10 @@ let () =
           Alcotest.test_case "mesh link collision" `Quick test_mesh_rejects_link_collision;
           Alcotest.test_case "check_exn raises" `Quick test_check_exn_raises;
           Alcotest.test_case "messages name instr" `Quick test_error_messages_name_instruction;
+          Alcotest.test_case "first listed transfer judged" `Quick test_first_listed_transfer_judged;
+          Alcotest.test_case "live-in transfer missing" `Quick test_live_in_transfer_missing;
+          Alcotest.test_case "live-in transfer late" `Quick test_live_in_transfer_late;
+          Alcotest.test_case "transfer without route" `Quick test_transfer_without_route;
+          Alcotest.test_case "transfer unit oversubscribed" `Quick test_transfer_unit_oversubscribed;
         ] );
     ]
