@@ -16,15 +16,13 @@ let schedule ~machine region =
   in
   let load = Array.make nc 0 in
   let priority = Cs_sched.Priority.alap analysis in
-  let cmp =
-    Cs_sched.Priority.compare_with_tiebreak ~priority
-      ~height:(Cs_ddg.Analysis.height analysis)
+  let ready =
+    Cs_sched.Ready.create ~priority ~height:(Array.init n (Cs_ddg.Analysis.height analysis))
   in
-  let ready = Cs_util.Heap.create ~cmp in
   let pending = Array.make n 0 in
   for i = 0 to n - 1 do
     pending.(i) <- List.length (Cs_ddg.Graph.preds graph i);
-    if pending.(i) = 0 then Cs_util.Heap.push ready i
+    if pending.(i) = 0 then Cs_sched.Ready.push ready i
   done;
   (* Estimated completion of [i] on [c]: operand arrivals assuming an
      uncontended network, then the first free compatible unit. *)
@@ -109,9 +107,9 @@ let schedule ~machine region =
     entries.(i) <- { Cs_sched.Schedule.cluster = c; fu; start = cycle; finish = finish.(i) }
   in
   let rec drain () =
-    match Cs_util.Heap.pop ready with
-    | None -> ()
-    | Some i ->
+    match Cs_sched.Ready.pop ready with
+    | -1 -> ()
+    | i ->
       let ins = Cs_ddg.Graph.instr graph i in
       let viable =
         List.filter
@@ -126,7 +124,7 @@ let schedule ~machine region =
       List.iter
         (fun s ->
           pending.(s) <- pending.(s) - 1;
-          if pending.(s) = 0 then Cs_util.Heap.push ready s)
+          if pending.(s) = 0 then Cs_sched.Ready.push ready s)
         (Cs_ddg.Graph.succs graph i);
       drain ()
   in

@@ -31,7 +31,13 @@ let fus_for t ~cluster op =
   done;
   !acc
 
-let can_execute t ~cluster op = fus_for t ~cluster op <> []
+(* A scan, not [fus_for t ~cluster op <> []]: it runs once per
+   (instruction, cluster) in extraction, placement checks and the
+   baselines, and must not allocate. *)
+let rec any_unit units cls u =
+  u < Array.length units && (Fu.can_execute units.(u) cls || any_unit units cls (u + 1))
+
+let can_execute t ~cluster op = any_unit t.fus.(cluster) (Cs_ddg.Opcode.cls op) 0
 
 let comm_latency t ~src ~dst = Topology.comm_latency t.topology ~src ~dst
 let hops t a b = Topology.hops t.topology a b

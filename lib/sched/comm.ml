@@ -1,11 +1,3 @@
-type t = {
-  machine : Cs_machine.Machine.t;
-  xfer_units : Reservation.t array array; (* crossbar: per cluster, per transfer unit *)
-  links : (Cs_machine.Topology.link, Reservation.t) Hashtbl.t; (* mesh *)
-  memo : (int * int, int) Hashtbl.t; (* (producer, dst) -> arrival *)
-  mutable booked : Schedule.comm list;
-}
-
 let transfer_unit_count machine cluster =
   Array.fold_left
     (fun acc fu -> if fu = Cs_machine.Fu.Transfer_unit then acc + 1 else acc)
@@ -26,6 +18,30 @@ let sends_impossible machine cluster =
   transfer_unit_count machine cluster = 0
   && built_transfer_unit_count machine cluster > 0
 
+(* Int-keyed tables hashed by the key itself: the keys are small and
+   dense, and [Hashtbl.hash] is a C call. *)
+module Itbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash k = k
+end)
+
+type t = {
+  machine : Cs_machine.Machine.t;
+  nc : int;
+  paths : path array; (* src * nc + dst; [unknown] until asked *)
+  xfer_units : Reservation.t array array; (* crossbar: per cluster, per transfer unit *)
+  links : Reservation.t array; (* mesh: per link id, [4 * from + direction] *)
+  memo : int Itbl.t; (* producer * nc + dst -> arrival *)
+  mutable booked : Schedule.comm list;
+}
+
+(* A cluster pair's latency and, on a mesh, its route as link ids. *)
+and path = { latency : int; route : int array }
+
+let unknown = { latency = -1; route = [||] }
+
 let create machine =
   let nc = Cs_machine.Machine.n_clusters machine in
   let xfer_units =
@@ -34,99 +50,118 @@ let create machine =
            free. Model that as unlimited capacity (empty array = skip). *)
         Array.init (transfer_unit_count machine c) (fun _ -> Reservation.create ()))
   in
-  { machine; xfer_units; links = Hashtbl.create 64; memo = Hashtbl.create 64; booked = [] }
+  let links = if Cs_machine.Machine.is_mesh machine then 4 * nc else 0 in
+  { machine; nc; paths = Array.make (nc * nc) unknown; xfer_units;
+    links = Array.init links (fun _ -> Reservation.create ()); memo = Itbl.create 64;
+    booked = [] }
 
-let link_table t link =
-  match Hashtbl.find_opt t.links link with
-  | Some r -> r
-  | None ->
-    let r = Reservation.create () in
-    Hashtbl.add t.links link r;
-    r
-
-(* Earliest depart >= ready with all route links free wormhole-style. *)
-let mesh_depart t route ready =
-  let rec try_at d =
-    let ok =
-      List.for_all2
-        (fun link k -> Reservation.is_free (link_table t link) (d + k))
-        route
-        (List.init (List.length route) (fun k -> k))
+(* Found once per pair: on a degraded mesh both halves are a
+   shortest-path search. An unreachable pair raises every time. Vertical
+   steps are tested first, so a one-column mesh is not read as a row. *)
+let path t src dst =
+  if src < 0 || src >= t.nc || dst < 0 || dst >= t.nc then
+    Cs_resil.Error.invalid_input (Printf.sprintf "Comm: clusters %d->%d out of range" src dst);
+  let k = (src * t.nc) + dst in
+  if t.paths.(k) == unknown then begin
+    let topology = t.machine.Cs_machine.Machine.topology in
+    let latency = Cs_machine.Machine.comm_latency t.machine ~src ~dst in
+    let route =
+      match topology with
+      | Cs_machine.Topology.Crossbar _ -> [||]
+      | Cs_machine.Topology.Mesh { cols; _ } ->
+        Array.of_list
+          (List.map
+             (fun (l : Cs_machine.Topology.link) ->
+               let d = l.to_node - l.from_node in
+               (4 * l.from_node)
+               + if d = -cols then 0 else if d = cols then 3 else if d < 0 then 1 else 2)
+             (Cs_machine.Topology.route topology ~src ~dst))
     in
-    if ok then d else try_at (d + 1)
-  in
-  try_at ready
+    t.paths.(k) <- { latency; route }
+  end;
+  t.paths.(k)
 
-let crossbar_depart t src ready =
-  match t.xfer_units.(src) with
-  | [||] when sends_impossible t.machine src ->
-    Cs_resil.Error.infeasible
-      (Printf.sprintf "cluster %d cannot send: all transfer units dead" src)
-  | [||] ->
-    (* Never had a transfer unit to contend for (Raw-like): depart as
-       soon as ready. *)
-    (ready, None)
-  | units ->
-    let best = ref (Reservation.first_free_from units.(0) ready) in
-    let best_u = ref 0 in
-    Array.iteri
-      (fun u res ->
-        let c = Reservation.first_free_from res ready in
-        if c < !best then begin
-          best := c;
-          best_u := u
-        end)
-      units;
-    (!best, Some !best_u)
+(* The delivery memo's key; a destination out of range would alias
+   another pair's. *)
+let memo_key t ~producer ~dst =
+  if dst < 0 || dst >= t.nc then
+    Cs_resil.Error.invalid_input (Printf.sprintf "Comm: cluster %d out of range" dst);
+  (producer * t.nc) + dst
+
+(* Earliest depart >= ready with all route links free wormhole-style:
+   link k of the route is busy at cycle [depart + k]. *)
+let rec route_free links route d k =
+  k = Array.length route
+  || (Reservation.is_free links.(route.(k)) (d + k) && route_free links route d (k + 1))
+
+let rec mesh_depart links route d =
+  if route_free links route d 0 then d else mesh_depart links route (d + 1)
 
 (* Finds the earliest transfer departing at or after [ready]; commits the
-   booking (and memoizes) only when [accept arrive] holds. *)
-let attempt t ~producer ~src ~dst ~ready ~accept =
-  let latency = Cs_machine.Machine.comm_latency t.machine ~src ~dst in
-  let plan =
+   booking (and memoizes) only when it arrives by [deadline], and
+   returns the arrival, or [min_int] when it does not. *)
+let attempt t ~producer ~src ~dst ~ready ~deadline =
+  let { latency; route } = path t src dst in
+  let depart =
     match t.machine.Cs_machine.Machine.topology with
-    | Cs_machine.Topology.Crossbar _ ->
-      let d, unit_idx = crossbar_depart t src ready in
-      let commit () =
-        match unit_idx with
-        | Some u -> Reservation.book t.xfer_units.(src).(u) d
-        | None -> ()
-      in
-      (d, commit)
+    | Cs_machine.Topology.Crossbar _ -> (
+      match t.xfer_units.(src) with
+      | [||] when sends_impossible t.machine src ->
+        Cs_resil.Error.infeasible
+          (Printf.sprintf "cluster %d cannot send: all transfer units dead" src)
+      | [||] ->
+        (* Never had a transfer unit to contend for (Raw-like): depart as
+           soon as ready. *)
+        if ready + latency <= deadline then ready else min_int
+      | units ->
+        (* The earliest free unit, the lowest index on a tie. *)
+        let best = ref (Reservation.first_free_from units.(0) ready) and best_u = ref 0 in
+        for u = 1 to Array.length units - 1 do
+          let c = Reservation.first_free_from units.(u) ready in
+          if c < !best then begin
+            best := c;
+            best_u := u
+          end
+        done;
+        if !best + latency > deadline then min_int
+        else begin
+          Reservation.book units.(!best_u) !best;
+          !best
+        end)
     | Cs_machine.Topology.Mesh _ ->
-      let route = Cs_machine.Topology.route t.machine.Cs_machine.Machine.topology ~src ~dst in
-      let d = mesh_depart t route ready in
-      let commit () =
-        List.iteri (fun k link -> Reservation.book (link_table t link) (d + k)) route
-      in
-      (d, commit)
+      let d = mesh_depart t.links route ready in
+      if d + latency > deadline then min_int
+      else begin
+        for k = 0 to Array.length route - 1 do
+          Reservation.book t.links.(route.(k)) (d + k)
+        done;
+        d
+      end
   in
-  let depart, commit = plan in
-  let arrive = depart + latency in
-  if accept arrive then begin
-    commit ();
-    Hashtbl.add t.memo (producer, dst) arrive;
+  if depart = min_int then min_int
+  else begin
+    let arrive = depart + latency in
+    Itbl.add t.memo (memo_key t ~producer ~dst) arrive;
     t.booked <- { Schedule.producer; src; dst; depart; arrive } :: t.booked;
-    Some arrive
+    arrive
   end
-  else None
 
 let deliver t ~producer ~src ~dst ~ready =
   if src = dst then ready
   else
-    match Hashtbl.find_opt t.memo (producer, dst) with
-    | Some arrival -> arrival
-    | None ->
-      (match attempt t ~producer ~src ~dst ~ready ~accept:(fun _ -> true) with
-      | Some arrive -> arrive
-      | None -> assert false)
+    match Itbl.find t.memo (memo_key t ~producer ~dst) with
+    | arrival -> arrival
+    | exception Not_found -> attempt t ~producer ~src ~dst ~ready ~deadline:max_int
 
 let deliver_by t ~producer ~src ~dst ~ready ~deadline =
   if src = dst then if ready <= deadline then Some ready else None
   else
-    match Hashtbl.find_opt t.memo (producer, dst) with
-    | Some arrival -> if arrival <= deadline then Some arrival else None
-    | None -> attempt t ~producer ~src ~dst ~ready ~accept:(fun arrive -> arrive <= deadline)
+    let arrival =
+      match Itbl.find t.memo (memo_key t ~producer ~dst) with
+      | arrival -> if arrival <= deadline then arrival else min_int
+      | exception Not_found -> attempt t ~producer ~src ~dst ~ready ~deadline
+    in
+    if arrival = min_int then None else Some arrival
 
 let bookings t = t.booked
 
@@ -135,18 +170,26 @@ let link_conflicts machine comms =
   (match machine.Cs_machine.Machine.topology with
   | Cs_machine.Topology.Crossbar _ ->
     (* Transfers departing a cluster the same cycle must not exceed its
-       transfer units (unlimited when it has none, e.g. Raw-like). *)
-    let usage = Hashtbl.create 64 in
+       transfer units (unlimited when it has none, e.g. Raw-like). Keyed
+       by [depart * nc + src]; each oversubscribed (cluster, cycle) is
+       reported once, in the order of its first transfer. A transfer
+       from a cluster the machine lacks has no unit to oversubscribe. *)
+    let nc = Cs_machine.Machine.n_clusters machine in
+    let usage = Itbl.create 64 in
+    let key (cm : Schedule.comm) = (cm.depart * nc) + cm.src in
+    let sent = List.filter (fun (cm : Schedule.comm) -> cm.src >= 0 && cm.src < nc) comms in
     List.iter
       (fun cm ->
-        let key = (cm.Schedule.src, cm.Schedule.depart) in
-        Hashtbl.replace usage key
-          (1 + Option.value ~default:0 (Hashtbl.find_opt usage key)))
-      comms;
-    Hashtbl.iter
-      (fun (src, depart) count ->
+        Itbl.replace usage (key cm)
+          (1 + match Itbl.find usage (key cm) with c -> c | exception Not_found -> 0))
+      sent;
+    List.iter
+      (fun (cm : Schedule.comm) ->
+        let count = Itbl.find usage (key cm) and src = cm.src and depart = cm.depart in
+        Itbl.replace usage (key cm) 0;
         let cap = transfer_unit_count machine src in
-        if sends_impossible machine src then
+        if count = 0 then ()
+        else if sends_impossible machine src then
           problems :=
             Printf.sprintf
               "cluster %d issues %d transfers at cycle %d but all its transfer units are dead"
@@ -157,7 +200,7 @@ let link_conflicts machine comms =
             Printf.sprintf "cluster %d issues %d transfers at cycle %d (capacity %d)" src
               count depart cap
             :: !problems)
-      usage
+      sent
   | Cs_machine.Topology.Mesh _ ->
     let usage = Hashtbl.create 256 in
     List.iter

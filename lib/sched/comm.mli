@@ -11,6 +11,9 @@
     already sent to a cluster is reused, matching what a real
     compiler-routed network does. *)
 
+(** Int-keyed hash tables, hashed by the key itself. *)
+module Itbl : Hashtbl.S with type key = int
+
 type t
 
 val create : Cs_machine.Machine.t -> t

@@ -5,10 +5,3 @@ let alap a =
 
 let asap a =
   Array.init (Cs_ddg.Graph.n (Cs_ddg.Analysis.graph a)) (fun i -> Cs_ddg.Analysis.earliest a i)
-
-let compare_with_tiebreak ~priority ~height i j =
-  let c = Int.compare priority.(i) priority.(j) in
-  if c <> 0 then c
-  else
-    let c = Int.compare (height j) (height i) in
-    if c <> 0 then c else Int.compare i j

@@ -1,5 +1,5 @@
 (** Priority vectors for list scheduling: lower value = scheduled
-    earlier among ready instructions. *)
+    earlier among ready instructions ({!Ready} breaks ties). *)
 
 val of_slots : int array -> int array
 (** Use the convergent scheduler's preferred time slots directly (the
@@ -11,9 +11,3 @@ val alap : Cs_ddg.Analysis.t -> int array
     instructions first. *)
 
 val asap : Cs_ddg.Analysis.t -> int array
-
-val compare_with_tiebreak :
-  priority:int array -> height:(int -> int) -> int -> int -> int
-(** Order by priority, then by greater height (longer remaining chain
-    first), then by id — the deterministic ready-queue ordering shared
-    by all schedulers in this repository. *)

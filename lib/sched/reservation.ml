@@ -3,12 +3,14 @@ type t = {
   mutable horizon : int; (* max booked cycle + 1 *)
 }
 
-let create () = { busy = Bytes.make 64 '\000'; horizon = 0 }
+(* Empty until the first booking, so a table that is never booked (most
+   mesh links of a region) costs its record alone. *)
+let create () = { busy = Bytes.empty; horizon = 0 }
 
 let ensure t cycle =
   let len = Bytes.length t.busy in
   if cycle >= len then begin
-    let grown = Bytes.make (max (cycle + 1) (2 * len)) '\000' in
+    let grown = Bytes.make (max (cycle + 1) (max 64 (2 * len))) '\000' in
     Bytes.blit t.busy 0 grown 0 len;
     t.busy <- grown
   end
@@ -26,12 +28,15 @@ let book t cycle =
     Cs_resil.Error.resource_conflict
       (Printf.sprintf "Reservation.book: cycle %d already booked" cycle);
   Bytes.set t.busy cycle '\001';
-  t.horizon <- max t.horizon (cycle + 1)
+  t.horizon <- Int.max t.horizon (cycle + 1)
 
 let first_free_from t cycle =
-  let cycle = max 0 cycle in
-  let rec go c = if is_free t c then c else go (c + 1) in
-  go cycle
+  let busy = t.busy in
+  let c = ref (if cycle < 0 then 0 else cycle) in
+  while !c < Bytes.length busy && Bytes.unsafe_get busy !c <> '\000' do
+    incr c
+  done;
+  !c
 
 let booked_cycles t =
   let acc = ref [] in

@@ -26,8 +26,8 @@ type t = {
 
 let make ~machine ~graph ?(live_in_homes = Cs_ddg.Reg.Map.empty) ~entries ~comms () =
   let makespan =
-    Array.fold_left (fun acc e -> max acc e.finish) 0 entries
-    |> fun m -> List.fold_left (fun acc c -> max acc c.arrive) m comms
+    Array.fold_left (fun acc e -> Int.max acc e.finish) 0 entries
+    |> fun m -> List.fold_left (fun acc c -> Int.max acc c.arrive) m comms
   in
   { machine; graph; live_in_homes; entries; comms; makespan }
 

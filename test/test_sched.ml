@@ -1,4 +1,13 @@
-(* Tests for the list scheduler, reservations, priorities, comm. *)
+(* Tests for the list scheduler, its ready queue, reservations,
+   priorities, comm. *)
+
+(* Seed QCheck's Random.State from Cs_util.Rng so `dune runtest` is
+   bit-reproducible (to_alcotest's default state is self_init'd). *)
+let to_alcotest test =
+  let rng = Cs_util.Rng.create 0x5EAD_0DE in
+  QCheck_alcotest.to_alcotest
+    ~rand:(Random.State.make (Array.init 8 (fun _ -> Cs_util.Rng.int rng 0x3FFFFFFF)))
+    test
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -85,17 +94,131 @@ let test_priority_alap_orders_critical_first () =
   let alap = Cs_sched.Priority.alap a in
   check_bool "fdiv before mov" true (alap.(1) < alap.(2))
 
+(* --- Ready queue --- *)
+
+module Ready = Cs_sched.Ready
+
+(* The order the ready queue must keep, written out here: priority,
+   then the greater height, then the lower id. *)
+let compare_with_tiebreak ~priority ~height i j =
+  let c = Int.compare priority.(i) priority.(j) in
+  if c <> 0 then c
+  else
+    let c = Int.compare height.(j) height.(i) in
+    if c <> 0 then c else Int.compare i j
+
+(* A queue over ids 0..n-1 keyed by [priority] (height 0 throughout),
+   every id pushed. *)
+let queue_of ?height priority =
+  let n = Array.length priority in
+  let height = match height with Some h -> h | None -> Array.make n 0 in
+  let q = Ready.create ~priority ~height in
+  for i = 0 to n - 1 do
+    Ready.push q i
+  done;
+  q
+
+let drain q =
+  let rec go acc = match Ready.pop q with -1 -> List.rev acc | i -> go (i :: acc) in
+  go []
+
+let test_heap_sorted_drain () =
+  let priority = [| 5; 3; 8; 1; 9; 2; 7 |] in
+  Alcotest.(check (list int)) "ascending" [ 1; 2; 3; 5; 7; 8; 9 ]
+    (List.map (fun i -> priority.(i)) (drain (queue_of priority)))
+
+let test_heap_empty () =
+  let q = Ready.create ~priority:[||] ~height:[||] in
+  check_bool "is_empty" true (Ready.is_empty q);
+  check_int "pop none" (-1) (Ready.pop q);
+  check_int "peek none" (-1) (Ready.peek q)
+
+let test_heap_peek_does_not_remove () =
+  let q = queue_of [| 4; 2 |] in
+  check_int "peek min" 1 (Ready.peek q);
+  check_int "length unchanged" 2 (Ready.length q)
+
+let test_heap_duplicates () =
+  (* Equal priorities all pop, in id order. *)
+  Alcotest.(check (list int)) "dups kept" [ 2; 0; 1; 3 ] (drain (queue_of [| 3; 3; 1; 3 |]))
+
+let test_heap_custom_order () =
+  (* Negated priorities give a max-first drain. *)
+  check_int "max first via negation" 1 (Ready.pop (queue_of [| -1; -5; -3 |]))
+
+let test_heap_random_qcheck =
+  let prop =
+    QCheck.Test.make ~count:200 ~name:"heap drains sorted"
+      QCheck.(list int)
+      (fun xs ->
+        let priority = Array.of_list xs in
+        List.map (fun i -> priority.(i)) (drain (queue_of priority))
+        = List.sort Int.compare xs)
+  in
+  to_alcotest prop
+
+(* Pushes and pops interleave, as in a list scheduler: a random mix of
+   operations, checked against the written-out order on the set the
+   queue holds. Keys mix small values (many ties) with the extremes of
+   the int range. *)
+let test_ready_order_qcheck =
+  let key =
+    QCheck.Gen.(
+      frequency
+        [ (6, int_range (-3) 3);
+          (2, oneofl [ min_int; min_int + 1; max_int - 1; max_int; 0; -1 ]);
+          (2, int) ])
+  in
+  let case =
+    QCheck.Gen.(
+      int_range 1 40 >>= fun n ->
+      triple (array_size (return n) key) (array_size (return n) key)
+        (list_size (int_range 0 120) (int_range 0 (2 * n))))
+  in
+  let prop =
+    QCheck.Test.make ~count:300 ~name:"ready pops in tie-break order"
+      (QCheck.make case)
+      (fun (priority, height, ops) ->
+        let n = Array.length priority in
+        let q = Ready.create ~priority ~height in
+        let held = ref [] and next = ref 0 in
+        let cmp = compare_with_tiebreak ~priority ~height in
+        let pop () =
+          let expected = match List.sort cmp !held with [] -> -1 | x :: _ -> x in
+          held := List.filter (fun x -> x <> expected) !held;
+          Ready.pop q = expected
+        in
+        (* An op below [n] pushes the next unpushed id, if any; the rest
+           pop. The queue is drained at the end. *)
+        List.for_all
+          (fun op ->
+            if op < n && !next < n then begin
+              Ready.push q !next;
+              held := !next :: !held;
+              incr next;
+              Ready.length q = List.length !held
+            end
+            else pop ())
+          ops
+        && List.for_all (fun _ -> pop ()) (List.init (List.length !held + 1) Fun.id))
+  in
+  to_alcotest prop
+
 let test_priority_tiebreak_by_height () =
-  let priority = [| 0; 0 |] in
-  let height = function 0 -> 1 | _ -> 5 in
-  check_bool "taller first" true
-    (Cs_sched.Priority.compare_with_tiebreak ~priority ~height 1 0 < 0)
+  let q = queue_of ~height:[| 1; 5 |] [| 0; 0 |] in
+  check_int "taller first" 1 (Ready.pop q)
 
 let test_priority_tiebreak_by_id () =
-  let priority = [| 0; 0 |] in
-  let height _ = 3 in
-  check_bool "lower id first" true
-    (Cs_sched.Priority.compare_with_tiebreak ~priority ~height 0 1 < 0)
+  let q = queue_of ~height:[| 3; 3 |] [| 0; 0 |] in
+  check_int "lower id first" 0 (Ready.pop q)
+
+let test_ready_rejects_out_of_range () =
+  let q = Ready.create ~priority:[| 0; 0 |] ~height:[| 0; 0 |] in
+  check_bool "push 2 raises" true
+    (try
+       Ready.push q 2;
+       false
+     with Invalid_argument _ -> true)
 
 (* --- List scheduler on hand graphs --- *)
 
@@ -275,6 +398,17 @@ let () =
           Alcotest.test_case "double book" `Quick test_reservation_double_book;
           Alcotest.test_case "growth" `Quick test_reservation_growth;
           Alcotest.test_case "negative" `Quick test_reservation_negative;
+        ] );
+      ( "heap",
+        [
+          Alcotest.test_case "sorted drain" `Quick test_heap_sorted_drain;
+          Alcotest.test_case "empty" `Quick test_heap_empty;
+          Alcotest.test_case "peek keeps" `Quick test_heap_peek_does_not_remove;
+          Alcotest.test_case "duplicates" `Quick test_heap_duplicates;
+          Alcotest.test_case "custom order" `Quick test_heap_custom_order;
+          test_heap_random_qcheck;
+          test_ready_order_qcheck;
+          Alcotest.test_case "out of range" `Quick test_ready_rejects_out_of_range;
         ] );
       ( "comm",
         [

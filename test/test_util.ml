@@ -1,12 +1,4 @@
-(* Unit tests for Cs_util: RNG, heap, union-find, stats, table, bitset. *)
-
-(* Seed QCheck's Random.State from Cs_util.Rng so `dune runtest` is
-   bit-reproducible (to_alcotest's default state is self_init'd). *)
-let to_alcotest test =
-  let rng = Cs_util.Rng.create 0xB17_5EED in
-  QCheck_alcotest.to_alcotest
-    ~rand:(Random.State.make (Array.init 8 (fun _ -> Cs_util.Rng.int rng 0x3FFFFFFF)))
-    test
+(* Unit tests for Cs_util: RNG, union-find, stats, table, bitset. *)
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -86,42 +78,6 @@ let test_rng_gaussian_moments () =
   let sd = Cs_util.Stats.stddev samples in
   check_bool "mean near 0" true (Float.abs mean < 0.05);
   check_bool "sd near 1" true (Float.abs (sd -. 1.0) < 0.05)
-
-(* --- Heap --- *)
-
-let test_heap_sorted_drain () =
-  let h = Cs_util.Heap.of_list ~cmp:Int.compare [ 5; 3; 8; 1; 9; 2; 7 ] in
-  Alcotest.(check (list int)) "ascending" [ 1; 2; 3; 5; 7; 8; 9 ]
-    (Cs_util.Heap.to_sorted_list h)
-
-let test_heap_empty () =
-  let h = Cs_util.Heap.create ~cmp:Int.compare in
-  check_bool "is_empty" true (Cs_util.Heap.is_empty h);
-  check_bool "pop none" true (Cs_util.Heap.pop h = None);
-  check_bool "peek none" true (Cs_util.Heap.peek h = None)
-
-let test_heap_peek_does_not_remove () =
-  let h = Cs_util.Heap.of_list ~cmp:Int.compare [ 4; 2 ] in
-  check_bool "peek min" true (Cs_util.Heap.peek h = Some 2);
-  check_int "length unchanged" 2 (Cs_util.Heap.length h)
-
-let test_heap_duplicates () =
-  let h = Cs_util.Heap.of_list ~cmp:Int.compare [ 3; 3; 1; 3 ] in
-  Alcotest.(check (list int)) "dups kept" [ 1; 3; 3; 3 ] (Cs_util.Heap.to_sorted_list h)
-
-let test_heap_custom_order () =
-  let h = Cs_util.Heap.of_list ~cmp:(fun a b -> Int.compare b a) [ 1; 5; 3 ] in
-  check_bool "max-heap via cmp" true (Cs_util.Heap.pop h = Some 5)
-
-let test_heap_random_qcheck =
-  let prop =
-    QCheck.Test.make ~count:200 ~name:"heap drains sorted"
-      QCheck.(list int)
-      (fun xs ->
-        let h = Cs_util.Heap.of_list ~cmp:Int.compare xs in
-        Cs_util.Heap.to_sorted_list h = List.sort Int.compare xs)
-  in
-  to_alcotest prop
 
 (* --- Union-find --- *)
 
@@ -429,15 +385,6 @@ let () =
           Alcotest.test_case "copy replays" `Quick test_rng_copy;
           Alcotest.test_case "shuffle permutation" `Quick test_rng_shuffle_permutation;
           Alcotest.test_case "gaussian moments" `Slow test_rng_gaussian_moments;
-        ] );
-      ( "heap",
-        [
-          Alcotest.test_case "sorted drain" `Quick test_heap_sorted_drain;
-          Alcotest.test_case "empty" `Quick test_heap_empty;
-          Alcotest.test_case "peek keeps" `Quick test_heap_peek_does_not_remove;
-          Alcotest.test_case "duplicates" `Quick test_heap_duplicates;
-          Alcotest.test_case "custom order" `Quick test_heap_custom_order;
-          test_heap_random_qcheck;
         ] );
       ( "union_find",
         [
