@@ -7,6 +7,33 @@
 
      dune exec examples/fpppp_trace.exe *)
 
+(* One row per instruction, one column per cluster; each glyph is the
+   cluster's marginal relative to the row's largest, darker = stronger
+   preference. *)
+let pp_cluster_map fmt w =
+  let module W = Cs_core.Weights in
+  let glyphs = [| ' '; '.'; ':'; '-'; '='; '+'; '*'; '#'; '%'; '@' |] in
+  Format.fprintf fmt "@[<v>";
+  Format.fprintf fmt "instr";
+  for c = 0 to W.nc w - 1 do
+    Format.fprintf fmt " c%-2d" c
+  done;
+  Format.fprintf fmt "@,";
+  for i = 0 to W.n w - 1 do
+    Format.fprintf fmt "%5d" i;
+    let top = ref 0.0 in
+    for c = 0 to W.nc w - 1 do
+      top := Float.max !top (W.cluster_weight w i c)
+    done;
+    for c = 0 to W.nc w - 1 do
+      let v = if !top <= 0.0 then 0.0 else W.cluster_weight w i c /. !top in
+      let g = glyphs.(Int.min 9 (int_of_float (v *. 9.0))) in
+      Format.fprintf fmt "  %c " g
+    done;
+    Format.fprintf fmt "@,"
+  done;
+  Format.fprintf fmt "@]"
+
 let () =
   let machine = Cs_machine.Vliw.create ~n_clusters:4 () in
   (* A small fragment so the maps fit a terminal. *)
@@ -36,7 +63,7 @@ let () =
   let observe pass_name w =
     if List.mem pass_name interesting && not (Hashtbl.mem shown pass_name) then begin
       Hashtbl.add shown pass_name ();
-      Format.printf "@.after %s:@.%a@." pass_name Cs_core.Weights.pp_cluster_map w
+      Format.printf "@.after %s:@.%a@." pass_name pp_cluster_map w
     end
   in
   let result =

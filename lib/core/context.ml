@@ -19,14 +19,14 @@ let make ?(seed = 42) ?(nt_cap = 512) ~machine region =
   let analysis =
     Cs_ddg.Analysis.make ~latency:(Cs_machine.Machine.latency_of machine) graph
   in
-  let nt = max 1 (min (Cs_ddg.Analysis.cpl analysis) nt_cap) in
+  let nt = Int.max 1 (Int.min (Cs_ddg.Analysis.cpl analysis) nt_cap) in
   let preplaced_on = Array.make (Cs_machine.Machine.n_clusters machine) [] in
   List.iter
     (fun (i, c) -> preplaced_on.(c) <- i :: preplaced_on.(c))
     (List.rev (Cs_ddg.Graph.preplaced graph));
   { region; machine; analysis; rng = Cs_util.Rng.create seed; nt; preplaced_on }
 
-let clamp_slot t slot = max 0 (min (t.nt - 1) slot)
+let clamp_slot t slot = Int.max 0 (Int.min (t.nt - 1) slot)
 
 let home_of t i =
   let ins = Cs_ddg.Graph.instr (graph t) i in

@@ -169,6 +169,14 @@ let overrun ?pass_budget_s pass elapsed =
                (1000.0 *. elapsed) (1000.0 *. budget))))
   | _ -> None
 
+(* The fresh matrix of a sequence that does not open with INITTIME:
+   every window spans every slot, so each entry is [1 / (nc * nt)] and
+   no row is touched. *)
+let uniform ctx =
+  let n = Context.n_instrs ctx and nt = ctx.Context.nt in
+  Weights.create_windowed ~nc:(Context.n_clusters ctx) ~nt ~lo:(Array.make n 0)
+    ~hi:(Array.make n (nt - 1))
+
 (* Shared engine: applies [passes] once over the matrix, returning it
    with the trace steps of this round (in order) and any quarantines.
    Each pass runs inside an undo log: if it raises a classifiable
@@ -231,7 +239,6 @@ let apply_round ?(round = 1) ?observe ?deadline ?pass_budget_s ctx w ~prefs pass
       Telemetry.emit ~round ~pass:pass.Pass.name (Telemetry.measure ~churn:!changed w);
     match observe with None -> () | Some f -> f pass.Pass.name w
   in
-  let uniform () = Weights.create ~n ~nc:(Context.n_clusters ctx) ~nt:ctx.Context.nt in
   let w, passes =
     match (w, passes) with
     | Some w, _ -> (w, passes)
@@ -247,10 +254,10 @@ let apply_round ?(round = 1) ?observe ?deadline ?pass_budget_s ctx w ~prefs pass
       (* An overrun leaves the uniform matrix, with no row touched and
          every preferred cluster still 0: no churn, as over [built]'s
          rows of a uniform matrix. *)
-      let w = if outcome = None then built else uniform () in
+      let w = if outcome = None then built else uniform ctx in
       record w pass outcome;
       (w, rest)
-    | None, _ -> (uniform (), passes)
+    | None, _ -> (uniform ctx, passes)
   in
   let rec loop = function
     | [] -> ()
@@ -337,7 +344,7 @@ let run_iterative ?seed ?nt_cap ?observe ?deadline ?pass_budget_s ?(max_rounds =
   let w =
     match !w with
     | Some w -> w
-    | None -> Weights.create ~n ~nc:(Context.n_clusters ctx) ~nt:ctx.Context.nt
+    | None -> uniform ctx
   in
   ( finalize ~timed_out:!timed_out ctx w (List.rev !rev_trace)
       (List.rev !rev_quarantined),

@@ -25,7 +25,7 @@ let apply ~mode ctx w =
             else Cs_ddg.Analysis.multi_source_distance a ~sources
           in
           for i = 0 to n - 1 do
-            let d = if dist.(i) = max_int then far else max 1 dist.(i) in
+            let d = if dist.(i) = max_int then far else Int.max 1 dist.(i) in
             factors.(i).(c) <- 1.0 /. float_of_int d
           done
         | Weighted ->
@@ -38,7 +38,7 @@ let apply ~mode ctx w =
             (fun anchor ->
               let row = Cs_ddg.Analysis.distance_row a anchor in
               for i = 0 to n - 1 do
-                let d = if row.(i) = max_int then far else max 1 row.(i) in
+                let d = if row.(i) = max_int then far else Int.max 1 row.(i) in
                 pull.(i) <- pull.(i) +. (1.0 /. float_of_int (d * d))
               done)
             sources;

@@ -12,16 +12,16 @@ let peak_pressure ctx w =
       let birth = Weights.preferred_time w d in
       let death =
         List.fold_left
-          (fun acc s -> max acc (Weights.preferred_time w s))
+          (fun acc s -> Int.max acc (Weights.preferred_time w s))
           birth
           (Cs_ddg.Graph.succs graph d)
       in
-      for t = birth to min death (nt - 1) do
+      for t = birth to Int.min death (nt - 1) do
         pressure.(c).(t) <- pressure.(c).(t) + 1
       done
     end
   done;
-  Array.map (fun row -> Array.fold_left max 0 row) pressure
+  Array.map (fun row -> Array.fold_left Int.max 0 row) pressure
 
 let apply ~registers_per_cluster ~confidence_threshold ctx w =
   let peaks = peak_pressure ctx w in

@@ -18,15 +18,15 @@
    the schedules and per-pass telemetry the kernels produce.
 
    Two marginal caches (cluster sums and row totals) are maintained
-   incrementally by every write and rebuilt exactly by [normalize].
+   incrementally by every write and rebuilt exactly by [normalize_row].
    The time marginals are not cached: only COMM's preferred-slot boost,
-   REGPRESS and the final extraction read them, so [time_weight] and
-   [preferred_time] sum them from the row's window when asked. A
+   REGPRESS and the final extraction read them, through
+   [preferred_time], which sums them from the row's window when asked. A
    writer that sweeps a whole window ([blend], [scale_clusters],
    [add_noise]) also hands the gate the flat-order total of what it
    stored ([sweep_total]), so the gate's [normalize_row] skips its
    own total sweep; every other writer withdraws it. A per-row dirty
-   bit records which rows changed since the last [clear_touched], so
+   bit records which rows changed since the last [begin_pass], so
    renormalization and the driver's quarantine gate touch only the
    rows a pass actually wrote. While a
    pass is open ([begin_pass]), every writer also saves a row's
@@ -42,9 +42,9 @@
    starts at +0.0 is never -0.0), a scaled +0.0 has delta 0 and was
    skipped anyway, and a blend of two +0.0 is +0.0. A non-finite
    factor takes the whole lane, since inf * 0 is NaN and must raise
-   as before. Writers keep the window conservative: [create] and the
-   uniform reset give the full window, [create_windowed] and
-   [mask_time_window] narrow it, [blend] takes the hull of both rows',
+   as before. Writers keep the window conservative: the uniform reset
+   gives the full window, [create_windowed] gives each row its own,
+   [mask_time_window] narrows it, [blend] takes the hull of both rows',
    [set] widens it over any value it writes that is not +0.0, and
    [add_noise] only raises positive entries, which are live already.
    The window only ever over-approximates the non-zero slots. *)
@@ -85,7 +85,7 @@ type t = {
   sweep_total : float array;
       (* n: the flat-order sum of the window's entries, handed over by
          the last writer if it swept the whole window, else nan *)
-  dirty : Bytes.t; (* n bytes: rows written since clear_touched *)
+  dirty : Bytes.t; (* n bytes: rows written since begin_pass *)
   mutable n_dirty : int;
   lo : int array; (* n: live window start; entries before it are +0.0 *)
   hi : int array; (* n: live window end; entries after it are +0.0 *)
@@ -147,56 +147,47 @@ let release t =
     d := s
   end
 
-(* A matrix whose caches and windows are [create]'s but whose entries
-   are not yet written, and whether its store is clean. [create] writes
-   every entry, and so does [create_windowed] on a fresh store; on a
-   clean one it writes only the live windows. Either way a reused store
-   leaves no trace. *)
-let alloc ~ctx ~n ~nc ~nt =
-  if n < 0 || nc <= 0 || nt <= 0 then invalid_arg (ctx ^ ": bad dimensions");
-  let v = 1.0 /. float_of_int (nc * nt) in
-  let size = n * nc * nt in
-  let store, clean = take_store size in
-  ( {
-    n;
-    nc;
-    nt;
-    w = (if Bigarray.Array1.dim store = size then store else Bigarray.Array1.sub store 0 size);
-    cluster_sum = Array.make (n * nc) (v *. float_of_int nt);
-    row_total = Array.make n (v *. float_of_int (nc * nt));
-    sweep_total = Array.make n Float.nan;
-    dirty = Bytes.make (max n 1) '\000';
-    n_dirty = 0;
-    lo = Array.make n 0;
-    hi = Array.make n (nt - 1);
-    logging = false;
-    saved = Bytes.make (max n 1) '\000';
-    undo = empty_undo ();
-    store;
-  },
-    clean )
-
-let create ~n ~nc ~nt =
-  let t, _ = alloc ~ctx:"Weights.create" ~n ~nc ~nt in
-  Bigarray.Array1.fill t.w (1.0 /. float_of_int (nc * nt));
-  t
-
-(* [create], then [mask_time_window w i ~lo:lo.(i) ~hi:hi.(i)] on every
-   row whose window leaves out a slot, then the gate's [normalize_row]
-   on those rows, bit for bit (entries, caches, windows and touched
-   flags), writing each row once. A masked row holds [create]'s [v] in
-   its window, so [normalize_row] divides every entry by one total, the
-   [nc * width] copies of [v] summed in order, and rebuilds each cache
-   as a run of equal terms: all of it depends on the width alone and is
-   computed once per width. A window the mask leaves empty makes that
-   total zero, and [normalize_row] resets the row to uniform over the
-   full window. Every rebuilt row is a positive spread summing to 1, so
-   the gate would pass it. *)
+(* The uniform matrix [v = 1 / (nc * nt)] everywhere, then
+   [mask_time_window w i ~lo:lo.(i) ~hi:hi.(i)] on every row whose
+   window leaves out a slot, then the gate's [normalize_row] on those
+   rows, bit for bit (entries, caches, windows and touched flags),
+   writing each row once. A row whose window spans every slot keeps the
+   uniform entries and caches. A masked row holds [v] in its window, so
+   [normalize_row] divides every entry by one total, the [nc * width]
+   copies of [v] summed in order, and rebuilds each cache as a run of
+   equal terms: all of it depends on the width alone and is computed
+   once per width. A window the mask leaves empty makes that total
+   zero, and [normalize_row] resets the row to uniform over the full
+   window. Every rebuilt row is a positive spread summing to 1, so the
+   gate would pass it. A fresh store gets every entry written, a clean
+   reused one only the live windows, so a reused store leaves no
+   trace. *)
 let create_windowed ~nc ~nt ~lo ~hi =
   let n = Array.length lo in
   if Array.length hi <> n then invalid_arg "Weights.create_windowed: lo and hi lengths differ";
-  let t, clean = alloc ~ctx:"Weights.create_windowed" ~n ~nc ~nt in
+  if nc <= 0 || nt <= 0 then invalid_arg "Weights.create_windowed: bad dimensions";
   let v = 1.0 /. float_of_int (nc * nt) in
+  let size = n * nc * nt in
+  let store, clean = take_store size in
+  let t =
+    {
+      n;
+      nc;
+      nt;
+      w = (if Bigarray.Array1.dim store = size then store else Bigarray.Array1.sub store 0 size);
+      cluster_sum = Array.make (n * nc) (v *. float_of_int nt);
+      row_total = Array.make n (v *. float_of_int (nc * nt));
+      sweep_total = Array.make n Float.nan;
+      dirty = Bytes.make (max n 1) '\000';
+      n_dirty = 0;
+      lo = Array.make n 0;
+      hi = Array.make n (nt - 1);
+      logging = false;
+      saved = Bytes.make (max n 1) '\000';
+      undo = empty_undo ();
+      store;
+    }
+  in
   let sum_of count x =
     let s = ref 0.0 in
     for _ = 1 to count do
@@ -275,21 +266,6 @@ let is_touched t i =
   check_row t i;
   Bytes.unsafe_get t.dirty i <> '\000'
 
-let touched_count t = t.n_dirty
-
-let touched_rows t =
-  let rows = ref [] in
-  for i = t.n - 1 downto 0 do
-    if Bytes.unsafe_get t.dirty i <> '\000' then rows := i :: !rows
-  done;
-  !rows
-
-let clear_touched t =
-  if t.n_dirty > 0 then begin
-    Bytes.fill t.dirty 0 (Bytes.length t.dirty) '\000';
-    t.n_dirty <- 0
-  end
-
 (* --- live windows ---------------------------------------------------- *)
 
 (* A writer that does not hand over a total withdraws the last one. *)
@@ -298,10 +274,6 @@ let[@inline] forget_total t i = Array.unsafe_set t.sweep_total i Float.nan
 let widen t i tt =
   if tt < Array.unsafe_get t.lo i then Array.unsafe_set t.lo i tt;
   if tt > Array.unsafe_get t.hi i then Array.unsafe_set t.hi i tt
-
-let window t i =
-  check_row t i;
-  (t.lo.(i), t.hi.(i))
 
 let full_window t i =
   Array.unsafe_set t.lo i 0;
@@ -395,15 +367,12 @@ let close_log t =
   u.rows <- [||];
   u.chunks <- [||]
 
-let retained_floats () =
-  Array.fold_left
-    (fun total c -> total + Bigarray.Array1.dim c)
-    (Bigarray.Array1.dim !(Domain.DLS.get spare_store))
-    (Domain.DLS.get spare).chunks
-
 let begin_pass t =
   close_log t;
-  clear_touched t;
+  if t.n_dirty > 0 then begin
+    Bytes.fill t.dirty 0 (Bytes.length t.dirty) '\000';
+    t.n_dirty <- 0
+  end;
   let u = t.undo and d = Domain.DLS.get spare in
   u.rows <- d.rows;
   u.chunks <- d.chunks;
@@ -481,7 +450,6 @@ let set t i c tt v =
   if v <> 0.0 || Float.sign_bit v then widen t i tt;
   apply_delta t i c (v -. old)
 
-let add t i c tt v = set t i c tt (get t i c tt +. v)
 let scale t i c tt f = set t i c tt (get t i c tt *. f)
 
 (* --- fused row kernels ---------------------------------------------
@@ -700,22 +668,6 @@ let add_cluster_marginals t i ~weight ~into ~at =
       (Array.unsafe_get into (at + c) +. (weight *. Array.unsafe_get cs (base + c)))
   done
 
-(* Slot [tt]'s marginal, summed from row [i]'s entries in ascending
-   cluster order. Inlined, or its callers would box the sum. *)
-let[@inline] slot_sum t i tt =
-  let nt = t.nt and ba = t.w in
-  let s = ref 0.0 and k = ref ((i * t.nc * nt) + tt) in
-  for _ = 1 to t.nc do
-    s := !s +. Bigarray.Array1.unsafe_get ba !k;
-    k := !k + nt
-  done;
-  !s
-
-(* Outside the window every entry is +0.0, and so is their sum. *)
-let time_weight t i tt =
-  if i < 0 || i >= t.n || tt < 0 || tt >= t.nt then invalid_arg "Weights: index out of range";
-  if tt < Array.unsafe_get t.lo i || tt > Array.unsafe_get t.hi i then 0.0 else slot_sum t i tt
-
 let row_total t i =
   check_row t i;
   t.row_total.(i)
@@ -803,15 +755,6 @@ let normalize_row t i =
   if !changed then mark_touched t i;
   !all_ok && Float.abs (!vsum -. 1.0) <= 1e-6
 
-let normalize t i =
-  check_row t i;
-  ignore (normalize_row t i : bool)
-
-let normalize_all t =
-  for i = 0 to t.n - 1 do
-    normalize t i
-  done
-
 (* --- preferences ----------------------------------------------------
    Plain loops over the caches: no closure, and no float crosses a
    call, so none is boxed. Ties within 1e-12 go to the smallest id. *)
@@ -852,7 +795,8 @@ let slot_sums = Domain.DLS.new_key (fun () -> ([||] : float array))
    best of at least +0.0 (slot 0's, when the window starts later), so
    only the window is summed. The sums are taken lane by lane, each
    lane a contiguous run, but every slot's sum still starts at +0.0 and
-   adds the clusters in ascending order: the floats of [slot_sum]. *)
+   adds the clusters in ascending order, as a per-slot sum over the
+   clusters would. *)
 let preferred_time t i =
   check_row t i;
   let nc = t.nc and nt = t.nt and ba = t.w in
@@ -906,13 +850,6 @@ let preferred_time t i =
   done;
   !best
 
-let runnerup_cluster t i =
-  if t.nc < 2 then None
-  else begin
-    check_row t i;
-    Some (second_cluster t i (top_cluster t i))
-  end
-
 (* A fully converged row has no runner-up mass, which used to make
    [confidence] return [infinity] — a value that poisons any telemetry
    mean/percentile it is averaged into (inf + x = inf, inf - inf = nan).
@@ -954,8 +891,8 @@ let blend t ~dst ~src ~keep =
   check_row t src;
   if dst <> src then begin
     (* One sweep writes the row and rebuilds its marginal caches,
-       accumulating in a from-entries rebuild's order as [normalize]
-       does, and sums the row in flat order for the gate. Outside the
+       accumulating in a from-entries rebuild's order as
+       [normalize_row] does, and sums the row in flat order for the gate. Outside the
        hull of the two live windows both rows are +0.0, and so is their
        blend, so the sweep and [dst]'s new window are that hull. *)
     let nc = t.nc and nt = t.nt in
@@ -988,8 +925,6 @@ let blend t ~dst ~src ~keep =
     mark_touched t dst
   end
 
-let preferred_clusters t = Array.init t.n (fun i -> preferred_cluster t i)
-
 (* --- copy ------------------------------------------------------------ *)
 
 let copy t =
@@ -1012,8 +947,8 @@ let copy t =
 
 (* --- validation ----------------------------------------------------- *)
 
-(* This runs inside the per-pass quarantine gate: one unchecked sweep
-   over the row's contiguous slice. *)
+(* The gate's message for a row that fails its fused check: one
+   unchecked sweep over the row's contiguous slice. *)
 let validate_row t i err =
   let total = ref 0.0 in
   let len = t.nc * t.nt in
@@ -1041,27 +976,15 @@ let validate_row t i err =
      end
    with Exit -> ())
 
-let validate t =
-  (* Single sweep over the raw entries; cheap enough to run after every
-     pass (quarantine gate), unlike the triple-pass [check_invariants]. *)
-  let err = ref None in
-  let i = ref 0 in
-  while !err = None && !i < t.n do
-    validate_row t !i err;
-    incr i
-  done;
-  match !err with None -> Ok () | Some e -> Error e
-
 (* The driver's per-pass gate: renormalize every row written since
-   [clear_touched] and check it, one [normalize_row] sweep per row.
+   [begin_pass] and check it, one [normalize_row] sweep per row.
    Rows a pass never wrote keep their exact bits (re-dividing every
    row by a total within one ulp of 1.0 each pass would churn the low
    bits of untouched rows for nothing), and need no check: they passed
    the previous gate and have not changed since. A row failing the
-   fused check is re-read by [validate_row], so every message comes
-   from the same code as [validate]'s; the first failing row in
-   ascending order is reported, and every dirty row is normalized
-   either way. *)
+   fused check is re-read by [validate_row], which writes every
+   message; the first failing row in ascending order is reported, and
+   every dirty row is normalized either way. *)
 let normalize_validate_touched t =
   let err = ref None in
   if t.n_dirty > 0 then
@@ -1071,62 +994,53 @@ let normalize_validate_touched t =
     done;
   match !err with None -> Ok () | Some e -> Error e
 
-let check_invariants t =
-  let problems = ref [] in
-  let fail fmt = Printf.ksprintf (fun s -> problems := s :: !problems) fmt in
-  for i = 0 to t.n - 1 do
-    let total = ref 0.0 in
-    for c = 0 to t.nc - 1 do
+module Inspect = struct
+  let window t i =
+    check_row t i;
+    (t.lo.(i), t.hi.(i))
+
+  let retained_floats () =
+    Array.fold_left
+      (fun total c -> total + Bigarray.Array1.dim c)
+      (Bigarray.Array1.dim !(Domain.DLS.get spare_store))
+      (Domain.DLS.get spare).chunks
+
+  let store_cap = store_cap
+
+  let check_invariants t =
+    let problems = ref [] in
+    let fail fmt = Printf.ksprintf (fun s -> problems := s :: !problems) fmt in
+    for i = 0 to t.n - 1 do
+      let total = ref 0.0 in
+      for c = 0 to t.nc - 1 do
+        for tt = 0 to t.nt - 1 do
+          let v = raw_get t (idx t i c tt) in
+          if v < -.1e-9 || v > 1.0 +. 1e-9 then fail "W(%d,%d,%d)=%g out of [0,1]" i c tt v;
+          total := !total +. v
+        done
+      done;
+      if Float.abs (!total -. 1.0) > 1e-6 then fail "row %d sums to %g, expected 1" i !total;
+      for c = 0 to t.nc - 1 do
+        let s = ref 0.0 in
+        for tt = 0 to t.nt - 1 do
+          s := !s +. raw_get t (idx t i c tt)
+        done;
+        if Float.abs (!s -. cluster_weight t i c) > 1e-6 then
+          fail "stale cluster sum at (%d,%d)" i c
+      done;
+      if Float.abs (!total -. row_total t i) > 1e-6 then
+        fail "stale row total at %d (%g cached vs %g)" i (row_total t i) !total;
+      (* The live window: every entry outside it is +0.0. *)
+      let lo = t.lo.(i) and hi = t.hi.(i) in
+      if lo < 0 || hi >= t.nt then fail "row %d window %d..%d out of range" i lo hi;
       for tt = 0 to t.nt - 1 do
-        let v = raw_get t (idx t i c tt) in
-        if v < -.1e-9 || v > 1.0 +. 1e-9 then fail "W(%d,%d,%d)=%g out of [0,1]" i c tt v;
-        total := !total +. v
+        if tt < lo || tt > hi then
+          for c = 0 to t.nc - 1 do
+            let v = raw_get t (idx t i c tt) in
+            if Int64.bits_of_float v <> 0L then
+              fail "W(%d,%d,%d)=%g outside window %d..%d" i c tt v lo hi
+          done
       done
     done;
-    if Float.abs (!total -. 1.0) > 1e-6 then fail "row %d sums to %g, expected 1" i !total;
-    for c = 0 to t.nc - 1 do
-      let s = ref 0.0 in
-      for tt = 0 to t.nt - 1 do
-        s := !s +. raw_get t (idx t i c tt)
-      done;
-      if Float.abs (!s -. cluster_weight t i c) > 1e-6 then
-        fail "stale cluster sum at (%d,%d)" i c
-    done;
-    if Float.abs (!total -. row_total t i) > 1e-6 then
-      fail "stale row total at %d (%g cached vs %g)" i (row_total t i) !total;
-    (* The live window: every entry outside it is +0.0. *)
-    let lo = t.lo.(i) and hi = t.hi.(i) in
-    if lo < 0 || hi >= t.nt then fail "row %d window %d..%d out of range" i lo hi;
-    for tt = 0 to t.nt - 1 do
-      if tt < lo || tt > hi then
-        for c = 0 to t.nc - 1 do
-          let v = raw_get t (idx t i c tt) in
-          if Int64.bits_of_float v <> 0L then
-            fail "W(%d,%d,%d)=%g outside window %d..%d" i c tt v lo hi
-        done
-    done
-  done;
-  match !problems with [] -> Ok () | ps -> Error (String.concat "; " ps)
-
-let pp_cluster_map fmt t =
-  let glyphs = [| ' '; '.'; ':'; '-'; '='; '+'; '*'; '#'; '%'; '@' |] in
-  Format.fprintf fmt "@[<v>";
-  Format.fprintf fmt "instr";
-  for c = 0 to t.nc - 1 do
-    Format.fprintf fmt " c%-2d" c
-  done;
-  Format.fprintf fmt "@,";
-  for i = 0 to t.n - 1 do
-    Format.fprintf fmt "%5d" i;
-    let top = ref 0.0 in
-    for c = 0 to t.nc - 1 do
-      top := max !top (cluster_weight t i c)
-    done;
-    for c = 0 to t.nc - 1 do
-      let v = if !top <= 0.0 then 0.0 else cluster_weight t i c /. !top in
-      let g = glyphs.(min 9 (int_of_float (v *. 9.0))) in
-      Format.fprintf fmt "  %c " g
-    done;
-    Format.fprintf fmt "@,"
-  done;
-  Format.fprintf fmt "@]"
+    match !problems with [] -> Ok () | ps -> Error (String.concat "; " ps)
+end

@@ -5,7 +5,8 @@
 
     For every instruction [i], cluster [c] and time slot [t], [W(i,c,t)]
     is the scheduler's current preference for executing [i] on [c] at
-    [t]. The paper's invariants are maintained after [normalize]:
+    [t]. The paper's invariants hold after the driver's gate
+    {!normalize_validate_touched}:
 
     - [0 <= W(i,c,t) <= 1]
     - for each [i], the entries sum to 1.
@@ -14,20 +15,20 @@
     total are cached incrementally, so preferred clusters and
     confidences are O(clusters), as the paper requires. The time
     marginals (sums over clusters, per slot) are not cached: passes
-    read them rarely, so {!time_weight} and {!preferred_time} sum them
-    from the row's live window when asked.
+    read them rarely, so {!preferred_time} sums them from the row's
+    live window when asked.
 
     A writer that sweeps a row's whole window ({!blend},
     {!scale_clusters}, {!add_noise}) also sums, in flat order, the
-    values it leaves there, and hands that total to the next
-    {!normalize} of the row, which then skips its own total sweep; it
+    values it leaves there, and hands that total to the gate's next
+    normalization of the row, which then skips its own total sweep; it
     is the same float, summed in the same order. Any other writer
     withdraws the total.
 
     Every write also marks its row {e touched}, so renormalization and
     the driver's quarantine gate run in time proportional to the rows a
-    pass actually wrote (see the [touched_*] and
-    {!normalize_validate_touched} group below). While a pass is open,
+    pass actually wrote (see {!is_touched} and
+    {!normalize_validate_touched} below). While a pass is open,
     every write also saves its row to an undo log first, so rolling the
     pass back costs time in proportion to the rows it changed (see
     {!begin_pass}).
@@ -41,45 +42,45 @@
     {b Live windows.} Each row [i] carries a live time window
     [lo..hi], with the invariant that every entry of the row outside
     it is [+0.0] (bit for bit; a [-0.0] counts as a value). The window
-    ({!window}) over-approximates the slots that can be non-zero:
-    - {!create} and the uniform reset of {!normalize} give the full
-      window [0..nt-1];
+    ({!Inspect.window}) over-approximates the slots that can be
+    non-zero:
+    - the uniform reset of a zeroed row gives the full window
+      [0..nt-1];
     - {!create_windowed} gives each row its own window;
     - {!mask_time_window} intersects it with its [lo..hi];
     - {!blend} sets [dst]'s window to the hull of [dst]'s and [src]'s;
-    - {!set} (so {!add} and {!scale}) widens it over any value it
-      stores that is not [+0.0];
+    - {!set} (so {!scale}) widens it over any value it stores that is
+      not [+0.0];
     - {!add_noise} keeps it: it only raises positive entries;
     - {!rollback} restores each saved row's window, and {!copy} carries
       it along.
 
     The windowed kernels sweep only [lo..hi] of each cluster lane:
-    {!scale_cluster}, {!scale_clusters}, {!add_noise}, {!normalize} and
-    the fused gate {!normalize_validate_touched} (both sweeps), and
-    {!blend}. A non-finite factor takes the whole lane, as [inf * 0] is
-    NaN. Every result (entries, caches, touched flags, exceptions, RNG
+    {!scale_cluster}, {!scale_clusters}, {!add_noise}, the fused gate
+    {!normalize_validate_touched} (both sweeps), and {!blend}. A
+    non-finite factor takes the whole lane, as [inf * 0] is NaN. Every
+    result (entries, caches, touched flags, exceptions, RNG
     draws) is bit-identical to a full-row sweep, since a skipped [+0.0]
     adds nothing to a sum, scales and blends to [+0.0], divides to
     [+0.0] and draws no noise. {!scale_time}, {!get} and the marginal
-    readers are not windowed; {!check_invariants} audits the window. *)
+    readers are not windowed; {!Inspect.check_invariants} audits the
+    window. *)
 
 type t
 
-val create : n:int -> nc:int -> nt:int -> t
-(** Uniform distribution [1 / (nc * nt)] everywhere. *)
-
 val create_windowed : nc:int -> nt:int -> lo:int array -> hi:int array -> t
-(** The matrix INITTIME and the driver's gate make of a fresh one, in
-    one write per entry: exactly {!create} with [n = Array.length lo],
-    then [mask_time_window w i ~lo:lo.(i) ~hi:hi.(i)] on every row [i]
-    whose window leaves out a slot ([lo.(i) > 0 || hi.(i) < nt - 1]),
-    then {!normalize_validate_touched} (which passes). Entries, caches,
-    windows and touched flags are bit-identical: a row whose window
-    spans every slot keeps {!create}'s entries and caches and stays
-    untouched; a masked row holds [v / total] inside its window and
-    [+0.0] outside, where [v = 1 / (nc * nt)] and [total] sums [v] over
-    the window in {!normalize}'s order, and is touched. [lo] and [hi]
-    must have the same length. *)
+(** The only constructor. A matrix of [n = Array.length lo] rows that
+    starts uniform, [v = 1 / (nc * nt)] in every entry, then has
+    [mask_time_window w i ~lo:lo.(i) ~hi:hi.(i)] applied to every row
+    [i] whose window leaves out a slot ([lo.(i) > 0 || hi.(i) < nt - 1]),
+    then {!normalize_validate_touched} (which passes), in one write per
+    entry. A row whose window spans every slot keeps [v] everywhere and
+    stays untouched, so full windows everywhere ([lo.(i) = 0],
+    [hi.(i) = nt - 1]) give the uniform matrix with no row touched: the
+    driver's start when the sequence does not open with INITTIME. A
+    masked row holds [v / total] inside its window and [+0.0] outside,
+    where [total] sums [v] over the window in flat order, and is
+    touched. [lo] and [hi] must have the same length. *)
 
 val n : t -> int
 val nc : t -> int
@@ -91,7 +92,6 @@ val get : t -> int -> int -> int -> float
 (** [get w i c t]. *)
 
 val set : t -> int -> int -> int -> float -> unit
-val add : t -> int -> int -> int -> float -> unit
 val scale : t -> int -> int -> int -> float -> unit
 
 (** {1 Fused row kernels}
@@ -130,10 +130,6 @@ val mask_time_window : t -> int -> lo:int -> hi:int -> unit
     [set w i c t 0.0] on every such slot (a [-0.0] there becomes
     [+0.0]), without the per-element calls. *)
 
-val window : t -> int -> int * int
-(** Row [i]'s live window [(lo, hi)]: every entry outside it is
-    [+0.0]. Empty ([lo > hi]) after a mask that kept no slot. *)
-
 (** {1 Marginals} *)
 
 val cluster_weight : t -> int -> int -> float
@@ -146,41 +142,21 @@ val add_cluster_marginals : t -> int -> weight:float -> into:float array -> at:i
     without a boxed float per read. A [weight] of exactly [1.0] adds
     the marginal itself. [at .. at + nc - 1] must lie in [into]. *)
 
-val time_weight : t -> int -> int -> float
-(** Marginal [sum_c W(i,c,t)], summed from the entries in ascending
-    cluster order when asked; O(nc). *)
-
 val row_total : t -> int -> float
 (** Cached [sum_{c,t} W(i,c,t)]; O(1). *)
 
-val normalize : t -> int -> unit
-(** Rescale instruction [i]'s entries to sum to 1 and rebuild its
-    marginal caches exactly; a row that has been squashed to all zeros
-    is reset to uniform. *)
-
-val normalize_all : t -> unit
-
-(** {1 Dirty-row tracking}
-
-    A row is {e touched} once any write changes one of its entries;
-    the flag set accumulates until {!clear_touched}. The driver clears
-    at the start of each pass, so after the pass the touched set is
-    exactly the rows that pass wrote. *)
+(** {1 Dirty-row tracking} *)
 
 val is_touched : t -> int -> bool
-val touched_count : t -> int
-
-val touched_rows : t -> int list
-(** Ascending row ids. *)
-
-val clear_touched : t -> unit
+(** Whether any write has changed row [i] since the last
+    {!begin_pass} (since creation, before the first). *)
 
 (** {1 Passes and the undo log}
 
     The driver runs each pass between {!begin_pass} and {!commit} or
-    {!rollback}. While a pass is open, every writer ({!set}, {!add},
-    {!scale}, the fused row kernels, {!mask_time_window}, {!blend} and
-    {!normalize}) saves a row to the undo log before it first changes
+    {!rollback}. While a pass is open, every writer ({!set}, {!scale},
+    the fused row kernels, {!mask_time_window}, {!blend} and the gate's
+    normalization) saves a row to the undo log before it first changes
     the row: the row's live window, the entries inside it in every
     cluster lane, and its cluster sums and total. Writes made while no
     pass is open save nothing. *)
@@ -205,10 +181,8 @@ val preferred_cluster : t -> int -> int
 val preferred_time : t -> int -> int
 (** Slot maximizing the cluster-marginal; smallest slot wins ties.
     Computed from the row's live window lane by lane into a per-domain
-    scratch, O(nc * width); the sums are {!time_weight}'s floats. *)
-
-val runnerup_cluster : t -> int -> int option
-(** Second-best cluster; [None] on single-cluster machines. *)
+    scratch, O(nc * width); each slot's sum adds the clusters in
+    ascending order. *)
 
 val confidence_sentinel : float
 (** [1e9]. Finite stand-in for "no competition": returned (and used as
@@ -235,25 +209,18 @@ val blend : t -> dst:int -> src:int -> keep:float -> unit
     [n = 2, i1 = j]. [keep] must be in [\[0, 1\]]; anything else,
     NaN included, raises [Invalid_argument]. *)
 
-val preferred_clusters : t -> int array
-(** Snapshot of every instruction's preferred cluster. *)
-
 (** {1 Copy and storage} *)
 
 val copy : t -> t
 (** A deep copy with the same touched flags and no open pass. *)
 
-val store_cap : int
-(** [2^20] floats (8 MiB): the most storage a domain keeps for later
-    matrices, and the most it keeps for later undo logs. *)
-
 val release : t -> unit
 (** Hand a dead matrix's storage back to the calling domain, so the
-    next {!create} or {!create_windowed} on the domain that fits in it
-    reuses it instead of allocating a fresh [Bigarray] (every entry is
+    next {!create_windowed} on the domain that fits in it reuses it
+    instead of allocating a fresh [Bigarray] (every entry is
     rewritten, so the result is the same bit for bit). The domain keeps
     the larger of its spare store and this one, and never one above
-    {!store_cap}. Releasing twice is a no-op.
+    {!Inspect.store_cap}. Releasing twice is a no-op.
 
     The matrix must not be used after its release: its entries alias
     the next matrix built on the domain. Only code that owns the matrix
@@ -261,40 +228,42 @@ val release : t -> unit
     [Cs_sim.Pipeline], after list scheduling. {!Driver.run} never
     releases, so a matrix it returns is private to its caller. *)
 
-val retained_floats : unit -> int
-(** Floats of storage the calling domain keeps for reuse: its spare
-    matrix store plus its undo-log chunks. At most [2 * store_cap]. *)
-
 (** {1 Validation} *)
 
-val validate : t -> (unit, string) result
-(** Fast single-sweep check over every row: every entry finite and
-    non-negative, every row summing to 1 (i.e. the matrix is
-    post-normalization sane). Returns the first problem found. See
-    {!check_invariants} for the exhaustive variant that also audits
-    the marginal caches. *)
-
 val normalize_validate_touched : t -> (unit, string) result
-(** The driver's per-pass gate: {!normalize} every row written since
-    {!clear_touched}, in ascending order, and check it as {!validate}
-    would, in the same sweep. Each row costs one total sweep plus one
-    divide sweep that rebuilds the caches and tests every stored value;
-    a row whose last writer handed over its total skips the first.
-    The result, the entries, the caches and the touched flags are
-    exactly those of [normalize] on each touched row followed by
-    {!validate} over those rows: the first failing row's message, from
-    the same code as {!validate}'s, and every touched row normalized
-    even after a failure. Rows a pass never wrote keep their exact bits
-    and are not checked: they passed the previous gate and have not
-    changed since. *)
+(** The driver's per-pass gate: rescale every row written since
+    {!begin_pass} (since creation, before the first), in ascending
+    order, to sum to 1, rebuilding its marginal caches exactly, and
+    check it in the same sweep: every entry finite and non-negative,
+    the row summing to 1 within [1e-6]. A row that has been squashed to
+    all zeros is reset to uniform over the full window. Each row costs
+    one total sweep plus one divide sweep that rebuilds the caches and
+    tests every stored value; a row whose last writer handed over its
+    total skips the first. The result is the first failing row's
+    message, and every touched row is normalized even after a failure.
+    Rows a pass never wrote keep their exact bits and are not checked:
+    they passed the previous gate and have not changed since. *)
 
-val check_invariants : t -> (unit, string) result
-(** Verifies range, row sums (post-normalization), and consistency of
-    both marginal caches against freshly recomputed sums; used by
-    tests and assertions. Also audits each row's live window: it lies
-    in [0..nt-1] and every entry outside it is [+0.0]. *)
+(** {1 Inspection}
 
-val pp_cluster_map : Format.formatter -> t -> unit
-(** ASCII rendering of the cluster-preference map in the style of the
-    paper's Fig. 4(b-g): one row per instruction, one column per
-    cluster, darker glyph = stronger preference. *)
+    What tests and assertions read inside the matrix; no pass needs
+    it. *)
+module Inspect : sig
+  val window : t -> int -> int * int
+  (** Row [i]'s live window [(lo, hi)]: every entry outside it is
+      [+0.0]. Empty ([lo > hi]) after a mask that kept no slot. *)
+
+  val store_cap : int
+  (** [2^20] floats (8 MiB): the most storage a domain keeps for later
+      matrices, and the most it keeps for later undo logs. *)
+
+  val retained_floats : unit -> int
+  (** Floats of storage the calling domain keeps for reuse: its spare
+      matrix store plus its undo-log chunks. At most [2 * store_cap]. *)
+
+  val check_invariants : t -> (unit, string) result
+  (** Verifies range, row sums (post-normalization), and consistency of
+      the marginal caches against freshly recomputed sums. Also audits
+      each row's live window: it lies in [0..nt-1] and every entry
+      outside it is [+0.0]. *)
+end

@@ -97,10 +97,9 @@ let rec route_free links route d k =
 let rec mesh_depart links route d =
   if route_free links route d 0 then d else mesh_depart links route (d + 1)
 
-(* Finds the earliest transfer departing at or after [ready]; commits the
-   booking (and memoizes) only when it arrives by [deadline], and
-   returns the arrival, or [min_int] when it does not. *)
-let attempt t ~producer ~src ~dst ~ready ~deadline =
+(* Books the earliest transfer departing at or after [ready], memoizes
+   it and returns the arrival. *)
+let attempt t ~producer ~src ~dst ~ready =
   let { latency; route } = path t src dst in
   let depart =
     match t.machine.Cs_machine.Machine.topology with
@@ -112,7 +111,7 @@ let attempt t ~producer ~src ~dst ~ready ~deadline =
       | [||] ->
         (* Never had a transfer unit to contend for (Raw-like): depart as
            soon as ready. *)
-        if ready + latency <= deadline then ready else min_int
+        ready
       | units ->
         (* The earliest free unit, the lowest index on a tie. *)
         let best = ref (Reservation.first_free_from units.(0) ready) and best_u = ref 0 in
@@ -123,45 +122,26 @@ let attempt t ~producer ~src ~dst ~ready ~deadline =
             best_u := u
           end
         done;
-        if !best + latency > deadline then min_int
-        else begin
-          Reservation.book units.(!best_u) !best;
-          !best
-        end)
+        Reservation.book units.(!best_u) !best;
+        !best)
     | Cs_machine.Topology.Mesh _ ->
       let d = mesh_depart t.links route ready in
-      if d + latency > deadline then min_int
-      else begin
-        for k = 0 to Array.length route - 1 do
-          Reservation.book t.links.(route.(k)) (d + k)
-        done;
-        d
-      end
+      for k = 0 to Array.length route - 1 do
+        Reservation.book t.links.(route.(k)) (d + k)
+      done;
+      d
   in
-  if depart = min_int then min_int
-  else begin
-    let arrive = depart + latency in
-    Itbl.add t.memo (memo_key t ~producer ~dst) arrive;
-    t.booked <- { Schedule.producer; src; dst; depart; arrive } :: t.booked;
-    arrive
-  end
+  let arrive = depart + latency in
+  Itbl.add t.memo (memo_key t ~producer ~dst) arrive;
+  t.booked <- { Schedule.producer; src; dst; depart; arrive } :: t.booked;
+  arrive
 
 let deliver t ~producer ~src ~dst ~ready =
   if src = dst then ready
   else
     match Itbl.find t.memo (memo_key t ~producer ~dst) with
     | arrival -> arrival
-    | exception Not_found -> attempt t ~producer ~src ~dst ~ready ~deadline:max_int
-
-let deliver_by t ~producer ~src ~dst ~ready ~deadline =
-  if src = dst then if ready <= deadline then Some ready else None
-  else
-    let arrival =
-      match Itbl.find t.memo (memo_key t ~producer ~dst) with
-      | arrival -> if arrival <= deadline then arrival else min_int
-      | exception Not_found -> attempt t ~producer ~src ~dst ~ready ~deadline
-    in
-    if arrival = min_int then None else Some arrival
+    | exception Not_found -> attempt t ~producer ~src ~dst ~ready
 
 let bookings t = t.booked
 

@@ -23,13 +23,6 @@ val deliver : t -> producer:int -> src:int -> dst:int -> ready:int -> int
     transfer departing at or after [ready] and returns the arrival
     cycle. Returns [ready] when [src = dst]. *)
 
-val deliver_by :
-  t -> producer:int -> src:int -> dst:int -> ready:int -> deadline:int -> int option
-(** Like {!deliver} but only commits the booking when the value can
-    arrive at or before [deadline]; otherwise books nothing and returns
-    [None]. Used by the cycle-driven UAS baseline, which must know
-    whether an operand can reach a cluster *this* cycle. *)
-
 val bookings : t -> Schedule.comm list
 (** Every transfer booked so far. *)
 

@@ -41,7 +41,7 @@ let test_deterministic_same_seed () =
 
 let test_weights_normalized_at_end () =
   let result = Driver.run ~machine:vliw4 jacobi4 (Sequence.vliw_default ()) in
-  check_bool "invariants hold" true (Weights.check_invariants result.Driver.weights = Ok ())
+  check_bool "invariants hold" true (Weights.Inspect.check_invariants result.Driver.weights = Ok ())
 
 let test_observe_called_per_pass () =
   let count = ref 0 in
@@ -146,7 +146,8 @@ let test_quarantine_soft_corruption_recovers () =
   let passes = [ Chaos.pass ~mode:2 () ] in
   let result = Driver.run ~machine:vliw4 jacobi4 passes in
   check_int "no quarantine" 0 (List.length result.Driver.quarantined);
-  check_bool "matrix valid" true (Weights.validate result.Driver.weights = Ok ())
+  check_bool "matrix valid" true
+    (Weights.Inspect.check_invariants result.Driver.weights = Ok ())
 
 let test_quarantine_per_round () =
   let passes = Sequence.vliw_default () @ [ Chaos.pass ~mode:0 () ] in
@@ -189,21 +190,21 @@ let test_rollback_restores_exact_bits () =
 let test_pass_dirties_exactly_written_rows () =
   let ctx = Context.make ~machine:vliw4 jacobi4 in
   let n = Context.n_instrs ctx in
-  let w = Weights.create ~n ~nc:(Context.n_clusters ctx) ~nt:ctx.Context.nt in
+  let w = Weights_ref.uniform ~n ~nc:(Context.n_clusters ctx) ~nt:ctx.Context.nt in
   (* FIRST scales cluster 0 of every row: n rows written, n rows dirty. *)
   (First.pass ()).Pass.apply ctx w;
-  check_int "FIRST dirties every row" n (Weights.touched_count w);
-  Weights.clear_touched w;
+  check_int "FIRST dirties every row" n (Weights_ref.touched_count w);
+  Weights_ref.clear_touched w;
   (* ... but a factor of 1.0 writes nothing, so nothing is dirty. *)
   (First.pass ~factor:1.0 ()).Pass.apply ctx w;
-  check_int "no-op FIRST dirties none" 0 (Weights.touched_count w);
+  check_int "no-op FIRST dirties none" 0 (Weights_ref.touched_count w);
   (* PLACE writes exactly the preplaced + live-in-home rows. *)
   let k = ref 0 in
   for i = 0 to n - 1 do
     if Context.home_of ctx i <> None then incr k
   done;
   (Place.pass ()).Pass.apply ctx w;
-  check_int "PLACE dirties exactly the anchored rows" !k (Weights.touched_count w)
+  check_int "PLACE dirties exactly the anchored rows" !k (Weights_ref.touched_count w)
 
 let test_no_quarantines_on_default_sequences () =
   let r1 = Driver.run ~machine:vliw4 jacobi4 (Sequence.vliw_default ()) in
@@ -299,7 +300,7 @@ let matrix_diff a b =
   then note "dimensions"
   else
     for i = 0 to Weights.n a - 1 do
-      if Weights.window a i <> Weights.window b i then note "row %d window" i;
+      if Weights.Inspect.window a i <> Weights.Inspect.window b i then note "row %d window" i;
       if Weights.is_touched a i <> Weights.is_touched b i then note "row %d touched flag" i;
       if bits (Weights.row_total a i) <> bits (Weights.row_total b i) then note "row %d total" i;
       for c = 0 to Weights.nc a - 1 do
@@ -309,10 +310,6 @@ let matrix_diff a b =
           if bits (Weights.get a i c t) <> bits (Weights.get b i c t) then
             note "entry (%d,%d,%d)" i c t
         done
-      done;
-      for t = 0 to Weights.nt a - 1 do
-        if bits (Weights.time_weight a i t) <> bits (Weights.time_weight b i t) then
-          note "row %d time sum %d" i t
       done
     done;
   !diff
@@ -329,7 +326,7 @@ let test_create_windowed_is_inittime () =
       let nc = Context.n_clusters ctx and nt = ctx.Context.nt in
       let lo, hi = Inittime.windows ctx in
       let fused = Weights.create_windowed ~nc ~nt ~lo ~hi in
-      let w = Weights.create ~n:(Context.n_instrs ctx) ~nc ~nt in
+      let w = Weights_ref.uniform ~n:(Context.n_instrs ctx) ~nc ~nt in
       Inittime.apply ctx w;
       check_bool (label ^ " gate passes") true (Weights.normalize_validate_touched w = Ok ());
       check_same_matrix label fused w)
@@ -350,7 +347,9 @@ let general_inittime passes =
    what [observe] saw, the extraction and the final matrix. *)
 let observed_run run =
   let seen = ref [] in
-  let observe name w = seen := (name, Weights.preferred_clusters w) :: !seen in
+  let observe name w =
+    seen := (name, Array.init (Weights.n w) (Weights.preferred_cluster w)) :: !seen
+  in
   Cs_obs.Obs.reset ();
   Cs_obs.Obs.enable ();
   let result = Fun.protect ~finally:Cs_obs.Obs.disable (fun () -> run ~observe) in

@@ -67,7 +67,7 @@ let telemetry_fingerprint o =
 let convergent ?seed ~machine ~passes region =
   let samples = ref [] and prev = ref [||] and churns = ref [] in
   let observe name w =
-    let after = Weights.preferred_clusters w in
+    let after = Array.init (Weights.n w) (Weights.preferred_cluster w) in
     let churn = ref 0 in
     if Array.length !prev > 0 then
       Array.iteri (fun i c -> if c <> !prev.(i) then incr churn) after;

@@ -245,13 +245,13 @@ let test_convergence_metrics_deterministic () =
     a
 
 let test_telemetry_entropy_bounds () =
-  let w = Cs_core.Weights.create ~n:8 ~nc:4 ~nt:3 in
+  let w = Weights_ref.uniform ~n:8 ~nc:4 ~nt:3 in
   let h = Cs_core.Telemetry.mean_row_entropy w in
   check_bool "uniform rows have log2 nc bits" true (Float.abs (h -. 2.0) < 1e-9);
   for i = 0 to 7 do
     Cs_core.Weights.scale_cluster w i 0 1000.0
   done;
-  Cs_core.Weights.normalize_all w;
+  Weights_ref.gate w;
   check_bool "sharpened rows lose entropy" true (Cs_core.Telemetry.mean_row_entropy w < 2.0)
 
 let () =

@@ -29,13 +29,14 @@ let anchored_chain ?(home = 2) () =
 let fresh region machine =
   let ctx = Context.make ~machine region in
   let w =
-    Weights.create ~n:(Context.n_instrs ctx) ~nc:(Context.n_clusters ctx) ~nt:ctx.Context.nt
+    Weights_ref.uniform ~n:(Context.n_instrs ctx) ~nc:(Context.n_clusters ctx)
+      ~nt:ctx.Context.nt
   in
   (ctx, w)
 
 let run_pass pass ctx w =
   pass.Pass.apply ctx w;
-  Weights.normalize_all w
+  Weights_ref.gate w
 
 (* --- INITTIME --- *)
 
@@ -49,9 +50,9 @@ let test_inittime_squashes_infeasible () =
     let hi = Context.clamp_slot ctx (Cs_ddg.Analysis.latest a i) in
     for t = 0 to Weights.nt w - 1 do
       if t < lo || t > hi then
-        Alcotest.(check (float 1e-12)) "squashed" 0.0 (Weights.time_weight w i t)
+        Alcotest.(check (float 1e-12)) "squashed" 0.0 (Weights_ref.time_weight w i t)
     done;
-    check_bool "feasible window kept" true (Weights.time_weight w i lo > 0.0)
+    check_bool "feasible window kept" true (Weights_ref.time_weight w i lo > 0.0)
   done
 
 let test_inittime_critical_single_slot () =
@@ -66,7 +67,7 @@ let test_inittime_critical_single_slot () =
   for i = 0 to 2 do
     let feasible = ref 0 in
     for t = 0 to Weights.nt w - 1 do
-      if Weights.time_weight w i t > 0.0 then incr feasible
+      if Weights_ref.time_weight w i t > 0.0 then incr feasible
     done;
     check_int "single slot" 1 !feasible
   done
@@ -82,7 +83,7 @@ let test_noise_breaks_symmetry () =
     if Float.abs (Weights.cluster_weight w 0 c -. 0.25) > 1e-9 then distinct := true
   done;
   check_bool "weights perturbed" true !distinct;
-  check_bool "invariants" true (Weights.check_invariants w = Ok ())
+  check_bool "invariants" true (Weights.Inspect.check_invariants w = Ok ())
 
 let test_noise_preserves_zeros () =
   let region = anchored_chain () in
@@ -92,13 +93,13 @@ let test_noise_preserves_zeros () =
   run_pass (Noise.pass ()) ctx w;
   let i = 4 (* tail instruction, earliest > 0 *) in
   check_bool "tail starts late" true (Cs_ddg.Analysis.earliest a i > 0);
-  Alcotest.(check (float 1e-12)) "slot 0 still zero" 0.0 (Weights.time_weight w i 0)
+  Alcotest.(check (float 1e-12)) "slot 0 still zero" 0.0 (Weights_ref.time_weight w i 0)
 
 let test_noise_deterministic_per_seed () =
   let region = anchored_chain () in
   let run seed =
     let ctx = Context.make ~seed ~machine:vliw4 region in
-    let w = Weights.create ~n:(Context.n_instrs ctx) ~nc:4 ~nt:ctx.Context.nt in
+    let w = Weights_ref.uniform ~n:(Context.n_instrs ctx) ~nc:4 ~nt:ctx.Context.nt in
     run_pass (Noise.pass ()) ctx w;
     Weights.get w 0 0 0
   in
@@ -196,7 +197,7 @@ let test_comm_per_slot_variant_runs () =
   let region = anchored_chain () in
   let ctx, w = fresh region vliw4 in
   run_pass (Comm.pass ~per_slot:true ()) ctx w;
-  check_bool "invariants" true (Weights.check_invariants w = Ok ())
+  check_bool "invariants" true (Weights.Inspect.check_invariants w = Ok ())
 
 (* --- PLACEPROP --- *)
 
@@ -242,7 +243,7 @@ let test_load_rebalances () =
   for i = 0 to Weights.n w - 1 do
     Weights.scale_cluster w i 0 3.0
   done;
-  Weights.normalize_all w;
+  Weights_ref.gate w;
   let before = Weights.cluster_weight w 0 0 in
   run_pass (Load.pass ()) ctx w;
   check_bool "cluster 0 deflated" true (Weights.cluster_weight w 0 0 < before)
@@ -394,7 +395,7 @@ let prop_level_matches_naive =
             (Cs_util.Rng.int rng (Weights.nc w))
             (1.0 +. Cs_util.Rng.float rng 4.0)
       done;
-      Weights.normalize_all w;
+      Weights_ref.gate w;
       let naive = Weights.copy w in
       let boost = 2.5 in
       (Level.pass ~stride ~granularity ~confidence_threshold:threshold ~boost ()).Pass.apply
@@ -421,7 +422,6 @@ let matrix_state w =
   List.init (Weights.n w) (fun i ->
       ( Array.init (Weights.nc w) (fun c -> Array.init (Weights.nt w) (Weights.get w i c)),
         Array.init (Weights.nc w) (Weights.cluster_weight w i),
-        Array.init (Weights.nt w) (Weights.time_weight w i),
         Weights.row_total w i,
         Weights.is_touched w i ))
 
@@ -437,8 +437,8 @@ let skewed_start seed m =
         (Cs_util.Rng.int rng (Weights.nc w))
         (1.0 +. Cs_util.Rng.float rng 4.0)
   done;
-  Weights.normalize_all w;
-  Weights.clear_touched w;
+  Weights_ref.gate w;
+  Weights_ref.clear_touched w;
   (ctx, w)
 
 (* COMM as it was written before the marginal mode dropped its
@@ -658,7 +658,7 @@ let test_regpress_relieves_overloaded_cluster () =
   for i = 0 to 11 do
     Weights.scale_cluster w i 0 1.5
   done;
-  Weights.normalize_all w;
+  Weights_ref.gate w;
   run_pass (Regpress.pass ~registers_per_cluster:4 ()) ctx w;
   let still_on_zero = ref 0 in
   for i = 0 to 11 do

@@ -140,7 +140,7 @@ let prop_driver_weights_invariant =
       let result =
         Cs_core.Driver.run ~machine:vliw4 region (Cs_core.Sequence.vliw_default ())
       in
-      Cs_core.Weights.check_invariants result.Cs_core.Driver.weights = Ok ())
+      Cs_core.Weights.Inspect.check_invariants result.Cs_core.Driver.weights = Ok ())
 
 let prop_more_tiles_never_catastrophic =
   (* Adding tiles should never make the convergent schedule dramatically
@@ -238,7 +238,7 @@ let prop_iterative_terminates =
           (Cs_core.Sequence.vliw_default ())
       in
       rounds >= 1 && rounds <= 4
-      && Cs_core.Weights.check_invariants result.Cs_core.Driver.weights = Ok ())
+      && Cs_core.Weights.Inspect.check_invariants result.Cs_core.Driver.weights = Ok ())
 
 let prop_textual_roundtrip =
   QCheck.Test.make ~count:40 ~name:"textual format round-trips" arbitrary_region

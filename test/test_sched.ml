@@ -48,39 +48,25 @@ let test_reservation_negative () =
        false
      with Cs_resil.Error.Error (Cs_resil.Error.Invalid_input _) -> true)
 
-(* --- Comm.deliver_by --- *)
+(* --- Comm.deliver --- *)
 
-let test_deliver_by_meets_deadline () =
+let test_deliver_books_transfer () =
   let comm = Cs_sched.Comm.create vliw2 in
   (* Crossbar latency 1: ready at 3 -> arrives at 4. *)
-  check_bool "meets" true
-    (Cs_sched.Comm.deliver_by comm ~producer:0 ~src:0 ~dst:1 ~ready:3 ~deadline:4 = Some 4)
-
-let test_deliver_by_rejects_tight_deadline () =
-  let comm = Cs_sched.Comm.create vliw2 in
-  check_bool "rejected" true
-    (Cs_sched.Comm.deliver_by comm ~producer:0 ~src:0 ~dst:1 ~ready:3 ~deadline:3 = None);
-  (* Rejection must not book anything: the same transfer still works. *)
-  check_bool "nothing booked" true
-    (Cs_sched.Comm.deliver_by comm ~producer:0 ~src:0 ~dst:1 ~ready:3 ~deadline:4 = Some 4);
+  check_int "arrives" 4 (Cs_sched.Comm.deliver comm ~producer:0 ~src:0 ~dst:1 ~ready:3);
   check_int "one booking" 1 (List.length (Cs_sched.Comm.bookings comm))
 
-let test_deliver_by_same_cluster () =
+let test_deliver_same_cluster () =
   let comm = Cs_sched.Comm.create vliw2 in
-  check_bool "local now" true
-    (Cs_sched.Comm.deliver_by comm ~producer:0 ~src:1 ~dst:1 ~ready:2 ~deadline:2 = Some 2);
-  check_bool "local late" true
-    (Cs_sched.Comm.deliver_by comm ~producer:0 ~src:1 ~dst:1 ~ready:5 ~deadline:2 = None)
+  check_int "local now" 2 (Cs_sched.Comm.deliver comm ~producer:0 ~src:1 ~dst:1 ~ready:2);
+  check_int "nothing booked" 0 (List.length (Cs_sched.Comm.bookings comm))
 
-let test_deliver_by_memo_hit () =
+let test_deliver_memo_hit () =
   let comm = Cs_sched.Comm.create vliw2 in
   let first = Cs_sched.Comm.deliver comm ~producer:7 ~src:0 ~dst:1 ~ready:0 in
-  check_bool "memo respects deadline" true
-    (Cs_sched.Comm.deliver_by comm ~producer:7 ~src:0 ~dst:1 ~ready:0 ~deadline:first
-    = Some first);
-  check_bool "memo too late" true
-    (Cs_sched.Comm.deliver_by comm ~producer:7 ~src:0 ~dst:1 ~ready:0 ~deadline:(first - 1)
-    = None)
+  check_int "memo reuses the arrival" first
+    (Cs_sched.Comm.deliver comm ~producer:7 ~src:0 ~dst:1 ~ready:5);
+  check_int "one booking" 1 (List.length (Cs_sched.Comm.bookings comm))
 
 (* --- Priority --- *)
 
@@ -412,10 +398,9 @@ let () =
         ] );
       ( "comm",
         [
-          Alcotest.test_case "deliver_by meets" `Quick test_deliver_by_meets_deadline;
-          Alcotest.test_case "deliver_by rejects" `Quick test_deliver_by_rejects_tight_deadline;
-          Alcotest.test_case "deliver_by local" `Quick test_deliver_by_same_cluster;
-          Alcotest.test_case "deliver_by memo" `Quick test_deliver_by_memo_hit;
+          Alcotest.test_case "deliver books" `Quick test_deliver_books_transfer;
+          Alcotest.test_case "deliver local" `Quick test_deliver_same_cluster;
+          Alcotest.test_case "deliver memo" `Quick test_deliver_memo_hit;
         ] );
       ( "priority",
         [

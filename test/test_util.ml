@@ -160,46 +160,6 @@ let test_table_bar () =
   Alcotest.(check string) "half bar" "#####" (Cs_util.Table.bar ~width:10 ~max_value:2.0 1.0);
   Alcotest.(check string) "empty on zero max" "" (Cs_util.Table.bar ~width:10 ~max_value:0.0 1.0)
 
-(* --- Bitset --- *)
-
-let test_bitset_add_mem () =
-  let s = Cs_util.Bitset.create 100 in
-  Cs_util.Bitset.add s 0;
-  Cs_util.Bitset.add s 99;
-  check_bool "mem 0" true (Cs_util.Bitset.mem s 0);
-  check_bool "mem 99" true (Cs_util.Bitset.mem s 99);
-  check_bool "not mem 50" false (Cs_util.Bitset.mem s 50);
-  check_int "cardinal" 2 (Cs_util.Bitset.cardinal s)
-
-let test_bitset_remove () =
-  let s = Cs_util.Bitset.create 10 in
-  Cs_util.Bitset.add s 3;
-  Cs_util.Bitset.remove s 3;
-  check_bool "removed" false (Cs_util.Bitset.mem s 3);
-  check_int "cardinal 0" 0 (Cs_util.Bitset.cardinal s)
-
-let test_bitset_double_add () =
-  let s = Cs_util.Bitset.create 10 in
-  Cs_util.Bitset.add s 4;
-  Cs_util.Bitset.add s 4;
-  check_int "counted once" 1 (Cs_util.Bitset.cardinal s)
-
-let test_bitset_to_list () =
-  let s = Cs_util.Bitset.create 16 in
-  List.iter (Cs_util.Bitset.add s) [ 9; 1; 4 ];
-  Alcotest.(check (list int)) "ascending" [ 1; 4; 9 ] (Cs_util.Bitset.to_list s)
-
-let test_bitset_bounds () =
-  let s = Cs_util.Bitset.create 4 in
-  Alcotest.check_raises "out of range" (Invalid_argument "Bitset: index out of range")
-    (fun () -> Cs_util.Bitset.add s 4)
-
-let test_bitset_clear () =
-  let s = Cs_util.Bitset.create 8 in
-  List.iter (Cs_util.Bitset.add s) [ 0; 1; 2 ];
-  Cs_util.Bitset.clear s;
-  check_int "cleared" 0 (Cs_util.Bitset.cardinal s)
-
 (* --- Wal --- *)
 
 let fresh_dir =
@@ -411,15 +371,6 @@ let () =
           Alcotest.test_case "ragged rows" `Quick test_table_ragged_rows;
           Alcotest.test_case "cell float" `Quick test_table_cell_float;
           Alcotest.test_case "bar" `Quick test_table_bar;
-        ] );
-      ( "bitset",
-        [
-          Alcotest.test_case "add/mem" `Quick test_bitset_add_mem;
-          Alcotest.test_case "remove" `Quick test_bitset_remove;
-          Alcotest.test_case "double add" `Quick test_bitset_double_add;
-          Alcotest.test_case "to_list" `Quick test_bitset_to_list;
-          Alcotest.test_case "bounds" `Quick test_bitset_bounds;
-          Alcotest.test_case "clear" `Quick test_bitset_clear;
         ] );
       ( "wal",
         [

@@ -15,83 +15,85 @@ let check_bool = Alcotest.(check bool)
 let check_float = Alcotest.(check (float 1e-9))
 
 let ok_invariants w =
-  match Weights.check_invariants w with
+  match Weights.Inspect.check_invariants w with
   | Ok () -> true
   | Error msg ->
     Printf.eprintf "invariant failure: %s\n" msg;
     false
 
 let test_create_uniform () =
-  let w = Weights.create ~n:2 ~nc:3 ~nt:4 in
+  let w = Weights_ref.uniform ~n:2 ~nc:3 ~nt:4 in
   check_float "uniform entry" (1.0 /. 12.0) (Weights.get w 0 1 2);
   check_float "cluster marginal" (1.0 /. 3.0) (Weights.cluster_weight w 0 0);
-  check_float "time marginal" (1.0 /. 4.0) (Weights.time_weight w 1 3);
+  check_float "time marginal" (1.0 /. 4.0) (Weights_ref.time_weight w 1 3);
   check_bool "invariants" true (ok_invariants w)
 
 let test_set_updates_marginals () =
-  let w = Weights.create ~n:1 ~nc:2 ~nt:2 in
+  let w = Weights_ref.uniform ~n:1 ~nc:2 ~nt:2 in
   Weights.set w 0 1 0 0.5;
   check_float "cluster sum" 0.75 (Weights.cluster_weight w 0 1);
-  check_float "time sum" 0.75 (Weights.time_weight w 0 0)
+  check_float "time sum" 0.75 (Weights_ref.time_weight w 0 0)
 
 let test_set_rejects_negative () =
-  let w = Weights.create ~n:1 ~nc:2 ~nt:2 in
+  let w = Weights_ref.uniform ~n:1 ~nc:2 ~nt:2 in
   Alcotest.check_raises "negative"
     (Invalid_argument "Weights.set: weight must be finite and >= 0") (fun () ->
       Weights.set w 0 0 0 (-0.1))
 
 let test_index_bounds () =
-  let w = Weights.create ~n:1 ~nc:2 ~nt:2 in
+  let w = Weights_ref.uniform ~n:1 ~nc:2 ~nt:2 in
   Alcotest.check_raises "oob" (Invalid_argument "Weights: index out of range") (fun () ->
       ignore (Weights.get w 0 2 0))
 
 let test_scale_cluster () =
-  let w = Weights.create ~n:1 ~nc:2 ~nt:3 in
+  let w = Weights_ref.uniform ~n:1 ~nc:2 ~nt:3 in
   Weights.scale_cluster w 0 1 2.0;
-  Weights.normalize w 0;
+  Weights_ref.gate w;
   check_bool "cluster 1 preferred" true (Weights.preferred_cluster w 0 = 1);
   check_bool "invariants" true (ok_invariants w)
 
 let test_scale_time () =
-  let w = Weights.create ~n:1 ~nc:2 ~nt:3 in
+  let w = Weights_ref.uniform ~n:1 ~nc:2 ~nt:3 in
   Weights.scale_time w 0 2 3.0;
-  Weights.normalize w 0;
+  Weights_ref.gate w;
   check_int "slot 2 preferred" 2 (Weights.preferred_time w 0)
 
 let test_normalize_restores_sum () =
-  let w = Weights.create ~n:1 ~nc:2 ~nt:2 in
+  let w = Weights_ref.uniform ~n:1 ~nc:2 ~nt:2 in
   Weights.scale w 0 0 0 7.0;
-  Weights.normalize w 0;
+  Weights_ref.gate w;
   check_bool "invariants" true (ok_invariants w);
   check_float "total 1" 1.0 (Weights.row_total w 0)
 
 let test_normalize_zero_row_resets_uniform () =
-  let w = Weights.create ~n:1 ~nc:2 ~nt:2 in
+  let w = Weights_ref.uniform ~n:1 ~nc:2 ~nt:2 in
   for c = 0 to 1 do
     for t = 0 to 1 do
       Weights.set w 0 c t 0.0
     done
   done;
-  Weights.normalize w 0;
+  Weights_ref.gate w;
   check_float "uniform again" 0.25 (Weights.get w 0 1 1);
   check_bool "invariants" true (ok_invariants w)
 
 let test_preferred_tie_break () =
-  let w = Weights.create ~n:1 ~nc:3 ~nt:1 in
+  let w = Weights_ref.uniform ~n:1 ~nc:3 ~nt:1 in
   check_int "smallest cluster on tie" 0 (Weights.preferred_cluster w 0);
   check_int "smallest slot on tie" 0 (Weights.preferred_time w 0)
 
+(* The runner-up is the best cluster other than the preferred one,
+   whatever its id: [confidence] divides by its marginal. *)
 let test_runnerup () =
-  let w = Weights.create ~n:1 ~nc:3 ~nt:1 in
-  Weights.set w 0 0 0 0.5;
-  Weights.set w 0 1 0 0.3;
-  Weights.set w 0 2 0 0.2;
-  check_bool "runner-up is 1" true (Weights.runnerup_cluster w 0 = Some 1);
-  let single = Weights.create ~n:1 ~nc:1 ~nt:2 in
-  check_bool "no runner-up" true (Weights.runnerup_cluster single 0 = None)
+  let w = Weights_ref.uniform ~n:1 ~nc:3 ~nt:1 in
+  Weights.set w 0 0 0 0.2;
+  Weights.set w 0 1 0 0.5;
+  Weights.set w 0 2 0 0.3;
+  check_float "top over runner-up 2" (0.5 /. 0.3) (Weights.confidence w 0);
+  let single = Weights_ref.uniform ~n:1 ~nc:1 ~nt:2 in
+  check_float "no runner-up" Weights.confidence_sentinel (Weights.confidence single 0)
 
 let test_confidence () =
-  let w = Weights.create ~n:1 ~nc:2 ~nt:1 in
+  let w = Weights_ref.uniform ~n:1 ~nc:2 ~nt:1 in
   Weights.set w 0 0 0 0.8;
   Weights.set w 0 1 0 0.2;
   check_float "ratio 4" 4.0 (Weights.confidence w 0);
@@ -103,15 +105,15 @@ let test_confidence () =
    [infinity] and poisoned telemetry means downstream. *)
 let test_confidence_sentinel () =
   check_bool "sentinel is finite" true (Float.is_finite Weights.confidence_sentinel);
-  let w = Weights.create ~n:1 ~nc:2 ~nt:1 in
+  let w = Weights_ref.uniform ~n:1 ~nc:2 ~nt:1 in
   Weights.set w 0 1 0 0.0;
   check_bool "always finite" true (Float.is_finite (Weights.confidence w 0));
   (* Single-cluster machines have no runner-up at all. *)
-  let solo = Weights.create ~n:1 ~nc:1 ~nt:3 in
+  let solo = Weights_ref.uniform ~n:1 ~nc:1 ~nt:3 in
   check_float "no runner-up" Weights.confidence_sentinel (Weights.confidence solo 0);
   (* A huge-but-finite ratio is clamped to the sentinel, so the sentinel
      is a true upper bound, not just a replacement for inf. *)
-  let skew = Weights.create ~n:1 ~nc:2 ~nt:1 in
+  let skew = Weights_ref.uniform ~n:1 ~nc:2 ~nt:1 in
   Weights.set skew 0 0 0 1.0;
   Weights.set skew 0 1 0 1e-12;
   check_float "clamped" Weights.confidence_sentinel (Weights.confidence skew 0);
@@ -120,7 +122,7 @@ let test_confidence_sentinel () =
     (Float.is_finite (Telemetry.mean_confidence w))
 
 let test_blend () =
-  let w = Weights.create ~n:2 ~nc:2 ~nt:1 in
+  let w = Weights_ref.uniform ~n:2 ~nc:2 ~nt:1 in
   Weights.set w 0 0 0 1.0;
   Weights.set w 0 1 0 0.0;
   Weights.set w 1 0 0 0.0;
@@ -131,19 +133,19 @@ let test_blend () =
   check_bool "src untouched" true (Weights.get w 0 0 0 = 1.0)
 
 let test_blend_self_noop () =
-  let w = Weights.create ~n:1 ~nc:2 ~nt:1 in
+  let w = Weights_ref.uniform ~n:1 ~nc:2 ~nt:1 in
   Weights.blend w ~dst:0 ~src:0 ~keep:0.5;
   check_float "unchanged" 0.5 (Weights.get w 0 0 0)
 
 let test_blend_self_noop_clean () =
-  let w = Weights.create ~n:2 ~nc:3 ~nt:2 in
+  let w = Weights_ref.uniform ~n:2 ~nc:3 ~nt:2 in
   Weights.scale_cluster w 0 1 3.0;
-  Weights.normalize_all w;
-  Weights.clear_touched w;
+  Weights_ref.gate w;
+  Weights_ref.clear_touched w;
   let before = Weights.copy w in
   Weights.blend w ~dst:0 ~src:0 ~keep:0.5;
   check_bool "row clean" false (Weights.is_touched w 0);
-  check_int "nothing touched" 0 (Weights.touched_count w);
+  check_int "nothing touched" 0 (Weights_ref.touched_count w);
   for c = 0 to 2 do
     for t = 0 to 1 do
       check_bool "entry bits" true (Weights.get w 0 c t = Weights.get before 0 c t)
@@ -153,68 +155,64 @@ let test_blend_self_noop_clean () =
 (* NaN fails every comparison, so a [keep < 0 || keep > 1] guard would
    let it through and write NaN into the row. *)
 let test_blend_rejects_bad_keep () =
-  let w = Weights.create ~n:2 ~nc:2 ~nt:1 in
+  let w = Weights_ref.uniform ~n:2 ~nc:2 ~nt:1 in
   List.iter
     (fun keep ->
       Alcotest.check_raises (Printf.sprintf "keep %g" keep)
         (Invalid_argument "Weights.blend: keep must be in [0,1]") (fun () ->
           Weights.blend w ~dst:0 ~src:1 ~keep))
     [ 1.5; -0.5; Float.nan; Float.neg_infinity ];
-  check_int "nothing written" 0 (Weights.touched_count w)
+  check_int "nothing written" 0 (Weights_ref.touched_count w)
 
 let test_copy_is_deep () =
-  let w = Weights.create ~n:1 ~nc:2 ~nt:1 in
+  let w = Weights_ref.uniform ~n:1 ~nc:2 ~nt:1 in
   let c = Weights.copy w in
   Weights.set w 0 0 0 0.9;
   check_float "copy unchanged" 0.5 (Weights.get c 0 0 0)
 
 let test_validate_gate () =
-  let w = Weights.create ~n:2 ~nc:2 ~nt:2 in
-  check_bool "fresh matrix sane" true (Weights.validate w = Ok ());
+  let w = Weights_ref.uniform ~n:2 ~nc:2 ~nt:2 in
+  check_bool "fresh matrix sane" true (ok_invariants w);
   (* An un-normalized row is exactly what a misbehaving pass leaves. *)
   Weights.set w 0 0 0 5.0;
-  check_bool "row sum off" true (Result.is_error (Weights.validate w));
-  Weights.normalize w 0;
-  check_bool "normalize repairs" true (Weights.validate w = Ok ());
-  (* Non-finite weights cannot enter through the API at all; validate's
-     finiteness arm is defense in depth behind this gate. *)
+  check_bool "row sum off" true (Result.is_error (Weights.Inspect.check_invariants w));
+  check_bool "the gate repairs" true (Weights.normalize_validate_touched w = Ok ());
+  check_bool "and leaves it sane" true (ok_invariants w);
+  (* Non-finite weights cannot enter through the API at all; the gate's
+     finiteness arm is defense in depth behind this check. *)
   Alcotest.check_raises "set rejects nan"
     (Invalid_argument "Weights.set: weight must be finite and >= 0") (fun () ->
       Weights.set w 1 0 0 Float.nan)
 
 let test_preferred_clusters_snapshot () =
-  let w = Weights.create ~n:3 ~nc:2 ~nt:1 in
+  let w = Weights_ref.uniform ~n:3 ~nc:2 ~nt:1 in
   Weights.set w 1 1 0 0.9;
-  Alcotest.(check (array int)) "snapshot" [| 0; 1; 0 |] (Weights.preferred_clusters w)
-
-let test_pp_cluster_map () =
-  let w = Weights.create ~n:2 ~nc:2 ~nt:1 in
-  let s = Format.asprintf "%a" Weights.pp_cluster_map w in
-  check_bool "non-empty" true (String.length s > 10)
+  Alcotest.(check (array int)) "snapshot" [| 0; 1; 0 |]
+    (Array.init 3 (Weights.preferred_cluster w))
 
 (* --- Dirty-row tracking ------------------------------------------- *)
 
 let test_fresh_matrix_untouched () =
-  let w = Weights.create ~n:5 ~nc:2 ~nt:2 in
-  check_int "nothing touched" 0 (Weights.touched_count w);
+  let w = Weights_ref.uniform ~n:5 ~nc:2 ~nt:2 in
+  check_int "nothing touched" 0 (Weights_ref.touched_count w);
   check_bool "row 0 clean" false (Weights.is_touched w 0)
 
 let test_touched_marks_exactly_written_rows () =
-  let w = Weights.create ~n:6 ~nc:2 ~nt:2 in
+  let w = Weights_ref.uniform ~n:6 ~nc:2 ~nt:2 in
   Weights.set w 1 0 0 0.9;
   Weights.set w 4 1 1 0.9;
   Weights.set w 1 0 1 0.1;
   (* second write to row 1 *)
-  check_int "two rows dirty" 2 (Weights.touched_count w);
-  Alcotest.(check (list int)) "ascending ids" [ 1; 4 ] (Weights.touched_rows w);
+  check_int "two rows dirty" 2 (Weights_ref.touched_count w);
+  Alcotest.(check (list int)) "ascending ids" [ 1; 4 ] (Weights_ref.touched_rows w);
   check_bool "row 0 clean" false (Weights.is_touched w 0);
   check_bool "row 1 dirty" true (Weights.is_touched w 1);
-  Weights.clear_touched w;
-  check_int "cleared" 0 (Weights.touched_count w);
-  Alcotest.(check (list int)) "empty" [] (Weights.touched_rows w)
+  Weights_ref.clear_touched w;
+  check_int "cleared" 0 (Weights_ref.touched_count w);
+  Alcotest.(check (list int)) "empty" [] (Weights_ref.touched_rows w)
 
 let test_noop_writes_do_not_dirty () =
-  let w = Weights.create ~n:3 ~nc:2 ~nt:2 in
+  let w = Weights_ref.uniform ~n:3 ~nc:2 ~nt:2 in
   (* Writing the value already there, scaling by 1.0 and adding 0.0 are
      all no-ops and must not dirty the row — this is what lets FEASIBLE
      / LOAD leave the touched set empty on healthy machines. *)
@@ -222,28 +220,28 @@ let test_noop_writes_do_not_dirty () =
   Weights.scale w 1 0 0 1.0;
   Weights.scale_cluster w 1 1 1.0;
   Weights.scale_clusters w 2 [| 1.0; 1.0 |];
-  Weights.add w 2 1 1 0.0;
+  Weights_ref.add w 2 1 1 0.0;
   Weights.add_noise w 2 (Cs_util.Rng.create 7) 0.0;
-  check_int "no dirty rows" 0 (Weights.touched_count w)
+  check_int "no dirty rows" 0 (Weights_ref.touched_count w)
 
 let test_normalize_touched_only_touched () =
-  let w = Weights.create ~n:3 ~nc:2 ~nt:2 in
+  let w = Weights_ref.uniform ~n:3 ~nc:2 ~nt:2 in
   Weights.scale w 1 0 0 3.0;
   check_bool "gate passes" true (Weights.normalize_validate_touched w = Ok ());
   check_float "touched row renormalized" 1.0 (Weights.row_total w 1);
   check_bool "invariants" true (ok_invariants w)
 
 let test_rollback_restores_exact_rows () =
-  let w = Weights.create ~n:4 ~nc:2 ~nt:2 in
+  let w = Weights_ref.uniform ~n:4 ~nc:2 ~nt:2 in
   Weights.scale_cluster w 0 1 4.0;
   Weights.scale_cluster w 2 0 7.0;
-  Weights.normalize_all w;
+  Weights_ref.gate w;
   let snapshot = Weights.copy w in
   Weights.begin_pass w;
   Weights.scale_cluster w 1 0 9.0;
   Weights.scale_cluster w 3 1 5.0;
   ignore (Weights.normalize_validate_touched w);
-  Alcotest.(check (list int)) "pass wrote rows 1,3" [ 1; 3 ] (Weights.touched_rows w);
+  Alcotest.(check (list int)) "pass wrote rows 1,3" [ 1; 3 ] (Weights_ref.touched_rows w);
   (* Rollback: the rows the pass wrote come back as they were. *)
   Weights.rollback w;
   for i = 0 to 3 do
@@ -256,7 +254,7 @@ let test_rollback_restores_exact_rows () =
         (Weights.cluster_weight w i c = Weights.cluster_weight snapshot i c)
     done
   done;
-  Alcotest.(check (list int)) "touched flags kept" [ 1; 3 ] (Weights.touched_rows w);
+  Alcotest.(check (list int)) "touched flags kept" [ 1; 3 ] (Weights_ref.touched_rows w);
   check_bool "caches consistent" true (ok_invariants w);
   (* A write with no pass open is not logged: rollback keeps it. *)
   Weights.scale_cluster w 0 0 3.0;
@@ -266,9 +264,9 @@ let test_rollback_restores_exact_rows () =
 (* Each open pass has a log of its own, even with two open at once in
    one domain (the log's buffers are lent out per pass). *)
 let test_two_open_passes () =
-  let a = Weights.create ~n:3 ~nc:2 ~nt:4 and b = Weights.create ~n:3 ~nc:2 ~nt:4 in
+  let a = Weights_ref.uniform ~n:3 ~nc:2 ~nt:4 and b = Weights_ref.uniform ~n:3 ~nc:2 ~nt:4 in
   Weights.scale_cluster b 1 0 3.0;
-  Weights.normalize_all b;
+  Weights_ref.gate b;
   let a0 = Weights.copy a and b0 = Weights.copy b in
   Weights.begin_pass a;
   Weights.scale_cluster a 0 1 5.0;
@@ -292,11 +290,11 @@ let test_two_open_passes () =
 let test_rollback_long_rows () =
   List.iter
     (fun (n, nt) ->
-      let w = Weights.create ~n ~nc:4 ~nt in
+      let w = Weights_ref.uniform ~n ~nc:4 ~nt in
       for i = 0 to n - 1 do
         Weights.scale_cluster w i (i mod 4) (1.0 +. float_of_int i)
       done;
-      Weights.normalize_all w;
+      Weights_ref.gate w;
       let before = Weights.copy w in
       Weights.begin_pass w;
       for i = 0 to n - 1 do
@@ -317,8 +315,10 @@ let test_rollback_long_rows () =
 
 (* --- Property suites ------------------------------------------------ *)
 
-(* One generated op per kernel in the public API; every produced value
-   stays finite and non-negative so the sequence is always legal. *)
+(* One generated op per kernel in the public API (and [Add], spelled
+   through [get] and [set]); every produced value stays finite and
+   non-negative so the sequence is always legal. [Gate] normalizes the
+   rows written so far. *)
 type op =
   | Set of int * int * int * float
   | Add of int * int * int * float
@@ -329,8 +329,7 @@ type op =
   | Noise of int * float * int
   | Mask of int * int * int
   | Blend of int * int * float
-  | Normalize of int
-  | Normalize_all
+  | Gate
 
 let pn = 4
 let pnc = 3
@@ -361,15 +360,14 @@ let op_gen =
         ( 2,
           map (fun (d, s, k) -> Blend (d, s, k)) (tup3 i i (float_bound_inclusive 1.0))
         );
-        (1, map (fun i -> Normalize i) i);
-        (1, return Normalize_all);
+        (2, return Gate);
       ])
 
 let ops_gen = QCheck.Gen.(list_size (int_bound 60) op_gen)
 
 let apply_op w = function
   | Set (i, c, t, v) -> Weights.set w i c t v
-  | Add (i, c, t, v) -> Weights.add w i c t v
+  | Add (i, c, t, v) -> Weights_ref.add w i c t v
   | Scale (i, c, t, v) -> Weights.scale w i c t v
   | Scale_cluster (i, c, v) -> Weights.scale_cluster w i c v
   | Scale_time (i, t, v) -> Weights.scale_time w i t v
@@ -377,11 +375,10 @@ let apply_op w = function
   | Noise (i, f, seed) -> Weights.add_noise w i (Cs_util.Rng.create seed) f
   | Mask (i, lo, hi) -> Weights.mask_time_window w i ~lo ~hi
   | Blend (d, s, k) -> Weights.blend w ~dst:d ~src:s ~keep:k
-  | Normalize i -> Weights.normalize w i
-  | Normalize_all -> Weights.normalize_all w
+  | Gate -> ignore (Weights.normalize_validate_touched w)
 
 let run_ops ops =
-  let w = Weights.create ~n:pn ~nc:pnc ~nt:pnt in
+  let w = Weights_ref.uniform ~n:pn ~nc:pnc ~nt:pnt in
   List.iter (apply_op w) ops;
   w
 
@@ -402,13 +399,6 @@ let holds_invariants w =
       done;
       if Float.abs (!csum -. Weights.cluster_weight w i c) > 1e-9 then ok := false
     done;
-    for t = 0 to pnt - 1 do
-      let tsum = ref 0.0 in
-      for c = 0 to pnc - 1 do
-        tsum := !tsum +. Weights.get w i c t
-      done;
-      if Float.abs (!tsum -. Weights.time_weight w i t) > 1e-9 then ok := false
-    done;
     if Float.abs (!row_sum -. 1.0) > 1e-9 then ok := false;
     if Float.abs (!row_sum -. Weights.row_total w i) > 1e-9 then ok := false
   done;
@@ -419,8 +409,7 @@ let test_ops_invariants_qcheck =
     QCheck.Test.make ~count:300 ~name:"op sequences keep invariants" (QCheck.make ops_gen)
       (fun ops ->
         let w = run_ops ops in
-        Weights.normalize_all w;
-        holds_invariants w)
+        Weights.normalize_validate_touched w = Ok () && holds_invariants w)
   in
   to_alcotest prop
 
@@ -430,7 +419,6 @@ let state w =
   List.init pn (fun i ->
       ( Array.init pnc (fun c -> Array.init pnt (Weights.get w i c)),
         Array.init pnc (Weights.cluster_weight w i),
-        Array.init pnt (Weights.time_weight w i),
         Weights.row_total w i,
         Weights.is_touched w i ))
 
@@ -502,15 +490,15 @@ let per_element w = function
 
 (* The fused kernels' bit-identity contract: from any reachable state
    (touched flags kept or cleared), each leaves entries, both marginal
-   caches, the time marginals and the touched flags exactly as its
-   per-element spelling does. *)
+   caches and the touched flags exactly as its per-element spelling
+   does. *)
 let test_kernels_per_element_qcheck =
   let prop =
     QCheck.Test.make ~count:500 ~name:"kernels = per-element spelling"
       (QCheck.make QCheck.Gen.(tup3 ops_gen bool kernel_gen))
       (fun (ops, clear, k) ->
         let w = run_ops ops in
-        if clear then Weights.clear_touched w;
+        if clear then Weights_ref.clear_touched w;
         let spelled = Weights.copy w in
         fused w k;
         per_element spelled k;
@@ -518,33 +506,14 @@ let test_kernels_per_element_qcheck =
   in
   to_alcotest prop
 
-(* Marginals rebuilt from the entries: lane sums left to right, time
-   sums in ascending cluster order, row total as the sum of lane sums.
-   [blend] and [normalize] rebuild their row's caches in this order, so
-   they must equal it with [=]. *)
-let rebuilt_marginals w i =
-  let lanes =
-    Array.init pnc (fun c ->
-        let s = ref 0.0 in
-        for t = 0 to pnt - 1 do
-          s := !s +. Weights.get w i c t
-        done;
-        !s)
-  in
-  let times =
-    Array.init pnt (fun t ->
-        let s = ref 0.0 in
-        for c = 0 to pnc - 1 do
-          s := !s +. Weights.get w i c t
-        done;
-        !s)
-  in
-  (lanes, times, Array.fold_left ( +. ) 0.0 lanes)
+(* Marginals rebuilt from a row's entries: lane sums left to right, the
+   row total as the sum of lane sums. [blend] and the gate rebuild their
+   row's caches in this order, so they must equal it with [=]. *)
+let rebuilt_marginals e =
+  let lanes = Array.map (Array.fold_left ( +. ) 0.0) e in
+  (lanes, Array.fold_left ( +. ) 0.0 lanes)
 
-let cached_marginals w i =
-  ( Array.init pnc (Weights.cluster_weight w i),
-    Array.init pnt (Weights.time_weight w i),
-    Weights.row_total w i )
+let cached_marginals w i = (Array.init pnc (Weights.cluster_weight w i), Weights.row_total w i)
 
 let entries w i = Array.init pnc (fun c -> Array.init pnt (Weights.get w i c))
 
@@ -569,54 +538,82 @@ let test_blend_pointwise_qcheck =
     QCheck.Test.make ~count:300 ~name:"blend = pointwise formula" (QCheck.make gen)
       (fun (ops, dst, src, keep) ->
         let w = run_ops ops in
-        Weights.clear_touched w;
+        Weights_ref.clear_touched w;
         let before = Weights.copy w in
         let d = entries w dst and s = entries w src in
         Weights.blend w ~dst ~src ~keep;
         entries w dst
         = Array.map2 (Array.map2 (fun d s -> (keep *. d) +. ((1.0 -. keep) *. s))) d s
-        && cached_marginals w dst = rebuilt_marginals w dst
-        && Weights.touched_rows w = [ dst ]
+        && cached_marginals w dst = rebuilt_marginals (entries w dst)
+        && Weights_ref.touched_rows w = [ dst ]
         && others_unchanged ~before w dst)
   in
   to_alcotest prop
 
+(* A row as the gate leaves it, by the pointwise formula: every entry
+   divided by the row's flat-order total, or [1 / (nc * nt)] everywhere
+   when that total is zero. *)
+let normalized old =
+  let total = Array.fold_left (Array.fold_left ( +. )) 0.0 old in
+  if total <= 0.0 || not (Float.is_finite total) then
+    Array.map (Array.map (fun _ -> 1.0 /. float_of_int (pnc * pnt))) old
+  else Array.map (Array.map (fun v -> v /. total)) old
+
+(* The gate normalizes each touched row by the pointwise formula and
+   rebuilds its caches from the result; untouched rows keep their
+   bits, and the touched flags stay as they were. *)
 let test_normalize_pointwise_qcheck =
   let prop =
     QCheck.Test.make ~count:300 ~name:"normalize = pointwise formula"
       (QCheck.make QCheck.Gen.(tup4 ops_gen (int_bound (pn - 1)) bool bool))
       (fun (ops, i, zero, clear) ->
         let w = run_ops ops in
+        if clear then Weights_ref.clear_touched w;
         (* A zeroed row must come back uniform. *)
         if zero then Weights.mask_time_window w i ~lo:1 ~hi:0;
-        if clear then Weights.clear_touched w;
         let before = Weights.copy w in
-        let old = entries w i in
-        let total = Array.fold_left (Array.fold_left ( +. )) 0.0 old in
-        let expected =
-          if total <= 0.0 || not (Float.is_finite total) then
-            Array.map (Array.map (fun _ -> 1.0 /. float_of_int (pnc * pnt))) old
-          else Array.map (Array.map (fun v -> v /. total)) old
-        in
-        Weights.normalize w i;
-        entries w i = expected
-        && cached_marginals w i = rebuilt_marginals w i
-        && Weights.is_touched w i = (Weights.is_touched before i || expected <> old)
-        && others_unchanged ~before w i)
+        ignore (Weights.normalize_validate_touched w);
+        List.for_all2
+          (fun r (e, _, _, touched) ->
+            if touched then
+              entries w r = normalized e
+              && cached_marginals w r = rebuilt_marginals (entries w r)
+              && Weights.is_touched w r
+            else List.nth (state w) r = List.nth (state before) r)
+          (List.init pn Fun.id) (state before))
   in
   to_alcotest prop
 
-(* The fused gate against the two-step protocol it replaced:
-   [normalize] on each touched row, then [validate]. From any reachable
-   state (touched flags accumulated from [create], or cleared after a
-   normalized prefix so some rows stay untouched), the verdict, the
-   entries, the marginals and the touched flags must agree with [=].
-   The public writers reject non-finite and negative values, so every
-   touched row normalizes to a valid one and the verdict is [Ok]. A row
-   failing the fused filter is re-read by [validate]'s own row check,
-   which decides the verdict, so a filter slip costs time, not a wrong
-   verdict; sweeping an untouched row, or normalizing differently,
-   shows here as a state mismatch. *)
+(* The gate's row check on one row's entries, spelled out: the first
+   entry that is not finite or lies below -1e-9, else a sum off 1 by
+   more than 1e-6. *)
+let validate_row r e =
+  let total = ref 0.0 and err = ref None in
+  Array.iter
+    (Array.iter (fun v ->
+         if !err = None then
+           if Float.is_finite v && v >= -1e-9 then total := !total +. v
+           else if not (Float.is_finite v) then
+             err := Some (Printf.sprintf "row %d has non-finite weight %g" r v)
+           else err := Some (Printf.sprintf "row %d has negative weight %g" r v)))
+    e;
+  if !err = None && Float.abs (!total -. 1.0) > 1e-6 then
+    err := Some (Printf.sprintf "row %d sums to %g, expected 1" r !total);
+  !err
+
+(* The fused gate against the two-step protocol it replaced, spelled on
+   the matrix's observable state: normalize each touched row by the
+   pointwise formula and rebuild its caches, then validate the touched
+   rows in ascending order. From any reachable state (touched flags
+   accumulated from the start, or cleared after a gated prefix so some
+   rows stay untouched), the verdict, the entries, the marginals and
+   the touched flags must agree with [=]. The public writers reject
+   non-finite and negative values, so every touched row normalizes to a
+   valid one and the verdict is [Ok]. A row failing the fused filter is
+   re-read by the library's own row check, which decides the verdict,
+   so a filter slip costs time, not a wrong verdict; sweeping an
+   untouched row, or normalizing differently, shows here as a state
+   mismatch. *)
 let test_gate_fused_qcheck =
   let prop =
     QCheck.Test.make ~count:500 ~name:"fused gate = normalize touched rows, then validate"
@@ -624,14 +621,32 @@ let test_gate_fused_qcheck =
       (fun (prefix, clear, ops) ->
         let w = run_ops prefix in
         if clear then begin
-          Weights.normalize_all w;
-          Weights.clear_touched w
+          ignore (Weights.normalize_validate_touched w);
+          Weights_ref.clear_touched w
         end;
         List.iter (apply_op w) ops;
-        let reference = Weights.copy w in
-        List.iter (Weights.normalize reference) (Weights.touched_rows reference);
-        let expected = Weights.validate reference in
-        Weights.normalize_validate_touched w = expected && state w = state reference)
+        let expected =
+          List.map
+            (fun ((e, _, _, touched) as row) ->
+              if touched then
+                let e = normalized e in
+                let lanes, total = rebuilt_marginals e in
+                (e, lanes, total, true)
+              else row)
+            (state w)
+        in
+        let verdict =
+          List.fold_left
+            (fun verdict (r, (e, _, _, touched)) ->
+              match verdict with
+              | Error _ -> verdict
+              | Ok () -> (
+                if not touched then verdict
+                else match validate_row r e with None -> verdict | Some m -> Error m))
+            (Ok ())
+            (List.mapi (fun r row -> (r, row)) expected)
+        in
+        Weights.normalize_validate_touched w = verdict && state w = expected)
   in
   to_alcotest prop
 
@@ -640,7 +655,7 @@ let test_ops_dirty_exact_qcheck =
     QCheck.Test.make ~count:300 ~name:"touched set = exactly the written rows"
       (QCheck.make ops_gen)
       (fun ops ->
-        let w = Weights.create ~n:pn ~nc:pnc ~nt:pnt in
+        let w = Weights_ref.uniform ~n:pn ~nc:pnc ~nt:pnt in
         let before = Weights.copy w in
         List.iter (apply_op w) ops;
         (* Every changed row must be flagged: an unflagged row must hold
@@ -666,13 +681,11 @@ let test_ops_dirty_exact_qcheck =
 (* The full-row kernels as they were before rows carried live windows,
    on a plain-array model of the matrix: every kernel below sweeps
    whole rows. [scale_cluster], [scale_clusters], [normalize_row] (so
-   [normalize] and the fused gate) and [blend] are the ones the library
-   now sweeps over the window only; the others are the library's
-   unwindowed kernels, copied so the model is self-contained. The one
-   deliberate difference from the old code is [mask], which stores
-   0.0 unconditionally, as [set] would. The model keeps no time sums:
-   the library computes them from the entries on demand, so
-   [same_state] rebuilds the model's from its entries ([ts]). *)
+   the fused gate) and [blend] are the ones the library now sweeps over
+   the window only; the others are the library's unwindowed kernels,
+   copied so the model is self-contained. The one deliberate difference
+   from the old code is [mask], which stores 0.0 unconditionally, as
+   [set] would. *)
 module Full = struct
   type t = {
     e : float array;
@@ -703,15 +716,6 @@ module Full = struct
     }
 
   let k i c tt = (((i * nc) + c) * nt) + tt
-
-  (* Slot [tt]'s time marginal, summed from the entries in ascending
-     cluster order. *)
-  let ts m i tt =
-    let s = ref 0.0 in
-    for c = 0 to nc - 1 do
-      s := !s +. m.e.(k i c tt)
-    done;
-    !s
 
   let bad v = (not (Float.is_finite v)) || v < 0.0
   let reject () = invalid_arg "Weights.set: weight must be finite and >= 0"
@@ -859,8 +863,6 @@ module Full = struct
       m.dirty.(dst) <- true
     end
 
-  let touched_rows m = List.filter (fun i -> m.dirty.(i)) (List.init n Fun.id)
-
   (* Snapshot rollback: the whole matrix as it was when the pass
      opened, the touched flags as the pass left them. *)
   let restore ~snap m =
@@ -872,7 +874,8 @@ end
 (* One step of the window property, run on the library and the model.
    [W_begin], [W_commit] and [W_rollback] are the driver's pass
    protocol: the library's undo log against a snapshot of the whole
-   model taken when the pass opens. *)
+   model taken when the pass opens. [W_clear] is an empty pass, which
+   clears the touched flags. *)
 type wop =
   | W_set of int * int * int * float
   | W_scale_cluster of int * int * float
@@ -881,7 +884,6 @@ type wop =
   | W_noise of int * float * int
   | W_mask of int * int * int
   | W_blend of int * int * float
-  | W_normalize of int
   | W_gate
   | W_clear
   | W_begin
@@ -936,7 +938,6 @@ let wop_gen =
         (2, map (fun (i, f, seed) -> W_noise (i, f, seed)) (triple i factor nat));
         (4, map (fun (i, (lo, hi)) -> W_mask (i, lo, hi)) (pair i window));
         (4, map (fun (d, s, k) -> W_blend (d, s, k)) (triple i i keep));
-        (2, map (fun i -> W_normalize i) i);
         (2, return W_gate);
         (1, return W_clear);
         (2, return W_begin);
@@ -973,15 +974,14 @@ let same_outcome w (m, msnap) op =
     | W_blend (dst, src, keep) ->
       ( unit (fun () -> Weights.blend w ~dst ~src ~keep),
         unit (fun () -> Full.blend m ~dst ~src ~keep) )
-    | W_normalize i ->
-      ( unit (fun () -> Weights.normalize w i),
-        unit (fun () -> ignore (Full.normalize_row m i)) )
     | W_gate ->
       ( (fun () -> Weights.normalize_validate_touched w),
         fun () -> Full.normalize_validate_touched m )
     | W_clear ->
-      ( unit (fun () -> Weights.clear_touched w),
-        unit (fun () -> Array.fill m.Full.dirty 0 Full.n false) )
+      ( unit (fun () -> Weights_ref.clear_touched w),
+        unit (fun () ->
+            Array.fill m.Full.dirty 0 Full.n false;
+            msnap := None) )
     | W_begin ->
       ( unit (fun () -> Weights.begin_pass w),
         unit (fun () ->
@@ -1000,7 +1000,7 @@ let same_outcome w (m, msnap) op =
 let bits = Int64.bits_of_float
 
 let same_state w m =
-  let ok = ref (Weights.touched_count w = List.length (Full.touched_rows m)) in
+  let ok = ref true in
   for i = 0 to Full.n - 1 do
     if Weights.is_touched w i <> m.Full.dirty.(i) then ok := false;
     if bits (Weights.row_total w i) <> bits m.Full.rt.(i) then ok := false;
@@ -1010,9 +1010,6 @@ let same_state w m =
       for t = 0 to Full.nt - 1 do
         if bits (Weights.get w i c t) <> bits m.Full.e.(Full.k i c t) then ok := false
       done
-    done;
-    for t = 0 to Full.nt - 1 do
-      if bits (Weights.time_weight w i t) <> bits (Full.ts m i t) then ok := false
     done
   done;
   !ok
@@ -1028,7 +1025,7 @@ let test_windows_full_row_qcheck =
     QCheck.Test.make ~count:500 ~name:"windowed kernels = full-row kernels, bit for bit"
       (QCheck.make QCheck.Gen.(list_size (int_range 1 60) wop_gen))
       (fun ops ->
-        let w = Weights.create ~n:Full.n ~nc:Full.nc ~nt:Full.nt and m = Full.create () in
+        let w = Weights_ref.uniform ~n:Full.n ~nc:Full.nc ~nt:Full.nt and m = Full.create () in
         let model = (m, ref None) in
         List.for_all (fun op -> same_outcome w model op && same_state w m) ops)
   in
@@ -1042,15 +1039,27 @@ let bits_state ?(touched = true) w =
       ( Array.init (Weights.nc w) (fun c ->
             Array.init (Weights.nt w) (fun t -> bits (Weights.get w i c t))),
         ( Array.init (Weights.nc w) (fun c -> bits (Weights.cluster_weight w i c)),
-          Array.init (Weights.nt w) (fun t -> bits (Weights.time_weight w i t)),
           bits (Weights.row_total w i) ),
-        Weights.window w i,
+        Weights.Inspect.window w i,
         touched && Weights.is_touched w i ))
 
-(* The fused constructor against the protocol it replaces: [create],
-   INITTIME's masks on every row whose window leaves out a slot, then
-   the gate. Windows may span every slot, leave none, or reach past
-   either end. *)
+(* The uniform start as the full-row model's [Full.create] builds it,
+   for any shape, as bits: every entry [1 / (nc * nt)], each cluster
+   sum [v * nt], each row total [v * (nc * nt)], the full window and no
+   row touched. *)
+let uniform_bits ~n ~nc ~nt =
+  let v = 1.0 /. float_of_int (nc * nt) in
+  List.init n (fun _ ->
+      ( Array.make_matrix nc nt (bits v),
+        (Array.make nc (bits (v *. float_of_int nt)), bits (v *. float_of_int (nc * nt))),
+        (0, nt - 1),
+        false ))
+
+(* The fused constructor against the protocol it replaces: the uniform
+   start, INITTIME's masks on every row whose window leaves out a slot,
+   then the gate. The uniform start itself, [create_windowed] with full
+   windows, is checked against [uniform_bits]. Windows may span every
+   slot, leave none, or reach past either end. *)
 let test_create_windowed_qcheck =
   let gen =
     QCheck.Gen.(
@@ -1072,14 +1081,16 @@ let test_create_windowed_qcheck =
       (QCheck.make gen)
       (fun (nc, nt, ws) ->
         let lo = Array.of_list (List.map fst ws) and hi = Array.of_list (List.map snd ws) in
+        let n = Array.length lo in
         let fused = Weights.create_windowed ~nc ~nt ~lo ~hi in
-        let w = Weights.create ~n:(Array.length lo) ~nc ~nt in
+        let w = Weights_ref.uniform ~n ~nc ~nt in
+        let uniform = bits_state w = uniform_bits ~n ~nc ~nt in
         Array.iteri
           (fun i lo ->
             if lo > 0 || hi.(i) < nt - 1 then Weights.mask_time_window w i ~lo ~hi:hi.(i))
           lo;
-        Weights.normalize_validate_touched w = Ok ()
-        && Weights.touched_count fused = Weights.touched_count w
+        uniform
+        && Weights.normalize_validate_touched w = Ok ()
         && bits_state fused = bits_state w)
   in
   to_alcotest prop
@@ -1093,10 +1104,8 @@ let lib_write w = function
   | W_noise (i, f, seed) -> Weights.add_noise w i (Cs_util.Rng.create seed) f
   | W_mask (i, lo, hi) -> Weights.mask_time_window w i ~lo ~hi
   | W_blend (dst, src, keep) -> Weights.blend w ~dst ~src ~keep
-  | W_normalize i -> Weights.normalize w i
   | W_gate -> ignore (Weights.normalize_validate_touched w)
-  | W_clear -> Weights.clear_touched w
-  | W_begin | W_commit | W_rollback -> ()
+  | W_clear | W_begin | W_commit | W_rollback -> ()
 
 (* Undo-log rollback against a snapshot: from any reachable state, a
    pass of random writes (some raising mid-row, some widening windows
@@ -1108,7 +1117,7 @@ let test_rollback_snapshot_qcheck =
       (QCheck.make
          QCheck.Gen.(pair (list_size (int_bound 30) wop_gen) (list_size (int_range 1 30) wop_gen)))
       (fun (prefix, pass) ->
-        let w = Weights.create ~n:Full.n ~nc:Full.nc ~nt:Full.nt in
+        let w = Weights_ref.uniform ~n:Full.n ~nc:Full.nc ~nt:Full.nt in
         let write op = try lib_write w op with Invalid_argument _ -> () in
         List.iter write prefix;
         Weights.begin_pass w;
@@ -1124,6 +1133,7 @@ let test_rollback_snapshot_qcheck =
 let lib_step w op =
   try
     match op with
+    | W_clear -> Weights_ref.clear_touched w
     | W_begin -> Weights.begin_pass w
     | W_commit -> Weights.commit w
     | W_rollback -> Weights.rollback w
@@ -1133,13 +1143,7 @@ let lib_step w op =
 (* Row [i]'s time marginals rebuilt from its entries (ascending cluster
    order), and the preferred slot as the old cached argmax took it:
    over every slot, ties within 1e-12 to the smallest. *)
-let rebuilt_times w i =
-  Array.init (Weights.nt w) (fun t ->
-      let s = ref 0.0 in
-      for c = 0 to Weights.nc w - 1 do
-        s := !s +. Weights.get w i c t
-      done;
-      !s)
+let rebuilt_times w i = Array.init (Weights.nt w) (Weights_ref.time_weight w i)
 
 let argmax_slot times =
   let best = ref 0 in
@@ -1148,24 +1152,19 @@ let argmax_slot times =
 
 (* The time marginals are computed on demand from the window: after
    every step of a random sequence (mid-pass, after a raising kernel
-   left a row half written, after a rollback), [time_weight] and
-   [preferred_time] must equal a rebuild from the entries, bit for
-   bit. *)
+   left a row half written, after a rollback), [preferred_time] must
+   pick the argmax of a rebuild from the entries. *)
 let test_time_marginals_on_demand_qcheck =
   let prop =
     QCheck.Test.make ~count:500 ~name:"time marginals = from-entries rebuild after every op"
       (QCheck.make QCheck.Gen.(list_size (int_range 1 60) wop_gen))
       (fun ops ->
-        let w = Weights.create ~n:Full.n ~nc:Full.nc ~nt:Full.nt in
+        let w = Weights_ref.uniform ~n:Full.n ~nc:Full.nc ~nt:Full.nt in
         List.for_all
           (fun op ->
             lib_step w op;
             List.for_all
-              (fun i ->
-                let times = rebuilt_times w i in
-                Array.map bits (Array.init Full.nt (Weights.time_weight w i))
-                = Array.map bits times
-                && Weights.preferred_time w i = argmax_slot times)
+              (fun i -> Weights.preferred_time w i = argmax_slot (rebuilt_times w i))
               (List.init Full.n Fun.id))
           ops)
   in
@@ -1211,7 +1210,7 @@ let test_handed_totals_gate_qcheck =
     QCheck.Test.make ~count:500 ~name:"gate with handed-over totals = full-sweep gate"
       (QCheck.make gen)
       (fun (prefix, (scale, again), rest) ->
-        let w = Weights.create ~n:Full.n ~nc:Full.nc ~nt:Full.nt and m = Full.create () in
+        let w = Weights_ref.uniform ~n:Full.n ~nc:Full.nc ~nt:Full.nt and m = Full.create () in
         let model = (m, ref None) in
         let step op = same_outcome w model op && same_state w m in
         List.for_all step prefix
@@ -1224,7 +1223,7 @@ let test_handed_totals_gate_qcheck =
    and reuses them after, so the pass measured is the second. *)
 let test_kernels_allocation_free () =
   let n = 48 and nc = 4 and nt = 40 in
-  let w = Weights.create ~n ~nc ~nt in
+  let w = Weights_ref.uniform ~n ~nc ~nt in
   let factors = Array.init nc (fun c -> 1.0 +. (0.25 *. float_of_int c)) in
   let kernels =
     [
@@ -1323,7 +1322,7 @@ let test_kernels_allocation_free () =
   Weights.commit w
 
 (* [preferred_time] sums a row lane by lane; it must pick the slot an
-   argmax over [time_weight]'s per-slot sums picks, ties within 1e-12
+   argmax over per-slot sums in ascending cluster order picks, ties within 1e-12
    to the smallest slot, on rows built windowed, some left with equal
    entries (all ties) and some made distinct by noise. *)
 let test_preferred_time_lanes_qcheck =
@@ -1349,7 +1348,7 @@ let test_preferred_time_lanes_qcheck =
           (fun i ->
             let best = ref 0 and best_v = ref 0.0 in
             for t = 0 to nt - 1 do
-              let v = Weights.time_weight w i t in
+              let v = Weights_ref.time_weight w i t in
               if t = 0 then best_v := v
               else if v > !best_v +. 1e-12 then begin
                 best := t;
@@ -1387,7 +1386,7 @@ let test_confidences_qcheck =
 let in_fresh_domain f = Domain.join (Domain.spawn f)
 
 (* A matrix to build: [n], [nc], [nt], and the windows of
-   [create_windowed] or [None] for [create]. *)
+   [create_windowed] or [None] for the uniform matrix. *)
 type store_op = Make of int * int * int * (int * int) list option | Again | Free of int
 
 let store_ops_gen =
@@ -1404,7 +1403,7 @@ let store_ops_gen =
 
 let build (n, nc, nt, windows) =
   match windows with
-  | None -> Weights.create ~n ~nc ~nt
+  | None -> Weights_ref.uniform ~n ~nc ~nt
   | Some ws ->
     Weights.create_windowed ~nc ~nt
       ~lo:(Array.of_list (List.map fst ws))
@@ -1496,56 +1495,56 @@ let test_store_reuse_qcheck =
    shows here. The domain keeps the larger of two released stores. *)
 let test_release_reuses_store () =
   in_fresh_domain (fun () ->
-      check_int "a fresh domain keeps nothing" 0 (Weights.retained_floats ());
-      let big = Weights.create ~n:10 ~nc:4 ~nt:8 in
+      check_int "a fresh domain keeps nothing" 0 (Weights.Inspect.retained_floats ());
+      let big = Weights_ref.uniform ~n:10 ~nc:4 ~nt:8 in
       Weights.release big;
-      check_int "released store kept" 320 (Weights.retained_floats ());
-      let small = Weights.create ~n:6 ~nc:2 ~nt:5 in
-      check_int "store taken" 0 (Weights.retained_floats ());
+      check_int "released store kept" 320 (Weights.Inspect.retained_floats ());
+      let small = Weights_ref.uniform ~n:6 ~nc:2 ~nt:5 in
+      check_int "store taken" 0 (Weights.Inspect.retained_floats ());
       check_bool "small reuses big's store" true
         (bits (Weights.get big 0 0 0) = bits (Weights.get small 0 0 0)
         && bits (Weights.get small 0 0 0) = bits 0.1);
-      let larger = Weights.create ~n:20 ~nc:4 ~nt:8 in
+      let larger = Weights_ref.uniform ~n:20 ~nc:4 ~nt:8 in
       Weights.release small;
-      check_int "small hands back the whole store" 320 (Weights.retained_floats ());
+      check_int "small hands back the whole store" 320 (Weights.Inspect.retained_floats ());
       Weights.release larger;
-      check_int "the larger store is kept" 640 (Weights.retained_floats ());
+      check_int "the larger store is kept" 640 (Weights.Inspect.retained_floats ());
       Weights.release big;
       check_int "a store already handed back is not kept twice" 640
-        (Weights.retained_floats ()))
+        (Weights.Inspect.retained_floats ()))
 
 (* Releasing twice hands the store back once: a second release while
    the store serves a live matrix must not give it to a third. *)
 let test_release_twice_noop () =
   in_fresh_domain (fun () ->
-      let a = Weights.create ~n:4 ~nc:2 ~nt:4 in
+      let a = Weights_ref.uniform ~n:4 ~nc:2 ~nt:4 in
       Weights.release a;
-      let b = Weights.create ~n:4 ~nc:2 ~nt:4 in
+      let b = Weights_ref.uniform ~n:4 ~nc:2 ~nt:4 in
       Weights.release a;
-      let c = Weights.create ~n:4 ~nc:2 ~nt:4 in
+      let c = Weights_ref.uniform ~n:4 ~nc:2 ~nt:4 in
       Weights.set b 0 0 0 0.75;
       check_bool "c keeps its own entry" true (bits (Weights.get c 0 0 0) = bits 0.125);
       check_bool "b has its write" true (bits (Weights.get b 0 0 0) = bits 0.75))
 
 (* Rows of [nc * nt] = 64 floats just past the cap. *)
-let above_cap_rows = (Weights.store_cap / 64) + 1
+let above_cap_rows = (Weights.Inspect.store_cap / 64) + 1
 
 (* Neither a matrix store nor an undo log above the cap stays on the
    domain after its matrix or pass is done. *)
 let test_store_cap () =
   in_fresh_domain (fun () ->
-      let huge = Weights.create ~n:above_cap_rows ~nc:8 ~nt:8 in
+      let huge = Weights_ref.uniform ~n:above_cap_rows ~nc:8 ~nt:8 in
       Weights.begin_pass huge;
       for i = 0 to above_cap_rows - 1 do
         Weights.scale_cluster huge i 0 0.5
       done;
       Weights.commit huge;
-      let kept = Weights.retained_floats () in
+      let kept = Weights.Inspect.retained_floats () in
       check_bool "the log keeps chunks up to the cap" true (kept > 0);
-      check_bool "and no more" true (kept <= Weights.store_cap);
+      check_bool "and no more" true (kept <= Weights.Inspect.store_cap);
       Weights.release huge;
-      check_int "a store above the cap is not kept" kept (Weights.retained_floats ());
-      let small = Weights.create ~n:2 ~nc:2 ~nt:2 in
+      check_int "a store above the cap is not kept" kept (Weights.Inspect.retained_floats ());
+      let small = Weights_ref.uniform ~n:2 ~nc:2 ~nt:2 in
       check_bool "nor reused" true (bits (Weights.get huge 0 1 0) = bits (1.0 /. 64.0));
       check_bool "small is uniform" true (bits (Weights.get small 0 0 0) = bits 0.25))
 
@@ -1560,16 +1559,15 @@ let test_random_edits_qcheck =
     QCheck.Test.make ~count:300 ~name:"edits + normalize keep invariants"
       (QCheck.make edit_gen)
       (fun edits ->
-        let w = Weights.create ~n:4 ~nc:3 ~nt:5 in
+        let w = Weights_ref.uniform ~n:4 ~nc:3 ~nt:5 in
         List.iter
           (fun (i, c, t, v) ->
             match (i + c + t) mod 3 with
             | 0 -> Weights.set w i c t v
-            | 1 -> Weights.add w i c t v
+            | 1 -> Weights_ref.add w i c t v
             | _ -> Weights.scale w i c t v)
           edits;
-        Weights.normalize_all w;
-        match Weights.check_invariants w with Ok () -> true | Error _ -> false)
+        Weights.normalize_validate_touched w = Ok () && ok_invariants w)
   in
   to_alcotest prop
 
@@ -1578,10 +1576,9 @@ let test_random_blends_qcheck =
   let prop =
     QCheck.Test.make ~count:200 ~name:"blends keep invariants" (QCheck.make gen)
       (fun blends ->
-        let w = Weights.create ~n:4 ~nc:2 ~nt:3 in
+        let w = Weights_ref.uniform ~n:4 ~nc:2 ~nt:3 in
         List.iter (fun (d, s, keep) -> Weights.blend w ~dst:d ~src:s ~keep) blends;
-        Weights.normalize_all w;
-        match Weights.check_invariants w with Ok () -> true | Error _ -> false)
+        Weights.normalize_validate_touched w = Ok () && ok_invariants w)
   in
   to_alcotest prop
 
@@ -1590,9 +1587,9 @@ let test_marginal_consistency_qcheck =
     QCheck.Test.make ~count:200 ~name:"preferred cluster maximizes marginal"
       (QCheck.make edit_gen)
       (fun edits ->
-        let w = Weights.create ~n:4 ~nc:3 ~nt:5 in
+        let w = Weights_ref.uniform ~n:4 ~nc:3 ~nt:5 in
         List.iter (fun (i, c, t, v) -> Weights.set w i c t v) edits;
-        Weights.normalize_all w;
+        Weights_ref.gate w;
         let ok = ref true in
         for i = 0 to 3 do
           let p = Weights.preferred_cluster w i in
@@ -1629,7 +1626,6 @@ let () =
           Alcotest.test_case "copy deep" `Quick test_copy_is_deep;
           Alcotest.test_case "validate gate" `Quick test_validate_gate;
           Alcotest.test_case "snapshot" `Quick test_preferred_clusters_snapshot;
-          Alcotest.test_case "cluster map render" `Quick test_pp_cluster_map;
           Alcotest.test_case "kernels allocation-free" `Quick test_kernels_allocation_free;
         ] );
       ( "dirty",
