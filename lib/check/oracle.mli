@@ -38,13 +38,11 @@ val build : Scenario.t -> (Cs_sched.Schedule.t option, violation) result
     [Ok None] is a graceful typed refusal, possible only on degraded
     scenarios. *)
 
-val check_schedule : Scenario.t -> Cs_sched.Schedule.t -> (unit, violation) result
-(** All checks, first failure wins (ordered as listed above). *)
-
 val run :
   ?transform:(Cs_sched.Schedule.t -> Cs_sched.Schedule.t) ->
   Scenario.t -> (unit, violation) result
-(** [build], [check_schedule], then the CHAOS rollback check.
-    [transform] is applied to the built schedule before
-    [check_schedule] — the bug-injection hook used by tests to prove the
-    oracle and shrinker catch corrupted schedules. *)
+(** [build], then every schedule check (first failure wins, ordered as
+    listed above), then the CHAOS rollback check. [transform] is applied
+    to the built schedule before it is checked — the bug-injection hook
+    used by tests to prove the oracle and shrinker catch corrupted
+    schedules. *)

@@ -15,14 +15,9 @@
 
     Other modes are outside the parameter's domain. *)
 
-val default_mode : int
-
-val default_delay_ms : float
-(** 100 ms. *)
-
 val decl : Pass.decl
 
 val pass : ?mode:int -> ?delay_ms:float -> unit -> Pass.t
 
 val slow_pass : ?delay_ms:float -> unit -> Pass.t
-(** [pass ~mode:5 ~delay_ms ()]. *)
+(** [pass ~mode:5 ~delay_ms ()]; [delay_ms] defaults to 100. *)

@@ -29,11 +29,6 @@ let make ~name ~kind apply = { name; kind; params = []; apply }
 
 let param t key = List.assoc_opt key t.params
 
-let kind_to_string = function
-  | Space -> "space"
-  | Time -> "time"
-  | Spacetime -> "space+time"
-
 let bool key ~default =
   { key; typ = Bool; default = (if default then 1.0 else 0.0); domain = (0.0, 1.0);
     tune = (0.0, 1.0); log_scale = false }

@@ -55,7 +55,6 @@ val make : name:string -> kind:kind -> (Context.t -> Weights.t -> unit) -> t
 (** A pass without parameters (custom and test passes). *)
 
 val param : t -> string -> float option
-val kind_to_string : kind -> string
 
 (** {1 Declaring parameters} *)
 

@@ -47,11 +47,7 @@ val of_names : string list -> (Pass.t list, string) result
 (** All-or-nothing parse of {!of_spec} tokens; the error names the
     offending token. *)
 
-val to_spec : ?full:bool -> Pass.t -> string
-(** Serialize one pass. By default only non-default parameters are
-    emitted; [~full:true] emits every parameter (canonical form used as
-    the autotuner's fitness-cache key). *)
-
 val names : Pass.t list -> string list
-(** [List.map (to_spec ~full:false)] — feeding the result back through
-    {!of_names} reconstructs the sequence exactly, parameters included. *)
+(** One spec token per pass, naming only its non-default parameters —
+    feeding the result back through {!of_names} reconstructs the
+    sequence exactly, parameters included. *)

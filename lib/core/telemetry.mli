@@ -13,19 +13,15 @@ type metrics = {
   total : int;  (** instructions measured *)
   mean_confidence : float;
   (** mean over instructions of {!Weights.confidence} (top-two cluster
-      ratio), clamped at {!confidence_cap} so fully converged rows stay
-      finite and exportable *)
+      ratio), clamped at 1000 so fully converged rows stay finite and
+      exportable: a row with no runner-up reports
+      {!Weights.confidence_sentinel} (1e9), and the cap keeps one
+      unanimous row from drowning the mean *)
   mean_entropy : float;
   (** mean over instructions of the Shannon entropy (bits) of the
       cluster-marginal distribution; [log2 clusters] when uniform, 0
       when fully converged *)
 }
-
-val confidence_cap : float
-(** Clamp applied to per-instruction confidence (1000.0). A row with no
-    runner-up reports {!Weights.confidence_sentinel} (1e9, already
-    finite); the cap bounds it further so one unanimous row cannot
-    drown the mean. *)
 
 val churn_fraction : metrics -> float
 

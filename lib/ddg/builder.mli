@@ -15,10 +15,6 @@ type t
 
 val create : name:string -> unit -> t
 
-val fresh_reg : t -> Reg.t
-(** A fresh virtual register with no definition yet; only useful as a
-    live-in (see [live_in]). *)
-
 val live_in : ?home:int -> t -> Reg.t
 (** A region live-in value, optionally homed on a cluster. *)
 

@@ -2,6 +2,7 @@ module Transport = Cs_svc.Transport
 module Proto = Cs_svc.Proto
 module Squeue = Cs_svc.Squeue
 module Meters = Cs_svc.Meters
+module Conn = Cs_svc.Conn
 module Metrics = Cs_obs.Metrics
 
 type config = {
@@ -72,22 +73,7 @@ let shard_note_reply sh (reply : Proto.reply) =
   in
   Atomic.set sh.ewma_bits (Int64.bits_of_float next)
 
-(* Same per-connection bookkeeping as {!Cs_svc.Server}: several
-   forwarder domains answer into one socket, so writes serialize on
-   [out_mutex], and the fd closes on the last of (reader EOF, final
-   pending reply). *)
-type conn = {
-  fd : Unix.file_descr;
-  out_mutex : Mutex.t;
-  mutable pending : int;
-  mutable reader_done : bool;
-  mutable conn_closed : bool;
-  mutable is_hb : bool;
-      (* a shard's persistent heartbeat connection: severed on stop so
-         its reader domain can be joined *)
-}
-
-type work = { request : Proto.request; on : conn; arrival : float }
+type work = { request : Proto.request; on : Conn.conn; arrival : float }
 
 (* Cache entries carry the request alongside the reply: the reply
    answers repeat traffic, the request is what gets replayed to a
@@ -97,8 +83,7 @@ type centry = { creq : Proto.request; crep : Proto.reply }
 
 type t = {
   cfg : config;
-  listen_fd : Unix.file_descr;
-  bound : Transport.addr;
+  listener : Conn.listener;
   ring : Ring.t;
   state : Shard_state.t;
   cache : centry Cache.t;
@@ -106,9 +91,6 @@ type t = {
   shards : shard list;
   names : string list;  (* shard names, in configuration order *)
   queue : work Squeue.t;
-  stopping : bool Atomic.t;
-  conns_mutex : Mutex.t;
-  mutable conns : conn list;
   meters : Meters.t;
   m_replayed : Metrics.counter;
   m_rerouted : Metrics.counter;
@@ -164,7 +146,7 @@ let create (cfg : config) =
       cfg.shards
   in
   let names = List.map (fun s -> s.sname) shards in
-  let listen_fd = Transport.listen cfg.listen_addr in
+  let listener = Conn.listen cfg.listen_addr in
   let meters = Meters.create () in
   Metrics.set meters.Meters.workers (float_of_int cfg.forwarders);
   let counter = Metrics.counter meters.Meters.registry in
@@ -196,7 +178,7 @@ let create (cfg : config) =
       (fun dir -> Journal.open_dir ~dir ~recover:cfg.recover ())
       cfg.journal_dir
   in
-  { cfg; listen_fd; bound = Transport.bound_addr listen_fd cfg.listen_addr;
+  { cfg; listener;
     ring = Ring.make names;
     state = Shard_state.create ~fail_threshold:cfg.fail_threshold ~on_transition names;
     cache = Cache.create ~capacity:cfg.cache_capacity;
@@ -204,9 +186,6 @@ let create (cfg : config) =
     shards;
     names;
     queue = Squeue.create ~capacity:cfg.queue_capacity;
-    stopping = Atomic.make false;
-    conns_mutex = Mutex.create ();
-    conns = [];
     meters;
     m_replayed = counter ~help:"Jobs replayed on another shard after a transport failure"
         "csched_gateway_replayed_total";
@@ -239,7 +218,8 @@ let create (cfg : config) =
         "csched_gateway_warming_shards";
     n_busy = Atomic.make 0; last_evictions = Atomic.make 0 }
 
-let address t = t.bound
+let address t = Conn.address t.listener
+let stopping t = Conn.stopping t.listener
 let meters t = t.meters
 
 let alive_count t = List.length (Shard_state.alive t.state t.names)
@@ -252,6 +232,8 @@ let warming_count t =
 let sync_gauges t =
   Metrics.set t.meters.Meters.queue_depth (float_of_int (Squeue.length t.queue));
   Metrics.set t.meters.Meters.busy (float_of_int (Atomic.get t.n_busy));
+  Metrics.set t.meters.Meters.connections_open
+    (float_of_int (Conn.connections t.listener));
   Metrics.set t.m_shards_alive (float_of_int (alive_count t));
   Metrics.set t.m_cache_size (float_of_int (Cache.stats t.cache).Cache.size);
   Metrics.set t.m_journal_pending
@@ -357,33 +339,7 @@ let server_stats t =
         ("warm_replays", float_of_int s.warm_replays);
         ("warming_shards", float_of_int (warming_count t)) ] }
 
-(* --- wire plumbing (mirrors Cs_svc.Server) ------------------------- *)
-
-let write_all fd s =
-  let b = Bytes.of_string s in
-  let n = Bytes.length b in
-  let rec go off = if off < n then go (off + Unix.write fd b off (n - off)) in
-  go 0
-
-let send_line conn line =
-  Mutex.lock conn.out_mutex;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock conn.out_mutex)
-    (fun () ->
-      if not conn.conn_closed then
-        try write_all conn.fd (line ^ "\n") with Unix.Unix_error _ -> ())
-
-let send_reply conn reply = send_line conn (Proto.reply_to_line reply)
-
-let finish_edge conn ~job_done =
-  Mutex.lock conn.out_mutex;
-  let close_now =
-    if job_done then conn.pending <- conn.pending - 1 else conn.reader_done <- true;
-    conn.reader_done && conn.pending = 0 && not conn.conn_closed
-  in
-  if close_now then conn.conn_closed <- true;
-  Mutex.unlock conn.out_mutex;
-  if close_now then try Unix.close conn.fd with Unix.Unix_error _ -> ()
+let send_reply conn reply = Conn.send_line conn (Proto.reply_to_line reply)
 
 (* --- cache key ----------------------------------------------------- *)
 
@@ -648,7 +604,7 @@ let forwarder t () =
               (Cs_resil.Error.Pass_failure (Printexc.to_string e))));
       Atomic.decr t.n_busy;
       sync_gauges t;
-      finish_edge on ~job_done:true;
+      Conn.job_done on;
       loop ()
   in
   loop ()
@@ -664,7 +620,7 @@ let replay_pending t =
   | Some j ->
     List.iter
       (fun (jkey, request) ->
-        if not (Atomic.get t.stopping) then begin
+        if not (stopping t) then begin
           Metrics.incr t.m_journal_replays;
           Cs_obs.Obs.instant ~cat:"gateway"
             ~args:
@@ -719,7 +675,7 @@ let prober t () =
         "gateway:warm-replay";
       List.iter
         (fun (_, e) ->
-          if not (Atomic.get t.stopping) then
+          if not (stopping t) then
             let r =
               { e.creq with
                 Proto.id = e.creq.Proto.id ^ "#warm";
@@ -736,18 +692,11 @@ let prober t () =
         entries
     end
   in
-  let rec sleep_ticks remaining =
-    if remaining > 0.0 && not (Atomic.get t.stopping) then begin
-      let tick = Float.min 0.05 remaining in
-      Unix.sleepf tick;
-      sleep_ticks (remaining -. tick)
-    end
-  in
   let rec loop () =
-    if not (Atomic.get t.stopping) then begin
+    if not (stopping t) then begin
       List.iter
         (fun sh ->
-          if not (Atomic.get t.stopping) then
+          if not (stopping t) then
             if Shard_state.usable t.state sh.sname then begin
               if not (hb_fresh sh) then probe sh;
               warm sh
@@ -755,7 +704,7 @@ let prober t () =
             else if Shard_state.probe_due t.state sh.sname ~now:(Cs_obs.Clock.now ())
             then probe sh)
         t.shards;
-      sleep_ticks t.cfg.probe_period_s;
+      Conn.sleep t.listener t.cfg.probe_period_s;
       loop ()
     end
   in
@@ -795,189 +744,102 @@ let admission_shed_reason t =
            journal_lag_limit)
     | _ -> None
 
-(* --- accept loop --------------------------------------------------- *)
+(* --- serving ------------------------------------------------------- *)
 
-let serve_conn t conn =
-  let buf = Buffer.create 256 in
-  let chunk = Bytes.create 4096 in
-  let handle_line line =
-    let line = String.trim line in
-    if line <> "" then begin
-      match Proto.incoming_of_line line with
-      | Error e ->
-        Metrics.incr t.meters.Meters.refused;
-        send_reply conn (Proto.refused ~id:"" (Cs_resil.Error.Invalid_input e))
-      | Ok (Proto.Control { op = Proto.Metrics_query format; id }) ->
-        sync_gauges t;
-        send_line conn
-          (Proto.metrics_reply_to_line ~id (Meters.metrics_payload t.meters format))
-      | Ok (Proto.Control { op; id }) ->
-        let s = server_stats t in
-        (match op with
-        | Proto.Stats_query ->
-          Cs_obs.Obs.counter ~cat:"gateway" "gateway:stats"
-            (("queue_depth", float_of_int s.Proto.queue_depth)
-            :: ("busy", float_of_int s.Proto.busy)
-            :: s.Proto.extra)
-        | Proto.Ping | Proto.Metrics_query _ -> ());
-        send_line conn (Proto.pong_to_line ~id s)
-      | Ok (Proto.Heartbeat hb) ->
-        conn.is_hb <- true;
-        (match
-           List.find_opt (fun sh -> sh.sname = hb.Proto.hb_shard) t.shards
-         with
-        | Some sh ->
-          Atomic.set sh.depth hb.Proto.hb_depth;
-          let now = Cs_obs.Clock.now () in
-          Atomic.set sh.last_hb_bits (Int64.bits_of_float now);
-          Metrics.incr t.m_heartbeats;
-          (* a heartbeat is proof of life: it re-admits a buried shard
-             without waiting for the prober's probation slot *)
-          Shard_state.note t.state sh.sname ~now ~ok:true
-        | None ->
-          (* unknown shard name: not ours to track, and no reply to
-             send — heartbeats are one-way *)
-          ())
-      | Ok (Proto.Job_request request) ->
-        Mutex.lock conn.out_mutex;
-        conn.pending <- conn.pending + 1;
-        Mutex.unlock conn.out_mutex;
-        let shed_reason =
-          if Atomic.get t.stopping then Some "gateway is draining"
-          else
-            match admission_shed_reason t with
-            | Some reason ->
-              Metrics.incr t.m_admission_shed;
-              Some reason
-            | None ->
-              if
-                Squeue.try_push t.queue
-                  { request; on = conn; arrival = Cs_obs.Clock.now () }
-              then None
-              else
-                Some
-                  (Printf.sprintf "gateway admission queue full (%d jobs)"
-                     t.cfg.queue_capacity)
-        in
-        (match shed_reason with
-        | Some reason ->
-          Metrics.incr t.meters.Meters.shed;
-          send_reply conn
-            (Proto.refused ~id:request.Proto.id (Cs_resil.Error.Overloaded reason));
-          finish_edge conn ~job_done:true
-        | None -> Metrics.incr t.meters.Meters.admitted)
-    end
-  in
-  let rec drain_lines () =
-    match String.index_opt (Buffer.contents buf) '\n' with
-    | None -> ()
-    | Some i ->
-      let all = Buffer.contents buf in
-      let line = String.sub all 0 i in
-      Buffer.clear buf;
-      Buffer.add_substring buf all (i + 1) (String.length all - i - 1);
-      handle_line line;
-      drain_lines ()
-  in
-  let rec read_loop () =
-    match Unix.read conn.fd chunk 0 (Bytes.length chunk) with
-    | 0 -> ()
-    | n ->
-      Buffer.add_subbytes buf chunk 0 n;
-      drain_lines ();
-      read_loop ()
-    | exception Unix.Unix_error (EINTR, _, _) -> read_loop ()
-    | exception Unix.Unix_error _ -> ()
-  in
-  read_loop ();
-  handle_line (Buffer.contents buf);
-  finish_edge conn ~job_done:false
-
-let stop t =
-  if not (Atomic.exchange t.stopping true) then begin
-    Cs_obs.Obs.instant ~cat:"gateway" "gateway:stop";
-    (* Sever shard heartbeat connections: they are persistent by
-       design, so their reader domains would otherwise block the
-       drain's join forever. Client connections are left alone — the
-       graceful drain finishes answering them. *)
-    Mutex.lock t.conns_mutex;
-    let conns = t.conns in
-    Mutex.unlock t.conns_mutex;
-    List.iter
-      (fun conn ->
-        if conn.is_hb then begin
-          Mutex.lock conn.out_mutex;
-          (if not conn.conn_closed then
-             try Unix.shutdown conn.fd SHUTDOWN_ALL with Unix.Unix_error _ -> ());
-          Mutex.unlock conn.out_mutex
-        end)
-      conns;
-    match Transport.connect t.bound with
-    | exception Unix.Unix_error _ -> ()
-    | fd -> ( try Unix.close fd with Unix.Unix_error _ -> ())
+let handle_line t conn line =
+  let line = String.trim line in
+  if line <> "" then begin
+    match Proto.incoming_of_line line with
+    | Error e ->
+      Metrics.incr t.meters.Meters.refused;
+      send_reply conn (Proto.refused ~id:"" (Cs_resil.Error.Invalid_input e))
+    | Ok (Proto.Control { op = Proto.Metrics_query format; id }) ->
+      sync_gauges t;
+      Conn.send_line conn
+        (Proto.metrics_reply_to_line ~id (Meters.metrics_payload t.meters format))
+    | Ok (Proto.Control { op; id }) ->
+      let s = server_stats t in
+      (match op with
+      | Proto.Stats_query ->
+        Cs_obs.Obs.counter ~cat:"gateway" "gateway:stats"
+          (("queue_depth", float_of_int s.Proto.queue_depth)
+          :: ("busy", float_of_int s.Proto.busy)
+          :: s.Proto.extra)
+      | Proto.Ping | Proto.Metrics_query _ -> ());
+      Conn.send_line conn (Proto.pong_to_line ~id s)
+    | Ok (Proto.Heartbeat hb) ->
+      (* a shard's heartbeat stream never ends on its own: severed on
+         stop so its reader can be joined *)
+      Conn.mark_persistent conn;
+      (match
+         List.find_opt (fun sh -> sh.sname = hb.Proto.hb_shard) t.shards
+       with
+      | Some sh ->
+        Atomic.set sh.depth hb.Proto.hb_depth;
+        let now = Cs_obs.Clock.now () in
+        Atomic.set sh.last_hb_bits (Int64.bits_of_float now);
+        Metrics.incr t.m_heartbeats;
+        (* a heartbeat is proof of life: it re-admits a buried shard
+           without waiting for the prober's probation slot *)
+        Shard_state.note t.state sh.sname ~now ~ok:true
+      | None ->
+        (* unknown shard name: not ours to track, and no reply to
+           send — heartbeats are one-way *)
+        ())
+    | Ok (Proto.Job_request request) ->
+      Conn.add_pending conn;
+      let shed_reason =
+        if stopping t then Some "gateway is draining"
+        else
+          match admission_shed_reason t with
+          | Some reason ->
+            Metrics.incr t.m_admission_shed;
+            Some reason
+          | None ->
+            if
+              Squeue.try_push t.queue
+                { request; on = conn; arrival = Cs_obs.Clock.now () }
+            then None
+            else
+              Some
+                (Printf.sprintf "gateway admission queue full (%d jobs)"
+                   t.cfg.queue_capacity)
+      in
+      (match shed_reason with
+      | Some reason ->
+        Metrics.incr t.meters.Meters.shed;
+        send_reply conn
+          (Proto.refused ~id:request.Proto.id (Cs_resil.Error.Overloaded reason));
+        Conn.job_done conn
+      | None -> Metrics.incr t.meters.Meters.admitted)
   end
+
+(* Client connections are left alone by [stop]: the graceful drain
+   finishes answering them. *)
+let stop t =
+  if Conn.stop t.listener then Cs_obs.Obs.instant ~cat:"gateway" "gateway:stop"
 
 let run t =
   let forwarders = List.init t.cfg.forwarders (fun _ -> Domain.spawn (forwarder t)) in
   let prober_d = Domain.spawn (prober t) in
   let replayer_d = Domain.spawn (fun () -> replay_pending t) in
-  let readers = ref [] in
-  let prune () =
-    let live, finished =
-      List.partition (fun (done_flag, _) -> not (Atomic.get done_flag)) !readers
-    in
-    List.iter (fun (_, d) -> Domain.join d) finished;
-    readers := live
-  in
-  let rec accept_loop () =
-    if not (Atomic.get t.stopping) then begin
-      match Unix.accept t.listen_fd with
-      | exception Unix.Unix_error (EINTR, _, _) -> accept_loop ()
-      | exception Unix.Unix_error _ -> if not (Atomic.get t.stopping) then accept_loop ()
-      | fd, _ ->
-        if Atomic.get t.stopping then (try Unix.close fd with Unix.Unix_error _ -> ())
-        else begin
-          Transport.accepted t.bound fd;
-          let conn =
-            { fd; out_mutex = Mutex.create (); pending = 0; reader_done = false;
-              conn_closed = false; is_hb = false }
-          in
-          Mutex.lock t.conns_mutex;
-          t.conns <- conn :: t.conns;
-          Mutex.unlock t.conns_mutex;
-          let done_flag = Atomic.make false in
-          let d =
-            Domain.spawn (fun () ->
-                Fun.protect
-                  ~finally:(fun () -> Atomic.set done_flag true)
-                  (fun () -> serve_conn t conn))
-          in
-          readers := (done_flag, d) :: !readers;
-          prune ();
-          accept_loop ()
-        end
-    end
-  in
+  let addr = Transport.to_string (address t) in
   Cs_obs.Obs.instant ~cat:"gateway"
     ~args:
-      [ ("addr", Cs_obs.Obs.Str (Transport.to_string t.bound));
+      [ ("addr", Cs_obs.Obs.Str addr);
         ("shards", Cs_obs.Obs.Int (List.length t.shards));
         ("policy", Cs_obs.Obs.Str (Policy.to_string t.cfg.policy)) ]
     "gateway:listen";
   Cs_obs.Obs.instant ~cat:"meta"
-    ~args:
-      [ ("role", Cs_obs.Obs.Str "gateway");
-        ("addr", Cs_obs.Obs.Str (Transport.to_string t.bound)) ]
+    ~args:[ ("role", Cs_obs.Obs.Str "gateway"); ("addr", Cs_obs.Obs.Str addr) ]
     "process";
-  accept_loop ();
-  List.iter (fun (_, d) -> Domain.join d) !readers;
+  Conn.serve t.listener (handle_line t);
   Squeue.close t.queue;
   List.iter Domain.join forwarders;
   Domain.join prober_d;
   Domain.join replayer_d;
   Option.iter Journal.close t.journal;
-  (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
-  Transport.cleanup t.bound;
+  Conn.close t.listener;
   let s = stats t in
   Cs_obs.Obs.counter ~cat:"gateway" "gateway:drained"
     [ ("admitted", float_of_int s.admitted);

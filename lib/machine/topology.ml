@@ -56,10 +56,6 @@ let is_degraded = function
     dead_nodes <> [] || dead_links <> [] || slow_links <> []
   | Crossbar _ -> false
 
-let n_nodes = function
-  | Mesh { rows; cols; _ } -> rows * cols
-  | Crossbar _ -> max_int (* unconstrained; the machine bounds clusters *)
-
 let coords t id =
   match t with
   | Mesh { cols; _ } -> (id / cols, id mod cols)

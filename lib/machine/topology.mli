@@ -44,8 +44,6 @@ val mesh :
 val is_degraded : t -> bool
 (** A mesh with any dead node, dead link, or slow link. *)
 
-val n_nodes : t -> int
-
 val coords : t -> int -> int * int
 (** Mesh only: [row, col] of a node id. *)
 

@@ -15,22 +15,10 @@
       process, named from each process's [cat = "meta"] / ["process"]
       self-announcement instant. *)
 
-val event_json : ?pid:int -> Obs.event -> Json.t
-(** The JSONL rendering of one event. [pid] defaults to the current
-    process. *)
-
-val event_of_json : Json.t -> (int * Obs.event, string) result
-(** Parse one {!event_json} line back; returns the recording pid
-    ([0] for pre-pid traces) and the event. *)
-
 val load_jsonl : string -> ((int * Obs.event) list, string) result
 (** Read a JSONL trace file written by {!write_jsonl}. Blank lines
     are skipped; the first malformed line fails the whole load with
     [path:line: reason]. *)
-
-val chrome_event_json : t0:float -> pid:int -> Obs.event -> Json.t
-(** The Chrome Trace rendering of one event; [t0] is the capture start
-    time subtracted from every timestamp. *)
 
 val jsonl : Obs.event list -> string
 (** One line per event, each line a JSON object, trailing newline. *)

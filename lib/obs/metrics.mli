@@ -12,8 +12,9 @@
       sums counters, gauges, and histogram buckets pointwise, so
       per-shard snapshots fold into fleet totals and quantiles come
       from merged buckets — no raw-sample shipping. Every histogram
-      shares one fixed log-bucket layout ({!n_buckets} buckets, 4 per
-      octave from {!bucket_lo}), which is what makes merging exact and
+      shares one fixed log-bucket layout (an underflow bucket for
+      samples [<= 1e-3], 128 buckets at 4 per octave above it, and a
+      [+Inf] overflow bucket), which is what makes merging exact and
       associative.
     - {b Two expositions.} {!snapshot_to_json} round-trips through
       {!snapshot_of_json} (the [metrics] control verb's wire format);
@@ -43,10 +44,9 @@ type histogram
 
 type slo_window
 (** Deadline accounting: monotonic hit/miss totals plus rolling
-    short/long burn-rate windows ({!short_window_s} / {!long_window_s}
-    seconds), exposed as [<name>_hits_total], [<name>_misses_total]
-    and windowed [<name>_hits]/[<name>_misses] gauges with a
-    [window] label. *)
+    short/long burn-rate windows (60 s and 300 s), exposed as
+    [<name>_hits_total], [<name>_misses_total] and windowed
+    [<name>_hits]/[<name>_misses] gauges with a [window] label. *)
 
 val counter : t -> ?help:string -> ?labels:(string * string) list -> string -> counter
 val gauge : t -> ?help:string -> ?labels:(string * string) list -> string -> gauge
@@ -59,7 +59,6 @@ val incr : ?by:int -> counter -> unit
 val counter_value : counter -> int
 
 val set : gauge -> float -> unit
-val gauge_value : gauge -> float
 
 val observe : histogram -> float -> unit
 (** Record one sample (latencies are in milliseconds by convention).
@@ -68,16 +67,6 @@ val observe : histogram -> float -> unit
 val record_deadline : slo_window -> hit:bool -> unit
 
 (** {2 Snapshots} *)
-
-val n_buckets : int
-val bucket_lo : float
-(** Histogram layout: bucket [0] holds samples [<= bucket_lo]; bucket
-    [i] (for [1 <= i <= n_buckets - 2]) holds samples in
-    [(bound (i-1), bound i]] with [bound i = bucket_lo *. 2. ** (i /. 4.)];
-    the last bucket is the [+Inf] overflow. *)
-
-val bucket_bound : int -> float
-(** Upper bound of bucket [i]; [infinity] for the overflow bucket. *)
 
 type key = { name : string; labels : (string * string) list }
 
@@ -125,6 +114,3 @@ val to_prometheus : ?help:(string -> string option) -> snapshot -> string
 val help_of : t -> string -> string option
 (** The [?help] string a metric family was registered with, for
     {!to_prometheus}. *)
-
-val short_window_s : float
-val long_window_s : float

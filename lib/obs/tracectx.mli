@@ -19,9 +19,6 @@ type t = {
   parent_span : string option;  (** the hop that caused this one *)
 }
 
-val fresh_id : unit -> string
-(** A new 16-hex-digit id. *)
-
 val root : unit -> t
 (** Start a new trace: fresh [trace_id] and [span_id], no parent. *)
 

@@ -17,9 +17,7 @@ let invalid_input msg = error (Invalid_input msg)
 let infeasible msg = error (Infeasible msg)
 let resource_conflict msg = error (Resource_conflict msg)
 let unreachable ~src ~dst = error (Unreachable { src; dst })
-let deadline_exceeded msg = error (Deadline_exceeded msg)
 let overloaded msg = error (Overloaded msg)
-let quota_exceeded msg = error (Quota_exceeded msg)
 
 let kind = function
   | Invalid_input _ -> "invalid-input"

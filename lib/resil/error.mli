@@ -48,9 +48,7 @@ val invalid_input : string -> 'a
 val infeasible : string -> 'a
 val resource_conflict : string -> 'a
 val unreachable : src:int -> dst:int -> 'a
-val deadline_exceeded : string -> 'a
 val overloaded : string -> 'a
-val quota_exceeded : string -> 'a
 
 val kind : t -> string
 (** Short stable tag, e.g. ["infeasible"]; used in telemetry/JSONL. *)
@@ -61,12 +59,8 @@ val message : t -> string
 val to_string : t -> string
 (** ["kind: message"]. *)
 
-val of_exn : exn -> t option
-(** Map legacy escape hatches ([Invalid_argument], [Failure],
-    [Division_by_zero], [Not_found]) and {!Error} itself onto the
-    taxonomy. Returns [None] for exceptions that must not be swallowed
-    ([Stack_overflow], [Out_of_memory], ...). *)
-
 val protect : (unit -> 'a) -> ('a, t) result
-(** [protect f] runs [f], converting any exception recognised by
-    {!of_exn} into [Error _]. Unrecognised exceptions propagate. *)
+(** [protect f] runs [f], mapping {!Error} itself and the legacy escape
+    hatches ([Invalid_argument], [Failure], [Division_by_zero],
+    [Not_found]) onto the taxonomy as [Error _]. Any other exception
+    ([Stack_overflow], [Out_of_memory], ...) propagates. *)

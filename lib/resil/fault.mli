@@ -25,8 +25,6 @@ type fault =
 
 type plan = fault list
 
-val fault_to_string : fault -> string
-
 val to_string : plan -> string
 (** Canonical comma-separated form; [""] for the empty plan. *)
 

@@ -44,5 +44,3 @@ let booked_cycles t =
     if not (is_free t c) then acc := c :: !acc
   done;
   !acc
-
-let n_booked t = List.length (booked_cycles t)

@@ -16,4 +16,3 @@ val first_free_from : t -> int -> int
 val booked_cycles : t -> int list
 (** Ascending; for tests and utilization reporting. *)
 
-val n_booked : t -> int

@@ -70,8 +70,8 @@ val schedule_resilient :
     quarantines recorded while producing the winning schedule. All
     rungs failing returns the last error. Rung failures and fallbacks
     are emitted as [cat = "resil"] events when the {!Cs_obs.Obs} sink
-    is enabled. Never raises on scheduler failures classifiable by
-    {!Cs_resil.Error.of_exn}.
+    is enabled. Never raises on scheduler failures that
+    {!Cs_resil.Error.protect} classifies.
 
     [deadline] (absolute {!Cs_obs.Clock} time) and [pass_budget_s] are
     threaded into the convergent driver (see {!Cs_core.Driver.run}):

@@ -1,9 +1,3 @@
-let write_all fd s =
-  let b = Bytes.of_string s in
-  let n = Bytes.length b in
-  let rec go off = if off < n then go (off + Unix.write fd b off (n - off)) in
-  go 0
-
 (* Connect, run [f fd], always close. *)
 let with_conn ?timeout_s addr f =
   match Transport.connect addr with
@@ -18,116 +12,68 @@ let with_conn ?timeout_s addr f =
         Option.iter (fun t -> Unix.setsockopt_float fd SO_RCVTIMEO t) timeout_s;
         f fd)
 
-(* Read newline-separated lines until EOF, feeding [handle_line]. *)
-let read_lines fd handle_line =
-  let buf = Buffer.create 256 in
-  let chunk = Bytes.create 4096 in
-  let rec drain_lines () =
-    match String.index_opt (Buffer.contents buf) '\n' with
-    | None -> ()
-    | Some i ->
-      let all = Buffer.contents buf in
-      handle_line (String.sub all 0 i);
-      Buffer.clear buf;
-      Buffer.add_substring buf all (i + 1) (String.length all - i - 1);
-      drain_lines ()
-  in
-  let rec read_loop () =
-    match Unix.read fd chunk 0 (Bytes.length chunk) with
-    | 0 -> Ok ()
-    | n ->
-      Buffer.add_subbytes buf chunk 0 n;
-      drain_lines ();
-      read_loop ()
-    | exception Unix.Unix_error (EINTR, _, _) -> read_loop ()
-    | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) ->
-      Error "timed out waiting for replies"
-    | exception Unix.Unix_error (e, _, _) ->
-      Error (Printf.sprintf "recv: %s" (Unix.error_message e))
-  in
-  match read_loop () with
-  | Error _ as e -> e
-  | Ok () ->
-    handle_line (Buffer.contents buf);
-    Ok ()
+(* Send every line, then half-close the write side so the server sees
+   EOF. *)
+let send_lines fd lines =
+  match
+    List.iter (fun line -> Conn.write_all fd (line ^ "\n")) lines;
+    Unix.shutdown fd SHUTDOWN_SEND
+  with
+  | exception Unix.Unix_error (e, _, _) ->
+    Error (Printf.sprintf "send: %s" (Unix.error_message e))
+  | () -> Ok ()
 
-(* Batch submit: pipeline every request, half-close the write side so
-   the server sees EOF, then read replies until the server closes —
-   which it does only after answering every request. Replies arrive in
-   completion order, not submission order; match them by id. *)
+(* Read replies until the server closes, feeding the non-blank ones to
+   [handle_line]. *)
+let read_replies fd handle_line =
+  match
+    Conn.read_lines fd (fun line ->
+        let line = String.trim line in
+        if line <> "" then handle_line line)
+  with
+  | Ok () -> Ok ()
+  | Error (EAGAIN | EWOULDBLOCK) -> Error "timed out waiting for replies"
+  | Error e -> Error (Printf.sprintf "recv: %s" (Unix.error_message e))
+
+let ( let* ) = Result.bind
+
+(* Batch submit: pipeline every request, half-close, then read replies
+   until the server closes — which it does only after answering every
+   request. Replies arrive in completion order, not submission order;
+   match them by id. *)
 let submit ?timeout_s ?on_reply ~addr requests =
   with_conn ?timeout_s addr (fun fd ->
-      match
-        List.iter
-          (fun r -> write_all fd (Proto.request_to_line r ^ "\n"))
-          requests;
-        Unix.shutdown fd SHUTDOWN_SEND
-      with
-      | exception Unix.Unix_error (e, _, _) ->
-        Error (Printf.sprintf "send: %s" (Unix.error_message e))
-      | () ->
-        let replies = ref [] in
-        let bad = ref None in
-        let handle_line line =
-          let line = String.trim line in
-          if line <> "" then
+      let* () = send_lines fd (List.map Proto.request_to_line requests) in
+      let replies = ref [] in
+      let bad = ref None in
+      let* () =
+        read_replies fd (fun line ->
             match Proto.reply_of_line line with
             | Ok reply ->
               Option.iter (fun f -> f reply) on_reply;
               replies := reply :: !replies
-            | Error e -> if !bad = None then bad := Some e
-        in
-        (match read_lines fd handle_line with
-        | Error _ as e -> e
-        | Ok () ->
-          (match !bad with
-          | Some e -> Error (Printf.sprintf "bad reply line: %s" e)
-          | None -> Ok (List.rev !replies))))
+            | Error e -> if !bad = None then bad := Some e)
+      in
+      match !bad with
+      | Some e -> Error (Printf.sprintf "bad reply line: %s" e)
+      | None -> Ok (List.rev !replies))
 
-(* One control round trip: a ping or stats probe against a serve or
-   gateway socket. One line out, one line back. *)
+(* One control round trip against a serve or gateway socket: one line
+   out, and the first answer back, parsed. *)
+let control ~timeout_s ~addr ~none line parse =
+  with_conn ~timeout_s addr (fun fd ->
+      let* () = send_lines fd [ line ] in
+      let result = ref (Error none) in
+      let* () =
+        read_replies fd (fun line ->
+            if Result.is_error !result then result := Result.map snd (parse line))
+      in
+      !result)
+
 let fetch_stats ?(timeout_s = 5.0) ~addr () =
-  with_conn ~timeout_s addr (fun fd ->
-      match
-        write_all fd (Proto.stats_line () ^ "\n");
-        Unix.shutdown fd SHUTDOWN_SEND
-      with
-      | exception Unix.Unix_error (e, _, _) ->
-        Error (Printf.sprintf "send: %s" (Unix.error_message e))
-      | () ->
-        let result = ref (Error "no pong before EOF") in
-        let handle_line line =
-          let line = String.trim line in
-          if line <> "" then
-            match (!result, Proto.pong_of_line line) with
-            | Error _, Ok (_, stats) -> result := Ok stats
-            | Error _, Error e -> result := Error e
-            | Ok _, _ -> ()
-        in
-        (match read_lines fd handle_line with
-        | Error e -> Error e
-        | Ok () -> !result))
+  control ~timeout_s ~addr ~none:"no pong before EOF" (Proto.stats_line ())
+    Proto.pong_of_line
 
-(* One metrics round trip: the registry snapshot (or Prometheus text)
-   of a serve or gateway socket. *)
 let fetch_metrics ?(timeout_s = 5.0) ?(format = Proto.Metrics_json) ~addr () =
-  with_conn ~timeout_s addr (fun fd ->
-      match
-        write_all fd (Proto.metrics_line ~format () ^ "\n");
-        Unix.shutdown fd SHUTDOWN_SEND
-      with
-      | exception Unix.Unix_error (e, _, _) ->
-        Error (Printf.sprintf "send: %s" (Unix.error_message e))
-      | () ->
-        let result = ref (Error "no metrics reply before EOF") in
-        let handle_line line =
-          let line = String.trim line in
-          if line <> "" then
-            match (!result, Proto.metrics_reply_of_line line) with
-            | Error _, Ok (_, payload) -> result := Ok payload
-            | Error _, Error e -> result := Error e
-            | Ok _, _ -> ()
-        in
-        (match read_lines fd handle_line with
-        | Error e -> Error e
-        | Ok () -> !result))
+  control ~timeout_s ~addr ~none:"no metrics reply before EOF"
+    (Proto.metrics_line ~format ()) Proto.metrics_reply_of_line

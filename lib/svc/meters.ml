@@ -15,6 +15,7 @@ type t = {
   steals : Cs_obs.Metrics.counter;
   splits : Cs_obs.Metrics.counter;
   overflowed : Cs_obs.Metrics.counter;
+  connections_open : Cs_obs.Metrics.gauge;
 }
 
 let create () =
@@ -52,7 +53,10 @@ let create () =
         "csched_splits_total";
     overflowed = counter
         ~help:"Split parts that overflowed a full deque to the global queue"
-        "csched_overflow_total" }
+        "csched_overflow_total";
+    connections_open = gauge
+        ~help:"Connections the listener holds (a closed one drops out at the next accept)"
+        "csched_connections_open" }
 
 (* Per-tenant admission outcomes, labelled by tenant and outcome so
    `csched top` can fold one family into a fairness table.

@@ -27,6 +27,9 @@ type t = {
   steals : Cs_obs.Metrics.counter;  (** [csched_steals_total] *)
   splits : Cs_obs.Metrics.counter;  (** [csched_splits_total] *)
   overflowed : Cs_obs.Metrics.counter;  (** [csched_overflow_total] *)
+  connections_open : Cs_obs.Metrics.gauge;
+      (** [csched_connections_open] — connections the listener still
+          holds; a closed one is dropped at the next accept *)
 }
 
 val create : unit -> t

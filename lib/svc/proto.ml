@@ -214,7 +214,6 @@ let control_line ~op ?(id = "") () =
   Cs_obs.Json.to_string
     (Cs_obs.Json.Obj [ ("op", Cs_obs.Json.Str op); ("id", Cs_obs.Json.Str id) ])
 
-let ping_line = control_line ~op:"ping"
 let stats_line = control_line ~op:"stats"
 
 let heartbeat_line hb =

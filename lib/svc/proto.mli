@@ -129,7 +129,6 @@ type incoming =
   | Control of { op : control; id : string }
   | Heartbeat of heartbeat
 
-val ping_line : ?id:string -> unit -> string
 val stats_line : ?id:string -> unit -> string
 val metrics_line : ?format:metrics_format -> ?id:string -> unit -> string
 val heartbeat_line : heartbeat -> string

@@ -45,18 +45,6 @@ type stats = {
   quota_refused : int;
 }
 
-(* Replies for one connection may come from several worker domains, so
-   writes go through a per-connection mutex; the connection closes only
-   after its reader has seen EOF *and* every admitted job has replied,
-   whichever happens last. *)
-type conn = {
-  fd : Unix.file_descr;
-  out_mutex : Mutex.t;
-  mutable pending : int;
-  mutable reader_done : bool;
-  mutable conn_closed : bool;
-}
-
 (* Fan-in state for a job split into stealable parts: each part folds
    its verdict in under the mutex; whoever folds the last part builds
    and sends the aggregate reply. Sequential-composition semantics:
@@ -77,62 +65,31 @@ type agg = {
 
 type work = {
   job : Job.t;  (* for a split part, [request.scale] is the part's share *)
-  on : conn;
+  on : Conn.conn;
   agg : agg option;  (* [None] = whole, unsplit job *)
 }
 
 type t = {
   cfg : config;
-  listen_fd : Unix.file_descr;
-  bound : Transport.addr;
+  listener : Conn.listener;
   fairq : work Fairq.t;
   deques : work Deque.t array;  (* one per worker domain *)
   overflow : work Squeue.t;  (* split parts that found their deque full *)
   brownout : Brownout.t option;
-  stopping : bool Atomic.t;
   aborted : bool Atomic.t;
-  conns_mutex : Mutex.t;
-  mutable conns : conn list;
   meters : Meters.t;
   quota_meter : Cs_obs.Metrics.counter;
   n_busy : int Atomic.t;
 }
 
-let write_all fd s =
-  let b = Bytes.of_string s in
-  let n = Bytes.length b in
-  let rec go off = if off < n then go (off + Unix.write fd b off (n - off)) in
-  go 0
-
-let send_line conn line =
-  Mutex.lock conn.out_mutex;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock conn.out_mutex)
-    (fun () ->
-      if not conn.conn_closed then
-        try write_all conn.fd (line ^ "\n")
-        with Unix.Unix_error _ -> () (* client went away; nothing to tell it *))
-
-let send_reply conn reply = send_line conn (Proto.reply_to_line reply)
-
-(* Called with one of the two completion edges (a job replied / the
-   reader hit EOF); closes the socket on the last edge. *)
-let finish_edge conn ~job_done =
-  Mutex.lock conn.out_mutex;
-  let close_now =
-    if job_done then conn.pending <- conn.pending - 1 else conn.reader_done <- true;
-    conn.reader_done && conn.pending = 0 && not conn.conn_closed
-  in
-  if close_now then conn.conn_closed <- true;
-  Mutex.unlock conn.out_mutex;
-  if close_now then try Unix.close conn.fd with Unix.Unix_error _ -> ()
+let send_reply conn reply = Conn.send_line conn (Proto.reply_to_line reply)
 
 let create cfg =
   if cfg.workers <= 0 then invalid_arg "Server.create: workers must be positive";
-  let listen_fd = Transport.listen cfg.listen_addr in
+  let listener = Conn.listen cfg.listen_addr in
   let meters = Meters.create () in
   Cs_obs.Metrics.set meters.Meters.workers (float_of_int cfg.workers);
-  { cfg; listen_fd; bound = Transport.bound_addr listen_fd cfg.listen_addr;
+  { cfg; listener;
     fairq =
       Fairq.create ~tenant_quota:cfg.tenant_quota ~weights:cfg.tenant_weights
         ~batch_share:cfg.batch_share ~capacity:cfg.queue_capacity ();
@@ -141,15 +98,14 @@ let create cfg =
     deques = Array.init cfg.workers (fun _ -> Deque.create ~capacity:32);
     overflow = Squeue.create ~capacity:(max 64 (4 * cfg.queue_capacity));
     brownout = Option.map Brownout.create cfg.brownout;
-    stopping = Atomic.make false; aborted = Atomic.make false;
-    conns_mutex = Mutex.create (); conns = []; meters;
+    aborted = Atomic.make false; meters;
     quota_meter =
       Cs_obs.Metrics.counter meters.Meters.registry
         ~help:"Jobs refused because their tenant was over quota"
         "csched_jobs_quota_refused_total";
     n_busy = Atomic.make 0 }
 
-let address t = t.bound
+let address t = Conn.address t.listener
 let meters t = t.meters
 
 (* Waiting work across every structure: the admission queue plus split
@@ -165,6 +121,8 @@ let sync_gauges t =
   Cs_obs.Metrics.set t.meters.Meters.queue_depth_peak
     (float_of_int (Fairq.peak t.fairq));
   Cs_obs.Metrics.set t.meters.Meters.busy (float_of_int (Atomic.get t.n_busy));
+  Cs_obs.Metrics.set t.meters.Meters.connections_open
+    (float_of_int (Conn.connections t.listener));
   match t.brownout with
   | None -> ()
   | Some bo ->
@@ -284,7 +242,7 @@ let finalize t on (job : Job.t) (reply : Proto.reply) =
     send_reply on { reply with Proto.queue_depth = Some (queue_depth t) };
     sync_gauges t
   end;
-  finish_edge on ~job_done:true
+  Conn.job_done on
 
 (* Fold one part's verdict into the fan-in record; the last part
    reassembles and sends the whole job's reply. *)
@@ -459,14 +417,12 @@ let worker t wid () =
   in
   loop ()
 
-(* Read newline-terminated requests from one client until EOF. Requests
-   are admitted (or shed) as they arrive; the reader never waits for
-   replies, so a client can pipeline a whole batch. Control lines (ping
-   and stats) are answered inline, bypassing the queue: a health probe
-   must get through even when the admission queue is full. *)
-let serve_conn t conn =
-  let buf = Buffer.create 256 in
-  let chunk = Bytes.create 4096 in
+(* One request line from a client. Requests are admitted (or shed) as
+   they arrive; the reader never waits for replies, so a client can
+   pipeline a whole batch. Control lines (ping and stats) are answered
+   inline, bypassing the queue: a health probe must get through even
+   when the admission queue is full. *)
+let handle_line t conn line =
   let shed_reply conn (request : Proto.request) reason =
     Cs_obs.Metrics.incr t.meters.Meters.shed;
     Cs_obs.Metrics.incr
@@ -474,7 +430,7 @@ let serve_conn t conn =
          ~outcome:"shed");
     send_reply conn
       (Proto.refused ~id:request.Proto.id (Cs_resil.Error.Overloaded reason));
-    finish_edge conn ~job_done:true
+    Conn.job_done conn
   in
   let admit_ok (request : Proto.request) lane =
     Cs_obs.Metrics.incr t.meters.Meters.admitted;
@@ -485,104 +441,67 @@ let serve_conn t conn =
       (Meters.lane_counter t.meters ~lane:(Fairq.lane_name lane));
     sync_gauges t
   in
-  let handle_line line =
-    let line = String.trim line in
-    if line <> "" then begin
-      match Proto.incoming_of_line line with
-      | Error e ->
-        Cs_obs.Metrics.incr t.meters.Meters.refused;
-        send_reply conn
-          (Proto.refused ~id:"" (Cs_resil.Error.Invalid_input e))
-      | Ok (Proto.Control { op = Proto.Metrics_query format; id }) ->
-        sync_gauges t;
-        send_line conn
-          (Proto.metrics_reply_to_line ~id (Meters.metrics_payload t.meters format))
-      | Ok (Proto.Control { op; id }) ->
-        let s = server_stats t in
-        (match op with
-        | Proto.Stats_query ->
-          Cs_obs.Obs.counter ~cat:"svc" "server:stats"
-            [ ("queue_depth", float_of_int s.Proto.queue_depth);
-              ("busy", float_of_int s.Proto.busy);
-              ("admitted", float_of_int s.Proto.admitted);
-              ("completed", float_of_int s.Proto.completed);
-              ("shed", float_of_int s.Proto.shed);
-              ("refusals", float_of_int s.Proto.refusals) ]
-        | Proto.Ping | Proto.Metrics_query _ -> ());
-        send_line conn (Proto.pong_to_line ~id s)
-      | Ok (Proto.Heartbeat _) ->
-        (* shards push heartbeats, they don't receive them; tolerate
-           and ignore so a misdirected sender can't wedge the reader *)
-        ()
-      | Ok (Proto.Job_request request) ->
-        let job = Job.admit ?default_deadline_ms:t.cfg.default_deadline_ms request in
-        Mutex.lock conn.out_mutex;
-        conn.pending <- conn.pending + 1;
-        Mutex.unlock conn.out_mutex;
-        let w = { job; on = conn; agg = None } in
-        if Atomic.get t.stopping then
-          shed_reply conn request "server is draining"
-        else begin
-          let tenant = tenant_of request and lane = lane_of job in
-          match Fairq.admit t.fairq ~tenant ~lane w with
-          | Fairq.Admitted -> admit_ok request lane
-          | Fairq.Queue_full ->
-            shed_reply conn request
-              (Printf.sprintf "admission queue full (%d jobs)"
-                 t.cfg.queue_capacity)
-          | Fairq.Over_quota ->
-            Cs_obs.Metrics.incr t.quota_meter;
-            Cs_obs.Metrics.incr t.meters.Meters.refused;
-            Cs_obs.Metrics.incr
-              (Meters.tenant_counter t.meters ~tenant ~outcome:"quota");
-            send_reply conn
-              (Proto.refused ~id:request.Proto.id
-                 (Cs_resil.Error.Quota_exceeded
-                    (Printf.sprintf
-                       "tenant %S is over its admission quota (%d queued jobs)"
-                       tenant
-                       (if t.cfg.tenant_quota > 0 then t.cfg.tenant_quota
-                        else t.cfg.queue_capacity))));
-            finish_edge conn ~job_done:true
-        end
-    end
-  in
-  let rec drain_lines () =
-    match String.index_opt (Buffer.contents buf) '\n' with
-    | None -> ()
-    | Some i ->
-      let all = Buffer.contents buf in
-      let line = String.sub all 0 i in
-      Buffer.clear buf;
-      Buffer.add_substring buf all (i + 1) (String.length all - i - 1);
-      handle_line line;
-      drain_lines ()
-  in
-  let rec read_loop () =
-    match Unix.read conn.fd chunk 0 (Bytes.length chunk) with
-    | 0 -> ()
-    | n ->
-      Buffer.add_subbytes buf chunk 0 n;
-      drain_lines ();
-      read_loop ()
-    | exception Unix.Unix_error (EINTR, _, _) -> read_loop ()
-    | exception Unix.Unix_error _ -> ()
-  in
-  read_loop ();
-  handle_line (Buffer.contents buf);
-  finish_edge conn ~job_done:false
+  let line = String.trim line in
+  if line <> "" then begin
+    match Proto.incoming_of_line line with
+    | Error e ->
+      Cs_obs.Metrics.incr t.meters.Meters.refused;
+      send_reply conn
+        (Proto.refused ~id:"" (Cs_resil.Error.Invalid_input e))
+    | Ok (Proto.Control { op = Proto.Metrics_query format; id }) ->
+      sync_gauges t;
+      Conn.send_line conn
+        (Proto.metrics_reply_to_line ~id (Meters.metrics_payload t.meters format))
+    | Ok (Proto.Control { op; id }) ->
+      let s = server_stats t in
+      (match op with
+      | Proto.Stats_query ->
+        Cs_obs.Obs.counter ~cat:"svc" "server:stats"
+          [ ("queue_depth", float_of_int s.Proto.queue_depth);
+            ("busy", float_of_int s.Proto.busy);
+            ("admitted", float_of_int s.Proto.admitted);
+            ("completed", float_of_int s.Proto.completed);
+            ("shed", float_of_int s.Proto.shed);
+            ("refusals", float_of_int s.Proto.refusals) ]
+      | Proto.Ping | Proto.Metrics_query _ -> ());
+      Conn.send_line conn (Proto.pong_to_line ~id s)
+    | Ok (Proto.Heartbeat _) ->
+      (* shards push heartbeats, they don't receive them; tolerate
+         and ignore so a misdirected sender can't wedge the reader *)
+      ()
+    | Ok (Proto.Job_request request) ->
+      let job = Job.admit ?default_deadline_ms:t.cfg.default_deadline_ms request in
+      Conn.add_pending conn;
+      let w = { job; on = conn; agg = None } in
+      if Conn.stopping t.listener then
+        shed_reply conn request "server is draining"
+      else begin
+        let tenant = tenant_of request and lane = lane_of job in
+        match Fairq.admit t.fairq ~tenant ~lane w with
+        | Fairq.Admitted -> admit_ok request lane
+        | Fairq.Queue_full ->
+          shed_reply conn request
+            (Printf.sprintf "admission queue full (%d jobs)"
+               t.cfg.queue_capacity)
+        | Fairq.Over_quota ->
+          Cs_obs.Metrics.incr t.quota_meter;
+          Cs_obs.Metrics.incr t.meters.Meters.refused;
+          Cs_obs.Metrics.incr
+            (Meters.tenant_counter t.meters ~tenant ~outcome:"quota");
+          send_reply conn
+            (Proto.refused ~id:request.Proto.id
+               (Cs_resil.Error.Quota_exceeded
+                  (Printf.sprintf
+                     "tenant %S is over its admission quota (%d queued jobs)"
+                     tenant
+                     (if t.cfg.tenant_quota > 0 then t.cfg.tenant_quota
+                      else t.cfg.queue_capacity))));
+          Conn.job_done conn
+      end
+  end
 
 let stop t =
-  if not (Atomic.exchange t.stopping true) then begin
-    Cs_obs.Obs.instant ~cat:"svc" "server:stop";
-    (* The accept loop may be blocked in [accept]; a throwaway
-       connection wakes it so it can observe the flag. Signals also
-       interrupt accept with EINTR, but the self-connect makes [stop]
-       reliable when called from another thread or domain. *)
-    match Transport.connect t.bound with
-    | exception Unix.Unix_error _ -> ()
-    | fd -> (try Unix.close fd with Unix.Unix_error _ -> ())
-  end
+  if Conn.stop t.listener then Cs_obs.Obs.instant ~cat:"svc" "server:stop"
 
 let abort t =
   if not (Atomic.exchange t.aborted true) then begin
@@ -590,19 +509,8 @@ let abort t =
     (* Crash simulation for chaos drills: sever every open connection
        without replying (in-flight jobs vanish from the clients' point
        of view, exactly like a SIGKILL), discard queued work, and tear
-       down. [shutdown], not [close]: reader domains blocked in [read]
-       wake immediately, and the fd is closed exactly once by the
-       connection's normal last-edge path. *)
-    Mutex.lock t.conns_mutex;
-    let conns = t.conns in
-    Mutex.unlock t.conns_mutex;
-    List.iter
-      (fun conn ->
-        Mutex.lock conn.out_mutex;
-        (if not conn.conn_closed then
-           try Unix.shutdown conn.fd SHUTDOWN_ALL with Unix.Unix_error _ -> ());
-        Mutex.unlock conn.out_mutex)
-      conns;
+       down. *)
+    Conn.sever_all t.listener;
     stop t
   end
 
@@ -616,16 +524,10 @@ let heartbeat_loop t addr =
   let name =
     match t.cfg.advertise with
     | Some n -> n
-    | None -> Transport.to_string t.bound
+    | None -> Transport.to_string (address t)
   in
   let period = Float.max 0.05 t.cfg.heartbeat_period_s in
-  let rec sleep_ticks remaining =
-    if remaining > 0.0 && not (Atomic.get t.stopping) then begin
-      let tick = Float.min 0.05 remaining in
-      Unix.sleepf tick;
-      sleep_ticks (remaining -. tick)
-    end
-  in
+  let stopping () = Conn.stopping t.listener in
   let line () =
     Proto.heartbeat_line
       { Proto.hb_shard = name;
@@ -635,22 +537,22 @@ let heartbeat_loop t addr =
         hb_completed = Cs_obs.Metrics.counter_value t.meters.Meters.completed }
   in
   let rec connected fd =
-    if Atomic.get t.stopping then (try Unix.close fd with Unix.Unix_error _ -> ())
+    if stopping () then (try Unix.close fd with Unix.Unix_error _ -> ())
     else
-      match write_all fd (line () ^ "\n") with
+      match Conn.write_all fd (line () ^ "\n") with
       | () ->
-        sleep_ticks period;
+        Conn.sleep t.listener period;
         connected fd
       | exception Unix.Unix_error _ ->
         (try Unix.close fd with Unix.Unix_error _ -> ());
-        sleep_ticks period;
+        Conn.sleep t.listener period;
         reconnect ()
   and reconnect () =
-    if not (Atomic.get t.stopping) then
+    if not (stopping ()) then
       match Transport.connect addr with
       | fd -> connected fd
       | exception Unix.Unix_error _ ->
-        sleep_ticks period;
+        Conn.sleep t.listener period;
         reconnect ()
   in
   reconnect ()
@@ -662,72 +564,28 @@ let run t =
       (fun addr -> Domain.spawn (fun () -> heartbeat_loop t addr))
       t.cfg.heartbeat_addr
   in
-  (* Connection readers are lightweight (parse + enqueue), so plain
-     threads would do; domains keep the implementation to one
-     concurrency primitive. Each reader finishes quickly after client
-     EOF, and the list is pruned as readers complete. *)
-  let readers = ref [] in
-  let prune () =
-    let live, finished =
-      List.partition (fun (done_flag, _) -> not (Atomic.get done_flag)) !readers
-    in
-    List.iter (fun (_, d) -> Domain.join d) finished;
-    readers := live
-  in
-  let rec accept_loop () =
-    if not (Atomic.get t.stopping) then begin
-      match Unix.accept t.listen_fd with
-      | exception Unix.Unix_error (EINTR, _, _) -> accept_loop ()
-      | exception Unix.Unix_error _ -> if not (Atomic.get t.stopping) then accept_loop ()
-      | fd, _ ->
-        if Atomic.get t.stopping then (try Unix.close fd with Unix.Unix_error _ -> ())
-        else begin
-          Transport.accepted t.bound fd;
-          let conn =
-            { fd; out_mutex = Mutex.create (); pending = 0; reader_done = false;
-              conn_closed = false }
-          in
-          Mutex.lock t.conns_mutex;
-          t.conns <- conn :: t.conns;
-          Mutex.unlock t.conns_mutex;
-          let done_flag = Atomic.make false in
-          let d =
-            Domain.spawn (fun () ->
-                Fun.protect
-                  ~finally:(fun () -> Atomic.set done_flag true)
-                  (fun () -> serve_conn t conn))
-          in
-          readers := (done_flag, d) :: !readers;
-          prune ();
-          accept_loop ()
-        end
-    end
-  in
+  let addr = Transport.to_string (address t) in
   Cs_obs.Obs.instant ~cat:"svc"
     ~args:
-      [ ("addr", Cs_obs.Obs.Str (Transport.to_string t.bound));
+      [ ("addr", Cs_obs.Obs.Str addr);
         ("workers", Cs_obs.Obs.Int t.cfg.workers);
         ("queue", Cs_obs.Obs.Int t.cfg.queue_capacity) ]
     "server:listen";
   (* Self-announcement for merged traces: Export.chrome_merged names
      this process's lane from it. *)
   Cs_obs.Obs.instant ~cat:"meta"
-    ~args:
-      [ ("role", Cs_obs.Obs.Str "shard");
-        ("addr", Cs_obs.Obs.Str (Transport.to_string t.bound)) ]
+    ~args:[ ("role", Cs_obs.Obs.Str "shard"); ("addr", Cs_obs.Obs.Str addr) ]
     "process";
-  accept_loop ();
-  (* Graceful drain: no new connections, finish reading the open ones,
-     answer every admitted job, then tear down. (After [abort] the
+  Conn.serve t.listener (handle_line t);
+  (* Graceful drain: no new connections, the open ones read to EOF,
+     then answer every admitted job and tear down. (After [abort] the
      readers exit on their severed sockets and queued jobs are
      discarded unanswered instead.) *)
-  List.iter (fun (_, d) -> Domain.join d) !readers;
   Squeue.close t.overflow;
   Fairq.close t.fairq;
   List.iter Domain.join workers;
   Option.iter Domain.join heartbeater;
-  (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
-  Transport.cleanup t.bound;
+  Conn.close t.listener;
   let s = stats t in
   Cs_obs.Obs.counter ~cat:"svc" "server:drained"
     [ ("admitted", float_of_int s.admitted);

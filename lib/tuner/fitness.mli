@@ -31,11 +31,6 @@ val evaluations : t -> int
 val cache_hits : t -> int
 (** Number of genome lookups served from the cache. *)
 
-val fitness_of_passes : t -> Cs_core.Pass.t list -> float
-(** Uncached single evaluation — geomean over the suite of
-    [baseline_cycles / cycles]. Used for the default sequence's
-    reference score. *)
-
 val eval : ?domains:int -> t -> Genome.t list -> float array
 (** Fitness of each genome, in order. [domains] (default 1) caps the
     worker domains spawned for the cache-miss batch. *)

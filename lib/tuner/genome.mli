@@ -30,10 +30,6 @@ val default_gene : string -> gene
 (** Gene with the registry's default parameters.
     Raises [Invalid_argument] on an unknown pass. *)
 
-val of_passes : Cs_core.Pass.t list -> t
-(** Lift an instantiated sequence (e.g. [Sequence.vliw_default ()]) into
-    a genome. *)
-
 val of_machine : Cs_machine.Machine.t -> t
 (** The machine's Table 1 default sequence as a genome — the seed
     individual and the baseline the tuner must beat. *)

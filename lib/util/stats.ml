@@ -45,7 +45,6 @@ let percentile p = function
     (arr.(lo) *. (1.0 -. frac)) +. (arr.(hi) *. frac)
 
 let minimum = function [] -> 0.0 | x :: xs -> List.fold_left min x xs
-let maximum = function [] -> 0.0 | x :: xs -> List.fold_left max x xs
 
 let percent_change ~baseline v =
   if baseline = 0.0 then invalid_arg "Stats.percent_change: zero baseline";

@@ -18,7 +18,6 @@ val percentile : float -> float list -> float
     quantile-accuracy test. *)
 
 val minimum : float list -> float
-val maximum : float list -> float
 
 val percent_change : baseline:float -> float -> float
 (** [percent_change ~baseline v] is [(v - baseline) / baseline * 100]. *)

@@ -777,6 +777,40 @@ let test_gateway_metrics_verb_accounts_every_job () =
   | Ok (Proto.Snapshot _) -> Alcotest.fail "asked for prometheus, got json"
   | Error e -> Alcotest.failf "prometheus fetch failed: %s" e
 
+(* A shard accepts one connection per forwarded job and per probe; once
+   the batch is answered, closed ones must have dropped out of every
+   listener. *)
+let test_fleet_drops_closed_connections () =
+  let module M = Cs_obs.Metrics in
+  with_server "127.0.0.1:0" @@ fun s1 ->
+  with_server "127.0.0.1:0" @@ fun s2 ->
+  let cfg =
+    Gateway.config ~forwarders:2 ~probe_period_s:0.1
+      ~shards:[ shard_spec s1; shard_spec s2 ]
+      "127.0.0.1:0"
+  in
+  with_gateway cfg @@ fun gw ->
+  let n = 24 in
+  let jobs =
+    List.init n (fun i ->
+        Proto.request ~id:(Printf.sprintf "c%d" i) ~machine:"raw4" ~seed:i "fir")
+  in
+  (match Cs_svc.Client.submit ~timeout_s:60.0 ~addr:(Gateway.address gw) jobs with
+  | Ok rs -> Alcotest.(check int) "all answered" n (List.length rs)
+  | Error e -> Alcotest.failf "submit failed: %s" e);
+  List.iter
+    (fun (who, addr) ->
+      match Cs_svc.Client.fetch_metrics ~addr () with
+      | Ok (Proto.Snapshot snap) ->
+        (match M.find snap "csched_connections_open" with
+        | Some (M.Gauge_v v) ->
+          if v > 2.0 then Alcotest.failf "%s holds %.0f connections" who v
+        | _ -> Alcotest.failf "%s: connections gauge missing" who)
+      | Ok (Proto.Prom_text _) -> Alcotest.fail "asked for json, got prometheus"
+      | Error e -> Alcotest.failf "%s: metrics verb failed: %s" who e)
+    [ ("shard 1", Cs_svc.Server.address s1); ("shard 2", Cs_svc.Server.address s2);
+      ("gateway", Gateway.address gw) ]
+
 let test_gateway_trace_propagation () =
   (* In-process gateway + shard share one Obs sink, so one traced job
      leaves both halves of the cross-process story in a single capture:
@@ -928,5 +962,7 @@ let () =
             test_gateway_metrics_verb_accounts_every_job;
           Alcotest.test_case "trace propagation gateway -> shard" `Slow
             test_gateway_trace_propagation;
+          Alcotest.test_case "closed connections dropped" `Slow
+            test_fleet_drops_closed_connections;
         ] );
     ]

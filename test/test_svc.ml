@@ -700,6 +700,120 @@ let test_serve_stop_is_clean_and_idempotent () =
       Cs_svc.Server.stop server);
   Alcotest.(check bool) "socket file removed on drain" false (Sys.file_exists socket)
 
+(* A closed connection must drop out of the listener, or a shard holds
+   one entry per forwarded job and per probe for the life of the
+   process; the gauge shows what is held. *)
+let test_serve_drops_closed_connections () =
+  let module M = Cs_obs.Metrics in
+  let socket = tmp_path (Printf.sprintf "cs_svc_conns_%d.sock" (Unix.getpid ())) in
+  let cfg = Cs_svc.Server.config ~workers:1 socket in
+  with_server cfg (fun _ ->
+      let addr = Cs_svc.Transport.parse_exn socket in
+      for i = 1 to 300 do
+        match Cs_svc.Client.fetch_stats ~addr () with
+        | Ok _ -> ()
+        | Error e -> Alcotest.failf "stats round trip %d failed: %s" i e
+      done;
+      match Cs_svc.Client.fetch_metrics ~addr () with
+      | Error e -> Alcotest.failf "metrics verb failed: %s" e
+      | Ok (Cs_svc.Proto.Prom_text _) -> Alcotest.fail "asked for json, got prometheus"
+      | Ok (Cs_svc.Proto.Snapshot snap) ->
+        (match M.find snap "csched_connections_open" with
+        | Some (M.Gauge_v v) ->
+          if v > 2.0 then
+            Alcotest.failf "%.0f connections held after 300 one-shot ones" v
+        | _ -> Alcotest.fail "connections gauge missing"))
+
+(* --- wire framing (property) --------------------------------------- *)
+
+(* Write [input] into a socketpair in writes of [sizes] bytes (cycled)
+   on another domain, then close; return what [Conn.read_lines] yields. *)
+let frame_through ~sizes input =
+  let r, w = Unix.socketpair PF_UNIX SOCK_STREAM 0 in
+  let sizes = Array.of_list sizes in
+  let writer =
+    Domain.spawn (fun () ->
+        let n = String.length input in
+        let rec go off i =
+          if off < n then begin
+            let k = min (n - off) sizes.(i mod Array.length sizes) in
+            Cs_svc.Conn.write_all w (String.sub input off k);
+            go (off + k) (i + 1)
+          end
+        in
+        go 0 0;
+        Unix.close w)
+  in
+  let lines = ref [] in
+  let result = Cs_svc.Conn.read_lines r (fun l -> lines := l :: !lines) in
+  Domain.join writer;
+  Unix.close r;
+  (result, List.rev !lines)
+
+let check_framing ~sizes input =
+  match frame_through ~sizes input with
+  | Error e, _ -> QCheck.Test.fail_reportf "read error: %s" (Unix.error_message e)
+  | Ok (), lines -> lines = String.split_on_char '\n' input
+
+(* Lines of random bytes other than '\n' (empty lines, '\r' and bytes
+   >= 0x80 included), one of them longer than three 4096-byte read
+   chunks; writes from 1 byte up, some straddling a chunk boundary. *)
+let framing_prop =
+  let open QCheck.Gen in
+  let byte =
+    frequency
+      [ (6, char_range 'a' 'z'); (1, return '\r'); (1, return ' ');
+        (2, map Char.chr (int_range 0x80 0xff)) ]
+  in
+  let line = frequency [ (1, return ""); (4, string_size ~gen:byte (int_bound 40)) ] in
+  let long = string_size ~gen:byte (int_range ((3 * 4096) + 1) (4 * 4096)) in
+  let input =
+    map3
+      (fun lines long at ->
+        let at = at mod (List.length lines + 1) in
+        String.concat "\n"
+          (List.filteri (fun i _ -> i < at) lines
+          @ (long :: List.filteri (fun i _ -> i >= at) lines)))
+      (list_size (int_bound 30) line) long nat
+  in
+  let size =
+    frequency
+      [ (2, return 1); (3, int_range 1 16); (2, oneofl [ 4095; 4096; 4097; 8193 ]);
+        (2, int_range 1 9000) ]
+  in
+  let print (sizes, input) =
+    Printf.sprintf "sizes=[%s] input=%d bytes"
+      (String.concat ";" (List.map string_of_int sizes))
+      (String.length input)
+  in
+  QCheck.Test.make ~count:40 ~name:"read_lines = split_on_char over any write split"
+    (QCheck.make ~print (pair (list_size (int_range 1 8) size) input))
+    (fun (sizes, input) -> check_framing ~sizes input)
+
+let test_framing_one_byte_writes () =
+  let long = String.init ((3 * 4096) + 7) (fun i -> Char.chr (0x61 + (i mod 26))) in
+  let input = String.concat "\n" [ ""; "a\r"; long; "\xff\xfe"; ""; "tail" ] in
+  Alcotest.(check bool) "1-byte writes" true (check_framing ~sizes:[ 1 ] input);
+  Alcotest.(check bool) "trailing newline" true
+    (check_framing ~sizes:[ 4095; 2 ] (input ^ "\n"))
+
+(* A read error after a partial line yields only the complete lines:
+   the tail is never parsed as if it were whole. *)
+let test_framing_read_error_drops_partial () =
+  let r, w = Unix.socketpair PF_UNIX SOCK_STREAM 0 in
+  Unix.setsockopt_float r SO_RCVTIMEO 0.05;
+  Cs_svc.Conn.write_all w "first\nsecond\npart";
+  let lines = ref [] in
+  let result = Cs_svc.Conn.read_lines r (fun l -> lines := l :: !lines) in
+  Unix.close r;
+  Unix.close w;
+  (match result with
+  | Error (EAGAIN | EWOULDBLOCK) -> ()
+  | Error e -> Alcotest.failf "unexpected error %s" (Unix.error_message e)
+  | Ok () -> Alcotest.fail "a timed-out read must be an error");
+  Alcotest.(check (list string)) "complete lines only" [ "first"; "second" ]
+    (List.rev !lines)
+
 (* --- retry backoff saturation (property) --------------------------- *)
 
 let to_alcotest test =
@@ -1167,6 +1281,16 @@ let () =
             test_config_rejects_bad_durations;
         ] );
       ("backoff", [ to_alcotest retry_backoff_prop ]);
+      ( "conn",
+        [
+          to_alcotest framing_prop;
+          Alcotest.test_case "1-byte writes across a long line" `Quick
+            test_framing_one_byte_writes;
+          Alcotest.test_case "read error drops the partial line" `Quick
+            test_framing_read_error_drops_partial;
+          Alcotest.test_case "closed connections dropped" `Slow
+            test_serve_drops_closed_connections;
+        ] );
       ( "tenancy",
         [
           Alcotest.test_case "proto tenant/class roundtrip" `Quick
