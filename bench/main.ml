@@ -30,7 +30,7 @@ let experiments =
     ("slo", "latency SLO under per-job deadlines (extension)", Exp_slo.slo);
     ("gateway", "sharded gateway: result cache + failover (extension)", Exp_gateway.gateway);
     ("obs", "observability: sink + metrics throughput, telemetry overhead (extension)", Exp_obs.obs);
-    ("serve", "overload: work-stealing lanes, fair admission, brownout (extension)", Exp_serve.serve);
+    ("serve", "overload: priority lanes, fair admission, brownout (extension)", Exp_serve.serve);
   ]
 
 let print_sequences () =

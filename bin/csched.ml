@@ -14,25 +14,12 @@ open Cmdliner
 
 (* --- shared argument parsing --- *)
 
-let machine_of_string s =
-  match String.lowercase_ascii s with
-  | "vliw" | "vliw4" -> Ok (Cs_machine.Vliw.create ~n_clusters:4 ())
-  | "vliw1" -> Ok (Cs_machine.Vliw.single_cluster ())
-  | other ->
-    let parse_int prefix =
-      let plen = String.length prefix in
-      if String.length other > plen && String.sub other 0 plen = prefix then
-        int_of_string_opt (String.sub other plen (String.length other - plen))
-      else None
-    in
-    (match (parse_int "raw", parse_int "vliw") with
-    | Some n, _ when n > 0 -> Ok (Cs_machine.Raw.with_tiles n)
-    | _, Some n when n > 0 -> Ok (Cs_machine.Vliw.create ~n_clusters:n ())
-    | _ -> Error (`Msg (Printf.sprintf "unknown machine %S (try raw16, raw4, vliw4)" s)))
-
 let machine_conv =
   let printer fmt m = Format.fprintf fmt "%s" m.Cs_machine.Machine.name in
-  Arg.conv (machine_of_string, printer)
+  let parse s =
+    Cs_svc.Proto.machine_of_name s |> Result.map_error (fun e -> `Msg e)
+  in
+  Arg.conv (parse, printer)
 
 let benchmark_conv =
   let parse s =
@@ -1254,14 +1241,6 @@ let serve_cmd =
             "Shard name carried on heartbeats — must match the address the gateway was \
              configured with for this shard; defaults to the bound address.")
   in
-  let split_threshold_arg =
-    Arg.(
-      value & opt int 16
-      & info [ "split-threshold" ] ~docv:"SCALE"
-          ~doc:
-            "Split jobs whose scale exceeds $(docv) into stealable parts; 0 disables \
-             splitting.")
-  in
   let tenant_quota_arg =
     Arg.(
       value & opt int 0
@@ -1289,7 +1268,7 @@ let serve_cmd =
              before shedding, recovering hysteretically.")
   in
   let run listen workers queue default_deadline_ms pass_budget_ms chaos_slow_ms retries
-      heartbeat heartbeat_period_ms advertise split_threshold tenant_quota batch_share
+      heartbeat heartbeat_period_ms advertise tenant_quota batch_share
       brownout trace_out jsonl =
     if workers <= 0 || queue <= 0 then begin
       Printf.eprintf "serve: --workers and --queue must be positive\n";
@@ -1307,7 +1286,7 @@ let serve_cmd =
           ?pass_budget_s:(Option.map (fun ms -> ms /. 1000.0) pass_budget_ms)
           ?chaos_slow_ms ?retry ?heartbeat
           ~heartbeat_period_s:(heartbeat_period_ms /. 1000.0)
-          ?advertise ~split_threshold ~tenant_quota ~batch_share
+          ?advertise ~tenant_quota ~batch_share
           ?brownout:(if brownout then Some Cs_svc.Brownout.default else None)
           (Cs_svc.Transport.to_string addr)
       with Invalid_argument msg ->
@@ -1338,7 +1317,7 @@ let serve_cmd =
     Term.(
       const run $ listen_arg $ workers_arg $ queue_arg $ default_deadline_arg
       $ pass_budget_arg $ chaos_slow_arg $ retries_arg $ heartbeat_arg
-      $ heartbeat_period_arg $ advertise_arg $ split_threshold_arg $ tenant_quota_arg
+      $ heartbeat_period_arg $ advertise_arg $ tenant_quota_arg
       $ batch_share_arg $ brownout_flag_arg $ trace_out_arg $ jsonl_arg)
 
 let gateway_cmd =

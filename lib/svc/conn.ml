@@ -135,6 +135,21 @@ let stop l =
   end;
   first
 
+let sleep l seconds =
+  let rec go remaining =
+    if remaining > 0.0 && not (stopping l) then begin
+      let tick = Float.min 0.05 remaining in
+      Unix.sleepf tick;
+      go (remaining -. tick)
+    end
+  in
+  go seconds
+
+(* Out of descriptors or kernel memory, [accept] fails at once for as
+   long as the backlog holds a connection; retrying without a pause
+   would spin a core until some connection closes. *)
+let accept_retry_s = 0.05
+
 let serve l handle =
   (* Readers are light (parse and enqueue), so threads would do; domains
      keep the service to one concurrency primitive. *)
@@ -156,6 +171,9 @@ let serve l handle =
   let rec accept_loop () =
     if not (stopping l) then
       match Unix.accept l.listen_fd with
+      | exception Unix.Unix_error ((EMFILE | ENFILE | ENOBUFS | ENOMEM), _, _) ->
+        sleep l accept_retry_s;
+        accept_loop ()
       | exception Unix.Unix_error _ -> accept_loop ()
       | fd, _ when stopping l -> (try Unix.close fd with Unix.Unix_error _ -> ())
       | fd, _ ->
@@ -172,16 +190,6 @@ let serve l handle =
   in
   accept_loop ();
   List.iter (fun (_, d) -> Domain.join d) !readers
-
-let sleep l seconds =
-  let rec go remaining =
-    if remaining > 0.0 && not (stopping l) then begin
-      let tick = Float.min 0.05 remaining in
-      Unix.sleepf tick;
-      go (remaining -. tick)
-    end
-  in
-  go seconds
 
 let close l =
   (try Unix.close l.listen_fd with Unix.Unix_error _ -> ());

@@ -60,7 +60,10 @@ val serve : listener -> (conn -> string -> unit) -> unit
     feeds every line to the handler (see {!read_lines}) and then marks
     the reader edge. Finished readers are joined as new connections
     arrive, and connections already closed are dropped from the list
-    {!sever_all} walks. Returns once every reader has been joined. *)
+    {!sever_all} walks. When [accept] fails for want of descriptors or
+    memory ([EMFILE], [ENFILE], [ENOBUFS], [ENOMEM]) the loop pauses
+    50 ms before it retries, instead of spinning. Returns once every
+    reader has been joined. *)
 
 val stopping : listener -> bool
 (** Whether {!stop} has been called. *)

@@ -17,10 +17,8 @@
    bandwidth guarantee that keeps batch from starving under a flood of
    interactive traffic while interactive latency stays first-class.
 
-   The queue doubles as the workers' parking lot: [stamp]/[wait]/[kick]
-   implement a lost-wakeup-free sleep so a worker that found every
-   deque empty can block until *any* new work (admitted here or split
-   onto a sibling's deque) arrives. *)
+   Workers block in [pull] on one condition variable, signalled once
+   per admission and broadcast on [close]. *)
 
 type lane = Interactive | Batch
 
@@ -52,7 +50,6 @@ type 'a t = {
   mutable total : int;
   mutable peak : int;
   mutable pulls : int;
-  mutable stamp_v : int;
   mutable closed : bool;
 }
 
@@ -73,16 +70,11 @@ let create ?(tenant_quota = 0) ?(weights = []) ?(batch_share = 4) ~capacity ()
     total = 0;
     peak = 0;
     pulls = 0;
-    stamp_v = 0;
     closed = false }
 
 let with_lock t f =
   Mutex.lock t.mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
-
-let signal_locked t =
-  t.stamp_v <- t.stamp_v + 1;
-  Condition.broadcast t.nonempty
 
 let tenant_count t tenant =
   match Hashtbl.find_opt t.counts tenant with Some n -> n | None -> 0
@@ -111,7 +103,7 @@ let admit t ~tenant ~lane x =
         Hashtbl.replace t.counts tenant (tenant_count t tenant + 1);
         t.total <- t.total + 1;
         if t.total > t.peak then t.peak <- t.total;
-        signal_locked t;
+        Condition.signal t.nonempty;
         Admitted
       end)
 
@@ -154,52 +146,37 @@ let pull_lane ls =
   in
   go ()
 
-let try_pull t =
+(* Interactive first, batch every [batch_share]-th pull; a lane with
+   nothing to give passes the turn to the other. Called with the lock
+   held and [total > 0]. *)
+let take_locked t =
+  t.pulls <- t.pulls + 1;
+  let prefer_batch = t.batch_share > 0 && t.pulls mod t.batch_share = 0 in
+  let first, second =
+    if prefer_batch then (t.batch, t.interactive) else (t.interactive, t.batch)
+  in
+  let tenant, x =
+    match pull_lane first with
+    | Some r -> r
+    | None -> Option.get (pull_lane second)
+  in
+  let n = tenant_count t tenant - 1 in
+  if n <= 0 then Hashtbl.remove t.counts tenant
+  else Hashtbl.replace t.counts tenant n;
+  t.total <- t.total - 1;
+  x
+
+let pull t =
   with_lock t (fun () ->
-      if t.total = 0 then None
-      else begin
-        t.pulls <- t.pulls + 1;
-        let prefer_batch =
-          t.batch_share > 0 && t.pulls mod t.batch_share = 0
-        in
-        let order =
-          if prefer_batch then [ t.batch; t.interactive ]
-          else [ t.interactive; t.batch ]
-        in
-        let rec first = function
-          | [] -> None
-          | ls :: rest ->
-            (match pull_lane ls with Some _ as r -> r | None -> first rest)
-        in
-        match first order with
-        | None -> None
-        | Some (tenant, x) ->
-          let n = tenant_count t tenant - 1 in
-          if n <= 0 then Hashtbl.remove t.counts tenant
-          else Hashtbl.replace t.counts tenant n;
-          t.total <- t.total - 1;
-          Some x
-      end)
+      while t.total = 0 && not t.closed do
+        Condition.wait t.nonempty t.mutex
+      done;
+      if t.total = 0 then None else Some (take_locked t))
 
 let length t = with_lock t (fun () -> t.total)
 let peak t = with_lock t (fun () -> t.peak)
-let closed t = with_lock t (fun () -> t.closed)
-
-let tenants t =
-  with_lock t (fun () ->
-      Hashtbl.fold (fun name n acc -> (name, n) :: acc) t.counts [])
 
 let close t =
   with_lock t (fun () ->
       t.closed <- true;
-      signal_locked t)
-
-let stamp t = with_lock t (fun () -> t.stamp_v)
-
-let kick t = with_lock t (fun () -> signal_locked t)
-
-let wait t ~seen =
-  with_lock t (fun () ->
-      while t.stamp_v = seen && not t.closed do
-        Condition.wait t.nonempty t.mutex
-      done)
+      Condition.broadcast t.nonempty)

@@ -12,9 +12,8 @@
     pull gives batch the front of the line: a bandwidth guarantee
     against starvation, not a strict priority inversion.
 
-    The queue also serves as the worker pool's parking lot: the
-    [stamp]/[wait]/[kick] triple is a lost-wakeup-free sleep covering
-    work that arrives {e anywhere} (this queue or a sibling's deque). *)
+    Workers block in {!pull}; {!close} ends them once the queue has
+    drained, the same shutdown protocol as {!Squeue.pop}. *)
 
 type lane = Interactive | Batch
 
@@ -42,30 +41,15 @@ val create :
 
 val admit : 'a t -> tenant:string -> lane:lane -> 'a -> admit_result
 
-val try_pull : 'a t -> 'a option
-(** Non-blocking DRR pull honouring lane priority and the batch
-    share. [None] when empty. *)
+val pull : 'a t -> 'a option
+(** Blocks for the next item, chosen by DRR honouring lane priority
+    and the batch share. [None] once the queue is closed {e and} empty,
+    so a worker loop drains every admitted item before exiting. *)
 
 val length : 'a t -> int
 val peak : 'a t -> int
 (** High-watermark total depth since creation. *)
 
-val tenants : 'a t -> (string * int) list
-(** Currently queued jobs per tenant (both lanes), unordered. *)
-
 val close : 'a t -> unit
-(** Refuse further admissions and wake all waiters. Idempotent. *)
-
-val closed : 'a t -> bool
-
-(** {2 Parking lot}
-
-    Worker protocol: [let seen = stamp q] {e before} scanning all work
-    sources; if every source was empty, [wait q ~seen] blocks until the
-    stamp moves (any admission, [kick], or [close]). Producers that
-    place work outside this queue (e.g. split parts pushed onto a
-    worker deque) must call [kick]. *)
-
-val stamp : 'a t -> int
-val kick : 'a t -> unit
-val wait : 'a t -> seen:int -> unit
+(** Refuse further admissions and wake every blocked {!pull}.
+    Idempotent. *)

@@ -12,9 +12,6 @@ type t = {
   deadline : Cs_obs.Metrics.slo_window;
   queue_depth_peak : Cs_obs.Metrics.gauge;
   brownout_level : Cs_obs.Metrics.gauge;
-  steals : Cs_obs.Metrics.counter;
-  splits : Cs_obs.Metrics.counter;
-  overflowed : Cs_obs.Metrics.counter;
   connections_open : Cs_obs.Metrics.gauge;
 }
 
@@ -47,13 +44,6 @@ let create () =
     brownout_level = gauge
         ~help:"Brownout degradation level (0 = normal service)"
         "csched_brownout_level";
-    steals = counter ~help:"Work items stolen between worker deques"
-        "csched_steals_total";
-    splits = counter ~help:"Oversized jobs split into stealable parts"
-        "csched_splits_total";
-    overflowed = counter
-        ~help:"Split parts that overflowed a full deque to the global queue"
-        "csched_overflow_total";
     connections_open = gauge
         ~help:"Connections the listener holds (a closed one drops out at the next accept)"
         "csched_connections_open" }

@@ -24,9 +24,6 @@ type t = {
       (** [csched_queue_depth_peak] — high-watermark queue depth, for
           post-hoc overload forensics without live polling *)
   brownout_level : Cs_obs.Metrics.gauge;  (** [csched_brownout_level] *)
-  steals : Cs_obs.Metrics.counter;  (** [csched_steals_total] *)
-  splits : Cs_obs.Metrics.counter;  (** [csched_splits_total] *)
-  overflowed : Cs_obs.Metrics.counter;  (** [csched_overflow_total] *)
   connections_open : Cs_obs.Metrics.gauge;
       (** [csched_connections_open] — connections the listener still
           holds; a closed one is dropped at the next accept *)

@@ -56,7 +56,7 @@ let refused ?(elapsed_ms = 0.0) ~id error =
         { kind = Cs_resil.Error.kind error; message = Cs_resil.Error.message error };
     queue_depth = None; cached = false }
 
-(* --- machine names (mirrors the csched CLI grammar) ---------------- *)
+(* --- machine names (the grammar csched's -m flag parses) ----------- *)
 
 let machine_of_name s =
   match String.lowercase_ascii s with

@@ -80,7 +80,8 @@ val reply :
 val refused : ?elapsed_ms:float -> id:string -> Cs_resil.Error.t -> reply
 
 val machine_of_name : string -> (Cs_machine.Machine.t, string) result
-(** Same grammar as the [csched] CLI: [rawN], [vliwN], [vliw]. *)
+(** [rawN], [vliwN], [vliw]: the one machine-name grammar, read by the
+    wire and by the [csched] CLI's machine flags. *)
 
 val request_to_line : request -> string
 val request_of_line : string -> (request, string) result

@@ -9,7 +9,6 @@ type config = {
   heartbeat_addr : Transport.addr option;
   heartbeat_period_s : float;
   advertise : string option;
-  split_threshold : int;
   tenant_quota : int;
   tenant_weights : (string * int) list;
   batch_share : int;
@@ -18,8 +17,8 @@ type config = {
 
 let config ?(workers = 2) ?(queue_capacity = 16) ?default_deadline_ms
     ?pass_budget_s ?chaos_slow_ms ?retry ?heartbeat ?(heartbeat_period_s = 1.0)
-    ?advertise ?(split_threshold = 16) ?(tenant_quota = 0) ?(tenant_weights = [])
-    ?(batch_share = 4) ?brownout addr =
+    ?advertise ?(tenant_quota = 0) ?(tenant_weights = []) ?(batch_share = 4)
+    ?brownout addr =
   (* NaN compares false both ways: a NaN period never sleeps and a NaN
      budget or deadline is never enforced. *)
   if not (Float.is_finite heartbeat_period_s && heartbeat_period_s > 0.0) then
@@ -34,8 +33,8 @@ let config ?(workers = 2) ?(queue_capacity = 16) ?default_deadline_ms
   { listen_addr = Transport.parse_exn addr; workers; queue_capacity;
     default_deadline_ms; pass_budget_s; chaos_slow_ms; retry;
     heartbeat_addr = Option.map Transport.parse_exn heartbeat;
-    heartbeat_period_s; advertise; split_threshold; tenant_quota;
-    tenant_weights; batch_share; brownout }
+    heartbeat_period_s; advertise; tenant_quota; tenant_weights; batch_share;
+    brownout }
 
 type stats = {
   admitted : int;
@@ -45,36 +44,15 @@ type stats = {
   quota_refused : int;
 }
 
-(* Fan-in state for a job split into stealable parts: each part folds
-   its verdict in under the mutex; whoever folds the last part builds
-   and sends the aggregate reply. Sequential-composition semantics:
-   cycles and transfers sum, the worst fallback rung wins, timed_out
-   is sticky, and the first refusal (if any) refuses the whole job. *)
-type agg = {
-  a_mutex : Mutex.t;
-  orig : Job.t;  (* the whole job, for ids/deadline/latency accounting *)
-  mutable a_left : int;
-  mutable a_cycles : int;
-  mutable a_transfers : int;
-  mutable a_rung_rank : int;
-  mutable a_timed_out : bool;
-  mutable a_quarantined : int;
-  mutable a_elapsed_ms : float;
-  mutable a_refusal : (string * string) option;
-}
-
 type work = {
-  job : Job.t;  (* for a split part, [request.scale] is the part's share *)
+  job : Job.t;
   on : Conn.conn;
-  agg : agg option;  (* [None] = whole, unsplit job *)
 }
 
 type t = {
   cfg : config;
   listener : Conn.listener;
   fairq : work Fairq.t;
-  deques : work Deque.t array;  (* one per worker domain *)
-  overflow : work Squeue.t;  (* split parts that found their deque full *)
   brownout : Brownout.t option;
   aborted : bool Atomic.t;
   meters : Meters.t;
@@ -93,10 +71,6 @@ let create cfg =
     fairq =
       Fairq.create ~tenant_quota:cfg.tenant_quota ~weights:cfg.tenant_weights
         ~batch_share:cfg.batch_share ~capacity:cfg.queue_capacity ();
-    (* Per-worker deques hold split parts; size them to a few splits'
-       worth so overflow-to-global stays the exception. *)
-    deques = Array.init cfg.workers (fun _ -> Deque.create ~capacity:32);
-    overflow = Squeue.create ~capacity:(max 64 (4 * cfg.queue_capacity));
     brownout = Option.map Brownout.create cfg.brownout;
     aborted = Atomic.make false; meters;
     quota_meter =
@@ -108,11 +82,7 @@ let create cfg =
 let address t = Conn.address t.listener
 let meters t = t.meters
 
-(* Waiting work across every structure: the admission queue plus split
-   parts parked on worker deques or the overflow queue. *)
-let queue_depth t =
-  Fairq.length t.fairq + Squeue.length t.overflow
-  + Array.fold_left (fun acc d -> acc + Deque.length d) 0 t.deques
+let queue_depth t = Fairq.length t.fairq
 
 (* Live values mirror into registry gauges at the moments they change
    (or are read), so metrics snapshots and the stats verb agree. *)
@@ -140,11 +110,7 @@ let server_stats t =
   let extra =
     [ ("quota_refused",
        float_of_int (Cs_obs.Metrics.counter_value t.quota_meter));
-      ("queue_depth_peak", float_of_int (Fairq.peak t.fairq));
-      ("steals",
-       float_of_int (Cs_obs.Metrics.counter_value t.meters.Meters.steals));
-      ("splits",
-       float_of_int (Cs_obs.Metrics.counter_value t.meters.Meters.splits)) ]
+      ("queue_depth_peak", float_of_int (Fairq.peak t.fairq)) ]
     @
     match t.brownout with
     | None -> []
@@ -172,24 +138,12 @@ let lane_of (job : Job.t) =
   | Some "batch" -> Fairq.Batch
   | _ -> if job.Job.deadline <> None then Fairq.Interactive else Fairq.Batch
 
-let rung_rank = function
-  | "requested" -> 0
-  | "default-sequence" -> 1
-  | "single-cluster" -> 2
-  | _ -> 3
-
-let rung_of_rank = function
-  | 0 -> "requested"
-  | 1 -> "default-sequence"
-  | 2 -> "single-cluster"
-  | _ -> "unknown"
-
 (* --- execution ----------------------------------------------------- *)
 
-(* Run one (part of a) job under the current brownout level: each
-   degradation level halves the effective pass budget, and levels > 0
-   impose a synthetic budget on jobs that carry none — quality traded
-   for drain rate before anything is shed. *)
+(* Run one job under the current brownout level: each degradation
+   level halves the effective pass budget, and levels > 0 impose a
+   synthetic budget on jobs that carry none — quality traded for drain
+   rate before anything is shed. *)
 let run_job t job =
   let extra_passes =
     Option.map
@@ -216,8 +170,7 @@ let run_job t job =
         Proto.refused ~id:r.Proto.id
           (Cs_resil.Error.Pass_failure (Printexc.to_string e)))
 
-(* The tail every job shares, whole or reassembled from parts: final
-   counters, SLO accounting, the reply (with queue-depth gossip
+(* Final counters, SLO accounting, the reply (with queue-depth gossip
    piggybacked), and the connection's job-done edge. After an abort
    the connections are severed and nobody can receive the reply, so
    only the edge bookkeeping runs. *)
@@ -244,49 +197,8 @@ let finalize t on (job : Job.t) (reply : Proto.reply) =
   end;
   Conn.job_done on
 
-(* Fold one part's verdict into the fan-in record; the last part
-   reassembles and sends the whole job's reply. *)
-let complete_part t w (reply : Proto.reply) =
-  match w.agg with
-  | None -> finalize t w.on w.job reply
-  | Some a ->
-    Mutex.lock a.a_mutex;
-    (match reply.Proto.verdict with
-    | Proto.Scheduled s ->
-      a.a_cycles <- a.a_cycles + s.cycles;
-      a.a_transfers <- a.a_transfers + s.transfers;
-      a.a_rung_rank <- max a.a_rung_rank (rung_rank s.rung);
-      a.a_timed_out <- a.a_timed_out || s.timed_out;
-      a.a_quarantined <- a.a_quarantined + s.quarantined
-    | Proto.Refused e ->
-      if a.a_refusal = None then a.a_refusal <- Some (e.kind, e.message));
-    a.a_elapsed_ms <- a.a_elapsed_ms +. reply.Proto.elapsed_ms;
-    a.a_left <- a.a_left - 1;
-    let last = a.a_left = 0 in
-    Mutex.unlock a.a_mutex;
-    if last then begin
-      let id = a.orig.Job.request.Proto.id in
-      let whole =
-        match a.a_refusal with
-        | Some (kind, message) ->
-          { Proto.reply_id = id; elapsed_ms = a.a_elapsed_ms;
-            verdict = Proto.Refused { kind; message };
-            queue_depth = None; cached = false }
-        | None ->
-          Proto.reply ~id ~elapsed_ms:a.a_elapsed_ms
-            (Proto.Scheduled
-               { cycles = a.a_cycles;
-                 transfers = a.a_transfers;
-                 rung = rung_of_rank a.a_rung_rank;
-                 timed_out = a.a_timed_out;
-                 quarantined = a.a_quarantined })
-      in
-      finalize t w.on a.orig whole
-    end
-
-(* First dequeue of a whole job: queue-wait accounting (feeds the
-   brownout signal) and the trace's queue span. Parts skip this — the
-   wait was already charged to the whole job. *)
+(* Queue-wait accounting (feeds the brownout signal) and the trace's
+   queue span. *)
 let observe_dequeue t (job : Job.t) =
   let r = job.Job.request in
   let ctx = Proto.trace_of_request r in
@@ -299,123 +211,27 @@ let observe_dequeue t (job : Job.t) =
   Cs_obs.Obs.complete ~cat:"svc" ~args:job_args "job:queue" ~ts:job.Job.arrival
     ~dur:wait_s
 
-(* Oversized jobs become k stealable parts (scale splits as evenly as
-   possible) so one huge DDG occupies one worker per part instead of
-   head-of-line-blocking the pool. All but the first part go to the
-   owner's deque — thieves migrate them — with the bounded global
-   queue as overflow; anything even that refuses runs inline. *)
-let maybe_split t ~deque ~kick w =
-  let scale = w.job.Job.request.Proto.scale in
-  let thr = t.cfg.split_threshold in
-  if w.agg = None && thr > 0 && scale > thr then begin
-    let k = (scale + thr - 1) / thr in
-    let q = scale / k and rem = scale mod k in
-    let a =
-      { a_mutex = Mutex.create (); orig = w.job; a_left = k; a_cycles = 0;
-        a_transfers = 0; a_rung_rank = 0; a_timed_out = false;
-        a_quarantined = 0; a_elapsed_ms = 0.0; a_refusal = None }
-    in
-    let part i =
-      let part_scale = if i < rem then q + 1 else q in
-      { job =
-          { w.job with
-            Job.request = { w.job.Job.request with Proto.scale = part_scale } };
-        on = w.on;
-        agg = Some a }
-    in
-    Cs_obs.Metrics.incr t.meters.Meters.splits;
-    let inline = ref [ part 0 ] in
-    for i = k - 1 downto 1 do
-      let p = part i in
-      if not (Deque.push deque p) then begin
-        Cs_obs.Metrics.incr t.meters.Meters.overflowed;
-        if not (Squeue.try_push t.overflow p) then inline := p :: !inline
-      end
-    done;
-    kick ();
-    !inline
-  end
-  else [ w ]
-
-let execute t ~deque ~kick w =
-  (* burning worker time on jobs whose replies nobody can receive
-     would only delay teardown *)
-  let discard w =
-    complete_part t w
-      (Proto.refused ~id:w.job.Job.request.Proto.id
-         (Cs_resil.Error.Overloaded "server aborted"))
-  in
-  if Atomic.get t.aborted then discard w
+(* The whole job runs on this worker, so its reply is the schedule an
+   in-process run of the same region gives. After an abort nobody can
+   receive the reply, and burning worker time on it would only delay
+   teardown. *)
+let execute t w =
+  if Atomic.get t.aborted then Conn.job_done w.on
   else begin
-    let parts =
-      if w.agg = None then begin
-        observe_dequeue t w.job;
-        maybe_split t ~deque ~kick w
-      end
-      else [ w ]
-    in
-    List.iter
-      (fun w ->
-        if Atomic.get t.aborted then discard w
-        else begin
-          Atomic.incr t.n_busy;
-          sync_gauges t;
-          let reply = run_job t w.job in
-          Atomic.decr t.n_busy;
-          complete_part t w reply
-        end)
-      parts
+    observe_dequeue t w.job;
+    Atomic.incr t.n_busy;
+    sync_gauges t;
+    let reply = run_job t w.job in
+    Atomic.decr t.n_busy;
+    finalize t w.on w.job reply
   end
 
-(* --- worker loops -------------------------------------------------- *)
-
-(* Worker: own deque first (cache-hot split parts, LIFO), then
-   the overflow queue, then fair admission, then stealing from
-   siblings. Finding nothing, it parks on the fair queue's stamp —
-   re-scanning whenever anything arrives anywhere — and exits once the
-   queue is closed and a full scan comes up empty. *)
-let worker t wid () =
-  let fairq = t.fairq and deques = t.deques in
-  let mine = deques.(wid) in
-  let kick () = Fairq.kick fairq in
-  let n = Array.length deques in
-  let steal_round () =
-    let rec go i =
-      if i >= n - 1 then None
-      else
-        match Deque.steal deques.((wid + 1 + i) mod n) with
-        | Some w ->
-          Cs_obs.Metrics.incr t.meters.Meters.steals;
-          Some w
-        | None -> go (i + 1)
-    in
-    go 0
-  in
-  let next () =
-    match Deque.pop mine with
-    | Some w -> Some w
-    | None ->
-      (match Squeue.try_pop t.overflow with
-      | Some w -> Some w
-      | None ->
-        (match Fairq.try_pull fairq with
-        | Some w -> Some w
-        | None -> steal_round ()))
-  in
-  let rec loop () =
-    let seen = Fairq.stamp fairq in
-    match next () with
-    | Some w ->
-      execute t ~deque:mine ~kick w;
-      loop ()
-    | None ->
-      if Fairq.closed fairq then ()
-      else begin
-        Fairq.wait fairq ~seen;
-        loop ()
-      end
-  in
-  loop ()
+let rec worker t () =
+  match Fairq.pull t.fairq with
+  | Some w ->
+    execute t w;
+    worker t ()
+  | None -> ()
 
 (* One request line from a client. Requests are admitted (or shed) as
    they arrive; the reader never waits for replies, so a client can
@@ -472,7 +288,7 @@ let handle_line t conn line =
     | Ok (Proto.Job_request request) ->
       let job = Job.admit ?default_deadline_ms:t.cfg.default_deadline_ms request in
       Conn.add_pending conn;
-      let w = { job; on = conn; agg = None } in
+      let w = { job; on = conn } in
       if Conn.stopping t.listener then
         shed_reply conn request "server is draining"
       else begin
@@ -558,7 +374,7 @@ let heartbeat_loop t addr =
   reconnect ()
 
 let run t =
-  let workers = List.init t.cfg.workers (fun wid -> Domain.spawn (worker t wid)) in
+  let workers = List.init t.cfg.workers (fun _ -> Domain.spawn (worker t)) in
   let heartbeater =
     Option.map
       (fun addr -> Domain.spawn (fun () -> heartbeat_loop t addr))
@@ -581,7 +397,6 @@ let run t =
      then answer every admitted job and tear down. (After [abort] the
      readers exit on their severed sockets and queued jobs are
      discarded unanswered instead.) *)
-  Squeue.close t.overflow;
   Fairq.close t.fairq;
   List.iter Domain.join workers;
   Option.iter Domain.join heartbeater;

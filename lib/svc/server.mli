@@ -18,11 +18,10 @@
       anytime driver;
     - admitted jobs flow through per-tenant deficit-weighted
       round-robin queues ({!Fairq}) in two priority lanes (interactive
-      ahead of batch, batch guaranteed a share), workers run per-domain
-      work-stealing deques ({!Deque}), and oversized jobs split into
-      stealable parts so one huge DDG cannot head-of-line-block the
-      pool; parts that find their worker's deque full overflow to a
-      bounded {!Squeue}, and run inline when even that is full;
+      ahead of batch, batch guaranteed a share); each worker pulls one
+      job at a time and runs it whole, so a reply carries the same
+      schedule as an in-process run of the same region, whatever its
+      size;
     - when configured with a {!Brownout} controller, rising queue-wait
       burn progressively tightens effective pass budgets (anytime
       best-so-far) before anything is shed, and recovers hysteretically;
@@ -47,9 +46,6 @@ type config = {
   advertise : string option;
       (** shard name carried on heartbeats — must match the address the
           gateway was configured with; defaults to the bound address *)
-  split_threshold : int;
-      (** split jobs whose [scale] exceeds this into stealable parts
-          of at most this scale; [0] disables *)
   tenant_quota : int;
       (** max queued jobs per tenant; [<= 0] means no bound tighter
           than [queue_capacity] *)
@@ -65,12 +61,12 @@ val config :
   ?workers:int -> ?queue_capacity:int -> ?default_deadline_ms:float ->
   ?pass_budget_s:float -> ?chaos_slow_ms:float -> ?retry:Retry.policy ->
   ?heartbeat:string -> ?heartbeat_period_s:float -> ?advertise:string ->
-  ?split_threshold:int -> ?tenant_quota:int ->
+  ?tenant_quota:int ->
   ?tenant_weights:(string * int) list -> ?batch_share:int ->
   ?brownout:Brownout.settings -> string -> config
 (** [config addr] with 2 workers, a 16-job queue, no deadlines, no
     chaos, no retry, no heartbeats ([heartbeat_period_s] defaults to
-    1 s), split threshold 16, no tenant quota and no brownout. [addr]
+    1 s), no tenant quota and no brownout. [addr]
     uses the {!Transport} grammar ([host:port] for TCP, otherwise a
     Unix socket path). Raises [Invalid_argument] when [addr] parses to
     neither, when [heartbeat_period_s] is not finite and [> 0], or when
@@ -118,9 +114,8 @@ val stats : t -> stats
 
 val server_stats : t -> Proto.server_stats
 (** The live counters served by the stats control verb. [extra]
-    carries the admission and work-stealing series: [quota_refused],
-    [queue_depth_peak], [steals], [splits] and (when configured)
-    [brownout_level]. *)
+    carries the admission series: [quota_refused], [queue_depth_peak]
+    and (when configured) [brownout_level]. *)
 
 val meters : t -> Meters.t
 (** This instance's metrics registry (also served by the [metrics]

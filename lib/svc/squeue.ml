@@ -36,10 +36,6 @@ let pop t =
       in
       wait ())
 
-let try_pop t =
-  with_lock t (fun () ->
-      if Queue.is_empty t.items then None else Some (Queue.pop t.items))
-
 let close t =
   with_lock t (fun () ->
       t.closed <- true;

@@ -1,11 +1,10 @@
 (** Bounded multi-producer multi-consumer queue: the gateway's
-    admission queue, and the server's overflow queue for split parts
-    that find their worker's deque full.
+    admission queue. (The server admits through {!Fairq}.)
 
     Pushes never block: a full (or closed) queue refuses immediately so
-    the caller can shed load with a typed [Overloaded] reply (or, for a
-    split part, run it inline) instead of queueing unboundedly. Pops block until an item arrives or the
-    queue is closed and drained, which is exactly the worker-shutdown
+    the caller can shed load with a typed [Overloaded] reply instead of
+    queueing unboundedly. Pops block until an item arrives or the queue
+    is closed and drained, which is exactly the worker-shutdown
     protocol: [close] then join. *)
 
 type 'a t
@@ -19,10 +18,6 @@ val try_push : 'a t -> 'a -> bool
 val pop : 'a t -> 'a option
 (** Blocks for the next item. [None] once the queue is closed {e and}
     empty, so a worker loop drains every admitted item before exiting. *)
-
-val try_pop : 'a t -> 'a option
-(** Non-blocking pop: [None] when currently empty. Keeps draining
-    after [close] until empty, like {!pop}. *)
 
 val close : 'a t -> unit
 (** Refuse further pushes and wake all blocked poppers. Idempotent. *)

@@ -899,7 +899,7 @@ let test_fairq_quota_binds_per_tenant () =
   Alcotest.(check bool) "other tenant unaffected" true
     (admit "quiet" 4 = Cs_svc.Fairq.Admitted);
   (* draining the hog frees its quota *)
-  ignore (Cs_svc.Fairq.try_pull q);
+  ignore (Cs_svc.Fairq.pull q);
   Alcotest.(check bool) "quota freed by drain" true
     (admit "hog" 5 = Cs_svc.Fairq.Admitted)
 
@@ -923,7 +923,7 @@ let test_fairq_drr_interleaves_tenants () =
   for i = 0 to 3 do
     ignore (Cs_svc.Fairq.admit q ~tenant:"b" ~lane:Cs_svc.Fairq.Batch ("b", i))
   done;
-  let order = List.init 8 (fun _ -> Option.get (Cs_svc.Fairq.try_pull q)) in
+  let order = List.init 8 (fun _ -> Option.get (Cs_svc.Fairq.pull q)) in
   let firsts = List.filteri (fun i _ -> i < 4) order in
   Alcotest.(check int) "first four pulls: two from each tenant" 2
     (List.length (List.filter (fun (t, _) -> t = "a") firsts));
@@ -937,7 +937,7 @@ let test_fairq_weights_bias_service () =
     ignore (Cs_svc.Fairq.admit q ~tenant:"heavy" ~lane:Cs_svc.Fairq.Batch ("heavy", i));
     ignore (Cs_svc.Fairq.admit q ~tenant:"light" ~lane:Cs_svc.Fairq.Batch ("light", i))
   done;
-  let order = List.init 6 (fun _ -> Option.get (Cs_svc.Fairq.try_pull q)) in
+  let order = List.init 6 (fun _ -> Option.get (Cs_svc.Fairq.pull q)) in
   Alcotest.(check int) "weight-2 tenant gets 2/3 of early service" 4
     (List.length (List.filter (fun (t, _) -> t = "heavy") order))
 
@@ -949,7 +949,7 @@ let test_fairq_lane_priority_and_batch_share () =
   for i = 0 to 1 do
     ignore (Cs_svc.Fairq.admit q ~tenant:"t" ~lane:Cs_svc.Fairq.Interactive ("I", i))
   done;
-  let order = List.init 6 (fun _ -> fst (Option.get (Cs_svc.Fairq.try_pull q))) in
+  let order = List.init 6 (fun _ -> fst (Option.get (Cs_svc.Fairq.pull q))) in
   (* interactive first, but batch guaranteed every 2nd pull; batch
      drains the tail once interactive is empty *)
   Alcotest.(check (list string)) "lane interleaving"
@@ -962,10 +962,42 @@ let test_fairq_peak_watermark () =
     ignore (Cs_svc.Fairq.admit q ~tenant:"t" ~lane:Cs_svc.Fairq.Batch i)
   done;
   for _ = 0 to 4 do
-    ignore (Cs_svc.Fairq.try_pull q)
+    ignore (Cs_svc.Fairq.pull q)
   done;
   Alcotest.(check int) "empty now" 0 (Cs_svc.Fairq.length q);
   Alcotest.(check int) "peak remembers the high-water mark" 5 (Cs_svc.Fairq.peak q)
+
+let test_fairq_pull_blocks_until_admit () =
+  let q = Cs_svc.Fairq.create ~capacity:4 () in
+  let pulled = Atomic.make false in
+  let puller =
+    Domain.spawn (fun () ->
+        let x = Cs_svc.Fairq.pull q in
+        Atomic.set pulled true;
+        x)
+  in
+  Unix.sleepf 0.05;
+  Alcotest.(check bool) "pull waits on an empty queue" false (Atomic.get pulled);
+  ignore (Cs_svc.Fairq.admit q ~tenant:"t" ~lane:Cs_svc.Fairq.Batch 7);
+  Alcotest.(check (option int)) "admit wakes the puller" (Some 7) (Domain.join puller)
+
+let test_fairq_close_drains_then_ends () =
+  let q = Cs_svc.Fairq.create ~capacity:4 () in
+  List.iter
+    (fun x -> ignore (Cs_svc.Fairq.admit q ~tenant:"t" ~lane:Cs_svc.Fairq.Batch x))
+    [ 1; 2; 3 ];
+  Cs_svc.Fairq.close q;
+  let drained = List.init 3 (fun _ -> Cs_svc.Fairq.pull q) in
+  Alcotest.(check (list (option int))) "admitted before close still drain"
+    [ Some 1; Some 2; Some 3 ] drained;
+  Alcotest.(check (option int)) "closed and empty ends" None (Cs_svc.Fairq.pull q)
+
+let test_fairq_close_wakes_blocked_pull () =
+  let q : int Cs_svc.Fairq.t = Cs_svc.Fairq.create ~capacity:4 () in
+  let puller = Domain.spawn (fun () -> Cs_svc.Fairq.pull q) in
+  Unix.sleepf 0.05;
+  Cs_svc.Fairq.close q;
+  Alcotest.(check (option int)) "close ends a blocked pull" None (Domain.join puller)
 
 (* --- brownout controller ------------------------------------------- *)
 
@@ -1003,31 +1035,127 @@ let test_brownout_escalates_and_recovers_hysteretically () =
   Alcotest.(check int) "upward transitions counted" 2
     (Cs_svc.Brownout.escalations b)
 
-(* --- lanes: split, quota and overflow end to end ------------------ *)
+(* --- lanes: whole jobs, quota and accounting end to end ----------- *)
 
-let test_serve_splits_oversized_job () =
-  let socket = tmp_path (Printf.sprintf "cs_svc_split_%d.sock" (Unix.getpid ())) in
-  let cfg =
-    Cs_svc.Server.config ~workers:2 ~queue_capacity:8 ~split_threshold:2 socket
+(* The (cycles, transfers) an in-process convergent run gives fir at
+   [scale] on raw4: what a served job's reply must carry. *)
+let in_process_fir scale =
+  let fir = Option.get (Cs_workloads.Suite.find "fir") in
+  let region =
+    fir.Cs_workloads.Suite.generate ~scale
+      ~clusters:(Cs_machine.Machine.n_clusters raw4) ()
   in
-  let reply, extra =
+  let sched =
+    Cs_sim.Pipeline.schedule ~scheduler:Cs_sim.Pipeline.Convergent
+      ~machine:raw4 region
+  in
+  (Cs_sched.Schedule.makespan sched, Cs_sched.Schedule.n_comms sched)
+
+let check_matches_in_process ~scale (r : Cs_svc.Proto.reply) =
+  match r.Cs_svc.Proto.verdict with
+  | Cs_svc.Proto.Refused e ->
+    Alcotest.failf "scale %d refused: %s" scale e.message
+  | Cs_svc.Proto.Scheduled s ->
+    let cycles, transfers = in_process_fir scale in
+    Alcotest.(check int) (Printf.sprintf "cycles at scale %d" scale)
+      cycles s.cycles;
+    Alcotest.(check int) (Printf.sprintf "transfers at scale %d" scale)
+      transfers s.transfers
+
+(* A served job runs whole, so its reply carries the schedule an
+   in-process run of the same region gives. Scales 17 and 20 lie above
+   16, the largest scale a job-splitting server would have run whole. *)
+let test_serve_matches_in_process () =
+  let socket = tmp_path (Printf.sprintf "cs_svc_whole_%d.sock" (Unix.getpid ())) in
+  let scales = [ 17; 20 ] in
+  let replies =
+    with_server (Cs_svc.Server.config socket) (fun _ ->
+        match
+          Cs_svc.Client.submit ~timeout_s:300.0
+            ~addr:(Cs_svc.Transport.parse_exn socket)
+            (List.map
+               (fun scale ->
+                 Cs_svc.Proto.request ~id:(string_of_int scale) ~machine:"raw4"
+                   ~scale "fir")
+               scales)
+        with
+        | Ok replies -> replies
+        | Error e -> Alcotest.failf "submit failed: %s" e)
+  in
+  List.iter
+    (fun scale ->
+      let id = string_of_int scale in
+      match
+        List.find_opt (fun r -> r.Cs_svc.Proto.reply_id = id) replies
+      with
+      | None -> Alcotest.failf "no reply for scale %d" scale
+      | Some r -> check_matches_in_process ~scale r)
+    scales
+
+(* The next two cases keep the names they had when the server split
+   jobs above a scale threshold into parts; they now pin that it does
+   not. Same inputs as before (two workers, an 8-slot queue, fir at
+   scale 8): the oversized job is admitted and completed as one job,
+   its reply is the whole region's schedule, and the stats no longer
+   carry a [splits] entry. *)
+let test_serve_oversized_job_whole () =
+  let socket = tmp_path (Printf.sprintf "cs_svc_split_%d.sock" (Unix.getpid ())) in
+  let cfg = Cs_svc.Server.config ~workers:2 ~queue_capacity:8 socket in
+  let reply, stats =
     with_server cfg (fun server ->
         match
           Cs_svc.Client.submit ~timeout_s:120.0
             ~addr:(Cs_svc.Transport.parse_exn socket)
             [ Cs_svc.Proto.request ~id:"big" ~machine:"raw4" ~scale:8 "fir" ]
         with
-        | Ok [ reply ] ->
-          (reply, (Cs_svc.Server.server_stats server).Cs_svc.Proto.extra)
+        | Ok [ reply ] -> (reply, Cs_svc.Server.server_stats server)
         | Ok rs -> Alcotest.failf "expected one reply, got %d" (List.length rs)
         | Error e -> Alcotest.failf "submit failed: %s" e)
   in
-  (match reply.Cs_svc.Proto.verdict with
-  | Cs_svc.Proto.Scheduled s ->
-    Alcotest.(check bool) "aggregated cycles positive" true (s.cycles > 0)
-  | Cs_svc.Proto.Refused e -> Alcotest.failf "split job refused: %s" e.message);
-  let get k = try List.assoc k extra with Not_found -> -1.0 in
-  Alcotest.(check bool) "splits counted" true (get "splits" >= 1.0)
+  check_matches_in_process ~scale:8 reply;
+  Alcotest.(check int) "admitted as one job" 1 stats.Cs_svc.Proto.admitted;
+  Alcotest.(check int) "completed as one job" 1 stats.Cs_svc.Proto.completed;
+  Alcotest.(check bool) "no splits entry" false
+    (List.mem_assoc "splits" stats.Cs_svc.Proto.extra)
+
+(* One worker and an 8-slot queue, a scale-1 job and then a scale-24
+   one (the old case's scale 100, cut so the whole region schedules in
+   about a second). The big job never reaches an overflow queue or an
+   inline part: its job:run span appears exactly once, its reply is the
+   whole region's schedule, and no server exports an overflow counter. *)
+let test_serve_oversized_job_runs_once () =
+  let module M = Cs_obs.Metrics in
+  let module Obs = Cs_obs.Obs in
+  let socket = tmp_path (Printf.sprintf "cs_svc_ovf_%d.sock" (Unix.getpid ())) in
+  let cfg = Cs_svc.Server.config ~workers:1 ~queue_capacity:8 socket in
+  Obs.reset ();
+  Obs.enable ();
+  Fun.protect ~finally:(fun () -> Obs.disable (); Obs.reset ()) @@ fun () ->
+  with_server cfg (fun _ ->
+      let addr = Cs_svc.Transport.parse_exn socket in
+      let submit1 id scale =
+        match
+          Cs_svc.Client.submit ~timeout_s:300.0 ~addr
+            [ Cs_svc.Proto.request ~id ~machine:"raw4" ~scale "fir" ]
+        with
+        | Ok [ r ] -> check_matches_in_process ~scale r
+        | Ok rs -> Alcotest.failf "expected one reply, got %d" (List.length rs)
+        | Error e -> Alcotest.failf "submit failed: %s" e
+      in
+      submit1 "one" 1;
+      submit1 "big" 24;
+      match Cs_svc.Client.fetch_metrics ~addr () with
+      | Ok (Cs_svc.Proto.Snapshot snap) ->
+        Alcotest.(check bool) "no overflow counter" true
+          (M.find snap "csched_overflow_total" = None)
+      | Ok (Cs_svc.Proto.Prom_text _) -> Alcotest.fail "asked for json"
+      | Error e -> Alcotest.failf "metrics verb failed: %s" e);
+  let runs =
+    List.filter
+      (fun e -> e.Obs.name = "job:run" && List.mem ("id", Obs.Str "big") e.Obs.args)
+      (Obs.events ())
+  in
+  Alcotest.(check int) "the big job ran once" 1 (List.length runs)
 
 let test_serve_quota_refusal_is_typed () =
   let socket = tmp_path (Printf.sprintf "cs_svc_quota_%d.sock" (Unix.getpid ())) in
@@ -1126,59 +1254,6 @@ let test_serve_queue_depth_peak_gauge () =
         | Some (M.Gauge_v v) ->
           Alcotest.(check bool) "peak gauge recorded a backlog" true (v >= 1.0)
         | _ -> Alcotest.fail "csched_queue_depth_peak missing"))
-
-(* One worker, so nothing is stolen and every count is exact: a
-   scale-100 job with split threshold 1 becomes 100 parts. Part 0 runs
-   inline, 32 fill the worker's deque, 64 fill the overflow queue
-   (bound max 64 (4 * 8)), and the last 3 find both full and run
-   inline too. The parts are identical, so the aggregate reply can only
-   catch a lost part (it never comes) or a wrong sum; a duplicated part
-   runs after the reply, so the job:run spans of the drained server
-   count the parts instead. *)
-let test_serve_split_overflow_paths () =
-  let module M = Cs_obs.Metrics in
-  let module Obs = Cs_obs.Obs in
-  let socket = tmp_path (Printf.sprintf "cs_svc_ovf_%d.sock" (Unix.getpid ())) in
-  let cfg =
-    Cs_svc.Server.config ~workers:1 ~queue_capacity:8 ~split_threshold:1 socket
-  in
-  let cycles_of (r : Cs_svc.Proto.reply) =
-    match r.Cs_svc.Proto.verdict with
-    | Cs_svc.Proto.Scheduled s -> s.cycles
-    | Cs_svc.Proto.Refused e -> Alcotest.failf "%s refused: %s" r.reply_id e.message
-  in
-  Obs.reset ();
-  Obs.enable ();
-  Fun.protect ~finally:(fun () -> Obs.disable (); Obs.reset ()) @@ fun () ->
-  with_server cfg (fun server ->
-      let addr = Cs_svc.Transport.parse_exn socket in
-      let submit1 id scale =
-        match
-          Cs_svc.Client.submit ~timeout_s:300.0 ~addr
-            [ Cs_svc.Proto.request ~id ~machine:"raw4" ~scale "fir" ]
-        with
-        | Ok [ r ] -> cycles_of r
-        | Ok rs -> Alcotest.failf "expected one reply, got %d" (List.length rs)
-        | Error e -> Alcotest.failf "submit failed: %s" e
-      in
-      let one = submit1 "one" 1 in
-      let big = submit1 "big" 100 in
-      Alcotest.(check int) "aggregate = 100 x one part" (100 * one) big;
-      let extra = (Cs_svc.Server.server_stats server).Cs_svc.Proto.extra in
-      Alcotest.(check (float 0.0)) "one split" 1.0 (List.assoc "splits" extra);
-      match Cs_svc.Client.fetch_metrics ~addr () with
-      | Ok (Cs_svc.Proto.Snapshot snap) ->
-        (match M.find snap "csched_overflow_total" with
-        | Some (M.Counter_v n) -> Alcotest.(check int) "parts past the deque" 67 n
-        | _ -> Alcotest.fail "csched_overflow_total missing")
-      | Ok (Cs_svc.Proto.Prom_text _) -> Alcotest.fail "asked for json"
-      | Error e -> Alcotest.failf "metrics verb failed: %s" e);
-  let runs =
-    List.filter
-      (fun e -> e.Obs.name = "job:run" && List.mem ("id", Obs.Str "big") e.Obs.args)
-      (Obs.events ())
-  in
-  Alcotest.(check int) "each part ran once" 100 (List.length runs)
 
 (* NaN compares false both ways, so a NaN period would spin and a NaN
    budget or deadline would never fire; config must refuse them. *)
@@ -1305,6 +1380,12 @@ let () =
           Alcotest.test_case "lane priority + batch share" `Quick
             test_fairq_lane_priority_and_batch_share;
           Alcotest.test_case "peak watermark" `Quick test_fairq_peak_watermark;
+          Alcotest.test_case "pull blocks until admit" `Quick
+            test_fairq_pull_blocks_until_admit;
+          Alcotest.test_case "close drains, then pull ends" `Quick
+            test_fairq_close_drains_then_ends;
+          Alcotest.test_case "close wakes a blocked pull" `Quick
+            test_fairq_close_wakes_blocked_pull;
         ] );
       ( "brownout",
         [
@@ -1313,15 +1394,17 @@ let () =
         ] );
       ( "lanes",
         [
-          Alcotest.test_case "splits oversized job" `Slow
-            test_serve_splits_oversized_job;
+          Alcotest.test_case "served reply equals in-process schedule" `Slow
+            test_serve_matches_in_process;
           Alcotest.test_case "typed quota refusal" `Slow
             test_serve_quota_refusal_is_typed;
           Alcotest.test_case "mixed-verdict strict accounting" `Slow
             test_serve_mixed_verdict_strict_accounting;
           Alcotest.test_case "queue depth peak gauge" `Slow
             test_serve_queue_depth_peak_gauge;
+          Alcotest.test_case "splits oversized job" `Slow
+            test_serve_oversized_job_whole;
           Alcotest.test_case "split parts overflow, then run inline" `Slow
-            test_serve_split_overflow_paths;
+            test_serve_oversized_job_runs_once;
         ] );
     ]
