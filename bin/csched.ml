@@ -549,15 +549,9 @@ let profile_cmd =
           match v with Cs_obs.Obs.Float f when k = key -> Some f | _ -> acc)
         None ev.Cs_obs.Obs.args
     in
-    (* apply_round records, per pass, a "pass" span then its "converge"
-       counter; zipping the two filtered streams pairs them in order. *)
-    let pass_spans =
-      List.filter
-        (fun e ->
-          e.Cs_obs.Obs.cat = "pass"
-          && match e.Cs_obs.Obs.ph with Cs_obs.Obs.Complete _ -> true | _ -> false)
-        events
-    in
+    (* The table reads each pass from its trace step; only the matrix's
+       confidence and entropy come from the step's "converge" counter,
+       one per step, in order. *)
     let converge =
       List.filter
         (fun e ->
@@ -574,20 +568,17 @@ let profile_cmd =
         ~header:[ "round"; "pass"; "ms"; "churn"; "churn%"; "confidence"; "entropy" ]
     in
     List.iter2
-      (fun span conv ->
-        let dur =
-          match span.Cs_obs.Obs.ph with Cs_obs.Obs.Complete d -> d | _ -> 0.0
-        in
+      (fun (s : Cs_core.Trace.step) conv ->
         let get key = Option.value ~default:0.0 (float_arg key conv) in
         Cs_util.Table.add_row table
-          [ string_of_int (int_of_float (get "round"));
-            span.Cs_obs.Obs.name;
-            Printf.sprintf "%.3f" (1000.0 *. dur);
-            string_of_int (int_of_float (get "churn"));
-            Printf.sprintf "%.1f" (100.0 *. get "churn_fraction");
+          [ string_of_int s.round;
+            s.pass_name;
+            Printf.sprintf "%.3f" (1000.0 *. s.elapsed_s);
+            string_of_int s.changed;
+            Printf.sprintf "%.1f" (100.0 *. Cs_core.Trace.changed_fraction s);
             Cs_util.Table.cell_float (get "mean_confidence");
             Cs_util.Table.cell_float (get "mean_entropy") ])
-      pass_spans converge;
+      result.Cs_core.Driver.trace converge;
     Cs_util.Table.print table;
     Printf.printf "\n";
     List.iter

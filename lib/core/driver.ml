@@ -1,11 +1,8 @@
-type quarantine = { pass_name : string; round : int; reason : string }
-
 type result = {
   assignment : int array;
   preferred_slot : int array;
   trace : Trace.t;
   weights : Weights.t;
-  quarantined : quarantine list;
   context : Context.t;
   timed_out : bool;
 }
@@ -178,14 +175,14 @@ let uniform ctx =
     ~hi:(Array.make n (nt - 1))
 
 (* Shared engine: applies [passes] once over the matrix, returning it
-   with the trace steps of this round (in order) and any quarantines.
-   Each pass runs inside an undo log: if it raises a classifiable
-   exception or leaves the matrix violating invariants, the rows it
-   changed are restored and the sequence continues — a misbehaving
+   with the trace steps of this round (in order). Each pass runs inside
+   an undo log: if it raises a classifiable exception or leaves the
+   matrix violating invariants, the rows it changed are restored, the
+   step records the reason, and the sequence continues — a misbehaving
    pass degrades quality, never correctness. When the Cs_obs sink is
-   enabled, each pass is wrapped in a timed span (cat "pass") and
-   followed by a convergence-metrics counter (cat "converge");
-   quarantines emit a cat "resil" instant and counter.
+   enabled, every event about a pass is derived from its step: a timed
+   span (cat "pass"), then for a quarantine a cat "resil" instant and
+   counter, then the convergence counter (cat "converge").
 
    [w = None] starts the first round on a fresh matrix. When the
    sequence opens with the stock INITTIME, that matrix is built already
@@ -199,28 +196,14 @@ let uniform ctx =
 let apply_round ?(round = 1) ?observe ?deadline ?pass_budget_s ctx w ~prefs passes =
   let n = Context.n_instrs ctx in
   let steps = ref [] in
-  let quarantined = ref [] in
   let timed_out = ref false in
-  let span pass f =
-    Cs_obs.Obs.span ~cat:"pass" ~args:[ ("round", Cs_obs.Obs.Int round) ] pass.Pass.name f
-  in
   (* Only touched rows can change their argmax (a rolled-back row is
      restored to its pre-pass bits, and keeps the touched flag the pass
      set), so a pass's churn is counted over [w]'s touched rows alone,
-     read from the flags in place, as [prefs] is brought up to date. *)
-  let record w pass outcome =
-    (match outcome with
-    | Some reason ->
-      quarantined := { pass_name = pass.Pass.name; round; reason } :: !quarantined;
-      if Cs_obs.Obs.enabled () then begin
-        Cs_obs.Obs.instant ~cat:"resil" "quarantine"
-          ~args:
-            [ ("pass", Cs_obs.Obs.Str pass.Pass.name);
-              ("round", Cs_obs.Obs.Int round);
-              ("reason", Cs_obs.Obs.Str reason) ];
-        Cs_obs.Obs.counter ~cat:"resil" "quarantine" [ ("quarantined", 1.0) ]
-      end
-    | None -> ());
+     read from the flags in place, as [prefs] is brought up to date.
+     [t0] and [elapsed_s] are the pass's one clock pair, the one its
+     budget was checked against. *)
+  let record w pass ~t0 ~elapsed_s quarantine =
     let changed = ref 0 in
     for i = 0 to Weights.n w - 1 do
       if Weights.is_touched w i then begin
@@ -231,12 +214,25 @@ let apply_round ?(round = 1) ?observe ?deadline ?pass_budget_s ctx w ~prefs pass
         end
       end
     done;
-    steps :=
-      { Trace.pass_name = pass.Pass.name; pass_kind = pass.Pass.kind;
-        changed = !changed; total = n }
-      :: !steps;
-    if Cs_obs.Obs.enabled () then
-      Telemetry.emit ~round ~pass:pass.Pass.name (Telemetry.measure ~churn:!changed w);
+    let step =
+      { Trace.pass_name = pass.Pass.name; pass_kind = pass.Pass.kind; round;
+        changed = !changed; total = n; elapsed_s; quarantine }
+    in
+    steps := step :: !steps;
+    if Cs_obs.Obs.enabled () then begin
+      Cs_obs.Obs.complete ~cat:"pass" ~args:[ ("round", Cs_obs.Obs.Int round) ]
+        step.pass_name ~ts:t0 ~dur:elapsed_s;
+      (match quarantine with
+      | Some reason ->
+        Cs_obs.Obs.instant ~cat:"resil" "quarantine"
+          ~args:
+            [ ("pass", Cs_obs.Obs.Str step.pass_name);
+              ("round", Cs_obs.Obs.Int round);
+              ("reason", Cs_obs.Obs.Str reason) ];
+        Cs_obs.Obs.counter ~cat:"resil" "quarantine" [ ("quarantined", 1.0) ]
+      | None -> ());
+      Telemetry.emit step w
+    end;
     match observe with None -> () | Some f -> f pass.Pass.name w
   in
   let w, passes =
@@ -246,16 +242,16 @@ let apply_round ?(round = 1) ?observe ?deadline ?pass_budget_s ctx w ~prefs pass
       when pass.Pass.apply == Inittime.apply && not (deadline_expired deadline) ->
       let t0 = Cs_obs.Clock.now () in
       let built =
-        span pass (fun () ->
-            let lo, hi = Inittime.windows ctx in
-            Weights.create_windowed ~nc:(Context.n_clusters ctx) ~nt:ctx.Context.nt ~lo ~hi)
+        let lo, hi = Inittime.windows ctx in
+        Weights.create_windowed ~nc:(Context.n_clusters ctx) ~nt:ctx.Context.nt ~lo ~hi
       in
-      let outcome = overrun ?pass_budget_s pass (Cs_obs.Clock.since t0) in
+      let elapsed_s = Cs_obs.Clock.since t0 in
+      let outcome = overrun ?pass_budget_s pass elapsed_s in
       (* An overrun leaves the uniform matrix, with no row touched and
          every preferred cluster still 0: no churn, as over [built]'s
          rows of a uniform matrix. *)
       let w = if outcome = None then built else uniform ctx in
-      record w pass outcome;
+      record w pass ~t0 ~elapsed_s outcome;
       (w, rest)
     | None, _ -> (uniform ctx, passes)
   in
@@ -273,32 +269,31 @@ let apply_round ?(round = 1) ?observe ?deadline ?pass_budget_s ctx w ~prefs pass
       Weights.begin_pass w;
       let t0 = Cs_obs.Clock.now () in
       let outcome =
-        span pass (fun () ->
-            match
-              Cs_resil.Error.protect (fun () ->
-                  pass.Pass.apply ctx w;
-                  weights_violation ctx w)
-            with
-            | Error e -> Some (Cs_resil.Error.to_string e)
-            | Ok violation -> violation)
+        match
+          Cs_resil.Error.protect (fun () ->
+              pass.Pass.apply ctx w;
+              weights_violation ctx w)
+        with
+        | Error e -> Some (Cs_resil.Error.to_string e)
+        | Ok violation -> violation
       in
+      let elapsed_s = Cs_obs.Clock.since t0 in
       let outcome =
         match outcome with
         | Some _ -> outcome
-        | None -> overrun ?pass_budget_s pass (Cs_obs.Clock.since t0)
+        | None -> overrun ?pass_budget_s pass elapsed_s
       in
       (match outcome with Some _ -> Weights.rollback w | None -> Weights.commit w);
-      record w pass outcome;
+      record w pass ~t0 ~elapsed_s outcome;
       loop rest
   in
   loop passes;
-  (w, List.rev !steps, List.rev !quarantined, !timed_out)
+  (w, List.rev !steps, !timed_out)
 
-let finalize ?(timed_out = false) ctx w trace quarantined =
+let finalize ?(timed_out = false) ctx w trace =
   let assignment = assignment_of_weights ctx w in
   let preferred_slot = Array.init (Weights.n w) (fun i -> Weights.preferred_time w i) in
-  { assignment; preferred_slot; trace; weights = w; quarantined; context = ctx;
-    timed_out }
+  { assignment; preferred_slot; trace; weights = w; context = ctx; timed_out }
 
 let run_iterative ?seed ?nt_cap ?observe ?deadline ?pass_budget_s ?(max_rounds = 5)
     ?(epsilon = 0.02) ~machine region passes =
@@ -308,7 +303,6 @@ let run_iterative ?seed ?nt_cap ?observe ?deadline ?pass_budget_s ?(max_rounds =
   (* Accumulate rounds newest-first and reverse once at the end: the old
      [!trace @ round_steps] rescanned the whole prefix every round. *)
   let rev_trace = ref [] in
-  let rev_quarantined = ref [] in
   let rounds = ref 0 in
   let timed_out = ref false in
   let continue_iterating = ref true in
@@ -317,7 +311,7 @@ let run_iterative ?seed ?nt_cap ?observe ?deadline ?pass_budget_s ?(max_rounds =
   while !continue_iterating && !rounds < max_rounds do
     incr rounds;
     let before = Array.copy prefs in
-    let round_w, steps, quarantines, round_timed_out =
+    let round_w, steps, round_timed_out =
       Cs_obs.Obs.span ~cat:"round"
         ~args:[ ("round", Cs_obs.Obs.Int !rounds) ]
         "round"
@@ -326,7 +320,6 @@ let run_iterative ?seed ?nt_cap ?observe ?deadline ?pass_budget_s ?(max_rounds =
     in
     w := Some round_w;
     rev_trace := List.rev_append steps !rev_trace;
-    rev_quarantined := List.rev_append quarantines !rev_quarantined;
     let changed = ref 0 in
     Array.iteri (fun i c -> if c <> before.(i) then incr changed) prefs;
     let fraction = if n = 0 then 0.0 else float_of_int !changed /. float_of_int n in
@@ -346,14 +339,12 @@ let run_iterative ?seed ?nt_cap ?observe ?deadline ?pass_budget_s ?(max_rounds =
     | Some w -> w
     | None -> uniform ctx
   in
-  ( finalize ~timed_out:!timed_out ctx w (List.rev !rev_trace)
-      (List.rev !rev_quarantined),
-    !rounds )
+  (finalize ~timed_out:!timed_out ctx w (List.rev !rev_trace), !rounds)
 
 let run ?seed ?nt_cap ?observe ?deadline ?pass_budget_s ~machine region passes =
   let ctx = Context.make ?seed ?nt_cap ~machine region in
-  let w, trace, quarantined, timed_out =
+  let w, trace, timed_out =
     apply_round ?observe ?deadline ?pass_budget_s ctx None
       ~prefs:(Array.make (Context.n_instrs ctx) 0) passes
   in
-  finalize ~timed_out ctx w trace quarantined
+  finalize ~timed_out ctx w trace

@@ -7,24 +7,14 @@
     every instruction, and a temporal preference used as the priority of
     an independent list scheduler. *)
 
-type quarantine = {
-  pass_name : string;
-  round : int;  (** 1-based *)
-  reason : string;
-}
-(** One pass application that was rolled back: it raised a classifiable
-    exception or left the matrix violating invariants (non-finite or
-    negative weights, rows not summing to 1, a preplaced row stripped of
-    its home-cluster mass). *)
-
 type result = {
   assignment : int array; (** instruction -> cluster *)
   preferred_slot : int array; (** instruction -> preferred time slot *)
   trace : Trace.t;
+      (** one step per pass application, in execution order; the
+          rolled-back ones carry [quarantine = Some reason] (a
+          misbehaving pass degrades quality, never correctness) *)
   weights : Weights.t; (** final matrix, for inspection *)
-  quarantined : quarantine list;
-      (** rolled-back pass applications, in execution order; a
-          misbehaving pass degrades quality, never correctness *)
   context : Context.t;
   timed_out : bool;
       (** the [deadline] expired before the sequence completed; the
@@ -44,8 +34,8 @@ val run :
     Every pass runs inside a quarantine gate: the matrix records an
     undo log of the rows the pass changes ({!Weights.begin_pass}), is
     checked after the pass (and its renormalization), and is rolled
-    back on violation; the violation is recorded in [quarantined] and,
-    when the {!Cs_obs.Obs} sink is enabled, emitted as a
+    back on violation; the violation is the step's [quarantine] and,
+    when the {!Cs_obs.Obs} sink is enabled, is emitted as a
     [cat = "resil"] instant + counter. The rest of the sequence
     continues on the restored matrix.
 
@@ -53,7 +43,7 @@ val run :
     builds its matrix already masked with {!Weights.create_windowed}
     rather than filling it uniformly and masking it: the matrix, the
     trace step, the telemetry and the [observe] call are the same, and
-    the step keeps its span, deadline check and budget (an overrun
+    the step keeps its timing, deadline check and budget (an overrun
     leaves the uniform matrix).
 
     Time robustness (the driver as an anytime algorithm — W is a valid
@@ -84,11 +74,13 @@ val run_iterative :
     once per pass per round, as in {!run}. Returns the result and the
     number of rounds executed; the trace concatenates all rounds.
 
-    When the {!Cs_obs.Obs} sink is enabled, both entry points also
-    record per-pass timed spans ([cat = "pass"], with the 1-based round
-    in [args]) and per-pass convergence counters (see {!Telemetry});
-    [run_iterative] additionally wraps each round in a [cat = "round"]
-    span and emits a round-level churn counter. *)
+    When the {!Cs_obs.Obs} sink is enabled, both entry points derive
+    per-pass events from each {!Trace.step}, in this order: a
+    [cat = "pass"] span of its [elapsed_s] with the 1-based round in
+    [args], the quarantine events if it was rolled back, and its
+    convergence counter ({!Telemetry.emit}). [run_iterative]
+    additionally wraps each round in a [cat = "round"] span and emits a
+    round-level churn counter. *)
 
 val assignment_of_weights : ?cap_factor:float -> Context.t -> Weights.t -> int array
 (** Extracts the assignment from the final matrix: preplaced

@@ -23,8 +23,15 @@ let of_name name = Option.map (fun d -> Pass.build d []) (find name)
 
 (* [%.12g] keeps every parameter we produce (defaults, halvings,
    doublings, small perturbations) exact through a round trip while
-   printing integers as integers. *)
-let float_to_string v = Printf.sprintf "%.12g" v
+   printing integers as integers. A value with more significant digits,
+   such as one typed on a command line, takes the fewest digits beyond
+   12 that read back as the same float (at most 17). *)
+let float_to_string v =
+  let rec digits p =
+    let s = Printf.sprintf "%.*g" p v in
+    if p >= 17 || float_of_string s = v then s else digits (p + 1)
+  in
+  digits 12
 
 let to_spec ?(full = false) (pass : Pass.t) =
   let defaults = match find pass.name with Some d -> Pass.defaults d | None -> [] in

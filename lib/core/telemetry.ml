@@ -1,15 +1,5 @@
 let confidence_cap = 1000.0
 
-type metrics = {
-  churn : int;
-  total : int;
-  mean_confidence : float;
-  mean_entropy : float;
-}
-
-let churn_fraction m =
-  if m.total = 0 then 0.0 else float_of_int m.churn /. float_of_int m.total
-
 (* [Weights.confidence] is always finite (no-competition rows report
    [Weights.confidence_sentinel] = 1e9, not [infinity]); the cap below
    still bounds them to 1000 so one unanimous row cannot drown the
@@ -48,16 +38,11 @@ let mean_row_entropy w =
     !sum /. float_of_int n
   end
 
-let measure ~churn w =
-  { churn; total = Weights.n w;
-    mean_confidence = mean_confidence w;
-    mean_entropy = mean_row_entropy w }
-
-let emit ?(round = 1) ~pass m =
+let emit (s : Trace.step) w =
   if Cs_obs.Obs.enabled () then
-    Cs_obs.Obs.counter ~cat:"converge" ("converge:" ^ pass)
-      [ ("round", float_of_int round);
-        ("churn", float_of_int m.churn);
-        ("churn_fraction", churn_fraction m);
-        ("mean_confidence", m.mean_confidence);
-        ("mean_entropy", m.mean_entropy) ]
+    Cs_obs.Obs.counter ~cat:"converge" ("converge:" ^ s.pass_name)
+      [ ("round", float_of_int s.round);
+        ("churn", float_of_int s.changed);
+        ("churn_fraction", Trace.changed_fraction s);
+        ("mean_confidence", mean_confidence w);
+        ("mean_entropy", mean_row_entropy w) ]

@@ -1,8 +1,11 @@
 type step = {
   pass_name : string;
   pass_kind : Pass.kind;
+  round : int;
   changed : int;
   total : int;
+  elapsed_s : float;
+  quarantine : string option;
 }
 
 type t = step list

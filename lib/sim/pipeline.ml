@@ -138,9 +138,9 @@ let schedule_resilient ?seed ?passes ?deadline ?pass_budget_s ?(scheduler = Conv
              (Printf.sprintf "%s: %s" label (String.concat "; " problems))))
   in
   let quarantines_of result =
-    List.map
-      (fun (q : Cs_core.Driver.quarantine) -> (q.pass_name, q.reason))
-      result.Cs_core.Driver.quarantined
+    List.filter_map
+      (fun (s : Cs_core.Trace.step) -> Option.map (fun r -> (s.pass_name, r)) s.quarantine)
+      result.Cs_core.Driver.trace
   in
   let rungs =
     [ ( Cs_resil.Outcome.Requested,

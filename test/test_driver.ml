@@ -102,8 +102,14 @@ let test_empty_pass_list () =
 
 (* --- Pass quarantine --- *)
 
-let quarantine_names result =
-  List.map (fun (q : Driver.quarantine) -> q.Driver.pass_name) result.Driver.quarantined
+(* The rolled-back steps of a run: which pass, in which round, and why. *)
+let quarantined result =
+  List.filter_map
+    (fun (s : Trace.step) ->
+      Option.map (fun reason -> (s.Trace.pass_name, s.Trace.round, reason)) s.Trace.quarantine)
+    result.Driver.trace
+
+let quarantine_names result = List.map (fun (name, _, _) -> name) (quarantined result)
 
 let test_quarantine_raising_pass () =
   (* CHAOS mode 4 raises Failure mid-sequence: the driver must roll the
@@ -123,16 +129,16 @@ let test_quarantine_invariant_violation () =
      normally but the post-pass gate must catch and roll it back. *)
   let passes = Sequence.vliw_default () @ [ Chaos.pass ~mode:3 () ] in
   let result = Driver.run ~machine:vliw4 jacobi4 passes in
-  (match result.Driver.quarantined with
-  | [ q ] ->
-    Alcotest.(check string) "pass name" "CHAOS" q.Driver.pass_name;
+  (match quarantined result with
+  | [ (name, _, reason) ] ->
+    Alcotest.(check string) "pass name" "CHAOS" name;
     let contains hay needle =
       let nh = String.length hay and nn = String.length needle in
       let rec at i = i + nn <= nh && (String.sub hay i nn = needle || at (i + 1)) in
       at 0
     in
     check_bool "reason names the broken invariant" true
-      (contains q.Driver.reason "preplaced")
+      (contains reason "preplaced")
   | qs -> Alcotest.failf "expected one quarantine, got %d" (List.length qs));
   (* The hard constraint survived the attack. *)
   List.iter
@@ -145,7 +151,7 @@ let test_quarantine_soft_corruption_recovers () =
      renormalization absorbs is degradation, not misbehavior. *)
   let passes = [ Chaos.pass ~mode:2 () ] in
   let result = Driver.run ~machine:vliw4 jacobi4 passes in
-  check_int "no quarantine" 0 (List.length result.Driver.quarantined);
+  check_int "no quarantine" 0 (List.length (quarantined result));
   check_bool "matrix valid" true
     (Weights.Inspect.check_invariants result.Driver.weights = Ok ())
 
@@ -154,10 +160,10 @@ let test_quarantine_per_round () =
   let result, rounds =
     Driver.run_iterative ~max_rounds:3 ~epsilon:0.0 ~machine:vliw4 jacobi4 passes
   in
-  check_int "one quarantine per round" rounds (List.length result.Driver.quarantined);
+  check_int "one quarantine per round" rounds (List.length (quarantined result));
   List.iteri
-    (fun k (q : Driver.quarantine) -> check_int "round recorded" (k + 1) q.Driver.round)
-    result.Driver.quarantined
+    (fun k (_, round, _) -> check_int "round recorded" (k + 1) round)
+    (quarantined result)
 
 let test_rollback_restores_exact_bits () =
   (* The dirty-row rollback must leave the matrix *bit*-identical to a
@@ -173,7 +179,7 @@ let test_rollback_restores_exact_bits () =
           (Sequence.vliw_default () @ [ Chaos.pass ~mode () ])
       in
       check_int (Printf.sprintf "mode %d quarantined" mode) 1
-        (List.length result.Driver.quarantined);
+        (List.length (quarantined result));
       let wr = result.Driver.weights in
       for i = 0 to Weights.n wc - 1 do
         for c = 0 to Weights.nc wc - 1 do
@@ -210,8 +216,8 @@ let test_no_quarantines_on_default_sequences () =
   let r1 = Driver.run ~machine:vliw4 jacobi4 (Sequence.vliw_default ()) in
   let r2 = Driver.run ~machine:raw16 (Cs_workloads.Life.generate ~clusters:16 ())
       (Sequence.raw_default ()) in
-  check_int "vliw clean" 0 (List.length r1.Driver.quarantined);
-  check_int "raw clean" 0 (List.length r2.Driver.quarantined)
+  check_int "vliw clean" 0 (List.length (quarantined r1));
+  check_int "raw clean" 0 (List.length (quarantined r2))
 
 (* A quarantined pass in the *middle* of the raw sequence: its trace
    step must report no churn (the rolled-back rows are back to their
@@ -263,7 +269,13 @@ let test_quarantine_mid_sequence_churn () =
       Alcotest.(check (list int)) (label ^ " telemetry churn = trace churn")
         (List.map snd got) churns;
       Alcotest.(check (array int)) (label ^ " assignment as clean") clean.Driver.assignment
-        result.Driver.assignment)
+        result.Driver.assignment;
+      match Cs_sim.Pipeline.schedule_resilient ~seed:5 ~passes ~machine:raw16 region with
+      | Error e -> Alcotest.failf "%s: %s" label (Cs_resil.Error.to_string e)
+      | Ok (_, o) ->
+        Alcotest.(check (list (pair string string))) (label ^ " outcome = quarantined steps")
+          (List.map (fun (name, _, reason) -> (name, reason)) (quarantined result))
+          o.Cs_resil.Outcome.quarantined)
     [ 3; 4 ]
 
 (* --- Fused INITTIME and the undo log --- *)
@@ -342,9 +354,57 @@ let general_inittime passes =
       else p)
     passes
 
+(* Every event a run emits about a pass is derived from its trace step:
+   the k-th "pass" span and the k-th per-pass "converge" counter carry
+   the k-th step's name, round, time and churn, and the "resil"
+   quarantine instants are exactly the rolled-back steps. *)
+let check_views_of_trace result events =
+  let of_cat cat = List.filter (fun (e : Cs_obs.Obs.event) -> e.Cs_obs.Obs.cat = cat) events in
+  let spans = of_cat "pass" in
+  let counters =
+    List.filter (fun (e : Cs_obs.Obs.event) -> e.Cs_obs.Obs.name <> "converge:round")
+      (of_cat "converge")
+  in
+  let steps = result.Driver.trace in
+  check_int "one pass span per step" (List.length steps) (List.length spans);
+  check_int "one converge counter per step" (List.length steps) (List.length counters);
+  let arg e key = List.assoc_opt key e.Cs_obs.Obs.args in
+  List.iteri
+    (fun k ((s : Trace.step), (span, counter)) ->
+      let label = Printf.sprintf "step %d (%s)" k s.Trace.pass_name in
+      Alcotest.(check string) (label ^ " span name") s.Trace.pass_name span.Cs_obs.Obs.name;
+      check_bool (label ^ " span round") true
+        (arg span "round" = Some (Cs_obs.Obs.Int s.Trace.round));
+      check_bool (label ^ " span dur = elapsed_s") true
+        (span.Cs_obs.Obs.ph = Cs_obs.Obs.Complete s.Trace.elapsed_s);
+      Alcotest.(check string) (label ^ " counter name") ("converge:" ^ s.Trace.pass_name)
+        counter.Cs_obs.Obs.name;
+      List.iter
+        (fun (key, v) ->
+          check_bool (label ^ " counter " ^ key) true
+            (arg counter key = Some (Cs_obs.Obs.Float v)))
+        [ ("round", float_of_int s.Trace.round);
+          ("churn", float_of_int s.Trace.changed);
+          ("churn_fraction", Trace.changed_fraction s) ])
+    (List.combine steps (List.combine spans counters));
+  let instants =
+    List.filter_map
+      (fun (e : Cs_obs.Obs.event) ->
+        match (e.Cs_obs.Obs.ph, arg e "pass", arg e "round", arg e "reason") with
+        | Cs_obs.Obs.Instant, Some (Cs_obs.Obs.Str p), Some (Cs_obs.Obs.Int r),
+          Some (Cs_obs.Obs.Str why)
+          when e.Cs_obs.Obs.name = "quarantine" ->
+          Some (p, r, why)
+        | _ -> None)
+      (of_cat "resil")
+  in
+  Alcotest.(check (list (triple string int string)))
+    "quarantine instants = quarantined steps" (quarantined result) instants
+
 (* Everything a run reports: the trace, the quarantines (reasons name
    measured times, so only who and when), the convergence telemetry,
-   what [observe] saw, the extraction and the final matrix. *)
+   what [observe] saw, the extraction and the final matrix. The events
+   are checked against the trace on the way. *)
 let observed_run run =
   let seen = ref [] in
   let observe name w =
@@ -353,14 +413,16 @@ let observed_run run =
   Cs_obs.Obs.reset ();
   Cs_obs.Obs.enable ();
   let result = Fun.protect ~finally:Cs_obs.Obs.disable (fun () -> run ~observe) in
+  let events = Cs_obs.Obs.events () in
+  Cs_obs.Obs.reset ();
+  check_views_of_trace result events;
   let telemetry =
     List.filter_map
       (fun (e : Cs_obs.Obs.event) ->
         if e.Cs_obs.Obs.cat = "converge" then Some (e.Cs_obs.Obs.name, e.Cs_obs.Obs.args)
         else None)
-      (Cs_obs.Obs.events ())
+      events
   in
-  Cs_obs.Obs.reset ();
   (result, telemetry, List.rev !seen)
 
 let check_same_run label (a, ta, sa) (b, tb, sb) =
@@ -369,10 +431,7 @@ let check_same_run label (a, ta, sa) (b, tb, sb) =
       (fun (s : Trace.step) -> (s.Trace.pass_name, s.Trace.changed))
       r.Driver.trace
   in
-  let quarantines r =
-    List.map (fun (q : Driver.quarantine) -> (q.Driver.pass_name, q.Driver.round))
-      r.Driver.quarantined
-  in
+  let quarantines r = List.map (fun (name, round, _) -> (name, round)) (quarantined r) in
   Alcotest.(check (list (pair string int))) (label ^ " trace") (steps b) (steps a);
   Alcotest.(check (list (pair string int))) (label ^ " quarantines") (quarantines b)
     (quarantines a);
@@ -387,7 +446,8 @@ let check_same_run label (a, ta, sa) (b, tb, sb) =
 (* The fused INITTIME against the general path on every Table 1 region
    and on random DAGs: plainly, with every pass overrunning its budget
    (INITTIME rolls back to the uniform matrix), with the deadline
-   already expired (INITTIME is skipped), and over two rounds. *)
+   already expired (INITTIME is skipped), and over two rounds, plainly
+   and overrunning. *)
 let test_fused_inittime_equals_general () =
   List.iter
     (fun (label, machine, region) ->
@@ -406,7 +466,11 @@ let test_fused_inittime_equals_general () =
       both "iterative" (fun passes ~observe ->
           fst
             (Driver.run_iterative ~seed:7 ~observe ~max_rounds:2 ~epsilon:0.0 ~machine region
-               passes)))
+               passes));
+      both "iterative overrun" (fun passes ~observe ->
+          fst
+            (Driver.run_iterative ~seed:7 ~observe ~pass_budget_s:(-1.0) ~max_rounds:2
+               ~epsilon:0.0 ~machine region passes)))
     (table1 @ random_dags)
 
 (* Sabotage passes for the rollback property. None draws from the
@@ -471,8 +535,7 @@ let check_rollback_is_absence ?pass_budget_s ~clean label machine region sabotag
   let label = Printf.sprintf "%s %s at %d" label sabotage.Pass.name at in
   Alcotest.(check (list (pair string int))) (label ^ " quarantined")
     [ (sabotage.Pass.name, 1) ]
-    (List.map (fun (q : Driver.quarantine) -> (q.Driver.pass_name, q.Driver.round))
-       r.Driver.quarantined);
+    (List.map (fun (name, round, _) -> (name, round)) (quarantined r));
   let drop l = List.filteri (fun k _ -> k <> at) l in
   let steps =
     List.map (fun (s : Trace.step) -> (s.Trace.pass_name, s.Trace.changed)) r.Driver.trace
@@ -480,7 +543,7 @@ let check_rollback_is_absence ?pass_budget_s ~clean label machine region sabotag
   Alcotest.(check (pair string int)) (label ^ " no churn") (sabotage.Pass.name, 0)
     (List.nth steps at);
   check_same_run label
-    ({ r with Driver.trace = drop r.Driver.trace; quarantined = [] }, drop tr, drop sr)
+    ({ r with Driver.trace = drop r.Driver.trace }, drop tr, drop sr)
     (c, tc, sc)
 
 let test_rollback_is_absence () =
@@ -559,6 +622,18 @@ let test_sequence_of_names_roundtrip () =
     Alcotest.(check (list string)) "parsed" [ "INITTIME"; "PLACE"; "COMM" ]
       (Sequence.names passes)
   | Error e -> Alcotest.fail e
+
+(* Found by the byte fuzz in test_props: a thirteenth significant digit
+   used to be dropped by [names], so the token read back as 1. *)
+let test_sequence_long_value_roundtrip () =
+  let spec = "PATHPROP=blend_keep=0.9999999999999" in
+  match Sequence.of_spec spec with
+  | Error e -> Alcotest.fail e
+  | Ok p ->
+    Alcotest.(check (list string)) "printed as typed" [ spec ] (Sequence.names [ p ]);
+    (match Sequence.of_names (Sequence.names [ p ]) with
+    | Ok [ q ] -> check_bool "same parameters" true (q.Pass.params = p.Pass.params)
+    | _ -> Alcotest.fail "reparse")
 
 let test_sequence_of_names_unknown () =
   check_bool "unknown rejected" true
@@ -642,9 +717,9 @@ let test_in_domain_never_quarantines () =
             in
             List.iter
               (fun (label, machine, region) ->
-                match (Driver.run ~machine region passes).Driver.quarantined with
+                match quarantined (Driver.run ~machine region passes) with
                 | [] -> ()
-                | q :: _ -> Alcotest.failf "%s on %s: %s" spec label q.Driver.reason)
+                | (_, _, reason) :: _ -> Alcotest.failf "%s on %s: %s" spec label reason)
               (table1 @ random_dags))
           inside)
     (every_probe ())
@@ -790,6 +865,7 @@ let () =
           Alcotest.test_case "raw names" `Quick test_sequence_raw_default_names;
           Alcotest.test_case "vliw names" `Quick test_sequence_vliw_default_names;
           Alcotest.test_case "of_names roundtrip" `Quick test_sequence_of_names_roundtrip;
+          Alcotest.test_case "long value round-trips" `Quick test_sequence_long_value_roundtrip;
           Alcotest.test_case "of_names unknown" `Quick test_sequence_of_names_unknown;
           Alcotest.test_case "available consistent" `Quick test_sequence_available_covers_registry;
         ] );

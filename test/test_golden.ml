@@ -72,12 +72,11 @@ let convergent ?seed ~machine ~passes region =
     if Array.length !prev > 0 then
       Array.iteri (fun i c -> if c <> !prev.(i) then incr churn) after;
     if Array.length !prev > 0 then churns := !churn :: !churns;
-    let m = Telemetry.measure ~churn:!churn w in
     prev := after;
     samples :=
-      Printf.sprintf "%s,%d,%016Lx,%016Lx" name m.Telemetry.churn
-        (Int64.bits_of_float m.Telemetry.mean_confidence)
-        (Int64.bits_of_float m.Telemetry.mean_entropy)
+      Printf.sprintf "%s,%d,%016Lx,%016Lx" name !churn
+        (Int64.bits_of_float (Telemetry.mean_confidence w))
+        (Int64.bits_of_float (Telemetry.mean_row_entropy w))
       :: !samples
   in
   let r = Driver.run ?seed ~observe ~machine region passes in

@@ -265,6 +265,93 @@ let prop_pressure_nonnegative =
       && Cs_regalloc.Pressure.max_peak sched
          <= List.length (Cs_regalloc.Pressure.intervals sched))
 
+(* --- Byte fuzz of the textual readers -------------------------------- *)
+
+(* A valid pass token: a registered pass with some parameters moved off
+   their defaults to values drawn from their tuning ranges, printed by
+   [Sequence.names]. *)
+let pass_token_gen =
+  QCheck.Gen.(
+    oneofl Cs_core.Sequence.registry >>= fun (d : Cs_core.Pass.decl) ->
+    flatten_l
+      (List.map
+         (fun (p : Cs_core.Pass.param) ->
+           let lo, hi = p.tune in
+           let value =
+             match p.typ with
+             | Cs_core.Pass.Bool -> return (1.0 -. p.default)
+             | Cs_core.Pass.Int -> map float_of_int (int_range (int_of_float lo) (int_of_float hi))
+             | Cs_core.Pass.Float -> float_range lo hi
+           in
+           map2 (fun moved v -> if moved && v <> p.default then Some (p.key, v) else None)
+             bool value)
+         d.params)
+    >|= fun kvs ->
+    match Cs_core.Pass.instantiate d (List.filter_map Fun.id kvs) with
+    | Ok pass -> List.hd (Cs_core.Sequence.names [ pass ])
+    | Error e -> failwith e)
+
+(* A valid fault plan for a mesh, a wide VLIW or a small mixed machine. *)
+let fault_token_gen =
+  QCheck.Gen.(
+    map2
+      (fun seed shape ->
+        Cs_resil.Fault.to_string (Cs_resil.Fault.random (Cs_util.Rng.create seed) ~shape))
+      (int_bound 1_000_000)
+      (oneofl
+         [ { Cs_resil.Fault.n_clusters = 16; issue_width = 1; mesh = Some (4, 4) };
+           { n_clusters = 4; issue_width = 4; mesh = None };
+           { n_clusters = 4; issue_width = 2; mesh = Some (2, 2) } ]))
+
+(* One to four byte edits of a valid token: insert, delete, flip a bit,
+   truncate. Half the inserted bytes come from the grammars' own
+   alphabet. *)
+let mutate s (op, at, c, bit) =
+  let n = String.length s in
+  match op with
+  | 0 ->
+    let at = at mod (n + 1) in
+    String.sub s 0 at ^ String.make 1 c ^ String.sub s at (n - at)
+  | 1 when n > 0 ->
+    let at = at mod n in
+    String.sub s 0 at ^ String.sub s (at + 1) (n - at - 1)
+  | 2 when n > 0 ->
+    let at = at mod n in
+    String.mapi (fun i ch -> if i = at then Char.chr (Char.code ch lxor (1 lsl bit)) else ch) s
+  | _ -> String.sub s 0 (at mod (n + 1))
+
+let fuzzed token_gen =
+  let byte =
+    QCheck.Gen.(frequency [ (1, char); (1, oneofl (List.of_seq (String.to_seq "=:,-x.e0123456789 +_"))) ])
+  in
+  let edit = QCheck.Gen.(quad (int_bound 3) (int_bound 1_000) byte (int_bound 7)) in
+  QCheck.make ~print:(Printf.sprintf "%S") ~shrink:QCheck.Shrink.string
+    QCheck.Gen.(
+      map2 (List.fold_left mutate) token_gen (list_size (int_range 1 4) edit))
+
+let same_params (p : Cs_core.Pass.t) (q : Cs_core.Pass.t) =
+  p.name = q.name
+  && List.equal
+       (fun (k, v) (k', v') -> k = k' && Int64.bits_of_float v = Int64.bits_of_float v')
+       p.params q.params
+
+let prop_pass_spec_bytes =
+  QCheck.Test.make ~count:20000 ~name:"pass spec bytes: Ok round-trips through names"
+    (fuzzed pass_token_gen) (fun s ->
+      match Cs_core.Sequence.of_spec s with
+      | Error _ -> true
+      | Ok p -> (
+        match Cs_core.Sequence.of_names (Cs_core.Sequence.names [ p ]) with
+        | Ok [ q ] -> same_params p q
+        | _ -> false))
+
+let prop_fault_plan_bytes =
+  QCheck.Test.make ~count:20000 ~name:"fault plan bytes: Ok round-trips through to_string"
+    (fuzzed fault_token_gen) (fun s ->
+      match Cs_resil.Fault.parse s with
+      | Error _ -> true
+      | Ok plan -> Cs_resil.Fault.parse (Cs_resil.Fault.to_string plan) = Ok plan)
+
 let () =
   Alcotest.run "properties"
     [
@@ -283,4 +370,5 @@ let () =
       ( "baselines",
         List.map to_alcotest
           [ prop_estimator_positive; prop_pcc_components_partition; prop_pressure_nonnegative ] );
+      ("readers", List.map to_alcotest [ prop_pass_spec_bytes; prop_fault_plan_bytes ]);
     ]

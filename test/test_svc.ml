@@ -66,10 +66,10 @@ let test_pass_timeout_quarantined () =
   in
   let timeouts =
     List.filter
-      (fun q ->
-        q.Cs_core.Driver.pass_name = "CHAOS"
-        && contains q.Cs_core.Driver.reason "pass-timeout")
-      result.Cs_core.Driver.quarantined
+      (fun (s : Cs_core.Trace.step) ->
+        s.pass_name = "CHAOS"
+        && match s.quarantine with Some r -> contains r "pass-timeout" | None -> false)
+      result.Cs_core.Driver.trace
   in
   Alcotest.(check int) "slow pass quarantined once" 1 (List.length timeouts);
   Alcotest.(check bool) "a budget overrun is not an anytime exit" false
