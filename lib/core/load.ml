@@ -1,10 +1,10 @@
 let apply (_ : Context.t) w =
   let nc = Weights.nc w in
   let load = Array.make nc 0.0 in
+  (* Each row's marginals added in ascending cluster order, unboxed: a
+     weight of 1.0 adds the marginal itself. *)
   for i = 0 to Weights.n w - 1 do
-    for c = 0 to nc - 1 do
-      load.(c) <- load.(c) +. Weights.cluster_weight w i c
-    done
+    Weights.add_cluster_marginals w i ~weight:1.0 ~into:load ~at:0
   done;
   let factors = Array.make nc 1.0 in
   for c = 0 to nc - 1 do

@@ -457,64 +457,110 @@ let scale t i c tt f = set t i c tt (get t i c tt *. f)
    its per-element spelling through [get]/[set]/[scale], unboxed and
    unchecked. The write-and-update-caches body is repeated in each
    rather than shared: without flambda a helper call may box the
-   floats in these hottest loops. A row is saved to the undo log at
-   its first changed entry: no earlier entry was stored, so the row is
-   still as the pass found it. *)
+   floats in these hottest loops.
+
+   No sweep holds a call. Under ocamlopt one call anywhere in a loop
+   body, even one that never runs, spills the loop's floats to the
+   stack on every iteration, so:
+   - the undo-log save is decided before the sweep, by a call-free
+     scan for the first entry the sweep would change; the row is saved
+     then, still as the pass found it, which is the state a save at
+     that entry would log. A sweep that changes nothing before it
+     meets a bad value, or at all, saves nothing;
+   - a bad value sets a flag and ends the sweep, and the kernel raises
+     after storing what it accumulated, so the entries, the caches, the
+     touched flag and the withdrawn total are those a raise at that
+     entry left;
+   - a lane's cluster sum and the row total are accumulated in locals,
+     with the same adds in the same order as the per-entry updates,
+     and stored at the end of the lane and of the row. *)
+
+(* The first entry of [k0], [k0 + step], ... up to [k1] that scaling by
+   [f] would reject or change: 1 for a change, -1 for a rejection, 0
+   if there is neither. *)
+let[@inline] scan_scaled (ba : ba1) k0 k1 step f =
+  let k = ref k0 and r = ref 0 in
+  while !r = 0 && !k <= k1 do
+    let old = Bigarray.Array1.unsafe_get ba !k in
+    let v = old *. f in
+    if bad_value v then r := -1 else if v -. old <> 0.0 then r := 1;
+    k := !k + step
+  done;
+  !r
+
+(* A non-finite factor takes the whole lane: [inf * 0] is NaN. *)
+let[@inline] lane_lo f lo = if Float.is_finite f then lo else 0
+let[@inline] lane_hi f hi nt = if Float.is_finite f then hi else nt - 1
 
 let scale_cluster t i c f =
   if i < 0 || i >= t.n || c < 0 || c >= t.nc then invalid_arg "Weights: index out of range";
   let ba = t.w in
-  let nt = t.nt in
-  let base = ((i * t.nc) + c) * nt in
   let ci = (i * t.nc) + c in
-  let cs = t.cluster_sum and rt = t.row_total in
-  let finite = Float.is_finite f in
-  let pending = ref (unsaved t i) in
+  let base = ci * t.nt in
+  let first = base + lane_lo f (Array.unsafe_get t.lo i)
+  and last = base + lane_hi f (Array.unsafe_get t.hi i) t.nt in
   forget_total t i;
-  for tt = (if finite then Array.unsafe_get t.lo i else 0)
-      to if finite then Array.unsafe_get t.hi i else nt - 1 do
-    let k = base + tt in
-    let old = Bigarray.Array1.unsafe_get ba k in
+  if unsaved t i && scan_scaled ba first last 1 f > 0 then save_row t i;
+  let s = ref (Array.unsafe_get t.cluster_sum ci) and row = ref (Array.unsafe_get t.row_total i) in
+  let changed = ref false and bad = ref false in
+  let k = ref first in
+  while !k <= last do
+    let old = Bigarray.Array1.unsafe_get ba !k in
     let v = old *. f in
-    if bad_value v then reject_value ();
-    let delta = v -. old in
-    if delta <> 0.0 then begin
-      if !pending then begin
-        save_row t i;
-        pending := false
-      end;
-      Bigarray.Array1.unsafe_set ba k v;
-      Array.unsafe_set cs ci (Array.unsafe_get cs ci +. delta);
-      Array.unsafe_set rt i (Array.unsafe_get rt i +. delta);
-      mark_touched t i
+    if bad_value v then begin
+      bad := true;
+      k := last
     end
-  done
+    else begin
+      let delta = v -. old in
+      if delta <> 0.0 then begin
+        Bigarray.Array1.unsafe_set ba !k v;
+        s := !s +. delta;
+        row := !row +. delta;
+        changed := true
+      end
+    end;
+    incr k
+  done;
+  Array.unsafe_set t.cluster_sum ci !s;
+  Array.unsafe_set t.row_total i !row;
+  if !changed then mark_touched t i;
+  if !bad then reject_value ()
 
 let scale_time t i tt f =
   if i < 0 || i >= t.n || tt < 0 || tt >= t.nt then invalid_arg "Weights: index out of range";
   let ba = t.w in
-  let nt = t.nt in
-  let cs0 = i * t.nc in
-  let cs = t.cluster_sum and rt = t.row_total in
-  let pending = ref (unsaved t i) in
+  let nc = t.nc and nt = t.nt in
+  let cs = t.cluster_sum and cs0 = i * nc in
+  let first = (cs0 * nt) + tt in
+  let last = first + ((nc - 1) * nt) in
   forget_total t i;
-  for c = 0 to t.nc - 1 do
-    let k = (((i * t.nc) + c) * nt) + tt in
+  if unsaved t i && scan_scaled ba first last nt f > 0 then save_row t i;
+  let row = ref (Array.unsafe_get t.row_total i) in
+  let changed = ref false and bad = ref false in
+  let c = ref 0 in
+  while !c < nc do
+    let k = first + (!c * nt) in
     let old = Bigarray.Array1.unsafe_get ba k in
     let v = old *. f in
-    if bad_value v then reject_value ();
-    let delta = v -. old in
-    if delta <> 0.0 then begin
-      if !pending then begin
-        save_row t i;
-        pending := false
-      end;
-      Bigarray.Array1.unsafe_set ba k v;
-      Array.unsafe_set cs (cs0 + c) (Array.unsafe_get cs (cs0 + c) +. delta);
-      Array.unsafe_set rt i (Array.unsafe_get rt i +. delta);
-      mark_touched t i
+    if bad_value v then begin
+      bad := true;
+      c := nc
     end
-  done
+    else begin
+      let delta = v -. old in
+      if delta <> 0.0 then begin
+        Bigarray.Array1.unsafe_set ba k v;
+        Array.unsafe_set cs (cs0 + !c) (Array.unsafe_get cs (cs0 + !c) +. delta);
+        row := !row +. delta;
+        changed := true
+      end;
+      incr c
+    end
+  done;
+  Array.unsafe_set t.row_total i !row;
+  if !changed then mark_touched t i;
+  if !bad then reject_value ()
 
 (* One factor per cluster applied to a whole row in a single sweep —
    the shape LOAD / COMM / FEASIBLE / PLACEPROP reduce to. Equivalent
@@ -528,37 +574,55 @@ let scale_clusters t i factors =
   if Array.length factors <> t.nc then
     invalid_arg "Weights.scale_clusters: factor count must equal nc";
   let ba = t.w in
-  let nt = t.nt in
-  let cs = t.cluster_sum and rt = t.row_total in
+  let nc = t.nc and nt = t.nt in
+  let cs = t.cluster_sum in
   let lo = Array.unsafe_get t.lo i and hi = Array.unsafe_get t.hi i in
-  let pending = ref (unsaved t i) in
-  let total = ref 0.0 in
   forget_total t i;
-  for c = 0 to t.nc - 1 do
-    let f = Array.unsafe_get factors c in
-    let base = ((i * t.nc) + c) * nt in
-    let ci = (i * t.nc) + c in
-    let finite = Float.is_finite f in
-    for tt = (if finite then lo else 0) to if finite then hi else nt - 1 do
-      let k = base + tt in
-      let old = Bigarray.Array1.unsafe_get ba k in
+  if unsaved t i then begin
+    let r = ref 0 and c = ref 0 in
+    while !r = 0 && !c < nc do
+      let f = Array.unsafe_get factors !c and base = ((i * nc) + !c) * nt in
+      r := scan_scaled ba (base + lane_lo f lo) (base + lane_hi f hi nt) 1 f;
+      incr c
+    done;
+    if !r > 0 then save_row t i
+  end;
+  let row = ref (Array.unsafe_get t.row_total i) and total = ref 0.0 in
+  let changed = ref false and bad = ref false in
+  let c = ref 0 in
+  while !c < nc do
+    let f = Array.unsafe_get factors !c in
+    let ci = (i * nc) + !c in
+    let base = ci * nt in
+    let last = base + lane_hi f hi nt in
+    let s = ref (Array.unsafe_get cs ci) in
+    let k = ref (base + lane_lo f lo) in
+    while !k <= last do
+      let old = Bigarray.Array1.unsafe_get ba !k in
       let v = old *. f in
-      if bad_value v then reject_value ();
-      let delta = v -. old in
-      if delta <> 0.0 then begin
-        if !pending then begin
-          save_row t i;
-          pending := false
-        end;
-        Bigarray.Array1.unsafe_set ba k v;
-        Array.unsafe_set cs ci (Array.unsafe_get cs ci +. delta);
-        Array.unsafe_set rt i (Array.unsafe_get rt i +. delta);
-        mark_touched t i;
-        total := !total +. v
+      if bad_value v then begin
+        bad := true;
+        k := last
       end
-      else total := !total +. old
-    done
+      else begin
+        let delta = v -. old in
+        if delta <> 0.0 then begin
+          Bigarray.Array1.unsafe_set ba !k v;
+          s := !s +. delta;
+          row := !row +. delta;
+          changed := true;
+          total := !total +. v
+        end
+        else total := !total +. old
+      end;
+      incr k
+    done;
+    Array.unsafe_set cs ci !s;
+    c := if !bad then nc else !c + 1
   done;
+  Array.unsafe_set t.row_total i !row;
+  if !changed then mark_touched t i;
+  if !bad then reject_value ();
   Array.unsafe_set t.sweep_total i !total
 
 (* [Cs_util.Rng.float rng bound], spelled out: the library call would
@@ -566,47 +630,103 @@ let scale_clusters t i factors =
    the library's division by 2^53 bit for bit, without the divide. *)
 let two_to_minus_53 = 0x1p-53
 
+(* NOISE's new values, drawn before its sweep; grown to the largest
+   row seen on the domain. *)
+let noise_draws = Domain.DLS.new_key (fun () -> ([||] : float array))
+
 (* NOISE's kernel: add a fresh draw [Rng.float rng bound] to every
    positive entry of row [i], in flat (c-major) order. Only positive
    entries draw, and every entry outside the live window is +0.0, so a
    sweep over the window alone makes the same draws in the same order.
    A positive entry lies in the window already, so nothing widens. Like
-   [scale_clusters], it hands the gate the total of the window. *)
+   [scale_clusters], it hands the gate the total of the window.
+
+   A draw is a call, so the draws come first, each stored as the new
+   value of its entry into a per-domain scratch; they stop at the first
+   bad value, which is where the per-entry sweep raised, so the
+   generator ends in the same state. The same loop finds whether a
+   change comes before that, to decide the save. The sweep then reads
+   the values back, in the same order, with no call. *)
 let add_noise t i rng bound =
   check_row t i;
   let ba = t.w in
-  let nt = t.nt in
-  let cs = t.cluster_sum and rt = t.row_total in
+  let nc = t.nc and nt = t.nt in
+  let cs = t.cluster_sum in
   let lo = Array.unsafe_get t.lo i and hi = Array.unsafe_get t.hi i in
-  let pending = ref (unsaved t i) in
-  let total = ref 0.0 in
   forget_total t i;
-  for c = 0 to t.nc - 1 do
-    let base = ((i * t.nc) + c) * nt in
-    let ci = (i * t.nc) + c in
-    for tt = lo to hi do
-      let k = base + tt in
-      let old = Bigarray.Array1.unsafe_get ba k in
-      if old > 0.0 then begin
-        let v = old +. (bound *. (float_of_int (Cs_util.Rng.bits53 rng) *. two_to_minus_53)) in
-        if bad_value v then reject_value ();
-        let delta = v -. old in
-        if delta <> 0.0 then begin
-          if !pending then begin
-            save_row t i;
-            pending := false
-          end;
-          Bigarray.Array1.unsafe_set ba k v;
-          Array.unsafe_set cs ci (Array.unsafe_get cs ci +. delta);
-          Array.unsafe_set rt i (Array.unsafe_get rt i +. delta);
-          mark_touched t i;
-          total := !total +. v
+  let draws =
+    let need = nc * Int.max 0 (hi - lo + 1) in
+    let d = Domain.DLS.get noise_draws in
+    if Array.length d >= need then d
+    else begin
+      let d = Array.make need 0.0 in
+      Domain.DLS.set noise_draws d;
+      d
+    end
+  in
+  let m = ref 0 and change = ref false and c = ref 0 in
+  while !c < nc do
+    let base = ((i * nc) + !c) * nt in
+    let k = ref (base + lo) and last = base + hi in
+    while !k <= last do
+      (* Tested, then read again after the draw, so no float lives
+         across the call. *)
+      if Bigarray.Array1.unsafe_get ba !k > 0.0 then begin
+        let r = Cs_util.Rng.bits53 rng in
+        let old = Bigarray.Array1.unsafe_get ba !k in
+        let v = old +. (bound *. (float_of_int r *. two_to_minus_53)) in
+        Array.unsafe_set draws !m v;
+        incr m;
+        if bad_value v then begin
+          k := last;
+          c := nc
         end
-        else total := !total +. old
-      end
-      else total := !total +. old
-    done
+        else if v -. old <> 0.0 then change := true
+      end;
+      incr k
+    done;
+    incr c
   done;
+  if !change && unsaved t i then save_row t i;
+  let row = ref (Array.unsafe_get t.row_total i) and total = ref 0.0 in
+  let changed = ref false and bad = ref false in
+  let j = ref 0 and c = ref 0 in
+  while !c < nc do
+    let ci = (i * nc) + !c in
+    let base = ci * nt in
+    let last = base + hi in
+    let s = ref (Array.unsafe_get cs ci) in
+    let k = ref (base + lo) in
+    while !k <= last do
+      let old = Bigarray.Array1.unsafe_get ba !k in
+      if old > 0.0 then begin
+        let v = Array.unsafe_get draws !j in
+        incr j;
+        if bad_value v then begin
+          bad := true;
+          k := last
+        end
+        else begin
+          let delta = v -. old in
+          if delta <> 0.0 then begin
+            Bigarray.Array1.unsafe_set ba !k v;
+            s := !s +. delta;
+            row := !row +. delta;
+            changed := true;
+            total := !total +. v
+          end
+          else total := !total +. old
+        end
+      end
+      else total := !total +. old;
+      incr k
+    done;
+    Array.unsafe_set cs ci !s;
+    c := if !bad then nc else !c + 1
+  done;
+  Array.unsafe_set t.row_total i !row;
+  if !changed then mark_touched t i;
+  if !bad then reject_value ();
   Array.unsafe_set t.sweep_total i !total
 
 (* Zero every slot outside [lo..hi] in row [i] — INITTIME's shape —
@@ -786,6 +906,25 @@ let second_cluster t i pref =
 let preferred_cluster t i =
   check_row t i;
   top_cluster t i
+
+(* The driver's churn count, one loop over the touched rows: under
+   [-opaque] a [preferred_cluster] and an [is_touched] per row are each
+   a call out of line. *)
+let refresh_preferred t prefs =
+  if Array.length prefs < t.n then
+    invalid_arg "Weights.refresh_preferred: prefs shorter than n";
+  let changed = ref 0 in
+  if t.n_dirty > 0 then
+    for i = 0 to t.n - 1 do
+      if Bytes.unsafe_get t.dirty i <> '\000' then begin
+        let c = top_cluster t i in
+        if c <> Array.unsafe_get prefs i then begin
+          incr changed;
+          Array.unsafe_set prefs i c
+        end
+      end
+    done;
+  !changed
 
 (* [preferred_time]'s slot sums; grown to the largest [nt] seen on the
    domain. *)

@@ -178,6 +178,12 @@ val rollback : t -> unit
 val preferred_cluster : t -> int -> int
 (** Cluster maximizing the time-marginal; smallest id wins ties. *)
 
+val refresh_preferred : t -> int array -> int
+(** [refresh_preferred w prefs] sets [prefs.(i) <- preferred_cluster w i]
+    for every touched row [i] (see {!is_touched}) and returns how many
+    of them changed: the driver's per-pass churn, in one loop. [prefs]
+    must hold at least [n w] ints. *)
+
 val preferred_time : t -> int -> int
 (** Slot maximizing the cluster-marginal; smallest slot wins ties.
     Computed from the row's live window lane by lane into a per-domain

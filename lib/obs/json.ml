@@ -24,10 +24,19 @@ let escape_to buf s =
     s;
   Buffer.add_char buf '"'
 
+(* The shortest of 12, 15 and 17 significant digits that reads back as
+   [f]: 17 always does, so a number survives a round trip. *)
 let number_to_string f =
   if not (Float.is_finite f) then "null"
   else if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
-  else Printf.sprintf "%.12g" f
+  else
+    let exact digits =
+      let s = Printf.sprintf "%.*g" digits f in
+      if float_of_string s = f then Some s else None
+    in
+    match exact 12 with
+    | Some s -> s
+    | None -> ( match exact 15 with Some s -> s | None -> Printf.sprintf "%.17g" f)
 
 let rec to_buffer buf = function
   | Null -> Buffer.add_string buf "null"
@@ -139,8 +148,11 @@ let of_string s =
     while !pos < n && numchar s.[!pos] do
       advance ()
     done;
+    (* JSON has no infinity: a literal that overflows is refused, as
+       it could not be written back. *)
     match float_of_string_opt (String.sub s start (!pos - start)) with
-    | Some f -> f
+    | Some f when Float.is_finite f -> f
+    | Some _ -> fail "number out of range"
     | None -> fail "bad number"
   in
   let rec parse_value () =

@@ -3,7 +3,11 @@
     validate what the export sinks emit.
 
     Printing is RFC 8259-conformant: strings are escaped, and non-finite
-    numbers (which JSON cannot represent) are emitted as [null]. *)
+    numbers (which JSON cannot represent) are emitted as [null]. A
+    finite number is printed with the fewest of 12, 15 or 17
+    significant digits that parse back to the same float, so every
+    printed number round-trips; the parser refuses a number literal
+    that overflows to infinity. *)
 
 type t =
   | Null

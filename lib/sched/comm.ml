@@ -55,6 +55,21 @@ let create machine =
     links = Array.init links (fun _ -> Reservation.create ()); memo = Itbl.create 64;
     booked = [] }
 
+(* A mesh link's id, [4 * from + direction], with the directions up,
+   left, right and down; [link_of_id] inverts it. *)
+let link_ids cols links =
+  Array.of_list
+    (List.map
+       (fun (l : Cs_machine.Topology.link) ->
+         let d = l.to_node - l.from_node in
+         (4 * l.from_node) + if d = -cols then 0 else if d = cols then 3 else if d < 0 then 1 else 2)
+       links)
+
+let link_of_id cols id =
+  let from_node = if id >= 0 then id / 4 else (id - 3) / 4 in
+  let step = match id - (4 * from_node) with 0 -> -cols | 1 -> -1 | 2 -> 1 | _ -> cols in
+  { Cs_machine.Topology.from_node; to_node = from_node + step }
+
 (* Found once per pair: on a degraded mesh both halves are a
    shortest-path search. An unreachable pair raises every time. Vertical
    steps are tested first, so a one-column mesh is not read as a row. *)
@@ -69,13 +84,7 @@ let path t src dst =
       match topology with
       | Cs_machine.Topology.Crossbar _ -> [||]
       | Cs_machine.Topology.Mesh { cols; _ } ->
-        Array.of_list
-          (List.map
-             (fun (l : Cs_machine.Topology.link) ->
-               let d = l.to_node - l.from_node in
-               (4 * l.from_node)
-               + if d = -cols then 0 else if d = cols then 3 else if d < 0 then 1 else 2)
-             (Cs_machine.Topology.route topology ~src ~dst))
+        link_ids cols (Cs_machine.Topology.route topology ~src ~dst)
     in
     t.paths.(k) <- { latency; route }
   end;
@@ -181,36 +190,67 @@ let link_conflicts machine comms =
               count depart cap
             :: !problems)
       sent
-  | Cs_machine.Topology.Mesh _ ->
-    let usage = Hashtbl.create 256 in
-    List.iter
-      (fun cm ->
+  | Cs_machine.Topology.Mesh { cols; _ } ->
+    (* Link use, holding the first producer seen, keyed by
+       [cycle * links + link id], which no two (link, cycle) pairs
+       share while the id is in range and the cycle is not huge; a
+       corrupt schedule's other pairs go to a tuple table. Each in-range
+       cluster pair's route is found once. *)
+    let nc = Cs_machine.Machine.n_clusters machine in
+    let links = 4 * nc in
+    let usage = Itbl.create 256 and odd = Hashtbl.create 1 in
+    let first_user id cycle producer =
+      if id >= 0 && id < links && abs cycle < 1 lsl 40 then begin
+        let key = (cycle * links) + id in
+        match Itbl.find usage key with
+        | other -> Some other
+        | exception Not_found ->
+          Itbl.add usage key producer;
+          None
+      end
+      else
+        match Hashtbl.find_opt odd (id, cycle) with
+        | Some _ as other -> other
+        | None ->
+          Hashtbl.add odd (id, cycle) producer;
+          None
+    in
+    let routes = Array.make (nc * nc) None in
+    let route ~src ~dst =
+      let find () =
         (* A corrupt schedule may record transfers with no surviving
            route; report rather than crash (the validator must be total). *)
-        match
-          Cs_resil.Error.protect (fun () ->
-              Cs_machine.Topology.route machine.Cs_machine.Machine.topology
-                ~src:cm.Schedule.src ~dst:cm.Schedule.dst)
-        with
+        Cs_resil.Error.protect (fun () ->
+            link_ids cols (Cs_machine.Topology.route machine.Cs_machine.Machine.topology ~src ~dst))
+      in
+      if src < 0 || src >= nc || dst < 0 || dst >= nc then find ()
+      else
+        match routes.((src * nc) + dst) with
+        | Some r -> r
+        | None ->
+          let r = find () in
+          routes.((src * nc) + dst) <- Some r;
+          r
+    in
+    List.iter
+      (fun (cm : Schedule.comm) ->
+        match route ~src:cm.src ~dst:cm.dst with
         | Error e ->
           problems :=
-            Printf.sprintf "transfer of i%d (%d->%d) has no route: %s"
-              cm.Schedule.producer cm.Schedule.src cm.Schedule.dst
-              (Cs_resil.Error.to_string e)
+            Printf.sprintf "transfer of i%d (%d->%d) has no route: %s" cm.producer cm.src
+              cm.dst (Cs_resil.Error.to_string e)
             :: !problems
-        | Ok route ->
-          List.iteri
-            (fun k link ->
-              let key = (link, cm.Schedule.depart + k) in
-              match Hashtbl.find_opt usage key with
-              | Some other ->
-                problems :=
-                  Printf.sprintf
-                    "link %d->%d used at cycle %d by values of i%d and i%d"
-                    link.Cs_machine.Topology.from_node link.Cs_machine.Topology.to_node
-                    (cm.Schedule.depart + k) other cm.Schedule.producer
-                  :: !problems
-              | None -> Hashtbl.add usage key cm.Schedule.producer)
-            route)
+        | Ok ids ->
+          for k = 0 to Array.length ids - 1 do
+            let cycle = cm.depart + k in
+            match first_user ids.(k) cycle cm.producer with
+            | Some other ->
+              let link = link_of_id cols ids.(k) in
+              problems :=
+                Printf.sprintf "link %d->%d used at cycle %d by values of i%d and i%d"
+                  link.from_node link.to_node cycle other cm.producer
+                :: !problems
+            | None -> ()
+          done)
       comms);
   !problems

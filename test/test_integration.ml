@@ -131,7 +131,7 @@ let test_trace_dense_converges_early () =
    Table 1 suite round, summed over the suite's regions. The round runs
    twice and the second is measured, so one-time setup is not counted.
    Measured at the time of writing (extraction, list scheduling,
-   validation): raw16 13k, 88k, 114k; vliw4 10k, 31k, 25k. The bounds
+   validation): raw16 3.3k, 88k, 92k; vliw4 2.1k, 31k, 25k. The bounds
    leave about 1.5x headroom, since the exact counts depend on the
    compiler; a layer that allocates per instruction again (a list of
    units, a tuple key, a boxed float, a closure) crosses them. *)
@@ -199,6 +199,60 @@ let test_layer_allocation machine_name bound () =
   within "list scheduling" w.lsched bound.lsched;
   within "validation" w.validate bound.validate
 
+(* Allocation pins for whole passes: the minor words from one
+   [observe] call to the next, which is one pass application with its
+   gate, its commit and the driver's churn count, on every Table 1
+   region of a second suite round. The first reading also covers the
+   driver's setup (the context and its analysis). The observer stores
+   the counter into preallocated arrays, so it adds nothing. The
+   largest readings over the regions at the time of writing, raw16:
+   INITTIME 25k, PLACEPROP 19k, LOAD 0.8k, PLACE 6.2k, PATH 15k,
+   PATHPROP 3.0k, LEVEL 16k, COMM 25k, EMPHCP 0.8k; vliw4: INITTIME
+   19k, PLACEPROP 4.1k, LOAD 0.6k, PLACE 4.1k, PATH 1.2k, COMM 18k,
+   EMPHCP 0.6k, NOISE 2.2k, FIRST 0.6k. The bounds leave about 1.5x
+   headroom; a row kernel that boxed a float per entry again would
+   cross them many times over. *)
+let pass_words machine =
+  let suite =
+    if Cs_machine.Machine.is_mesh machine then Cs_workloads.Suite.raw_suite
+    else Cs_workloads.Suite.vliw_suite
+  in
+  let passes = Cs_sim.Pipeline.default_passes ~machine in
+  let steps = List.length passes in
+  let round () =
+    List.concat_map
+      (fun (e : Cs_workloads.Suite.entry) ->
+        let region = e.generate ~clusters:(Cs_machine.Machine.n_clusters machine) () in
+        let marks = Array.make (steps + 1) 0.0 and names = Array.make steps "" and k = ref 0 in
+        let observe name _ =
+          names.(!k) <- name;
+          incr k;
+          marks.(!k) <- Gc.minor_words ()
+        in
+        marks.(0) <- Gc.minor_words ();
+        let r = Cs_core.Driver.run ~observe ~machine region passes in
+        Cs_core.Weights.release r.weights;
+        check_int (e.name ^ ": every pass observed") steps !k;
+        List.init steps (fun j -> (e.name, names.(j), marks.(j + 1) -. marks.(j))))
+      suite
+  in
+  ignore (round ());
+  round ()
+
+let test_pass_allocation machine_name bounds () =
+  let machine =
+    match Cs_svc.Proto.machine_of_name machine_name with Ok m -> m | Error e -> failwith e
+  in
+  List.iter
+    (fun (region, pass, words) ->
+      match List.assoc_opt pass bounds with
+      | None -> Alcotest.failf "%s %s: no bound for pass %s" machine_name region pass
+      | Some limit ->
+        if words > limit then
+          Alcotest.failf "%s %s %s allocates %.0f minor words, bound %.0f" machine_name region
+            pass words limit)
+    (pass_words machine)
+
 let () =
   Alcotest.run "cs_sim"
     [
@@ -232,9 +286,19 @@ let () =
         [
           Alcotest.test_case "raw16 layers" `Quick
             (test_layer_allocation "raw16"
-               { extract = 20_000.; lsched = 135_000.; validate = 170_000. });
+               { extract = 5_000.; lsched = 135_000.; validate = 140_000. });
           Alcotest.test_case "vliw4 layers" `Quick
             (test_layer_allocation "vliw4"
-               { extract = 15_000.; lsched = 46_000.; validate = 37_000. });
+               { extract = 3_200.; lsched = 46_000.; validate = 37_000. });
+          Alcotest.test_case "raw16 passes" `Quick
+            (test_pass_allocation "raw16"
+               [ ("INITTIME", 38_000.); ("PLACEPROP", 28_000.); ("LOAD", 1_200.);
+                 ("PLACE", 9_500.); ("PATH", 23_000.); ("PATHPROP", 4_500.);
+                 ("LEVEL", 25_000.); ("COMM", 37_000.); ("EMPHCP", 1_200.) ]);
+          Alcotest.test_case "vliw4 passes" `Quick
+            (test_pass_allocation "vliw4"
+               [ ("INITTIME", 28_000.); ("PLACEPROP", 6_100.); ("LOAD", 1_000.);
+                 ("PLACE", 6_200.); ("PATH", 1_800.); ("COMM", 27_000.); ("EMPHCP", 1_000.);
+                 ("NOISE", 3_300.); ("FIRST", 1_000.) ]);
         ] );
     ]

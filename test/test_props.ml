@@ -265,6 +265,44 @@ let prop_pressure_nonnegative =
       && Cs_regalloc.Pressure.max_peak sched
          <= List.length (Cs_regalloc.Pressure.intervals sched))
 
+(* Extraction's claim order against the sort it replaced:
+   [Array.stable_sort] over the movable ids, descending confidence,
+   ties to the lower id. Confidences are drawn from a small pool so
+   duplicates are common, with the 1e9 sentinel, values one ulp apart,
+   both zeros and the special floats; the movable set may be empty. *)
+let prop_claim_order =
+  let conf_gen =
+    QCheck.Gen.(
+      frequency
+        [ (4, float_range 1.0 50.0);
+          (3, oneofl [ 1.0; 2.5; 7.0; Cs_core.Weights.confidence_sentinel ]);
+          (1, oneofl [ Float.succ 1.0; Float.pred 1e9; 0.0; -0.0; -1.0 ]);
+          (1, oneofl [ Float.nan; Float.infinity; Float.neg_infinity; Float.min_float ]) ])
+  in
+  let gen =
+    QCheck.Gen.(
+      int_range 0 300 >>= fun n ->
+      pair (array_repeat n conf_gen)
+        (oneof [ return (Array.make n false); array_repeat n (map (fun k -> k > 0) (int_bound 3)) ]))
+  in
+  let print (conf, movable) =
+    String.concat " "
+      (List.mapi (fun i c -> Printf.sprintf "%d:%h%s" i c (if movable.(i) then "" else "(fixed)"))
+         (Array.to_list conf))
+  in
+  QCheck.Test.make ~count:2000 ~name:"claim order = stable sort by descending confidence"
+    (QCheck.make ~print gen) (fun (conf, movable) ->
+      let expected =
+        List.filter (fun i -> movable.(i)) (List.init (Array.length movable) Fun.id)
+        |> Array.of_list
+      in
+      Array.stable_sort
+        (fun a b ->
+          let c = Float.compare conf.(b) conf.(a) in
+          if c <> 0 then c else Int.compare a b)
+        expected;
+      Cs_core.Driver.claim_order conf movable = expected)
+
 (* --- Byte fuzz of the textual readers -------------------------------- *)
 
 (* A valid pass token: a registered pass with some parameters moved off
@@ -320,9 +358,9 @@ let mutate s (op, at, c, bit) =
     String.mapi (fun i ch -> if i = at then Char.chr (Char.code ch lxor (1 lsl bit)) else ch) s
   | _ -> String.sub s 0 (at mod (n + 1))
 
-let fuzzed token_gen =
+let fuzzed ?(alphabet = "=:,-x.e0123456789 +_") token_gen =
   let byte =
-    QCheck.Gen.(frequency [ (1, char); (1, oneofl (List.of_seq (String.to_seq "=:,-x.e0123456789 +_"))) ])
+    QCheck.Gen.(frequency [ (1, char); (1, oneofl (List.of_seq (String.to_seq alphabet))) ])
   in
   let edit = QCheck.Gen.(quad (int_bound 3) (int_bound 1_000) byte (int_bound 7)) in
   QCheck.make ~print:(Printf.sprintf "%S") ~shrink:QCheck.Shrink.string
@@ -352,6 +390,115 @@ let prop_fault_plan_bytes =
       | Error _ -> true
       | Ok plan -> Cs_resil.Fault.parse (Cs_resil.Fault.to_string plan) = Ok plan)
 
+(* Valid wire lines: job requests for both machines with seeds, pass
+   specs, deadlines and the optional fields; the three control verbs
+   and heartbeats; replies of both verdicts. Floats take any value a
+   service could send, not just short decimals. *)
+let wire_float =
+  QCheck.Gen.(
+    oneof
+      [ float_range 0.0 1e4; map float_of_int (int_bound 100_000);
+        map Float.of_int (int_range 0 (1 lsl 60)); float_range 1e15 1e300 ])
+
+let wire_string =
+  QCheck.Gen.(oneof [ oneofl [ ""; "job-1"; "tenant \"a\"\n" ]; string_size ~gen:char (int_bound 8) ])
+
+(* [Proto] has no writer for the ping verb, which health checkers send. *)
+let ping_line id = Cs_obs.Json.(to_string (Obj [ ("op", Str "ping"); ("id", Str id) ]))
+
+let request_line_gen =
+  QCheck.Gen.(
+    quad (oneofl Cs_workloads.Suite.all) (oneofl [ "raw16"; "vliw4" ])
+      (pair (opt (int_bound 1_000_000)) (opt (list_size (int_range 1 3) pass_token_gen)))
+      (quad (opt wire_float) (int_range 1 64) (opt wire_string) (opt (oneofl [ "interactive"; "batch" ])))
+    >|= fun ((e : Cs_workloads.Suite.entry), machine, (seed, passes), (deadline_ms, scale, tenant, job_class)) ->
+    Cs_svc.Proto.request_to_line
+      (Cs_svc.Proto.request ~id:"r" ~machine ~scale ?deadline_ms
+         ?passes:(Option.map (String.concat ",") passes)
+         ?seed ?tenant ?job_class ~idem_key:"k" ~trace_id:"t1" ~parent_span:"p1" e.name))
+
+let reply_line_gen =
+  QCheck.Gen.(
+    quad wire_string wire_float (opt (int_bound 500))
+      (oneof
+         [ map
+             (fun (cycles, transfers, timed_out, quarantined) ->
+               Cs_svc.Proto.Scheduled { cycles; transfers; rung = "requested"; timed_out; quarantined })
+             (quad (int_bound 100_000) (int_bound 5_000) bool (int_bound 12));
+           map
+             (fun (kind, message) -> Cs_svc.Proto.Refused { kind; message })
+             (pair (oneofl [ "overloaded"; "deadline-exceeded"; "invalid-input" ]) wire_string) ])
+    >|= fun (id, elapsed_ms, queue_depth, verdict) ->
+    Cs_svc.Proto.reply_to_line (Cs_svc.Proto.reply ?queue_depth ~cached:(queue_depth = None) ~id ~elapsed_ms verdict))
+
+let control_line_gen =
+  QCheck.Gen.(
+    oneof
+      [ map (fun id -> Cs_svc.Proto.stats_line ~id ()) wire_string;
+        map (fun id -> Cs_svc.Proto.metrics_line ~format:Cs_svc.Proto.Metrics_prometheus ~id ()) wire_string;
+        map ping_line wire_string;
+        map
+          (fun (hb_shard, (hb_depth, hb_busy, hb_workers, hb_completed)) ->
+            Cs_svc.Proto.heartbeat_line { hb_shard; hb_depth; hb_busy; hb_workers; hb_completed })
+          (pair wire_string (quad (int_bound 99) (int_bound 8) (int_bound 8) (int_bound 100_000))) ])
+
+let json_alphabet = "{}[]\":,\\u0123456789abcdef.eE-+ ntrl"
+
+(* An incoming line as the server's peers write it. *)
+let incoming_to_line = function
+  | Cs_svc.Proto.Job_request r -> Cs_svc.Proto.request_to_line r
+  | Control { op = Ping; id } -> ping_line id
+  | Control { op = Stats_query; id } -> Cs_svc.Proto.stats_line ~id ()
+  | Control { op = Metrics_query format; id } -> Cs_svc.Proto.metrics_line ~format ~id ()
+  | Heartbeat hb -> Cs_svc.Proto.heartbeat_line hb
+
+(* Every mutated line decodes to a typed error or to a value whose
+   encoding decodes to the same value: no exception, no hang, no value
+   the codec cannot carry. *)
+let round_trips decode encode s =
+  match decode s with Error _ -> true | Ok v -> decode (encode v) = Ok v
+
+let prop_request_bytes =
+  QCheck.Test.make ~count:10000 ~name:"request line bytes: Ok round-trips"
+    (fuzzed ~alphabet:json_alphabet request_line_gen)
+    (round_trips Cs_svc.Proto.request_of_line Cs_svc.Proto.request_to_line)
+
+let prop_incoming_bytes =
+  QCheck.Test.make ~count:10000 ~name:"incoming line bytes: Ok round-trips"
+    (fuzzed ~alphabet:json_alphabet QCheck.Gen.(oneof [ request_line_gen; control_line_gen ]))
+    (round_trips Cs_svc.Proto.incoming_of_line incoming_to_line)
+
+let prop_reply_bytes =
+  QCheck.Test.make ~count:10000 ~name:"reply line bytes: Ok round-trips"
+    (fuzzed ~alphabet:json_alphabet reply_line_gen)
+    (round_trips Cs_svc.Proto.reply_of_line Cs_svc.Proto.reply_to_line)
+
+(* The minimised failures the three wire properties found, kept in
+   test/corpus/wire.lines: each must now decode to a typed error or
+   round-trip. *)
+let test_wire_corpus () =
+  let lines = In_channel.with_open_text "corpus/wire.lines" In_channel.input_all in
+  let cases =
+    List.filter (fun l -> l <> "" && l.[0] <> '#') (String.split_on_char '\n' lines)
+  in
+  if cases = [] then Alcotest.fail "corpus/wire.lines holds no line";
+  List.iter
+    (fun l ->
+      let reader, line =
+        match String.index_opt l ' ' with
+        | Some k -> (String.sub l 0 k, String.sub l (k + 1) (String.length l - k - 1))
+        | None -> Alcotest.failf "corpus line without a reader: %S" l
+      in
+      let ok =
+        match reader with
+        | "request" -> round_trips Cs_svc.Proto.request_of_line Cs_svc.Proto.request_to_line line
+        | "incoming" -> round_trips Cs_svc.Proto.incoming_of_line incoming_to_line line
+        | "reply" -> round_trips Cs_svc.Proto.reply_of_line Cs_svc.Proto.reply_to_line line
+        | r -> Alcotest.failf "unknown reader %S" r
+      in
+      if not ok then Alcotest.failf "%s line does not round-trip: %s" reader line)
+    cases
+
 let () =
   Alcotest.run "properties"
     [
@@ -363,12 +510,16 @@ let () =
         List.map to_alcotest
           [ prop_assignment_respects_preplacement; prop_driver_weights_invariant;
             prop_more_tiles_never_catastrophic; prop_semantic_equivalence;
-            prop_iterative_terminates ] );
+            prop_iterative_terminates; prop_claim_order ] );
       ( "analysis",
         List.map to_alcotest
           [ prop_analysis_invariants; prop_distance_symmetric; prop_textual_roundtrip ] );
       ( "baselines",
         List.map to_alcotest
           [ prop_estimator_positive; prop_pcc_components_partition; prop_pressure_nonnegative ] );
-      ("readers", List.map to_alcotest [ prop_pass_spec_bytes; prop_fault_plan_bytes ]);
+      ( "readers",
+        List.map to_alcotest
+          [ prop_pass_spec_bytes; prop_fault_plan_bytes; prop_request_bytes; prop_incoming_bytes;
+            prop_reply_bytes ]
+        @ [ Alcotest.test_case "wire corpus replays" `Quick test_wire_corpus ] );
     ]

@@ -457,30 +457,10 @@ let fused w = function
   | K_mask_time_window (i, lo, hi) -> Weights.mask_time_window w i ~lo ~hi
 
 let per_element w = function
-  | K_scale_cluster (i, c, f) ->
-    for t = 0 to pnt - 1 do
-      Weights.scale w i c t f
-    done
-  | K_scale_time (i, t, f) ->
-    for c = 0 to pnc - 1 do
-      Weights.scale w i c t f
-    done
-  | K_scale_clusters (i, fs) ->
-    for c = 0 to pnc - 1 do
-      for t = 0 to pnt - 1 do
-        Weights.scale w i c t fs.(c)
-      done
-    done
-  | K_noise (i, f, seed) ->
-    (* Draws in flat order, so a kernel visiting entries out of order
-       would not match its spelling. *)
-    let rng = Cs_util.Rng.create seed in
-    for c = 0 to pnc - 1 do
-      for t = 0 to pnt - 1 do
-        let v = Weights.get w i c t in
-        if v > 0.0 then Weights.set w i c t (v +. Cs_util.Rng.float rng f)
-      done
-    done
+  | K_scale_cluster (i, c, f) -> Weights_ref.scale_cluster w i c f
+  | K_scale_time (i, t, f) -> Weights_ref.scale_time w i t f
+  | K_scale_clusters (i, fs) -> Weights_ref.scale_clusters w i fs
+  | K_noise (i, f, seed) -> Weights_ref.add_noise w i (Cs_util.Rng.create seed) f
   | K_mask_time_window (i, lo, hi) ->
     for c = 0 to pnc - 1 do
       for t = 0 to pnt - 1 do
@@ -1221,6 +1201,95 @@ let test_handed_totals_gate_qcheck =
 (* The row kernels box no float per entry they visit, inside a pass or
    not. The undo log grows its buffers in the first pass of a matrix
    and reuses them after, so the pass measured is the second. *)
+(* The rewritten kernels' raise path: a bad value partway through a
+   row, with a pass open, must leave exactly what the per-element
+   spelling leaves when [set] raises there: the entries written before
+   it, the caches, the touched flags and the window; the handed-over
+   total withdrawn, which the gate shows (the row first hands the gate
+   a total, and a stale or partial one would normalize the row by the
+   wrong float); the pass's undo log, which [rollback] shows; and, for
+   NOISE, the generator's state, as the draws must stop at the bad
+   value. Row 1 holds small entries and one huge one at (1, 2), so an
+   overflowing factor raises there after earlier entries changed; a
+   non-finite factor raises at its lane's first slot. For NOISE every
+   entry of row 1 is [max_float / 2] (and one is +0.0, which draws
+   nothing), so a bound of [max_float] overflows at about every second
+   draw. *)
+let test_kernel_raise_paths () =
+  let n = 3 and nc = 3 and nt = 5 in
+  let build fill =
+    let w = Weights_ref.uniform ~n ~nc ~nt in
+    for c = 0 to nc - 1 do
+      for t = 0 to nt - 1 do
+        Weights.set w 1 c t (fill c t)
+      done
+    done;
+    (* Hands the gate the row's flat-order total. *)
+    Weights.scale_clusters w 1 (Array.make nc 1.0);
+    w
+  in
+  let small c t = if c = 1 && t = 2 then 1e10 else 1e-3 *. float_of_int (1 + (c * nt) + t) in
+  let huge c t = if c = 2 && t = 3 then 0.0 else max_float /. 2.0 in
+  let outcome f = try f (); "returned" with Invalid_argument e -> e in
+  let same what a b = if a <> b then Alcotest.failf "%s differs from the per-element spelling" what in
+  let raised = ref 0 and partway = ref 0 in
+  let check name fill ~seed fused spelled =
+    let w = build fill in
+    let r = Weights.copy w in
+    Weights.begin_pass w;
+    Weights.begin_pass r;
+    let rng_w = Cs_util.Rng.create seed and rng_r = Cs_util.Rng.create seed in
+    let got = outcome (fun () -> fused w rng_w) and want = outcome (fun () -> spelled r rng_r) in
+    same (name ^ ": outcome") got want;
+    if got <> "returned" then begin
+      incr raised;
+      if Weights.is_touched w 1 then incr partway
+    end;
+    same (name ^ ": entries, caches, window, touched") (bits_state w) (bits_state r);
+    same (name ^ ": generator state") (Cs_util.Rng.state rng_w) (Cs_util.Rng.state rng_r);
+    let gated m =
+      let m = Weights.copy m in
+      let verdict = Weights.normalize_validate_touched m in
+      (verdict, bits_state m)
+    in
+    same (name ^ ": gate after the raise") (gated w) (gated r);
+    Weights.rollback w;
+    Weights.rollback r;
+    same (name ^ ": rollback") (bits_state w) (bits_state r);
+    same (name ^ ": rollback = before the pass") (bits_state ~touched:false w)
+      (bits_state ~touched:false (build fill))
+  in
+  let scale name f spelled = check name small ~seed:0 (fun w _ -> f w) (fun w _ -> spelled w) in
+  List.iter
+    (fun f ->
+      let name = Printf.sprintf "scale_cluster x%g" f in
+      scale name (fun w -> Weights.scale_cluster w 1 1 f) (fun w -> Weights_ref.scale_cluster w 1 1 f))
+    [ 1e300; Float.infinity; Float.nan; -1.0 ];
+  List.iter
+    (fun f ->
+      let name = Printf.sprintf "scale_time x%g" f in
+      scale name (fun w -> Weights.scale_time w 1 2 f) (fun w -> Weights_ref.scale_time w 1 2 f))
+    [ 1e300; Float.infinity ];
+  List.iter
+    (fun fs ->
+      let name =
+        "scale_clusters x" ^ String.concat "," (List.map (Printf.sprintf "%g") (Array.to_list fs))
+      in
+      scale name
+        (fun w -> Weights.scale_clusters w 1 fs)
+        (fun w -> Weights_ref.scale_clusters w 1 fs))
+    [ [| 1e300; 1e300; 1e300 |]; [| 1.0; 1e300; 2.0 |]; [| 1.0; 1.0; Float.infinity |];
+      [| 2.0; 1.0; Float.nan |] ];
+  for seed = 0 to 31 do
+    check (Printf.sprintf "add_noise seed %d" seed) huge ~seed
+      (fun w rng -> Weights.add_noise w 1 rng max_float)
+      (fun w rng -> Weights_ref.add_noise w 1 rng max_float)
+  done;
+  (* The cases above must reach both raise paths: after a change and
+     before any. *)
+  check_bool "some kernel raised after changing its row" true (!partway > 5);
+  check_bool "some kernel raised before changing its row" true (!raised > !partway)
+
 let test_kernels_allocation_free () =
   let n = 48 and nc = 4 and nt = 40 in
   let w = Weights_ref.uniform ~n ~nc ~nt in
@@ -1627,6 +1696,8 @@ let () =
           Alcotest.test_case "validate gate" `Quick test_validate_gate;
           Alcotest.test_case "snapshot" `Quick test_preferred_clusters_snapshot;
           Alcotest.test_case "kernels allocation-free" `Quick test_kernels_allocation_free;
+          Alcotest.test_case "kernel raise paths = per-element spelling" `Quick
+            test_kernel_raise_paths;
         ] );
       ( "dirty",
         [

@@ -32,3 +32,32 @@ let gate w =
   match W.normalize_validate_touched w with
   | Ok () -> ()
   | Error e -> Alcotest.failf "gate rejected the matrix: %s" e
+
+(* The fused row kernels' per-element spellings through [get], [set]
+   and [scale], over every slot of the row in flat (cluster-major)
+   order. Each raises where its kernel does, with the entries before
+   the bad one written. *)
+let scale_cluster w i c f =
+  for t = 0 to W.nt w - 1 do
+    W.scale w i c t f
+  done
+
+let scale_time w i t f =
+  for c = 0 to W.nc w - 1 do
+    W.scale w i c t f
+  done
+
+let scale_clusters w i fs =
+  for c = 0 to W.nc w - 1 do
+    scale_cluster w i c fs.(c)
+  done
+
+(* NOISE draws in flat order, so a kernel visiting entries out of order
+   would not match this spelling. *)
+let add_noise w i rng bound =
+  for c = 0 to W.nc w - 1 do
+    for t = 0 to W.nt w - 1 do
+      let v = W.get w i c t in
+      if v > 0.0 then W.set w i c t (v +. Cs_util.Rng.float rng bound)
+    done
+  done
