@@ -1417,10 +1417,14 @@ let gateway_cmd =
         exit 1
     in
     let gw =
-      try Cs_gateway.Gateway.create cfg
-      with Unix.Unix_error (e, _, _) ->
+      try Cs_gateway.Gateway.create cfg with
+      | Unix.Unix_error (e, _, _) ->
         Printf.eprintf "gateway: cannot listen on %s: %s\n"
           (Cs_svc.Transport.to_string addr) (Unix.error_message e);
+        exit 1
+      | Failure msg ->
+        (* the journal refused its directory *)
+        Printf.eprintf "gateway: %s\n" msg;
         exit 1
     in
     let stop _ = Cs_gateway.Gateway.stop gw in

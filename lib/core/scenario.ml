@@ -9,69 +9,6 @@ let fnv1a ?(h = offset_basis) s =
     s;
   !h
 
-(* Like {!Cs_ddg.Textual.to_string} but with registers renumbered by
-   first appearance (live-ins in set order, then each instruction's
-   destination) and live-outs sorted by that canonical numbering.
-   [Textual.of_string] renames registers on load, so the raw textual
-   form of a region is not stable across a serialize/parse round trip —
-   this one is: any consistent renaming of the region's registers
-   yields the same canonical text. *)
-let canonical_region_text region =
-  let graph = region.Cs_ddg.Region.graph in
-  let canon = Hashtbl.create 32 in
-  let next = ref 0 in
-  let id_of r =
-    match Hashtbl.find_opt canon r with
-    | Some i -> i
-    | None ->
-      let i = !next in
-      incr next;
-      Hashtbl.replace canon r i;
-      i
-  in
-  let b = Buffer.create 512 in
-  Printf.bprintf b "region %s\n" region.Cs_ddg.Region.name;
-  Cs_ddg.Reg.Set.iter
-    (fun r ->
-      let cid = id_of r in
-      match Cs_ddg.Reg.Map.find_opt r region.Cs_ddg.Region.live_in_homes with
-      | Some home -> Printf.bprintf b "livein r%d @%d\n" cid home
-      | None -> Printf.bprintf b "livein r%d\n" cid)
-    (Cs_ddg.Graph.live_in_regs graph);
-  Array.iter
-    (fun ins ->
-      let dst =
-        match ins.Cs_ddg.Instr.dst with
-        | Some r -> Printf.sprintf "r%d" (id_of r)
-        | None -> "-"
-      in
-      (* SSA: sources are live-ins or earlier destinations, so they are
-         already numbered by the time they are read here. *)
-      let srcs = List.map (fun r -> Printf.sprintf "r%d" (id_of r)) ins.Cs_ddg.Instr.srcs in
-      Printf.bprintf b "%s %s" (Cs_ddg.Opcode.to_string ins.Cs_ddg.Instr.op) dst;
-      if srcs <> [] then Printf.bprintf b " <- %s" (String.concat " " srcs);
-      (match ins.Cs_ddg.Instr.preplace with
-      | Some c -> Printf.bprintf b " @%d" c
-      | None -> ());
-      if ins.Cs_ddg.Instr.tag <> "" then Printf.bprintf b " # %s" ins.Cs_ddg.Instr.tag;
-      Buffer.add_char b '\n')
-    (Cs_ddg.Graph.instrs graph);
-  let dataflow_edge src dst =
-    let consumer = Cs_ddg.Graph.instr graph dst in
-    List.exists
-      (fun r -> Cs_ddg.Graph.defining_instr graph r = Some src)
-      consumer.Cs_ddg.Instr.srcs
-  in
-  for i = 0 to Cs_ddg.Graph.n graph - 1 do
-    List.iter
-      (fun j -> if not (dataflow_edge i j) then Printf.bprintf b "edge %d %d\n" i j)
-      (Cs_ddg.Graph.succs graph i)
-  done;
-  Cs_ddg.Reg.Set.elements region.Cs_ddg.Region.live_outs
-  |> List.map id_of |> List.sort compare
-  |> List.iter (fun cid -> Printf.bprintf b "liveout r%d\n" cid);
-  Buffer.contents b
-
 let canonical_form ?(faults = []) ?(spec = "") ~machine region =
   let b = Buffer.create 1024 in
   Buffer.add_string b "machine ";
@@ -81,7 +18,7 @@ let canonical_form ?(faults = []) ?(spec = "") ~machine region =
   Buffer.add_string b "\nspec ";
   Buffer.add_string b spec;
   Buffer.add_string b "\nregion\n";
-  Buffer.add_string b (canonical_region_text region);
+  Buffer.add_string b (Cs_ddg.Textual.to_string region);
   Buffer.contents b
 
 let canonical_hash ?faults ?spec ~machine region =

@@ -11,10 +11,10 @@
 
     The hash is FNV-1a (64-bit) over {!canonical_form}: a textual
     concatenation of the machine name, the canonical fault-plan string,
-    the scheduler/pass spec, and the region in a register-renaming
-    invariant variant of the {!Cs_ddg.Textual} format — so structurally
-    equal scenarios hash identically even across a serialize/parse round
-    trip (which renumbers registers). *)
+    the scheduler/pass spec, and the region in the {!Cs_ddg.Textual}
+    format, which numbers registers by first appearance — so
+    structurally equal scenarios hash identically, whatever numbering
+    their registers had. *)
 
 val fnv1a : ?h:int64 -> string -> int64
 (** 64-bit FNV-1a. [h] continues a previous hash (defaults to the FNV

@@ -6,26 +6,41 @@ let reg_of_string s =
     int_of_string_opt (String.sub s 1 (String.length s - 1))
   else None
 
-(* Live-ins with their optional homes, in ascending register order. *)
-let emit_live_ins region buf =
-  Reg.Set.iter
-    (fun r ->
-      match Reg.Map.find_opt r region.Region.live_in_homes with
-      | Some home -> Printf.bprintf buf "livein %s @%d\n" (Reg.to_string r) home
-      | None -> Printf.bprintf buf "livein %s\n" (Reg.to_string r))
-    (Graph.live_in_regs region.Region.graph)
-
+(* Registers print renumbered by first appearance: live-ins in
+   ascending order, then each instruction's destination. [of_string]
+   allocates registers in that same order, so a parsed region prints
+   back to the text it was read from, and any consistent renaming of a
+   region's registers prints the same text. Live-outs are sorted by the
+   printed numbering. *)
 let to_string region =
   let graph = region.Region.graph in
+  let ids = Hashtbl.create 32 in
+  let id_of r =
+    match Hashtbl.find_opt ids r with
+    | Some id -> id
+    | None ->
+      let id = Hashtbl.length ids in
+      Hashtbl.replace ids r id;
+      id
+  in
+  let name r = Reg.to_string (id_of r) in
   let buf = Buffer.create 512 in
   Printf.bprintf buf "region %s\n" region.Region.name;
-  emit_live_ins region buf;
+  Reg.Set.iter
+    (fun r ->
+      let r' = name r in
+      match Reg.Map.find_opt r region.Region.live_in_homes with
+      | Some home -> Printf.bprintf buf "livein %s @%d\n" r' home
+      | None -> Printf.bprintf buf "livein %s\n" r')
+    (Graph.live_in_regs graph);
   Array.iter
     (fun ins ->
-      let dst = match ins.Instr.dst with Some r -> Reg.to_string r | None -> "-" in
+      let dst = match ins.Instr.dst with Some r -> name r | None -> "-" in
+      (* SSA: sources are live-ins or earlier destinations, so they are
+         already named by the time they are read here. *)
+      let srcs = List.map name ins.Instr.srcs in
       Printf.bprintf buf "%s %s" (Opcode.to_string ins.Instr.op) dst;
-      if ins.Instr.srcs <> [] then
-        Printf.bprintf buf " <- %s" (String.concat " " (List.map Reg.to_string ins.Instr.srcs));
+      if srcs <> [] then Printf.bprintf buf " <- %s" (String.concat " " srcs);
       (match ins.Instr.preplace with Some c -> Printf.bprintf buf " @%d" c | None -> ());
       if ins.Instr.tag <> "" then Printf.bprintf buf " # %s" ins.Instr.tag;
       Buffer.add_char buf '\n')
@@ -42,9 +57,10 @@ let to_string region =
       (fun j -> if not (dataflow_edge i j) then Printf.bprintf buf "edge %d %d\n" i j)
       (Graph.succs graph i)
   done;
-  Reg.Set.iter
-    (fun r -> Printf.bprintf buf "liveout %s\n" (Reg.to_string r))
-    region.Region.live_outs;
+  Reg.Set.elements region.Region.live_outs
+  |> List.map id_of
+  |> List.sort compare
+  |> List.iter (fun id -> Printf.bprintf buf "liveout %s\n" (Reg.to_string id));
   Buffer.contents buf
 
 let of_string text =
@@ -158,16 +174,32 @@ let of_string text =
   | Some msg -> Error msg
   | None ->
     let builder = get_builder () in
-    List.iter
-      (fun (lineno, file_reg) ->
-        match Hashtbl.find_opt reg_map file_reg with
-        | Some r -> Builder.mark_live_out builder r
-        | None -> if !problem = None then problem := Some (Printf.sprintf "line %d: liveout of unknown register" lineno))
-      (List.rev !pending_live_outs);
+    let live_outs =
+      List.filter_map
+        (fun (lineno, file_reg) ->
+          match Hashtbl.find_opt reg_map file_reg with
+          | Some r -> Builder.mark_live_out builder r; Some (lineno, r)
+          | None -> fail "line %d: liveout of unknown register" lineno; None)
+        (List.rev !pending_live_outs)
+    in
     (match !problem with
     | Some msg -> Error msg
     | None -> (
-      try Ok (Builder.finish builder) with Invalid_argument msg -> error "%s" msg))
+      match Builder.finish builder with
+      | exception Invalid_argument msg -> error "%s" msg
+      | region -> (
+        (* A region only knows the live-ins its instructions read, so a
+           live-out that nothing reads or defines could not be written
+           back. *)
+        let g = region.Region.graph in
+        match
+          List.find_opt
+            (fun (_, r) ->
+              Graph.defining_instr g r = None && not (Reg.Set.mem r (Graph.live_in_regs g)))
+            live_outs
+        with
+        | Some (lineno, _) -> error "line %d: liveout of a register no instruction reads or defines" lineno
+        | None -> Ok region)))
 
 let load_file path =
   try

@@ -17,7 +17,11 @@
     instruction tag. *)
 
 val to_string : Region.t -> string
-(** Round-trips through {!of_string}. *)
+(** Round-trips through {!of_string}. Registers print numbered by first
+    appearance (live-ins, then destinations in program order), the
+    order in which {!of_string} allocates them, so
+    [to_string (of_string (to_string r))] is [to_string r], and regions
+    that differ only in register numbering print the same text. *)
 
 val of_string : string -> (Region.t, string) result
 

@@ -40,6 +40,41 @@ let encode_done ~key reply =
        [ ("t", Json.Str "done"); ("k", Json.Str key);
          ("rep", Proto.reply_to_json reply) ])
 
+(* Bound the dedup map: forget the oldest completed keys. Their WAL
+   records stay until the next compaction; reloading them just
+   re-populates and re-evicts in the same order. *)
+let evict_dones_locked t =
+  while t.dones_n > t.max_done do
+    match Queue.pop t.dones_order with
+    | key ->
+      t.dones_n <- t.dones_n - 1;
+      (match Hashtbl.find_opt t.table key with
+      | Some (Done _) -> Hashtbl.remove t.table key
+      | Some (Pending _) | None -> ())
+    | exception Queue.Empty -> t.dones_n <- 0
+  done
+
+(* The first journaled verdict of a key stands: a second done of a
+   [Done] key changes nothing, just as an admit of a known key does, so
+   the key sits in [dones_order] once. Recovery evicts after each done
+   record as the live journal did, so a key finished again after its
+   eviction comes back with the same horizon. Returns whether the done
+   was new. *)
+let record_done_locked t ~key reply =
+  let fresh =
+    match Hashtbl.find_opt t.table key with
+    | Some (Done _) -> false
+    | Some (Pending _) -> t.pending_n <- t.pending_n - 1; true
+    | None -> true
+  in
+  if fresh then begin
+    Hashtbl.replace t.table key (Done reply);
+    Queue.push key t.dones_order;
+    t.dones_n <- t.dones_n + 1;
+    evict_dones_locked t
+  end;
+  fresh
+
 (* Apply one journal record to the table. Unparseable records are
    skipped: the CRC layer already guarantees they are not torn writes,
    so the only way to see one is a version skew — and dropping an
@@ -68,34 +103,13 @@ let load_record t payload =
       (match Json.member "rep" json with
       | Some rep_json ->
         (match Proto.reply_of_json rep_json with
-        | Ok reply ->
-          (match Hashtbl.find_opt t.table key with
-          | Some (Pending _) -> t.pending_n <- t.pending_n - 1
-          | Some (Done _) | None -> ());
-          Hashtbl.replace t.table key (Done reply);
-          Queue.push key t.dones_order;
-          t.dones_n <- t.dones_n + 1
+        | Ok reply -> ignore (record_done_locked t ~key reply)
         | Error _ -> ())
       | None -> ())
     | _ -> ())
 
-(* Bound the dedup map: forget the oldest completed keys. Their WAL
-   records stay until the next compaction; reloading them just
-   re-populates and re-evicts in the same order. *)
-let evict_dones_locked t =
-  while t.dones_n > t.max_done do
-    match Queue.pop t.dones_order with
-    | key ->
-      t.dones_n <- t.dones_n - 1;
-      (match Hashtbl.find_opt t.table key with
-      | Some (Done _) -> Hashtbl.remove t.table key
-      | Some (Pending _) | None -> ())
-    | exception Queue.Empty -> t.dones_n <- 0
-  done
-
-let open_dir ?(segment_bytes = 1 lsl 20) ?(max_done = 4096)
-    ?(compact_bytes = 4 lsl 20) ~dir ~recover () =
-  let wal, recovery = Wal.open_dir ~segment_bytes ~dir () in
+let open_dir ?(max_done = 4096) ?(compact_bytes = 4 lsl 20) ~dir ~recover () =
+  let wal, recovery = Wal.open_dir ~dir () in
   let t =
     { wal; mutex = Mutex.create (); table = Hashtbl.create 64;
       pending_order = Queue.create (); dones_order = Queue.create ();
@@ -104,7 +118,6 @@ let open_dir ?(segment_bytes = 1 lsl 20) ?(max_done = 4096)
   in
   if recover then begin
     List.iter (load_record t) recovery.Wal.records;
-    evict_dones_locked t;
     if t.pending_n > 0 || recovery.Wal.truncated_bytes > 0 then
       Cs_obs.Obs.instant ~cat:"gateway"
         ~args:
@@ -114,22 +127,29 @@ let open_dir ?(segment_bytes = 1 lsl 20) ?(max_done = 4096)
   end
   else if recovery.Wal.records <> [] then
     (* no --recover: the operator asked for a fresh start *)
-    Wal.reset wal;
+    Wal.rewrite wal [];
   t
 
 let locked t f =
   Mutex.lock t.mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
 
+(* A key admitted again after its done left the horizon still has its
+   stale, earlier entry in [pending_order]: list each key once, at its
+   last admission. *)
 let pending t =
   locked t (fun () ->
-      Queue.fold
+      let seen = Hashtbl.create 16 in
+      List.fold_left
         (fun acc key ->
-          match Hashtbl.find_opt t.table key with
-          | Some (Pending req) -> (key, req) :: acc
-          | _ -> acc)
-        [] t.pending_order
-      |> List.rev)
+          if Hashtbl.mem seen key then acc
+          else begin
+            Hashtbl.add seen key ();
+            match Hashtbl.find_opt t.table key with
+            | Some (Pending req) -> (key, req) :: acc
+            | _ -> acc
+          end)
+        [] (List.rev (List.of_seq (Queue.to_seq t.pending_order))))
 
 let lag t = locked t (fun () -> t.pending_n)
 let truncated_bytes t = t.truncated
@@ -157,18 +177,19 @@ let admit t ~key req =
   if fresh then Wal.sync t.wal
 
 (* Compaction: only when nothing is in flight, so the rewritten log
-   needs no admit records at all — just the dedup horizon. *)
+   needs no admit records at all — just the dedup horizon, in one
+   atomic rewrite. *)
 let maybe_compact_locked t =
   if t.pending_n = 0 && Wal.size_bytes t.wal > t.compact_bytes then begin
-    Wal.reset t.wal;
     Queue.clear t.pending_order;
-    Queue.iter
-      (fun key ->
-        match Hashtbl.find_opt t.table key with
-        | Some (Done reply) -> Wal.append t.wal (encode_done ~key reply)
-        | _ -> ())
-      t.dones_order;
-    Wal.sync t.wal;
+    Wal.rewrite t.wal
+      (Queue.fold
+         (fun acc key ->
+           match Hashtbl.find_opt t.table key with
+           | Some (Done reply) -> encode_done ~key reply :: acc
+           | _ -> acc)
+         [] t.dones_order
+      |> List.rev);
     Cs_obs.Obs.instant ~cat:"gateway"
       ~args:[ ("kept_dones", Cs_obs.Obs.Int t.dones_n) ]
       "journal:compacted"
@@ -176,15 +197,10 @@ let maybe_compact_locked t =
 
 let mark_done t ~key reply =
   locked t (fun () ->
-      (match Hashtbl.find_opt t.table key with
-      | Some (Pending _) -> t.pending_n <- t.pending_n - 1
-      | Some (Done _) | None -> ());
-      Hashtbl.replace t.table key (Done reply);
-      Queue.push key t.dones_order;
-      t.dones_n <- t.dones_n + 1;
-      evict_dones_locked t;
-      Wal.append t.wal (encode_done ~key reply);
-      maybe_compact_locked t);
+      if record_done_locked t ~key reply then begin
+        Wal.append t.wal (encode_done ~key reply);
+        maybe_compact_locked t
+      end);
   Wal.sync t.wal
 
 let close t = locked t (fun () -> Wal.close t.wal)

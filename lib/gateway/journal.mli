@@ -19,17 +19,19 @@
     execution produces the identical verdict.
 
     The log self-compacts: whenever nothing is in flight and the log
-    has grown past a threshold, segments are reset and only the most
-    recent [max_done] completed records are rewritten, bounding both
-    disk use and the dedup horizon.
+    has grown past a threshold, one atomic {!Cs_util.Wal.rewrite}
+    replaces it with the done records of the most recent [max_done]
+    completed keys, bounding both disk use and the dedup horizon. A
+    crash at any point of the compaction leaves the old complete log or
+    the new one, never a log without the horizon.
 
     Thread-safe; forwarder domains share one journal. *)
 
 type t
 
 val open_dir :
-  ?segment_bytes:int -> ?max_done:int -> ?compact_bytes:int ->
-  dir:string -> recover:bool -> unit -> t
+  ?max_done:int -> ?compact_bytes:int -> dir:string -> recover:bool ->
+  unit -> t
 (** Open (creating [dir] if needed). With [recover:false] any existing
     journal is discarded — a fresh start; with [recover:true] the log
     is scanned (torn tails truncated by the WAL layer) and its state
@@ -58,6 +60,7 @@ val admit : t -> key:string -> Cs_svc.Proto.request -> unit
 
 val mark_done : t -> key:string -> Cs_svc.Proto.reply -> unit
 (** Durably record the answer; moves the key into the dedup map and
-    may trigger compaction. *)
+    may trigger compaction. The first journaled verdict of a key
+    stands: marking an already finished key done again is a no-op. *)
 
 val close : t -> unit

@@ -43,18 +43,21 @@ let fsync_dir dir =
     (try Unix.fsync fd with Unix.Unix_error _ -> ());
     (try Unix.close fd with Unix.Unix_error _ -> ())
 
+let write_all fd s =
+  let rec go pos len =
+    if len > 0 then begin
+      let n = Unix.write_substring fd s pos len in
+      go (pos + n) (len - n)
+    end
+  in
+  go 0 (String.length s)
+
 let write_atomic ~path content =
   sweep_orphans path;
   let tmp = temp_path path in
   let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
   (match
-     let rec write_all pos len =
-       if len > 0 then begin
-         let n = Unix.write_substring fd content pos len in
-         write_all (pos + n) (len - n)
-       end
-     in
-     write_all 0 (String.length content);
+     write_all fd content;
      Unix.fsync fd
    with
   | () -> Unix.close fd

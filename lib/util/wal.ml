@@ -1,12 +1,15 @@
-(* Append-only write-ahead log. Records are framed
-   [magic | u32 length | u32 crc32 | payload] inside numbered segment
-   files; a crash mid-append leaves a torn record only at the tail, and
-   the recovery scan truncates it away. fsyncs are group-committed:
-   every append buffers, and one flusher at a time writes the whole
-   batch and fsyncs once for everyone waiting. *)
+(* Append-only write-ahead log in one file, [wal-000000.log]. Records
+   are framed [magic | u32 length | u32 crc32 | payload]. The file
+   changes in two ways only: an append followed by an fsync, and an
+   atomic replace through [Fsio.write_atomic]. A crash mid-append leaves
+   a torn record only at the tail, and the recovery scan rewrites the
+   file without it. fsyncs are group-committed: every append buffers,
+   and one flusher at a time writes the whole batch and fsyncs once for
+   everyone waiting. *)
 
 let magic = "CSW1"
 let header_bytes = 12
+let file_name = "wal-000000.log"
 
 (* --- CRC-32 (IEEE 802.3, polynomial 0xEDB88320), table-driven ------- *)
 
@@ -27,32 +30,6 @@ let crc32 s =
     s;
   !c lxor 0xFFFFFFFF
 
-(* --- segment files -------------------------------------------------- *)
-
-let seg_name i = Printf.sprintf "wal-%06d.log" i
-let seg_path dir i = Filename.concat dir (seg_name i)
-
-let seg_index_of_name name =
-  if
-    String.length name = 14
-    && String.sub name 0 4 = "wal-"
-    && Filename.check_suffix name ".log"
-  then int_of_string_opt (String.sub name 4 6)
-  else None
-
-let list_segments dir =
-  Sys.readdir dir |> Array.to_list
-  |> List.filter_map (fun n ->
-         Option.map (fun i -> (i, n)) (seg_index_of_name n))
-  |> List.sort compare
-
-let fsync_dir dir =
-  match Unix.openfile dir [ Unix.O_RDONLY ] 0 with
-  | exception Unix.Unix_error _ -> ()
-  | fd ->
-    (try Unix.fsync fd with Unix.Unix_error _ -> ());
-    (try Unix.close fd with Unix.Unix_error _ -> ())
-
 let rec mkdir_p dir =
   if not (Sys.file_exists dir) then begin
     mkdir_p (Filename.dirname dir);
@@ -71,10 +48,10 @@ let encode payload =
   Bytes.blit_string payload 0 b header_bytes n;
   Bytes.unsafe_to_string b
 
-(* Parse records out of one segment's bytes. Returns the intact
-   payloads and the offset of the first tear ([None] when the whole
-   file parses). *)
-let scan_segment data =
+(* Parse records out of the log's bytes. Returns the intact payloads
+   and the offset of the first tear ([None] when the whole file
+   parses). *)
+let scan data =
   let len = String.length data in
   let records = ref [] in
   let rec go off =
@@ -104,112 +81,76 @@ let scan_segment data =
 (* --- log handle ----------------------------------------------------- *)
 
 type t = {
-  dir : string;
-  segment_bytes : int;
+  path : string;
   mutex : Mutex.t;
   cond : Condition.t;
   buf : Buffer.t;  (* encoded records awaiting flush *)
   mutable appended : int;  (* generation of the last buffered record *)
   mutable synced : int;  (* generation made durable *)
   mutable flushing : bool;
-  mutable fd : Unix.file_descr;  (* current segment, O_APPEND *)
-  mutable seg_index : int;
-  mutable seg_size : int;
-  mutable total_size : int;  (* durable bytes across live segments *)
+  mutable fd : Unix.file_descr;  (* the log file, O_APPEND *)
+  mutable size : int;  (* durable bytes in the file *)
   mutable closed : bool;
 }
 
 type recovery = {
   records : string list;
   truncated_bytes : int;
-  segments : int;
 }
 
 let locked t f =
   Mutex.lock t.mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
 
-let open_segment dir i =
-  Unix.openfile (seg_path dir i)
-    [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_APPEND ]
-    0o644
+let open_append path = Unix.openfile path [ Unix.O_WRONLY; Unix.O_APPEND ] 0o644
 
-let file_size path = (Unix.stat path).Unix.st_size
+(* Atomically replace the file with exactly [records] and open it for
+   appends: the only way the file changes other than by an append. *)
+let replace path records =
+  let data = String.concat "" (List.map encode records) in
+  Fsio.write_atomic ~path data;
+  (open_append path, String.length data)
 
-let truncate_file path off =
-  let fd = Unix.openfile path [ Unix.O_WRONLY ] 0o644 in
-  Fun.protect
-    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-    (fun () -> Unix.ftruncate fd off; Unix.fsync fd)
+(* A rotated log from an older build kept its later records in
+   [wal-000001.log] onwards; reading only the first file would drop
+   them silently. *)
+let refuse_segments dir =
+  Array.iter
+    (fun name ->
+      if
+        name <> file_name
+        && String.starts_with ~prefix:"wal-" name
+        && Filename.check_suffix name ".log"
+      then
+        failwith
+          (Printf.sprintf
+             "Wal.open_dir: %s is a later segment of a rotated log; refusing \
+              to drop its records"
+             (Filename.concat dir name)))
+    (Sys.readdir dir)
 
-let open_dir ?(segment_bytes = 1 lsl 20) ~dir () =
-  if segment_bytes <= header_bytes then
-    invalid_arg "Wal.open_dir: segment_bytes too small";
+let open_dir ~dir () =
   mkdir_p dir;
-  let segments = list_segments dir in
-  let n_segments = List.length segments in
-  let records = ref [] in
-  let truncated = ref 0 in
-  (* Scan in order; the first tear truncates its segment there and
-     discards every later segment — the log is only trustworthy up to
-     its first bad record. *)
-  let rec scan = function
-    | [] -> ()
-    | (i, name) :: rest ->
-      let path = Filename.concat dir name in
-      let data = In_channel.with_open_bin path In_channel.input_all in
-      let recs, tear = scan_segment data in
-      records := List.rev_append recs !records;
-      ignore i;
-      (match tear with
-      | None -> scan rest
-      | Some off ->
-        truncated := String.length data - off;
-        truncate_file path off;
-        List.iter
-          (fun (_, n) ->
-            let p = Filename.concat dir n in
-            truncated := !truncated + file_size p;
-            Sys.remove p)
-          rest;
-        fsync_dir dir)
+  refuse_segments dir;
+  let path = Filename.concat dir file_name in
+  let data = Fsio.read_opt path in
+  let records, tear = scan (Option.value data ~default:"") in
+  (* The log is only trustworthy up to its first bad record: a torn
+     tail, or corruption followed by good records, is cut there. *)
+  let fd, size, truncated_bytes =
+    match (data, tear) with
+    | Some data, None -> (open_append path, String.length data, 0)
+    | None, _ ->
+      let fd, size = replace path records in
+      (fd, size, 0)
+    | Some data, Some off ->
+      let fd, size = replace path records in
+      (fd, size, String.length data - off)
   in
-  scan segments;
-  let live = list_segments dir in
-  let seg_index =
-    match List.rev live with (i, _) :: _ -> i | [] -> 0
-  in
-  let fresh = live = [] in
-  let fd = open_segment dir seg_index in
-  if fresh then fsync_dir dir;
-  let seg_size = file_size (seg_path dir seg_index) in
-  let total_size =
-    List.fold_left
-      (fun acc (_, n) -> acc + file_size (Filename.concat dir n))
-      0 (list_segments dir)
-  in
-  let t =
-    { dir; segment_bytes; mutex = Mutex.create (); cond = Condition.create ();
+  ( { path; mutex = Mutex.create (); cond = Condition.create ();
       buf = Buffer.create 4096; appended = 0; synced = 0; flushing = false;
-      fd; seg_index; seg_size; total_size; closed = false }
-  in
-  ( t,
-    { records = List.rev !records;
-      truncated_bytes = !truncated;
-      segments = n_segments } )
-
-let write_all fd s =
-  let b = Bytes.unsafe_of_string s in
-  let n = Bytes.length b in
-  let rec go off = if off < n then go (off + Unix.write fd b off (n - off)) in
-  go 0
-
-let rotate_locked t =
-  (try Unix.close t.fd with Unix.Unix_error _ -> ());
-  t.seg_index <- t.seg_index + 1;
-  t.fd <- open_segment t.dir t.seg_index;
-  t.seg_size <- 0;
-  fsync_dir t.dir
+      fd; size; closed = false },
+    { records; truncated_bytes } )
 
 let append t payload =
   locked t (fun () ->
@@ -236,16 +177,14 @@ let sync t =
       Mutex.unlock t.mutex;
       (* the batched write + single fsync, outside the lock *)
       (match
-         write_all fd data;
+         Fsio.write_all fd data;
          Unix.fsync fd
        with
       | () ->
         (* re-enter [wait] with the lock held — it owns the unlock *)
         Mutex.lock t.mutex;
-        t.seg_size <- t.seg_size + String.length data;
-        t.total_size <- t.total_size + String.length data;
+        t.size <- t.size + String.length data;
         t.synced <- gen;
-        if t.seg_size >= t.segment_bytes then rotate_locked t;
         t.flushing <- false;
         Condition.broadcast t.cond
       | exception e ->
@@ -263,37 +202,33 @@ let append_sync t payload =
   append t payload;
   sync t
 
-let size_bytes t = locked t (fun () -> t.total_size)
+let size_bytes t = locked t (fun () -> t.size)
 
-let reset t =
-  Mutex.lock t.mutex;
+(* Wait out the flush in progress, if any, with the lock held. *)
+let quiesce_locked t =
   while t.flushing do
     Condition.wait t.cond t.mutex
-  done;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.mutex)
-    (fun () ->
-      if t.closed then invalid_arg "Wal.reset: log is closed";
+  done
+
+let rewrite t records =
+  locked t (fun () ->
+      quiesce_locked t;
+      if t.closed then invalid_arg "Wal.rewrite: log is closed";
+      let fd, size = replace t.path records in
       (try Unix.close t.fd with Unix.Unix_error _ -> ());
-      List.iter
-        (fun (_, n) -> try Sys.remove (Filename.concat t.dir n) with Sys_error _ -> ())
-        (list_segments t.dir);
+      t.fd <- fd;
+      t.size <- size;
+      (* the new file is durable, and it stands for everything
+         appended so far: unblock their syncs only now *)
       Buffer.clear t.buf;
       t.synced <- t.appended;
-      t.seg_index <- 0;
-      t.fd <- open_segment t.dir 0;
-      t.seg_size <- 0;
-      t.total_size <- 0;
-      fsync_dir t.dir)
+      Condition.broadcast t.cond)
 
 let close t =
   sync t;
-  Mutex.lock t.mutex;
-  while t.flushing do
-    Condition.wait t.cond t.mutex
-  done;
-  if not t.closed then begin
-    t.closed <- true;
-    try Unix.close t.fd with Unix.Unix_error _ -> ()
-  end;
-  Mutex.unlock t.mutex
+  locked t (fun () ->
+      quiesce_locked t;
+      if not t.closed then begin
+        t.closed <- true;
+        try Unix.close t.fd with Unix.Unix_error _ -> ()
+      end)

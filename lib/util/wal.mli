@@ -1,23 +1,23 @@
-(** Append-only write-ahead record log: CRC-checksummed framing,
-    group-committed fsyncs, segment rotation, and a recovery scan that
-    truncates torn tails.
+(** Append-only write-ahead record log in one file: CRC-checksummed
+    framing, group-committed fsyncs, and a recovery scan that cuts torn
+    tails.
 
-    A log lives in a directory of numbered segment files. Each record
-    is framed as [magic | length | crc32(payload) | payload], so a
-    process killed mid-append leaves at most one torn record at the
-    tail of the last segment — {!open_dir} detects it by length or
-    checksum, truncates the file back to the last whole record, and
-    the log is writable again. Corruption {e before} the tail (a bad
-    record followed by good ones, or a damaged earlier segment) also
-    truncates at the first bad record and discards everything after
-    it: a write-ahead log is only trustworthy up to its first tear.
+    The log is the file [wal-000000.log] in its directory. Each record
+    is framed as [magic | length | crc32(payload) | payload]. The file
+    changes in two ways only: an append followed by an [fsync], and an
+    atomic replace ({!rewrite}, through {!Fsio.write_atomic}: temp
+    file, fsync, rename, directory fsync). So at every instant the file
+    holds the old complete log or the new one, plus at most one torn
+    tail. {!open_dir} detects the tear by length or checksum and
+    rewrites the file with the whole records before it; corruption
+    {e before} the tail (a bad record followed by good ones) is cut the
+    same way, since a write-ahead log is only trustworthy up to its
+    first tear.
 
     Durability is group-committed: {!append} buffers, {!sync} writes
     the batch and issues one [fsync] for every record appended before
     it — concurrent committers coalesce onto a single in-flight flush
-    instead of queueing one fsync each. Segment files are rotated once
-    they pass [segment_bytes]; the directory is fsynced whenever the
-    segment set changes, so the file set itself survives a crash. *)
+    instead of queueing one fsync each. *)
 
 type t
 
@@ -25,14 +25,14 @@ type recovery = {
   records : string list;  (** every intact payload, append order *)
   truncated_bytes : int;
       (** bytes discarded by tail truncation (0 on a clean log) *)
-  segments : int;  (** segment files found on disk *)
 }
 
-val open_dir : ?segment_bytes:int -> dir:string -> unit -> t * recovery
-(** Open (creating [dir] if needed) and run the recovery scan.
-    [segment_bytes] (default 1 MiB) bounds a segment before rotation.
-    Raises [Unix.Unix_error] / [Sys_error] when the directory is
-    unusable. *)
+val open_dir : dir:string -> unit -> t * recovery
+(** Open (creating [dir] and the file if needed) and run the recovery
+    scan. Raises [Failure] naming the file when [dir] holds a later
+    segment ([wal-000001.log] onwards) of a rotated log, whose records
+    this log would otherwise drop; [Unix.Unix_error] / [Sys_error] when
+    the directory is unusable. *)
 
 val append : t -> string -> unit
 (** Buffer one record (any bytes, including newlines). Thread-safe.
@@ -47,13 +47,15 @@ val append_sync : t -> string -> unit
 (** [append] + [sync] — the one-call durable append. *)
 
 val size_bytes : t -> int
-(** Durable bytes across all live segments (excludes the unsynced
-    buffer). *)
+(** Durable bytes in the file (excludes the unsynced buffer). *)
 
-val reset : t -> unit
-(** Compaction primitive: delete every segment and start an empty
-    one. The caller decides when the log's contents are dead (e.g. no
-    in-flight entries). *)
+val rewrite : t -> string list -> unit
+(** Compaction primitive: wait for the flush in progress, atomically
+    replace the file with exactly [records], and reopen it for appends.
+    Records buffered but not yet flushed are dropped; every earlier
+    append counts as synced once the new file is durable, so the
+    caller's [records] must stand for them (e.g. a journal's live
+    state). *)
 
 val close : t -> unit
 (** Final sync, then close. Further appends raise. *)

@@ -335,6 +335,282 @@ let test_journal_recovery_and_dedup () =
     (Journal.completed j4 "K1" = None);
   Journal.close j4
 
+let wal_file dir = Filename.concat dir "wal-000000.log"
+let job_req key = Proto.request ~id:key ~idem_key:key ~machine:"raw4" "fir"
+
+let job_reply key cycles =
+  Proto.reply ~id:key ~elapsed_ms:1.0
+    (Proto.Scheduled
+       { cycles; transfers = 0; rung = "requested"; timed_out = false; quarantined = 0 })
+
+let cycles_of (r : Proto.reply) =
+  match r.Proto.verdict with Proto.Scheduled s -> s.cycles | Proto.Refused _ -> -1
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let write_file path data =
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc data)
+
+(* A journal record as (kind, key, verdict cycles); [cycles] is -1 on
+   an admit. *)
+let parse_record payload =
+  let json = Result.get_ok (Cs_obs.Json.of_string payload) in
+  let str k =
+    match Cs_obs.Json.member k json with Some (Cs_obs.Json.Str s) -> s | _ -> "?"
+  in
+  let cycles =
+    match Cs_obs.Json.member "rep" json with
+    | Some rep -> cycles_of (Result.get_ok (Proto.reply_of_json rep))
+    | None -> -1
+  in
+  (str "t", str "k", cycles)
+
+(* The payloads of the log in [dir], read through the WAL layer. *)
+let wal_payloads dir =
+  let wal, recov = Cs_util.Wal.open_dir ~dir () in
+  Cs_util.Wal.close wal;
+  recov.Cs_util.Wal.records
+
+let journal_records dir = List.map parse_record (wal_payloads dir)
+
+let test_journal_dedup_horizon () =
+  let dir = journal_dir "horizon" in
+  let j = Journal.open_dir ~max_done:3 ~dir ~recover:false () in
+  let finish key cycles =
+    Journal.admit j ~key (job_req key);
+    Journal.mark_done j ~key (job_reply key cycles)
+  in
+  (* K finishes twice (a keyless retry whose verdict is not cached, or
+     two concurrent requests with one idempotency key), then two more
+     keys: K is still inside a horizon of three *)
+  finish "K" 1;
+  Journal.mark_done j ~key:"K" (job_reply "K" 2);
+  finish "A" 3;
+  finish "B" 4;
+  let answers j =
+    List.map (fun k -> Option.map cycles_of (Journal.completed j k)) [ "K"; "A"; "B" ]
+  in
+  Alcotest.(check (list (option int)))
+    "the first verdict of K stands inside the horizon" [ Some 1; Some 3; Some 4 ] (answers j);
+  Journal.close j;
+  Alcotest.(check int) "one done record for K" 1
+    (List.length
+       (List.filter (fun (t, k, _) -> t = "done" && k = "K") (journal_records dir)));
+  let j2 = Journal.open_dir ~max_done:3 ~dir ~recover:true () in
+  Alcotest.(check (list (option int))) "and after recovery" [ Some 1; Some 3; Some 4 ] (answers j2);
+  Journal.close j2;
+  (* a log that already holds two dones of K recovers the same way *)
+  let dir2 = journal_dir "horizon-log" in
+  let wal, _ = Cs_util.Wal.open_dir ~dir:dir2 () in
+  let done_record key cycles =
+    Cs_obs.Json.(
+      to_string
+        (Obj
+           [ ("t", Str "done"); ("k", Str key);
+             ("rep", Proto.reply_to_json (job_reply key cycles)) ]))
+  in
+  List.iter
+    (fun (k, c) -> Cs_util.Wal.append wal (done_record k c))
+    [ ("K", 1); ("K", 2); ("A", 3); ("B", 4) ];
+  Cs_util.Wal.close wal;
+  let j3 = Journal.open_dir ~max_done:3 ~dir:dir2 ~recover:true () in
+  Alcotest.(check (list (option int)))
+    "a repeated done record does not evict its key" [ Some 1; Some 3; Some 4 ] (answers j3);
+  Journal.close j3;
+  (* a key finished again after its eviction: recovery evicts after
+     each done record, as the live journal did *)
+  let dir3 = journal_dir "horizon-again" in
+  let j = Journal.open_dir ~max_done:1 ~dir:dir3 ~recover:false () in
+  let finish key cycles =
+    Journal.admit j ~key (job_req key);
+    Journal.mark_done j ~key (job_reply key cycles)
+  in
+  finish "K" 1;
+  finish "A" 2;
+  Journal.admit j ~key:"K" (job_req "K");
+  let pending_keys j = List.map fst (Journal.pending j) in
+  Alcotest.(check (list string)) "an evicted key admitted again is pending once" [ "K" ]
+    (pending_keys j);
+  Journal.close j;
+  let j = Journal.open_dir ~max_done:1 ~dir:dir3 ~recover:true () in
+  Alcotest.(check (list string)) "and replays once" [ "K" ] (pending_keys j);
+  Journal.mark_done j ~key:"K" (job_reply "K" 3);
+  let horizon j =
+    List.map (fun k -> Option.map cycles_of (Journal.completed j k)) [ "K"; "A" ]
+  in
+  Alcotest.(check (list (option int))) "live horizon" [ Some 3; None ] (horizon j);
+  Journal.close j;
+  let j4 = Journal.open_dir ~max_done:1 ~dir:dir3 ~recover:true () in
+  Alcotest.(check (list (option int))) "recovered horizon" [ Some 3; None ] (horizon j4);
+  Journal.close j4
+
+let test_journal_compaction () =
+  let dir = journal_dir "compact" in
+  (* compact_bytes 0: every done that leaves nothing in flight compacts *)
+  let j = Journal.open_dir ~max_done:3 ~compact_bytes:0 ~dir ~recover:false () in
+  let key i = Printf.sprintf "job-%d" i in
+  let shrinks = ref 0 and last_size = ref 0 in
+  let note_size () =
+    let n = String.length (read_file (wal_file dir)) in
+    if n < !last_size then incr shrinks;
+    last_size := n
+  in
+  for i = 0 to 9 do
+    Journal.admit j ~key:(key i) (job_req (key i));
+    note_size ();
+    if i mod 2 = 1 then begin
+      (* the first done leaves key i in flight, so only the second
+         compacts *)
+      Journal.mark_done j ~key:(key (i - 1)) (job_reply (key (i - 1)) (100 + i - 1));
+      note_size ();
+      Journal.mark_done j ~key:(key i) (job_reply (key i) (100 + i));
+      note_size ()
+    end
+  done;
+  Alcotest.(check int) "one compaction per pair" 5 !shrinks;
+  Journal.admit j ~key:"P1" (job_req "P1");
+  Journal.admit j ~key:"P2" (job_req "P2");
+  Journal.close j;
+  let j2 = Journal.open_dir ~max_done:3 ~compact_bytes:0 ~dir ~recover:true () in
+  Alcotest.(check (list (option int)))
+    "exactly the last max_done completed keys answer"
+    (List.init 10 (fun i -> if i >= 7 then Some (100 + i) else None))
+    (List.init 10 (fun i -> Option.map cycles_of (Journal.completed j2 (key i))));
+  Alcotest.(check (list string)) "pending keys replay" [ "P1"; "P2" ]
+    (List.map fst (Journal.pending j2));
+  Journal.close j2;
+  Alcotest.(check (list (triple string string int)))
+    "the file holds one done record per kept key, then the admits"
+    [ ("done", key 7, 107); ("done", key 8, 108); ("done", key 9, 109);
+      ("admit", "P1", -1); ("admit", "P2", -1) ]
+    (journal_records dir)
+
+(* The journal state that the whole records [recs] stand for, rebuilt
+   without the journal: pending keys once each, in the order of their
+   last admission, and each finished key's first verdict while it is
+   among the last [max_done] completions; an evicted key is forgotten,
+   so it can be admitted and finished again. *)
+let model_state ~max_done recs =
+  let table = Hashtbl.create 16 in
+  let pending = ref [] and dones = Queue.create () in
+  List.iter
+    (fun (t, k, c) ->
+      match (t, Hashtbl.find_opt table k) with
+      | "admit", None ->
+        Hashtbl.replace table k None;
+        pending := k :: List.filter (( <> ) k) !pending
+      | "done", (None | Some None) ->
+        Hashtbl.replace table k (Some c);
+        Queue.push k dones;
+        if Queue.length dones > max_done then Hashtbl.remove table (Queue.pop dones)
+      | _ -> ())
+    recs;
+  ( List.filter (fun k -> Hashtbl.find_opt table k = Some None) (List.rev !pending),
+    fun k -> Option.join (Hashtbl.find_opt table k) )
+
+let test_journal_crash_points () =
+  let max_done = 2 in
+  let dir = journal_dir "workload" in
+  let open_j ~compact_bytes ~recover = Journal.open_dir ~max_done ~compact_bytes ~dir ~recover () in
+  let admit j k = Journal.admit j ~key:k (job_req k) in
+  let finish j k c = Journal.mark_done j ~key:k (job_reply k c) in
+  let j = open_j ~compact_bytes:max_int ~recover:false in
+  admit j "A"; finish j "A" 1; admit j "B"; admit j "C"; finish j "B" 2; admit j "D";
+  finish j "C" 3;
+  (* A left the horizon with C's done: it can run and finish again *)
+  admit j "A"; finish j "A" 9;
+  Journal.close j;
+  let old_log = read_file (wal_file dir) in
+  (* the one compaction: D's done leaves nothing in flight *)
+  let j = open_j ~compact_bytes:0 ~recover:true in
+  finish j "D" 4;
+  Journal.close j;
+  let compacted = read_file (wal_file dir) in
+  Alcotest.(check bool) "the workload compacted" true
+    (String.length compacted < String.length old_log);
+  let j = open_j ~compact_bytes:max_int ~recover:true in
+  admit j "E"; finish j "E" 5; finish j "E" 6; admit j "F"; admit j "G"; finish j "G" 7;
+  Journal.close j;
+  let final_log = read_file (wal_file dir) in
+  let keys = [ "A"; "B"; "C"; "D"; "E"; "F"; "G" ] in
+  let crash_dir = journal_dir "crash" in
+  Unix.mkdir crash_dir 0o755;
+  let check_prefixes label log =
+    write_file (wal_file crash_dir) log;
+    let recs = List.map (fun p -> (p, parse_record p)) (wal_payloads crash_dir) in
+    (* end offset of each whole record *)
+    let ends =
+      List.rev
+        (snd
+           (List.fold_left
+              (fun (off, acc) (payload, r) ->
+                let off = off + 12 + String.length payload in
+                (off, (off, r) :: acc))
+              (0, []) recs))
+    in
+    for len = 0 to String.length log do
+      write_file (wal_file crash_dir) (String.sub log 0 len);
+      let whole = List.filter (fun (e, _) -> e <= len) ends in
+      let whole_end = List.fold_left (fun _ (e, _) -> e) 0 whole in
+      let pending, completed = model_state ~max_done (List.map snd whole) in
+      let j =
+        match Journal.open_dir ~max_done ~dir:crash_dir ~recover:true () with
+        | j -> j
+        | exception e ->
+          Alcotest.failf "%s prefix %d: recovering open raised %s" label len
+            (Printexc.to_string e)
+      in
+      let where = Printf.sprintf "%s prefix %d" label len in
+      Alcotest.(check (list string)) (where ^ ": pending") pending
+        (List.map fst (Journal.pending j));
+      Alcotest.(check (list (option int))) (where ^ ": completed")
+        (List.map completed keys)
+        (List.map (fun k -> Option.map cycles_of (Journal.completed j k)) keys);
+      Alcotest.(check int) (where ^ ": torn bytes") (len - whole_end)
+        (Journal.truncated_bytes j);
+      Journal.close j;
+      Alcotest.(check int) (where ^ ": tail cut from the file") whole_end
+        (String.length (read_file (wal_file crash_dir)))
+    done
+  in
+  check_prefixes "before compaction" old_log;
+  check_prefixes "after compaction" final_log
+
+let test_journal_orphan_rewrite () =
+  let dir = journal_dir "orphan" in
+  let j = Journal.open_dir ~max_done:2 ~dir ~recover:false () in
+  List.iteri
+    (fun i k ->
+      Journal.admit j ~key:k (job_req k);
+      if k <> "C" then Journal.mark_done j ~key:k (job_reply k i))
+    [ "A"; "B"; "C"; "D" ];
+  Journal.close j;
+  let old_log = read_file (wal_file dir) in
+  (* a crash inside [Fsio.write_atomic]: the temp file of the rewrite
+     is there at any length, the rename never happened *)
+  let orphan = Printf.sprintf "%s.tmp.%d" (wal_file dir) (Unix.getpid () + 1) in
+  for len = 0 to String.length old_log do
+    write_file orphan (String.sub old_log 0 len);
+    let j = Journal.open_dir ~max_done:2 ~dir ~recover:true () in
+    let where = Printf.sprintf "orphan of %d bytes" len in
+    Alcotest.(check (list string)) (where ^ ": pending") [ "C" ]
+      (List.map fst (Journal.pending j));
+    Alcotest.(check (list (option int))) (where ^ ": completed")
+      [ None; Some 1; Some 3 ]
+      (List.map (fun k -> Option.map cycles_of (Journal.completed j k)) [ "A"; "B"; "D" ]);
+    Journal.close j;
+    Alcotest.(check bool) (where ^ ": old log untouched") true
+      (read_file (wal_file dir) = old_log)
+  done;
+  (* the next rewrite, C's done compacting the log, sweeps the orphan *)
+  let j = Journal.open_dir ~max_done:2 ~compact_bytes:0 ~dir ~recover:true () in
+  Journal.mark_done j ~key:"C" (job_reply "C" 2);
+  Journal.close j;
+  Alcotest.(check (list string)) "the rewrite swept the orphan" [ "wal-000000.log" ]
+    (Array.to_list (Sys.readdir dir));
+  Alcotest.(check (list (triple string string int)))
+    "and left the horizon" [ ("done", "D", 3); ("done", "C", 2) ] (journal_records dir)
+
 (* --- dispatch policy ----------------------------------------------- *)
 
 let test_policy_orderings () =
@@ -932,6 +1208,11 @@ let () =
       ( "journal",
         [
           Alcotest.test_case "recovery + dedup" `Quick test_journal_recovery_and_dedup;
+          Alcotest.test_case "dedup horizon counts a key once" `Quick
+            test_journal_dedup_horizon;
+          Alcotest.test_case "compaction keeps the horizon" `Quick test_journal_compaction;
+          Alcotest.test_case "every byte prefix recovers" `Quick test_journal_crash_points;
+          Alcotest.test_case "orphan rewrite temp" `Quick test_journal_orphan_rewrite;
         ] );
       ("policy", [ Alcotest.test_case "orderings" `Quick test_policy_orderings ]);
       ( "scenario-hash",

@@ -358,14 +358,15 @@ let mutate s (op, at, c, bit) =
     String.mapi (fun i ch -> if i = at then Char.chr (Char.code ch lxor (1 lsl bit)) else ch) s
   | _ -> String.sub s 0 (at mod (n + 1))
 
-let fuzzed ?(alphabet = "=:,-x.e0123456789 +_") token_gen =
+let edits_gen ?(alphabet = "=:,-x.e0123456789 +_") ?(max_at = 1_000) () =
   let byte =
     QCheck.Gen.(frequency [ (1, char); (1, oneofl (List.of_seq (String.to_seq alphabet))) ])
   in
-  let edit = QCheck.Gen.(quad (int_bound 3) (int_bound 1_000) byte (int_bound 7)) in
+  QCheck.Gen.(list_size (int_range 1 4) (quad (int_bound 3) (int_bound max_at) byte (int_bound 7)))
+
+let fuzzed ?alphabet ?max_at token_gen =
   QCheck.make ~print:(Printf.sprintf "%S") ~shrink:QCheck.Shrink.string
-    QCheck.Gen.(
-      map2 (List.fold_left mutate) token_gen (list_size (int_range 1 4) edit))
+    QCheck.Gen.(map2 (List.fold_left mutate) token_gen (edits_gen ?alphabet ?max_at ()))
 
 let same_params (p : Cs_core.Pass.t) (q : Cs_core.Pass.t) =
   p.name = q.name
@@ -473,6 +474,88 @@ let prop_reply_bytes =
     (fuzzed ~alphabet:json_alphabet reply_line_gen)
     (round_trips Cs_svc.Proto.reply_of_line Cs_svc.Proto.reply_to_line)
 
+(* A valid WAL: up to six records whose payloads cannot hold the
+   record magic, mutated by the same byte edits. Recovery must keep a
+   prefix of the appended records, take an append, and leave a log
+   whose next scan cuts nothing. *)
+let wal_case_dir = Filename.concat (Filename.get_temp_dir_name ()) (Printf.sprintf "cs_props_wal_%d" (Unix.getpid ()))
+
+let wal_case_gen =
+  QCheck.Gen.(
+    pair
+      (list_size (int_range 1 6) (string_size ~gen:(char_range 'a' 'z') (int_bound 40)))
+      (edits_gen ~alphabet:"CSW1\000\255" ~max_at:400 ()))
+
+let print_wal_case (payloads, edits) =
+  Printf.sprintf "payloads [%s], edits [%s]"
+    (String.concat "; " (List.map (Printf.sprintf "%S") payloads))
+    (String.concat "; "
+       (List.map (fun (op, at, c, bit) -> Printf.sprintf "(%d, %d, %C, %d)" op at c bit) edits))
+
+let prop_wal_bytes =
+  QCheck.Test.make ~count:1000 ~name:"WAL bytes: recovery keeps a prefix and appends cleanly"
+    (QCheck.make ~print:print_wal_case wal_case_gen) (fun (payloads, edits) ->
+      let dir = wal_case_dir in
+      if Sys.file_exists dir then
+        Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      let wal, _ = Cs_util.Wal.open_dir ~dir () in
+      List.iter (Cs_util.Wal.append wal) payloads;
+      Cs_util.Wal.close wal;
+      let path = Filename.concat dir "wal-000000.log" in
+      let log = In_channel.with_open_bin path In_channel.input_all in
+      Out_channel.with_open_bin path (fun oc ->
+          Out_channel.output_string oc (List.fold_left mutate log edits));
+      let wal, recov = Cs_util.Wal.open_dir ~dir () in
+      let kept = recov.Cs_util.Wal.records in
+      let is_prefix = List.filteri (fun i _ -> i < List.length kept) payloads = kept in
+      Cs_util.Wal.append_sync wal "after";
+      Cs_util.Wal.close wal;
+      let wal, again = Cs_util.Wal.open_dir ~dir () in
+      Cs_util.Wal.close wal;
+      is_prefix
+      && again.Cs_util.Wal.truncated_bytes = 0
+      && again.Cs_util.Wal.records = kept @ [ "after" ])
+
+(* Repro files of generated scenarios, healthy and degraded. Most edits
+   of a file with its fingerprint header are refused by the fingerprint,
+   so a third of the files go without one and let edits of the region
+   reach the textual reader. Every mutated file loads to a typed error
+   or to a repro whose own file loads back to the same text and
+   fingerprint. *)
+let repro_gen =
+  QCheck.Gen.(
+    triple (int_bound 100_000) bool (int_bound 2) >|= fun (seed, degraded, drop) ->
+    let scenario =
+      if degraded then Cs_check.Gen.case_degraded ~seed else Cs_check.Gen.case ~seed
+    in
+    let text =
+      Cs_check.Repro.to_string
+        { Cs_check.Repro.scenario; check = Some "validator"; note = Some "found by fuzz" }
+    in
+    if drop > 0 then text
+    else
+      String.concat "\n"
+        (List.filter
+           (fun l -> not (String.starts_with ~prefix:"fingerprint " l))
+           (String.split_on_char '\n' text)))
+
+let repro_round_trips s =
+  match Cs_check.Repro.of_string s with
+  | Error _ -> true
+  | Ok r -> (
+    let text = Cs_check.Repro.to_string r in
+    match Cs_check.Repro.of_string text with
+    | Ok r' ->
+      Cs_check.Repro.to_string r' = text
+      && Cs_check.Repro.fingerprint r'.Cs_check.Repro.scenario
+         = Cs_check.Repro.fingerprint r.Cs_check.Repro.scenario
+    | Error _ -> false)
+
+let prop_repro_bytes =
+  QCheck.Test.make ~count:10000 ~name:"repro file bytes: Ok round-trips with its fingerprint"
+    (fuzzed ~alphabet:" \n-<>:=,.0123456789abcdefilmnoprstuvx" ~max_at:4000 repro_gen)
+    repro_round_trips
+
 (* The minimised failures the three wire properties found, kept in
    test/corpus/wire.lines: each must now decode to a typed error or
    round-trip. *)
@@ -499,6 +582,22 @@ let test_wire_corpus () =
       if not ok then Alcotest.failf "%s line does not round-trip: %s" reader line)
     cases
 
+(* The minimised failures the repro property found, one file each in
+   test/corpus/repro-*.txt: a register read before any line defines it
+   printed back under another number, and a live-out that no
+   instruction reads or defines printed back unreadable. *)
+let test_repro_corpus () =
+  let files =
+    Sys.readdir "corpus" |> Array.to_list
+    |> List.filter (fun f -> String.starts_with ~prefix:"repro-" f && Filename.check_suffix f ".txt")
+  in
+  if files = [] then Alcotest.fail "corpus holds no repro-*.txt file";
+  List.iter
+    (fun f ->
+      let s = In_channel.with_open_bin (Filename.concat "corpus" f) In_channel.input_all in
+      if not (repro_round_trips s) then Alcotest.failf "%s does not round-trip" f)
+    files
+
 let () =
   Alcotest.run "properties"
     [
@@ -520,6 +619,7 @@ let () =
       ( "readers",
         List.map to_alcotest
           [ prop_pass_spec_bytes; prop_fault_plan_bytes; prop_request_bytes; prop_incoming_bytes;
-            prop_reply_bytes ]
-        @ [ Alcotest.test_case "wire corpus replays" `Quick test_wire_corpus ] );
+            prop_reply_bytes; prop_wal_bytes; prop_repro_bytes ]
+        @ [ Alcotest.test_case "wire corpus replays" `Quick test_wire_corpus;
+            Alcotest.test_case "repro corpus replays" `Quick test_repro_corpus ] );
     ]

@@ -244,31 +244,52 @@ let test_wal_corrupt_record_cuts_suffix () =
   check_bool "bad suffix counted" true (recov.Cs_util.Wal.truncated_bytes > 0);
   Cs_util.Wal.close wal2
 
-let test_wal_rotation_and_reset () =
-  let dir = fresh_dir "rotate" in
-  let wal, _ = Cs_util.Wal.open_dir ~segment_bytes:64 ~dir () in
+let test_wal_rewrite () =
+  let dir = fresh_dir "rewrite" in
+  let wal, _ = Cs_util.Wal.open_dir ~dir () in
   for i = 1 to 12 do
     Cs_util.Wal.append_sync wal (Printf.sprintf "record-%02d" i)
   done;
+  (* buffered, never flushed: the rewrite's records stand for it *)
+  Cs_util.Wal.append wal "unflushed";
+  Cs_util.Wal.rewrite wal [ "kept-1"; "kept-2" ];
+  check_int "size is the two framed records" (2 * (12 + 6)) (Cs_util.Wal.size_bytes wal);
+  Cs_util.Wal.sync wal;
+  Cs_util.Wal.append_sync wal "after";
   Cs_util.Wal.close wal;
-  let n_segments =
-    Array.length
-      (Array.of_list
-         (List.filter
-            (fun n -> Filename.check_suffix n ".log")
-            (Array.to_list (Sys.readdir dir))))
-  in
-  check_bool "rotated into multiple segments" true (n_segments > 1);
-  let wal2, recov = Cs_util.Wal.open_dir ~segment_bytes:64 ~dir () in
-  check_int "all records span segments" 12 (List.length recov.Cs_util.Wal.records);
-  check_int "segments reported" n_segments recov.Cs_util.Wal.segments;
-  Cs_util.Wal.reset wal2;
-  check_int "reset empties the log" 0 (Cs_util.Wal.size_bytes wal2);
+  Alcotest.(check (list string))
+    "one file, no temp left" [ "wal-000000.log" ]
+    (Array.to_list (Sys.readdir dir));
+  let wal2, recov = Cs_util.Wal.open_dir ~dir () in
+  Alcotest.(check (list string))
+    "exactly the rewritten records, then the appends"
+    [ "kept-1"; "kept-2"; "after" ] recov.Cs_util.Wal.records;
+  check_int "rewritten log is clean" 0 recov.Cs_util.Wal.truncated_bytes;
+  Cs_util.Wal.rewrite wal2 [];
+  check_int "rewrite to nothing empties the log" 0 (Cs_util.Wal.size_bytes wal2);
   Cs_util.Wal.close wal2;
   let wal3, recov3 = Cs_util.Wal.open_dir ~dir () in
-  check_int "nothing to recover after reset" 0
+  check_int "nothing to recover after an empty rewrite" 0
     (List.length recov3.Cs_util.Wal.records);
   Cs_util.Wal.close wal3
+
+let test_wal_refuses_later_segment () =
+  let dir = fresh_dir "segment" in
+  let wal, _ = Cs_util.Wal.open_dir ~dir () in
+  Cs_util.Wal.append_sync wal "first";
+  Cs_util.Wal.close wal;
+  (* a rotated log from an older build: its records must not vanish *)
+  let later = Filename.concat dir "wal-000001.log" in
+  Out_channel.with_open_bin later (fun oc -> output_string oc "CSW1");
+  (match Cs_util.Wal.open_dir ~dir () with
+  | _ -> Alcotest.fail "a later segment must be refused"
+  | exception Failure msg ->
+    let n = String.length later in
+    let rec names_file i =
+      i + n <= String.length msg && (String.sub msg i n = later || names_file (i + 1))
+    in
+    check_bool "message names the file" true (names_file 0));
+  check_bool "the segment is left in place" true (Sys.file_exists later)
 
 let test_wal_group_commit_concurrent () =
   let dir = fresh_dir "group" in
@@ -378,7 +399,8 @@ let () =
           Alcotest.test_case "torn tail truncated" `Quick test_wal_torn_tail_truncated;
           Alcotest.test_case "corrupt record cuts suffix" `Quick
             test_wal_corrupt_record_cuts_suffix;
-          Alcotest.test_case "rotation + reset" `Quick test_wal_rotation_and_reset;
+          Alcotest.test_case "rewrite" `Quick test_wal_rewrite;
+          Alcotest.test_case "later segment refused" `Quick test_wal_refuses_later_segment;
           Alcotest.test_case "concurrent group commit" `Quick
             test_wal_group_commit_concurrent;
         ] );
