@@ -1,60 +1,73 @@
+(* [nb.(len) ..] gets every id of a neighbour list, in list order;
+   returns the new length. *)
+let rec push_all nb len = function
+  | [] -> len
+  | k :: rest ->
+    nb.(len) <- k;
+    push_all nb (len + 1) rest
+
+(* As [push_all], for the ids not yet seen for row [i], which it marks
+   as seen. *)
+let rec visit_all stamp nb i len = function
+  | [] -> len
+  | k :: rest ->
+    if stamp.(k) <> i then begin
+      stamp.(k) <- i;
+      nb.(len) <- k;
+      visit_all stamp nb i (len + 1) rest
+    end
+    else visit_all stamp nb i len rest
+
 (* Gather row [i]'s coupled instructions into [nb]: the direct
    neighbours first (preds, then succs, every list entry), then — with
    [grand] — the grand-neighbours not already seen, in *reverse*
    discovery order. The pulls are float sums, so this order is part of
    the result: it is the one test/golden/schedules.txt was produced
    with. [stamp.(k) = i] marks [k] as seen for row [i], so no per-row
-   set is allocated. Returns the number of direct neighbours and the
-   total count. *)
-let gather graph ~grand ~stamp ~nb i =
-  let len = ref 0 in
-  let push k =
-    nb.(!len) <- k;
-    incr len
-  in
-  List.iter push (Cs_ddg.Graph.preds graph i);
-  List.iter push (Cs_ddg.Graph.succs graph i);
-  let direct = !len in
-  if grand && direct > 0 then begin
+   set is allocated. Returns the total count, and the number of direct
+   neighbours in [n_direct.(0)]; the walks are top-level recursions, so
+   a row allocates nothing. *)
+let gather graph ~grand ~stamp ~nb ~n_direct i =
+  let len = push_all nb 0 (Cs_ddg.Graph.preds graph i) in
+  let len = push_all nb len (Cs_ddg.Graph.succs graph i) in
+  n_direct.(0) <- len;
+  if grand && len > 0 then begin
     stamp.(i) <- i;
-    for d = 0 to direct - 1 do
+    for d = 0 to len - 1 do
       stamp.(nb.(d)) <- i
     done;
-    let visit k =
-      if stamp.(k) <> i then begin
-        stamp.(k) <- i;
-        push k
-      end
-    in
-    for d = 0 to direct - 1 do
+    let total = ref len in
+    for d = 0 to len - 1 do
       let j = nb.(d) in
-      List.iter visit (Cs_ddg.Graph.preds graph j);
-      List.iter visit (Cs_ddg.Graph.succs graph j)
+      total := visit_all stamp nb i !total (Cs_ddg.Graph.preds graph j);
+      total := visit_all stamp nb i !total (Cs_ddg.Graph.succs graph j)
     done;
     (* Reverse the grand block in place. *)
-    let lo = ref direct and hi = ref (!len - 1) in
+    let lo = ref len and hi = ref (!total - 1) in
     while !lo < !hi do
       let x = nb.(!lo) in
       nb.(!lo) <- nb.(!hi);
       nb.(!hi) <- x;
       incr lo;
       decr hi
-    done
-  end;
-  (direct, !len)
+    done;
+    !total
+  end
+  else len
 
 let apply ~eps ~grand ~grand_weight ~per_slot ~strengthen_preferred ctx w =
   let graph = Context.graph ctx in
   let n = Weights.n w and nc = Weights.nc w in
   (* A DAG's neighbour lists hold no duplicates and no node is both a
      pred and a succ, so one row's coupled set has fewer than n ids. *)
-  let stamp = Array.make n (-1) and nb = Array.make (max n 1) 0 in
+  let stamp = Array.make n (-1) and nb = Array.make (max n 1) 0 and n_direct = [| 0 |] in
   if per_slot then begin
     (* The paper's literal formula: couple on identical (c, t) slots,
        read from a snapshot so the pass is order-independent. *)
     let snap = Weights.copy w in
     for i = 0 to n - 1 do
-      let direct, len = gather graph ~grand ~stamp ~nb i in
+      let len = gather graph ~grand ~stamp ~nb ~n_direct i in
+      let direct = n_direct.(0) in
       if len > 0 then
         for c = 0 to nc - 1 do
           for tt = 0 to Weights.nt w - 1 do
@@ -84,7 +97,8 @@ let apply ~eps ~grand ~grand_weight ~per_slot ~strengthen_preferred ctx w =
        times [grand_weight]. *)
     let factors = Array.make (n * nc) 0.0 and coupled = Array.make n false in
     for i = 0 to n - 1 do
-      let direct, len = gather graph ~grand ~stamp ~nb i in
+      let len = gather graph ~grand ~stamp ~nb ~n_direct i in
+      let direct = n_direct.(0) in
       coupled.(i) <- len > 0;
       if len > 0 then begin
         let at = i * nc in

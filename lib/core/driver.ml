@@ -7,85 +7,6 @@ type result = {
   timed_out : bool;
 }
 
-(* The claim order's key: an unsigned 64-bit integer whose ascending
-   order is descending [Float.compare] order. [Float.compare] ranks a
-   NaN below every float and -0.0 equal to +0.0, so a NaN maps to the
-   largest key and -0.0 first becomes +0.0. A non-negative float's bits
-   order like the float and a negative one's reversed, so flipping the
-   sign bit of the first, or every bit of the second, gives an
-   ascending key, which is then complemented. *)
-let[@inline] claim_key x =
-  if x <> x then -1L
-  else
-    let x = x +. 0.0 in
-    let b = Int64.bits_of_float x in
-    if x >= 0.0 then Int64.lognot (Int64.logxor b Int64.min_int) else b
-
-let[@inline] digit key p = Int64.to_int (Int64.shift_right_logical key (8 * p)) land 255
-
-external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
-external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
-
-(* A stable LSD radix sort of the movable rows, ascending ids first,
-   on [claim_key], eight bits per pass, least significant first. The
-   keys are computed once and travel with their ids, 8 bytes each. One
-   sweep counts every digit; a digit that every key shares is skipped,
-   as a pass on it would keep the order. Stable on ids that start
-   ascending, it orders exactly as the comparator "descending
-   confidence, ties to the lower id". *)
-let claim_order conf movable =
-  let n = Array.length movable in
-  if Array.length conf < n then invalid_arg "Driver.claim_order: conf shorter than movable";
-  let m = ref 0 in
-  Array.iter (fun b -> if b then incr m) movable;
-  let m = !m in
-  let ids = ref (Array.make m 0) and ids' = ref (Array.make m 0) in
-  let keys = ref (Bytes.create (8 * m)) and keys' = ref (Bytes.create (8 * m)) in
-  let counts = Array.make (8 * 256) 0 in
-  let j = ref 0 in
-  for i = 0 to n - 1 do
-    if Array.unsafe_get movable i then begin
-      let key = claim_key (Array.unsafe_get conf i) in
-      Array.unsafe_set !ids !j i;
-      set64 !keys (8 * !j) key;
-      for p = 0 to 7 do
-        let b = (p * 256) + digit key p in
-        Array.unsafe_set counts b (Array.unsafe_get counts b + 1)
-      done;
-      incr j
-    end
-  done;
-  for p = 0 to 7 do
-    let off = p * 256 in
-    let shared = ref false in
-    for b = off to off + 255 do
-      if Array.unsafe_get counts b = m then shared := true
-    done;
-    if not !shared then begin
-      (* Each digit's count becomes the first slot of its run. *)
-      let start = ref 0 in
-      for b = off to off + 255 do
-        let c = Array.unsafe_get counts b in
-        Array.unsafe_set counts b !start;
-        start := !start + c
-      done;
-      let si = !ids and sk = !keys and di = !ids' and dk = !keys' in
-      for j = 0 to m - 1 do
-        let key = get64 sk (8 * j) in
-        let b = off + digit key p in
-        let at = Array.unsafe_get counts b in
-        Array.unsafe_set di at (Array.unsafe_get si j);
-        set64 dk (8 * at) key;
-        Array.unsafe_set counts b (at + 1)
-      done;
-      ids := di;
-      ids' := si;
-      keys := dk;
-      keys' := sk
-    end
-  done;
-  !ids
-
 let assignment_of_weights ?(cap_factor = 1.1) ctx w =
   let n = Weights.n w and nc = Weights.nc w in
   let machine = ctx.Context.machine in
@@ -137,7 +58,7 @@ let assignment_of_weights ?(cap_factor = 1.1) ctx w =
   (* Confidences are read once per row, unboxed. *)
   let conf = Array.make n 0.0 in
   Weights.confidences w conf;
-  let order = claim_order conf movable in
+  let order = Weights.claim_order conf movable in
   (* Each row's cluster marginals, read unboxed: adding each to +0.0
      gives the marginal itself. *)
   let marginals = Array.make nc 0.0 in

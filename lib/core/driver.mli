@@ -97,9 +97,3 @@ val assignment_of_weights : ?cap_factor:float -> Context.t -> Weights.t -> int a
     [Cs_resil.Error.Error (Infeasible _)] if some opcode is executable
     nowhere. *)
 
-val claim_order : float array -> bool array -> int array
-(** [claim_order conf movable] lists the rows [i] with [movable.(i)] in
-    extraction's claim order: descending [conf.(i)] under
-    [Float.compare], ties to the lower id. A stable radix sort on the
-    floats' bits gives exactly the order of [Array.stable_sort] with
-    that comparator. [conf] must be at least as long as [movable]. *)

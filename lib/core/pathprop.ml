@@ -27,26 +27,17 @@ let apply ~confidence_threshold ~blend_keep ctx w =
      Rows with no runner-up report [confidence_sentinel] (the old code
      saw [infinity] and dropped them via [Float.is_finite]); excluding
      the sentinel keeps them out of the walk exactly as before. The
-     order is fixed by the confidences at the start of the pass: the
-     visited rows in ascending id, then a stable sort, so ties keep
-     ascending ids. *)
+     order is fixed by the confidences at the start of the pass:
+     descending confidence, ties to the lower id, which is
+     [Weights.claim_order]. *)
   let n = Weights.n w in
   let conf = Array.make n 0.0 in
   Weights.confidences w conf;
-  let visited i = conf.(i) >= confidence_threshold && conf.(i) < Weights.confidence_sentinel in
-  let count = ref 0 in
-  for i = 0 to n - 1 do
-    if visited i then incr count
-  done;
-  let order = Array.make !count 0 in
-  count := 0;
-  for i = 0 to n - 1 do
-    if visited i then begin
-      order.(!count) <- i;
-      incr count
-    end
-  done;
-  Array.stable_sort (fun a b -> Float.compare conf.(b) conf.(a)) order;
+  let visited =
+    Array.init n (fun i ->
+        conf.(i) >= confidence_threshold && conf.(i) < Weights.confidence_sentinel)
+  in
+  let order = Weights.claim_order conf visited in
   let keep = 1.0 -. blend_keep and graph = Context.graph ctx and src = [| 0.0 |] in
   Array.iter
     (fun ih ->

@@ -21,12 +21,12 @@
    incrementally by every write and rebuilt exactly by [normalize_row].
    The time marginals are not cached: only COMM's preferred-slot boost,
    REGPRESS and the final extraction read them, through
-   [preferred_time], which sums them from the row's window when asked. A
-   writer that sweeps a whole window ([blend], [scale_clusters],
-   [add_noise]) also hands the gate the flat-order total of what it
-   stored ([sweep_total]), so the gate's [normalize_row] skips its
-   own total sweep; every other writer withdraws it. A per-row dirty
-   bit records which rows changed since the last [begin_pass], so
+   [preferred_time], which sums them from the row's window when asked.
+   [scale_clusters] and [add_noise], which sweep a whole window, also
+   hand the gate the flat-order total of what they stored
+   ([sweep_total]), so the gate's [normalize_row] skips its own total
+   sweep; every other writer, [blend] included, withdraws it. A per-row
+   dirty bit records which rows changed since the last [begin_pass], so
    renormalization and the driver's quarantine gate touch only the
    rows a pass actually wrote. While a
    pass is open ([begin_pass]), every writer also saves a row's
@@ -84,7 +84,8 @@ type t = {
   row_total : float array; (* n *)
   sweep_total : float array;
       (* n: the flat-order sum of the window's entries, handed over by
-         the last writer if it swept the whole window, else nan *)
+         the last writer if it was [scale_clusters] or [add_noise],
+         else nan *)
   dirty : Bytes.t; (* n bytes: rows written since begin_pass *)
   mutable n_dirty : int;
   lo : int array; (* n: live window start; entries before it are +0.0 *)
@@ -437,11 +438,9 @@ let apply_delta t i c delta =
     mark_touched t i
   end
 
-(* [set] stores even a -0.0 over a +0.0, so the window widens over
-   anything but +0.0. *)
-let set t i c tt v =
-  check_index t i c tt;
-  if bad_value v then reject_value ();
+(* [set] after its checks. It stores even a -0.0 over a +0.0, so the
+   window widens over anything but +0.0. *)
+let[@inline] store t i c tt v =
   let k = idx t i c tt in
   let old = Bigarray.Array1.unsafe_get t.w k in
   if unsaved t i && Int64.bits_of_float v <> Int64.bits_of_float old then save_row t i;
@@ -449,6 +448,11 @@ let set t i c tt v =
   forget_total t i;
   if v <> 0.0 || Float.sign_bit v then widen t i tt;
   apply_delta t i c (v -. old)
+
+let set t i c tt v =
+  check_index t i c tt;
+  if bad_value v then reject_value ();
+  store t i c tt v
 
 let scale t i c tt f = set t i c tt (get t i c tt *. f)
 
@@ -810,23 +814,40 @@ let row_total t i =
    [sweep_total]: that writer summed the same entries in the same flat
    order, so it is the same float.
 
-   The same divide sweep also runs the gate's validity test: every
-   *stored* value is checked against [validate_row]'s predicate (finite
-   and >= -1e-9, spelled as two comparisons) and the passing ones are
-   summed in flat order into [vsum], exactly [validate_row]'s
-   summation. [normalize_row] returns true iff every value passed and
-   [vsum] is within 1e-6 of 1, i.e. iff [validate_row] would accept the
-   normalized row.
+   The divide sweep stores every value, even one equal to the entry it
+   replaces: the gate runs [normalize_row] only on touched rows, so a
+   changed-or-not test per entry would decide nothing. An equal value
+   has the same bits, since a divide by a positive total keeps a zero's
+   sign, a NaN is stored either way, and the uniform value is a
+   positive normal.
+
+   The same sweep decides the gate's verdict: [normalize_row] returns
+   true iff [validate_row] would accept the normalized row. It keeps
+   only the least value stored, [low], and the row's lane-order total,
+   [row], which the cache needs anyway, and accepts iff
+   [low >= -1e-9 && |row - 1| <= 1e-6]. [validate_row] instead tests
+   every value (finite, >= -1e-9) and sums them in flat order. The
+   verdicts agree:
+   - a NaN or an infinity makes [row] NaN or infinite, and a NaN
+     fails a comparison, so both reject;
+   - a value below -1e-9 fails both tests;
+   - otherwise every value is finite and >= -1e-9. Such a row was
+     divided by its own flat-order total (or is the uniform reset), so
+     its values sum to 1 up to rounding: the flat and lane-order sums
+     of its n values each lie within about n * 2^-53 of 1, far inside
+     the 1e-6 bound, and both accept.
+   Only a failing row is swept again, by [validate_row], which writes
+   the message.
 
    Both sweeps visit only the live window of each lane: the skipped
-   entries are +0.0, which adds nothing to any sum, divides to +0.0 (no
-   store), and passes the check. The uniform reset writes every slot
-   and so restores the full window first. *)
+   entries are +0.0, which adds nothing to any sum, divides to +0.0
+   and so would store its own bits, and does not lower [low] below
+   its start of +0.0. The uniform reset writes every slot and so
+   restores the full window first. *)
 let normalize_row t i =
   if unsaved t i then save_row t i;
   let nt = t.nt and nc = t.nc in
   let len = nc * nt in
-  let changed = ref false in
   let ba = t.w in
   let lo = Array.unsafe_get t.lo i and hi = Array.unsafe_get t.hi i in
   let total = ref (Array.unsafe_get t.sweep_total i) in
@@ -847,33 +868,21 @@ let normalize_row t i =
   let lo = Array.unsafe_get t.lo i and hi = Array.unsafe_get t.hi i in
   let u = 1.0 /. float_of_int len in
   let cs = t.cluster_sum in
-  let row = ref 0.0 in
-  let vsum = ref 0.0 and all_ok = ref true in
+  let row = ref 0.0 and low = ref 0.0 in
   for c = 0 to nc - 1 do
     let lane = ((i * nc) + c) * nt in
     let s = ref 0.0 in
-    for tt = lo to hi do
-      let k = lane + tt in
-      let old = Bigarray.Array1.unsafe_get ba k in
-      let v = if uniform then u else old /. total in
-      let stored =
-        if v <> old then begin
-          changed := true;
-          Bigarray.Array1.unsafe_set ba k v;
-          v
-        end
-        else old
-      in
-      if stored >= -1e-9 && stored <= max_float then vsum := !vsum +. stored
-      else all_ok := false;
+    for k = lane + lo to lane + hi do
+      let v = if uniform then u else Bigarray.Array1.unsafe_get ba k /. total in
+      Bigarray.Array1.unsafe_set ba k v;
+      if v < !low then low := v;
       s := !s +. v
     done;
     Array.unsafe_set cs ((i * nc) + c) !s;
     row := !row +. !s
   done;
   t.row_total.(i) <- !row;
-  if !changed then mark_touched t i;
-  !all_ok && Float.abs (!vsum -. 1.0) <= 1e-6
+  !low >= -1e-9 && Float.abs (!row -. 1.0) <= 1e-6
 
 (* --- preferences ----------------------------------------------------
    Plain loops over the caches: no closure, and no float crosses a
@@ -1024,6 +1033,86 @@ let confidences t into =
     Array.unsafe_set into i (row_confidence t i)
   done
 
+(* The claim order, extraction's and PATHPROP's. Its key: an unsigned
+   64-bit integer whose ascending order is descending [Float.compare]
+   order. [Float.compare] ranks a NaN below every float and -0.0 equal
+   to +0.0, so a NaN maps to the largest key and -0.0 first becomes
+   +0.0. A non-negative float's bits order like the float and a
+   negative one's reversed, so flipping the sign bit of the first, or
+   every bit of the second, gives an ascending key, which is then
+   complemented. *)
+let[@inline] claim_key x =
+  if x <> x then -1L
+  else
+    let x = x +. 0.0 in
+    let b = Int64.bits_of_float x in
+    if x >= 0.0 then Int64.lognot (Int64.logxor b Int64.min_int) else b
+
+let[@inline] digit key p = Int64.to_int (Int64.shift_right_logical key (8 * p)) land 255
+
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+(* A stable LSD radix sort of the picked rows, ascending ids first,
+   on [claim_key], eight bits per pass, least significant first. The
+   keys are computed once and travel with their ids, 8 bytes each. One
+   sweep counts every digit; a digit that every key shares is skipped,
+   as a pass on it would keep the order. Stable on ids that start
+   ascending, it orders exactly as the comparator "descending
+   confidence, ties to the lower id". *)
+let claim_order conf picked =
+  let n = Array.length picked in
+  if Array.length conf < n then invalid_arg "Weights.claim_order: conf shorter than picked";
+  let m = ref 0 in
+  Array.iter (fun b -> if b then incr m) picked;
+  let m = !m in
+  let ids = ref (Array.make m 0) and ids' = ref (Array.make m 0) in
+  let keys = ref (Bytes.create (8 * m)) and keys' = ref (Bytes.create (8 * m)) in
+  let counts = Array.make (8 * 256) 0 in
+  let j = ref 0 in
+  for i = 0 to n - 1 do
+    if Array.unsafe_get picked i then begin
+      let key = claim_key (Array.unsafe_get conf i) in
+      Array.unsafe_set !ids !j i;
+      set64 !keys (8 * !j) key;
+      for p = 0 to 7 do
+        let b = (p * 256) + digit key p in
+        Array.unsafe_set counts b (Array.unsafe_get counts b + 1)
+      done;
+      incr j
+    end
+  done;
+  for p = 0 to 7 do
+    let off = p * 256 in
+    let shared = ref false in
+    for b = off to off + 255 do
+      if Array.unsafe_get counts b = m then shared := true
+    done;
+    if not !shared then begin
+      (* Each digit's count becomes the first slot of its run. *)
+      let start = ref 0 in
+      for b = off to off + 255 do
+        let c = Array.unsafe_get counts b in
+        Array.unsafe_set counts b !start;
+        start := !start + c
+      done;
+      let si = !ids and sk = !keys and di = !ids' and dk = !keys' in
+      for j = 0 to m - 1 do
+        let key = get64 sk (8 * j) in
+        let b = off + digit key p in
+        let at = Array.unsafe_get counts b in
+        Array.unsafe_set di at (Array.unsafe_get si j);
+        set64 dk (8 * at) key;
+        Array.unsafe_set counts b (at + 1)
+      done;
+      ids := di;
+      ids' := si;
+      keys := dk;
+      keys' := sk
+    end
+  done;
+  !ids
+
 let blend t ~dst ~src ~keep =
   if not (keep >= 0.0 && keep <= 1.0) then invalid_arg "Weights.blend: keep must be in [0,1]";
   check_row t dst;
@@ -1031,36 +1120,84 @@ let blend t ~dst ~src ~keep =
   if dst <> src then begin
     (* One sweep writes the row and rebuilds its marginal caches,
        accumulating in a from-entries rebuild's order as
-       [normalize_row] does, and sums the row in flat order for the gate. Outside the
-       hull of the two live windows both rows are +0.0, and so is their
-       blend, so the sweep and [dst]'s new window are that hull. *)
+       [normalize_row] does. Outside the hull of the two live windows
+       both rows are +0.0, and so is their blend, so the sweep and
+       [dst]'s new window are that hull.
+
+       Four cluster lanes go per sweep, each into its own sum, which
+       adds that lane's entries in ascending slot order as a one-lane
+       sweep would; the row total then adds the four sums in cluster
+       order. The four add chains are independent, so they overlap. A
+       flat-order total would be one chain through every entry, so the
+       blend withdraws the row's total instead of handing one over: a
+       row takes about three blends per pass, and the gate sums it
+       once. The sweep's index [k] walks [dst]'s lane; [src]'s lane is
+       [gap] further on, and the next three lanes [nt], [2 nt] and
+       [3 nt], so few indices are live and none is spilled. *)
     let nc = t.nc and nt = t.nt in
     let ba = t.w in
     let drop = 1.0 -. keep in
     let cs = t.cluster_sum in
     if unsaved t dst then save_row t dst;
+    forget_total t dst;
     let lo = Int.min (Array.unsafe_get t.lo dst) (Array.unsafe_get t.lo src)
     and hi = Int.max (Array.unsafe_get t.hi dst) (Array.unsafe_get t.hi src) in
     Array.unsafe_set t.lo dst lo;
     Array.unsafe_set t.hi dst hi;
-    let row = ref 0.0 and total = ref 0.0 in
-    for c = 0 to nc - 1 do
-      let ld = ((dst * nc) + c) * nt and ls = ((src * nc) + c) * nt in
-      let s = ref 0.0 in
-      for tt = lo to hi do
-        let v =
-          (keep *. Bigarray.Array1.unsafe_get ba (ld + tt))
-          +. (drop *. Bigarray.Array1.unsafe_get ba (ls + tt))
+    let row = ref 0.0 and c = ref 0 in
+    let gap = (src - dst) * nc * nt and nt2 = 2 * nt and nt3 = 3 * nt in
+    while !c + 3 < nc do
+      let ci = (dst * nc) + !c in
+      let a0 = ref 0.0 and a1 = ref 0.0 and a2 = ref 0.0 and a3 = ref 0.0 in
+      for k = (ci * nt) + lo to (ci * nt) + hi do
+        let v0 =
+          (keep *. Bigarray.Array1.unsafe_get ba k)
+          +. (drop *. Bigarray.Array1.unsafe_get ba (k + gap))
         in
-        Bigarray.Array1.unsafe_set ba (ld + tt) v;
-        s := !s +. v;
-        total := !total +. v
+        Bigarray.Array1.unsafe_set ba k v0;
+        a0 := !a0 +. v0;
+        let v1 =
+          (keep *. Bigarray.Array1.unsafe_get ba (k + nt))
+          +. (drop *. Bigarray.Array1.unsafe_get ba (k + nt + gap))
+        in
+        Bigarray.Array1.unsafe_set ba (k + nt) v1;
+        a1 := !a1 +. v1;
+        let v2 =
+          (keep *. Bigarray.Array1.unsafe_get ba (k + nt2))
+          +. (drop *. Bigarray.Array1.unsafe_get ba (k + nt2 + gap))
+        in
+        Bigarray.Array1.unsafe_set ba (k + nt2) v2;
+        a2 := !a2 +. v2;
+        let v3 =
+          (keep *. Bigarray.Array1.unsafe_get ba (k + nt3))
+          +. (drop *. Bigarray.Array1.unsafe_get ba (k + nt3 + gap))
+        in
+        Bigarray.Array1.unsafe_set ba (k + nt3) v3;
+        a3 := !a3 +. v3
       done;
-      Array.unsafe_set cs ((dst * nc) + c) !s;
-      row := !row +. !s
+      Array.unsafe_set cs ci !a0;
+      Array.unsafe_set cs (ci + 1) !a1;
+      Array.unsafe_set cs (ci + 2) !a2;
+      Array.unsafe_set cs (ci + 3) !a3;
+      row := !row +. !a0 +. !a1 +. !a2 +. !a3;
+      c := !c + 4
+    done;
+    while !c < nc do
+      let ci = (dst * nc) + !c in
+      let s = ref 0.0 in
+      for k = (ci * nt) + lo to (ci * nt) + hi do
+        let v =
+          (keep *. Bigarray.Array1.unsafe_get ba k)
+          +. (drop *. Bigarray.Array1.unsafe_get ba (k + gap))
+        in
+        Bigarray.Array1.unsafe_set ba k v;
+        s := !s +. v
+      done;
+      Array.unsafe_set cs ci !s;
+      row := !row +. !s;
+      incr c
     done;
     t.row_total.(dst) <- !row;
-    Array.unsafe_set t.sweep_total dst !total;
     mark_touched t dst
   end
 
@@ -1145,6 +1282,10 @@ module Inspect = struct
       (Domain.DLS.get spare).chunks
 
   let store_cap = store_cap
+
+  let set_unchecked t i c tt v =
+    check_index t i c tt;
+    store t i c tt v
 
   let check_invariants t =
     let problems = ref [] in

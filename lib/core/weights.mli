@@ -18,12 +18,12 @@
     read them rarely, so {!preferred_time} sums them from the row's
     live window when asked.
 
-    A writer that sweeps a row's whole window ({!blend},
-    {!scale_clusters}, {!add_noise}) also sums, in flat order, the
-    values it leaves there, and hands that total to the gate's next
-    normalization of the row, which then skips its own total sweep; it
-    is the same float, summed in the same order. Any other writer
-    withdraws the total.
+    {!scale_clusters} and {!add_noise}, which sweep a row's whole
+    window, also sum, in flat order, the values they leave there, and
+    hand that total to the gate's next normalization of the row, which
+    then skips its own total sweep; it is the same float, summed in the
+    same order. Any other writer, {!blend} included, withdraws the
+    total.
 
     Every write also marks its row {e touched}, so renormalization and
     the driver's quarantine gate run in time proportional to the rows a
@@ -209,11 +209,28 @@ val confidences : t -> float array -> unit
 (** [confidences w into] sets [into.(i) <- confidence w i] for every
     row, boxing no float; [into] must hold at least [n w] floats. *)
 
+val claim_order : float array -> bool array -> int array
+(** [claim_order conf picked] lists the rows [i] with [picked.(i)] in
+    descending [conf.(i)] under [Float.compare], ties to the lower id:
+    the order in which extraction lets rows claim a cluster, and in
+    which PATHPROP visits its sources. A stable radix sort on the
+    floats' bits gives exactly the order of [Array.stable_sort] with
+    that comparator over the ascending ids. [conf] must be at least as
+    long as [picked]. *)
+
 val blend : t -> dst:int -> src:int -> keep:float -> unit
 (** [blend w ~dst ~src ~keep] sets [W(dst) <- keep * W(dst) +
     (1 - keep) * W(src)] pointwise — the paper's linear combination with
     [n = 2, i1 = j]. [keep] must be in [\[0, 1\]]; anything else,
-    NaN included, raises [Invalid_argument]. *)
+    NaN included, raises [Invalid_argument].
+
+    One sweep writes the row and rebuilds its cluster sums and total as
+    a rebuild from the entries would: each cluster sum adds its lane
+    left to right, and the total adds the cluster sums in order. It
+    takes four cluster lanes per sweep, each into its own sum. It hands
+    the gate no flat-order total: the row's total is withdrawn, and the
+    gate's next normalization of the row sums the row once, however
+    many blends wrote it. *)
 
 (** {1 Copy and storage} *)
 
@@ -240,20 +257,24 @@ val normalize_validate_touched : t -> (unit, string) result
 (** The driver's per-pass gate: rescale every row written since
     {!begin_pass} (since creation, before the first), in ascending
     order, to sum to 1, rebuilding its marginal caches exactly, and
-    check it in the same sweep: every entry finite and non-negative,
-    the row summing to 1 within [1e-6]. A row that has been squashed to
-    all zeros is reset to uniform over the full window. Each row costs
-    one total sweep plus one divide sweep that rebuilds the caches and
-    tests every stored value; a row whose last writer handed over its
-    total skips the first. The result is the first failing row's
+    check it: every entry finite and at least [-1e-9], the row summing
+    to 1 within [1e-6]. A row that has been squashed to all zeros is
+    reset to uniform over the full window. Each row costs one total
+    sweep plus one divide sweep that stores every value, rebuilds the
+    caches and keeps the least value stored; a row whose last writer
+    handed over its total skips the first. The divide sweep decides the
+    verdict from that least value and the row's rebuilt total, which
+    accepts exactly the rows the check above accepts (the argument is
+    in [weights.ml], at [normalize_row]); only a failing row is swept
+    again, to write its message. The result is the first failing row's
     message, and every touched row is normalized even after a failure.
     Rows a pass never wrote keep their exact bits and are not checked:
     they passed the previous gate and have not changed since. *)
 
 (** {1 Inspection}
 
-    What tests and assertions read inside the matrix; no pass needs
-    it. *)
+    What tests and assertions read inside the matrix, and the one
+    write they need; no pass uses it. *)
 module Inspect : sig
   val window : t -> int -> int * int
   (** Row [i]'s live window [(lo, hi)]: every entry outside it is
@@ -262,6 +283,12 @@ module Inspect : sig
   val store_cap : int
   (** [2^20] floats (8 MiB): the most storage a domain keeps for later
       matrices, and the most it keeps for later undo logs. *)
+
+  val set_unchecked : t -> int -> int -> int -> float -> unit
+  (** {!set} without its value check: stores a negative, NaN or
+      infinite value as {!set} would store a valid one (undo-log save,
+      caches, window, touched flag), so a test can hand the gate a row
+      that no writer produces. *)
 
   val retained_floats : unit -> int
   (** Floats of storage the calling domain keeps for reuse: its spare

@@ -427,15 +427,18 @@ let matrix_state w =
 
 (* A random DAG on one of [level_machines], with some rows skewed toward
    a cluster (so confidences and pulls vary), normalized, touched flags
-   cleared: the state a pass meets inside the driver. *)
-let skewed_start seed m =
+   cleared: the state a pass meets inside the driver. A row's factor is
+   drawn in [1, 5), or with [tied] is 2 or 3, so that many rows share a
+   confidence. *)
+let skewed_start ?(tied = false) seed m =
   let rng = Cs_util.Rng.create seed in
   let ctx, w = fresh (random_dag rng) level_machines.(m) in
   for i = 0 to Weights.n w - 1 do
     if Cs_util.Rng.bool rng then
       Weights.scale_cluster w i
         (Cs_util.Rng.int rng (Weights.nc w))
-        (1.0 +. Cs_util.Rng.float rng 4.0)
+        (if tied then if Cs_util.Rng.bool rng then 2.0 else 3.0
+         else 1.0 +. Cs_util.Rng.float rng 4.0)
   done;
   Weights_ref.gate w;
   Weights_ref.clear_touched w;
@@ -551,47 +554,6 @@ let test_pathprop_noop_without_confidence () =
   run_pass (Pathprop.pass ()) ctx w;
   Alcotest.(check (float 1e-9)) "uniform stays" 0.25 (Weights.cluster_weight w 0 0)
 
-(* PATHPROP as it was written before the confidence cache: every walk
-   step recomputes each candidate's confidence, and each source's. *)
-module Recompute_pathprop = struct
-  let walk ctx w ~blend_keep ~source ~conf_source ~step_targets =
-    let graph = Context.graph ctx in
-    let rec go cur =
-      let next =
-        List.fold_left
-          (fun acc s ->
-            let conf_s = Weights.confidence w s in
-            if conf_s < conf_source then
-              match acc with
-              | Some (bc, _) when bc <= conf_s -> acc
-              | Some _ | None -> Some (conf_s, s)
-            else acc)
-          None (step_targets graph cur)
-      in
-      match next with
-      | None -> ()
-      | Some (_, s) ->
-        Weights.blend w ~dst:s ~src:source ~keep:(1.0 -. blend_keep);
-        go s
-    in
-    go source
-
-  let apply ~confidence_threshold ~blend_keep ctx w =
-    let conf = Array.init (Weights.n w) (Weights.confidence w) in
-    let order =
-      List.init (Weights.n w) (fun i -> i)
-      |> List.filter (fun i ->
-             conf.(i) >= confidence_threshold && conf.(i) < Weights.confidence_sentinel)
-      |> List.sort (fun a b -> Float.compare conf.(b) conf.(a))
-    in
-    List.iter
-      (fun ih ->
-        let conf_source = Weights.confidence w ih in
-        walk ctx w ~blend_keep ~source:ih ~conf_source ~step_targets:Cs_ddg.Graph.succs;
-        walk ctx w ~blend_keep ~source:ih ~conf_source ~step_targets:Cs_ddg.Graph.preds)
-      order
-end
-
 let pathprop_case_gen =
   QCheck.Gen.(
     quad (int_bound 100_000) (int_bound 2)
@@ -602,15 +564,33 @@ let print_pathprop_case (seed, m, th, keep) =
   Printf.sprintf "seed=%d nc=%d threshold=%h blend_keep=%g" seed
     (Cs_machine.Machine.n_clusters level_machines.(m)) th keep
 
+(* PATHPROP against [Pathprop_ref], its spelling with no confidence
+   cache and the [Array.stable_sort] it used before
+   [Weights.claim_order]. Odd seeds start tied, so many rows share a
+   confidence and the order of ties decides which row a walk blends
+   first. The entries, caches, touched flags and every row's
+   confidence must agree bit for bit. *)
 let prop_pathprop_matches_recompute =
   QCheck.Test.make ~count:300 ~name:"cached-confidence PATHPROP = recomputing PATHPROP, bit for bit"
     (QCheck.make ~print:print_pathprop_case pathprop_case_gen)
     (fun (seed, m, confidence_threshold, blend_keep) ->
-      let ctx, w = skewed_start seed m in
+      let ctx, w = skewed_start ~tied:(seed mod 2 = 1) seed m in
       let reference = Weights.copy w in
       (Pathprop.pass ~confidence_threshold ~blend_keep ()).Pass.apply ctx w;
-      Recompute_pathprop.apply ~confidence_threshold ~blend_keep ctx reference;
-      matrix_state w = matrix_state reference)
+      Pathprop_ref.apply ~confidence_threshold ~blend_keep ctx reference;
+      let bits w =
+        let conf = Array.make (Weights.n w) 0.0 in
+        Weights.confidences w conf;
+        ( List.map
+            (fun (e, lanes, total, touched) ->
+              ( Array.map (Array.map Int64.bits_of_float) e,
+                Array.map Int64.bits_of_float lanes,
+                Int64.bits_of_float total,
+                touched ))
+            (matrix_state w),
+          Array.map Int64.bits_of_float conf )
+      in
+      bits w = bits reference)
 
 (* --- EMPHCP --- *)
 

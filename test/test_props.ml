@@ -265,44 +265,6 @@ let prop_pressure_nonnegative =
       && Cs_regalloc.Pressure.max_peak sched
          <= List.length (Cs_regalloc.Pressure.intervals sched))
 
-(* Extraction's claim order against the sort it replaced:
-   [Array.stable_sort] over the movable ids, descending confidence,
-   ties to the lower id. Confidences are drawn from a small pool so
-   duplicates are common, with the 1e9 sentinel, values one ulp apart,
-   both zeros and the special floats; the movable set may be empty. *)
-let prop_claim_order =
-  let conf_gen =
-    QCheck.Gen.(
-      frequency
-        [ (4, float_range 1.0 50.0);
-          (3, oneofl [ 1.0; 2.5; 7.0; Cs_core.Weights.confidence_sentinel ]);
-          (1, oneofl [ Float.succ 1.0; Float.pred 1e9; 0.0; -0.0; -1.0 ]);
-          (1, oneofl [ Float.nan; Float.infinity; Float.neg_infinity; Float.min_float ]) ])
-  in
-  let gen =
-    QCheck.Gen.(
-      int_range 0 300 >>= fun n ->
-      pair (array_repeat n conf_gen)
-        (oneof [ return (Array.make n false); array_repeat n (map (fun k -> k > 0) (int_bound 3)) ]))
-  in
-  let print (conf, movable) =
-    String.concat " "
-      (List.mapi (fun i c -> Printf.sprintf "%d:%h%s" i c (if movable.(i) then "" else "(fixed)"))
-         (Array.to_list conf))
-  in
-  QCheck.Test.make ~count:2000 ~name:"claim order = stable sort by descending confidence"
-    (QCheck.make ~print gen) (fun (conf, movable) ->
-      let expected =
-        List.filter (fun i -> movable.(i)) (List.init (Array.length movable) Fun.id)
-        |> Array.of_list
-      in
-      Array.stable_sort
-        (fun a b ->
-          let c = Float.compare conf.(b) conf.(a) in
-          if c <> 0 then c else Int.compare a b)
-        expected;
-      Cs_core.Driver.claim_order conf movable = expected)
-
 (* --- Byte fuzz of the textual readers -------------------------------- *)
 
 (* A valid pass token: a registered pass with some parameters moved off
@@ -609,7 +571,7 @@ let () =
         List.map to_alcotest
           [ prop_assignment_respects_preplacement; prop_driver_weights_invariant;
             prop_more_tiles_never_catastrophic; prop_semantic_equivalence;
-            prop_iterative_terminates; prop_claim_order ] );
+            prop_iterative_terminates ] );
       ( "analysis",
         List.map to_alcotest
           [ prop_analysis_invariants; prop_distance_symmetric; prop_textual_roundtrip ] );

@@ -178,8 +178,9 @@ let test_validate_gate () =
   check_bool "row sum off" true (Result.is_error (Weights.Inspect.check_invariants w));
   check_bool "the gate repairs" true (Weights.normalize_validate_touched w = Ok ());
   check_bool "and leaves it sane" true (ok_invariants w);
-  (* Non-finite weights cannot enter through the API at all; the gate's
-     finiteness arm is defense in depth behind this check. *)
+  (* Non-finite weights cannot enter through the writers; the gate's
+     finiteness arm is defense in depth behind this check ("gate
+     verdict at the edges" plants them with [Inspect.set_unchecked]). *)
   Alcotest.check_raises "set rejects nan"
     (Invalid_argument "Weights.set: weight must be finite and >= 0") (fun () ->
       Weights.set w 1 0 0 Float.nan)
@@ -539,6 +540,80 @@ let normalized old =
     Array.map (Array.map (fun _ -> 1.0 /. float_of_int (pnc * pnt))) old
   else Array.map (Array.map (fun v -> v /. total)) old
 
+(* [blend] hands the gate no total, and withdraws the one a sweeping
+   writer handed over. Row 0 holds 1.0 and, in one other lane, two
+   entries of 2^-53, and row 1 is all zeros, so a blend with
+   [keep = 0.5] halves row 0 exactly. The halved row's flat-order total
+   is 0.5 (each 2^-54 is half an ulp and rounds away), and its
+   lane-order total, the one [blend] rebuilds the cache with, is
+   0.5 + 2^-53. With [handed], [scale_clusters] first doubles the row
+   and hands over a flat total of 2.0 (so the blend leaves the
+   doubled values halved, 1.0 and 2^-53). Had the blend kept the
+   handed total, or handed over its lane-order one, the gate would
+   divide by a float other than the flat total of the blended row. *)
+let test_blend_withdraws_total () =
+  List.iter
+    (fun handed ->
+      let w = Weights_ref.uniform ~n:2 ~nc:3 ~nt:2 in
+      for i = 0 to 1 do
+        for c = 0 to 2 do
+          for t = 0 to 1 do
+            Weights.set w i c t 0.0
+          done
+        done
+      done;
+      Weights.set w 0 0 0 1.0;
+      Weights.set w 0 1 0 0x1p-53;
+      Weights.set w 0 1 1 0x1p-53;
+      if handed then Weights.scale_clusters w 0 [| 2.0; 2.0; 2.0 |];
+      let row () = Array.init 3 (fun c -> Array.init 2 (Weights.get w 0 c)) in
+      let before = row () in
+      Weights.blend w ~dst:0 ~src:1 ~keep:0.5;
+      let blended = row () in
+      check_bool "the blend halves the row" true
+        (blended = Array.map (Array.map (fun v -> v /. 2.0)) before);
+      let flat = Array.fold_left (Array.fold_left ( +. )) 0.0 blended in
+      check_bool "lane-order total differs from flat" true (Weights.row_total w 0 <> flat);
+      Weights_ref.gate w;
+      for c = 0 to 2 do
+        for t = 0 to 1 do
+          if Int64.bits_of_float (Weights.get w 0 c t)
+             <> Int64.bits_of_float (blended.(c).(t) /. flat)
+          then Alcotest.failf "entry (%d,%d) not divided by the flat total" c t
+        done
+      done)
+    [ false; true ]
+
+(* After up to four blends into one row, with or without a total
+   handed over before them, the gate divides the row by its flat-order
+   total, so it equals the pointwise formula bit for bit. *)
+let test_blends_then_gate_qcheck =
+  let gen =
+    QCheck.Gen.(
+      tup4 ops_gen (int_bound (pn - 1)) bool
+        (list_size (int_range 1 4)
+           (pair (int_bound (pn - 2))
+              (frequency [ (1, oneofl [ 0.0; 0.5; 1.0 ]); (3, float_bound_inclusive 1.0) ]))))
+  in
+  let prop =
+    QCheck.Test.make ~count:300 ~name:"blends then gate = flat-total normalization"
+      (QCheck.make gen)
+      (fun (ops, dst, handed, blends) ->
+        let w = run_ops ops in
+        Weights_ref.gate w;
+        Weights_ref.clear_touched w;
+        if handed then Weights.scale_clusters w dst [| 1.5; 0.5; 2.0 |];
+        List.iter
+          (fun (off, keep) -> Weights.blend w ~dst ~src:((dst + 1 + off) mod pn) ~keep)
+          blends;
+        let want = normalized (entries w dst) in
+        Weights_ref.gate w;
+        let bits = Array.map (Array.map Int64.bits_of_float) in
+        bits (entries w dst) = bits want
+        && cached_marginals w dst = rebuilt_marginals want)
+  in
+  to_alcotest prop
+
 (* The gate normalizes each touched row by the pointwise formula and
    rebuilds its caches from the result; untouched rows keep their
    bits, and the touched flags stay as they were. *)
@@ -581,30 +656,94 @@ let validate_row r e =
     err := Some (Printf.sprintf "row %d sums to %g, expected 1" r !total);
   !err
 
+(* Rows at the edges of the gate's verdict, as [pnc] lanes of [pnt]
+   entries. No writer stores a negative, NaN or infinite value, so
+   these are planted with [Weights.Inspect.set_unchecked]:
+   - two entries [x * s] and [(1 - x) * s], for [x] at -1e-9 and the
+     floats on either side of it, and [s] a power of two. The flat-order
+     total is [s] exactly, so the divide leaves [x] itself, on either
+     side of the check's edge;
+   - a few special values (NaN, the infinities, [+/-max_float], the
+     -1e-9 edge, signed zeros, tiny and subnormal values) among random
+     entries: a pair of [max_float] overflows the total, and
+     [max_float - max_float + tiny] divides to infinities;
+   - all-zero rows, +0.0 or -0.0, which the gate resets to uniform;
+   - a top entry in lane 0 with half-ulp values in the other lanes, so
+     the flat-order total (which the divide uses) and the lane-order
+     one (which the row cache holds, and the verdict reads) round
+     differently. *)
+let edge_row_gen =
+  QCheck.Gen.(
+    let slots = pnc * pnt in
+    let of_flat cells =
+      let e = Array.make_matrix pnc pnt 0.0 in
+      List.iter (fun (k, v) -> e.(k / pnt).(k mod pnt) <- v) cells;
+      e
+    in
+    let threshold =
+      map
+        (fun (a, d, x, s) -> of_flat [ (a, x *. s); ((a + 1 + d) mod slots, (1.0 -. x) *. s) ])
+        (quad (int_bound (slots - 1)) (int_bound (slots - 2))
+           (oneofl [ -1e-9; Float.pred (-1e-9); Float.succ (-1e-9) ])
+           (oneofl [ 1.0; 0.5; 2.0; 0x1p-20 ]))
+    in
+    let special =
+      oneofl
+        [ Float.nan; Float.infinity; Float.neg_infinity; max_float; -.max_float; -1e-9;
+          Float.pred (-1e-9); 0.0; -0.0; 1e-300; 5e-324; 1.0 ]
+    in
+    let specials =
+      map2
+        (fun base cells -> of_flat (List.mapi (fun k v -> (k, v)) base @ cells))
+        (list_repeat slots (frequency [ (2, float_bound_inclusive 1.0); (1, return 0.0) ]))
+        (list_size (int_range 1 4) (pair (int_bound (slots - 1)) special))
+    in
+    let zeros = map (fun z -> Array.make_matrix pnc pnt z) (oneofl [ 0.0; -0.0 ]) in
+    let lanes =
+      map2
+        (fun (t, top) cells -> of_flat ((t, top) :: cells))
+        (pair (int_bound (pnt - 1)) (oneofl [ 1.0; 0.5; 0.75 ]))
+        (list_size (int_range 2 6)
+           (pair (int_range pnt (slots - 1)) (oneofl [ 0x1p-53; 0x1p-54; 0x1.8p-53; 1e-16 ])))
+    in
+    pair (int_bound (pn - 1)) (frequency [ (2, threshold); (3, specials); (1, zeros); (2, lanes) ]))
+
+let plant w (i, e) =
+  Array.iteri (fun c lane -> Array.iteri (fun t v -> Weights.Inspect.set_unchecked w i c t v) lane) e
+
+let state_bits st =
+  let bits = Int64.bits_of_float in
+  List.map
+    (fun (e, lanes, total, touched) ->
+      (Array.map (Array.map bits) e, Array.map bits lanes, bits total, touched))
+    st
+
 (* The fused gate against the two-step protocol it replaced, spelled on
    the matrix's observable state: normalize each touched row by the
    pointwise formula and rebuild its caches, then validate the touched
-   rows in ascending order. From any reachable state (touched flags
-   accumulated from the start, or cleared after a gated prefix so some
-   rows stay untouched), the verdict, the entries, the marginals and
-   the touched flags must agree with [=]. The public writers reject
-   non-finite and negative values, so every touched row normalizes to a
-   valid one and the verdict is [Ok]. A row failing the fused filter is
-   re-read by the library's own row check, which decides the verdict,
-   so a filter slip costs time, not a wrong verdict; sweeping an
-   untouched row, or normalizing differently, shows here as a state
-   mismatch. *)
+   rows in ascending order with [validate_row]'s flat-order formula.
+   From any reachable state (touched flags accumulated from the start,
+   or cleared after a gated prefix so some rows stay untouched), plus
+   up to three planted edge rows, the verdict (message included), the
+   entries, the marginals and the touched flags must agree bit for
+   bit. The gate's fused verdict (the least value and the lane-order
+   total) only picks the rows that [validate_row] re-reads, so one that
+   rejects too much costs time, not a wrong verdict; one that accepts
+   too much shows here. Sweeping an untouched row, or normalizing
+   differently, shows as a state mismatch. *)
 let test_gate_fused_qcheck =
   let prop =
-    QCheck.Test.make ~count:500 ~name:"fused gate = normalize touched rows, then validate"
-      (QCheck.make QCheck.Gen.(tup3 ops_gen bool ops_gen))
-      (fun (prefix, clear, ops) ->
+    QCheck.Test.make ~count:1000 ~name:"fused gate = normalize touched rows, then validate"
+      (QCheck.make
+         QCheck.Gen.(quad ops_gen bool ops_gen (list_size (int_bound 3) edge_row_gen)))
+      (fun (prefix, clear, ops, edges) ->
         let w = run_ops prefix in
         if clear then begin
           ignore (Weights.normalize_validate_touched w);
           Weights_ref.clear_touched w
         end;
         List.iter (apply_op w) ops;
+        List.iter (plant w) edges;
         let expected =
           List.map
             (fun ((e, _, _, touched) as row) ->
@@ -626,9 +765,54 @@ let test_gate_fused_qcheck =
             (Ok ())
             (List.mapi (fun r row -> (r, row)) expected)
         in
-        Weights.normalize_validate_touched w = verdict && state w = expected)
+        Weights.normalize_validate_touched w = verdict
+        && state_bits (state w) = state_bits expected)
   in
   to_alcotest prop
+
+(* The edge rows above, one at a time, with the verdict each must get:
+   the -1e-9 edge passes and the float below it fails; a NaN, an
+   infinity or an overflowing pair resets the row to uniform, which
+   passes; entries that cancel to a tiny total divide to infinities,
+   which fail; and the flat and lane-order totals of the last row
+   differ, the gate dividing by the flat one. *)
+let test_gate_verdict_edges () =
+  let row cells =
+    let e = Array.make_matrix pnc pnt 0.0 in
+    List.iter (fun (c, t, v) -> e.(c).(t) <- v) cells;
+    e
+  in
+  let gate e =
+    let w = Weights_ref.uniform ~n:pn ~nc:pnc ~nt:pnt in
+    plant w (1, e);
+    let verdict = Weights.normalize_validate_touched w in
+    if verdict <> (match validate_row 1 (normalized e) with None -> Ok () | Some m -> Error m)
+    then Alcotest.fail "verdict differs from the flat-order row check";
+    (verdict, w)
+  in
+  let expect what want e = Alcotest.(check (result unit string)) what want (fst (gate e)) in
+  let edge x = row [ (0, 1, x); (2, 3, 1.0 -. x) ] in
+  expect "at -1e-9" (Ok ()) (edge (-1e-9));
+  expect "just above -1e-9" (Ok ()) (edge (Float.succ (-1e-9)));
+  expect "just below -1e-9"
+    (Error (Printf.sprintf "row 1 has negative weight %g" (Float.pred (-1e-9))))
+    (edge (Float.pred (-1e-9)));
+  List.iter
+    (fun (what, x) -> expect what (Ok ()) (row [ (0, 0, 0.5); (1, 2, x) ]))
+    [ ("nan", Float.nan); ("+inf", Float.infinity); ("-inf", Float.neg_infinity) ];
+  expect "overflowing pair" (Ok ()) (row [ (0, 0, max_float); (2, 4, max_float) ]);
+  expect "cancelling pair"
+    (Error "row 1 has non-finite weight inf")
+    (row [ (0, 0, max_float); (0, 1, -.max_float); (1, 0, 1e-300) ]);
+  expect "all +0.0" (Ok ()) (row []);
+  expect "all -0.0" (Ok ()) (Array.make_matrix pnc pnt (-0.0));
+  let split = row [ (0, 0, 1.0); (1, 0, 0x1p-53); (1, 1, 0x1p-53) ] in
+  let _, w = gate split in
+  let flat = Array.fold_left (Array.fold_left ( +. )) 0.0 split in
+  check_bool "the flat total is 1" true (flat = 1.0);
+  check_bool "the lane-order total is not" true (Weights.row_total w 1 = 1.0 +. 0x1p-52);
+  let bits = Array.map (Array.map Int64.bits_of_float) in
+  check_bool "the entries divide by the flat total" true (bits (entries w 1) = bits split)
 
 let test_ops_dirty_exact_qcheck =
   let prop =
@@ -1671,6 +1855,46 @@ let test_marginal_consistency_qcheck =
   in
   to_alcotest prop
 
+(* The claim order (extraction's and PATHPROP's) against the sort it
+   replaced: [Array.stable_sort] over the movable ids, descending
+   confidence, ties to the lower id. Confidences are drawn from a small
+   pool so duplicates are common, with the 1e9 sentinel, values one ulp
+   apart, both zeros and the special floats; the movable set may be
+   empty. *)
+let test_claim_order_qcheck =
+  let conf_gen =
+    QCheck.Gen.(
+      frequency
+        [ (4, float_range 1.0 50.0);
+          (3, oneofl [ 1.0; 2.5; 7.0; Weights.confidence_sentinel ]);
+          (1, oneofl [ Float.succ 1.0; Float.pred 1e9; 0.0; -0.0; -1.0 ]);
+          (1, oneofl [ Float.nan; Float.infinity; Float.neg_infinity; Float.min_float ]) ])
+  in
+  let gen =
+    QCheck.Gen.(
+      int_range 0 300 >>= fun n ->
+      pair (array_repeat n conf_gen)
+        (oneof [ return (Array.make n false); array_repeat n (map (fun k -> k > 0) (int_bound 3)) ]))
+  in
+  let print (conf, movable) =
+    String.concat " "
+      (List.mapi (fun i c -> Printf.sprintf "%d:%h%s" i c (if movable.(i) then "" else "(fixed)"))
+         (Array.to_list conf))
+  in
+  QCheck.Test.make ~count:2000 ~name:"claim order = stable sort by descending confidence"
+    (QCheck.make ~print gen) (fun (conf, movable) ->
+      let expected =
+        List.filter (fun i -> movable.(i)) (List.init (Array.length movable) Fun.id)
+        |> Array.of_list
+      in
+      Array.stable_sort
+        (fun a b ->
+          let c = Float.compare conf.(b) conf.(a) in
+          if c <> 0 then c else Int.compare a b)
+        expected;
+      Weights.claim_order conf movable = expected)
+  |> to_alcotest
+
 let () =
   Alcotest.run "cs_core.weights"
     [
@@ -1692,8 +1916,10 @@ let () =
           Alcotest.test_case "blend self noop" `Quick test_blend_self_noop;
           Alcotest.test_case "blend bad keep" `Quick test_blend_rejects_bad_keep;
           Alcotest.test_case "blend self noop clean" `Quick test_blend_self_noop_clean;
+          Alcotest.test_case "blend withdraws the total" `Quick test_blend_withdraws_total;
           Alcotest.test_case "copy deep" `Quick test_copy_is_deep;
           Alcotest.test_case "validate gate" `Quick test_validate_gate;
+          Alcotest.test_case "gate verdict at the edges" `Quick test_gate_verdict_edges;
           Alcotest.test_case "snapshot" `Quick test_preferred_clusters_snapshot;
           Alcotest.test_case "kernels allocation-free" `Quick test_kernels_allocation_free;
           Alcotest.test_case "kernel raise paths = per-element spelling" `Quick
@@ -1719,11 +1945,11 @@ let () =
           test_marginal_consistency_qcheck;
           test_ops_invariants_qcheck; test_kernels_per_element_qcheck;
           test_ops_dirty_exact_qcheck; test_blend_pointwise_qcheck;
-          test_normalize_pointwise_qcheck; test_gate_fused_qcheck;
+          test_normalize_pointwise_qcheck; test_gate_fused_qcheck; test_blends_then_gate_qcheck;
           test_windows_full_row_qcheck; test_create_windowed_qcheck;
           test_rollback_snapshot_qcheck; test_time_marginals_on_demand_qcheck;
           test_handed_totals_gate_qcheck; test_preferred_time_lanes_qcheck;
-          test_confidences_qcheck;
+          test_confidences_qcheck; test_claim_order_qcheck;
         ] );
       ( "store",
         [
